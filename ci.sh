@@ -63,11 +63,9 @@ diff /tmp/verify_smoke_1.txt /tmp/verify_shard_1.txt
 echo "==> kernel cycle regression gate (vs committed BENCH_*.json)"
 target/release/kernel_gate
 
-echo "==> throughput smoke (batch amortisation + executor A/B + shard gates)"
+echo "==> throughput smoke (batch amortisation + bitsliced A/B + shard gates)"
 target/release/throughput --smoke > /tmp/throughput_smoke.txt
 grep -q "GATE: batch-64 inversion shrink" /tmp/throughput_smoke.txt
-grep -q "GATE: predecoded replay bit-identical" /tmp/throughput_smoke.txt
-grep -q "GATE: superblock replay bit-identical" /tmp/throughput_smoke.txt
 grep -q "GATE: bitsliced values bit-identical" /tmp/throughput_smoke.txt
 grep -q "GATE: sharded campaign byte-identical" /tmp/throughput_smoke.txt
 
@@ -90,6 +88,12 @@ target/release/service --overload > /tmp/service_overload_2.txt
 diff /tmp/service_overload_1.txt /tmp/service_overload_2.txt
 grep -q "GATE: service accounting balanced" /tmp/service_overload_1.txt
 grep -q "GATE: overload survivable" /tmp/service_overload_1.txt
+
+echo "==> e2e benchmark package (tests + one smoke run of every workload)"
+# The benchmark is its own package; nothing else compiles it, so an API
+# it imports could otherwise disappear unnoticed.
+cargo test --offline --quiet --manifest-path e2e/Cargo.toml
+cargo run --release --offline -q --manifest-path e2e/Cargo.toml -- --all --smoke > /tmp/e2e_smoke.txt
 
 echo "==> lean build without the trace recorder"
 cargo build -p m0plus --release --offline --no-default-features

@@ -1,12 +1,12 @@
 //! Batch-throughput suite: batch-inversion amortisation, wTNAF cache
-//! hit rates, scheduler ops/sec, the predecode and superblock A/Bs,
-//! and the sharded-campaign scaling sweep.
+//! hit rates, scheduler ops/sec, the bitsliced field-backend A/B and
+//! the sharded-campaign scaling sweep.
 //!
 //! Run: `cargo run --release -p bench --bin throughput [-- --smoke]`
 //!
 //! `--smoke` bounds the run for CI (a few seconds); the default is the
 //! full sweep EXPERIMENTS.md records. Cycle ratios and hit rates are
-//! deterministic; ops/sec and the predecode speedup are wall clock and
+//! deterministic; ops/sec and the bitsliced speedups are wall clock and
 //! vary with the host.
 
 use bench::throughput::{self, ThroughputConfig};
@@ -33,14 +33,6 @@ fn main() {
     println!(
         "\nGATE: batch-64 inversion shrink {:.1}x (>= 8x)",
         at64.inv_shrink()
-    );
-    println!(
-        "GATE: predecoded replay bit-identical, {:.2}x wall-clock",
-        report.predecode.speedup()
-    );
-    println!(
-        "GATE: superblock replay bit-identical, {:.2}x wall-clock",
-        report.superblock.speedup()
     );
     // Bitsliced gates: values are asserted bit-identical inside
     // bitsliced_ab; the wall-clock bounds are set well below the

@@ -8,7 +8,7 @@
 //! Each target kernel is run once on the direct tier with the machine
 //! recording, giving a concrete Thumb-16 instruction stream and the
 //! pre-run machine image. The campaign then replays that stream N
-//! times through [`m0plus::fault::replay`], each time with one sampled
+//! times through [`m0plus::fault::RecordedKernel::replay`], each time with one sampled
 //! [`FaultPlan`] (instruction skip, register bit flip, or memory bit
 //! flip at a uniform trace index). Replays are classified:
 //!

@@ -48,6 +48,16 @@ pub fn backend_from_args(args: impl Iterator<Item = String>) -> Backend {
     backend
 }
 
+/// Serialises this crate's unit tests that reset or read the
+/// process-wide wTNAF table cache's counters (`koblitz::cache`): they
+/// share one test process, and a concurrent reset or lookup would
+/// perturb another test's hit/miss counts.
+#[cfg(test)]
+pub(crate) fn wtnaf_cache_serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,14 +10,6 @@
 //! * **Protocol scheduler** — wall-clock operations/second of
 //!   `sign_batch` / `verify_batch` / `ecdh_batch` swept over batch
 //!   sizes and worker counts.
-//! * **Predecoded executor** — A/B wall clock of replaying a recorded
-//!   kernel through the per-step decoder vs the predecoded fragment,
-//!   with a machine-state equality check proving the modeled outputs
-//!   are bit-identical.
-//! * **Superblock executor** — A/B wall clock of the predecoded
-//!   fragment with per-step dispatch vs superblock dispatch (whole
-//!   straight-line runs executed per interpreter iteration), again
-//!   with a full machine-state equality check.
 //! * **Bitsliced field backend** — A/B wall clock of the 64-lane
 //!   bitsliced kernels against the portable scalar kernels (sqr, mul,
 //!   batch-64 inversion) plus the batch-inversion crossover sweep,
@@ -27,18 +19,14 @@
 //!   and 4 workers, asserting the rendered report stays byte-identical
 //!   at every width.
 //!
-//! The wall-clock numbers (`ops_per_sec`, the executor speedups, the
+//! The wall-clock numbers (`ops_per_sec`, the bitsliced speedups, the
 //! shard scaling) vary with the host; everything else is
 //! deterministic.
 
-use gf2m::bitsliced::{self, set_bitsliced_enabled};
-use gf2m::modeled::{ModeledField, Tier};
+use gf2m::bitsliced;
 use gf2m::Fe;
 use koblitz::projective::batch_to_affine_counted;
 use koblitz::{mul, LdPoint};
-use m0plus::fault::{self, RecordedKernel};
-use m0plus::{predecode_enabled, set_predecode_enabled};
-use m0plus::{set_superblock_enabled, superblock_enabled};
 use protocols::batch::{ecdh_batch, sign_batch, verify_batch, BatchConfig, VerifyJob};
 use protocols::{Keypair, Signature, SigningKey};
 use std::time::{Duration, Instant};
@@ -56,10 +44,6 @@ pub struct ThroughputConfig {
     pub cache_keys: usize,
     /// Verifications per recurring key.
     pub cache_ops_per_key: usize,
-    /// Replays per arm of the predecode A/B.
-    pub predecode_replays: usize,
-    /// Replays per arm of the superblock A/B.
-    pub superblock_replays: usize,
     /// Batch sizes for the bitsliced batch-inversion crossover sweep.
     pub bitsliced_sizes: Vec<usize>,
     /// Replays per arm of the bitsliced A/B.
@@ -81,8 +65,6 @@ impl ThroughputConfig {
             worker_counts: vec![1, 4],
             cache_keys: 3,
             cache_ops_per_key: 8,
-            predecode_replays: 12,
-            superblock_replays: 24,
             bitsliced_sizes: vec![64, 256, 1024],
             bitsliced_replays: 32,
             shard_campaign_runs: 8,
@@ -99,8 +81,6 @@ impl ThroughputConfig {
             worker_counts: vec![1, 2, 4, 8],
             cache_keys: 8,
             cache_ops_per_key: 32,
-            predecode_replays: 40,
-            superblock_replays: 40,
             bitsliced_sizes: vec![32, 64, 128, 256, 512, 1024],
             bitsliced_replays: 64,
             shard_campaign_runs: 48,
@@ -342,165 +322,6 @@ fn best_replay_ns(replays: usize, f: &mut dyn FnMut()) -> f64 {
     best
 }
 
-/// A/B comparison of the fragment executor with and without the
-/// predecode layer on a replay-heavy kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct PredecodeReport {
-    /// Instructions in the replayed trace.
-    pub trace_len: u64,
-    /// Replays measured per arm.
-    pub replays: usize,
-    /// Best wall-clock nanoseconds per replay, per-step decoder.
-    pub decoded_ns: f64,
-    /// Best wall-clock nanoseconds per replay, predecoded fragment.
-    pub predecoded_ns: f64,
-}
-
-impl PredecodeReport {
-    /// Wall-clock speedup of the predecoded path (> 1 is faster).
-    pub fn speedup(&self) -> f64 {
-        if self.predecoded_ns == 0.0 {
-            return 1.0;
-        }
-        self.decoded_ns / self.predecoded_ns
-    }
-}
-
-/// Records the C-tier EEA inversion (the longest recorded kernel:
-/// ~75k instructions) and replays it `replays` times through each
-/// executor path, asserting the final machine states are bit-identical
-/// before reporting the wall-clock difference.
-///
-/// The in-binary A/B is a conservative *lower bound* on the real
-/// before/after: the per-step-decode arm here shares the optimised
-/// machine accounting core and the scheduled replay hook, so it is
-/// already faster than the engine this change replaced. Measured
-/// against a build of the pre-change tree, the same replay improves by
-/// more than this report shows (see EXPERIMENTS.md for the
-/// methodology and numbers).
-///
-/// # Panics
-///
-/// Panics if the two paths produce any machine-state divergence — the
-/// predecode layer must not change a single modeled cycle.
-pub fn predecode_ab(replays: usize) -> PredecodeReport {
-    let kernel = record_inv_kernel();
-    let (pre, program, recording) = (&kernel.pre, &kernel.program, &kernel.recording);
-
-    // Bit-identical first: one replay per path, full state equality.
-    let was_enabled = predecode_enabled();
-    set_predecode_enabled(false);
-    let decoded_run = fault::replay(pre, program, recording, None);
-    set_predecode_enabled(was_enabled);
-    let predecoded_run = kernel.replay(None);
-    assert_eq!(
-        decoded_run.stats.as_ref().expect("clean replay").cycles,
-        predecoded_run.stats.as_ref().expect("clean replay").cycles,
-    );
-    decoded_run
-        .machine
-        .assert_same_state(&predecoded_run.machine, "predecode A/B");
-
-    set_predecode_enabled(false);
-    let decoded_ns = best_replay_ns(replays, &mut || {
-        std::hint::black_box(fault::replay(pre, program, recording, None));
-    });
-    set_predecode_enabled(was_enabled);
-    let predecoded_ns = best_replay_ns(replays, &mut || {
-        std::hint::black_box(kernel.replay(None));
-    });
-
-    PredecodeReport {
-        trace_len: kernel.trace_len(),
-        replays,
-        decoded_ns,
-        predecoded_ns,
-    }
-}
-
-/// Records the C-tier EEA inversion — the longest recorded kernel
-/// (~75k instructions), so the most replay-heavy A/B subject — as a
-/// replayable kernel.
-fn record_inv_kernel() -> RecordedKernel {
-    let mut f = ModeledField::new(Tier::C);
-    let a = f.alloc_init(crate::workloads::element(5));
-    let z = f.alloc();
-    let pre = f.machine().clone();
-    f.machine_mut().start_recording();
-    f.inv(z, a);
-    let recording = f.machine_mut().take_recording();
-    let program = m0plus::backend::translate(&recording).expect("recorded trace assembles");
-    RecordedKernel::new(pre, program, recording)
-}
-
-/// A/B comparison of the predecoded executor with per-step dispatch
-/// vs superblock dispatch on the same replay-heavy kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct SuperblockReport {
-    /// Instructions in the replayed trace.
-    pub trace_len: u64,
-    /// Replays measured per arm.
-    pub replays: usize,
-    /// Best wall-clock nanoseconds per replay, per-step dispatch.
-    pub per_step_ns: f64,
-    /// Best wall-clock nanoseconds per replay, superblock dispatch.
-    pub superblock_ns: f64,
-}
-
-impl SuperblockReport {
-    /// Wall-clock speedup of superblock dispatch (> 1 is faster).
-    pub fn speedup(&self) -> f64 {
-        if self.superblock_ns == 0.0 {
-            return 1.0;
-        }
-        self.per_step_ns / self.superblock_ns
-    }
-}
-
-/// Replays the recorded C-tier EEA inversion through the predecoded
-/// executor with superblock dispatch disabled and enabled, asserting
-/// the final machine states are bit-identical (down to the f64 energy
-/// bits) before reporting the wall-clock difference. Both arms run the
-/// same predecoded fragment; only the dispatch granularity differs.
-///
-/// # Panics
-///
-/// Panics on any machine-state divergence — superblock dispatch must
-/// not change a single modeled cycle.
-pub fn superblock_ab(replays: usize) -> SuperblockReport {
-    let kernel = record_inv_kernel();
-
-    let was_enabled = superblock_enabled();
-    set_superblock_enabled(false);
-    let per_step_run = kernel.replay(None);
-    set_superblock_enabled(true);
-    let superblock_run = kernel.replay(None);
-    assert_eq!(
-        per_step_run.stats.as_ref().expect("clean replay").cycles,
-        superblock_run.stats.as_ref().expect("clean replay").cycles,
-    );
-    per_step_run
-        .machine
-        .assert_same_state(&superblock_run.machine, "superblock A/B");
-
-    set_superblock_enabled(false);
-    let per_step_ns = best_replay_ns(replays, &mut || {
-        std::hint::black_box(kernel.replay(None));
-    });
-    set_superblock_enabled(true);
-    let superblock_ns = best_replay_ns(replays, &mut || {
-        std::hint::black_box(kernel.replay(None));
-    });
-    set_superblock_enabled(was_enabled);
-
-    SuperblockReport {
-        trace_len: kernel.trace_len(),
-        replays,
-        per_step_ns,
-        superblock_ns,
-    }
-}
-
 /// One point of the bitsliced batch-inversion crossover sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct BitslicedRow {
@@ -584,9 +405,9 @@ impl BitslicedReport {
 /// and the hybrid `batch_invert` crossover sweep over `sizes`.
 ///
 /// Before any timing, every sweep size is checked bit-identical three
-/// ways — scalar chain, the `batch_invert` dispatcher, and the
-/// bitsliced seam called directly — so the wall-clock numbers can
-/// never paper over a value regression.
+/// ways — the scalar reference chain, the `batch_invert` dispatcher,
+/// and the bitsliced seam called directly — so the wall-clock numbers
+/// can never paper over a value regression.
 ///
 /// # Panics
 ///
@@ -611,12 +432,9 @@ pub fn bitsliced_ab(sizes: &[usize], replays: usize) -> BitslicedReport {
         })
         .collect();
 
-    let was_enabled = bitsliced::bitsliced_enabled();
     for &size in sizes {
         let mut scalar = elems[..size].to_vec();
-        set_bitsliced_enabled(false);
-        gf2m::batch::batch_invert(&mut scalar);
-        set_bitsliced_enabled(true);
+        gf2m::batch::batch_invert_scalar(&mut scalar);
         let mut dispatched = elems[..size].to_vec();
         gf2m::batch::batch_invert(&mut dispatched);
         let mut direct = elems[..size].to_vec();
@@ -665,20 +483,19 @@ pub fn bitsliced_ab(sizes: &[usize], replays: usize) -> BitslicedReport {
         );
     });
 
-    // Crossover sweep: the production `batch_invert` entry point with
-    // the toggle as the only difference between arms. Each call works
-    // on a fresh copy; the copy cost is identical on both arms.
+    // Crossover sweep: the scalar reference chain against the bitsliced
+    // seam `batch_invert` dispatches to at and above the crossover. Each
+    // call works on a fresh copy; the copy cost is identical on both
+    // arms.
     let mut rows = Vec::new();
     let mut buf = elems.clone();
     for &size in sizes {
         let src = &elems[..size];
-        set_bitsliced_enabled(false);
         let scalar_ns = best_replay_ns(replays, &mut || {
             buf[..size].copy_from_slice(src);
-            gf2m::batch::batch_invert(&mut buf[..size]);
+            gf2m::batch::batch_invert_scalar(&mut buf[..size]);
             std::hint::black_box(&buf);
         });
-        set_bitsliced_enabled(true);
         let bitsliced_ns = best_replay_ns(replays, &mut || {
             buf[..size].copy_from_slice(src);
             bitsliced::invert_elements(&mut buf[..size]);
@@ -690,7 +507,6 @@ pub fn bitsliced_ab(sizes: &[usize], replays: usize) -> BitslicedReport {
             bitsliced_ns,
         });
     }
-    set_bitsliced_enabled(was_enabled);
 
     BitslicedReport {
         replays,
@@ -750,10 +566,6 @@ pub struct ThroughputReport {
     pub cache: CacheReport,
     /// Wall-clock ops/sec sweep.
     pub ops: Vec<OpsRow>,
-    /// Predecode A/B result.
-    pub predecode: PredecodeReport,
-    /// Superblock A/B result.
-    pub superblock: SuperblockReport,
     /// Bitsliced field-backend A/B result.
     pub bitsliced: BitslicedReport,
     /// Sharded-campaign scaling sweep.
@@ -773,8 +585,6 @@ pub fn run(config: &ThroughputConfig) -> ThroughputReport {
             &config.worker_counts,
             config.min_measure,
         ),
-        predecode: predecode_ab(config.predecode_replays),
-        superblock: superblock_ab(config.superblock_replays),
         bitsliced: bitsliced_ab(&config.bitsliced_sizes, config.bitsliced_replays),
         shard_scaling: shard_scaling(config.shard_campaign_runs, &config.shard_worker_counts),
         batch_workers_default: BatchConfig::default().effective_workers(),
@@ -836,34 +646,6 @@ pub fn render(r: &ThroughputReport) -> String {
         )
         .unwrap();
     }
-    writeln!(
-        w,
-        "\npredecoded executor: {} instruction trace, {} replays/arm",
-        r.predecode.trace_len, r.predecode.replays
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "  per-step decode {:>12.0} ns/replay, predecoded {:>12.0} ns/replay ({:.2}x)",
-        r.predecode.decoded_ns,
-        r.predecode.predecoded_ns,
-        r.predecode.speedup()
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "\nsuperblock executor: {} instruction trace, {} replays/arm",
-        r.superblock.trace_len, r.superblock.replays
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "  per-step dispatch {:>10.0} ns/replay, superblock {:>10.0} ns/replay ({:.2}x)",
-        r.superblock.per_step_ns,
-        r.superblock.superblock_ns,
-        r.superblock.speedup()
-    )
-    .unwrap();
     writeln!(
         w,
         "\nbitsliced field backend (64 lanes, values bit-identical; {} replays/arm)",
@@ -959,6 +741,7 @@ mod tests {
 
     #[test]
     fn cache_traffic_hits_after_the_first_lookup_per_key() {
+        let _cache = crate::wtnaf_cache_serial();
         let report = comb_cache_hit_rate(3, 4);
         // 12 verifications against 3 keys: at least one miss per key,
         // and the steady state is all hits.
@@ -966,24 +749,6 @@ mod tests {
         assert!(report.misses >= 3);
         assert!(report.hits >= 12 - 3 - 1, "hits = {}", report.hits);
         assert!(report.hit_rate() > 0.5);
-    }
-
-    #[test]
-    fn predecode_replays_are_bit_identical() {
-        // The assertions live inside predecode_ab; two replays per arm
-        // keep the test quick.
-        let report = predecode_ab(2);
-        assert!(report.trace_len > 50_000, "inv trace is replay-heavy");
-        assert!(report.decoded_ns > 0.0 && report.predecoded_ns > 0.0);
-    }
-
-    #[test]
-    fn superblock_replays_are_bit_identical() {
-        // The state-equality assertions live inside superblock_ab; two
-        // replays per arm keep the test quick.
-        let report = superblock_ab(2);
-        assert!(report.trace_len > 50_000, "inv trace is replay-heavy");
-        assert!(report.per_step_ns > 0.0 && report.superblock_ns > 0.0);
     }
 
     #[test]
@@ -1008,6 +773,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_produces_all_rows() {
+        let _cache = crate::wtnaf_cache_serial();
         let rows = ops_sweep(&[4], &[1, 2], Duration::from_millis(5));
         assert_eq!(rows.len(), 6, "3 ops x 1 batch size x 2 worker counts");
         assert!(rows.iter().all(|r| r.ops_per_sec > 0.0));

@@ -512,6 +512,7 @@ mod tests {
 
     #[test]
     fn smoke_run_is_deterministic_and_balanced() {
+        let _cache = crate::wtnaf_cache_serial();
         let cfg = TrafficConfig {
             ticks: 15,
             ..TrafficConfig::smoke(m0plus::target::default_target())
@@ -527,6 +528,7 @@ mod tests {
 
     #[test]
     fn overload_run_survives_and_sheds() {
+        let _cache = crate::wtnaf_cache_serial();
         let cfg = TrafficConfig {
             ticks: 8,
             ..TrafficConfig::overload(m0plus::target::default_target())

@@ -79,10 +79,9 @@ fn montgomery_core(
 /// zero; the other elements are unaffected by their presence.
 ///
 /// Batches of at least [`bitsliced::CROSSOVER`] elements are routed
-/// through the 64-lane bitsliced backend (unless
-/// [`bitsliced::set_bitsliced_enabled`] turned it off); the values are
-/// bit-identical either way — inverses are unique — only the wall
-/// clock differs.
+/// through the 64-lane bitsliced backend, shorter ones through
+/// [`batch_invert_scalar`]; the values are bit-identical either way —
+/// inverses are unique — only the wall clock differs.
 ///
 /// ```
 /// use gf2m::{batch, Fe};
@@ -93,18 +92,19 @@ fn montgomery_core(
 /// assert_eq!(v[2], Fe::from_hex("abcd").unwrap().invert().unwrap());
 /// ```
 pub fn batch_invert(elems: &mut [Fe]) {
-    if bitsliced::bitsliced_enabled() && elems.len() >= bitsliced::CROSSOVER {
+    if elems.len() >= bitsliced::CROSSOVER {
         bitsliced::invert_elements(elems);
-        return;
+    } else {
+        batch_invert_scalar(elems);
     }
-    scalar_invert(elems);
 }
 
-/// The scalar-tier Montgomery chain: [`montgomery_core`] over the
-/// portable operators. Never dispatches to the bitsliced backend — it
-/// is also the final-inversion step *inside* that backend's chunked
-/// chain, so it must stay scalar.
-pub(crate) fn scalar_invert(elems: &mut [Fe]) {
+/// The scalar Montgomery chain: [`montgomery_core`] over the portable
+/// operators, at any length. It is the reference arm the bitsliced
+/// path of [`batch_invert`] is checked and timed against, and it never
+/// dispatches to the bitsliced backend — it is also the final-inversion
+/// step *inside* that backend's chunked chain, so it must stay scalar.
+pub fn batch_invert_scalar(elems: &mut [Fe]) {
     montgomery_core(
         elems,
         |a, b| a * b,

@@ -32,7 +32,6 @@
 //! are unique.
 
 use crate::{Fe, K, M, N};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Elements carried per batch: one per bit of the `u64` lane-words.
 pub const LANES: usize = 64;
@@ -51,21 +50,6 @@ pub const PROD: usize = 2 * M - 1;
 /// at 2 / 4 / 16 chunks on the reference host — two full chunks is the
 /// first size that wins, and the margin only grows from there.
 pub const CROSSOVER: usize = 128;
-
-static BITSLICED_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables/disables the bitsliced fast path behind
-/// [`crate::batch::batch_invert`] (A/B switch for measuring the speedup
-/// and for proving the scalar and bitsliced paths agree; the results
-/// are bit-identical either way).
-pub fn set_bitsliced_enabled(on: bool) {
-    BITSLICED_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the bitsliced fast path is enabled (default: yes).
-pub fn bitsliced_enabled() -> bool {
-    BITSLICED_ENABLED.load(Ordering::Relaxed)
-}
 
 /// 64 field elements in bitsliced (transposed) representation.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -517,7 +501,7 @@ pub fn invert_elements(elems: &mut [Fe]) {
         // All lanes are non-zero here (zero lanes were substituted with
         // 1), so the scalar chain spends exactly one EEA inversion.
         let mut lanes = p.transpose_out(LANES);
-        crate::batch::scalar_invert(&mut lanes);
+        crate::batch::batch_invert_scalar(&mut lanes);
         transpose_in(&lanes)
     });
     for (chunk, batch) in elems.chunks_mut(LANES).zip(&chunks) {
@@ -692,15 +676,5 @@ mod tests {
         let mut school = [0u64; PROD];
         mul_school(&bx.lanes, &by.lanes, &mut school);
         assert_eq!(kara[..], school[..]);
-    }
-
-    #[test]
-    fn toggle_roundtrips() {
-        let was = bitsliced_enabled();
-        set_bitsliced_enabled(false);
-        assert!(!bitsliced_enabled());
-        set_bitsliced_enabled(true);
-        assert!(bitsliced_enabled());
-        set_bitsliced_enabled(was);
     }
 }

@@ -42,6 +42,7 @@
 
 use crate::asm::{AsmError, Assembler, Program};
 use crate::exec;
+use crate::fault;
 use crate::isa::Instr;
 use crate::machine::{Machine, Recording};
 
@@ -167,10 +168,10 @@ pub fn translate(recording: &Recording) -> Result<Program, AsmError> {
 
 /// The code-backend pipeline for one kernel call: record the closure on
 /// a shadow clone of `machine`, assemble the trace to Thumb-16, replay
-/// the machine code on `machine` itself (reapplying per-step categories
-/// and positioned un-costed register writes through the fragment
-/// executor's hook), and assert that the replayed machine is
-/// bit-for-bit identical to the shadow.
+/// the machine code on `machine` itself (through the same replay hook
+/// and superblock executor as the fault campaign, without a fault), and
+/// assert that the replayed machine is bit-for-bit identical to the
+/// shadow.
 ///
 /// Returns the closure's result (computed during recording — provably
 /// equal under the state assertion) and the [`KernelRun`].
@@ -197,27 +198,13 @@ pub fn run_recorded<T>(
         program.pool.len()
     );
 
-    let saved_override = machine.category_override();
-    let steps = &recording.steps;
-    let writes = &recording.reg_writes;
-    let mut cursor = 0usize;
-    let stats = exec::execute_fragment(machine, &program, steps.len() as u64 + 1, |m, idx| {
-        while cursor < writes.len() && writes[cursor].at <= idx {
-            m.set_reg(writes[cursor].reg, writes[cursor].value);
-            cursor += 1;
-        }
-        m.set_category_override(Some(steps[idx].category));
-    })
-    .unwrap_or_else(|e| panic!("kernel {name}: machine-code replay failed: {e}"));
-    // Register writes recorded after the last costed instruction.
-    for w in &writes[cursor..] {
-        machine.set_reg(w.reg, w.value);
-    }
-    machine.set_category_override(saved_override);
+    let predecoded = exec::predecode_with(&program, machine.model().cycle_table());
+    let stats = fault::replay(machine, &predecoded, &recording, None)
+        .unwrap_or_else(|e| panic!("kernel {name}: machine-code replay failed: {e}"));
 
     assert_eq!(
         stats.instructions,
-        steps.len() as u64,
+        recording.steps.len() as u64,
         "kernel {name}: replay retired a different instruction count"
     );
     machine.assert_same_state(&shadow, name);

@@ -6,11 +6,17 @@
 //! Supported control flow: conditional/unconditional branches, `BL`
 //! subroutine calls (a host-side return stack models `LR`), and `BX lr`
 //! which returns — or, at the outermost level, ends execution.
+//!
+//! There is one instruction loop. Every entry point — [`execute`],
+//! [`execute_fragment`], [`execute_fragment_ctl`] and
+//! [`execute_predecoded`] — runs the program predecoded (see
+//! [`Predecoded`]) with superblock dispatch between hook calls. The
+//! decode-per-step loop it replaced survives only as the test oracle
+//! the executor is checked against bit for bit.
 
 use crate::asm::{decode_bl, Program};
 use crate::isa::Instr;
 use crate::machine::{Machine, MicroOp, Reg};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Execution errors.
@@ -59,26 +65,6 @@ pub enum StepAction {
     /// Glitch the instruction away: it is fetched but never retires —
     /// nothing is charged and control falls through, even for branches.
     Skip,
-}
-
-/// The effective word address a load/store is about to touch, or `None`
-/// for instructions that do not access RAM. Computed in `u64` so a
-/// corrupted base register cannot overflow the sum.
-fn mem_access(machine: &Machine, instr: &Instr) -> Option<u64> {
-    use Instr::*;
-    let addr = match *instr {
-        LdrImm { rn, imm_words, .. } | StrImm { rn, imm_words, .. } => {
-            machine.reg(rn) as u64 + imm_words as u64
-        }
-        LdrReg { rn, rm, .. } | StrReg { rn, rm, .. } => {
-            machine.reg(rn) as u64 + machine.reg(rm) as u64
-        }
-        LdrSp { imm_words, .. } | StrSp { imm_words, .. } => {
-            machine.reg(Reg::Sp) as u64 + imm_words as u64
-        }
-        _ => return None,
-    };
-    Some(addr)
 }
 
 /// Statistics of one program run.
@@ -348,6 +334,15 @@ pub fn predecode_with(
     }
     let pre = Arc::new(Predecoded::for_cycles(program, cycle_table));
     let mut c = predecode_cache().lock().unwrap();
+    // Re-check: another thread may have inserted the same program while
+    // we predecoded. A duplicate entry would evict a live one.
+    if let Some(e) = c
+        .entries
+        .iter()
+        .find(|e| e.hash == hash && e.pre.matches(program, cycle_table))
+    {
+        return Arc::clone(&e.pre);
+    }
     if c.entries.len() >= PREDECODE_CACHE_CAPACITY {
         if let Some(victim) = c
             .entries
@@ -383,32 +378,18 @@ pub fn predecode_cache_reset() {
     c.misses = 0;
 }
 
-static PREDECODE_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables/disables the predecode path of
-/// [`execute_fragment_ctl`] (A/B switch for measuring the speedup;
-/// results are identical either way).
-pub fn set_predecode_enabled(on: bool) {
-    PREDECODE_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether fragment execution currently uses the predecode cache.
-pub fn predecode_enabled() -> bool {
-    PREDECODE_ENABLED.load(Ordering::Relaxed)
-}
-
-static SUPERBLOCK_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables/disables superblock execution inside the
-/// predecoded executor (A/B switch for measuring the speedup; modeled
-/// state, cycles and energy are bit-identical either way).
-pub fn set_superblock_enabled(on: bool) {
-    SUPERBLOCK_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the predecoded executor currently runs superblocks.
-pub fn superblock_enabled() -> bool {
-    SUPERBLOCK_ENABLED.load(Ordering::Relaxed)
+/// Where a run starts and what ends it normally.
+#[derive(Clone, Copy)]
+enum Entry {
+    /// At a label: only the outermost `BX lr` ends the run, and leaving
+    /// the code image is [`ExecError::PcOutOfRange`] — reported after
+    /// the step budget, so an exhausted budget wins.
+    Label(usize),
+    /// At the first halfword: reaching the end of the code image also
+    /// ends the run (the normal exit of linearised kernel traces, which
+    /// carry no outermost `BX lr`); overshooting it is
+    /// [`ExecError::PcOutOfRange`].
+    Fragment,
 }
 
 /// Runs `program` on `machine` starting at `entry` (a label) until the
@@ -428,84 +409,13 @@ pub fn execute(
     entry: &str,
     max_steps: u64,
 ) -> Result<ExecStats, ExecError> {
-    let mut pc = *program
+    let pc = *program
         .labels
         .get(entry)
         .unwrap_or_else(|| panic!("entry label {entry:?} not found"));
-    let mut call_stack: Vec<usize> = Vec::new();
-    let mut steps = 0u64;
-    let start_cycles = machine.cycles();
-
-    loop {
-        if steps >= max_steps {
-            return Err(ExecError::StepLimit);
-        }
-        if pc >= program.code.len() {
-            return Err(ExecError::PcOutOfRange(pc));
-        }
-        let hw = program.code[pc];
-        let window = &program.code[pc..(pc + 2).min(program.code.len())];
-        let (instr, width) =
-            Instr::decode(window).ok_or(ExecError::InvalidInstruction { pc, halfword: hw })?;
-        steps += 1;
-
-        match instr {
-            Instr::BCond { cond } => {
-                let taken = machine.b_cond(cond);
-                if taken {
-                    let rel = (hw & 0xFF) as i8 as i64;
-                    pc = (pc as i64 + 2 + rel) as usize;
-                } else {
-                    pc += 1;
-                }
-            }
-            Instr::B => {
-                machine.b();
-                // Sign-extend the 11-bit offset.
-                let rel = ((hw & 0x7FF) as i16) << 5 >> 5;
-                pc = (pc as i64 + 2 + rel as i64) as usize;
-            }
-            Instr::Bl => {
-                machine.bl();
-                let rel = decode_bl(program.code[pc], program.code[pc + 1]) as i64;
-                call_stack.push(pc + 2);
-                pc = (pc as i64 + 2 + rel) as usize;
-            }
-            Instr::Bx => {
-                machine.bx();
-                match call_stack.pop() {
-                    Some(ret) => pc = ret,
-                    None => break,
-                }
-            }
-            Instr::LdrLit { rt, imm_words } => {
-                let slot = imm_words as usize;
-                let value = *program
-                    .pool
-                    .get(slot)
-                    .ok_or(ExecError::BadLiteral { pc, slot })?;
-                machine.ldr_const(rt, value);
-                pc += 1;
-            }
-            Instr::Push { reg_count } | Instr::Pop { reg_count } => {
-                machine.stack_transfer(reg_count);
-                pc += width;
-            }
-            other => {
-                if let Some(addr) = mem_access(machine, &other) {
-                    if addr >= machine.ram_words() as u64 {
-                        return Err(ExecError::MemOutOfRange { pc, addr });
-                    }
-                }
-                dispatch(machine, other);
-                pc += width;
-            }
-        }
-    }
-
-    Ok(ExecStats {
-        instructions: steps,
-        cycles: machine.cycles() - start_cycles,
+    let pre = predecode_with(program, machine.model().cycle_table());
+    run(machine, &pre, Entry::Label(pc), max_steps, |_, _| {
+        (StepAction::Execute, u64::MAX)
     })
 }
 
@@ -515,8 +425,7 @@ pub fn execute(
 /// carry no outermost `BX lr`).
 ///
 /// `hook` is called with the machine and the index of the instruction
-/// about to retire; the code backend uses it to reapply per-step
-/// category attribution and positioned un-costed register writes.
+/// about to retire, at every instruction.
 ///
 /// # Errors
 ///
@@ -552,178 +461,61 @@ pub fn execute_fragment_ctl(
     machine: &mut Machine,
     program: &Program,
     max_steps: u64,
-    ctl: impl FnMut(&mut Machine, usize) -> StepAction,
-) -> Result<ExecStats, ExecError> {
-    if predecode_enabled() {
-        let pre = predecode_with(program, machine.model().cycle_table());
-        execute_fragment_ctl_pre(machine, &pre, max_steps, ctl)
-    } else {
-        execute_fragment_ctl_uncached(machine, program, max_steps, ctl)
-    }
-}
-
-/// The decode-per-step fragment executor ([`execute_fragment_ctl`]
-/// with the predecode cache bypassed) — kept callable for the A/B
-/// speedup measurement and as the reference the predecoded path is
-/// differential-tested against.
-pub fn execute_fragment_ctl_uncached(
-    machine: &mut Machine,
-    program: &Program,
-    max_steps: u64,
     mut ctl: impl FnMut(&mut Machine, usize) -> StepAction,
 ) -> Result<ExecStats, ExecError> {
-    let mut pc = 0usize;
-    let mut call_stack: Vec<usize> = Vec::new();
-    let mut steps = 0u64;
-    let start_cycles = machine.cycles();
-
-    while pc < program.code.len() {
-        if steps >= max_steps {
-            return Err(ExecError::StepLimit);
-        }
-        let hw = program.code[pc];
-        let window = &program.code[pc..(pc + 2).min(program.code.len())];
-        let (instr, width) =
-            Instr::decode(window).ok_or(ExecError::InvalidInstruction { pc, halfword: hw })?;
-        let action = ctl(machine, steps as usize);
-        steps += 1;
-        if action == StepAction::Skip {
-            pc += width;
-            continue;
-        }
-
-        match instr {
-            Instr::BCond { cond } => {
-                let taken = machine.b_cond(cond);
-                if taken {
-                    let rel = (hw & 0xFF) as i8 as i64;
-                    pc = (pc as i64 + 2 + rel) as usize;
-                } else {
-                    pc += 1;
-                }
-            }
-            Instr::B => {
-                machine.b();
-                let rel = ((hw & 0x7FF) as i16) << 5 >> 5;
-                pc = (pc as i64 + 2 + rel as i64) as usize;
-            }
-            Instr::Bl => {
-                machine.bl();
-                let rel = decode_bl(program.code[pc], program.code[pc + 1]) as i64;
-                call_stack.push(pc + 2);
-                pc = (pc as i64 + 2 + rel) as usize;
-            }
-            Instr::Bx => {
-                machine.bx();
-                match call_stack.pop() {
-                    Some(ret) => pc = ret,
-                    None => break,
-                }
-            }
-            Instr::LdrLit { rt, imm_words } => {
-                let slot = imm_words as usize;
-                let value = *program
-                    .pool
-                    .get(slot)
-                    .ok_or(ExecError::BadLiteral { pc, slot })?;
-                machine.ldr_const(rt, value);
-                pc += 1;
-            }
-            Instr::Push { reg_count } | Instr::Pop { reg_count } => {
-                machine.stack_transfer(reg_count);
-                pc += width;
-            }
-            other => {
-                if let Some(addr) = mem_access(machine, &other) {
-                    if addr >= machine.ram_words() as u64 {
-                        return Err(ExecError::MemOutOfRange { pc, addr });
-                    }
-                }
-                dispatch(machine, other);
-                pc += width;
-            }
-        }
-    }
-
-    if pc > program.code.len() {
-        return Err(ExecError::PcOutOfRange(pc));
-    }
-    Ok(ExecStats {
-        instructions: steps,
-        cycles: machine.cycles() - start_cycles,
-    })
-}
-
-/// [`execute_fragment_ctl`] over an already-predecoded fragment: the
-/// per-step work drops to a table lookup plus dispatch — no halfword
-/// decode, no branch-offset arithmetic, no hash. Replay engines that
-/// run the same fragment millions of times (the fault and verify
-/// campaigns) hold the [`Predecoded`] and call this directly.
-///
-/// Semantics, error taxonomy, cycle and energy accounting are
-/// identical to the decode-per-step executor: literal-pool lookups
-/// still happen at execution time (so `BadLiteral` fires at the same
-/// step), invalid positions error before the hook runs, and a skipped
-/// instruction still falls through by its encoded width.
-///
-/// # Errors
-///
-/// Exactly those of [`execute_fragment_ctl`].
-pub fn execute_fragment_ctl_pre(
-    machine: &mut Machine,
-    pre: &Predecoded,
-    max_steps: u64,
-    mut ctl: impl FnMut(&mut Machine, usize) -> StepAction,
-) -> Result<ExecStats, ExecError> {
+    let pre = predecode_with(program, machine.model().cycle_table());
     // A hook that always re-schedules itself for the very next step is
     // exactly the per-step contract.
-    execute_fragment_ctl_scheduled(machine, pre, max_steps, |m, idx| (ctl(m, idx), 0))
+    execute_predecoded(machine, &pre, max_steps, |m, idx| (ctl(m, idx), 0))
 }
 
-/// [`execute_fragment_ctl_pre`] with a *scheduled* control hook: the
-/// hook returns, along with its [`StepAction`], the next
+/// Runs an already-predecoded fragment with a *scheduled* control hook:
+/// the hook returns, along with its [`StepAction`], the next
 /// retired-instruction index at which it must run again, and the
-/// executor does not call it in between. Replay engines whose per-step
-/// work is sparse — positioned register writes, category *runs*, a
-/// single fault index — use this so the millions of steps between
+/// executor does not call it in between. Replay engines that run the
+/// same fragment millions of times hold the [`Predecoded`] and call
+/// this directly; their per-step work is sparse — positioned register
+/// writes, category *runs*, a single fault index — so the steps between
 /// boundaries pay no hook call at all.
 ///
 /// A returned index at or below the current one is treated as
 /// "call me on the very next step"; `u64::MAX` means "never again".
 /// Instructions retired while the hook is dormant behave exactly as if
-/// the hook had returned [`StepAction::Execute`] at each of them, so a
-/// hook that asks to run at every index reproduces
-/// [`execute_fragment_ctl_pre`] bit for bit.
-///
-/// While the hook is dormant (and no recording or trace capture is
-/// armed), the executor runs whole predecoded *superblocks* — maximal
-/// straight-line runs of non-control instructions — with one dispatch
-/// per position and the category resolved once per block, truncating
-/// each block at the next hook index and the step budget so hooks,
-/// faults and the step limit land on exactly the per-step boundaries.
-/// Disable via [`set_superblock_enabled`] for A/B timing; results are
-/// bit-identical either way.
+/// the hook had returned [`StepAction::Execute`] at each of them.
 ///
 /// # Errors
 ///
 /// Exactly those of [`execute_fragment_ctl`].
-pub fn execute_fragment_ctl_scheduled(
+pub fn execute_predecoded(
     machine: &mut Machine,
     pre: &Predecoded,
     max_steps: u64,
     ctl: impl FnMut(&mut Machine, usize) -> (StepAction, u64),
 ) -> Result<ExecStats, ExecError> {
-    execute_fragment_ctl_scheduled_with(machine, pre, max_steps, superblock_enabled(), ctl)
+    run(machine, pre, Entry::Fragment, max_steps, ctl)
 }
 
-/// [`execute_fragment_ctl_scheduled`] with the superblock switch as an
-/// explicit argument instead of the process-wide toggle, so tests can
-/// compare both paths without racing the global.
-fn execute_fragment_ctl_scheduled_with(
+/// The instruction loop behind every entry point.
+///
+/// While the hook is dormant (and no recording or trace capture is
+/// armed) it runs whole predecoded *superblocks* — maximal
+/// straight-line runs of non-control instructions — with one dispatch
+/// per position and the category resolved once per block, truncating
+/// each block at the next hook index and the step budget so hooks,
+/// faults and the step limit land on exactly the per-step boundaries.
+/// Everything else goes through one flat per-step match over the
+/// predecoded instruction.
+///
+/// Semantics, error taxonomy, cycle and energy accounting are those of
+/// decode-per-step execution (the test oracle): literal-pool lookups
+/// happen at execution time (so `BadLiteral` fires at the same step),
+/// invalid positions error before the hook runs, and a skipped
+/// instruction still falls through by its encoded width.
+fn run(
     machine: &mut Machine,
     pre: &Predecoded,
+    entry: Entry,
     max_steps: u64,
-    superblocks: bool,
     mut ctl: impl FnMut(&mut Machine, usize) -> (StepAction, u64),
 ) -> Result<ExecStats, ExecError> {
     use Instr::*;
@@ -735,17 +527,31 @@ fn execute_fragment_ctl_scheduled_with(
         machine.model().cycle_table(),
         "predecoded fragment built for a different target's cycle table"
     );
-    let mut pc = 0usize;
+    let (mut pc, image_end_exits) = match entry {
+        Entry::Label(pc) => (pc, false),
+        Entry::Fragment => (0, true),
+    };
+    let len = pre.steps.len();
     let mut call_stack: Vec<usize> = Vec::new();
     let mut steps = 0u64;
     let mut next_ctl = 0u64;
     let start_cycles = machine.cycles();
 
-    while pc < pre.steps.len() {
+    loop {
+        if pc >= len {
+            if image_end_exits {
+                break;
+            }
+            return Err(if steps >= max_steps {
+                ExecError::StepLimit
+            } else {
+                ExecError::PcOutOfRange(pc)
+            });
+        }
         if steps >= max_steps {
             return Err(ExecError::StepLimit);
         }
-        if superblocks && steps < next_ctl {
+        if steps < next_ctl {
             let end = pre.run_end[pc] as usize;
             if end > pc && !machine.block_capture_active() {
                 // Truncate the block at the next hook index and the
@@ -754,16 +560,16 @@ fn execute_fragment_ctl_scheduled_with(
                 // fires at exactly the per-step position. Both bounds
                 // exceed `steps` here, so at least one position runs.
                 let budget = (next_ctl - steps).min(max_steps - steps);
-                let len = (end - pc).min(budget as usize);
+                let n = (end - pc).min(budget as usize);
                 let cat = machine.current_category();
-                if let Err((i, addr)) = machine.run_block(&pre.ops[pc..pc + len], cat) {
+                if let Err((i, addr)) = machine.run_block(&pre.ops[pc..pc + n], cat) {
                     // The faulting instruction retires no cost; the
                     // prefix is applied+charged — exactly the per-step
                     // error state.
                     return Err(ExecError::MemOutOfRange { pc: pc + i, addr });
                 }
-                steps += len as u64;
-                pc += len;
+                steps += n as u64;
+                pc += n;
                 continue;
             }
         }
@@ -790,9 +596,7 @@ fn execute_fragment_ctl_scheduled_with(
         // One flat match over the decoded instruction drives the whole
         // step: control flow reads the precomputed `aux` target, memory
         // ops range-check their (inlined) effective address, everything
-        // else goes straight to its machine method — the same effects,
-        // costs and error taxonomy as the decode-per-step loop, minus
-        // any second dispatch behind the first.
+        // else goes straight to its machine method.
         pc = match step.instr {
             BCond { cond } => {
                 if machine.b_cond(cond) {
@@ -885,7 +689,7 @@ fn execute_fragment_ctl_scheduled_with(
         };
     }
 
-    if pc > pre.steps.len() {
+    if pc > len {
         return Err(ExecError::PcOutOfRange(pc));
     }
     Ok(ExecStats {
@@ -941,6 +745,168 @@ mod tests {
     use super::*;
     use crate::asm::Assembler;
     use crate::{Cond, Instr, Reg};
+
+    /// The effective word address a load/store is about to touch, or
+    /// `None` for instructions that do not access RAM. Computed in `u64`
+    /// so a corrupted base register cannot overflow the sum.
+    fn mem_access(machine: &Machine, instr: &Instr) -> Option<u64> {
+        use Instr::*;
+        let addr = match *instr {
+            LdrImm { rn, imm_words, .. } | StrImm { rn, imm_words, .. } => {
+                machine.reg(rn) as u64 + imm_words as u64
+            }
+            LdrReg { rn, rm, .. } | StrReg { rn, rm, .. } => {
+                machine.reg(rn) as u64 + machine.reg(rm) as u64
+            }
+            LdrSp { imm_words, .. } | StrSp { imm_words, .. } => {
+                machine.reg(Reg::Sp) as u64 + imm_words as u64
+            }
+            _ => return None,
+        };
+        Some(addr)
+    }
+
+    /// The decode-per-step reference executor: fetches and decodes each
+    /// halfword as it retires, resolves branch offsets on the spot and
+    /// calls `ctl` before every instruction. The production loop must
+    /// match it bit for bit — results, error taxonomy, cycles, energy
+    /// and category totals.
+    fn reference_run(
+        machine: &mut Machine,
+        program: &Program,
+        entry: Entry,
+        max_steps: u64,
+        mut ctl: impl FnMut(&mut Machine, usize) -> StepAction,
+    ) -> Result<ExecStats, ExecError> {
+        let (mut pc, image_end_exits) = match entry {
+            Entry::Label(pc) => (pc, false),
+            Entry::Fragment => (0, true),
+        };
+        let code = &program.code;
+        let mut call_stack: Vec<usize> = Vec::new();
+        let mut steps = 0u64;
+        let start_cycles = machine.cycles();
+
+        loop {
+            if image_end_exits && pc >= code.len() {
+                break;
+            }
+            if steps >= max_steps {
+                return Err(ExecError::StepLimit);
+            }
+            if pc >= code.len() {
+                return Err(ExecError::PcOutOfRange(pc));
+            }
+            let hw = code[pc];
+            let window = &code[pc..(pc + 2).min(code.len())];
+            let (instr, width) =
+                Instr::decode(window).ok_or(ExecError::InvalidInstruction { pc, halfword: hw })?;
+            let action = ctl(machine, steps as usize);
+            steps += 1;
+            if action == StepAction::Skip {
+                pc += width;
+                continue;
+            }
+
+            match instr {
+                Instr::BCond { cond } => {
+                    if machine.b_cond(cond) {
+                        let rel = (hw & 0xFF) as i8 as i64;
+                        pc = (pc as i64 + 2 + rel) as usize;
+                    } else {
+                        pc += 1;
+                    }
+                }
+                Instr::B => {
+                    machine.b();
+                    // Sign-extend the 11-bit offset.
+                    let rel = ((hw & 0x7FF) as i16) << 5 >> 5;
+                    pc = (pc as i64 + 2 + rel as i64) as usize;
+                }
+                Instr::Bl => {
+                    machine.bl();
+                    let rel = decode_bl(code[pc], code[pc + 1]) as i64;
+                    call_stack.push(pc + 2);
+                    pc = (pc as i64 + 2 + rel) as usize;
+                }
+                Instr::Bx => {
+                    machine.bx();
+                    match call_stack.pop() {
+                        Some(ret) => pc = ret,
+                        None => break,
+                    }
+                }
+                Instr::LdrLit { rt, imm_words } => {
+                    let slot = imm_words as usize;
+                    let value = *program
+                        .pool
+                        .get(slot)
+                        .ok_or(ExecError::BadLiteral { pc, slot })?;
+                    machine.ldr_const(rt, value);
+                    pc += 1;
+                }
+                Instr::Push { reg_count } | Instr::Pop { reg_count } => {
+                    machine.stack_transfer(reg_count);
+                    pc += width;
+                }
+                other => {
+                    if let Some(addr) = mem_access(machine, &other) {
+                        if addr >= machine.ram_words() as u64 {
+                            return Err(ExecError::MemOutOfRange { pc, addr });
+                        }
+                    }
+                    dispatch(machine, other);
+                    pc += width;
+                }
+            }
+        }
+
+        if pc > code.len() {
+            return Err(ExecError::PcOutOfRange(pc));
+        }
+        Ok(ExecStats {
+            instructions: steps,
+            cycles: machine.cycles() - start_cycles,
+        })
+    }
+
+    fn machine64() -> Machine {
+        Machine::new(64)
+    }
+
+    /// A hook that runs at every step and never intervenes.
+    fn per_step(_: &mut Machine, _: usize) -> (StepAction, u64) {
+        (StepAction::Execute, 0)
+    }
+
+    /// A hook that never runs again after index 0 — the sparse
+    /// schedule under which superblocks engage.
+    fn dormant(_: &mut Machine, _: usize) -> (StepAction, u64) {
+        (StepAction::Execute, u64::MAX)
+    }
+
+    /// Runs `program` from `entry` through the production loop and the
+    /// reference oracle, each on a machine from `fresh`, and asserts
+    /// identical results and full machine state (cycles, bitwise
+    /// energy, per-category totals, memory). Returns the shared result.
+    fn assert_matches_reference(
+        fresh: impl Fn() -> Machine,
+        program: &Program,
+        entry: Entry,
+        max_steps: u64,
+        ctl: impl Fn(&mut Machine, usize) -> (StepAction, u64) + Copy,
+        context: &str,
+    ) -> Result<ExecStats, ExecError> {
+        let mut oracle = fresh();
+        let want = reference_run(&mut oracle, program, entry, max_steps, |m, idx| {
+            ctl(m, idx).0
+        });
+        let mut fast = fresh();
+        let got = run(&mut fast, &Predecoded::new(program), entry, max_steps, ctl);
+        assert_eq!(got, want, "{context}: results diverged");
+        oracle.assert_same_state(&fast, context);
+        got
+    }
 
     #[test]
     fn countdown_loop_executes_the_right_number_of_times() {
@@ -1024,8 +990,7 @@ mod tests {
         assert_eq!(m.read_slice(dst, 8), vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
-    #[test]
-    fn subroutine_call_and_return() {
+    fn subroutine_program() -> Program {
         // main: r0 = 1; bl double; bl double; bx  (outermost return)
         // double: adds r0, r0; bx lr
         let mut a = Assembler::new();
@@ -1044,8 +1009,12 @@ mod tests {
             rm: Reg::R0,
         });
         a.push(Instr::Bx);
-        let p = a.assemble().expect("assembles");
+        a.assemble().expect("assembles")
+    }
 
+    #[test]
+    fn subroutine_call_and_return() {
+        let p = subroutine_program();
         let mut m = Machine::new(64);
         let stats = execute(&mut m, &p, "main", 100).expect("runs");
         assert_eq!(m.reg(Reg::R0), 4);
@@ -1286,56 +1255,70 @@ mod tests {
     }
 
     #[test]
-    fn predecoded_fragment_matches_uncached_execution() {
+    fn fragments_match_the_reference_with_and_without_skips() {
         let p = looped_program();
-        let mut m1 = Machine::new(64);
-        let s1 = execute_fragment_ctl_uncached(&mut m1, &p, 1000, |_, _| StepAction::Execute)
+        let stats = assert_matches_reference(machine64, &p, Entry::Fragment, 1000, per_step, "")
             .expect("runs");
-        let pre = Predecoded::new(&p);
-        let mut m2 = Machine::new(64);
-        let s2 = execute_fragment_ctl_pre(&mut m2, &pre, 1000, |_, _| StepAction::Execute)
-            .expect("runs");
-        assert_eq!(s1, s2, "instruction and cycle counts must be identical");
-        assert_eq!(m1.reg(Reg::R0), m2.reg(Reg::R0));
-        assert_eq!(m1.reg(Reg::R1), m2.reg(Reg::R1));
-        assert_eq!(m1.cycles(), m2.cycles());
+        // 2 movs + 6×(adds, subs, bne).
+        assert_eq!(stats.instructions, 2 + 18);
         // Skips behave identically too (skip the first loop-body adds).
-        let mut m1 = Machine::new(64);
-        let s1 = execute_fragment_ctl_uncached(&mut m1, &p, 1000, |_, idx| {
-            if idx == 2 {
+        let skip_2 = |_: &mut Machine, idx: usize| {
+            let action = if idx == 2 {
                 StepAction::Skip
             } else {
                 StepAction::Execute
-            }
-        })
-        .expect("runs");
-        let mut m2 = Machine::new(64);
-        let s2 = execute_fragment_ctl_pre(&mut m2, &pre, 1000, |_, idx| {
-            if idx == 2 {
-                StepAction::Skip
-            } else {
-                StepAction::Execute
-            }
-        })
-        .expect("runs");
-        assert_eq!(s1, s2);
-        assert_eq!(m1.reg(Reg::R1), m2.reg(Reg::R1));
-        assert_eq!(m1.cycles(), m2.cycles());
+            };
+            (action, 0)
+        };
+        assert_matches_reference(machine64, &p, Entry::Fragment, 1000, skip_2, "skip")
+            .expect("runs");
     }
 
     #[test]
-    fn predecode_reproduces_every_error() {
+    fn label_runs_match_the_reference() {
+        let p = subroutine_program();
+        let main = Entry::Label(p.labels["main"]);
+        assert_matches_reference(machine64, &p, main, 100, dormant, "BL/BX nesting").expect("runs");
+        // Without an outermost BX lr, a label run leaves the image.
+        let p = looped_program();
+        assert_eq!(
+            assert_matches_reference(machine64, &p, Entry::Label(0), 1000, dormant, "fall off"),
+            Err(ExecError::PcOutOfRange(p.code.len()))
+        );
+    }
+
+    #[test]
+    fn step_limit_wins_over_leaving_the_image_only_from_a_label() {
         use std::collections::HashMap;
+        // `b` with offset +5: the target, 7, overshoots the image.
+        let program = Program {
+            code: vec![0xE005],
+            pool: vec![],
+            labels: HashMap::new(),
+        };
+        let outcome = |entry, max_steps| {
+            assert_matches_reference(machine64, &program, entry, max_steps, dormant, "overshoot")
+        };
+        // From a label the exhausted budget is reported first...
+        assert_eq!(outcome(Entry::Label(0), 1), Err(ExecError::StepLimit));
+        assert_eq!(outcome(Entry::Label(0), 2), Err(ExecError::PcOutOfRange(7)));
+        // ...while a fragment reports the overshoot at any budget.
+        assert_eq!(outcome(Entry::Fragment, 1), Err(ExecError::PcOutOfRange(7)));
+        assert_eq!(outcome(Entry::Fragment, 2), Err(ExecError::PcOutOfRange(7)));
+    }
+
+    #[test]
+    fn every_error_matches_the_reference() {
+        use std::collections::HashMap;
+        let fresh16 = || Machine::new(16);
         // Invalid instruction.
         let program = Program {
             code: vec![0b11111 << 11],
             pool: vec![],
             labels: HashMap::new(),
         };
-        let pre = Predecoded::new(&program);
-        let mut m = Machine::new(16);
         assert_eq!(
-            execute_fragment_ctl_pre(&mut m, &pre, 10, |_, _| StepAction::Execute),
+            assert_matches_reference(fresh16, &program, Entry::Fragment, 10, per_step, "invalid"),
             Err(ExecError::InvalidInstruction {
                 pc: 0,
                 halfword: 0b11111 << 11
@@ -1351,10 +1334,8 @@ mod tests {
             pool: vec![],
             labels: HashMap::new(),
         };
-        let pre = Predecoded::new(&program);
-        let mut m = Machine::new(16);
         assert_eq!(
-            execute_fragment_ctl_pre(&mut m, &pre, 10, |_, _| StepAction::Execute),
+            assert_matches_reference(fresh16, &program, Entry::Fragment, 10, per_step, "literal"),
             Err(ExecError::BadLiteral { pc: 0, slot: 3 })
         );
         // Out-of-range memory access.
@@ -1366,22 +1347,21 @@ mod tests {
             imm_words: 3,
         });
         let p = a.assemble().expect("assembles");
-        let pre = Predecoded::new(&p);
-        let mut m = Machine::new(16);
-        m.set_reg(Reg::R0, 0xFFFF_FFFF);
+        let glitched = || {
+            let mut m = Machine::new(16);
+            m.set_reg(Reg::R0, 0xFFFF_FFFF);
+            m
+        };
         assert_eq!(
-            execute_fragment_ctl_pre(&mut m, &pre, 10, |_, _| StepAction::Execute),
+            assert_matches_reference(glitched, &p, Entry::Fragment, 10, per_step, "memory"),
             Err(ExecError::MemOutOfRange {
                 pc: 0,
                 addr: 0xFFFF_FFFFu64 + 3
             })
         );
         // Step limit.
-        let p = looped_program();
-        let pre = Predecoded::new(&p);
-        let mut m = Machine::new(16);
         assert_eq!(
-            execute_fragment_ctl_pre(&mut m, &pre, 3, |_, _| StepAction::Execute),
+            assert_matches_reference(fresh16, &looped_program(), Entry::Fragment, 3, per_step, ""),
             Err(ExecError::StepLimit)
         );
     }
@@ -1408,37 +1388,66 @@ mod tests {
         assert!(!c.is_empty());
     }
 
-    /// A hook that never runs again after index 0 — the sparse
-    /// schedule under which superblocks engage.
-    fn dormant(_: &mut Machine, _: usize) -> (StepAction, u64) {
-        (StepAction::Execute, u64::MAX)
-    }
-
-    /// Runs `pre` twice with the scheduled executor — superblocks on
-    /// and off — and asserts results and full machine state (cycles,
-    /// bitwise energy, per-category totals, memory) are identical.
-    fn assert_superblock_parity(
-        pre: &Predecoded,
-        max_steps: u64,
-        ctl: impl Fn(&mut Machine, usize) -> (StepAction, u64) + Copy,
-        context: &str,
-    ) {
-        let mut slow = Machine::new(64);
-        let r1 = execute_fragment_ctl_scheduled_with(&mut slow, pre, max_steps, false, ctl);
-        let mut fast = Machine::new(64);
-        let r2 = execute_fragment_ctl_scheduled_with(&mut fast, pre, max_steps, true, ctl);
-        assert_eq!(r1, r2, "{context}: results diverged");
-        slow.assert_same_state(&fast, context);
+    #[test]
+    fn concurrent_misses_leave_one_resident_entry() {
+        use std::sync::Barrier;
+        // A program no other test predecodes, long enough that the
+        // predecode work overlaps across threads.
+        let mut a = Assembler::new();
+        a.label("entry");
+        for i in 0..20_000u32 {
+            a.push(Instr::MovsImm {
+                rd: Reg::R3,
+                imm: (i % 199) as u8,
+            });
+        }
+        let p = a.assemble().expect("assembles");
+        const THREADS: usize = 4;
+        let barrier = Barrier::new(THREADS);
+        let fragments: Vec<Arc<Predecoded>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        predecode(&p)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("predecode thread"))
+                .collect()
+        });
+        let resident = predecode_cache()
+            .lock()
+            .unwrap()
+            .entries
+            .iter()
+            .filter(|e| e.pre.matches(&p, &crate::target::M0PLUS_CYCLES))
+            .count();
+        assert_eq!(resident, 1, "concurrent misses must not duplicate entries");
+        assert!(
+            fragments.iter().all(|f| Arc::ptr_eq(f, &fragments[0])),
+            "every caller shares the resident fragment"
+        );
     }
 
     #[test]
-    fn superblocks_match_per_step_including_branch_into_block_middle() {
+    fn superblocks_match_the_reference_including_branch_into_block_middle() {
         // The bne of looped_program() targets "loop" — the middle of
         // the [movs, movs, adds, subs] straight-line run — and the
         // fragment ends on that branch's fall-through (a
-        // fragment-final branch). Both paths must agree bit for bit.
-        let pre = Predecoded::new(&looped_program());
-        assert_superblock_parity(&pre, 1000, dormant, "branch into block middle");
+        // fragment-final branch).
+        let p = looped_program();
+        assert_matches_reference(
+            machine64,
+            &p,
+            Entry::Fragment,
+            1000,
+            dormant,
+            "branch into block",
+        )
+        .expect("runs");
     }
 
     #[test]
@@ -1454,10 +1463,10 @@ mod tests {
         });
         a.push(Instr::Pop { reg_count: 3 });
         let p = a.assemble().expect("assembles");
-        let pre = Predecoded::new(&p);
-        assert_superblock_parity(&pre, 100, dormant, "literals and stack transfers");
+        assert_matches_reference(machine64, &p, Entry::Fragment, 100, dormant, "literals")
+            .expect("runs");
         let mut m = Machine::new(64);
-        execute_fragment_ctl_scheduled_with(&mut m, &pre, 100, true, dormant).expect("runs");
+        execute_predecoded(&mut m, &Predecoded::new(&p), 100, dormant).expect("runs");
         assert_eq!(m.reg(Reg::R0), 0xDEAD_BEEF & 0x1FF);
     }
 
@@ -1466,9 +1475,9 @@ mod tests {
         // A scheduled hook that skips one instruction — first mid-run
         // (index 2, the loop-body adds), then exactly on a block
         // boundary (index 4, the bne) — must see the same machine
-        // state and produce the same outcome with blocks on or off:
+        // state and produce the same outcome as the per-step oracle:
         // the fault injector's window is a per-step boundary.
-        let pre = Predecoded::new(&looped_program());
+        let p = looped_program();
         for fault_at in [2usize, 4, 7] {
             let ctl = move |_: &mut Machine, idx: usize| {
                 if idx == fault_at {
@@ -1477,21 +1486,18 @@ mod tests {
                     (StepAction::Execute, fault_at as u64)
                 }
             };
-            assert_superblock_parity(&pre, 1000, ctl, "fault on block boundary");
+            assert_matches_reference(machine64, &p, Entry::Fragment, 1000, ctl, "fault boundary")
+                .expect("runs");
         }
     }
 
     #[test]
     fn superblock_step_limit_fires_mid_block() {
-        let pre = Predecoded::new(&looped_program());
+        let p = looped_program();
         for limit in 1..=6 {
-            assert_superblock_parity(&pre, limit, dormant, "step limit mid-block");
+            let r = assert_matches_reference(machine64, &p, Entry::Fragment, limit, dormant, "");
+            assert_eq!(r, Err(ExecError::StepLimit), "limit {limit}");
         }
-        let mut m = Machine::new(64);
-        assert_eq!(
-            execute_fragment_ctl_scheduled_with(&mut m, &pre, 3, true, dormant),
-            Err(ExecError::StepLimit)
-        );
     }
 
     #[test]
@@ -1510,22 +1516,18 @@ mod tests {
             imm_words: 3,
         });
         let p = a.assemble().expect("assembles");
-        let pre = Predecoded::new(&p);
-        let mut slow = Machine::new(16);
-        slow.set_reg(Reg::R0, 0xFFFF_FFFF);
-        let r1 = execute_fragment_ctl_scheduled_with(&mut slow, &pre, 10, false, dormant);
-        let mut fast = Machine::new(16);
-        fast.set_reg(Reg::R0, 0xFFFF_FFFF);
-        let r2 = execute_fragment_ctl_scheduled_with(&mut fast, &pre, 10, true, dormant);
+        let glitched = || {
+            let mut m = Machine::new(16);
+            m.set_reg(Reg::R0, 0xFFFF_FFFF);
+            m
+        };
         assert_eq!(
-            r2,
+            assert_matches_reference(glitched, &p, Entry::Fragment, 10, dormant, "mid-block"),
             Err(ExecError::MemOutOfRange {
                 pc: 1,
                 addr: 0xFFFF_FFFFu64 + 3
             })
         );
-        assert_eq!(r1, r2);
-        slow.assert_same_state(&fast, "MemOutOfRange mid-block");
         // A missing literal slot is never block-runnable: BadLiteral
         // fires from per-step dispatch at the same retired index.
         use std::collections::HashMap;
@@ -1546,10 +1548,8 @@ mod tests {
             pool: vec![],
             labels: HashMap::new(),
         };
-        let pre = Predecoded::new(&program);
-        let mut m = Machine::new(16);
         assert_eq!(
-            execute_fragment_ctl_scheduled_with(&mut m, &pre, 10, true, dormant),
+            assert_matches_reference(machine64, &program, Entry::Fragment, 10, dormant, "literal"),
             Err(ExecError::BadLiteral { pc: 1, slot: 3 })
         );
     }
@@ -1559,19 +1559,25 @@ mod tests {
     fn superblocks_fall_back_per_step_while_tracing() {
         // An armed trace needs every instruction at its own position,
         // so superblock execution must defer to per-step dispatch —
-        // and still match the blocks-off run bit for bit.
-        let pre = Predecoded::new(&looped_program());
-        let mut slow = Machine::new(64);
-        slow.start_trace();
-        execute_fragment_ctl_scheduled_with(&mut slow, &pre, 1000, false, dormant).expect("runs");
-        let t1 = slow.take_trace();
+        // and still match the oracle bit for bit.
+        let p = looped_program();
+        let mut oracle = Machine::new(64);
+        oracle.start_trace();
+        reference_run(&mut oracle, &p, Entry::Fragment, 1000, |_, _| {
+            StepAction::Execute
+        })
+        .expect("runs");
+        let t1 = oracle.take_trace();
         let mut fast = Machine::new(64);
         fast.start_trace();
-        execute_fragment_ctl_scheduled_with(&mut fast, &pre, 1000, true, dormant).expect("runs");
+        execute_predecoded(&mut fast, &Predecoded::new(&p), 1000, dormant).expect("runs");
         let t2 = fast.take_trace();
         assert_eq!(t1.events.len(), t2.events.len());
-        assert!(!t2.events.is_empty(), "trace captured despite blocks on");
-        slow.assert_same_state(&fast, "trace fallback");
+        assert!(
+            !t2.events.is_empty(),
+            "trace captured despite a dormant hook"
+        );
+        oracle.assert_same_state(&fast, "trace fallback");
     }
 
     #[test]

@@ -125,16 +125,15 @@ impl FaultedRun {
     }
 }
 
-/// The per-step replay contract, factored out of the executors: reapply
-/// the recording's positioned un-costed register writes, force the
-/// recorded per-step category, inject the fault at its trace index.
+/// The per-step replay contract: reapply the recording's positioned
+/// un-costed register writes, force the recorded per-step category,
+/// inject the fault at its trace index.
 ///
 /// All of that work is *sparse* — writes sit at a handful of indices,
 /// categories run in long stretches, the fault hits one index — so the
 /// hook can also report ([`ReplayHook::next_break`]) the next index at
-/// which it has anything to do, which is what lets the campaign path
-/// run hook-free between boundaries via
-/// [`exec::execute_fragment_ctl_scheduled`].
+/// which it has anything to do, which is what lets every replay run
+/// hook-free between boundaries via [`exec::execute_predecoded`].
 struct ReplayHook<'a> {
     steps: &'a [crate::machine::RecordedStep],
     writes: &'a [crate::machine::RecordedSetReg],
@@ -204,78 +203,24 @@ impl<'a> ReplayHook<'a> {
     }
 }
 
-/// Flushes trailing register writes (those recorded after the last
-/// costed instruction), restores the saved category override and
-/// packages the run.
-fn seal_replay(
-    mut m: Machine,
-    hook: ReplayHook<'_>,
-    saved_override: Option<crate::profile::Category>,
-    stats: Result<ExecStats, ExecError>,
-) -> FaultedRun {
-    if stats.is_ok() {
-        for w in &hook.writes[hook.cursor..] {
-            m.set_reg(w.reg, w.value);
-        }
-    }
-    m.set_category_override(saved_override);
-    FaultedRun { machine: m, stats }
-}
-
-/// Replays `program` on a clone of `pre` — the machine state captured
-/// just before the kernel ran — reapplying the recording's positioned
-/// un-costed register writes and per-step category attribution exactly
-/// as the code backend's verified replay does, but *without* the
-/// shadow-state equality assertion (a faulted replay diverges by
-/// design) and with `fault`, if any, injected at its trace index.
-///
-/// With predecode enabled (the default) this runs the scheduled-hook
-/// fast path of [`replay_predecoded`]; with it disabled
-/// ([`exec::set_predecode_enabled`]) it runs the original
-/// decode-per-step executor with the hook called at every instruction —
-/// the reference arm of the throughput A/B.
-pub fn replay(
-    pre: &Machine,
-    program: &Program,
-    recording: &Recording,
-    fault: Option<&FaultPlan>,
-) -> FaultedRun {
-    if exec::predecode_enabled() {
-        let predecoded = exec::predecode_with(program, pre.model().cycle_table());
-        return replay_predecoded(pre, &predecoded, recording, fault);
-    }
-    let mut m = pre.clone();
-    let saved_override = m.category_override();
-    let mut hook = ReplayHook::new(recording, fault);
-    // The hook is deliberately kept behind dynamic dispatch here: this
-    // arm reproduces the original campaign engine (per-step decode, a
-    // `&mut dyn FnMut` hook called at every instruction), so the
-    // throughput A/B measures the real before/after of the predecoded
-    // scheduled path rather than a partially-optimised strawman.
-    let stats = {
-        let mut per_step = |mm: &mut Machine, idx: usize| hook.at(mm, idx);
-        let ctl: &mut dyn FnMut(&mut Machine, usize) -> StepAction = &mut per_step;
-        exec::execute_fragment_ctl_uncached(&mut m, program, recording.steps.len() as u64 + 1, ctl)
-    };
-    seal_replay(m, hook, saved_override, stats)
-}
-
-/// [`replay`] over an already-predecoded fragment: the campaign path.
-/// Holding the [`Predecoded`] means replaying a kernel millions of
-/// times pays neither per-step decode nor per-replay hashing, and the
-/// scheduled hook means the boundary work (register writes, category
-/// runs, the fault) is paid per *boundary*, not per instruction.
-pub fn replay_predecoded(
-    pre: &Machine,
+/// Replays a recorded kernel's predecoded fragment on `machine` in
+/// place — the one replay path, shared by [`RecordedKernel::replay`]
+/// and the code backend's verified replay
+/// ([`backend::run_recorded`]). It reapplies the recording's positioned
+/// un-costed register writes and per-step category attribution,
+/// injects `fault`, if any, at its trace index, and on success flushes
+/// the writes recorded after the last costed instruction. The
+/// machine's category override is restored either way.
+pub(crate) fn replay(
+    machine: &mut Machine,
     predecoded: &Predecoded,
     recording: &Recording,
     fault: Option<&FaultPlan>,
-) -> FaultedRun {
-    let mut m = pre.clone();
-    let saved_override = m.category_override();
+) -> Result<ExecStats, ExecError> {
+    let saved_override = machine.category_override();
     let mut hook = ReplayHook::new(recording, fault);
-    let stats = exec::execute_fragment_ctl_scheduled(
-        &mut m,
+    let stats = exec::execute_predecoded(
+        machine,
         predecoded,
         recording.steps.len() as u64 + 1,
         |mm, idx| {
@@ -283,7 +228,13 @@ pub fn replay_predecoded(
             (action, hook.next_break(idx))
         },
     );
-    seal_replay(m, hook, saved_override, stats)
+    if stats.is_ok() {
+        for w in &hook.writes[hook.cursor..] {
+            machine.set_reg(w.reg, w.value);
+        }
+    }
+    machine.set_category_override(saved_override);
+    stats
 }
 
 /// Everything needed to replay one kernel under fault injection: the
@@ -332,10 +283,18 @@ impl RecordedKernel {
         (RecordedKernel::new(pre, program, recording), out)
     }
 
-    /// Replays the kernel, with an optional fault, through the stored
-    /// predecoded fragment. See [`replay`].
+    /// Replays the kernel on a clone of [`RecordedKernel::pre`] through
+    /// the stored predecoded fragment, with `fault`, if any, injected at
+    /// its trace index. Unlike the code backend's replay there is no
+    /// shadow-state assertion: a faulted replay diverges by design.
+    /// Holding the fragment means replaying a kernel millions of times
+    /// pays neither decode nor hashing, and the scheduled hook pays the
+    /// boundary work (register writes, category runs, the fault) per
+    /// boundary, not per instruction.
     pub fn replay(&self, fault: Option<&FaultPlan>) -> FaultedRun {
-        replay_predecoded(&self.pre, &self.predecoded, &self.recording, fault)
+        let mut machine = self.pre.clone();
+        let stats = replay(&mut machine, &self.predecoded, &self.recording, fault);
+        FaultedRun { machine, stats }
     }
 
     /// Number of instructions in the captured trace.

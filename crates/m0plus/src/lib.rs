@@ -62,11 +62,11 @@ pub use backend::{Backend, KernelRun};
 pub use cost::InstrClass;
 pub use energy::EnergyModel;
 pub use exec::{
-    execute, execute_fragment, execute_fragment_ctl, predecode, predecode_cache_reset,
-    predecode_cache_stats, predecode_enabled, predecode_with, set_predecode_enabled,
-    set_superblock_enabled, superblock_enabled, ExecError, ExecStats, Predecoded, StepAction,
+    execute, execute_fragment, execute_fragment_ctl, execute_predecoded, predecode,
+    predecode_cache_reset, predecode_cache_stats, predecode_with, ExecError, ExecStats, Predecoded,
+    StepAction,
 };
-pub use fault::{replay_predecoded, FaultKind, FaultPlan, FaultedRun, RecordedKernel};
+pub use fault::{FaultKind, FaultPlan, FaultedRun, RecordedKernel};
 pub use isa::Instr;
 pub use machine::{Addr, Cond, Machine, RecordedSetReg, RecordedStep, Recording, Reg};
 pub use profile::{Category, CategoryTotals};

@@ -8,7 +8,7 @@
 //! whole recorded-kernel stack — the [`Machine`](crate::Machine), the
 //! predecoded/superblock executor (whose per-op cycle constants are
 //! materialised **per target** at lowering time, see
-//! [`crate::exec::predecode_for`]), the fault and verification
+//! [`crate::exec::predecode_with`]), the fault and verification
 //! campaigns, and the bench/export binaries — can re-cost the same
 //! kernels under a family of cores.
 //!

@@ -22,7 +22,7 @@
 //!    field backend inside `batch_to_affine`. Nothing here changes for
 //!    that: the pickup is transparent and the outputs are
 //!    byte-identical either way (inverses are unique), which the tests
-//!    below pin by toggling [`gf2m::bitsliced::set_bitsliced_enabled`].
+//!    below pin against the scalar operations at `CROSSOVER + 2`.
 //!
 //! The batch entry points are drop-in equivalent to their scalar
 //! counterparts: same signatures, same shared secrets, same error
@@ -337,28 +337,24 @@ mod tests {
     }
 
     #[test]
-    fn bitsliced_toggle_never_changes_batch_outputs() {
-        // A batch wide enough to cross the bitsliced dispatch
-        // threshold must produce byte-identical signatures and ECDH
-        // secrets with the backend on and off — the fast path is a
-        // wall-clock change only.
+    fn batches_on_the_bitsliced_path_match_scalar_operations() {
+        // A batch wide enough to cross the bitsliced dispatch threshold
+        // converts to affine in lane space; its signatures and ECDH
+        // secrets must be byte-identical to the scalar operations.
         let n = gf2m::bitsliced::CROSSOVER + 2;
-        let key = SigningKey::generate(b"bitsliced toggle signer");
-        let kp = Keypair::generate(b"bitsliced toggle ecdh");
+        let key = SigningKey::generate(b"bitsliced batch signer");
+        let kp = Keypair::generate(b"bitsliced batch ecdh");
         let peers: Vec<Affine> = (0..n)
-            .map(|i| *Keypair::generate(format!("toggle peer {i}").as_bytes()).public())
+            .map(|i| *Keypair::generate(format!("bitsliced peer {i}").as_bytes()).public())
             .collect();
         let msgs = msgs(n);
-        gf2m::bitsliced::set_bitsliced_enabled(false);
-        let sigs_scalar = sign_batch(&key, &msgs, 2);
-        let secrets_scalar = ecdh_batch(&kp, &peers, 2);
-        gf2m::bitsliced::set_bitsliced_enabled(true);
-        let sigs_fast = sign_batch(&key, &msgs, 2);
-        let secrets_fast = ecdh_batch(&kp, &peers, 2);
-        assert_eq!(sigs_scalar, sigs_fast);
-        assert_eq!(secrets_scalar.len(), secrets_fast.len());
-        for (a, b) in secrets_scalar.iter().zip(&secrets_fast) {
-            assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
+        let sigs = sign_batch(&key, &msgs, 2);
+        for (i, (m, sig)) in msgs.iter().zip(&sigs).enumerate() {
+            assert_eq!(*sig, key.sign(m), "message {i}");
+        }
+        let secrets = ecdh_batch(&kp, &peers, 2);
+        for (i, (peer, secret)) in peers.iter().zip(&secrets).enumerate() {
+            assert_eq!(*secret, kp.shared_secret(peer), "peer {i}");
         }
     }
 
@@ -373,10 +369,18 @@ mod tests {
 
     #[test]
     fn verify_batch_matches_scalar_verify() {
+        // 8 jobs stay on the scalar affine conversion; CROSSOVER + 2
+        // take the bitsliced one, the path gateway-sized batches use.
+        for n in [8, gf2m::bitsliced::CROSSOVER + 2] {
+            check_verify_batch(n);
+        }
+    }
+
+    fn check_verify_batch(n: usize) {
         let keys: Vec<SigningKey> = (0..3)
             .map(|i| SigningKey::generate(format!("signer {i}").as_bytes()))
             .collect();
-        let msgs = msgs(8);
+        let msgs = msgs(n);
         // Mix of valid signatures, a tampered message, a malformed
         // signature, and a bad public key.
         let mut sigs: Vec<Signature> = msgs
@@ -408,7 +412,7 @@ mod tests {
                 assert_eq!(
                     got[i],
                     verify(job.public, job.msg, job.sig),
-                    "workers={workers} job {i}"
+                    "n={n} workers={workers} job {i}"
                 );
             }
             assert_eq!(got[0], Ok(()));

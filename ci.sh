@@ -94,6 +94,19 @@ echo "==> e2e benchmark package (tests + one smoke run of every workload)"
 # it imports could otherwise disappear unnoticed.
 cargo test --offline --quiet --manifest-path e2e/Cargo.toml
 cargo run --release --offline -q --manifest-path e2e/Cargo.toml -- --all --smoke > /tmp/e2e_smoke.txt
+# Pin the seed-1 output digests: an arithmetic change that alters any
+# signature, verdict or shared secret fails here by workload name.
+for pin in \
+  "sign_b16 fb6c49eb16b669d1e2a0f046dc831fc4c9bbaa89d8c0b8b830925eb510086c81" \
+  "verify_recurring_b128 8255057ddbf33b06e5e6c9c1405eea2c23af490857f2b96345d9b81423dcfcac" \
+  "ecdh_churn_b16 efbc527999c5752e18546c3e4c30c1ef9a76088cd622f21fe883a3cb00a46b19" \
+  "service_mixed ac57bb5b1bb6bf84ec0f4200bbdc26bd11a1a42b81c059beb7698ba406edd65c" \
+  "fault_replay 64dd00afe43447c4898d6ccffd1559038d0f541c4cfd0278de85661eb47402be"; do
+  if ! grep -qF "[${pin%% *}] output_digest ${pin#* } sha256" /tmp/e2e_smoke.txt; then
+    echo "e2e output digest changed: ${pin%% *} (expected ${pin#* })"
+    exit 1
+  fi
+done
 
 echo "==> lean build without the trace recorder"
 cargo build -p m0plus --release --offline --no-default-features

@@ -724,6 +724,8 @@ mod tests {
 
     #[test]
     fn amortisation_meets_the_acceptance_bound_at_64() {
+        // The 64 kG points are wTNAF multiplications: cache lookups.
+        let _cache = crate::wtnaf_cache_serial();
         let rows = batch_amortisation(&[64]);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];

@@ -14,7 +14,7 @@
 use crate::curve::Affine;
 use crate::mul::precompute_table;
 use gf2m::N;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Maximum number of cached (point, width) tables. At w = 4 a table is
 /// 4 affine points (240 bytes of coordinates), so the cache tops out
@@ -75,6 +75,20 @@ fn cache() -> &'static Mutex<Lru> {
     CACHE.get_or_init(|| Mutex::new(Lru::default()))
 }
 
+/// Locks the cache. A thread that panicked while holding the lock may
+/// have left it half-updated; every table can be recomputed, so the
+/// cache is emptied and the poison cleared instead of failing every
+/// later caller.
+fn lock_cache() -> MutexGuard<'static, Lru> {
+    let cache = cache();
+    cache.lock().unwrap_or_else(|poisoned| {
+        cache.clear_poison();
+        let mut lru = poisoned.into_inner();
+        lru.entries.clear();
+        lru
+    })
+}
+
 /// Returns the wTNAF precomputation table for `p`, computing and
 /// caching it on first use. `p` must be a finite point (the point
 /// multiplication entry points dispatch infinity before any table
@@ -94,7 +108,7 @@ pub fn table_for(p: &Affine, w: u32) -> Arc<Vec<Affine>> {
         y: *p.y().words(),
     };
     {
-        let mut lru = cache().lock().unwrap();
+        let mut lru = lock_cache();
         lru.clock += 1;
         let clock = lru.clock;
         if let Some(e) = lru.entries.iter_mut().find(|e| e.key == key) {
@@ -106,7 +120,7 @@ pub fn table_for(p: &Affine, w: u32) -> Arc<Vec<Affine>> {
         lru.misses += 1;
     }
     let table = Arc::new(precompute_table(p, w));
-    let mut lru = cache().lock().unwrap();
+    let mut lru = lock_cache();
     // Re-check: another thread may have inserted the same key while we
     // computed.
     if let Some(e) = lru.entries.iter().find(|e| e.key == key) {
@@ -135,7 +149,7 @@ pub fn table_for(p: &Affine, w: u32) -> Arc<Vec<Affine>> {
 
 /// Current hit/miss counters.
 pub fn stats() -> CacheStats {
-    let lru = cache().lock().unwrap();
+    let lru = lock_cache();
     CacheStats {
         hits: lru.hits,
         misses: lru.misses,
@@ -147,7 +161,7 @@ pub fn stats() -> CacheStats {
 /// Empties the cache and zeroes the counters (for benchmarks that
 /// measure cold-vs-warm behaviour).
 pub fn reset() {
-    let mut lru = cache().lock().unwrap();
+    let mut lru = lock_cache();
     lru.entries.clear();
     lru.clock = 0;
     lru.hits = 0;
@@ -189,6 +203,21 @@ mod tests {
         let t5 = table_for(&p, 5);
         assert_eq!(t4.len(), 4);
         assert_eq!(t5.len(), 8);
+    }
+
+    #[test]
+    fn poisoned_cache_recovers() {
+        let _guard = serial();
+        let p = generator().mul_binary(&Int::from(0x9015_0eedi64));
+        let _ = table_for(&p, KP_WINDOW);
+        let panicked = std::thread::spawn(|| {
+            let _held = lock_cache();
+            panic!("deliberate panic while holding the table cache lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert_eq!(*table_for(&p, KP_WINDOW), precompute_table(&p, KP_WINDOW));
+        assert!(!cache().is_poisoned());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::int::Int;
 use gf2m::Fe;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The curve coefficient b = 1 (a is 0 and is omitted from formulas).
 pub const B: Fe = Fe::ONE;
@@ -32,10 +33,15 @@ pub fn gen_y() -> Fe {
         .expect("constant is valid")
 }
 
-/// The prime group order n (232 bits).
+/// The prime group order n (232 bits), parsed once.
 pub fn order() -> Int {
-    Int::from_hex("8000000000000000000000000000069D5BB915BCD46EFB1AD5F173ABDF")
-        .expect("constant is valid")
+    static ORDER: OnceLock<Int> = OnceLock::new();
+    ORDER
+        .get_or_init(|| {
+            Int::from_hex("8000000000000000000000000000069D5BB915BCD46EFB1AD5F173ABDF")
+                .expect("constant is valid")
+        })
+        .clone()
 }
 
 /// The base point G.

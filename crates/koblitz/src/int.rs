@@ -4,8 +4,14 @@
 //! A small, dependency-free bignum: sign-magnitude with little-endian
 //! `u32` limbs. It provides exactly what the Koblitz-curve machinery
 //! needs — ring operations, shifts, floor/nearest division, parity and
-//! low-bit extraction — with no performance pretensions (the performance
-//! story of this reproduction lives in the modeled tier, not here).
+//! low-bit extraction.
+//!
+//! It is on the host's hot path: every ECDSA signature and verification
+//! inverts a scalar mod n by extended Euclid, and every wTNAF recoding
+//! divides by n in ℤ\[τ\]. Multiplication is schoolbook and division is
+//! word-level (Knuth's Algorithm D), both over u32 limbs with u64
+//! intermediates. None of it is constant-time; the modeled M0+ tier,
+//! not this module, carries the paper's cycle and energy figures.
 
 // Sign-magnitude subtraction is addition of the negation — the
 // operator-surprise lint assumes two's-complement semantics.
@@ -163,11 +169,11 @@ impl Int {
 
     /// Builds from 30 big-endian bytes (the sect233k1 scalar width).
     pub fn from_be_bytes(bytes: &[u8]) -> Int {
-        let mut v = Int::zero();
-        for &b in bytes {
-            v = &v.shl(8) + &Int::from(b as i64);
+        let mut mag = vec![0u32; bytes.len().div_ceil(4)];
+        for (i, &b) in bytes.iter().rev().enumerate() {
+            mag[i / 4] |= (b as u32) << (8 * (i % 4));
         }
-        v
+        Int::from_limbs(false, mag)
     }
 
     /// Big-endian byte encoding of the magnitude, left-padded to `len`
@@ -389,7 +395,13 @@ impl Int {
         (q, r)
     }
 
-    /// Magnitude long division (schoolbook, 32-bit limbs).
+    /// Magnitude long division: `(⌊a/d⌋, a mod d)` for a non-zero `d`.
+    ///
+    /// Single-limb divisors take a short path; longer ones use Knuth's
+    /// Algorithm D (TAOCP vol. 2, §4.3.1): one quotient limb per step,
+    /// estimated from the top two remainder limbs and corrected against
+    /// the divisor's second limb, with u64 intermediates and no
+    /// allocation inside the loop.
     fn divrem_mag(a: &[u32], d: &[u32]) -> (Vec<u32>, Vec<u32>) {
         if Self::cmp_mag(a, d) == Ordering::Less {
             return (vec![], a.to_vec());
@@ -409,27 +421,87 @@ impl Int {
             }
             return (q, if rem == 0 { vec![] } else { vec![rem as u32] });
         }
-        // Bit-at-a-time restoring division (simple and safe; operand
-        // sizes here are ≤ 16 limbs so this is plenty fast).
-        let a_int = Int::from_limbs(false, a.to_vec());
-        let bits = a_int.bits();
-        let mut rem = Int::zero();
-        let mut q = vec![0u32; a.len()];
-        let d_int = Int::from_limbs(false, d.to_vec());
-        for i in (0..bits).rev() {
-            rem = rem.shl(1);
-            if (a[i / 32] >> (i % 32)) & 1 == 1 {
-                rem = &rem + &Int::one();
+        let n = d.len();
+        let m = a.len() - n;
+        // D1: normalise so the divisor's top limb has its high bit set;
+        // the dividend gains one limb to hold what shifts out.
+        let shift = d[n - 1].leading_zeros();
+        let v = Self::shl_limbs(d, shift, n);
+        let mut u = Self::shl_limbs(a, shift, a.len() + 1);
+        let (v_top, v_next) = (v[n - 1] as u64, v[n - 2] as u64);
+        let mut q = vec![0u32; m + 1];
+        for j in (0..=m).rev() {
+            // D3: estimate q̂ from the top two limbs, then correct it
+            // (at most twice) against the divisor's second limb.
+            let top = ((u[j + n] as u64) << 32) | u[j + n - 1] as u64;
+            let mut q_hat = top / v_top;
+            let mut r_hat = top % v_top;
+            while q_hat > u32::MAX as u64 || q_hat * v_next > ((r_hat << 32) | u[j + n - 2] as u64)
+            {
+                q_hat -= 1;
+                r_hat += v_top;
+                if r_hat > u32::MAX as u64 {
+                    break;
+                }
             }
-            if Self::cmp_mag(&rem.mag, d) != Ordering::Less {
-                rem = &rem - &d_int;
-                q[i / 32] |= 1 << (i % 32);
+            // D4: u[j..=j+n] -= q̂·v.
+            let mut borrow = 0i64;
+            let mut carry = 0u64;
+            for i in 0..n {
+                let p = q_hat * v[i] as u64 + carry;
+                carry = p >> 32;
+                let t = u[i + j] as i64 - borrow - (p & 0xFFFF_FFFF) as i64;
+                u[i + j] = t as u32;
+                borrow = (t < 0) as i64;
             }
+            let t = u[j + n] as i64 - borrow - carry as i64;
+            u[j + n] = t as u32;
+            // D6: q̂ was one too large (probability ~2/2³²); add back.
+            if t < 0 {
+                #[cfg(test)]
+                tests::ADD_BACKS.with(|c| c.set(c.get() + 1));
+                q_hat -= 1;
+                let mut carry = 0u64;
+                for i in 0..n {
+                    let s = u[i + j] as u64 + v[i] as u64 + carry;
+                    u[i + j] = s as u32;
+                    carry = s >> 32;
+                }
+                u[j + n] = u[j + n].wrapping_add(carry as u32);
+            }
+            q[j] = q_hat as u32;
+        }
+        // D8: the remainder is the low n limbs, shifted back.
+        let mut r = vec![0u32; n];
+        for i in 0..n {
+            r[i] = if shift == 0 {
+                u[i]
+            } else {
+                (u[i] >> shift) | (u[i + 1] << (32 - shift))
+            };
         }
         while q.last() == Some(&0) {
             q.pop();
         }
-        (q, rem.mag)
+        while r.last() == Some(&0) {
+            r.pop();
+        }
+        (q, r)
+    }
+
+    /// `a << shift` (shift < 32) into a fresh `len`-limb buffer, which
+    /// must be long enough to hold the bits shifted out of the top.
+    fn shl_limbs(a: &[u32], shift: u32, len: usize) -> Vec<u32> {
+        let mut out = vec![0u32; len];
+        let mut carry = 0u32;
+        for (o, &w) in out.iter_mut().zip(a) {
+            *o = (w << shift) | carry;
+            carry = if shift == 0 { 0 } else { w >> (32 - shift) };
+        }
+        if carry != 0 {
+            out[a.len()] = carry;
+        }
+        out
     }
 
     /// `self mod m` in `[0, m)` for `m > 0`.
@@ -556,9 +628,68 @@ impl fmt::LowerHex for Int {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prng::SplitMix64;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Add-back (step D6) count of this thread's divisions.
+        pub(super) static ADD_BACKS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn int(v: i64) -> Int {
         Int::from(v)
+    }
+
+    /// The bit-serial restoring division: one remainder bit per step.
+    /// Slow and obviously right — the oracle the word-level
+    /// [`Int::divrem_mag`] must match limb for limb.
+    fn reference_divrem_mag(a: &[u32], d: &[u32]) -> (Vec<u32>, Vec<u32>) {
+        let bits = Int::from_limbs(false, a.to_vec()).bits();
+        let d_int = Int::from_limbs(false, d.to_vec());
+        let mut rem = Int::zero();
+        let mut q = vec![0u32; a.len()];
+        for i in (0..bits).rev() {
+            rem = rem.shl(1);
+            if (a[i / 32] >> (i % 32)) & 1 == 1 {
+                rem = &rem + &Int::one();
+            }
+            if Int::cmp_mag(&rem.mag, d) != Ordering::Less {
+                rem = &rem - &d_int;
+                q[i / 32] |= 1 << (i % 32);
+            }
+        }
+        (Int::from_limbs(false, q).mag, rem.mag)
+    }
+
+    /// `len` limbs, most of them 0, `u32::MAX` or `0x8000_0000` — the
+    /// values that push q̂ to its bounds and force the add-back step.
+    fn biased_limbs(rng: &mut SplitMix64, len: usize) -> Vec<u32> {
+        (0..len)
+            .map(|_| match rng.below(4) {
+                0 => 0,
+                1 => u32::MAX,
+                2 => 0x8000_0000,
+                _ => rng.next_u32(),
+            })
+            .collect()
+    }
+
+    /// Seeded (dividend, divisor) pairs of 2..=16 limbs each, cycling
+    /// through all four sign combinations.
+    fn signed_multi_limb_pairs(seed: u64) -> Vec<(Int, Int)> {
+        let mut rng = SplitMix64::new(seed);
+        let mut pairs = Vec::new();
+        while pairs.len() < 2_000 {
+            let signs = pairs.len();
+            let a_len = 2 + rng.below(15) as usize;
+            let d_len = 2 + rng.below(15) as usize;
+            let a = Int::from_limbs(signs & 1 == 1, biased_limbs(&mut rng, a_len));
+            let d = Int::from_limbs(signs & 2 == 2, biased_limbs(&mut rng, d_len));
+            if !d.is_zero() {
+                pairs.push((a, d));
+            }
+        }
+        pairs
     }
 
     #[test]
@@ -633,6 +764,13 @@ mod tests {
                 assert!(r.is_zero() || r.is_negative() == (d < 0), "{a} rem {d}");
             }
         }
+        for (a, d) in signed_multi_limb_pairs(0x0046_4C4F_4F52) {
+            let (q, r) = a.divrem_floor(&d);
+            assert_eq!(&(&q * &d) + &r, a, "{a:x} = q*{d:x}+r");
+            // r has the sign of d (or is zero) and |r| < |d|.
+            assert!(r.is_zero() || r.is_negative() == d.is_negative());
+            assert!(r.abs() < d.abs(), "{a:x} rem {d:x}");
+        }
         // div_euclid rounds toward -inf only for positive divisors;
         // floor division q = floor(a/d):
         fn adjust(a: i64, d: i64) -> i64 {
@@ -653,6 +791,14 @@ mod tests {
             let exact = a as f64 / d as f64;
             assert!((q.to_i64() as f64 - exact).abs() <= 0.5 + 1e-9, "{a}");
         }
+        for (a, d) in signed_multi_limb_pairs(0x0052_4F55_4E44) {
+            let (q, r) = a.divrem_round(&d);
+            assert_eq!(&(&q * &d) + &r, a, "{a:x} = q*{d:x}+r");
+            // −|d|/2 ≤ r < |d|/2, i.e. −|d| ≤ 2r < |d|.
+            let two_r = r.shl(1);
+            assert!(two_r < d.abs(), "{a:x} rem {d:x} too large");
+            assert!(two_r >= d.abs().negated(), "{a:x} rem {d:x} too small");
+        }
     }
 
     #[test]
@@ -662,6 +808,33 @@ mod tests {
         let (q, r) = a.divrem_floor(&d);
         assert_eq!(&(&q * &d) + &r, a);
         assert!(r >= Int::zero() && r < d);
+    }
+
+    #[test]
+    fn word_division_matches_bit_serial_reference() {
+        let check = |a: &[u32], d: &[u32]| {
+            let (q, r) = Int::divrem_mag(a, d);
+            assert_eq!((q, r), reference_divrem_mag(a, d), "{a:x?} / {d:x?}");
+        };
+        // The add-back vector: after normalisation q̂ = 4 passes the D3
+        // test, but the true quotient is 3.
+        let before = ADD_BACKS.with(Cell::get);
+        check(&[3, 0, 0x8000_0000], &[1, 0, 0x2000_0000]);
+        assert_eq!(ADD_BACKS.with(Cell::get), before + 1, "D6 not taken");
+
+        let mut rng = SplitMix64::new(0x4B4E_5554_4844);
+        let before = ADD_BACKS.with(Cell::get);
+        for _ in 0..20_000 {
+            let a_len = 2 + rng.below(15) as usize;
+            let d_len = 2 + rng.below(a_len as u64 - 1) as usize;
+            let a = Int::from_limbs(false, biased_limbs(&mut rng, a_len));
+            let d = Int::from_limbs(false, biased_limbs(&mut rng, d_len));
+            if !d.is_zero() {
+                check(&a.mag, &d.mag);
+            }
+        }
+        let add_backs = ADD_BACKS.with(Cell::get) - before;
+        assert!(add_backs >= 200, "only {add_backs} add-backs exercised");
     }
 
     #[test]

@@ -117,6 +117,17 @@ mod tests {
             Scalar::new(Int::from(-1i64)),
             Scalar::new(&order() - &Int::one())
         );
+        // (n − 1)² ≡ (−1)² = 1.
+        let n_minus_1 = &order() - &Int::one();
+        assert_eq!(Scalar::new(&n_minus_1 * &n_minus_1), Scalar::one());
+        // A negative 464-bit value reduces to the negation of its
+        // magnitude's residue.
+        let wide = &Int::one().shl(463) + &Int::from_hex("c0ffee").unwrap();
+        assert_eq!(wide.bits(), 464);
+        let neg = Scalar::new(wide.negated());
+        assert!(neg.to_int() < order());
+        assert_eq!(neg, Scalar::new(wide.clone()).negated());
+        assert_eq!(neg.add(&Scalar::new(wide)), Scalar::zero());
     }
 
     #[test]
@@ -133,10 +144,27 @@ mod tests {
 
     #[test]
     fn inversion() {
-        for v in [1i64, 2, 3, 65537, 0x7FFF_FFFF] {
-            let a = s(v);
+        let n = order();
+        let mut inputs: Vec<Scalar> = [1i64, 2, 3, 65537, 0x7FFF_FFFF].map(s).to_vec();
+        inputs.extend(
+            [
+                &n - &Int::one(),
+                &n - &Int::from(2i64),
+                Int::one().shl(231),
+                &Int::one().shl(232) - &Int::one(),
+            ]
+            .map(Scalar::new),
+        );
+        let mut rng = prng::SplitMix64::new(0x696E_7665_7273);
+        for _ in 0..64 {
+            let mut bytes = [0u8; 40];
+            rng.fill_bytes(&mut bytes);
+            inputs.push(Scalar::from_wide_bytes(&bytes));
+        }
+        for a in &inputs {
             let inv = a.invert().expect("non-zero");
-            assert_eq!(a.mul(&inv), Scalar::one(), "v = {v}");
+            assert!(inv.to_int() < n, "inverse of {a} is not canonical");
+            assert_eq!(a.mul(&inv), Scalar::one(), "a = {a}");
         }
         assert_eq!(Scalar::zero().invert(), None);
     }

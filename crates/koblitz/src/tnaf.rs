@@ -220,6 +220,18 @@ pub fn tau_mod_2w(w: u32) -> u32 {
     unreachable!("τ always has a 2-adic image");
 }
 
+/// The representatives α_u for odd 0 < u < 2^(w−1), indexed by u/2:
+/// built on first use of each width w ∈ 2..=8 and shared after that.
+fn alpha_table(w: u32) -> &'static [(Int, Int)] {
+    static TABLES: [OnceLock<Vec<(Int, Int)>>; 7] = [const { OnceLock::new() }; 7];
+    TABLES[w as usize - 2].get_or_init(|| {
+        (1..1i64 << (w - 1))
+            .step_by(2)
+            .map(|u| alpha(u, w))
+            .collect()
+    })
+}
+
 /// Width-w TNAF digits (least significant first): each digit is 0 or an
 /// odd integer with |digit| < 2^(w−1), and any two non-zero digits are
 /// at least w positions apart.
@@ -228,17 +240,7 @@ pub fn wtnaf(mut r0: Int, mut r1: Int, w: u32) -> Vec<i8> {
     let tw = tau_mod_2w(w) as i64;
     let half_window = 1i64 << (w - 1);
     let full = 1i64 << w;
-    // Pre-compute the representatives for odd |u| < 2^(w−1).
-    let alphas: Vec<(Int, Int)> = (0..half_window / 2 + 1)
-        .map(|i| {
-            let u = 2 * i + 1;
-            if u < half_window {
-                alpha(u, w)
-            } else {
-                (Int::zero(), Int::zero())
-            }
-        })
-        .collect();
+    let alphas = alpha_table(w);
 
     let mut digits = Vec::new();
     while !r0.is_zero() || !r1.is_zero() {

@@ -17,7 +17,7 @@
 use crate::asm::{decode_bl, Program};
 use crate::isa::Instr;
 use crate::machine::{Machine, MicroOp, Reg};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Execution errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,6 +298,20 @@ fn predecode_cache() -> &'static Mutex<PredecodeCache> {
     CACHE.get_or_init(|| Mutex::new(PredecodeCache::default()))
 }
 
+/// Locks the predecode cache. A thread that panicked while holding the
+/// lock may have left it half-updated; every entry can be predecoded
+/// again, so the cache is emptied and the poison cleared instead of
+/// failing every later caller.
+fn lock_predecode_cache() -> MutexGuard<'static, PredecodeCache> {
+    let cache = predecode_cache();
+    cache.lock().unwrap_or_else(|poisoned| {
+        cache.clear_poison();
+        let mut c = poisoned.into_inner();
+        c.entries.clear();
+        c
+    })
+}
+
 /// Returns the predecoded form of `program` from the process-wide
 /// fragment cache, decoding on first sight. Entries are keyed by an
 /// FNV-1a hash of code + pool and verified byte-for-byte on a hit
@@ -317,7 +331,7 @@ pub fn predecode_with(
 ) -> Arc<Predecoded> {
     let hash = program_hash(program, cycle_table);
     {
-        let mut c = predecode_cache().lock().unwrap();
+        let mut c = lock_predecode_cache();
         c.clock += 1;
         let clock = c.clock;
         if let Some(e) = c
@@ -333,7 +347,7 @@ pub fn predecode_with(
         c.misses += 1;
     }
     let pre = Arc::new(Predecoded::for_cycles(program, cycle_table));
-    let mut c = predecode_cache().lock().unwrap();
+    let mut c = lock_predecode_cache();
     // Re-check: another thread may have inserted the same program while
     // we predecoded. A duplicate entry would evict a live one.
     if let Some(e) = c
@@ -365,13 +379,13 @@ pub fn predecode_with(
 
 /// (hits, misses) of the predecode fragment cache.
 pub fn predecode_cache_stats() -> (u64, u64) {
-    let c = predecode_cache().lock().unwrap();
+    let c = lock_predecode_cache();
     (c.hits, c.misses)
 }
 
 /// Empties the predecode cache and zeroes its counters.
 pub fn predecode_cache_reset() {
-    let mut c = predecode_cache().lock().unwrap();
+    let mut c = lock_predecode_cache();
     c.entries.clear();
     c.clock = 0;
     c.hits = 0;
@@ -1366,8 +1380,16 @@ mod tests {
         );
     }
 
+    // The predecode cache is process-global and tests run concurrently;
+    // tests that assert on its contents, or empty it, serialize here.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn predecode_cache_hits_on_reuse() {
+        let _guard = serial();
         let p = looped_program();
         let (h0, _) = predecode_cache_stats();
         let a = predecode(&p);
@@ -1391,6 +1413,7 @@ mod tests {
     #[test]
     fn concurrent_misses_leave_one_resident_entry() {
         use std::sync::Barrier;
+        let _guard = serial();
         // A program no other test predecodes, long enough that the
         // predecode work overlaps across threads.
         let mut a = Assembler::new();
@@ -1418,9 +1441,7 @@ mod tests {
                 .map(|h| h.join().expect("predecode thread"))
                 .collect()
         });
-        let resident = predecode_cache()
-            .lock()
-            .unwrap()
+        let resident = lock_predecode_cache()
             .entries
             .iter()
             .filter(|e| e.pre.matches(&p, &crate::target::M0PLUS_CYCLES))
@@ -1430,6 +1451,31 @@ mod tests {
             fragments.iter().all(|f| Arc::ptr_eq(f, &fragments[0])),
             "every caller shares the resident fragment"
         );
+    }
+
+    #[test]
+    fn poisoned_predecode_cache_recovers() {
+        let _guard = serial();
+        let p = looped_program();
+        let _ = predecode(&p);
+        let panicked = std::thread::spawn(|| {
+            let _held = lock_predecode_cache();
+            panic!("deliberate panic while holding the predecode cache lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        // The recovered lookup hands back a program that runs exactly
+        // like the decode-per-step reference.
+        let pre = predecode(&p);
+        assert!(pre.matches(&p, &crate::target::M0PLUS_CYCLES));
+        let mut oracle = Machine::new(16);
+        let want = reference_run(&mut oracle, &p, Entry::Fragment, 1000, |_, _| {
+            StepAction::Execute
+        });
+        let mut fast = Machine::new(16);
+        assert_eq!(run(&mut fast, &pre, Entry::Fragment, 1000, per_step), want);
+        oracle.assert_same_state(&fast, "after lock poisoning");
+        assert!(!predecode_cache().is_poisoned());
     }
 
     #[test]

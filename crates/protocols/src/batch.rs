@@ -31,7 +31,7 @@
 use crate::ecdh::{self, EcdhError, Keypair};
 use crate::ecdsa::{self, Signature, SigningKey, VerifyError};
 use koblitz::projective::batch_to_affine;
-use koblitz::{mul, Affine, Int, LdPoint, Scalar};
+use koblitz::{mul, Affine, LdPoint, Scalar};
 use std::num::NonZeroUsize;
 use std::sync::mpsc;
 
@@ -181,7 +181,7 @@ pub fn sign_batch<M: AsRef<[u8]> + Sync>(
             };
             let r = match r_point {
                 Affine::Infinity => return key.sign(msg.as_ref()),
-                Affine::Point { x, .. } => Scalar::new(Int::from_be_bytes(&x.to_be_bytes())),
+                Affine::Point { x, .. } => ecdsa::x_to_scalar(&x),
             };
             if r.is_zero() {
                 return key.sign(msg.as_ref());
@@ -252,7 +252,7 @@ pub fn verify_batch(jobs: &[VerifyJob<'_>], workers: usize) -> Vec<Result<(), Ve
             match point {
                 Affine::Infinity => Err(VerifyError::BadSignature),
                 Affine::Point { x, .. } => {
-                    let v = Scalar::new(Int::from_be_bytes(&x.to_be_bytes()));
+                    let v = ecdsa::x_to_scalar(&x);
                     if v == r {
                         Ok(())
                     } else {

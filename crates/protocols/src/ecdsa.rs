@@ -2,6 +2,7 @@
 
 use crate::hmac::HmacDrbg;
 use crate::sha256::Sha256;
+use gf2m::Fe;
 use koblitz::curve::Affine;
 use koblitz::{mul, Int, Scalar};
 
@@ -47,6 +48,12 @@ impl std::error::Error for VerifyError {}
 /// Hash-to-scalar: e = SHA-256(msg) interpreted as an integer mod n.
 pub(crate) fn hash_to_scalar(msg: &[u8]) -> Scalar {
     Scalar::new(Int::from_be_bytes(&Sha256::digest(msg)))
+}
+
+/// A field element's integer value mod n — how r = x(k·G) and the
+/// verifier's x(u₁·G + u₂·Q) become scalars.
+pub(crate) fn x_to_scalar(x: &Fe) -> Scalar {
+    Scalar::new(Int::from_be_bytes(&x.to_be_bytes()))
 }
 
 impl SigningKey {
@@ -108,7 +115,7 @@ impl SigningKey {
             let point = mul::mul_g(&k.to_int());
             let r = match point {
                 Affine::Infinity => continue,
-                Affine::Point { x, .. } => Scalar::new(Int::from_be_bytes(&x.to_be_bytes())),
+                Affine::Point { x, .. } => x_to_scalar(&x),
             };
             if r.is_zero() {
                 continue;
@@ -160,7 +167,7 @@ pub fn verify(q: &Affine, msg: &[u8], sig: &Signature) -> Result<(), VerifyError
     match point {
         Affine::Infinity => Err(VerifyError::BadSignature),
         Affine::Point { x, .. } => {
-            let v = Scalar::new(Int::from_be_bytes(&x.to_be_bytes()));
+            let v = x_to_scalar(&x);
             if v == sig.r {
                 Ok(())
             } else {

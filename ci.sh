@@ -42,17 +42,12 @@ if grep -q -- "-> LEAK" /tmp/verify_smoke_1.txt; then
   echo "unexpected LEAK verdict"
   exit 1
 fi
-# The bitsliced tier pairs must be present with zero disagreements.
-grep -Eq "tier-pair portable/bitsliced +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
-grep -Eq "tier-pair counted/bitsliced +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
-grep -Eq "tier-pair batch_inv/bitsliced_batch_inv +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 
 echo "==> verify campaign cross-target smoke (--target cortex-m0, deterministic)"
 target/release/verify_campaign --smoke --target cortex-m0 > /tmp/verify_m0_1.txt
 target/release/verify_campaign --smoke --target cortex-m0 > /tmp/verify_m0_2.txt
 diff /tmp/verify_m0_1.txt /tmp/verify_m0_2.txt
 grep -q "VERDICT: PASS" /tmp/verify_m0_1.txt
-grep -Eq "tier-pair portable/bitsliced +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 
 echo "==> verify campaign shard invariance (--shards 1 vs --shards 4)"
 target/release/verify_campaign --smoke --shards 1 > /tmp/verify_shard_1.txt
@@ -63,10 +58,9 @@ diff /tmp/verify_smoke_1.txt /tmp/verify_shard_1.txt
 echo "==> kernel cycle regression gate (vs committed BENCH_*.json)"
 target/release/kernel_gate
 
-echo "==> throughput smoke (batch amortisation + bitsliced A/B + shard gates)"
+echo "==> throughput smoke (batch amortisation + shard gates)"
 target/release/throughput --smoke > /tmp/throughput_smoke.txt
 grep -q "GATE: batch-64 inversion shrink" /tmp/throughput_smoke.txt
-grep -q "GATE: bitsliced values bit-identical" /tmp/throughput_smoke.txt
 grep -q "GATE: sharded campaign byte-identical" /tmp/throughput_smoke.txt
 
 echo "==> service plane smoke (gas-metered traffic, deterministic)"

@@ -5,11 +5,11 @@
 //! seeds, no timestamps — so re-running on an unchanged tree produces a
 //! byte-identical file, with one scoped exception: the
 //! `throughput.wall_clock` and `campaign_engine` subtrees (marked
-//! `"host_dependent": true`) record ops/sec, the bitsliced speedups
-//! and the shard-scaling wall clocks, which vary with the machine the
-//! export ran on. Everything outside those subtrees is byte-stable —
-//! including the `service` subtree, whose traffic runs are seeded and
-//! measured in modeled cycles, not wall time.
+//! `"host_dependent": true`) record ops/sec and the shard-scaling
+//! wall clocks, which vary with the machine the export ran on.
+//! Everything outside those subtrees is byte-stable — including the
+//! `service` subtree, whose traffic runs are seeded and measured in
+//! modeled cycles, not wall time.
 //!
 //! Run: `cargo run --release -p bench --bin export_json`
 
@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 
 /// Schema identifier for downstream consumers; bump when the document
 /// shape changes.
-const SCHEMA: &str = "ecc233-bench/7";
+const SCHEMA: &str = "ecc233-bench/8";
 
 fn main() {
     let doc = render();
@@ -236,38 +236,6 @@ fn render() -> String {
         )
         .unwrap();
     }
-    writeln!(w, "      }},").unwrap();
-    writeln!(w, "      \"bitsliced\": {{").unwrap();
-    writeln!(
-        w,
-        "        \"lanes\": 64, \"crossover\": {}, \"replays\": {}, \"values_bit_identical\": true,",
-        gf2m::bitsliced::CROSSOVER,
-        tp.bitsliced.replays
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "        \"sqr_speedup\": {:.2}, \"mul_speedup\": {:.2}, \"inv64_speedup\": {:.2},",
-        tp.bitsliced.sqr_speedup(),
-        tp.bitsliced.mul_speedup(),
-        tp.bitsliced.inv_speedup()
-    )
-    .unwrap();
-    writeln!(w, "        \"invert_sweep\": {{").unwrap();
-    for (i, r) in tp.bitsliced.invert_sweep.iter().enumerate() {
-        let sep = if i + 1 == tp.bitsliced.invert_sweep.len() {
-            ""
-        } else {
-            ","
-        };
-        writeln!(
-            w,
-            "          \"{}\": {{ \"scalar_ns\": {:.0}, \"bitsliced_ns\": {:.0}, \"speedup\": {:.2} }}{sep}",
-            r.size, r.scalar_ns, r.bitsliced_ns, r.speedup()
-        )
-        .unwrap();
-    }
-    writeln!(w, "        }}").unwrap();
     writeln!(w, "      }}").unwrap();
     writeln!(w, "    }}").unwrap();
     writeln!(w, "  }},").unwrap();

@@ -128,22 +128,6 @@ fn main() {
         failed |= !ok;
     }
 
-    // Schema 6 (ecc233-bench/6) adds the bitsliced block. Its wall
-    // clocks are host-dependent, but the dispatch crossover is a
-    // deterministic constant: moving it without regenerating the
-    // baseline is the same kind of silent drift as a cycle change.
-    // Older baselines simply lack the block and skip the check.
-    if doc.contains("\"bitsliced\":") {
-        let baseline = extract_section_u64(&doc, "bitsliced", "crossover");
-        let fresh = gf2m::bitsliced::CROSSOVER as u64;
-        let ok = baseline == fresh;
-        println!(
-            "  {:<16} baseline {baseline:>8}  fresh {fresh:>8}  {}",
-            "crossover",
-            if ok { "ok" } else { "MISMATCH" }
-        );
-        failed |= !ok;
-    }
     if failed {
         eprintln!(
             "kernel cycle drift vs {} — regenerate the baseline with export_json if intended",

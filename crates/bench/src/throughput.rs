@@ -10,21 +10,13 @@
 //! * **Protocol scheduler** — wall-clock operations/second of
 //!   `sign_batch` / `verify_batch` / `ecdh_batch` swept over batch
 //!   sizes and worker counts.
-//! * **Bitsliced field backend** — A/B wall clock of the 64-lane
-//!   bitsliced kernels against the portable scalar kernels (sqr, mul,
-//!   batch-64 inversion) plus the batch-inversion crossover sweep,
-//!   with a bit-identity check proving the values are byte-for-byte
-//!   the same on every arm.
 //! * **Sharded campaign** — wall clock of the fault campaign at 1, 2
 //!   and 4 workers, asserting the rendered report stays byte-identical
 //!   at every width.
 //!
-//! The wall-clock numbers (`ops_per_sec`, the bitsliced speedups, the
-//! shard scaling) vary with the host; everything else is
+//! The wall-clock numbers (`ops_per_sec`, the shard scaling) vary with the host; everything else is
 //! deterministic.
 
-use gf2m::bitsliced;
-use gf2m::Fe;
 use koblitz::projective::batch_to_affine_counted;
 use koblitz::{mul, LdPoint};
 use protocols::batch::{ecdh_batch, sign_batch, verify_batch, BatchConfig, VerifyJob};
@@ -44,10 +36,6 @@ pub struct ThroughputConfig {
     pub cache_keys: usize,
     /// Verifications per recurring key.
     pub cache_ops_per_key: usize,
-    /// Batch sizes for the bitsliced batch-inversion crossover sweep.
-    pub bitsliced_sizes: Vec<usize>,
-    /// Replays per arm of the bitsliced A/B.
-    pub bitsliced_replays: usize,
     /// Runs per kernel for the sharded-campaign scaling sweep.
     pub shard_campaign_runs: usize,
     /// Worker counts for the sharded-campaign scaling sweep.
@@ -65,8 +53,6 @@ impl ThroughputConfig {
             worker_counts: vec![1, 4],
             cache_keys: 3,
             cache_ops_per_key: 8,
-            bitsliced_sizes: vec![64, 256, 1024],
-            bitsliced_replays: 32,
             shard_campaign_runs: 8,
             shard_worker_counts: vec![1, 2, 4],
             min_measure: Duration::from_millis(50),
@@ -81,8 +67,6 @@ impl ThroughputConfig {
             worker_counts: vec![1, 2, 4, 8],
             cache_keys: 8,
             cache_ops_per_key: 32,
-            bitsliced_sizes: vec![32, 64, 128, 256, 512, 1024],
-            bitsliced_replays: 64,
             shard_campaign_runs: 48,
             shard_worker_counts: vec![1, 2, 4],
             min_measure: Duration::from_millis(250),
@@ -306,220 +290,6 @@ pub fn ops_sweep(
     rows
 }
 
-/// Best (minimum) wall-clock nanoseconds for one call of `f` over
-/// `replays` timed calls, after one untimed warm-up. The A/Bs run on
-/// shared CI hosts whose load fluctuates by 2× between runs; the
-/// minimum is the standard way to read through scheduler interference,
-/// since noise only ever adds time.
-fn best_replay_ns(replays: usize, f: &mut dyn FnMut()) -> f64 {
-    f(); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..replays.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    best
-}
-
-/// One point of the bitsliced batch-inversion crossover sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct BitslicedRow {
-    /// Elements inverted per call.
-    pub size: usize,
-    /// Best wall-clock nanoseconds per call, scalar Montgomery chain.
-    pub scalar_ns: f64,
-    /// Best wall-clock nanoseconds per call, hybrid bitsliced chain
-    /// (transposes included).
-    pub bitsliced_ns: f64,
-}
-
-impl BitslicedRow {
-    /// Wall-clock speedup of the bitsliced chain (> 1 is faster).
-    pub fn speedup(&self) -> f64 {
-        if self.bitsliced_ns == 0.0 {
-            return 1.0;
-        }
-        self.scalar_ns / self.bitsliced_ns
-    }
-}
-
-/// A/B of the 64-lane bitsliced field backend against the portable
-/// scalar kernels. All numbers are wall clock (host-dependent); the
-/// asserted bit-identity of every value is the deterministic part.
-#[derive(Debug, Clone)]
-pub struct BitslicedReport {
-    /// Replays measured per arm.
-    pub replays: usize,
-    /// 64 portable squarings, best ns.
-    pub sqr_scalar_ns: f64,
-    /// One 64-lane bitsliced squaring, best ns.
-    pub sqr_bitsliced_ns: f64,
-    /// 64 portable multiplications, best ns.
-    pub mul_scalar_ns: f64,
-    /// One 64-lane bitsliced multiplication, best ns.
-    pub mul_bitsliced_ns: f64,
-    /// 64 pointwise portable inversions, best ns.
-    pub inv_scalar_ns: f64,
-    /// One 64-lane bitsliced Itoh–Tsujii inversion (transposes
-    /// included), best ns.
-    pub inv_bitsliced_ns: f64,
-    /// Batch-inversion crossover sweep, per batch size.
-    pub invert_sweep: Vec<BitslicedRow>,
-}
-
-impl BitslicedReport {
-    /// Lane-throughput speedup of the bitsliced squaring (> 1 is
-    /// faster than 64 portable squarings).
-    pub fn sqr_speedup(&self) -> f64 {
-        if self.sqr_bitsliced_ns == 0.0 {
-            return 1.0;
-        }
-        self.sqr_scalar_ns / self.sqr_bitsliced_ns
-    }
-
-    /// Lane-throughput speedup of the bitsliced multiplication.
-    pub fn mul_speedup(&self) -> f64 {
-        if self.mul_bitsliced_ns == 0.0 {
-            return 1.0;
-        }
-        self.mul_scalar_ns / self.mul_bitsliced_ns
-    }
-
-    /// Speedup of one 64-lane batch inversion over 64 pointwise ones.
-    pub fn inv_speedup(&self) -> f64 {
-        if self.inv_bitsliced_ns == 0.0 {
-            return 1.0;
-        }
-        self.inv_scalar_ns / self.inv_bitsliced_ns
-    }
-
-    /// The sweep row for the largest measured batch size.
-    pub fn largest_sweep_row(&self) -> Option<&BitslicedRow> {
-        self.invert_sweep.iter().max_by_key(|r| r.size)
-    }
-}
-
-/// Measures the 64-lane bitsliced backend against the portable scalar
-/// kernels: per-kernel lane throughput (sqr, mul, batch-64 inversion)
-/// and the hybrid `batch_invert` crossover sweep over `sizes`.
-///
-/// Before any timing, every sweep size is checked bit-identical three
-/// ways — the scalar reference chain, the `batch_invert` dispatcher,
-/// and the bitsliced seam called directly — so the wall-clock numbers
-/// can never paper over a value regression.
-///
-/// # Panics
-///
-/// Panics if any arm produces a value that differs from the scalar
-/// Montgomery chain in a single byte.
-pub fn bitsliced_ab(sizes: &[usize], replays: usize) -> BitslicedReport {
-    let max = sizes
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .max(bitsliced::LANES);
-    // Deterministic inputs with a sprinkling of zeros so the skip
-    // path is inside the measured (and value-checked) loop.
-    let elems: Vec<Fe> = (0..max)
-        .map(|i| {
-            if i % 17 == 9 {
-                Fe::ZERO
-            } else {
-                crate::workloads::element(i as u64 + 1)
-            }
-        })
-        .collect();
-
-    for &size in sizes {
-        let mut scalar = elems[..size].to_vec();
-        gf2m::batch::batch_invert_scalar(&mut scalar);
-        let mut dispatched = elems[..size].to_vec();
-        gf2m::batch::batch_invert(&mut dispatched);
-        let mut direct = elems[..size].to_vec();
-        bitsliced::invert_elements(&mut direct);
-        assert_eq!(scalar, dispatched, "batch_invert dispatch at {size}");
-        assert_eq!(scalar, direct, "bitsliced seam at {size}");
-    }
-
-    // Lane-kernel A/B on one full 64-lane batch of non-zero elements.
-    let xs: Vec<Fe> = (0..bitsliced::LANES)
-        .map(|i| crate::workloads::element(2001 + i as u64))
-        .collect();
-    let ys: Vec<Fe> = (0..bitsliced::LANES)
-        .map(|i| crate::workloads::element(4001 + i as u64))
-        .collect();
-    let bx = bitsliced::transpose_in(&xs);
-    let by = bitsliced::transpose_in(&ys);
-    let mut ws = bitsliced::MulScratch::new();
-
-    let sqr_scalar_ns = best_replay_ns(replays, &mut || {
-        for x in &xs {
-            std::hint::black_box(x.square());
-        }
-    });
-    let sqr_bitsliced_ns = best_replay_ns(replays, &mut || {
-        std::hint::black_box(bx.sqr());
-    });
-    let mul_scalar_ns = best_replay_ns(replays, &mut || {
-        for (x, y) in xs.iter().zip(&ys) {
-            std::hint::black_box(*x * *y);
-        }
-    });
-    let mul_bitsliced_ns = best_replay_ns(replays, &mut || {
-        std::hint::black_box(bx.mul_with(&by, &mut ws));
-    });
-    let inv_scalar_ns = best_replay_ns(replays, &mut || {
-        for x in &xs {
-            std::hint::black_box(x.invert());
-        }
-    });
-    let inv_bitsliced_ns = best_replay_ns(replays, &mut || {
-        std::hint::black_box(
-            bitsliced::transpose_in(&xs)
-                .batch_inv()
-                .transpose_out(bitsliced::LANES),
-        );
-    });
-
-    // Crossover sweep: the scalar reference chain against the bitsliced
-    // seam `batch_invert` dispatches to at and above the crossover. Each
-    // call works on a fresh copy; the copy cost is identical on both
-    // arms.
-    let mut rows = Vec::new();
-    let mut buf = elems.clone();
-    for &size in sizes {
-        let src = &elems[..size];
-        let scalar_ns = best_replay_ns(replays, &mut || {
-            buf[..size].copy_from_slice(src);
-            gf2m::batch::batch_invert_scalar(&mut buf[..size]);
-            std::hint::black_box(&buf);
-        });
-        let bitsliced_ns = best_replay_ns(replays, &mut || {
-            buf[..size].copy_from_slice(src);
-            bitsliced::invert_elements(&mut buf[..size]);
-            std::hint::black_box(&buf);
-        });
-        rows.push(BitslicedRow {
-            size,
-            scalar_ns,
-            bitsliced_ns,
-        });
-    }
-
-    BitslicedReport {
-        replays,
-        sqr_scalar_ns,
-        sqr_bitsliced_ns,
-        mul_scalar_ns,
-        mul_bitsliced_ns,
-        inv_scalar_ns,
-        inv_bitsliced_ns,
-        invert_sweep: rows,
-    }
-}
-
 /// One point of the sharded fault-campaign scaling sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardScalingRow {
@@ -566,8 +336,6 @@ pub struct ThroughputReport {
     pub cache: CacheReport,
     /// Wall-clock ops/sec sweep.
     pub ops: Vec<OpsRow>,
-    /// Bitsliced field-backend A/B result.
-    pub bitsliced: BitslicedReport,
     /// Sharded-campaign scaling sweep.
     pub shard_scaling: Vec<ShardScalingRow>,
     /// Worker-pool width `BatchConfig::default()` resolves to on this
@@ -585,7 +353,6 @@ pub fn run(config: &ThroughputConfig) -> ThroughputReport {
             &config.worker_counts,
             config.min_measure,
         ),
-        bitsliced: bitsliced_ab(&config.bitsliced_sizes, config.bitsliced_replays),
         shard_scaling: shard_scaling(config.shard_campaign_runs, &config.shard_worker_counts),
         batch_workers_default: BatchConfig::default().effective_workers(),
     }
@@ -643,53 +410,6 @@ pub fn render(r: &ThroughputReport) -> String {
             w,
             "  {:>8} {:>6} {:>8} {:>12.1}",
             row.op, row.batch, row.workers, row.ops_per_sec
-        )
-        .unwrap();
-    }
-    writeln!(
-        w,
-        "\nbitsliced field backend (64 lanes, values bit-identical; {} replays/arm)",
-        r.bitsliced.replays
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "  sqr  64 portable {:>9.0} ns vs bitsliced {:>9.0} ns ({:.2}x)",
-        r.bitsliced.sqr_scalar_ns,
-        r.bitsliced.sqr_bitsliced_ns,
-        r.bitsliced.sqr_speedup()
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "  mul  64 portable {:>9.0} ns vs bitsliced {:>9.0} ns ({:.2}x)",
-        r.bitsliced.mul_scalar_ns,
-        r.bitsliced.mul_bitsliced_ns,
-        r.bitsliced.mul_speedup()
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "  inv  64 pointwise {:>8.0} ns vs bitsliced {:>9.0} ns ({:.2}x)",
-        r.bitsliced.inv_scalar_ns,
-        r.bitsliced.inv_bitsliced_ns,
-        r.bitsliced.inv_speedup()
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "  batch_invert crossover sweep (dispatch threshold {}):",
-        gf2m::bitsliced::CROSSOVER
-    )
-    .unwrap();
-    for row in &r.bitsliced.invert_sweep {
-        writeln!(
-            w,
-            "    n = {:>5}: scalar {:>9.0} ns vs bitsliced {:>9.0} ns ({:.2}x)",
-            row.size,
-            row.scalar_ns,
-            row.bitsliced_ns,
-            row.speedup()
         )
         .unwrap();
     }
@@ -751,19 +471,6 @@ mod tests {
         assert!(report.misses >= 3);
         assert!(report.hits >= 12 - 3 - 1, "hits = {}", report.hits);
         assert!(report.hit_rate() > 0.5);
-    }
-
-    #[test]
-    fn bitsliced_ab_asserts_bit_identity() {
-        // The three-way value assertions live inside bitsliced_ab; two
-        // replays per arm and small sizes keep the test quick. One
-        // size below the crossover and one spanning multiple chunks
-        // exercise both dispatch outcomes.
-        let report = bitsliced_ab(&[16, 192], 2);
-        assert_eq!(report.invert_sweep.len(), 2);
-        assert!(report.sqr_bitsliced_ns > 0.0 && report.sqr_scalar_ns > 0.0);
-        assert!(report.mul_bitsliced_ns > 0.0 && report.inv_bitsliced_ns > 0.0);
-        assert!(report.invert_sweep.iter().all(|r| r.scalar_ns > 0.0));
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! multiplication costs separately so the amortisation claim is
 //! *measured*, not assumed.
 
-use crate::bitsliced;
 use crate::counted::{self, Tally};
 use crate::Fe;
 
@@ -78,11 +77,6 @@ fn montgomery_core(
 /// inversion total (Montgomery's trick). Zero elements are left as
 /// zero; the other elements are unaffected by their presence.
 ///
-/// Batches of at least [`bitsliced::CROSSOVER`] elements are routed
-/// through the 64-lane bitsliced backend, shorter ones through
-/// [`batch_invert_scalar`]; the values are bit-identical either way —
-/// inverses are unique — only the wall clock differs.
-///
 /// ```
 /// use gf2m::{batch, Fe};
 /// let mut v = [Fe::from_hex("1234").unwrap(), Fe::ZERO, Fe::from_hex("abcd").unwrap()];
@@ -92,19 +86,6 @@ fn montgomery_core(
 /// assert_eq!(v[2], Fe::from_hex("abcd").unwrap().invert().unwrap());
 /// ```
 pub fn batch_invert(elems: &mut [Fe]) {
-    if elems.len() >= bitsliced::CROSSOVER {
-        bitsliced::invert_elements(elems);
-    } else {
-        batch_invert_scalar(elems);
-    }
-}
-
-/// The scalar Montgomery chain: [`montgomery_core`] over the portable
-/// operators, at any length. It is the reference arm the bitsliced
-/// path of [`batch_invert`] is checked and timed against, and it never
-/// dispatches to the bitsliced backend — it is also the final-inversion
-/// step *inside* that backend's chunked chain, so it must stay scalar.
-pub fn batch_invert_scalar(elems: &mut [Fe]) {
     montgomery_core(
         elems,
         |a, b| a * b,
@@ -223,7 +204,7 @@ mod tests {
 
     #[test]
     fn matches_per_element_inversion() {
-        for n in [2usize, 3, 8, 17, 64] {
+        for n in [2usize, 3, 8, 17, 64, 130, 257] {
             let elems: Vec<Fe> = (0..n as u64).map(|i| fe(i + 100)).collect();
             let mut batch = elems.clone();
             batch_invert(&mut batch);

@@ -40,7 +40,6 @@
 //! ```
 
 pub mod batch;
-pub mod bitsliced;
 pub mod counted;
 pub mod element;
 pub mod formulas;

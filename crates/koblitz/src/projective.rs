@@ -159,16 +159,10 @@ impl From<Affine> for LdPoint {
 /// This is the throughput path: N conversions cost 1 inversion +
 /// 3(N−1) + 2N multiplications instead of N inversions + 2N
 /// multiplications, and inversion is ~28× a multiplication on the
-/// modeled tier (Table 7). Batches of at least
-/// [`gf2m::bitsliced::CROSSOVER`] points additionally run both the
-/// inversion and the coordinate products through the 64-lane bitsliced
-/// backend (same values, fewer host cycles).
+/// modeled tier (Table 7).
 pub fn batch_to_affine(points: &[LdPoint]) -> Vec<Affine> {
     let mut zs: Vec<Fe> = points.iter().map(|p| p.z).collect();
     gf2m::batch::batch_invert(&mut zs);
-    if points.len() >= gf2m::bitsliced::CROSSOVER {
-        return finish_affine_bitsliced(points, &zs);
-    }
     points
         .iter()
         .zip(&zs)
@@ -183,39 +177,6 @@ pub fn batch_to_affine(points: &[LdPoint]) -> Vec<Affine> {
             }
         })
         .collect()
-}
-
-/// The coordinate products of [`batch_to_affine`] in lane space: per
-/// 64-point chunk, two bitsliced multiplications and one bitsliced
-/// squaring (x·Z⁻¹, (Z⁻¹)², y·(Z⁻¹)²) replace 3·64 portable
-/// multiplications and 64 squarings. Infinity points have Z⁻¹ = 0
-/// (the zero-aware batch inversion keeps zeros in place), their lanes
-/// multiply to zero, and the assembly step maps them back to
-/// [`Affine::Infinity`] — the values of the finite points are
-/// bit-identical to the portable path.
-fn finish_affine_bitsliced(points: &[LdPoint], zis: &[Fe]) -> Vec<Affine> {
-    use gf2m::bitsliced::{transpose_in, MulScratch, LANES};
-    let mut out = Vec::with_capacity(points.len());
-    let mut ws = MulScratch::new();
-    for (pts, zi) in points.chunks(LANES).zip(zis.chunks(LANES)) {
-        let xs: Vec<Fe> = pts.iter().map(|p| p.x).collect();
-        let ys: Vec<Fe> = pts.iter().map(|p| p.y).collect();
-        let bzi = transpose_in(zi);
-        let ax = transpose_in(&xs)
-            .mul_with(&bzi, &mut ws)
-            .transpose_out(pts.len());
-        let ay = transpose_in(&ys)
-            .mul_with(&bzi.sqr(), &mut ws)
-            .transpose_out(pts.len());
-        for ((zi, x), y) in zi.iter().zip(ax).zip(ay) {
-            out.push(if zi.is_zero() {
-                Affine::Infinity
-            } else {
-                Affine::Point { x, y }
-            });
-        }
-    }
-    out
 }
 
 /// Cost breakdown of one counted-tier batch affine conversion.

@@ -16,13 +16,7 @@
 //!    3(N−1) multiplications instead of N inversions;
 //! 3. *table caching* — repeated operations against the same public
 //!    key hit the process-wide wTNAF table cache ([`koblitz::cache`])
-//!    instead of re-running `TNAF_Precomputation`;
-//! 4. *bitslicing* — batches of at least [`gf2m::bitsliced::CROSSOVER`]
-//!    points route the affine conversion through the 64-lane bitsliced
-//!    field backend inside `batch_to_affine`. Nothing here changes for
-//!    that: the pickup is transparent and the outputs are
-//!    byte-identical either way (inverses are unique), which the tests
-//!    below pin against the scalar operations at `CROSSOVER + 2`.
+//!    instead of re-running `TNAF_Precomputation`.
 //!
 //! The batch entry points are drop-in equivalent to their scalar
 //! counterparts: same signatures, same shared secrets, same error
@@ -337,15 +331,15 @@ mod tests {
     }
 
     #[test]
-    fn batches_on_the_bitsliced_path_match_scalar_operations() {
-        // A batch wide enough to cross the bitsliced dispatch threshold
-        // converts to affine in lane space; its signatures and ECDH
-        // secrets must be byte-identical to the scalar operations.
-        let n = gf2m::bitsliced::CROSSOVER + 2;
-        let key = SigningKey::generate(b"bitsliced batch signer");
-        let kp = Keypair::generate(b"bitsliced batch ecdh");
+    fn wide_batches_match_scalar_operations() {
+        // A gateway-sized batch converts to affine in one Montgomery
+        // chain; its signatures and ECDH secrets must be byte-identical
+        // to the scalar operations.
+        let n = 130;
+        let key = SigningKey::generate(b"wide batch signer");
+        let kp = Keypair::generate(b"wide batch ecdh");
         let peers: Vec<Affine> = (0..n)
-            .map(|i| *Keypair::generate(format!("bitsliced peer {i}").as_bytes()).public())
+            .map(|i| *Keypair::generate(format!("wide peer {i}").as_bytes()).public())
             .collect();
         let msgs = msgs(n);
         let sigs = sign_batch(&key, &msgs, 2);
@@ -369,9 +363,8 @@ mod tests {
 
     #[test]
     fn verify_batch_matches_scalar_verify() {
-        // 8 jobs stay on the scalar affine conversion; CROSSOVER + 2
-        // take the bitsliced one, the path gateway-sized batches use.
-        for n in [8, gf2m::bitsliced::CROSSOVER + 2] {
+        // A small batch and a gateway-sized one.
+        for n in [8, 130] {
             check_verify_batch(n);
         }
     }

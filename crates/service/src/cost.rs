@@ -92,12 +92,12 @@ impl CostTable {
     }
 
     /// The process-wide cached table for `target`, priced on first use.
+    ///
+    /// A poisoned lock is recovered, not propagated: a table is
+    /// inserted only after [`CostTable::measure`] returns, so a panic
+    /// while the lock is held never leaves a partial entry behind.
     pub fn shared(target: &'static TargetSpec) -> &'static CostTable {
-        static TABLES: OnceLock<Mutex<HashMap<&'static str, &'static CostTable>>> = OnceLock::new();
-        let mut map = TABLES
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .unwrap();
+        let mut map = shared_tables().lock().unwrap_or_else(|e| e.into_inner());
         if let Some(t) = map.get(target.name()) {
             return t;
         }
@@ -124,6 +124,12 @@ impl CostTable {
     }
 }
 
+/// The [`CostTable::shared`] cache, keyed by target name.
+fn shared_tables() -> &'static Mutex<HashMap<&'static str, &'static CostTable>> {
+    static TABLES: OnceLock<Mutex<HashMap<&'static str, &'static CostTable>>> = OnceLock::new();
+    TABLES.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +152,22 @@ mod tests {
         let t1 = CostTable::shared(m0plus::target::default_target());
         let t2 = CostTable::shared(m0plus::target::default_target());
         assert!(std::ptr::eq(t1, t2));
+    }
+
+    #[test]
+    fn poisoned_lock_still_serves_correct_tables() {
+        let target = m0plus::target::default_target();
+        let cached = CostTable::shared(target);
+        let panicked = std::thread::spawn(|| {
+            let _held = shared_tables().lock();
+            panic!("deliberate panic while holding the cost table lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(shared_tables().is_poisoned());
+        let again = CostTable::shared(target);
+        assert!(std::ptr::eq(cached, again));
+        assert_eq!(*again, CostTable::measure(target));
     }
 
     #[test]

@@ -6,11 +6,7 @@
 //! * **field elements** — portable `Fe` vs the u64 [`GenericField`]
 //!   oracle vs all three counted multiplication methods vs the modeled
 //!   machine on both backends (results *and* the cycle counts of the
-//!   Direct and Code backends, which must agree exactly) vs the
-//!   64-lane bitsliced backend (the case pair rides in lanes 0/1 of a
-//!   full 64-lane batch, so every case cross-checks all 64 independent
-//!   dataflows of `mul`, `sqr` and the lane-parallel Itoh–Tsujii
-//!   inversion against the portable ops);
+//!   Direct and Code backends, which must agree exactly);
 //! * **scalars** — width-4 wTNAF, plain TNAF, the fixed-window kG path
 //!   and the Montgomery ladder against the binary double-and-add
 //!   reference, including the recoding fixed-length invariant;
@@ -34,7 +30,6 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use gf2m::bitsliced;
 use gf2m::generic::GenericField;
 use gf2m::modeled::{ModeledField, Tier};
 use gf2m::{counted, Fe};
@@ -62,9 +57,9 @@ pub struct DiffConfig {
     pub wire_cases: usize,
     /// Batch-inversion cases: each case draws a batch (with ~10% zeros)
     /// and cross-checks pointwise inversion vs the portable and counted
-    /// Montgomery batch, plus batch affine conversion at the curve
-    /// layer and the hybrid chunked bitsliced inversion (multi-chunk,
-    /// ragged tail included) vs pointwise inversion.
+    /// Montgomery batch (the portable one also on a batch widened to
+    /// more than 128 elements), plus batch affine conversion at the
+    /// curve layer.
     pub batch_cases: usize,
     /// The target cost model the modeled tiers run under. Architectural
     /// results must be target-invariant, so the differential verdict
@@ -481,72 +476,6 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
             direct.inv(dz, da);
             report.record("portable/modeled_inv", direct.load(dz) == inv);
         }
-
-        // Bitsliced 64-lane tier. The case pair rides in lanes 0/1,
-        // the zero and one lanes are pinned, and the rest fill from
-        // the case substream — so every case cross-checks all 64
-        // independent lane dataflows of mul, sqr and the
-        // lane-parallel Itoh–Tsujii inversion against the portable
-        // ops in one go.
-        let mut xs = vec![a, b, Fe::ZERO, Fe::ONE];
-        let mut ys = vec![b, a, Fe::ONE, a];
-        while xs.len() < bitsliced::LANES {
-            xs.push(rand_fe(&mut rng));
-            ys.push(rand_fe(&mut rng));
-        }
-        let bx = bitsliced::transpose_in(&xs);
-        let by = bitsliced::transpose_in(&ys);
-        let bmul = bx.mul(&by);
-        let bsqr = bx.sqr();
-        let binv = bx.batch_inv();
-        let mut bits_detail = None;
-        for j in 0..bitsliced::LANES {
-            if bmul.lane(j) != xs[j] * ys[j] {
-                bits_detail = Some(format!("mul lane {j} vs portable"));
-                break;
-            }
-            if bsqr.lane(j) != xs[j].square() {
-                bits_detail = Some(format!("sqr lane {j} vs portable"));
-                break;
-            }
-            if binv.lane(j) != xs[j].invert().unwrap_or(Fe::ZERO) {
-                bits_detail = Some(format!("inv lane {j} vs portable"));
-                break;
-            }
-        }
-        report.record("portable/bitsliced", bits_detail.is_none());
-        if let Some(detail) = bits_detail {
-            disagree_fe(report, "portable/bitsliced", case, a, b, detail, |bytes| {
-                let (a, b) = bytes_to_fe_pair(bytes);
-                let bx = bitsliced::transpose_in(&[a, b]);
-                let m = bx.mul(&bitsliced::transpose_in(&[b, a]));
-                m.lane(0) != a * b
-                    || m.lane(1) != b * a
-                    || bx.sqr().lane(0) != a.square()
-                    || bx.batch_inv().lane(0) != a.invert().unwrap_or(Fe::ZERO)
-            });
-        }
-
-        // Counted tier vs bitsliced: the paper's Method-C counted
-        // multiplication and the lane-space Karatsuba must land on
-        // the same value for the case pair.
-        let counted_vs_bits = counted::mul_ld_fixed(a, b).value == bmul.lane(0);
-        report.record("counted/bitsliced", counted_vs_bits);
-        if !counted_vs_bits {
-            disagree_fe(
-                report,
-                "counted/bitsliced",
-                case,
-                a,
-                b,
-                "counted mul_ld_fixed vs bitsliced lane 0".to_string(),
-                |bytes| {
-                    let (a, b) = bytes_to_fe_pair(bytes);
-                    let m = bitsliced::transpose_in(&[a]).mul(&bitsliced::transpose_in(&[b]));
-                    counted::mul_ld_fixed(a, b).value != m.lane(0)
-                },
-            );
-        }
     }
 }
 
@@ -663,21 +592,34 @@ fn batch_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
             })
             .collect();
 
-        // Portable Montgomery batch vs pointwise inversion.
+        // Portable Montgomery batch vs pointwise inversion, at the drawn
+        // width and widened past 128 elements (the width of a gateway
+        // batch).
         let batch = gf2m::batch::batch_inverted(&elems);
-        let agreed = elems.iter().zip(&batch).all(|(e, b)| match e.invert() {
-            Some(inv) => *b == inv,
-            None => b.is_zero(),
-        });
-        report.record("pointwise_inv/batch_inv", agreed);
-        if !agreed {
-            report.disagreements.push(Disagreement {
-                domain: "batch",
-                pair: "pointwise_inv/batch_inv".to_string(),
-                case_index: case,
-                input: format!("len {len}"),
-                detail: "Montgomery batch disagrees with pointwise inversion".to_string(),
+        let mut widened = elems.clone();
+        while widened.len() < len + 2 * 64 + 9 {
+            widened.push(if rng.below(10) == 0 {
+                Fe::ZERO
+            } else {
+                rand_fe(&mut rng)
             });
+        }
+        let widened_batch = gf2m::batch::batch_inverted(&widened);
+        for (src, got) in [(&elems, &batch), (&widened, &widened_batch)] {
+            let agreed = src.iter().zip(got).all(|(e, b)| match e.invert() {
+                Some(inv) => *b == inv,
+                None => b.is_zero(),
+            });
+            report.record("pointwise_inv/batch_inv", agreed);
+            if !agreed {
+                report.disagreements.push(Disagreement {
+                    domain: "batch",
+                    pair: "pointwise_inv/batch_inv".to_string(),
+                    case_index: case,
+                    input: format!("len {}", src.len()),
+                    detail: "Montgomery batch disagrees with pointwise inversion".to_string(),
+                });
+            }
         }
 
         // Counted tier: identical values, and the 1 + 3(N−1) formula.
@@ -722,45 +664,6 @@ fn batch_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
                 case_index: case,
                 input: format!("{} points", points.len()),
                 detail: "batch affine conversion disagrees with to_affine".to_string(),
-            });
-        }
-
-        // Bitsliced hybrid chunked inversion: the small batch above
-        // (single ragged chunk, possibly empty) and a widened batch
-        // spanning several 64-lane chunks plus a ragged tail, both
-        // checked bit-for-bit against pointwise inversion. This calls
-        // the production seam directly, so it holds regardless of the
-        // crossover threshold or the runtime toggle — and it never
-        // touches that global toggle, keeping sharded runs race-free.
-        let mut widened_src = elems.clone();
-        while widened_src.len() < len + 2 * bitsliced::LANES + 9 {
-            widened_src.push(if rng.below(10) == 0 {
-                Fe::ZERO
-            } else {
-                rand_fe(&mut rng)
-            });
-        }
-        let mut small = elems.clone();
-        bitsliced::invert_elements(&mut small);
-        let mut widened = widened_src.clone();
-        bitsliced::invert_elements(&mut widened);
-        let small_ok = small == batch;
-        let widened_ok = widened_src
-            .iter()
-            .zip(&widened)
-            .all(|(src, got)| match src.invert() {
-                Some(inv) => *got == inv,
-                None => got.is_zero(),
-            });
-        let bits_agreed = small_ok && widened_ok;
-        report.record("batch_inv/bitsliced_batch_inv", bits_agreed);
-        if !bits_agreed {
-            report.disagreements.push(Disagreement {
-                domain: "batch",
-                pair: "batch_inv/bitsliced_batch_inv".to_string(),
-                case_index: case,
-                input: format!("len {len} (widened {})", widened.len()),
-                detail: "bitsliced chunked inversion disagrees with the scalar chain".to_string(),
             });
         }
     }
@@ -997,15 +900,13 @@ mod tests {
         assert_eq!(find("portable/counted_ld"), 24);
         assert_eq!(find("portable/modeled_direct"), 24);
         assert_eq!(find("modeled_direct/modeled_code_cycles"), 24);
-        assert_eq!(find("portable/bitsliced"), 24);
-        assert_eq!(find("counted/bitsliced"), 24);
         assert_eq!(find("binary/wtnaf_w4"), 14);
         assert_eq!(find("binary/ladder"), 14);
         assert_eq!(find("recode/fixed_length"), 14);
-        assert_eq!(find("pointwise_inv/batch_inv"), 6);
+        // Each batch case checks the drawn batch and its widened copy.
+        assert_eq!(find("pointwise_inv/batch_inv"), 12);
         assert_eq!(find("batch_inv/batch_inv_counted"), 6);
         assert_eq!(find("pointwise_affine/batch_affine"), 6);
-        assert_eq!(find("batch_inv/bitsliced_batch_inv"), 6);
     }
 
     #[test]

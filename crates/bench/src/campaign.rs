@@ -572,16 +572,15 @@ pub fn measure_overheads() -> Vec<CountermeasureOverhead> {
         flash_bytes: 0,
         note: "proxy: one modeled kP (verify is one double-multiply)",
     });
-    // Subgroup validation of a received point uses the binary
-    // reference multiplication n*P — roughly the doubling ladder,
-    // costlier than the wTNAF kP. Report the modeled kP as a lower
-    // bound.
+    // Subgroup validation of a received point is an on-curve check
+    // plus two traces and one half-trace (~116 double squarings): far
+    // below one kP. Report the modeled kP as a generous upper bound.
     out.push(CountermeasureOverhead {
         name: "wire_order_validation",
         cycles: off_c,
         energy_pj: off_e,
         flash_bytes: 0,
-        note: "proxy lower bound: one kP-class multiplication (n*P)",
+        note: "proxy upper bound: one kP (check is on-curve + two traces)",
     });
     out
 }

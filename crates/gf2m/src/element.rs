@@ -203,19 +203,14 @@ impl Fe {
         inv::invert(self)
     }
 
-    /// The trace Tr(x) = Σ x^(2^i) ∈ {0, 1}. For sect233k1 this is used
-    /// when solving quadratics (point decompression / random-point
-    /// sampling).
+    /// The trace Tr(x) = Σ x^(2^i) ∈ {0, 1}, used when solving
+    /// quadratics (point decompression, halving, the subgroup check).
+    ///
+    /// The trace is linear, so Tr(x) is the xor of Tr(z^i) over the set
+    /// coefficients; for z^233 + z^74 + 1 only z^0 and z^159 have trace
+    /// one, which makes it two bit reads.
     pub fn trace(self) -> u32 {
-        let mut t = self;
-        let mut acc = self;
-        for _ in 1..crate::M {
-            t = t.square();
-            acc += t;
-        }
-        // acc is 0 or 1.
-        debug_assert!(acc == Fe::ZERO || acc == Fe::ONE);
-        acc.0[0] & 1
+        (self.0[0] ^ (self.0[4] >> 31)) & 1
     }
 
     /// The square root √x = x^(2^(m−1)) — squaring is a bijection in
@@ -387,6 +382,41 @@ mod tests {
         // Tr(1) = m mod 2 = 1 for m = 233.
         assert_eq!(Fe::ONE.trace(), 1);
         assert_eq!(Fe::ZERO.trace(), 0);
+    }
+
+    /// The definition Tr(x) = x + x² + x⁴ + … + x^(2^232), one squaring
+    /// per term: the oracle for the two-bit [`Fe::trace`].
+    fn frobenius_sum_trace(x: Fe) -> u32 {
+        let mut t = x;
+        let mut acc = x;
+        for _ in 1..crate::M {
+            t = t.square();
+            acc += t;
+        }
+        assert!(acc == Fe::ZERO || acc == Fe::ONE, "trace lies in F_2");
+        acc.0[0] & 1
+    }
+
+    #[test]
+    fn trace_matches_frobenius_sum() {
+        let mut trace_one = Vec::new();
+        for i in 0..crate::M {
+            let mut words = [0u32; N];
+            words[i / 32] = 1 << (i % 32);
+            let z_i = Fe(words);
+            assert_eq!(z_i.trace(), frobenius_sum_trace(z_i), "z^{i}");
+            if z_i.trace() == 1 {
+                trace_one.push(i);
+            }
+        }
+        assert_eq!(trace_one, [0, 159]);
+        let mut rng = prng::SplitMix64::new(1);
+        for case in 0..10_000 {
+            let mut words = [0u32; N];
+            rng.fill_u32(&mut words);
+            let x = Fe::from_words_reduced(words);
+            assert_eq!(x.trace(), frobenius_sum_trace(x), "case {case}: {x}");
+        }
     }
 
     #[test]

@@ -252,14 +252,7 @@ impl Affine {
         }
         let child_exists = |c: &Affine| match *c {
             Affine::Infinity => true,
-            Affine::Point { x, y } => {
-                if x.trace() != 0 {
-                    return false;
-                }
-                let lambda = x.half_trace();
-                let u = (y + x * lambda + x).sqrt();
-                u.trace() == 0
-            }
+            Affine::Point { x, y } => is_quadruple(x, y),
         };
         if child_exists(&c1) {
             return Some(c1);
@@ -303,15 +296,31 @@ impl Affine {
     /// small-subgroup probes; this is the full-validation gate that
     /// rejects them.
     ///
-    /// Deliberately built on [`Affine::mul_binary`]: the τ-adic wNAF
-    /// path assumes its input already lies in the order-n subgroup, so
-    /// validating untrusted points with it would be circular.
+    /// #E = 4n with n an odd prime, and (1, 1) has order 4 (it doubles
+    /// to the 2-torsion point (0, 1)), so E ≅ ℤ/4n is cyclic and the
+    /// order-n subgroup is exactly 4E. Membership in 4E costs two traces
+    /// after the on-curve check (Knudsen's halving criterion): Tr(x) = 0
+    /// and Tr(y + x·H(x) + x) = 0, H the half-trace. Only field
+    /// arithmetic runs — no scalar multiplication, and none of the
+    /// τ-adic code, which assumes its input already lies in the
+    /// subgroup — so validating untrusted points this way is not
+    /// circular. n·P by [`Affine::mul_binary`] is the reference the
+    /// tests check it against.
     pub fn is_in_prime_order_subgroup(&self) -> bool {
-        match self {
+        match *self {
             Affine::Infinity => false,
-            _ => self.is_on_curve() && self.mul_binary(&order()).is_infinity(),
+            Affine::Point { x, y } => self.is_on_curve() && is_quadruple(x, y),
         }
     }
+}
+
+/// Whether the on-curve point (x, y) lies in 4E, i.e. is a double whose
+/// halves are doubles too. (x, y) ∈ 2E iff Tr(x) = Tr(a) = 0; a half
+/// then has x-coordinate u with u² = y + x·H(x) + x, H the half-trace
+/// (the other half adds x to u², which leaves the trace alone since
+/// Tr(x) = 0), and it lies in 2E iff Tr(u) = Tr(u²) = 0.
+fn is_quadruple(x: Fe, y: Fe) -> bool {
+    x.trace() == 0 && (y + x * x.half_trace() + x).trace() == 0
 }
 
 /// Error decoding a compressed point.
@@ -659,6 +668,60 @@ mod tests {
         let t = Affine::new(Fe::ZERO, Fe::ONE).unwrap();
         assert!(t.double().is_infinity());
         assert_eq!(t.add(&t), Affine::Infinity);
+    }
+
+    #[test]
+    fn subgroup_check_matches_order_multiplication() {
+        let t = Affine::new(Fe::ZERO, Fe::ONE).unwrap();
+        let q4 = Affine::new(Fe::ONE, Fe::ONE).unwrap();
+        let shifts = [Affine::Infinity, t, q4, q4.negated()];
+        let mut rng = prng::SplitMix64::new(1);
+        let mut points = shifts.to_vec();
+        for _ in 0..16 {
+            let mut bytes = [0u8; 30];
+            rng.fill_bytes(&mut bytes);
+            let kg = crate::mul::mul_g(&Int::from_be_bytes(&bytes));
+            points.extend(shifts.iter().map(|s| kg.add(s)));
+        }
+        let mut decompressed = 0;
+        while decompressed < 2_000 {
+            let mut bytes = [0u8; 31];
+            rng.fill_bytes(&mut bytes);
+            bytes[0] = 0x02 | (bytes[0] & 1);
+            bytes[1] &= 0x01; // 233-bit x
+            if let Ok(p) = Affine::from_compressed_bytes(&bytes) {
+                points.push(p);
+                decompressed += 1;
+            }
+        }
+        // n·P is O on the subgroup and the coset's torsion point
+        // otherwise: every coset must be represented.
+        let mut cosets = std::collections::HashMap::new();
+        for p in points.iter().filter(|p| !p.is_infinity()) {
+            let n_p = p.mul_binary(&order());
+            let want = p.is_on_curve() && n_p.is_infinity();
+            assert_eq!(p.is_in_prime_order_subgroup(), want, "{p}");
+            *cosets.entry(n_p).or_insert(0) += 1;
+        }
+        assert!(!Affine::Infinity.is_in_prime_order_subgroup());
+        for rep in shifts {
+            assert!(cosets.get(&rep).copied().unwrap_or(0) >= 16, "coset {rep}");
+        }
+        // Off-curve points fail however their traces fall.
+        let mut off_curve = 0;
+        while off_curve < 200 {
+            let mut words = [[0u32; 8]; 2];
+            rng.fill_u32(&mut words[0]);
+            rng.fill_u32(&mut words[1]);
+            let p = Affine::Point {
+                x: Fe::from_words_reduced(words[0]),
+                y: Fe::from_words_reduced(words[1]),
+            };
+            if !p.is_on_curve() {
+                assert!(!p.is_in_prime_order_subgroup(), "{p}");
+                off_curve += 1;
+            }
+        }
     }
 
     #[test]

@@ -119,26 +119,53 @@ fn replayed_frames_are_rejected_after_one_delivery() {
 }
 
 #[test]
-fn small_subgroup_probe_is_stopped_at_both_layers() {
+fn small_subgroup_probes_are_stopped_at_every_layer() {
     use gf2m::Fe;
     use koblitz::Affine;
+    use protocols::batch::ecdh_batch;
     let node = Keypair::generate(b"victim node");
-    // The 2-torsion point (0, 1) — on the curve, order 2. Its
-    // compressed encoding is well-formed, so only an order check
-    // stops it.
-    let probe = Affine::new(Fe::ZERO, Fe::ONE).unwrap();
-    let encoded = encode_public_key(&probe);
-    assert_eq!(
-        decode_public_key_slice(&encoded),
-        Err(WireError::WrongOrder),
-        "wire layer must reject the probe"
-    );
-    // Even handed the point directly (bypassing the wire), the ECDH
-    // layer re-checks.
-    assert_eq!(
-        node.shared_secret(&probe),
-        Err(EcdhError::WrongOrderPublicKey)
-    );
+    // One probe in every coset of the order-n subgroup but the subgroup
+    // itself: the 2-torsion point T = (0, 1), the order-4 points
+    // ±(1, 1) = (1, 1), (1, 0), and G shifted by each of them (orders
+    // 2n and 4n). All are on the curve and their compressed encodings
+    // are well-formed, so only an order check stops them.
+    let t = Affine::new(Fe::ZERO, Fe::ONE).unwrap();
+    let q4 = Affine::new(Fe::ONE, Fe::ONE).unwrap();
+    let q4_neg = Affine::new(Fe::ONE, Fe::ZERO).unwrap();
+    let g = koblitz::curve::generator();
+    let probes = [t, q4, q4_neg, g.add(&t), g.add(&q4), g.add(&q4_neg)];
+    for probe in &probes {
+        assert!(probe.is_on_curve(), "{probe}");
+        let encoded = encode_public_key(probe);
+        assert_eq!(
+            decode_public_key_slice(&encoded),
+            Err(WireError::WrongOrder),
+            "wire layer must reject {probe}"
+        );
+        // Even handed the point directly (bypassing the wire), the ECDH
+        // layer re-checks.
+        assert_eq!(
+            node.shared_secret(probe),
+            Err(EcdhError::WrongOrderPublicKey),
+            "ECDH layer must reject {probe}"
+        );
+    }
+    // The batch path answers slot by slot exactly as the scalar one,
+    // with the probes interleaved among valid peers.
+    let mut peers = Vec::new();
+    for (i, probe) in probes.iter().enumerate() {
+        peers.push(*Keypair::generate(format!("peer {i}").as_bytes()).public());
+        peers.push(*probe);
+    }
+    let batched = ecdh_batch(&node, &peers, 2);
+    for (peer, got) in peers.iter().zip(&batched) {
+        assert_eq!(*got, node.shared_secret(peer), "slot for {peer}");
+    }
+    let rejected = batched
+        .iter()
+        .filter(|r| **r == Err(EcdhError::WrongOrderPublicKey))
+        .count();
+    assert_eq!(rejected, probes.len());
 }
 
 /// One seeded mutation of a valid frame: truncate, extend, flip bits

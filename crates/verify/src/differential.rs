@@ -9,7 +9,9 @@
 //!   Direct and Code backends, which must agree exactly);
 //! * **scalars** — width-4 wTNAF, plain TNAF, the fixed-window kG path
 //!   and the Montgomery ladder against the binary double-and-add
-//!   reference, including the recoding fixed-length invariant;
+//!   reference, including the recoding fixed-length invariant, and the
+//!   trace-based subgroup check against n·P on k·G shifted into every
+//!   coset of the order-n subgroup;
 //! * **wire frames** — randomly truncated/bit-flipped public keys,
 //!   signatures and sealed frames through the slice and owned decoders,
 //!   which must never panic and must return the same typed error.
@@ -521,6 +523,22 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
     }
     let g = curve::generator();
     let edges = scalar_edges();
+    let n = curve::order();
+    // Coset representatives of the order-n subgroup: O, the 2-torsion
+    // point T = (0, 1) and the order-4 points ±(1, 1).
+    let q4 = curve::Affine::Point {
+        x: Fe::ONE,
+        y: Fe::ONE,
+    };
+    let shifts = [
+        curve::Affine::Infinity,
+        curve::Affine::Point {
+            x: Fe::ZERO,
+            y: Fe::ONE,
+        },
+        q4,
+        q4.negated(),
+    ];
     for case in cases {
         let mut rng = SplitMix64::substream(config.seed, SCALAR_DOMAIN, case as u64);
         let k = edges
@@ -544,6 +562,24 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                     case_index: case,
                     input: k.to_hex(),
                     detail: format!("point mismatch for k = {k}"),
+                });
+            }
+        }
+        // The trace-based subgroup check against the definition (finite,
+        // on the curve, n·P = O), on k·G shifted into each coset of the
+        // order-n subgroup.
+        for shift in &shifts {
+            let p = reference.add(shift);
+            let want = !p.is_infinity() && p.is_on_curve() && p.mul_binary(&n).is_infinity();
+            let got = p.is_in_prime_order_subgroup();
+            report.record("order_binary/order_trace", got == want);
+            if got != want {
+                report.disagreements.push(Disagreement {
+                    domain: "scalar",
+                    pair: "order_binary/order_trace".to_string(),
+                    case_index: case,
+                    input: k.to_hex(),
+                    detail: format!("subgroup check says {got} for k·G + {shift}"),
                 });
             }
         }
@@ -903,6 +939,8 @@ mod tests {
         assert_eq!(find("binary/wtnaf_w4"), 14);
         assert_eq!(find("binary/ladder"), 14);
         assert_eq!(find("recode/fixed_length"), 14);
+        // k·G shifted into each of the four cosets.
+        assert_eq!(find("order_binary/order_trace"), 4 * 14);
         // Each batch case checks the drawn batch and its widened copy.
         assert_eq!(find("pointwise_inv/batch_inv"), 12);
         assert_eq!(find("batch_inv/batch_inv_counted"), 6);

@@ -61,10 +61,12 @@ diff /tmp/verify_smoke_1.txt /tmp/verify_shard_1.txt
 echo "==> kernel cycle regression gate (vs committed BENCH_*.json)"
 target/release/kernel_gate
 
-echo "==> throughput smoke (batch amortisation + shard gates)"
-target/release/throughput --smoke > /tmp/throughput_smoke.txt
-grep -q "GATE: batch-64 inversion shrink" /tmp/throughput_smoke.txt
-grep -q "GATE: sharded campaign byte-identical" /tmp/throughput_smoke.txt
+echo "==> throughput smoke (batch amortisation + shard gates, deterministic)"
+target/release/throughput --smoke > /tmp/throughput_smoke_1.txt
+target/release/throughput --smoke > /tmp/throughput_smoke_2.txt
+diff /tmp/throughput_smoke_1.txt /tmp/throughput_smoke_2.txt
+grep -q "GATE: batch-64 inversion shrink" /tmp/throughput_smoke_1.txt
+grep -q "GATE: sharded campaign byte-identical" /tmp/throughput_smoke_1.txt
 
 echo "==> service plane smoke (gas-metered traffic, deterministic)"
 target/release/service --smoke > /tmp/service_smoke_1.txt

@@ -1,15 +1,10 @@
 //! Exports the key reproduction numbers as JSON (for plotting and
 //! regression tracking): printed to stdout, and also written to a
 //! versioned `BENCH_<n>.json` at the repository root (`n` = next free
-//! index). The document is deterministic — fixed key order, fixed
-//! seeds, no timestamps — so re-running on an unchanged tree produces a
-//! byte-identical file, with one scoped exception: the
-//! `throughput.wall_clock` and `campaign_engine` subtrees (marked
-//! `"host_dependent": true`) record ops/sec and the shard-scaling
-//! wall clocks, which vary with the machine the export ran on.
-//! Everything outside those subtrees is byte-stable — including the
-//! `service` subtree, whose traffic runs are seeded and measured in
-//! modeled cycles, not wall time.
+//! index). The whole document is deterministic — fixed key order,
+//! fixed seeds, modeled cycles and counts, no timestamps and no wall
+//! clock — so re-running on an unchanged tree produces a byte-identical
+//! file. Host throughput is measured by the `e2e/` benchmark.
 //!
 //! Run: `cargo run --release -p bench --bin export_json`
 
@@ -24,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 /// Schema identifier for downstream consumers; bump when the document
 /// shape changes.
-const SCHEMA: &str = "ecc233-bench/8";
+const SCHEMA: &str = "ecc233-bench/9";
 
 fn main() {
     let doc = render();
@@ -220,51 +215,10 @@ fn render() -> String {
     writeln!(w, "    }},").unwrap();
     writeln!(
         w,
-        "    \"wtnaf_cache\": {{ \"keys\": {}, \"ops_per_key\": {}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4} }},",
+        "    \"wtnaf_cache\": {{ \"keys\": {}, \"ops_per_key\": {}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4} }}",
         tp.cache.keys, tp.cache.ops_per_key, tp.cache.hits, tp.cache.misses, tp.cache.hit_rate()
     )
     .unwrap();
-    writeln!(w, "    \"wall_clock\": {{").unwrap();
-    writeln!(w, "      \"host_dependent\": true,").unwrap();
-    writeln!(w, "      \"ops_per_sec\": {{").unwrap();
-    for (i, r) in tp.ops.iter().enumerate() {
-        let sep = if i + 1 == tp.ops.len() { "" } else { "," };
-        writeln!(
-            w,
-            "        \"{}_b{}_w{}\": {:.1}{sep}",
-            r.op, r.batch, r.workers, r.ops_per_sec
-        )
-        .unwrap();
-    }
-    writeln!(w, "      }}").unwrap();
-    writeln!(w, "    }}").unwrap();
-    writeln!(w, "  }},").unwrap();
-    writeln!(w, "  \"campaign_engine\": {{").unwrap();
-    writeln!(w, "    \"host_dependent\": true,").unwrap();
-    writeln!(w, "    \"shard_scaling\": {{").unwrap();
-    writeln!(w, "      \"report_byte_identical\": true,").unwrap();
-    let serial_ns = tp.shard_scaling.first().map(|r| r.wall_ns).unwrap_or(0.0);
-    for (i, r) in tp.shard_scaling.iter().enumerate() {
-        let sep = if i + 1 == tp.shard_scaling.len() {
-            ""
-        } else {
-            ","
-        };
-        let speedup = if r.wall_ns > 0.0 {
-            serial_ns / r.wall_ns
-        } else {
-            1.0
-        };
-        writeln!(
-            w,
-            "      \"workers_{}\": {{ \"wall_ms\": {:.1}, \"speedup_vs_serial\": {:.2} }}{sep}",
-            r.workers,
-            r.wall_ns / 1e6,
-            speedup
-        )
-        .unwrap();
-    }
-    writeln!(w, "    }}").unwrap();
     writeln!(w, "  }},").unwrap();
     writeln!(w, "  \"service\": {{").unwrap();
     let service_runs = [

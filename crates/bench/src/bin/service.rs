@@ -14,8 +14,7 @@
 //!
 //! The rendered report is deterministic in (configuration, seed) —
 //! ci.sh runs the smoke and overload configurations twice each and
-//! byte-diffs the output. Wall-clock throughput is host-dependent and
-//! printed only outside `--smoke`/`--overload`.
+//! byte-diffs the output.
 
 use bench::traffic::{self, TrafficConfig};
 
@@ -115,9 +114,5 @@ fn main() {
             "GATE: overload survivable ({} completed, {} typed rejections, max level {})",
             report.counters.completed, typed, report.counters.max_level
         );
-    }
-    if !smoke && !overload {
-        // Host-dependent; excluded from the byte-diffed smoke output.
-        println!("wall-clock: {:.0} completed ops/s", report.wall_ops_per_sec);
     }
 }

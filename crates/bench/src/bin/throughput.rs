@@ -1,12 +1,11 @@
 //! Batch-throughput suite: batch-inversion amortisation, wTNAF cache
-//! hit rates, scheduler ops/sec and the sharded-campaign scaling sweep.
+//! hit rate and the sharded-campaign invariance check.
 //!
 //! Run: `cargo run --release -p bench --bin throughput [-- --smoke]`
 //!
 //! `--smoke` bounds the run for CI (a few seconds); the default is the
-//! full sweep EXPERIMENTS.md records. Cycle ratios and hit rates are
-//! deterministic; ops/sec and the shard scaling are wall clock and vary
-//! with the host.
+//! full run EXPERIMENTS.md records. The output is deterministic: ci.sh
+//! runs the smoke twice and byte-diffs it.
 
 use bench::throughput::{self, ThroughputConfig};
 
@@ -35,6 +34,6 @@ fn main() {
     );
     println!(
         "GATE: sharded campaign byte-identical at {} widths",
-        report.shard_scaling.len()
+        report.shard_widths.len()
     );
 }

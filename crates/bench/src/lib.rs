@@ -4,9 +4,6 @@
 //! runs on the cost model, printing paper values next to measured ones.
 //! Each `src/bin/tableN.rs` binary prints one of them; `src/bin/all.rs`
 //! prints the full evaluation (and is what EXPERIMENTS.md records).
-//! Self-contained wall-clock micro-benchmarks of the portable tier live
-//! in `benches/` (plain timing mains — no external harness, so the
-//! workspace builds offline).
 //!
 //! The table regenerators that report modeled numbers accept
 //! `--backend code|direct` (see [`backend_from_args`]): `code` replays
@@ -17,7 +14,6 @@ pub mod campaign;
 pub mod shard;
 pub mod tables;
 pub mod throughput;
-pub mod timing;
 pub mod traffic;
 pub mod workloads;
 

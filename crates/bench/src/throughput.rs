@@ -1,75 +1,58 @@
-//! Batch-throughput measurements: the three amortisations of the batch
-//! engine, each measured rather than assumed.
+//! Batch-throughput measurements: the amortisations of the batch
+//! engine, each measured rather than assumed, plus the sharded
+//! campaign's invariance check.
 //!
 //! * **Batch inversion** — counted-tier cycle ratios of Montgomery's
-//!   trick against pointwise EEA inversion, per batch size
-//!   (deterministic: pure operation counts, no wall clock).
+//!   trick against pointwise EEA inversion, per batch size (pure
+//!   operation counts).
 //! * **wTNAF table cache** — hit rates of the process-wide
 //!   precomputation cache under gateway-shaped traffic (a few recurring
 //!   public keys, many verifications each).
-//! * **Protocol scheduler** — wall-clock operations/second of
-//!   `sign_batch` / `verify_batch` / `ecdh_batch` swept over batch
-//!   sizes and worker counts.
-//! * **Sharded campaign** — wall clock of the fault campaign at 1, 2
-//!   and 4 workers, asserting the rendered report stays byte-identical
-//!   at every width.
+//! * **Sharded campaign** — the fault campaign at 1, 2 and 4 workers,
+//!   asserting the rendered report stays byte-identical at every width.
 //!
-//! The wall-clock numbers (`ops_per_sec`, the shard scaling) vary with the host; everything else is
-//! deterministic.
+//! Every number is deterministic; host throughput is measured by the
+//! `e2e/` benchmark.
 
 use koblitz::projective::batch_to_affine_counted;
 use koblitz::{mul, LdPoint};
-use protocols::batch::{ecdh_batch, sign_batch, verify_batch, BatchConfig, VerifyJob};
-use protocols::{Keypair, Signature, SigningKey};
-use std::time::{Duration, Instant};
+use protocols::batch::{verify_batch, VerifyJob};
+use protocols::{Signature, SigningKey};
 
-/// Measurement budget for one throughput run.
+/// Workload sizes for one throughput run.
 #[derive(Debug, Clone)]
 pub struct ThroughputConfig {
     /// Batch sizes for the counted amortisation rows.
     pub amortisation_sizes: Vec<usize>,
-    /// Batch sizes for the ops/sec sweep.
-    pub batch_sizes: Vec<usize>,
-    /// Worker counts for the ops/sec sweep.
-    pub worker_counts: Vec<usize>,
     /// Recurring public keys in the cache-traffic shape.
     pub cache_keys: usize,
     /// Verifications per recurring key.
     pub cache_ops_per_key: usize,
-    /// Runs per kernel for the sharded-campaign scaling sweep.
+    /// Runs per kernel for the sharded-campaign invariance check.
     pub shard_campaign_runs: usize,
-    /// Worker counts for the sharded-campaign scaling sweep.
-    pub shard_worker_counts: Vec<usize>,
-    /// Minimum wall-clock window per ops/sec measurement.
-    pub min_measure: Duration,
 }
+
+/// Worker counts (and shard windows) the sharded campaign is checked at.
+const SHARD_WIDTHS: [usize; 3] = [1, 2, 4];
 
 impl ThroughputConfig {
     /// Bounded CI smoke configuration (a few seconds end to end).
     pub fn smoke() -> ThroughputConfig {
         ThroughputConfig {
             amortisation_sizes: vec![2, 8, 64],
-            batch_sizes: vec![16],
-            worker_counts: vec![1, 4],
             cache_keys: 3,
             cache_ops_per_key: 8,
             shard_campaign_runs: 8,
-            shard_worker_counts: vec![1, 2, 4],
-            min_measure: Duration::from_millis(50),
         }
     }
 
-    /// The full sweep EXPERIMENTS.md records.
+    /// The full run EXPERIMENTS.md records.
     pub fn full() -> ThroughputConfig {
         ThroughputConfig {
             amortisation_sizes: vec![1, 2, 4, 8, 16, 32, 64, 128],
-            batch_sizes: vec![4, 16, 64],
-            worker_counts: vec![1, 2, 4, 8],
             cache_keys: 8,
             cache_ops_per_key: 32,
             shard_campaign_runs: 48,
-            shard_worker_counts: vec![1, 2, 4],
-            min_measure: Duration::from_millis(250),
         }
     }
 }
@@ -205,126 +188,26 @@ pub fn comb_cache_hit_rate(keys: usize, ops_per_key: usize) -> CacheReport {
     }
 }
 
-/// One point of the ops/sec sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct OpsRow {
-    /// The batched operation (`sign`, `verify`, `ecdh`).
-    pub op: &'static str,
-    /// Operations per batch call.
-    pub batch: usize,
-    /// Worker threads.
-    pub workers: usize,
-    /// Measured operations per second (wall clock; host-dependent).
-    pub ops_per_sec: f64,
-}
-
-/// Repeats `f` (which performs `ops` operations per call) until
-/// `min_measure` has elapsed and returns operations per second.
-fn measure_ops(ops: usize, min_measure: Duration, mut f: impl FnMut()) -> f64 {
-    // One warm-up call keeps lazy tables out of the measurement.
-    f();
-    let start = Instant::now();
-    let mut calls = 0u64;
-    while start.elapsed() < min_measure {
-        f();
-        calls += 1;
-    }
-    (calls * ops as u64) as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Sweeps `sign_batch` / `verify_batch` / `ecdh_batch` over batch sizes
-/// and worker counts, returning wall-clock ops/sec for each point.
-pub fn ops_sweep(
-    batch_sizes: &[usize],
-    worker_counts: &[usize],
-    min_measure: Duration,
-) -> Vec<OpsRow> {
-    let key = SigningKey::generate(b"throughput sweep signer");
-    let kp = Keypair::generate(b"throughput sweep ecdh");
-    let peers: Vec<koblitz::Affine> = (0..4)
-        .map(|i| *Keypair::generate(format!("sweep peer {i}").as_bytes()).public())
-        .collect();
-    let mut rows = Vec::new();
-    for &batch in batch_sizes {
-        let msgs: Vec<Vec<u8>> = (0..batch)
-            .map(|i| format!("sweep frame {i:05}").into_bytes())
-            .collect();
-        let sigs: Vec<Signature> = msgs.iter().map(|m| key.sign(m)).collect();
-        let jobs: Vec<VerifyJob> = msgs
-            .iter()
-            .zip(&sigs)
-            .map(|(m, sig)| VerifyJob {
-                public: key.public(),
-                msg: m,
-                sig,
-            })
-            .collect();
-        let peer_batch: Vec<koblitz::Affine> = (0..batch).map(|i| peers[i % peers.len()]).collect();
-        for &workers in worker_counts {
-            rows.push(OpsRow {
-                op: "sign",
-                batch,
-                workers,
-                ops_per_sec: measure_ops(batch, min_measure, || {
-                    std::hint::black_box(sign_batch(&key, &msgs, workers));
-                }),
-            });
-            rows.push(OpsRow {
-                op: "verify",
-                batch,
-                workers,
-                ops_per_sec: measure_ops(batch, min_measure, || {
-                    std::hint::black_box(verify_batch(&jobs, workers));
-                }),
-            });
-            rows.push(OpsRow {
-                op: "ecdh",
-                batch,
-                workers,
-                ops_per_sec: measure_ops(batch, min_measure, || {
-                    std::hint::black_box(ecdh_batch(&kp, &peer_batch, workers));
-                }),
-            });
-        }
-    }
-    rows
-}
-
-/// One point of the sharded fault-campaign scaling sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardScalingRow {
-    /// Worker threads (and shard windows — one per worker).
-    pub workers: usize,
-    /// Wall-clock nanoseconds for the whole campaign at this width.
-    pub wall_ns: f64,
-}
-
-/// Times the fault campaign at each worker count (shards == workers),
-/// asserting the rendered report stays byte-identical to the serial
-/// run at every width. The wall clock is host-dependent; the asserted
-/// invariance is the deterministic part.
+/// Runs the fault campaign at each worker count (shards == workers)
+/// and asserts the rendered report is byte-identical to the serial run
+/// at every width. Returns the widths it checked.
 ///
 /// # Panics
 ///
 /// Panics if any sharded run renders differently from the serial run.
-pub fn shard_scaling(runs_per_kernel: usize, worker_counts: &[usize]) -> Vec<ShardScalingRow> {
+pub fn shard_invariance(runs_per_kernel: usize, widths: &[usize]) -> Vec<usize> {
     let cfg = crate::campaign::CampaignConfig::new(7, runs_per_kernel);
     let baseline =
         crate::campaign::render_campaign(&crate::campaign::run_campaign_sharded(&cfg, 1, 1));
-    worker_counts
-        .iter()
-        .map(|&workers| {
-            let start = Instant::now();
-            let report = crate::campaign::run_campaign_sharded(&cfg, workers, workers);
-            let wall_ns = start.elapsed().as_nanos() as f64;
-            assert_eq!(
-                crate::campaign::render_campaign(&report),
-                baseline,
-                "sharded campaign diverged at {workers} workers"
-            );
-            ShardScalingRow { workers, wall_ns }
-        })
-        .collect()
+    for &workers in widths {
+        let report = crate::campaign::run_campaign_sharded(&cfg, workers, workers);
+        assert_eq!(
+            crate::campaign::render_campaign(&report),
+            baseline,
+            "sharded campaign diverged at {workers} workers"
+        );
+    }
+    widths.to_vec()
 }
 
 /// Everything one throughput run measured.
@@ -334,13 +217,9 @@ pub struct ThroughputReport {
     pub amortisation: Vec<AmortisationRow>,
     /// Table-cache behaviour under recurring-key traffic.
     pub cache: CacheReport,
-    /// Wall-clock ops/sec sweep.
-    pub ops: Vec<OpsRow>,
-    /// Sharded-campaign scaling sweep.
-    pub shard_scaling: Vec<ShardScalingRow>,
-    /// Worker-pool width `BatchConfig::default()` resolves to on this
-    /// host (`available_parallelism()`).
-    pub batch_workers_default: usize,
+    /// Worker counts at which the sharded campaign rendered
+    /// byte-identically to the serial run.
+    pub shard_widths: Vec<usize>,
 }
 
 /// Runs the full throughput suite under `config`.
@@ -348,13 +227,7 @@ pub fn run(config: &ThroughputConfig) -> ThroughputReport {
     ThroughputReport {
         amortisation: batch_amortisation(&config.amortisation_sizes),
         cache: comb_cache_hit_rate(config.cache_keys, config.cache_ops_per_key),
-        ops: ops_sweep(
-            &config.batch_sizes,
-            &config.worker_counts,
-            config.min_measure,
-        ),
-        shard_scaling: shard_scaling(config.shard_campaign_runs, &config.shard_worker_counts),
-        batch_workers_default: BatchConfig::default().effective_workers(),
+        shard_widths: shard_invariance(config.shard_campaign_runs, &SHARD_WIDTHS),
     }
 }
 
@@ -393,48 +266,13 @@ pub fn render(r: &ThroughputReport) -> String {
         100.0 * r.cache.hit_rate()
     )
     .unwrap();
+    let widths: Vec<String> = r.shard_widths.iter().map(usize::to_string).collect();
     writeln!(
         w,
-        "\nbatch scheduler ops/sec (wall clock, host-dependent; default pool width {})",
-        r.batch_workers_default
+        "\nsharded fault campaign (shards == workers): report byte-identical to the serial run at workers {}",
+        widths.join(", ")
     )
     .unwrap();
-    writeln!(
-        w,
-        "  {:>8} {:>6} {:>8} {:>12}",
-        "op", "batch", "workers", "ops/sec"
-    )
-    .unwrap();
-    for row in &r.ops {
-        writeln!(
-            w,
-            "  {:>8} {:>6} {:>8} {:>12.1}",
-            row.op, row.batch, row.workers, row.ops_per_sec
-        )
-        .unwrap();
-    }
-    if !r.shard_scaling.is_empty() {
-        let serial_ns = r.shard_scaling[0].wall_ns;
-        writeln!(
-            w,
-            "\nsharded fault campaign (shards == workers; report byte-identical at every width)"
-        )
-        .unwrap();
-        for row in &r.shard_scaling {
-            writeln!(
-                w,
-                "  workers {:>2}: {:>9.1} ms ({:.2}x vs serial)",
-                row.workers,
-                row.wall_ns / 1e6,
-                if row.wall_ns > 0.0 {
-                    serial_ns / row.wall_ns
-                } else {
-                    1.0
-                }
-            )
-            .unwrap();
-        }
-    }
     out
 }
 
@@ -474,17 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_scaling_asserts_byte_identical_reports() {
-        let rows = shard_scaling(4, &[1, 2]);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.wall_ns > 0.0));
-    }
-
-    #[test]
-    fn smoke_sweep_produces_all_rows() {
-        let _cache = crate::wtnaf_cache_serial();
-        let rows = ops_sweep(&[4], &[1, 2], Duration::from_millis(5));
-        assert_eq!(rows.len(), 6, "3 ops x 1 batch size x 2 worker counts");
-        assert!(rows.iter().all(|r| r.ops_per_sec > 0.0));
+    fn shard_invariance_asserts_byte_identical_reports() {
+        assert_eq!(shard_invariance(4, &[1, 2]), vec![1, 2]);
     }
 }

@@ -16,9 +16,8 @@
 //!   mutation operator the robustness suites use (truncate / extend /
 //!   bit-flip / substitute).
 //!
-//! Everything but wall-clock throughput is deterministic in
-//! (seed, config, target): the CI gate runs the experiment twice and
-//! byte-diffs the rendered report.
+//! The report is deterministic in (seed, config, target): the CI gate
+//! runs the experiment twice and byte-diffs the rendered report.
 
 use m0plus::TargetSpec;
 use prng::SplitMix64;
@@ -115,8 +114,7 @@ impl QuoteErrorSample {
     }
 }
 
-/// Everything the experiment measures. All fields except
-/// [`TrafficReport::wall_ops_per_sec`] are deterministic in the config.
+/// Everything the experiment measures, deterministic in the config.
 #[derive(Debug, Clone)]
 pub struct TrafficReport {
     /// The configuration that produced this report.
@@ -142,9 +140,6 @@ pub struct TrafficReport {
     pub quote_exact: bool,
     /// wTNAF table-cache counters over the run.
     pub cache: koblitz::cache::CacheStats,
-    /// Completed operations per wall-clock second (host-dependent; not
-    /// part of the deterministic render).
-    pub wall_ops_per_sec: f64,
 }
 
 /// The recurring key pool: a handful of identities the mix reuses so
@@ -296,7 +291,6 @@ pub fn run(cfg: &TrafficConfig) -> TrafficReport {
     let pool = KeyPool::new(5);
     koblitz::cache::reset();
 
-    let started = std::time::Instant::now();
     let mut outcomes: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut verify_false = 0u64;
     let mut latencies: Vec<u64> = Vec::new();
@@ -363,7 +357,6 @@ pub fn run(cfg: &TrafficConfig) -> TrafficReport {
             note(&resp, &mut arrivals, &mut latencies, now);
         }
     }
-    let elapsed = started.elapsed().as_secs_f64();
 
     let counters = plane.counters();
     assert!(
@@ -428,16 +421,10 @@ pub fn run(cfg: &TrafficConfig) -> TrafficReport {
         quote_errors,
         quote_exact,
         cache: koblitz::cache::stats(),
-        wall_ops_per_sec: if elapsed > 0.0 {
-            counters.completed as f64 / elapsed
-        } else {
-            0.0
-        },
     }
 }
 
-/// Renders the deterministic portion of the report (everything except
-/// wall-clock throughput — byte-diffed by the CI double run).
+/// Renders the report (byte-diffed by the CI double run).
 pub fn render(report: &TrafficReport) -> String {
     let mut out = String::new();
     let c = &report.counters;

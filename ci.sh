@@ -107,9 +107,6 @@ for pin in \
   fi
 done
 
-echo "==> lean build without the trace recorder"
-cargo build -p m0plus --release --offline --no-default-features
-
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

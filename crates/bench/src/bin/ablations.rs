@@ -14,7 +14,8 @@ use bench::workloads;
 use gf2m::counted;
 use gf2m::modeled::Tier;
 use koblitz::modeled::ModeledMul;
-use m0plus::EnergyModel;
+use m0plus::target::{default_target, M0PLUS_CYCLES};
+use m0plus::{InstrClass, TargetSpec};
 
 fn main() {
     register_budget();
@@ -67,11 +68,20 @@ fn window_width() {
 fn energy_sensitivity() {
     println!("=== Ablation 3: energy-model sensitivity (Sec. 3.1 conclusion 2) ===\n");
     let k = workloads::scalar(99);
-    for (name, model) in [
-        ("paper Table-3 model", EnergyModel::cortex_m0plus()),
-        ("flat 12.2 pJ/cycle", EnergyModel::uniform(12.2)),
+    // The null hypothesis: the M0+ cycle table with every class at one
+    // flat energy, so only cycle counts matter.
+    let flat = TargetSpec::new(
+        "flat-12.2",
+        "M0+ cycle table, uniform 12.2 pJ/cycle",
+        M0PLUS_CYCLES,
+        [12.2; InstrClass::ALL.len()],
+        m0plus::CLOCK_HZ,
+    );
+    for (name, target) in [
+        ("paper Table-3 model", default_target()),
+        ("flat 12.2 pJ/cycle", &flat),
     ] {
-        let mut mm = ModeledMul::with_energy_model(Tier::Asm, model.clone());
+        let mut mm = ModeledMul::with_target(Tier::Asm, target);
         let kp = mm.kp(&koblitz::generator(), &k);
         println!(
             "{name:<22} kP: {:>8} cycles, {:>6.2} µJ, {:>6.1} µW",

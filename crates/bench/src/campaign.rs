@@ -446,7 +446,8 @@ pub fn measure_overheads() -> Vec<CountermeasureOverhead> {
     let mut out = Vec::new();
 
     // ---- field level, code backend (for flash numbers) ----
-    let mut f = ModeledField::new_with_backend(Tier::Asm, Backend::Code);
+    let mut f = ModeledField::new(Tier::Asm);
+    f.set_backend(Backend::Code);
     let a = f.alloc_init(crate::workloads::element(1));
     let b = f.alloc_init(crate::workloads::element(2));
     let (z, s1, s2, c1, c2) = (f.alloc(), f.alloc(), f.alloc(), f.alloc(), f.alloc());

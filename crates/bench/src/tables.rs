@@ -123,7 +123,7 @@ pub fn table3() -> String {
         InstrClass::Eor,
         InstrClass::Add,
     ];
-    let paper = measured.map(|class| (class, m0plus::TargetModel::pj_per_cycle(target, class)));
+    let paper = measured.map(|class| (class, target.pj_per_cycle(class)));
     for (class, pj) in paper {
         let r = rig.measure(class);
         writeln!(

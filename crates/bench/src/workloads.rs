@@ -41,7 +41,8 @@ pub fn kernel_cycles(tier: Tier) -> (u64, u64, u64, u64) {
 /// table with `--backend code` re-derives every number from assembled
 /// Thumb-16 machine code.
 pub fn kernel_cycles_with(tier: Tier, backend: Backend) -> (u64, u64, u64, u64) {
-    let mut f = ModeledField::new_with_backend(tier, backend);
+    let mut f = ModeledField::new(tier);
+    f.set_backend(backend);
     let a = f.alloc_init(element(1));
     let b = f.alloc_init(element(2));
     let z = f.alloc();
@@ -72,10 +73,17 @@ pub fn rotating_c_cycles() -> u64 {
     r.category_cycles(Category::Multiply)
 }
 
+/// A modeled multiplier on `tier` running its kernels through `backend`.
+fn multiplier(tier: Tier, backend: Backend) -> ModeledMul {
+    let mut mm = ModeledMul::new(tier);
+    mm.field_mut().set_backend(backend);
+    mm
+}
+
 /// Per-kernel flash footprints of one full kP + kG on the code backend
 /// (the code-size numbers the cycle tables can't show).
 pub fn kernel_flash(tier: Tier) -> Vec<(&'static str, KernelFootprint)> {
-    let mut mm = ModeledMul::with_backend(tier, Backend::Code);
+    let mut mm = multiplier(tier, Backend::Code);
     let g = koblitz::generator();
     mm.kp(&g, &scalar(1));
     mm.kg(&scalar(1));
@@ -96,7 +104,7 @@ pub fn average_kp_with(tier: Tier, backend: Backend, seeds: std::ops::Range<u64>
     let g = koblitz::generator();
     let runs: Vec<PointMulRun> = seeds
         .map(|s| {
-            let mut mm = ModeledMul::with_backend(tier, backend);
+            let mut mm = multiplier(tier, backend);
             mm.kp(&g, &scalar(s))
         })
         .collect();
@@ -121,7 +129,7 @@ pub fn average_kg(tier: Tier, seeds: std::ops::Range<u64>) -> PointMulRun {
 pub fn average_kg_with(tier: Tier, backend: Backend, seeds: std::ops::Range<u64>) -> PointMulRun {
     let runs: Vec<PointMulRun> = seeds
         .map(|s| {
-            let mut mm = ModeledMul::with_backend(tier, backend);
+            let mut mm = multiplier(tier, backend);
             mm.kg(&scalar(s))
         })
         .collect();

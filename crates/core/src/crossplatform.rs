@@ -14,7 +14,7 @@
 use gf2m::formulas::OpCounts;
 use gf2m::modeled::{ModeledField, Tier};
 use gf2m::Fe;
-use m0plus::target::{registry, TargetModel, TargetSpec};
+use m0plus::target::{registry, TargetSpec};
 use m0plus::{ClassCounts, InstrClass};
 
 /// A target platform for the generalised model.

@@ -128,12 +128,11 @@ fn measured(run: PointMulRun, mm: &ModeledMul) -> Measured {
 pub struct Engine {
     profile: Profile,
     backend: Backend,
-    target: &'static m0plus::TargetSpec,
 }
 
 impl Engine {
-    /// Creates an engine for `profile` on the direct backend and the
-    /// default target (`cortex-m0plus`, the paper's platform).
+    /// Creates an engine for `profile` on the direct backend, priced
+    /// under the default target (`cortex-m0plus`, the paper's platform).
     pub fn new(profile: Profile) -> Engine {
         Engine::with_backend(profile, Backend::Direct)
     }
@@ -143,22 +142,7 @@ impl Engine {
     /// assembled Thumb-16 machine code and [`Measured::flash`] reports
     /// per-kernel flash footprints.
     pub fn with_backend(profile: Profile, backend: Backend) -> Engine {
-        Engine {
-            profile,
-            backend,
-            target: m0plus::target::default_target(),
-        }
-    }
-
-    /// Creates an engine costed for a [`m0plus::target`] registry entry
-    /// (direct backend). With the default target this is bit-identical
-    /// to [`Engine::new`].
-    pub fn with_target(profile: Profile, target: &'static m0plus::TargetSpec) -> Engine {
-        Engine {
-            profile,
-            backend: Backend::Direct,
-            target,
-        }
+        Engine { profile, backend }
     }
 
     /// The selected profile.
@@ -171,13 +155,10 @@ impl Engine {
         self.backend
     }
 
-    /// The target cost model the runs are priced under.
-    pub fn target(&self) -> &'static m0plus::TargetSpec {
-        self.target
-    }
-
     fn multiplier(&self) -> ModeledMul {
-        ModeledMul::with_target_and_backend(self.profile.tier(), self.target, self.backend)
+        let mut mm = ModeledMul::new(self.profile.tier());
+        mm.field_mut().set_backend(self.backend);
+        mm
     }
 
     /// Fixed-point multiplication k·G with measurement.

@@ -160,37 +160,20 @@ impl ModeledField {
 
     /// Creates a modeled field of the given tier.
     pub fn new(tier: Tier) -> Self {
-        Self::with_ram(tier, Self::DEFAULT_RAM_WORDS)
-    }
-
-    /// Creates a modeled field with `ram_words` of machine RAM.
-    pub fn with_ram(tier: Tier, ram_words: usize) -> Self {
-        Self::with_ram_and_model(tier, ram_words, m0plus::EnergyModel::cortex_m0plus())
+        Self::with_target(tier, m0plus::target::default_target())
     }
 
     /// Creates a modeled field costed for a target from the
     /// [`m0plus::target`] registry (the default target reproduces
     /// [`ModeledField::new`] bit for bit).
-    pub fn with_target(tier: Tier, target: &dyn m0plus::TargetModel) -> Self {
-        Self::with_ram_and_target(tier, Self::DEFAULT_RAM_WORDS, target)
+    pub fn with_target(tier: Tier, target: &m0plus::TargetSpec) -> Self {
+        Self::with_machine(tier, Machine::with_target(Self::DEFAULT_RAM_WORDS, target))
     }
 
-    /// [`ModeledField::with_target`] with explicit machine RAM.
-    pub fn with_ram_and_target(
-        tier: Tier,
-        ram_words: usize,
-        target: &dyn m0plus::TargetModel,
-    ) -> Self {
-        Self::with_machine(Machine::with_target(ram_words, target), tier)
-    }
-
-    /// Creates a modeled field with a custom [`m0plus::EnergyModel`]
-    /// (for sensitivity analysis of the §3.1 energy argument).
-    pub fn with_ram_and_model(tier: Tier, ram_words: usize, model: m0plus::EnergyModel) -> Self {
-        Self::with_machine(Machine::with_model(ram_words, model), tier)
-    }
-
-    fn with_machine(mut machine: Machine, tier: Tier) -> Self {
+    /// Lays the field's tables and frame out on an existing machine
+    /// (any RAM size, any target). The machine should be fresh: the
+    /// layout is allocated from its current break.
+    pub fn with_machine(tier: Tier, mut machine: Machine) -> Self {
         let lut = machine.alloc(16 * 8);
         let frame = machine.alloc(32);
         let sqr_table = machine.alloc(256);
@@ -208,14 +191,6 @@ impl ModeledField {
             layout_sqr_table: sqr_table,
             layout_inv_scratch: inv_scratch,
         }
-    }
-
-    /// Creates a modeled field of the given tier on the given execution
-    /// backend.
-    pub fn new_with_backend(tier: Tier, backend: Backend) -> Self {
-        let mut f = Self::new(tier);
-        f.backend = backend;
-        f
     }
 
     /// The tier this field runs.
@@ -733,7 +708,8 @@ mod tests {
     fn code_backend_matches_direct_for_every_kernel() {
         for tier in [Tier::Asm, Tier::C, Tier::RelicC] {
             let mut direct = ModeledField::new(tier);
-            let mut code = ModeledField::new_with_backend(tier, Backend::Code);
+            let mut code = ModeledField::new(tier);
+            code.set_backend(Backend::Code);
             let (results_d, cycles_d) = drive_all_kernels(&mut direct);
             let (results_c, cycles_c) = drive_all_kernels(&mut code);
             assert_eq!(results_c, results_d, "{tier:?}: field results diverge");
@@ -758,7 +734,8 @@ mod tests {
 
     #[test]
     fn code_backend_reports_kernel_flash_footprints() {
-        let mut f = ModeledField::new_with_backend(Tier::Asm, Backend::Code);
+        let mut f = ModeledField::new(Tier::Asm);
+        f.set_backend(Backend::Code);
         let (sa, sb, sz) = (f.alloc_init(fe(31)), f.alloc_init(fe(32)), f.alloc());
         f.mul(sz, sa, sb);
         f.mul(sz, sz, sb);
@@ -776,7 +753,8 @@ mod tests {
 
     #[test]
     fn looped_inversion_dedups_far_below_its_unrolled_footprint() {
-        let mut f = ModeledField::new_with_backend(Tier::C, Backend::Code);
+        let mut f = ModeledField::new(Tier::C);
+        f.set_backend(Backend::Code);
         let (sa, sz) = (f.alloc_init(fe(33)), f.alloc());
         f.inv(sz, sa);
         let fp = f.flash_report()["inv_eea_c"];
@@ -793,7 +771,8 @@ mod tests {
         );
         // Straight-line kernels barely compress: their deduped figure
         // stays the same order of magnitude as the raw one.
-        let mut g = ModeledField::new_with_backend(Tier::Asm, Backend::Code);
+        let mut g = ModeledField::new(Tier::Asm);
+        g.set_backend(Backend::Code);
         let (ga, gb, gz) = (g.alloc_init(fe(34)), g.alloc_init(fe(35)), g.alloc());
         g.mul(gz, ga, gb);
         let mp = g.flash_report()["mul_asm"];

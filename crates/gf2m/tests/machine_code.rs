@@ -384,7 +384,8 @@ fn assembled_multiplication_matches_the_field() {
     // re-executed by the code backend (which asserts state equality
     // with the direct run internally) must land on the portable product.
     for tier in [Tier::Asm, Tier::C, Tier::RelicC] {
-        let mut f = ModeledField::new_with_backend(tier, Backend::Code);
+        let mut f = ModeledField::new(tier);
+        f.set_backend(Backend::Code);
         for seed in [11u64, 12] {
             let (x, y) = (fe(seed), fe(seed + 50));
             let (sa, sb, sz) = (f.alloc_init(x), f.alloc_init(y), f.alloc());
@@ -403,7 +404,8 @@ fn assembled_multiplication_matches_the_field() {
 #[test]
 fn assembled_squaring_matches_the_field() {
     for tier in [Tier::Asm, Tier::C] {
-        let mut f = ModeledField::new_with_backend(tier, Backend::Code);
+        let mut f = ModeledField::new(tier);
+        f.set_backend(Backend::Code);
         let x = fe(21);
         let (sa, sz) = (f.alloc_init(x), f.alloc());
         f.sqr(sz, sa);

@@ -24,7 +24,7 @@ use crate::mul::{KG_WINDOW, KP_WINDOW};
 use crate::tnaf;
 use gf2m::modeled::{FeSlot, ModeledField, Tier};
 use gf2m::Fe;
-use m0plus::{Backend, Category, Cond, Reg, RunReport};
+use m0plus::{Category, Cond, Reg, RunReport};
 
 /// A López-Dahab projective point held in machine RAM.
 #[derive(Debug, Clone, Copy)]
@@ -123,41 +123,22 @@ pub struct ModeledMul {
 
 impl ModeledMul {
     /// Creates a modeled multiplier on the given implementation tier.
+    /// Switch it to [`Backend::Code`](m0plus::Backend::Code) through
+    /// [`ModeledMul::field_mut`]`().set_backend(..)`: every charged
+    /// kernel — field arithmetic, bignum recoding passes, digit
+    /// dispatch, ladder swaps — is then assembled to Thumb-16 and
+    /// replayed from machine code.
     pub fn new(tier: Tier) -> Self {
-        Self::with_field(ModeledField::with_ram(tier, 64 * 1024))
-    }
-
-    /// Creates a modeled multiplier on the given tier and execution
-    /// backend. Under [`Backend::Code`] every charged kernel — field
-    /// arithmetic, bignum recoding passes, digit dispatch, ladder
-    /// swaps — is assembled to Thumb-16 and replayed from machine code.
-    pub fn with_backend(tier: Tier, backend: Backend) -> Self {
-        let mut f = ModeledField::with_ram(tier, 64 * 1024);
-        f.set_backend(backend);
-        Self::with_field(f)
-    }
-
-    /// Creates a modeled multiplier with a custom energy model (energy
-    /// sensitivity studies).
-    pub fn with_energy_model(tier: Tier, model: m0plus::EnergyModel) -> Self {
-        Self::with_field(ModeledField::with_ram_and_model(tier, 64 * 1024, model))
+        Self::with_target(tier, m0plus::target::default_target())
     }
 
     /// Creates a modeled multiplier costed for a target from the
     /// [`m0plus::target`] registry (default target ≡ [`ModeledMul::new`]).
-    pub fn with_target(tier: Tier, target: &dyn m0plus::TargetModel) -> Self {
-        Self::with_target_and_backend(tier, target, Backend::Direct)
-    }
-
-    /// [`ModeledMul::with_target`] on an explicit execution backend.
-    pub fn with_target_and_backend(
-        tier: Tier,
-        target: &dyn m0plus::TargetModel,
-        backend: Backend,
-    ) -> Self {
-        let mut f = ModeledField::with_ram_and_target(tier, 64 * 1024, target);
-        f.set_backend(backend);
-        Self::with_field(f)
+    pub fn with_target(tier: Tier, target: &m0plus::TargetSpec) -> Self {
+        Self::with_field(ModeledField::with_machine(
+            tier,
+            m0plus::Machine::with_target(64 * 1024, target),
+        ))
     }
 
     /// Wraps an existing modeled field.
@@ -878,6 +859,7 @@ fn recover_y(p: &Affine, x1: Fe, z1: Fe, x2: Fe, z2: Fe) -> Affine {
 mod tests {
     use super::*;
     use crate::curve::{generator, order};
+    use m0plus::Backend;
 
     fn scalar(seed: u64) -> Int {
         let hex = format!("{:016x}", seed.wrapping_mul(0xA24B_AED4_963E_E407));
@@ -996,7 +978,8 @@ mod tests {
         let k = scalar(9);
         let mut direct = ModeledMul::new(Tier::Asm);
         let run_d = direct.kp(&g, &k);
-        let mut code = ModeledMul::with_backend(Tier::Asm, Backend::Code);
+        let mut code = ModeledMul::new(Tier::Asm);
+        code.field_mut().set_backend(Backend::Code);
         let run_c = code.kp(&g, &k);
         assert_eq!(run_c.result, run_d.result, "points diverge");
         assert_eq!(run_c.report.cycles, run_d.report.cycles, "cycles diverge");
@@ -1028,7 +1011,8 @@ mod tests {
         let k = scalar(10);
         let mut direct = ModeledMul::new(Tier::C);
         let run_d = direct.kg(&k);
-        let mut code = ModeledMul::with_backend(Tier::C, Backend::Code);
+        let mut code = ModeledMul::new(Tier::C);
+        code.field_mut().set_backend(Backend::Code);
         let run_c = code.kg(&k);
         assert_eq!(run_c.result, run_d.result);
         assert_eq!(run_c.report.cycles, run_d.report.cycles);

@@ -40,8 +40,9 @@ pub mod table3 {
 
 /// Maps an [`InstrClass`] to its energy per cycle in picojoules.
 ///
-/// The default model reproduces the paper's Table 3; custom models can be
-/// constructed for sensitivity analysis (for instance to check that the
+/// The default model reproduces the paper's Table 3; a custom model is a
+/// custom [`TargetSpec`](crate::TargetSpec) passed to
+/// [`EnergyModel::for_target`] (for instance to check that the
 /// binary-vs-prime conclusion of §3.1 is robust to the energy assumptions).
 ///
 /// ```
@@ -54,10 +55,8 @@ pub mod table3 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModel {
     pj_per_cycle: [f64; InstrClass::ALL.len()],
-    /// Per-class cycle counts of the target this model was built for.
-    /// The default constructors use the Cortex-M0+ table; target-aware
-    /// constructors ([`EnergyModel::for_target`]) carry their core's
-    /// table so the [`Machine`](crate::Machine) charges cycles and
+    /// Per-class cycle counts of the target this model was built for,
+    /// carried so the [`Machine`](crate::Machine) charges cycles and
     /// energy from one coherent source.
     cycles: [u64; InstrClass::ALL.len()],
     /// `pj_per_cycle[i] * cycles[i]`, cached because the machine charges
@@ -80,32 +79,9 @@ impl EnergyModel {
 
     /// The model induced by a target: its pJ/cycle table multiplied by
     /// its own cycle table.
-    pub fn for_target(target: &dyn crate::target::TargetModel) -> Self {
-        Self::from_tables(target.energy_table(), target.cycle_table())
-    }
-
-    /// Builds a model with a uniform energy per cycle (useful as a null
-    /// hypothesis: with a flat model the §3.1 instruction-mix argument
-    /// disappears and only cycle counts matter). Cycle counts are the
-    /// default Cortex-M0+ table.
-    pub fn uniform(pj_per_cycle: f64) -> Self {
-        Self::from_tables(
-            [pj_per_cycle; InstrClass::ALL.len()],
-            crate::target::M0PLUS_CYCLES,
-        )
-    }
-
-    /// Returns a copy of this model with one class's pJ/cycle overridden
-    /// (the cycle table — and hence the target — is preserved).
-    pub fn with_class(mut self, class: InstrClass, pj_per_cycle: f64) -> Self {
-        self.pj_per_cycle[class.index()] = pj_per_cycle;
-        Self::from_tables(self.pj_per_cycle, self.cycles)
-    }
-
-    fn from_tables(
-        pj_per_cycle: [f64; InstrClass::ALL.len()],
-        cycles: [u64; InstrClass::ALL.len()],
-    ) -> Self {
+    pub fn for_target(target: &crate::target::TargetSpec) -> Self {
+        let pj_per_cycle = target.energy_table();
+        let cycles = target.cycle_table();
         let mut pj_per_instr = [0.0; InstrClass::ALL.len()];
         for c in InstrClass::ALL {
             pj_per_instr[c.index()] = pj_per_cycle[c.index()] * cycles[c.index()] as f64;
@@ -236,14 +212,6 @@ mod tests {
         let energy = 12.43 * cycles as f64;
         let p = EnergyModel::average_power_uw(energy, cycles, crate::CLOCK_HZ);
         assert!((p - 596.64).abs() < 0.1, "got {p}");
-    }
-
-    #[test]
-    fn uniform_and_override_models() {
-        let m = EnergyModel::uniform(10.0).with_class(InstrClass::Mul, 20.0);
-        assert_eq!(m.picojoules_per_cycle(InstrClass::Add), 10.0);
-        assert_eq!(m.picojoules_per_cycle(InstrClass::Mul), 20.0);
-        assert_eq!(m.picojoules_per_instr(InstrClass::Ldr), 20.0);
     }
 
     #[test]

@@ -1600,7 +1600,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn superblocks_fall_back_per_step_while_tracing() {
         // An armed trace needs every instruction at its own position,

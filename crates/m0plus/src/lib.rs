@@ -55,7 +55,6 @@ pub mod profile;
 pub mod report;
 pub mod rig;
 pub mod target;
-#[cfg(feature = "trace")]
 pub mod trace;
 
 pub use backend::{Backend, KernelRun};
@@ -72,8 +71,7 @@ pub use machine::{Addr, Cond, Machine, RecordedSetReg, RecordedStep, Recording, 
 pub use profile::{Category, CategoryTotals};
 pub use report::{ClassCounts, RunReport, Snapshot};
 pub use rig::MeasurementRig;
-pub use target::{TargetModel, TargetSpec};
-#[cfg(feature = "trace")]
+pub use target::TargetSpec;
 pub use trace::{Trace, TraceClass, TraceDivergence, TraceEvent};
 
 /// Clock frequency of the paper's target platform: 48 MHz.

@@ -466,11 +466,8 @@ pub struct Machine {
     category_override: Option<Category>,
     by_category: [CategoryTotals; Category::ALL.len()],
     recording: Option<Recording>,
-    #[cfg(feature = "trace")]
     trace: Option<crate::trace::Trace>,
-    #[cfg(feature = "trace")]
     trace_instr: Option<Instr>,
-    #[cfg(feature = "trace")]
     trace_addr: Option<u32>,
 }
 
@@ -478,27 +475,13 @@ impl Machine {
     /// Creates a machine with `mem_words` words of RAM and the default
     /// Cortex-M0+ energy model.
     pub fn new(mem_words: usize) -> Self {
-        Self::with_model(mem_words, EnergyModel::cortex_m0plus())
+        Self::with_target(mem_words, crate::target::default_target())
     }
 
-    /// Creates a machine with a custom [`EnergyModel`] (clocked at the
-    /// paper's default [`crate::CLOCK_HZ`]).
-    pub fn with_model(mem_words: usize, model: EnergyModel) -> Self {
-        Self::with_model_and_clock(mem_words, model, crate::CLOCK_HZ)
-    }
-
-    /// Creates a machine costed for a [`crate::target::TargetModel`]:
+    /// Creates a machine costed for a [`crate::target::TargetSpec`]:
     /// its cycle table, its pJ/cycle table and its clock. With the
-    /// default target this is bit-identical to [`Machine::new`].
-    pub fn with_target(mem_words: usize, target: &dyn crate::target::TargetModel) -> Self {
-        Self::with_model_and_clock(
-            mem_words,
-            EnergyModel::for_target(target),
-            target.clock_hz(),
-        )
-    }
-
-    fn with_model_and_clock(mem_words: usize, model: EnergyModel, clock_hz: u64) -> Self {
+    /// default target this is [`Machine::new`].
+    pub fn with_target(mem_words: usize, target: &crate::target::TargetSpec) -> Self {
         Machine {
             regs: [0; 15],
             flags: Flags::default(),
@@ -507,17 +490,14 @@ impl Machine {
             counts: ClassCounts::default(),
             cycles: 0,
             energy_pj: 0.0,
-            model,
-            clock_hz,
+            model: EnergyModel::for_target(target),
+            clock_hz: target.clock_hz(),
             category_stack: Vec::new(),
             category_override: None,
             by_category: [CategoryTotals::default(); Category::ALL.len()],
             recording: None,
-            #[cfg(feature = "trace")]
             trace: None,
-            #[cfg(feature = "trace")]
             trace_instr: None,
-            #[cfg(feature = "trace")]
             trace_addr: None,
         }
     }
@@ -789,7 +769,6 @@ impl Machine {
     /// Un-costed setup accesses ([`Machine::write_slice`],
     /// [`Machine::set_reg`], …) are not captured: they model host/DMA
     /// activity, not executed instructions.
-    #[cfg(feature = "trace")]
     pub fn start_trace(&mut self) {
         self.trace = Some(crate::trace::Trace::default());
         self.trace_instr = None;
@@ -798,24 +777,18 @@ impl Machine {
 
     /// Stops trace capture and returns the captured trace (empty if
     /// capture was never armed).
-    #[cfg(feature = "trace")]
     pub fn take_trace(&mut self) -> crate::trace::Trace {
         self.trace.take().unwrap_or_default()
     }
 
     /// Notes the effective word address of a memory access for the
-    /// trace recorder; compiled to nothing without the `trace` feature.
-    #[cfg(feature = "trace")]
+    /// trace recorder.
     #[inline]
     fn trace_mem(&mut self, addr: usize) {
         if self.trace.is_some() {
             self.trace_addr = Some(addr as u32);
         }
     }
-
-    #[cfg(not(feature = "trace"))]
-    #[inline]
-    fn trace_mem(&mut self, _addr: usize) {}
 
     #[inline]
     fn rec(&mut self, instr: Instr) {
@@ -834,7 +807,6 @@ impl Machine {
                 });
             }
         }
-        #[cfg(feature = "trace")]
         if self.trace.is_some() {
             self.trace_instr = Some(instr);
         }
@@ -851,7 +823,6 @@ impl Machine {
         let t = &mut self.by_category[cat.index()];
         t.cycles += cycles;
         t.energy_pj += energy;
-        #[cfg(feature = "trace")]
         if self.trace.is_some() {
             let instr = self.trace_instr.take();
             let addr = self.trace_addr.take();
@@ -1111,20 +1082,13 @@ impl Machine {
         }
     }
 
-    /// Whether an instruction-stream capture is armed (a recording, or
-    /// a trace under the `trace` feature). Superblock execution must
-    /// fall back to per-step dispatch while this holds so every
-    /// instruction is captured at its own position.
+    /// Whether an instruction-stream capture is armed (a recording or
+    /// a trace). Superblock execution must fall back to per-step
+    /// dispatch while this holds so every instruction is captured at
+    /// its own position.
     #[inline]
     pub(crate) fn block_capture_active(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.recording.is_some() || self.trace.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            self.recording.is_some()
-        }
+        self.recording.is_some() || self.trace.is_some()
     }
 
     fn set_nz(&mut self, value: u32) {

@@ -1,16 +1,18 @@
-//! Pluggable target cost models: the per-core tables behind the
-//! machine's cycle and energy accounting.
+//! Retargetable cost models: the per-core tables behind the machine's
+//! cycle and energy accounting.
 //!
 //! The seed of this crate welded every number to one core: the
 //! Cortex-M0+ cycle table lived in [`InstrClass::cycles`] and the
-//! Table-3 pJ/cycle figures in [`EnergyModel::cortex_m0plus`]. This
-//! module extracts both behind one trait, [`TargetModel`], so that the
+//! Table-3 pJ/cycle figures in
+//! [`EnergyModel::cortex_m0plus`](crate::EnergyModel::cortex_m0plus). This
+//! module extracts both into one data type, [`TargetSpec`], so that the
 //! whole recorded-kernel stack — the [`Machine`](crate::Machine), the
 //! predecoded/superblock executor (whose per-op cycle constants are
 //! materialised **per target** at lowering time, see
 //! [`crate::exec::predecode_with`]), the fault and verification
 //! campaigns, and the bench/export binaries — can re-cost the same
-//! kernels under a family of cores.
+//! kernels under a family of cores. A core the registry does not ship
+//! is one [`TargetSpec::new`] away.
 //!
 //! The concrete registry ships four targets:
 //!
@@ -31,7 +33,7 @@
 //! constants.
 
 use crate::cost::InstrClass;
-use crate::energy::{table3, EnergyModel};
+use crate::energy::table3;
 use std::sync::OnceLock;
 
 /// A dense per-[`InstrClass`] cycle table, indexed by
@@ -70,43 +72,6 @@ pub const M0PLUS_CYCLES: CycleTable = [
 /// Everything the cost plumbing needs to know about one core: a name,
 /// the per-class cycle table, the per-class pJ/cycle table, and the
 /// clock the time/power derivations assume.
-///
-/// The trait is object-safe on purpose — [`Machine::with_target`]
-/// (crate::Machine::with_target) and the modeled-field constructors
-/// take `&dyn TargetModel`, so downstream crates can define their own
-/// cores without touching this crate.
-pub trait TargetModel {
-    /// Registry key / CLI `--target` name, e.g. `cortex-m0plus`.
-    fn name(&self) -> &'static str;
-    /// One-line description including the estimate assumptions.
-    fn description(&self) -> &'static str;
-    /// Cycle cost of one instruction of `class` on this core.
-    fn cycles(&self, class: InstrClass) -> u64;
-    /// Energy per cycle of `class` on this core, picojoules.
-    fn pj_per_cycle(&self, class: InstrClass) -> f64;
-    /// Clock frequency assumed for time/power derivation.
-    fn clock_hz(&self) -> u64;
-
-    /// The dense cycle table, in [`InstrClass::ALL`] order.
-    fn cycle_table(&self) -> CycleTable {
-        let mut t = [0u64; InstrClass::ALL.len()];
-        for c in InstrClass::ALL {
-            t[c.index()] = self.cycles(c);
-        }
-        t
-    }
-
-    /// The dense pJ/cycle table, in [`InstrClass::ALL`] order.
-    fn energy_table(&self) -> EnergyTable {
-        let mut t = [0.0; InstrClass::ALL.len()];
-        for c in InstrClass::ALL {
-            t[c.index()] = self.pj_per_cycle(c);
-        }
-        t
-    }
-}
-
-/// A concrete, data-driven target: the registry's representation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TargetSpec {
     name: &'static str,
@@ -135,50 +100,38 @@ impl TargetSpec {
         }
     }
 
-    /// The [`EnergyModel`] this target induces (per-instruction energy
-    /// = pJ/cycle × this target's cycle count).
-    pub fn energy_model(&self) -> EnergyModel {
-        EnergyModel::for_target(self)
-    }
-
-    /// Registry key / CLI `--target` name (inherent mirror of
-    /// [`TargetModel::name`], usable without the trait in scope).
+    /// Registry key / CLI `--target` name, e.g. `cortex-m0plus`.
     pub fn name(&self) -> &'static str {
         self.name
     }
 
-    /// One-line description (inherent mirror of
-    /// [`TargetModel::description`]).
+    /// One-line description including the estimate assumptions.
     pub fn description(&self) -> &'static str {
         self.description
     }
 
-    /// Core clock (inherent mirror of [`TargetModel::clock_hz`]).
+    /// Cycle cost of one instruction of `class` on this core.
+    pub fn cycles(&self, class: InstrClass) -> u64 {
+        self.cycles[class.index()]
+    }
+
+    /// Energy per cycle of `class` on this core, picojoules.
+    pub fn pj_per_cycle(&self, class: InstrClass) -> f64 {
+        self.pj_per_cycle[class.index()]
+    }
+
+    /// Clock frequency assumed for time/power derivation.
     pub fn clock_hz(&self) -> u64 {
         self.clock_hz
     }
-}
 
-impl TargetModel for TargetSpec {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn description(&self) -> &'static str {
-        self.description
-    }
-    fn cycles(&self, class: InstrClass) -> u64 {
-        self.cycles[class.index()]
-    }
-    fn pj_per_cycle(&self, class: InstrClass) -> f64 {
-        self.pj_per_cycle[class.index()]
-    }
-    fn clock_hz(&self) -> u64 {
-        self.clock_hz
-    }
-    fn cycle_table(&self) -> CycleTable {
+    /// The dense cycle table, in [`InstrClass::ALL`] order.
+    pub fn cycle_table(&self) -> CycleTable {
         self.cycles
     }
-    fn energy_table(&self) -> EnergyTable {
+
+    /// The dense pJ/cycle table, in [`InstrClass::ALL`] order.
+    pub fn energy_table(&self) -> EnergyTable {
         self.pj_per_cycle
     }
 }
@@ -332,6 +285,7 @@ pub fn cortex_m3() -> &'static TargetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EnergyModel;
 
     #[test]
     fn default_target_matches_the_const_tables() {
@@ -402,13 +356,37 @@ mod tests {
     }
 
     #[test]
-    fn dyn_target_tables_agree_with_direct_access() {
-        let t: &dyn TargetModel = cortex_m0();
+    fn dense_tables_agree_with_per_class_access() {
+        let t = cortex_m0();
         let cycles = t.cycle_table();
         let energy = t.energy_table();
         for c in InstrClass::ALL {
             assert_eq!(cycles[c.index()], t.cycles(c));
             assert_eq!(energy[c.index()].to_bits(), t.pj_per_cycle(c).to_bits());
+        }
+    }
+
+    #[test]
+    fn custom_spec_prices_each_instruction_by_its_own_cycles() {
+        // A core the registry does not ship: flat 10 pJ/cycle except a
+        // 20 pJ/cycle, 4-cycle multiplier.
+        let mut cycles = M0PLUS_CYCLES;
+        cycles[InstrClass::Mul.index()] = 4;
+        let mut pj = [10.0; InstrClass::ALL.len()];
+        pj[InstrClass::Mul.index()] = 20.0;
+        let spec = TargetSpec::new("custom", "test core", cycles, pj, crate::CLOCK_HZ);
+        let m = EnergyModel::for_target(&spec);
+        assert_eq!(m.picojoules_per_cycle(InstrClass::Add), 10.0);
+        assert_eq!(m.picojoules_per_cycle(InstrClass::Mul), 20.0);
+        assert_eq!(m.picojoules_per_instr(InstrClass::Ldr), 20.0);
+        assert_eq!(m.picojoules_per_instr(InstrClass::Mul), 80.0);
+        for c in InstrClass::ALL {
+            assert_eq!(m.cycles_of(c), spec.cycles(c), "{c}");
+            assert_eq!(
+                m.picojoules_per_instr(c).to_bits(),
+                (spec.pj_per_cycle(c) * spec.cycles(c) as f64).to_bits(),
+                "{c}"
+            );
         }
     }
 }

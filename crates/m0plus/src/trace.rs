@@ -10,8 +10,8 @@
 //! kernel on *different secrets* must produce equal traces for the
 //! kernel to be secret-independent under the model.
 //!
-//! Capture is gated behind the `trace` cargo feature (default-on) and
-//! costs one predicate per executed instruction while disarmed; see
+//! Capture is armed at run time and costs one predicate per executed
+//! instruction while disarmed; see
 //! [`Machine::start_trace`](crate::Machine::start_trace). Comparison is
 //! class-by-class ([`TraceClass`]): a kernel can be cycle-exact but
 //! address-dependent (the López-Dahab window lookups are the canonical

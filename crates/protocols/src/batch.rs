@@ -26,59 +26,7 @@ use crate::ecdh::{self, EcdhError, Keypair};
 use crate::ecdsa::{self, Signature, SigningKey, VerifyError};
 use koblitz::projective::batch_to_affine;
 use koblitz::{mul, Affine, LdPoint, Scalar};
-use std::num::NonZeroUsize;
 use std::sync::mpsc;
-
-/// Worker-pool configuration for the batch entry points.
-///
-/// The explicit-`workers` functions ([`sign_batch`], [`verify_batch`],
-/// [`ecdh_batch`]) stay as they are; the `_with` variants take this
-/// config and size the pool from the host when no override is given.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchConfig {
-    /// Worker-thread override; `None` sizes the pool from
-    /// `std::thread::available_parallelism()`.
-    pub workers: Option<usize>,
-}
-
-impl BatchConfig {
-    /// The worker count this config resolves to on this host: the
-    /// override if set, otherwise `available_parallelism()` (1 when
-    /// the platform cannot report it).
-    pub fn effective_workers(&self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-    }
-}
-
-/// [`sign_batch`] with the pool sized by a [`BatchConfig`].
-pub fn sign_batch_with<M: AsRef<[u8]> + Sync>(
-    key: &SigningKey,
-    msgs: &[M],
-    config: BatchConfig,
-) -> Vec<Signature> {
-    sign_batch(key, msgs, config.effective_workers())
-}
-
-/// [`verify_batch`] with the pool sized by a [`BatchConfig`].
-pub fn verify_batch_with(
-    jobs: &[VerifyJob<'_>],
-    config: BatchConfig,
-) -> Vec<Result<(), VerifyError>> {
-    verify_batch(jobs, config.effective_workers())
-}
-
-/// [`ecdh_batch`] with the pool sized by a [`BatchConfig`].
-pub fn ecdh_batch_with(
-    kp: &Keypair,
-    peers: &[Affine],
-    config: BatchConfig,
-) -> Vec<Result<[u8; 32], EcdhError>> {
-    ecdh_batch(kp, peers, config.effective_workers())
-}
 
 /// Runs `f` over every item, sharded across `workers` OS threads
 /// (worker w takes items w, w + workers, …). Results come back in
@@ -428,22 +376,6 @@ mod tests {
             for (i, peer) in peers.iter().enumerate() {
                 assert_eq!(got[i], me.shared_secret(peer), "workers={workers} peer {i}");
             }
-        }
-    }
-
-    #[test]
-    fn batch_config_sizes_the_pool_from_the_host_by_default() {
-        assert!(BatchConfig::default().effective_workers() >= 1);
-        assert_eq!(
-            BatchConfig { workers: Some(3) }.effective_workers(),
-            3,
-            "an explicit override wins"
-        );
-        let key = SigningKey::generate(b"configured batch");
-        let msgs = msgs(5);
-        let sigs = sign_batch_with(&key, &msgs, BatchConfig::default());
-        for (m, sig) in msgs.iter().zip(&sigs) {
-            assert_eq!(*sig, key.sign(m));
         }
     }
 

@@ -41,6 +41,13 @@ use protocols::wire::{encode_signature, WindowedReplayGuard, WireError};
 use protocols::{ecies, Keypair, SigningKey};
 use std::collections::VecDeque;
 
+/// Per-client replay-window capacity, in sequence numbers (see
+/// [`WindowedReplayGuard`]).
+pub const REPLAY_WINDOW: usize = 64;
+
+/// Deadline granted to requests that do not carry one, in ticks.
+pub const DEFAULT_DEADLINE_TICKS: u64 = 8;
+
 /// Service-plane policy: capacity, quotas, bounds and degradation
 /// behaviour. Validated by [`ServicePlane::new`].
 #[derive(Debug, Clone)]
@@ -59,15 +66,6 @@ pub struct PlaneConfig {
     /// Bounded client table; the least recently seen client is evicted
     /// when a new one arrives beyond this.
     pub max_clients: usize,
-    /// Per-client replay-window capacity (see
-    /// [`WindowedReplayGuard`]).
-    pub replay_window: usize,
-    /// Deadline granted to requests that do not carry one, in ticks.
-    pub default_deadline_ticks: u64,
-    /// Prefetch the wTNAF table of a request's kP operand into the
-    /// process-wide cache at admission (disabled at degradation
-    /// level ≥ 2).
-    pub warm_tables: bool,
     /// Worker threads for the batch drain; 0 sizes from the host.
     /// Results are bit-identical for any value.
     pub workers: usize,
@@ -89,9 +87,6 @@ impl PlaneConfig {
             quota_capacity_cycles: 4 * max_quote,
             quota_refill_cycles_per_tick: max_quote,
             max_clients: 64,
-            replay_window: 64,
-            default_deadline_ticks: 8,
-            warm_tables: true,
             workers: 0,
             key_seed: 0x5EC7_0233,
         }
@@ -113,10 +108,6 @@ pub enum ConfigError {
     ZeroQueueCapacity,
     /// The client table must hold at least one client.
     ZeroClients,
-    /// The replay window must remember at least one sequence number.
-    ZeroReplayWindow,
-    /// The default deadline must grant at least one tick.
-    ZeroDeadline,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -132,8 +123,6 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::ZeroQueueCapacity => f.write_str("queue capacity must be at least 1"),
             ConfigError::ZeroClients => f.write_str("client table must hold at least 1 client"),
-            ConfigError::ZeroReplayWindow => f.write_str("replay window must be at least 1"),
-            ConfigError::ZeroDeadline => f.write_str("default deadline must be at least 1 tick"),
         }
     }
 }
@@ -262,12 +251,6 @@ impl ServicePlane {
         if cfg.max_clients == 0 {
             return Err(ConfigError::ZeroClients);
         }
-        if cfg.replay_window == 0 {
-            return Err(ConfigError::ZeroReplayWindow);
-        }
-        if cfg.default_deadline_ticks == 0 {
-            return Err(ConfigError::ZeroDeadline);
-        }
         let signer = SigningKey::generate(&seed_material(cfg.key_seed, b"signer"));
         let ecdh_key = Keypair::generate(&seed_material(cfg.key_seed, b"ecdh"));
         Ok(ServicePlane {
@@ -368,7 +351,7 @@ impl ServicePlane {
             })
         };
         let deadline = if req.deadline == 0 {
-            now + self.cfg.default_deadline_ticks
+            now + DEFAULT_DEADLINE_TICKS
         } else {
             req.deadline
         };
@@ -420,13 +403,13 @@ impl ServicePlane {
                 retry_after,
             });
         }
-        // Admission: commit the sequence number, optionally warm the
-        // wTNAF table for the request's kP operand.
+        // Admission: commit the sequence number and, below degradation
+        // level 2, warm the wTNAF table for the request's kP operand.
         self.clients[ix]
             .replay
             .accept(seq)
             .expect("sequence number was checked fresh above");
-        if self.cfg.warm_tables && self.level < 2 {
+        if self.level < 2 {
             if let Some(p) = req.op.warm_point() {
                 let _ = cache::table_for(p, KP_WINDOW);
                 self.counters.warms += 1;
@@ -496,7 +479,7 @@ impl ServicePlane {
     /// order; each is charged exactly its quote.
     fn execute(&mut self, picked: Vec<Admitted>) -> Vec<Response> {
         let workers = if self.cfg.workers == 0 {
-            protocols::batch::BatchConfig::default().effective_workers()
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
             self.cfg.workers
         };
@@ -618,7 +601,7 @@ impl ServicePlane {
                 self.cfg.quota_refill_cycles_per_tick,
                 now,
             ),
-            replay: WindowedReplayGuard::new(self.cfg.replay_window),
+            replay: WindowedReplayGuard::new(REPLAY_WINDOW),
             last_seen: 0,
         });
         self.clients.len() - 1
@@ -898,14 +881,8 @@ mod tests {
         cfg = PlaneConfig::for_target(m0plus::target::default_target());
         cfg.queue_capacity = 0;
         assert!(matches!(
-            ServicePlane::new(cfg.clone()),
-            Err(ConfigError::ZeroQueueCapacity)
-        ));
-        cfg = PlaneConfig::for_target(m0plus::target::default_target());
-        cfg.default_deadline_ticks = 0;
-        assert!(matches!(
             ServicePlane::new(cfg),
-            Err(ConfigError::ZeroDeadline)
+            Err(ConfigError::ZeroQueueCapacity)
         ));
     }
 }

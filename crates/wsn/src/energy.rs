@@ -78,7 +78,7 @@ impl Default for RadioModel {
         ];
         let mean_pj: f64 = measured
             .iter()
-            .map(|&c| m0plus::TargetModel::pj_per_cycle(target, c))
+            .map(|&c| target.pj_per_cycle(c))
             .sum::<f64>()
             / measured.len() as f64;
         RadioModel {

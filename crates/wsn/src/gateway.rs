@@ -1,15 +1,10 @@
-//! A gateway node that batch-verifies signed telemetry.
+//! Signed telemetry: the frame a sensor node sends its gateway.
 //!
-//! The throughput consumer of the batch scheduler: sensor nodes sign
-//! telemetry frames (one cheap kG each), the gateway queues incoming
-//! frames and verifies them through
-//! [`protocols::batch::verify_batch`] — sharded across worker threads,
-//! one batched field inversion per flush, and wTNAF table-cache hits
-//! for every recurring node key.
+//! Sensor nodes sign telemetry frames (one cheap kG each); the
+//! [`ServiceGateway`](crate::ServiceGateway) verifies them through the
+//! gas-metered service plane.
 
-use protocols::batch::{verify_batch, VerifyJob};
 use protocols::{Signature, SigningKey};
-use std::collections::HashMap;
 
 /// An authenticated (but unencrypted) telemetry frame: node identity,
 /// monotonic sequence number, payload, and an ECDSA signature binding
@@ -28,8 +23,8 @@ pub struct SignedTelemetry {
 
 /// The exact byte string a node signs: a domain tag, then the identity
 /// and sequence number (so frames cannot be re-attributed or replayed
-/// under another id), then the payload. Public so other front ends
-/// (the service-plane gateway) verify the same message the node signed.
+/// under another id), then the payload. Public so the gateway verifies
+/// the same message the node signed.
 pub fn telemetry_message(node_id: u32, seq: u32, payload: &[u8]) -> Vec<u8> {
     let mut msg = Vec::with_capacity(21 + payload.len());
     msg.extend_from_slice(b"wsn-telemetry");
@@ -49,204 +44,5 @@ impl SignedTelemetry {
             payload: payload.to_vec(),
             signature: key.sign(&msg),
         }
-    }
-}
-
-/// Cumulative gateway counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GatewayStats {
-    /// Frames whose signature verified.
-    pub accepted: u64,
-    /// Frames rejected (bad signature or unregistered sender).
-    pub rejected: u64,
-    /// Batch-verification flushes performed.
-    pub batches: u64,
-}
-
-/// The gateway: registered node keys, a pending frame queue, and the
-/// batch-verification policy (flush size and worker count).
-#[derive(Debug)]
-pub struct Gateway {
-    keys: HashMap<u32, koblitz::Affine>,
-    batch_size: usize,
-    workers: usize,
-    pending: Vec<SignedTelemetry>,
-    stats: GatewayStats,
-}
-
-impl Gateway {
-    /// Creates a gateway that flushes every `batch_size` frames across
-    /// `workers` verification threads. A `batch_size` of 0 or 1
-    /// degenerates to per-frame verification.
-    pub fn new(batch_size: usize, workers: usize) -> Gateway {
-        Gateway {
-            keys: HashMap::new(),
-            batch_size: batch_size.max(1),
-            workers: workers.max(1),
-            pending: Vec::new(),
-            stats: GatewayStats::default(),
-        }
-    }
-
-    /// Registers a node's public signing key (deployment-time pairing).
-    pub fn register(&mut self, node_id: u32, public: koblitz::Affine) {
-        self.keys.insert(node_id, public);
-    }
-
-    /// Queues an incoming frame, flushing a verification batch when the
-    /// queue reaches the configured size. Returns the verdicts of any
-    /// flushed batch (frame, accepted) in arrival order.
-    pub fn submit(&mut self, frame: SignedTelemetry) -> Vec<(SignedTelemetry, bool)> {
-        self.pending.push(frame);
-        if self.pending.len() >= self.batch_size {
-            self.flush()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Verifies everything pending as one batch.
-    pub fn flush(&mut self) -> Vec<(SignedTelemetry, bool)> {
-        if self.pending.is_empty() {
-            return Vec::new();
-        }
-        let frames = std::mem::take(&mut self.pending);
-        self.stats.batches += 1;
-        // Frames from unregistered senders are rejected without
-        // spending a verification; the rest go through the threaded
-        // batch verifier (one batched inversion per flush).
-        let msgs: Vec<Vec<u8>> = frames
-            .iter()
-            .map(|f| telemetry_message(f.node_id, f.seq, &f.payload))
-            .collect();
-        let jobs: Vec<(usize, VerifyJob)> = frames
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| {
-                self.keys.get(&f.node_id).map(|public| {
-                    (
-                        i,
-                        VerifyJob {
-                            public,
-                            msg: &msgs[i],
-                            sig: &f.signature,
-                        },
-                    )
-                })
-            })
-            .collect();
-        let verdicts = verify_batch(
-            &jobs.iter().map(|(_, j)| *j).collect::<Vec<_>>(),
-            self.workers,
-        );
-        let mut ok = vec![false; frames.len()];
-        for ((i, _), verdict) in jobs.iter().zip(&verdicts) {
-            ok[*i] = verdict.is_ok();
-        }
-        for &accepted in &ok {
-            if accepted {
-                self.stats.accepted += 1;
-            } else {
-                self.stats.rejected += 1;
-            }
-        }
-        frames.into_iter().zip(ok).collect()
-    }
-
-    /// Cumulative counters.
-    pub fn stats(&self) -> GatewayStats {
-        self.stats
-    }
-
-    /// Frames queued but not yet verified.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::energy::CryptoCosts;
-    use crate::node::{NodeConfig, SensorNode};
-    use ecc233::Profile;
-
-    fn costs() -> CryptoCosts {
-        CryptoCosts {
-            profile: Profile::ThisWorkAsm,
-            kg_uj: 21.0,
-            kp_uj: 31.0,
-        }
-    }
-
-    #[test]
-    fn gateway_accepts_honest_frames_in_batches() {
-        let mut nodes: Vec<SensorNode> = (0..3)
-            .map(|id| SensorNode::new(id, NodeConfig::default(), costs()))
-            .collect();
-        let mut gw = Gateway::new(4, 2);
-        for (id, node) in nodes.iter().enumerate() {
-            gw.register(id as u32, *node.signer().public());
-        }
-        let mut verified = 0;
-        for round in 0..4u32 {
-            for node in nodes.iter_mut() {
-                let payload = format!("r{round}");
-                let frame = node.sign_telemetry(payload.as_bytes()).expect("alive");
-                for (_, ok) in gw.submit(frame) {
-                    assert!(ok);
-                    verified += 1;
-                }
-            }
-        }
-        for (_, ok) in gw.flush() {
-            assert!(ok);
-            verified += 1;
-        }
-        assert_eq!(verified, 12);
-        let stats = gw.stats();
-        assert_eq!(stats.accepted, 12);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.batches, 3, "12 frames at batch size 4");
-    }
-
-    #[test]
-    fn gateway_rejects_tampered_and_unknown_frames() {
-        let mut node = SensorNode::new(7, NodeConfig::default(), costs());
-        let mut gw = Gateway::new(8, 2);
-        gw.register(7, *node.signer().public());
-
-        let good = node.sign_telemetry(b"t=21.5C").unwrap();
-        let mut tampered = node.sign_telemetry(b"t=21.6C").unwrap();
-        tampered.payload = b"t=99.9C".to_vec();
-        let mut reattributed = node.sign_telemetry(b"t=21.7C").unwrap();
-        reattributed.node_id = 8; // unknown sender
-        gw.submit(good);
-        gw.submit(tampered);
-        gw.submit(reattributed);
-        let out = gw.flush();
-        assert_eq!(
-            out.iter().map(|(_, ok)| *ok).collect::<Vec<_>>(),
-            [true, false, false]
-        );
-        let stats = gw.stats();
-        assert_eq!(stats.accepted, 1);
-        assert_eq!(stats.rejected, 2);
-    }
-
-    #[test]
-    fn replayed_seq_under_wrong_id_fails() {
-        let mut a = SensorNode::new(1, NodeConfig::default(), costs());
-        let b = SensorNode::new(2, NodeConfig::default(), costs());
-        let mut gw = Gateway::new(1, 1);
-        gw.register(1, *a.signer().public());
-        gw.register(2, *b.signer().public());
-        // A frame signed by node 1 claimed as node 2: the identity is
-        // inside the signed message, so this must fail under 2's key.
-        let mut frame = a.sign_telemetry(b"hello").unwrap();
-        frame.node_id = 2;
-        let out = gw.submit(frame);
-        assert_eq!(out.len(), 1);
-        assert!(!out[0].1);
     }
 }

@@ -36,7 +36,7 @@ pub mod service_gateway;
 pub mod sim;
 
 pub use energy::{CryptoCosts, RadioModel};
-pub use gateway::{Gateway, GatewayStats, SignedTelemetry};
+pub use gateway::SignedTelemetry;
 pub use network::{FleetReport, Network};
 pub use node::{NodeConfig, SensorNode};
 pub use service_gateway::{ServiceGateway, TelemetryVerdict};

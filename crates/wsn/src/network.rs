@@ -6,7 +6,6 @@
 //! with each node spending real energy numbers from the cost model.
 
 use crate::energy::CryptoCosts;
-use crate::gateway::{Gateway, GatewayStats};
 use crate::node::{NodeConfig, SensorNode};
 use crate::sim::Outcome;
 use protocols::Keypair;
@@ -75,39 +74,6 @@ impl Network {
     /// re-key more often).
     pub fn heterogeneous(configs: Vec<NodeConfig>, costs: CryptoCosts) -> Network {
         Network { configs, costs }
-    }
-
-    /// Runs the fleet against a gateway node: each round every living
-    /// node signs one telemetry frame (spending kG + radio), and the
-    /// gateway verifies the incoming stream in batches of `batch_size`
-    /// across `workers` threads (see [`crate::gateway`]). Returns the
-    /// gateway's counters; every honest frame must verify.
-    pub fn run_gateway(&self, max_rounds: u64, batch_size: usize, workers: usize) -> GatewayStats {
-        let mut gateway = Gateway::new(batch_size, workers);
-        let mut nodes: Vec<SensorNode> = self
-            .configs
-            .iter()
-            .enumerate()
-            .map(|(id, config)| SensorNode::new(id as u32, *config, self.costs))
-            .collect();
-        for (id, node) in nodes.iter().enumerate() {
-            gateway.register(id as u32, *node.signer().public());
-        }
-        for round in 0..max_rounds {
-            let mut all_dead = true;
-            for (id, node) in nodes.iter_mut().enumerate() {
-                let payload = format!("n{id:03} r{round:08}");
-                if let Some(frame) = node.sign_telemetry(payload.as_bytes()) {
-                    all_dead = false;
-                    gateway.submit(frame);
-                }
-            }
-            if all_dead {
-                break;
-            }
-        }
-        gateway.flush();
-        gateway.stats()
     }
 
     /// Runs every node against the shared base station for at most
@@ -209,16 +175,6 @@ mod tests {
         );
         assert_eq!(report.first_death(), report.outcomes[1].rounds_survived);
         assert!(report.mean_lifetime() > report.first_death() as f64);
-    }
-
-    #[test]
-    fn gateway_run_verifies_every_honest_frame() {
-        let net = Network::homogeneous(3, tiny(), costs());
-        let stats = net.run_gateway(5, 4, 2);
-        assert_eq!(stats.accepted, 15, "3 nodes × 5 rounds, all honest");
-        assert_eq!(stats.rejected, 0);
-        // 15 frames, flushed in fours plus a final partial flush.
-        assert_eq!(stats.batches, 4);
     }
 
     #[test]

@@ -135,9 +135,9 @@ impl SensorNode {
     }
 
     /// Signs and "transmits" one authenticated telemetry frame for the
-    /// gateway's batch verifier, spending one kG (the signature's
-    /// fixed-point multiplication) plus the radio cost of payload +
-    /// 60-byte signature. Returns `None` once the battery dies.
+    /// gateway, spending one kG (the signature's fixed-point
+    /// multiplication) plus the radio cost of payload + 60-byte
+    /// signature. Returns `None` once the battery dies.
     pub fn sign_telemetry(&mut self, payload: &[u8]) -> Option<SignedTelemetry> {
         let radio = self.config.radio.frame_uj(payload.len() + 60);
         if !self.spend(self.costs.kg_uj + radio) {

@@ -44,6 +44,10 @@ if grep -q -- "-> LEAK" /tmp/verify_smoke_1.txt; then
 fi
 # The trace-based subgroup check agrees with n*P on every coset.
 grep -Eq "tier-pair order_binary/order_trace +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
+# The fixed-width recoding and the mod-n batch inversion agree with
+# their Int oracles.
+grep -Eq "tier-pair recode_int/recode_fixed +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
+grep -Eq "tier-pair scalar_inv/scalar_batch_inv +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 
 echo "==> verify campaign cross-target smoke (--target cortex-m0, deterministic)"
 target/release/verify_campaign --smoke --target cortex-m0 > /tmp/verify_m0_1.txt
@@ -51,6 +55,8 @@ target/release/verify_campaign --smoke --target cortex-m0 > /tmp/verify_m0_2.txt
 diff /tmp/verify_m0_1.txt /tmp/verify_m0_2.txt
 grep -q "VERDICT: PASS" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair order_binary/order_trace +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
+grep -Eq "tier-pair recode_int/recode_fixed +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
+grep -Eq "tier-pair scalar_inv/scalar_batch_inv +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 
 echo "==> verify campaign shard invariance (--shards 1 vs --shards 4)"
 target/release/verify_campaign --smoke --shards 1 > /tmp/verify_shard_1.txt

@@ -1,17 +1,20 @@
-//! Signed multi-precision integers for τ-adic recoding and scalar
-//! arithmetic.
+//! Signed multi-precision integers for scalar arithmetic and the
+//! τ-adic recoding oracle.
 //!
 //! A small, dependency-free bignum: sign-magnitude with little-endian
 //! `u32` limbs. It provides exactly what the Koblitz-curve machinery
 //! needs — ring operations, shifts, floor/nearest division, parity and
 //! low-bit extraction.
 //!
-//! It is on the host's hot path: every ECDSA signature and verification
-//! inverts a scalar mod n by extended Euclid, and every wTNAF recoding
-//! divides by n in ℤ\[τ\]. Multiplication is schoolbook and division is
-//! word-level (Knuth's Algorithm D), both over u32 limbs with u64
-//! intermediates. None of it is constant-time; the modeled M0+ tier,
-//! not this module, carries the paper's cycle and energy figures.
+//! On the host it carries the scalar arithmetic mod n: products, and
+//! the extended-Euclid inversion that batched signing and verification
+//! pay once per batch (single-shot ones once per operation). τ-adic
+//! recoding runs on fixed-width integers; the `Int` pipeline in
+//! [`crate::tnaf`] is its oracle. Multiplication is schoolbook and
+//! division is word-level (Knuth's Algorithm D), both over u32 limbs
+//! with u64 intermediates. None of it is constant-time; the modeled
+//! M0+ tier, not this module, carries the paper's cycle and energy
+//! figures.
 
 // Sign-magnitude subtraction is addition of the negation — the
 // operator-surprise lint assumes two's-complement semantics.

@@ -9,10 +9,12 @@
 //! * [`projective`] — López-Dahab projective coordinates: doubling,
 //!   mixed addition and the Frobenius map (the coordinate system of
 //!   §4.2);
-//! * [`int`] — a small signed bignum for scalars and recoding;
+//! * [`int`] — a small signed bignum for scalars and the recoding
+//!   oracle;
 //! * [`tnaf`] — τ-adic NAF machinery: Solinas partial reduction
 //!   (`partmod δ`), plain TNAF and width-w TNAF digit generation, and
-//!   the α_u representatives (computed, not tabulated);
+//!   the α_u representatives (computed, not tabulated), on fixed-width
+//!   integers with the `Int` pipeline as oracle;
 //! * [`mul`] — point multiplication: wTNAF random-point kP (w = 4),
 //!   fixed-point kG (w = 6, precomputed table), plus the
 //!   Montgomery-ladder variant the paper's §5 proposes as future work;

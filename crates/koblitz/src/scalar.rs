@@ -93,6 +93,49 @@ impl Scalar {
         debug_assert_eq!(r0, Int::one(), "n is prime, gcd must be 1");
         Some(Scalar::new(t0))
     }
+
+    /// Inverts every element with one [`Scalar::invert`] in total
+    /// (Montgomery's trick, as in `gf2m::batch`): build the prefix
+    /// products p_i = a_1·…·a_i, invert p_N once, then peel the inverses
+    /// off the back, inv(a_i) = inv(p_i)·p_{i−1} and
+    /// inv(p_{i−1}) = inv(p_i)·a_i. That is 3(N−1) products in place of
+    /// N − 1 inversions.
+    ///
+    /// ```
+    /// use koblitz::{Int, Scalar};
+    /// let xs = [Scalar::new(Int::from(2i64)), Scalar::new(Int::from(7i64))];
+    /// let invs = Scalar::batch_invert(&xs);
+    /// assert_eq!(invs[1], xs[1].invert().unwrap());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if any element is zero.
+    pub fn batch_invert(elems: &[Scalar]) -> Vec<Scalar> {
+        assert!(
+            elems.iter().all(|e| !e.is_zero()),
+            "batch_invert of a zero scalar"
+        );
+        let Some(first) = elems.first() else {
+            return Vec::new();
+        };
+        let mut prods = Vec::with_capacity(elems.len());
+        prods.push(first.clone());
+        for e in &elems[1..] {
+            let next = prods[prods.len() - 1].mul(e);
+            prods.push(next);
+        }
+        let mut inv_acc = prods[elems.len() - 1]
+            .invert()
+            .expect("a product of non-zero scalars mod a prime is non-zero");
+        let mut out = vec![Scalar::zero(); elems.len()];
+        for i in (1..elems.len()).rev() {
+            out[i] = inv_acc.mul(&prods[i - 1]);
+            inv_acc = inv_acc.mul(&elems[i]);
+        }
+        out[0] = inv_acc;
+        out
+    }
 }
 
 impl fmt::Display for Scalar {
@@ -167,6 +210,32 @@ mod tests {
             assert_eq!(a.mul(&inv), Scalar::one(), "a = {a}");
         }
         assert_eq!(Scalar::zero().invert(), None);
+    }
+
+    #[test]
+    fn batch_inversion_matches_pointwise() {
+        let n = order();
+        let mut rng = prng::SplitMix64::new(0xba7c_4e55);
+        let mut pool: Vec<Scalar> = [&n - &Int::one(), &n - &Int::from(2i64), Int::one().shl(231)]
+            .map(Scalar::new)
+            .to_vec();
+        pool.extend([1i64, 2].map(s));
+        for _ in 0..130 {
+            let mut bytes = [0u8; 40];
+            rng.fill_bytes(&mut bytes);
+            pool.push(Scalar::from_wide_bytes(&bytes));
+        }
+        for len in [0usize, 1, 2, 16, 130] {
+            let batch = &pool[..len];
+            let want: Vec<Scalar> = batch.iter().map(|a| a.invert().unwrap()).collect();
+            assert_eq!(Scalar::batch_invert(batch), want, "len = {len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_invert of a zero scalar")]
+    fn batch_inversion_rejects_zero() {
+        Scalar::batch_invert(&[s(3), Scalar::zero(), s(5)]);
     }
 
     #[test]

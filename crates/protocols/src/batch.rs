@@ -8,7 +8,7 @@
 //! paper's Table 7 — just **once per batch** via Montgomery's trick
 //! ([`koblitz::projective::batch_to_affine`]).
 //!
-//! Three amortisations compose here:
+//! Four amortisations compose here:
 //!
 //! 1. *threads* — operations are independent, so they shard across
 //!    workers (plain `std::thread::scope` + `mpsc`, no dependencies);
@@ -16,7 +16,10 @@
 //!    3(N−1) multiplications instead of N inversions;
 //! 3. *table caching* — repeated operations against the same public
 //!    key hit the process-wide wTNAF table cache ([`koblitz::cache`])
-//!    instead of re-running `TNAF_Precomputation`.
+//!    instead of re-running `TNAF_Precomputation`;
+//! 4. *scalar batch inversion* — signing inverts every nonce k and
+//!    verification every s with one mod-n inversion per batch
+//!    ([`Scalar::batch_invert`]), the same trick over ℤ/nℤ.
 //!
 //! The batch entry points are drop-in equivalent to their scalar
 //! counterparts: same signatures, same shared secrets, same error
@@ -82,7 +85,7 @@ enum SignStage {
 
 /// Signs every message, sharded across `workers` threads, with the
 /// affine conversions of all the k·G points batched into a single
-/// field inversion.
+/// field inversion and the nonces into a single mod-n inversion.
 ///
 /// Bit-identical to calling [`SigningKey::sign`] per message (same
 /// deterministic RFC 6979-style nonces). The rare degenerate
@@ -111,16 +114,25 @@ pub fn sign_batch<M: AsRef<[u8]> + Sync>(
         })
         .collect();
     let affine = batch_to_affine(&points);
-    // Sequential finish: cheap scalar arithmetic mod n.
+    // One mod-n inversion for every nonce in the batch.
+    let nonces: Vec<Scalar> = staged
+        .iter()
+        .filter_map(|s| match s {
+            SignStage::Fast { k, .. } => Some(k.clone()),
+            SignStage::Retry => None,
+        })
+        .collect();
+    let mut k_invs = Scalar::batch_invert(&nonces).into_iter();
+    // Sequential finish: scalar products mod n, no inversion.
     staged
         .into_iter()
         .zip(affine)
         .zip(msgs)
         .map(|((stage, r_point), msg)| {
-            let k = match stage {
-                SignStage::Fast { k, .. } => k,
-                SignStage::Retry => return key.sign(msg.as_ref()),
-            };
+            if let SignStage::Retry = stage {
+                return key.sign(msg.as_ref());
+            }
+            let k_inv = k_invs.next().expect("one inverse per accepted nonce");
             let r = match r_point {
                 Affine::Infinity => return key.sign(msg.as_ref()),
                 Affine::Point { x, .. } => ecdsa::x_to_scalar(&x),
@@ -129,7 +141,6 @@ pub fn sign_batch<M: AsRef<[u8]> + Sync>(
                 return key.sign(msg.as_ref());
             }
             let e = ecdsa::hash_to_scalar(msg.as_ref());
-            let k_inv = k.invert().expect("k is non-zero");
             let s = k_inv.mul(&e.add(&r.mul(key.d())));
             if s.is_zero() {
                 return key.sign(msg.as_ref());
@@ -152,26 +163,39 @@ pub struct VerifyJob<'a> {
 
 /// Verifies every job, sharded across `workers` threads, with the
 /// affine conversions of all the u₁·G + u₂·Q points batched into a
-/// single field inversion.
+/// single field inversion and the s values into a single mod-n
+/// inversion.
 ///
 /// Returns exactly what [`crate::ecdsa::verify`] would return for each
 /// job, in input order. Verifications against a recurring public key
 /// additionally hit the wTNAF table cache.
 pub fn verify_batch(jobs: &[VerifyJob<'_>], workers: usize) -> Vec<Result<(), VerifyError>> {
+    // Sequential pre-pass: the malformed-signature check, then one
+    // mod-n inversion for the s of every well-formed signature.
+    let well_formed = |job: &VerifyJob<'_>| !job.sig.r.is_zero() && !job.sig.s.is_zero();
+    let s_values: Vec<Scalar> = jobs
+        .iter()
+        .filter(|job| well_formed(job))
+        .map(|job| job.sig.s.clone())
+        .collect();
+    let mut s_invs = Scalar::batch_invert(&s_values).into_iter();
+    let s_inv: Vec<Option<Scalar>> = jobs
+        .iter()
+        .map(|job| well_formed(job).then(|| s_invs.next().expect("one inverse per well-formed s")))
+        .collect();
     // Parallel phase: validation + the double multiplication, kept
     // projective. Err short-circuits before any point arithmetic.
     let staged: Vec<Result<(LdPoint, Scalar), VerifyError>> =
-        run_sharded(jobs, workers, |_, job| {
-            if job.sig.r.is_zero() || job.sig.s.is_zero() {
+        run_sharded(jobs, workers, |i, job| {
+            let Some(s_inv) = &s_inv[i] else {
                 return Err(VerifyError::MalformedSignature);
-            }
+            };
             if !job.public.is_on_curve() || job.public.is_infinity() {
                 return Err(VerifyError::InvalidPublicKey);
             }
             let e = ecdsa::hash_to_scalar(job.msg);
-            let s_inv = job.sig.s.invert().expect("s is non-zero");
-            let u1 = e.mul(&s_inv);
-            let u2 = job.sig.r.mul(&s_inv);
+            let u1 = e.mul(s_inv);
+            let u2 = job.sig.r.mul(s_inv);
             let point = mul::double_multiply_proj(&u1.to_int(), &u2.to_int(), job.public);
             Ok((point, job.sig.r.clone()))
         });

@@ -11,7 +11,9 @@
 //!   and the Montgomery ladder against the binary double-and-add
 //!   reference, including the recoding fixed-length invariant, and the
 //!   trace-based subgroup check against n·P on k·G shifted into every
-//!   coset of the order-n subgroup;
+//!   coset of the order-n subgroup; the fixed-width τ-adic recoding
+//!   against its `Int` pipeline, digit for digit at every width; and
+//!   the mod-n batch inversion against per-element inversion;
 //! * **wire frames** — randomly truncated/bit-flipped public keys,
 //!   signatures and sealed frames through the slice and owned decoders,
 //!   which must never panic and must return the same typed error.
@@ -35,7 +37,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use gf2m::generic::GenericField;
 use gf2m::modeled::{ModeledField, Tier};
 use gf2m::{counted, Fe};
-use koblitz::{curve, mul, tnaf, Int};
+use koblitz::{curve, mul, tnaf, Int, Scalar};
 use m0plus::Backend;
 use prng::SplitMix64;
 use protocols::wire::{
@@ -517,6 +519,36 @@ fn rand_scalar_wide(rng: &mut SplitMix64) -> Int {
     Int::from_limbs(false, limbs)
 }
 
+/// Batch lengths the mod-n batch inversion is checked at, by case.
+const SCALAR_INV_LENGTHS: [usize; 4] = [1, 2, 16, 130];
+
+/// A batch of non-zero scalars for case `case`: k mod n (or 1 when that
+/// is zero), then 1, 2, n − 1, n − 2 and 2²³¹, then seeded wide
+/// scalars, cut to the case's length.
+fn scalar_inv_batch(case: usize, k: &Int, rng: &mut SplitMix64) -> Vec<Scalar> {
+    let n = curve::order();
+    let len = SCALAR_INV_LENGTHS[case % SCALAR_INV_LENGTHS.len()];
+    let head = Scalar::new(k.clone());
+    let mut batch = vec![if head.is_zero() { Scalar::one() } else { head }];
+    batch.extend(
+        [
+            Int::one(),
+            Int::from(2i64),
+            &n - &Int::one(),
+            &n - &Int::from(2i64),
+            Int::one().shl(231),
+        ]
+        .map(Scalar::new),
+    );
+    while batch.len() < len {
+        let mut bytes = [0u8; 40];
+        rng.fill_bytes(&mut bytes);
+        batch.push(Scalar::from_wide_bytes(&bytes));
+    }
+    batch.truncate(len);
+    batch
+}
+
 fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>) {
     if cases.is_empty() {
         return;
@@ -595,6 +627,36 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                 case_index: case,
                 input: k.to_hex(),
                 detail: "recode length depends on the scalar".to_string(),
+            });
+        }
+        // The fixed-width recoding against its `Int` pipeline, at w = 1
+        // and every window width.
+        let recode_diff = (1..=8).find(|&w| tnaf::recode(&k, w) != tnaf::recode_int(&k, w));
+        report.record("recode_int/recode_fixed", recode_diff.is_none());
+        if let Some(w) = recode_diff {
+            report.disagreements.push(Disagreement {
+                domain: "scalar",
+                pair: "recode_int/recode_fixed".to_string(),
+                case_index: case,
+                input: k.to_hex(),
+                detail: format!("digit strings differ at w = {w}"),
+            });
+        }
+        // Montgomery's trick mod n against per-element inversion.
+        let batch = scalar_inv_batch(case, &k, &mut rng);
+        let got = Scalar::batch_invert(&batch);
+        let inv_diff = batch
+            .iter()
+            .zip(&got)
+            .position(|(a, inv)| a.invert().as_ref() != Some(inv));
+        report.record("scalar_inv/scalar_batch_inv", inv_diff.is_none());
+        if let Some(i) = inv_diff {
+            report.disagreements.push(Disagreement {
+                domain: "scalar",
+                pair: "scalar_inv/scalar_batch_inv".to_string(),
+                case_index: case,
+                input: batch[i].to_int().to_hex(),
+                detail: format!("element {i} of a batch of {}", batch.len()),
             });
         }
     }
@@ -939,6 +1001,8 @@ mod tests {
         assert_eq!(find("binary/wtnaf_w4"), 14);
         assert_eq!(find("binary/ladder"), 14);
         assert_eq!(find("recode/fixed_length"), 14);
+        assert_eq!(find("recode_int/recode_fixed"), 14);
+        assert_eq!(find("scalar_inv/scalar_batch_inv"), 14);
         // k·G shifted into each of the four cosets.
         assert_eq!(find("order_binary/order_trace"), 4 * 14);
         // Each batch case checks the drawn batch and its widened copy.

@@ -48,6 +48,10 @@ grep -Eq "tier-pair order_binary/order_trace +[0-9]+ cases, 0 disagreements" /tm
 # their Int oracles.
 grep -Eq "tier-pair recode_int/recode_fixed +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 grep -Eq "tier-pair scalar_inv/scalar_batch_inv +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
+# The carry-less host kernels agree with the paper tier they replace.
+for pair in paper/clmul_mul paper/clmul_sqr eea/clmul_inv; do
+  grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
+done
 
 echo "==> verify campaign cross-target smoke (--target cortex-m0, deterministic)"
 target/release/verify_campaign --smoke --target cortex-m0 > /tmp/verify_m0_1.txt
@@ -57,6 +61,9 @@ grep -q "VERDICT: PASS" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair order_binary/order_trace +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair recode_int/recode_fixed +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair scalar_inv/scalar_batch_inv +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
+for pair in paper/clmul_mul paper/clmul_sqr eea/clmul_inv; do
+  grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
+done
 
 echo "==> verify campaign shard invariance (--shards 1 vs --shards 4)"
 target/release/verify_campaign --smoke --shards 1 > /tmp/verify_shard_1.txt

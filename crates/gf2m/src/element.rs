@@ -6,7 +6,7 @@
 #![allow(clippy::suspicious_arithmetic_impl, clippy::suspicious_op_assign_impl)]
 #![allow(clippy::should_implement_trait)]
 
-use crate::{inv, mul, reduce, sqr, N, TOP_MASK};
+use crate::{inv, mul, reduce, sqr, Clmul, N, TOP_MASK};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul};
 
@@ -14,9 +14,11 @@ use std::ops::{Add, AddAssign, Mul};
 /// eight little-endian 32-bit words.
 ///
 /// Addition in a binary field is XOR (and is its own inverse), so `+`
-/// doubles as subtraction. Multiplication uses the paper's
-/// *López-Dahab with fixed registers* algorithm (portable tier); the
-/// other multipliers live in [`crate::mul`] and all agree.
+/// doubles as subtraction. Multiplication, squaring and inversion run
+/// on the host's carry-less multiply ([`Clmul`]) when the CPU has it,
+/// and on the paper tier — *López-Dahab with fixed registers*, the
+/// spread-table square and the EEA — otherwise; both give the same
+/// values.
 ///
 /// ```
 /// use gf2m::Fe;
@@ -177,30 +179,47 @@ impl Fe {
         None
     }
 
-    /// Field multiplication (portable *LD with fixed registers*).
+    /// Field multiplication: the carry-less-multiply kernel ([`Clmul`])
+    /// where the CPU has one, the paper's *LD with fixed registers*
+    /// ([`mul::mul_ld_fixed`]) otherwise. The other multipliers live in
+    /// [`crate::mul`] and all agree.
+    #[inline]
     pub fn mul(self, other: Fe) -> Fe {
-        mul::mul_ld_fixed(self, other)
-    }
-
-    /// Field squaring via the 256-entry spread table with interleaved
-    /// reduction (§3.2.4 of the paper).
-    pub fn square(self) -> Fe {
-        sqr::square(self)
-    }
-
-    /// Repeated squaring: `self^(2^k)`.
-    pub fn square_n(self, k: usize) -> Fe {
-        let mut x = self;
-        for _ in 0..k {
-            x = x.square();
+        match Clmul::detect() {
+            Some(k) => k.mul(self, other),
+            None => mul::mul_ld_fixed(self, other),
         }
-        x
     }
 
-    /// Multiplicative inverse via the Extended Euclidean Algorithm for
-    /// polynomials (§3.2.3), or `None` for zero.
+    /// Field squaring: one carry-less square per 64-bit limb where the
+    /// CPU has [`Clmul`], otherwise the paper's 256-entry spread table
+    /// with interleaved reduction ([`sqr::square`], §3.2.4).
+    #[inline]
+    pub fn square(self) -> Fe {
+        match Clmul::detect() {
+            Some(k) => k.square(self),
+            None => sqr::square(self),
+        }
+    }
+
+    /// Repeated squaring: `self^(2^k)`, as one chain.
+    pub fn square_n(self, k: usize) -> Fe {
+        match Clmul::detect() {
+            Some(host) => host.square_n(self, k),
+            None => square_n_with(self, k, sqr::square),
+        }
+    }
+
+    /// Multiplicative inverse, or `None` for zero. Where the CPU has
+    /// [`Clmul`] this is Itoh–Tsujii on the carry-less kernels
+    /// (10 M + 232 S in one call); otherwise it is the paper's Extended
+    /// Euclidean Algorithm ([`inv::invert`], §3.2.3), which also stays
+    /// the modeled inversion.
     pub fn invert(self) -> Option<Fe> {
-        inv::invert(self)
+        match Clmul::detect() {
+            Some(k) => k.invert(self),
+            None => inv::invert(self),
+        }
     }
 
     /// The trace Tr(x) = Σ x^(2^i) ∈ {0, 1}, used when solving
@@ -230,19 +249,43 @@ impl Fe {
     /// The half-trace H(x) = Σ x^(2^(2i)) for odd m; H(x) solves
     /// λ² + λ = x whenever Tr(x) = 0.
     pub fn half_trace(self) -> Fe {
-        let mut t = self;
-        let mut acc = self;
-        for _ in 0..(crate::M - 1) / 2 {
-            t = t.square().square();
-            acc += t;
+        match Clmul::detect() {
+            Some(k) => k.half_trace(self),
+            None => half_trace_with(self, sqr::square, |a, b| a + b),
         }
-        acc
     }
 
     /// Reduces a 16-word polynomial product into the field.
     pub fn from_product(product: [u32; 2 * N]) -> Fe {
         reduce::reduce(product)
     }
+}
+
+/// `x^(2^k)` by `k` applications of `square`; generic over the element
+/// representation so the paper tier and the carry-less kernels share it.
+#[inline(always)]
+pub(crate) fn square_n_with<T>(mut x: T, k: usize, square: impl Fn(T) -> T) -> T {
+    for _ in 0..k {
+        x = square(x);
+    }
+    x
+}
+
+/// The half-trace Σ x^(2^(2i)), i = 0..=(m − 1)/2, from a squaring and
+/// an addition; generic like [`square_n_with`].
+#[inline(always)]
+pub(crate) fn half_trace_with<T: Copy>(
+    x: T,
+    square: impl Fn(T) -> T,
+    add: impl Fn(T, T) -> T,
+) -> T {
+    let mut t = x;
+    let mut acc = x;
+    for _ in 0..(crate::M - 1) / 2 {
+        t = square(square(t));
+        acc = add(acc, t);
+    }
+    acc
 }
 
 impl Add for Fe {

@@ -194,28 +194,42 @@ pub fn invert_simple(a: Fe) -> Option<Fe> {
 /// multiplications and 232 squarings, so its cost profile is the
 /// *opposite* of the EEA's (multiplication-bound instead of
 /// shift/branch-bound); on platforms with fast squaring it can win.
-/// Kept as an ablation of the paper's §3.2.3 choice.
-///
-/// The chain builds a^(2^k − 1) for k = 1, 2, 3, 6, 7, 14, 28, 29, 58,
-/// 116, 232 via x_{i+j} = x_i^(2^j) · x_j.
+/// Kept as an ablation of the paper's §3.2.3 choice, built from [`Fe`]'s
+/// own operations (one dispatch per step); on a host with the carry-less
+/// multiply, [`Fe::invert`] runs the same [`itoh_tsujii_chain`] inside
+/// one feature-enabled call.
 pub fn invert_itoh_tsujii(a: Fe) -> Option<Fe> {
     if a.is_zero() {
         return None;
     }
-    // e(k) = a^(2^k − 1).
+    Some(itoh_tsujii_chain(a, Fe::square_n, |x, y| x * y))
+}
+
+/// The Itoh–Tsujii addition chain: a^(2^233 − 2) from `square_n(x, k)`
+/// = x^(2^k) and a multiplication, building e(k) = a^(2^k − 1) for
+/// k = 1, 2, 3, 6, 7, 14, 28, 29, 58, 116, 232 via
+/// e(i + j) = e(i)^(2^j) · e(j), then squaring once. Generic over the
+/// element representation so [`invert_itoh_tsujii`] and the carry-less
+/// kernels' inversion share one chain.
+#[inline(always)]
+pub(crate) fn itoh_tsujii_chain<T: Copy>(
+    a: T,
+    square_n: impl Fn(T, usize) -> T,
+    mul: impl Fn(T, T) -> T,
+) -> T {
     let e1 = a;
-    let e2 = e1.square() * e1;
-    let e3 = e2.square() * e1;
-    let e6 = e3.square_n(3) * e3;
-    let e7 = e6.square() * e1;
-    let e14 = e7.square_n(7) * e7;
-    let e28 = e14.square_n(14) * e14;
-    let e29 = e28.square() * e1;
-    let e58 = e29.square_n(29) * e29;
-    let e116 = e58.square_n(58) * e58;
-    let e232 = e116.square_n(116) * e116;
+    let e2 = mul(square_n(e1, 1), e1);
+    let e3 = mul(square_n(e2, 1), e1);
+    let e6 = mul(square_n(e3, 3), e3);
+    let e7 = mul(square_n(e6, 1), e1);
+    let e14 = mul(square_n(e7, 7), e7);
+    let e28 = mul(square_n(e14, 14), e14);
+    let e29 = mul(square_n(e28, 1), e1);
+    let e58 = mul(square_n(e29, 29), e29);
+    let e116 = mul(square_n(e58, 58), e58);
+    let e232 = mul(square_n(e116, 116), e116);
     // a⁻¹ = (a^(2^232 − 1))² = a^(2^233 − 2).
-    Some(e232.square())
+    square_n(e232, 1)
 }
 
 #[cfg(test)]

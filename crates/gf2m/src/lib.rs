@@ -6,11 +6,17 @@
 //! 32-bit machine and all of its operation-count formulas are in terms of
 //! these words.
 //!
-//! Three tiers implement the same arithmetic:
+//! Four tiers implement the same arithmetic:
 //!
-//! * **portable** ([`Fe`] methods and the [`mul`] module) — fast plain
-//!   Rust, used by the curve layer, the protocols and as the reference
-//!   the other tiers are checked against;
+//! * **host** ([`Clmul`]) — the x86-64 carry-less multiply: Karatsuba
+//!   over 64-bit limbs, a shift-based trinomial fold and Itoh–Tsujii
+//!   inversion. [`Fe`]'s `mul`, `square`, `invert` and chains run it
+//!   whenever the CPU has `PCLMULQDQ`, so it serves the curve layer
+//!   and the protocols on such hosts;
+//! * **paper** (the [`mul`], [`sqr`], [`reduce`] and [`inv`] modules) —
+//!   the paper's algorithms in plain Rust on eight 32-bit words. It is
+//!   [`Fe`]'s fallback without the instruction or off x86-64, and the
+//!   reference every other tier is checked against;
 //! * **counted** ([`counted`]) — the same algorithms with every memory
 //!   read/write, XOR and shift tallied, reproducing the accounting of the
 //!   paper's Tables 1–2 (see also [`formulas`] for the published closed
@@ -40,6 +46,7 @@
 //! ```
 
 pub mod batch;
+mod clmul;
 pub mod counted;
 pub mod element;
 pub mod formulas;
@@ -50,6 +57,7 @@ pub mod mul;
 pub mod reduce;
 pub mod sqr;
 
+pub use clmul::Clmul;
 pub use counted::Tally;
 pub use element::{Fe, ParseFeError};
 

@@ -4,8 +4,10 @@
 //! Every kernel is a straight-line sequence of calls on the machine — one
 //! call per Thumb instruction — so the cycle and energy totals are
 //! *measured from executed instruction streams*, not estimated from
-//! formulas, while the computed results are verified against the portable
-//! tier.
+//! formulas, while the computed results are verified against the paper
+//! tier ([`crate::mul::mul_ld_fixed`], [`crate::sqr::square`],
+//! [`crate::inv::invert`]) by name, never against whatever [`Fe`]'s
+//! operators dispatch to.
 //!
 //! Two tiers mirror the paper's Table 6 ("C language" vs "Assembly"):
 //!
@@ -286,7 +288,7 @@ impl ModeledField {
         // or y (the kernels read their inputs fully before the final
         // store-out, so aliasing is safe).
         #[cfg(debug_assertions)]
-        let expect = self.load(x) * self.load(y);
+        let expect = crate::mul::mul_ld_fixed(self.load(x), self.load(y));
         let layout = self.layout();
         let tier = self.tier;
         let name = match tier {
@@ -303,7 +305,7 @@ impl ModeledField {
         debug_assert_eq!(
             self.load(z),
             expect,
-            "modeled multiplication diverged from the portable tier"
+            "modeled multiplication diverged from the paper tier (mul_ld_fixed)"
         );
     }
 
@@ -311,7 +313,7 @@ impl ModeledField {
     /// C row of Table 6), runnable from any tier for comparison.
     pub fn mul_rotating_c(&mut self, z: FeSlot, x: FeSlot, y: FeSlot) {
         #[cfg(debug_assertions)]
-        let expect = self.load(x) * self.load(y);
+        let expect = crate::mul::mul_ld_fixed(self.load(x), self.load(y));
         let layout = self.layout();
         self.run_kernel("mul_ld_rotating_c", |m| {
             mul_c::mul_rotating(m, &layout, z, x, y)
@@ -320,14 +322,14 @@ impl ModeledField {
         debug_assert_eq!(
             self.load(z),
             expect,
-            "modeled rotating multiplication diverged from the portable tier"
+            "modeled rotating multiplication diverged from the paper tier (mul_ld_fixed)"
         );
     }
 
     /// Modular squaring `z ← x²`, charged to *Square*.
     pub fn sqr(&mut self, z: FeSlot, x: FeSlot) {
         #[cfg(debug_assertions)]
-        let expect = self.load(x).square();
+        let expect = crate::sqr::square(self.load(x));
         let layout = self.layout();
         let tier = self.tier;
         let name = match tier {
@@ -344,7 +346,7 @@ impl ModeledField {
         debug_assert_eq!(
             self.load(z),
             expect,
-            "modeled squaring diverged from the portable tier"
+            "modeled squaring diverged from the paper tier (sqr::square)"
         );
     }
 
@@ -355,7 +357,7 @@ impl ModeledField {
     /// Panics if `x` holds zero.
     pub fn inv(&mut self, z: FeSlot, x: FeSlot) {
         #[cfg(debug_assertions)]
-        let expect = self.load(x).invert();
+        let expect = crate::inv::invert(self.load(x));
         let layout = self.layout();
         // The paper implements inversion in C only (its Table 6 has no
         // assembly column entry for inversion), so both tiers share the
@@ -365,7 +367,7 @@ impl ModeledField {
         debug_assert_eq!(
             Some(self.load(z)),
             expect,
-            "modeled inversion diverged from the portable tier"
+            "modeled inversion diverged from the paper tier (inv::invert)"
         );
     }
 
@@ -386,7 +388,7 @@ impl ModeledField {
         debug_assert_eq!(
             self.load(z),
             expect,
-            "modeled reduction diverged from the portable tier"
+            "modeled reduction diverged from the paper tier (reduce::reduce)"
         );
     }
 
@@ -400,7 +402,7 @@ impl ModeledField {
     pub fn inv_itoh_tsujii(&mut self, z: FeSlot, x: FeSlot) {
         assert!(!self.load(x).is_zero(), "inversion of zero");
         #[cfg(debug_assertions)]
-        let expect = self.load(x).invert();
+        let expect = crate::inv::invert(self.load(x));
         // Scratch chain registers (note: allocated per call — this
         // routine is an ablation probe, not the production inversion).
         let (cur, tmp) = self.alloc_scratch_pair();
@@ -432,7 +434,11 @@ impl ModeledField {
         // z = e232².
         self.sqr_in_category(z, cur, Category::Inversion);
         #[cfg(debug_assertions)]
-        debug_assert_eq!(Some(self.load(z)), expect, "Itoh–Tsujii diverged");
+        debug_assert_eq!(
+            Some(self.load(z)),
+            expect,
+            "modeled Itoh–Tsujii diverged from the paper tier (inv::invert)"
+        );
     }
 
     fn alloc_scratch_pair(&mut self) -> (FeSlot, FeSlot) {

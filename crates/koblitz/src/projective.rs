@@ -66,12 +66,7 @@ impl LdPoint {
         let z3 = t1 * t2; // X1²·Z1²
         let x2sq = t2.square(); // X1⁴
         let bz4 = t1.square(); // b·Z1⁴ (b = 1)
-        let x3 = x2sq + bz4;
-        if x3.is_zero() {
-            // The doubled point is 2-torsion-adjacent: X3 = 0 means the
-            // result is the point (0, √b) or infinity on the next step;
-            // the formulas remain valid, keep going.
-        }
+        let x3 = x2sq + bz4; // X3 = 0 (2P = (0, √b)) needs no special case
         let y1sq = self.y.square();
         // Y3 = b·Z1⁴·Z3 + X3·(a·Z3 + Y1² + b·Z1⁴), a = 0.
         let y3 = bz4 * z3 + x3 * (y1sq + bz4);

@@ -3,10 +3,13 @@
 //! Feeds identical seeded inputs through every execution tier and
 //! cross-checks:
 //!
-//! * **field elements** — portable `Fe` vs the u64 [`GenericField`]
-//!   oracle vs all three counted multiplication methods vs the modeled
-//!   machine on both backends (results *and* the cycle counts of the
-//!   Direct and Code backends, which must agree exactly);
+//! * **field elements** — the paper tier (`mul_ld_fixed`,
+//!   `sqr::square`, the EEA `inv::invert`, called by name) vs the u64
+//!   [`GenericField`] oracle vs all three counted multiplication methods
+//!   vs the modeled machine on both backends (results *and* the cycle
+//!   counts of the Direct and Code backends, which must agree exactly),
+//!   and vs the host carry-less kernels ([`Clmul`]) when the CPU has
+//!   them;
 //! * **scalars** — width-4 wTNAF, plain TNAF, the fixed-window kG path
 //!   and the Montgomery ladder against the binary double-and-add
 //!   reference, including the recoding fixed-length invariant, and the
@@ -36,7 +39,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gf2m::generic::GenericField;
 use gf2m::modeled::{ModeledField, Tier};
-use gf2m::{counted, Fe};
+use gf2m::mul::mul_ld_fixed;
+use gf2m::{counted, inv, sqr, Clmul, Fe};
 use koblitz::{curve, mul, tnaf, Int, Scalar};
 use m0plus::Backend;
 use prng::SplitMix64;
@@ -301,6 +305,11 @@ fn field_edges() -> Vec<(Fe, Fe)> {
         Fe::from_words_reduced(w)
     };
     let ones = Fe::from_words_reduced([u32::MAX; 8]);
+    let z = |i: usize| {
+        let mut w = [0u32; 8];
+        w[i / 32] = 1 << (i % 32);
+        Fe::from_words_reduced(w)
+    };
     vec![
         (Fe::ZERO, Fe::ZERO),
         (Fe::ZERO, Fe::ONE),
@@ -308,6 +317,11 @@ fn field_edges() -> Vec<(Fe, Fe)> {
         (top, Fe::ONE),
         (top, top),
         (ones, ones),
+        // Products straddling the 64-bit limbs of the carry-less
+        // kernels, and z^464, the top of the z^233 fold.
+        (z(63), z(64)),
+        (z(127), z(128)),
+        (z(232), z(232)),
     ]
 }
 
@@ -354,6 +368,7 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
     code.set_backend(Backend::Code);
     let (ca, cb, cz) = (code.alloc(), code.alloc(), code.alloc());
 
+    let clmul = Clmul::detect();
     let edges = field_edges();
     for case in cases {
         let mut rng = SplitMix64::substream(config.seed, FIELD_DOMAIN, case as u64);
@@ -361,8 +376,8 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
             .get(case)
             .copied()
             .unwrap_or_else(|| (rand_fe(&mut rng), rand_fe(&mut rng)));
-        let want_mul = a * b;
-        let want_sqr = a.square();
+        let want_mul = mul_ld_fixed(a, b);
+        let want_sqr = sqr::square(a);
 
         // u64 generic-field oracle.
         let got = oracle
@@ -379,7 +394,8 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
                 |bytes| {
                     let (a, b) = bytes_to_fe_pair(bytes);
                     let o = GenericField::sect233k1();
-                    o.element_to_fe(&o.mul(&o.element_from_fe(a), &o.element_from_fe(b))) != a * b
+                    o.element_to_fe(&o.mul(&o.element_from_fe(a), &o.element_from_fe(b)))
+                        != mul_ld_fixed(a, b)
                 },
             );
         }
@@ -469,9 +485,14 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
             report.record("portable/modeled_reduce", direct.load(dz) == want_mul);
         }
 
-        // Inversion: EEA host vs generic oracle vs modeled (sampled).
+        // Host carry-less kernels, called directly, vs the paper tier.
+        if let Some(k) = clmul {
+            clmul_pairs(report, k, case, a, b, want_mul, want_sqr);
+        }
+
+        // Inversion: EEA vs generic oracle vs modeled (sampled).
         if case % 32 == 0 && !a.is_zero() {
-            let inv = a.invert().expect("non-zero");
+            let inv = inv::invert(a).expect("non-zero");
             let got = oracle
                 .inv(&oracle.element_from_fe(a))
                 .map(|p| oracle.element_to_fe(&p));
@@ -480,6 +501,68 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
             direct.inv(dz, da);
             report.record("portable/modeled_inv", direct.load(dz) == inv);
         }
+    }
+}
+
+/// The `paper/clmul_mul`, `paper/clmul_sqr` and `eea/clmul_inv` pairs:
+/// the carry-less kernels against `mul_ld_fixed`, `sqr::square` and the
+/// EEA `inv::invert` (zero included: both must return `None`).
+fn clmul_pairs(
+    report: &mut DiffReport,
+    k: Clmul,
+    case: usize,
+    a: Fe,
+    b: Fe,
+    want_mul: Fe,
+    want_sqr: Fe,
+) {
+    let got = k.mul(a, b);
+    report.record("paper/clmul_mul", got == want_mul);
+    if got != want_mul {
+        disagree_fe(
+            report,
+            "paper/clmul_mul",
+            case,
+            a,
+            b,
+            format!("mul: paper {want_mul} vs clmul {got}"),
+            |bytes| {
+                let (a, b) = bytes_to_fe_pair(bytes);
+                k.mul(a, b) != mul_ld_fixed(a, b)
+            },
+        );
+    }
+    let got = k.square(a);
+    report.record("paper/clmul_sqr", got == want_sqr);
+    if got != want_sqr {
+        disagree_fe(
+            report,
+            "paper/clmul_sqr",
+            case,
+            a,
+            b,
+            format!("sqr: paper {want_sqr} vs clmul {got}"),
+            |bytes| {
+                let (a, _) = bytes_to_fe_pair(bytes);
+                k.square(a) != sqr::square(a)
+            },
+        );
+    }
+    let (want, got) = (inv::invert(a), k.invert(a));
+    report.record("eea/clmul_inv", got == want);
+    if got != want {
+        disagree_fe(
+            report,
+            "eea/clmul_inv",
+            case,
+            a,
+            b,
+            format!("inv: eea {want:?} vs clmul {got:?}"),
+            |bytes| {
+                let (a, _) = bytes_to_fe_pair(bytes);
+                k.invert(a) != inv::invert(a)
+            },
+        );
     }
 }
 
@@ -998,6 +1081,14 @@ mod tests {
         assert_eq!(find("portable/counted_ld"), 24);
         assert_eq!(find("portable/modeled_direct"), 24);
         assert_eq!(find("modeled_direct/modeled_code_cycles"), 24);
+        // The carry-less kernels exist only on a CPU with PCLMULQDQ.
+        if Clmul::detect().is_some() {
+            assert_eq!(find("paper/clmul_mul"), 24);
+            assert_eq!(find("paper/clmul_sqr"), 24);
+            assert_eq!(find("eea/clmul_inv"), 24);
+        } else {
+            assert!(!report.pairs.iter().any(|p| p.pair.contains("clmul")));
+        }
         assert_eq!(find("binary/wtnaf_w4"), 14);
         assert_eq!(find("binary/ladder"), 14);
         assert_eq!(find("recode/fixed_length"), 14);

@@ -48,6 +48,8 @@ grep -Eq "tier-pair order_binary/order_trace +[0-9]+ cases, 0 disagreements" /tm
 # their Int oracles.
 grep -Eq "tier-pair recode_int/recode_fixed +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 grep -Eq "tier-pair scalar_inv/scalar_batch_inv +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
+# The projective wTNAF table build agrees with its affine oracle.
+grep -Eq "tier-pair table_binary/table_proj +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 # The carry-less host kernels agree with the paper tier they replace.
 for pair in paper/clmul_mul paper/clmul_sqr eea/clmul_inv; do
   grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
@@ -61,6 +63,7 @@ grep -q "VERDICT: PASS" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair order_binary/order_trace +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair recode_int/recode_fixed +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair scalar_inv/scalar_batch_inv +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
+grep -Eq "tier-pair table_binary/table_proj +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 for pair in paper/clmul_mul paper/clmul_sqr eea/clmul_inv; do
   grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 done

@@ -2,12 +2,14 @@
 //! point and window width.
 //!
 //! `TNAF_Precomputation` is the per-call setup cost of a random-point
-//! multiplication: 2^(w−2) point multiplications by the small α_u
-//! constants. Protocol traffic is heavily skewed towards a few base
-//! points — a gateway verifies many signatures from the same few
-//! public keys, an ECDH responder re-derives against recurring peers —
-//! so repeated kP against the same base can skip the precomputation
-//! entirely. The cache is shared process-wide behind a mutex, bounded
+//! multiplication: [`precompute_table`] evaluates the 2^(w−2) − 1
+//! non-trivial α_u·P in López-Dahab coordinates (a few Frobenius maps
+//! and mixed additions each) and converts them with one field
+//! inversion, which dominates a miss. Protocol traffic is heavily
+//! skewed towards a few base points — a gateway verifies many
+//! signatures from the same few public keys, an ECDH responder
+//! re-derives against recurring peers — so repeated kP against the
+//! same base can skip the precomputation entirely. The cache is shared process-wide behind a mutex, bounded
 //! (strict LRU eviction by access stamp), and hands out `Arc`s so
 //! worker threads hold tables without the lock.
 

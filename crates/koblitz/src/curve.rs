@@ -269,9 +269,15 @@ impl Affine {
         }
     }
 
-    /// Binary double-and-add scalar multiplication — the slow reference
-    /// that everything faster is tested against. `k` may be any
-    /// non-negative integer.
+    /// Binary double-and-add scalar multiplication in affine
+    /// coordinates (one field inversion per doubling and addition) — the
+    /// slow reference that everything faster is tested against. `k` may
+    /// be any non-negative integer.
+    ///
+    /// It has no production caller: it is the test oracle and point
+    /// generator, the reference of `verify::differential`, and the
+    /// engine of the oracle table builder
+    /// [`crate::mul::precompute_table_binary`].
     ///
     /// # Panics
     ///

@@ -471,9 +471,9 @@ impl ModeledMul {
 
     /// Builds the window table for `p` in machine RAM *with* charging
     /// (kP: the paper's TNAF-precomputation phase): computes each
-    /// α_u·P = β·P + γ·τP through modeled additions in projective
-    /// coordinates and normalises all entries with one simultaneous
-    /// inversion.
+    /// α_u·P = β·P + γ·τP, with (β, γ) from the per-width table of
+    /// [`tnaf`], through modeled additions in projective coordinates and
+    /// normalises all entries with one simultaneous inversion.
     fn precompute_charged(&mut self, p: &Affine, w: u32) {
         self.f
             .machine_mut()
@@ -492,18 +492,14 @@ impl ModeledMul {
         self.f.copy(t0.x, base.x);
         self.f.copy(t0.y, base.y);
 
-        let count = 1usize << (w - 2);
         // Compute entries 1.. in projective coordinates, parking the Z
         // denominators for one simultaneous inversion at the end.
         let mut pending: Vec<(usize, PointSlots)> = Vec::new();
-        for i in 1..count {
-            let u = 2 * i as i64 + 1;
-            let (beta, gamma) = tnaf::alpha(u, w);
+        for (i, &(beta, gamma)) in tnaf::window(w).alphas().iter().enumerate().skip(1) {
             self.set_infinity();
             for (coeff, pt) in [(beta, base), (gamma, tau_p)] {
-                let times = coeff.abs().to_i64();
-                for _ in 0..times {
-                    if coeff.is_negative() {
+                for _ in 0..coeff.unsigned_abs() {
+                    if coeff < 0 {
                         let operand = self.negate_table_point(pt);
                         self.add_affine_to_acc(operand);
                     } else {

@@ -13,7 +13,7 @@
 
 use crate::curve::{generator, order, Affine};
 use crate::int::Int;
-use crate::projective::LdPoint;
+use crate::projective::{batch_to_affine, LdPoint};
 use crate::tnaf;
 use gf2m::Fe;
 use std::sync::OnceLock;
@@ -24,9 +24,56 @@ pub const KP_WINDOW: u32 = 4;
 /// Window width the paper uses for fixed-point multiplication.
 pub const KG_WINDOW: u32 = 6;
 
+/// Panics unless `w` is a supported window width.
+fn assert_window(w: u32) {
+    assert!(
+        (2..=8).contains(&w),
+        "wTNAF window width {w} is outside 2..=8"
+    );
+}
+
 /// Computes the affine precomputation table for `p`: the points α_u·p
 /// for odd u = 1, 3, …, 2^(w−1) − 1 (index i holds u = 2i + 1).
+///
+/// The paper's `TNAF_Precomputation`, built like the modeled tier's:
+/// entry 0 is p itself (α₁ = 1). Every other α_u = β + γτ is evaluated
+/// by Horner's rule on an [`LdPoint`] from α_u's plain τ-NAF digit
+/// string, which is cached per width next to the (β, γ) pairs: one
+/// Frobenius (3S) per digit and one mixed addition of ±p (7M + 4S) per
+/// non-zero digit. No [`Int`] is touched and nothing is inverted in the
+/// loop. The 2^(w−2) − 1 projective entries then share **one** field
+/// inversion in [`batch_to_affine`]. At w = 4 the three entries take 10
+/// digits, 6 of them non-zero (the first of each a plain lift of ±p), so
+/// the one inversion dominates.
+///
+/// Affine coordinates are canonical, so the table equals its oracle
+/// [`precompute_table_binary`] point for point.
+///
+/// # Panics
+///
+/// Panics if `w` is outside 2..=8.
 pub fn precompute_table(p: &Affine, w: u32) -> Vec<Affine> {
+    assert_window(w);
+    let base = std::slice::from_ref(p);
+    let entries: Vec<LdPoint> = tnaf::window(w).alpha_tnafs()[1..]
+        .iter()
+        .map(|digits| eval_wtnaf_proj(digits, base))
+        .collect();
+    std::iter::once(*p)
+        .chain(batch_to_affine(&entries))
+        .collect()
+}
+
+/// The affine oracle of [`precompute_table`], returning the same table:
+/// α_u·p = β·p + γ·τ(p) with (β, γ) from [`tnaf::alpha`] on [`Int`] and
+/// the binary double-and-add [`Affine::mul_binary`], which pays a field
+/// inversion on every doubling and addition.
+///
+/// # Panics
+///
+/// Panics if `w` is outside 2..=8.
+pub fn precompute_table_binary(p: &Affine, w: u32) -> Vec<Affine> {
+    assert_window(w);
     let count = 1usize << (w - 2);
     let tau_p = p.frobenius();
     let mut out = Vec::with_capacity(count);
@@ -51,6 +98,8 @@ pub fn precompute_table(p: &Affine, w: u32) -> Vec<Affine> {
 /// (most-significant digit first processing), leaving the result in
 /// LD projective coordinates so batch callers can defer the affine
 /// conversion — and its inversion — to a Montgomery batch boundary.
+/// A plain τ-NAF (digits ±1) evaluates against the one-entry table
+/// `[p]`.
 fn eval_wtnaf_proj(digits: &[i8], table: &[Affine]) -> LdPoint {
     let mut acc = LdPoint::INFINITY;
     for &d in digits.iter().rev() {
@@ -98,17 +147,7 @@ pub fn mul_tnaf(p: &Affine, k: &Int) -> Affine {
         return Affine::Infinity;
     }
     let digits = tnaf::recode(k, 1);
-    let mut acc = LdPoint::INFINITY;
-    let neg = p.negated();
-    for &d in digits.iter().rev() {
-        acc = acc.frobenius();
-        if d == 1 {
-            acc = acc.add_affine(p);
-        } else if d == -1 {
-            acc = acc.add_affine(&neg);
-        }
-    }
-    acc.to_affine()
+    eval_wtnaf_proj(&digits, std::slice::from_ref(p)).to_affine()
 }
 
 /// The fixed-point table α_u·G for w = 6 (2⁴ = 16 points), built once.
@@ -366,6 +405,71 @@ mod tests {
     #[test]
     fn generator_table_has_16_entries() {
         assert_eq!(generator_table().len(), 16);
+    }
+
+    /// The coset shifts of the order-n subgroup: the 2-torsion point
+    /// (0, 1) and the order-4 points ±(1, 1).
+    fn torsion() -> [Affine; 3] {
+        let q4 = Affine::Point {
+            x: Fe::ONE,
+            y: Fe::ONE,
+        };
+        let t = Affine::Point {
+            x: Fe::ZERO,
+            y: Fe::ONE,
+        };
+        [t, q4, q4.negated()]
+    }
+
+    fn assert_tables_agree(p: &Affine, label: &str) {
+        for w in 2..=8 {
+            let want = precompute_table_binary(p, w);
+            assert_eq!(precompute_table(p, w), want, "{label} w = {w}");
+        }
+    }
+
+    #[test]
+    fn projective_table_matches_the_binary_oracle() {
+        assert_tables_agree(&Affine::Infinity, "O");
+        // Torsion bases: intermediate sums hit infinity and the P = ±Q
+        // branches of the mixed addition.
+        for (j, t) in torsion().iter().enumerate() {
+            assert!(t.is_on_curve());
+            assert_tables_agree(t, &format!("torsion {j}"));
+        }
+        // G (seed 0) and 12 seeded multiples, each in all four cosets.
+        let g = generator();
+        for seed in 0..=12u64 {
+            let p = if seed == 0 {
+                g
+            } else {
+                g.mul_binary(&scalar(seed + 900))
+            };
+            assert_tables_agree(&p, &format!("seed {seed}"));
+            for (j, t) in torsion().iter().enumerate() {
+                assert_tables_agree(&p.add(t), &format!("seed {seed} coset {j}"));
+            }
+        }
+    }
+
+    #[test]
+    fn generator_table_matches_the_binary_oracle() {
+        assert_eq!(
+            generator_table(),
+            precompute_table_binary(&generator(), KG_WINDOW).as_slice()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "window width 1 is outside 2..=8")]
+    fn precompute_table_rejects_width_1() {
+        precompute_table(&generator(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "window width 9 is outside 2..=8")]
+    fn precompute_table_rejects_width_9() {
+        precompute_table(&generator(), 9);
     }
 
     #[test]

@@ -255,8 +255,9 @@ pub fn tau_mod_2w(w: u32) -> u32 {
     unreachable!("τ always has a 2-adic image");
 }
 
-/// What the width-w digit loop needs, built once per width.
-struct Window {
+/// What the width-w digit loop and the table builders need, built once
+/// per width.
+pub(crate) struct Window {
     /// 2ʷ − 1.
     mask: i64,
     /// t_w = [`tau_mod_2w`].
@@ -264,26 +265,48 @@ struct Window {
     /// α_u = (β, γ) for odd 0 < u < 2^(w−1), indexed by u/2: the only
     /// table of representatives; |β|, |γ| < 2ʷ.
     alphas: Vec<(i64, i64)>,
+    /// The plain τ-NAF digit string of each α_u ([`tnaf`], least
+    /// significant first), indexed like `alphas`.
+    alpha_tnafs: Vec<Vec<i8>>,
 }
 
 /// The [`Window`] of width w ∈ 2..=8, built on first use.
-fn window(w: u32) -> &'static Window {
+pub(crate) fn window(w: u32) -> &'static Window {
     assert!((2..=8).contains(&w), "window width 2..=8");
     static WINDOWS: [OnceLock<Window>; 7] = [const { OnceLock::new() }; 7];
-    WINDOWS[w as usize - 2].get_or_init(|| Window {
-        mask: (1 << w) - 1,
-        tw: tau_mod_2w(w) as i64,
-        alphas: (1..1i64 << (w - 1))
+    WINDOWS[w as usize - 2].get_or_init(|| {
+        let alphas: Vec<(i64, i64)> = (1..1i64 << (w - 1))
             .step_by(2)
             .map(|u| {
                 let (beta, gamma) = alpha(u, w);
                 (beta.to_i64(), gamma.to_i64())
             })
-            .collect(),
+            .collect();
+        let alpha_tnafs = alphas
+            .iter()
+            .map(|&(beta, gamma)| tnaf(Int::from(beta), Int::from(gamma)))
+            .collect();
+        Window {
+            mask: (1 << w) - 1,
+            tw: tau_mod_2w(w) as i64,
+            alphas,
+            alpha_tnafs,
+        }
     })
 }
 
 impl Window {
+    /// α_u = (β, γ) for u = 1, 3, …, 2^(w−1) − 1, indexed by u/2.
+    pub(crate) fn alphas(&self) -> &[(i64, i64)] {
+        &self.alphas
+    }
+
+    /// The plain τ-NAF digit string of each α_u (least significant
+    /// first, digits in {−1, 0, 1}), indexed like [`Window::alphas`].
+    pub(crate) fn alpha_tnafs(&self) -> &[Vec<i8>] {
+        &self.alpha_tnafs
+    }
+
     /// The digit for ρ = r₀ + r₁τ: 0 for even r₀, else the signed
     /// residue s = (r₀ + r₁·t_w) mods 2ʷ. It reads only the low w bits
     /// of `r0_low` and `r1_low`, which may be any values ≡ r₀, r₁ mod 2ʷ.
@@ -732,6 +755,26 @@ mod tests {
         }
         // w = 1 runs the width-2 loop, whose only representative is 1.
         assert_eq!(window(2).alphas, [(1, 0)]);
+    }
+
+    #[test]
+    fn alpha_tnafs_are_tnafs_of_the_alphas() {
+        for w in 2u32..=8 {
+            let win = window(w);
+            assert_eq!(win.alpha_tnafs().len(), win.alphas().len());
+            for (digits, &(beta, gamma)) in win.alpha_tnafs().iter().zip(win.alphas()) {
+                assert!(digits.iter().all(|d| (-1..=1).contains(d)), "w = {w}");
+                assert!(
+                    digits.windows(2).all(|p| p[0] == 0 || p[1] == 0),
+                    "adjacent non-zero digits at w = {w}"
+                );
+                // Horner in ℤ[τ]: τ·(a₀ + a₁τ) = −2a₁ + (a₀ + μa₁)τ.
+                let value = digits.iter().rev().fold((0i64, 0i64), |(a0, a1), &d| {
+                    (-2 * a1 + d as i64, a0 + MU * a1)
+                });
+                assert_eq!(value, (beta, gamma), "w = {w}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   and the Montgomery ladder against the binary double-and-add
 //!   reference, including the recoding fixed-length invariant, and the
 //!   trace-based subgroup check against n·P on k·G shifted into every
-//!   coset of the order-n subgroup; the fixed-width τ-adic recoding
+//!   coset of the order-n subgroup; the projective wTNAF table build
+//!   against its affine `mul_binary` oracle at every window width, on
+//!   the same shifted points; the fixed-width τ-adic recoding
 //!   against its `Int` pipeline, digit for digit at every width; and
 //!   the mod-n batch inversion against per-element inversion;
 //! * **wire frames** — randomly truncated/bit-flipped public keys,
@@ -680,9 +682,9 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                 });
             }
         }
-        // The trace-based subgroup check against the definition (finite,
-        // on the curve, n·P = O), on k·G shifted into each coset of the
-        // order-n subgroup.
+        // On k·G shifted into each coset of the order-n subgroup: the
+        // trace-based subgroup check against the definition (finite, on
+        // the curve, n·P = O).
         for shift in &shifts {
             let p = reference.add(shift);
             let want = !p.is_infinity() && p.is_on_curve() && p.mul_binary(&n).is_infinity();
@@ -695,6 +697,21 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                     case_index: case,
                     input: k.to_hex(),
                     detail: format!("subgroup check says {got} for k·G + {shift}"),
+                });
+            }
+            // The projective wTNAF table build (one inversion per
+            // table) against its affine `mul_binary` oracle at every
+            // window width.
+            let table_diff = (2..=8)
+                .find(|&w| mul::precompute_table(&p, w) != mul::precompute_table_binary(&p, w));
+            report.record("table_binary/table_proj", table_diff.is_none());
+            if let Some(w) = table_diff {
+                report.disagreements.push(Disagreement {
+                    domain: "scalar",
+                    pair: "table_binary/table_proj".to_string(),
+                    case_index: case,
+                    input: k.to_hex(),
+                    detail: format!("tables differ at w = {w} for k·G + {shift}"),
                 });
             }
         }
@@ -1096,6 +1113,7 @@ mod tests {
         assert_eq!(find("scalar_inv/scalar_batch_inv"), 14);
         // k·G shifted into each of the four cosets.
         assert_eq!(find("order_binary/order_trace"), 4 * 14);
+        assert_eq!(find("table_binary/table_proj"), 4 * 14);
         // Each batch case checks the drawn batch and its widened copy.
         assert_eq!(find("pointwise_inv/batch_inv"), 12);
         assert_eq!(find("batch_inv/batch_inv_counted"), 6);

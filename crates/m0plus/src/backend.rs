@@ -1,9 +1,12 @@
 //! The execution-backend abstraction unifying the two ways a modeled
 //! kernel can run:
 //!
-//! * [`Backend::Direct`] — today's call-per-instruction costed machine:
+//! * [`Backend::Direct`] — the call-per-instruction costed machine:
 //!   the kernel's Rust driver calls one [`Machine`] method per Thumb
-//!   instruction and the machine charges as it goes.
+//!   instruction and the machine charges as it goes. Each method runs
+//!   the same instruction semantics as the executor below, so the two
+//!   backends differ in where instructions come from, not in what they
+//!   do.
 //! * [`Backend::Code`] — the kernel is first *recorded* (see
 //!   [`Machine::start_recording`]), the captured trace is assembled into
 //!   real Thumb-16 halfwords with [`crate::asm`], and the machine code

@@ -1,7 +1,8 @@
 //! The machine-code executor: runs an assembled [`Program`] on the
-//! [`Machine`], fetching, decoding and dispatching real Thumb halfwords
-//! with the same per-instruction cost accounting as direct method
-//! calls.
+//! [`Machine`], fetching and decoding real Thumb halfwords with the
+//! same per-instruction semantics and cost accounting as the Direct
+//! method calls: every data instruction is lowered to a `MicroOp` and
+//! executed by the one `Machine::apply` the Direct methods use too.
 //!
 //! Supported control flow: conditional/unconditional branches, `BL`
 //! subroutine calls (a host-side return stack models `LR`), and `BX lr`
@@ -16,7 +17,7 @@
 
 use crate::asm::{decode_bl, Program};
 use crate::isa::Instr;
-use crate::machine::{Machine, MicroOp, Reg};
+use crate::machine::{Machine, MicroOp};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Execution errors.
@@ -78,12 +79,11 @@ pub struct ExecStats {
 
 /// A predecoded instruction position: the decoded [`Instr`] plus every
 /// pc-relative quantity (branch targets, the BL return address)
-/// resolved once at predecode time instead of on every retire. Kept
-/// flat — one `Instr` match dispatches the whole step in the hot loop,
-/// with no second decode-shaped match behind it.
+/// resolved once at predecode time instead of on every retire.
 #[derive(Debug, Clone, Copy)]
 struct PreStep {
-    /// The decoded instruction (a placeholder `Nop` when `invalid`).
+    /// The decoded instruction, shift immediates resolved to their
+    /// architectural amounts (a placeholder `Nop` when `invalid`).
     instr: Instr,
     /// The branch target for `BCond`/`B`/`Bl`; the raw halfword for
     /// invalid positions; unused (zero) otherwise.
@@ -129,17 +129,11 @@ pub struct Predecoded {
 }
 
 impl Predecoded {
-    /// Decodes every halfword position of `program` up front for the
-    /// default Cortex-M0+ cycle table (bypassing the process-wide
-    /// cache — see [`predecode`]).
-    pub fn new(program: &Program) -> Predecoded {
-        Self::for_cycles(program, &crate::target::M0PLUS_CYCLES)
-    }
-
-    /// [`Predecoded::new`] with an explicit per-class cycle table: the
-    /// superblock micro-ops' precomputed cycle costs are materialised
-    /// from `cycle_table`, so the fragment replays correctly on a
-    /// machine built for the corresponding target.
+    /// Decodes every halfword position of `program` up front, bypassing
+    /// the process-wide cache (see [`predecode_with`]). The superblock
+    /// micro-ops' precomputed cycle costs are materialised from
+    /// `cycle_table`, so the fragment replays correctly on a machine
+    /// built for the corresponding target.
     pub fn for_cycles(program: &Program, cycle_table: &crate::target::CycleTable) -> Predecoded {
         let code = program.code.clone();
         let pool = program.pool.clone();
@@ -153,6 +147,12 @@ impl Predecoded {
                         next: pc + 1,
                         invalid: true,
                     };
+                };
+                // LSRS/ASRS encode a shift by 32 as imm5 = 0.
+                let instr = match instr {
+                    Instr::LsrsImm { rd, rm, imm: 0 } => Instr::LsrsImm { rd, rm, imm: 32 },
+                    Instr::AsrsImm { rd, rm, imm: 0 } => Instr::AsrsImm { rd, rm, imm: 32 },
+                    instr => instr,
                 };
                 let hw = code[pc];
                 let aux = match instr {
@@ -227,11 +227,12 @@ fn compile_superblocks(
                 MicroOp::BLOCKED
             } else {
                 match s.instr {
-                    Instr::B if s.aux == s.next => MicroOp::branch_fall(cycle_table),
-                    Instr::BCond { cond } if s.aux == s.next => MicroOp::bcond_fall(cond),
-                    instr => MicroOp::lower(instr, pool, cycle_table),
+                    Instr::B if s.aux == s.next => MicroOp::branch_fall(None),
+                    Instr::BCond { cond } if s.aux == s.next => MicroOp::branch_fall(Some(cond)),
+                    instr => MicroOp::lower(instr, pool),
                 }
             }
+            .priced(cycle_table)
         })
         .collect();
     let mut run_end = vec![0u32; steps.len()];
@@ -518,7 +519,10 @@ pub fn execute_predecoded(
 /// each block at the next hook index and the step budget so hooks,
 /// faults and the step limit land on exactly the per-step boundaries.
 /// Everything else goes through one flat per-step match over the
-/// predecoded instruction.
+/// predecoded instruction: control flow, literal loads and stack
+/// transfers have their own arms, and every other instruction runs its
+/// predecoded [`MicroOp`] through `Machine::retire` — the same
+/// `Machine::apply` the blocks and the Direct methods run.
 ///
 /// Semantics, error taxonomy, cycle and energy accounting are those of
 /// decode-per-step execution (the test oracle): literal-pool lookups
@@ -607,10 +611,8 @@ fn run(
             continue;
         }
 
-        // One flat match over the decoded instruction drives the whole
-        // step: control flow reads the precomputed `aux` target, memory
-        // ops range-check their (inlined) effective address, everything
-        // else goes straight to its machine method.
+        // Control flow reads the precomputed `aux` target; every other
+        // instruction retires its predecoded micro-op.
         pc = match step.instr {
             BCond { cond } => {
                 if machine.b_cond(cond) {
@@ -648,56 +650,10 @@ fn run(
                 machine.stack_transfer(reg_count);
                 step.next
             }
-            LdrImm { rt, rn, imm_words } => {
-                let addr = machine.reg(rn) as u64 + imm_words as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.ldr(rt, rn, imm_words);
-                step.next
-            }
-            StrImm { rt, rn, imm_words } => {
-                let addr = machine.reg(rn) as u64 + imm_words as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.str(rt, rn, imm_words);
-                step.next
-            }
-            LdrReg { rt, rn, rm } => {
-                let addr = machine.reg(rn) as u64 + machine.reg(rm) as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.ldr_reg(rt, rn, rm);
-                step.next
-            }
-            StrReg { rt, rn, rm } => {
-                let addr = machine.reg(rn) as u64 + machine.reg(rm) as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.str_reg(rt, rn, rm);
-                step.next
-            }
-            LdrSp { rt, imm_words } => {
-                let addr = machine.reg(Reg::Sp) as u64 + imm_words as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.ldr_sp(rt, imm_words);
-                step.next
-            }
-            StrSp { rt, imm_words } => {
-                let addr = machine.reg(Reg::Sp) as u64 + imm_words as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.str_sp(rt, imm_words);
-                step.next
-            }
-            other => {
-                dispatch(machine, other);
+            instr => {
+                machine
+                    .retire(pre.ops[pc], instr, None)
+                    .map_err(|addr| ExecError::MemOutOfRange { pc, addr })?;
                 step.next
             }
         };
@@ -712,52 +668,11 @@ fn run(
     })
 }
 
-/// Dispatches a position-independent instruction to its machine method.
-#[inline]
-fn dispatch(m: &mut Machine, instr: Instr) {
-    use Instr::*;
-    match instr {
-        LslsImm { rd, rm, imm } => m.lsls_imm(rd, rm, imm),
-        LsrsImm { rd, rm, imm } => m.lsrs_imm(rd, rm, if imm == 0 { 32 } else { imm }),
-        AsrsImm { rd, rm, imm } => m.asrs_imm(rd, rm, if imm == 0 { 32 } else { imm }),
-        AddsReg { rd, rn, rm } => m.adds(rd, rn, rm),
-        SubsReg { rd, rn, rm } => m.subs(rd, rn, rm),
-        MovsImm { rd, imm } => m.movs_imm(rd, imm),
-        CmpImm { rn, imm } => m.cmp_imm(rn, imm),
-        AddsImm8 { rdn, imm } => m.adds_imm(rdn, imm),
-        SubsImm8 { rdn, imm } => m.subs_imm(rdn, imm),
-        Ands { rdn, rm } => m.ands(rdn, rm),
-        Eors { rdn, rm } => m.eors(rdn, rm),
-        LslsReg { rdn, rm } => m.lsls_reg(rdn, rm),
-        LsrsReg { rdn, rm } => m.lsrs_reg(rdn, rm),
-        Adcs { rdn, rm } => m.adcs(rdn, rm),
-        Sbcs { rdn, rm } => m.sbcs(rdn, rm),
-        Tst { rn, rm } => m.tst(rn, rm),
-        Rsbs { rd, rn } => m.rsbs(rd, rn),
-        CmpReg { rn, rm } => m.cmp(rn, rm),
-        Orrs { rdn, rm } => m.orrs(rdn, rm),
-        Muls { rdn, rm } => m.muls(rdn, rm),
-        Bics { rdn, rm } => m.bics(rdn, rm),
-        Mvns { rd, rm } => m.mvns(rd, rm),
-        Mov { rd, rm } => m.mov(rd, rm),
-        LdrImm { rt, rn, imm_words } => m.ldr(rt, rn, imm_words),
-        StrImm { rt, rn, imm_words } => m.str(rt, rn, imm_words),
-        LdrReg { rt, rn, rm } => m.ldr_reg(rt, rn, rm),
-        StrReg { rt, rn, rm } => m.str_reg(rt, rn, rm),
-        LdrSp { rt, imm_words } => m.ldr_sp(rt, imm_words),
-        StrSp { rt, imm_words } => m.str_sp(rt, imm_words),
-        Uxth { rd, rm } => m.uxth(rd, rm),
-        Nop => m.nop(),
-        B | BCond { .. } | Bl | Bx | LdrLit { .. } | Push { .. } | Pop { .. } => {
-            unreachable!("control flow handled by the executor loop")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::Assembler;
+    use crate::target::M0PLUS_CYCLES;
     use crate::{Cond, Instr, Reg};
 
     /// The effective word address a load/store is about to touch, or
@@ -781,8 +696,9 @@ mod tests {
     }
 
     /// The decode-per-step reference executor: fetches and decodes each
-    /// halfword as it retires, resolves branch offsets on the spot and
-    /// calls `ctl` before every instruction. The production loop must
+    /// halfword as it retires, resolves branch offsets on the spot,
+    /// calls `ctl` before every instruction and runs data instructions
+    /// through the public Direct methods. The production loop must
     /// match it bit for bit — results, error taxonomy, cycles, energy
     /// and category totals.
     fn reference_run(
@@ -869,7 +785,7 @@ mod tests {
                             return Err(ExecError::MemOutOfRange { pc, addr });
                         }
                     }
-                    dispatch(machine, other);
+                    machine.direct(other);
                     pc += width;
                 }
             }
@@ -916,7 +832,13 @@ mod tests {
             ctl(m, idx).0
         });
         let mut fast = fresh();
-        let got = run(&mut fast, &Predecoded::new(program), entry, max_steps, ctl);
+        let got = run(
+            &mut fast,
+            &Predecoded::for_cycles(program, &M0PLUS_CYCLES),
+            entry,
+            max_steps,
+            ctl,
+        );
         assert_eq!(got, want, "{context}: results diverged");
         oracle.assert_same_state(&fast, context);
         got
@@ -1512,7 +1434,13 @@ mod tests {
         assert_matches_reference(machine64, &p, Entry::Fragment, 100, dormant, "literals")
             .expect("runs");
         let mut m = Machine::new(64);
-        execute_predecoded(&mut m, &Predecoded::new(&p), 100, dormant).expect("runs");
+        execute_predecoded(
+            &mut m,
+            &Predecoded::for_cycles(&p, &M0PLUS_CYCLES),
+            100,
+            dormant,
+        )
+        .expect("runs");
         assert_eq!(m.reg(Reg::R0), 0xDEAD_BEEF & 0x1FF);
     }
 
@@ -1575,7 +1503,7 @@ mod tests {
             })
         );
         // A missing literal slot is never block-runnable: BadLiteral
-        // fires from per-step dispatch at the same retired index.
+        // fires from the per-step path at the same retired index.
         use std::collections::HashMap;
         let program = Program {
             code: [
@@ -1603,7 +1531,7 @@ mod tests {
     #[test]
     fn superblocks_fall_back_per_step_while_tracing() {
         // An armed trace needs every instruction at its own position,
-        // so superblock execution must defer to per-step dispatch —
+        // so superblock execution must defer to the per-step path —
         // and still match the oracle bit for bit.
         let p = looped_program();
         let mut oracle = Machine::new(64);
@@ -1615,7 +1543,13 @@ mod tests {
         let t1 = oracle.take_trace();
         let mut fast = Machine::new(64);
         fast.start_trace();
-        execute_predecoded(&mut fast, &Predecoded::new(&p), 1000, dormant).expect("runs");
+        execute_predecoded(
+            &mut fast,
+            &Predecoded::for_cycles(&p, &M0PLUS_CYCLES),
+            1000,
+            dormant,
+        )
+        .expect("runs");
         let t2 = fast.take_trace();
         assert_eq!(t1.events.len(), t2.events.len());
         assert!(

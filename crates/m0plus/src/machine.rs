@@ -13,6 +13,11 @@
 //! the paper's "LD with fixed registers" can keep in registers and why
 //! hi-register-resident words cost two extra `MOV`s per use.
 //!
+//! What each data instruction does is written once, in
+//! `Machine::apply` over a lowered `MicroOp`: the Direct methods, the
+//! executor's per-step path and its superblock interpreter
+//! (`Machine::run_block`) all run it.
+//!
 //! [`Category`]: crate::profile::Category
 
 use crate::cost::InstrClass;
@@ -220,8 +225,8 @@ impl Recording {
 }
 
 /// Dense opcode of a [`MicroOp`] — one variant per architectural shape
-/// the superblock interpreter executes, so [`Machine::run_block`]
-/// dispatches a single flat match per retired instruction.
+/// [`Machine::apply`] executes, so every retired instruction dispatches
+/// a single flat match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MicroKind {
     /// `LDR rt, [base, #imm]` — `LdrImm` and `LdrSp` with the base
@@ -275,16 +280,21 @@ pub(crate) enum MicroKind {
     BCondFall(Cond),
     /// Not runnable inside a superblock (control flow, invalid
     /// halfword, unresolvable pool slot, `LSLS #0`); terminates
-    /// straight-line runs and never reaches [`Machine::run_block`].
+    /// straight-line runs. The per-step executor handles the rest
+    /// itself, so only a decoded `LSLS #0` — which the model, like
+    /// [`Machine::lsls_imm`], rejects — reaches [`Machine::apply`].
     Blocked,
 }
 
-/// The flat, pre-resolved form of one code position for the superblock
-/// interpreter: a dense opcode, register *indices* instead of [`Reg`]
-/// values, the normalised immediate (or pool constant, or stack word
-/// count), and the cost — class index and cycle count — precomputed at
-/// lowering time. [`Machine::run_block`] never touches the
-/// decode-shaped [`Instr`] again.
+/// The flat, pre-resolved form of one instruction: a dense opcode,
+/// register *indices* instead of [`Reg`] values, the immediate (or pool
+/// constant, or stack word count) and the charged class. What each
+/// opcode does to registers, flags and memory is written once, in
+/// [`Machine::apply`]. Superblock tables also carry the class's cycle
+/// count, baked at predecode time by [`MicroOp::priced`] so
+/// [`Machine::run_block`] never touches the decode-shaped [`Instr`]
+/// again; the Direct methods and the per-step executor price through
+/// [`Machine::record`] instead.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MicroOp {
     kind: MicroKind,
@@ -296,7 +306,8 @@ pub(crate) struct MicroOp {
     c: u8,
     /// `InstrClass::index()` of the charged class.
     class_idx: u8,
-    /// `InstrClass::cycles()` of the charged class.
+    /// `InstrClass::cycles()` of the charged class (set by
+    /// [`MicroOp::priced`]).
     cycles: u8,
     /// Immediate / pool constant / stack word count.
     imm: u32,
@@ -320,134 +331,112 @@ impl MicroOp {
         self.kind != MicroKind::Blocked
     }
 
-    /// An unconditional branch to its own fall-through (charge only).
-    pub(crate) fn branch_fall(cycle_table: &[u64; InstrClass::ALL.len()]) -> MicroOp {
-        Self::new(
-            MicroKind::BranchFall,
-            InstrClass::BranchTaken,
-            0,
-            0,
-            0,
-            0,
-            cycle_table,
-        )
+    /// Whether this op loads or stores a RAM word.
+    #[inline]
+    fn touches_memory(&self) -> bool {
+        use MicroKind as K;
+        matches!(self.kind, K::LdrOff | K::StrOff | K::LdrReg | K::StrReg)
     }
 
-    /// A conditional branch to its own fall-through (flag-dependent
-    /// charge only; the class/cycle fields are unused because the cost
-    /// is resolved from the machine's live flags — and its target's
-    /// cycle table — at run time).
-    pub(crate) fn bcond_fall(cond: Cond) -> MicroOp {
-        MicroOp {
-            kind: MicroKind::BCondFall(cond),
-            a: 0,
-            b: 0,
-            c: 0,
-            class_idx: InstrClass::BranchTaken.index() as u8,
-            cycles: 0,
-            imm: 0,
-        }
+    /// A branch to its own fall-through: charge only. An unconditional
+    /// one charges a taken branch; for a conditional one (`Some(cond)`)
+    /// [`Machine::run_block`] resolves taken or not-taken from the live
+    /// flags at run time.
+    pub(crate) fn branch_fall(cond: Option<Cond>) -> MicroOp {
+        let kind = cond.map_or(MicroKind::BranchFall, MicroKind::BCondFall);
+        Self::new(kind, InstrClass::BranchTaken, 0, 0, 0, 0)
     }
 
-    fn new(
-        kind: MicroKind,
-        class: InstrClass,
-        a: usize,
-        b: usize,
-        c: usize,
-        imm: u32,
-        cycle_table: &[u64; InstrClass::ALL.len()],
-    ) -> MicroOp {
-        let cycles = cycle_table[class.index()];
-        debug_assert!(
-            cycles <= u8::MAX as u64,
-            "cycle cost exceeds MicroOp::cycles"
-        );
+    fn new(kind: MicroKind, class: InstrClass, a: usize, b: usize, c: usize, imm: u32) -> MicroOp {
         MicroOp {
             kind,
             a: a as u8,
             b: b as u8,
             c: c as u8,
             class_idx: class.index() as u8,
-            cycles: cycles as u8,
+            cycles: 0,
             imm,
         }
     }
 
-    /// Lowers one decoded instruction: registers to indices, shift
-    /// immediates to their architectural amounts (`LSRS`/`ASRS` `#0` →
-    /// 32), pool slots to constants, the cost class to its dense index.
-    /// Control flow, invalid pool slots (per-step dispatch raises
-    /// `BadLiteral` at the same retired index) and `LSLS #0` (whose
-    /// per-step dispatch asserts) lower to [`MicroOp::BLOCKED`]. Each
-    /// runnable arm must mirror its [`Machine`] per-instruction method
-    /// exactly; the bit-identity assertions run by every campaign hold
-    /// this to account.
-    pub(crate) fn lower(
-        instr: Instr,
-        pool: &[u32],
-        cycle_table: &[u64; InstrClass::ALL.len()],
-    ) -> MicroOp {
+    /// This op with its class's cycle cost baked in from `cycle_table`,
+    /// as [`Machine::run_block`] charges it.
+    pub(crate) fn priced(self, cycle_table: &[u64; InstrClass::ALL.len()]) -> MicroOp {
+        let cycles = cycle_table[self.class_idx as usize];
+        debug_assert!(
+            cycles <= u8::MAX as u64,
+            "cycle cost exceeds MicroOp::cycles"
+        );
+        MicroOp {
+            cycles: cycles as u8,
+            ..self
+        }
+    }
+
+    /// Lowers one instruction: registers to indices (asserting the lo
+    /// registers ARMv6-M data processing requires), pool slots to
+    /// constants, the cost class to its dense index. Shift immediates
+    /// must already be architectural amounts (`LSRS`/`ASRS` 1..=32); the
+    /// predecoder resolves the imm5 = 0 encoding to 32. Control flow,
+    /// invalid pool slots (the executor raises `BadLiteral` at the same
+    /// retired index) and `LSLS #0` lower to [`MicroOp::BLOCKED`].
+    #[inline(always)]
+    pub(crate) fn lower(instr: Instr, pool: &[u32]) -> MicroOp {
         use Instr as I;
         use MicroKind as K;
         let lo = Machine::lo;
-        let class = instr.class();
-        let new = |kind: MicroKind, class: InstrClass, a: usize, b: usize, c: usize, imm: u32| {
-            Self::new(kind, class, a, b, c, imm, cycle_table)
+        let new = |kind: MicroKind, a: usize, b: usize, c: usize, imm: u32| {
+            Self::new(kind, instr.class(), a, b, c, imm)
         };
         match instr {
-            I::LdrImm { rt, rn, imm_words } => new(K::LdrOff, class, lo(rt), lo(rn), 0, imm_words),
-            I::StrImm { rt, rn, imm_words } => new(K::StrOff, class, lo(rt), lo(rn), 0, imm_words),
-            I::LdrSp { rt, imm_words } => {
-                new(K::LdrOff, class, lo(rt), Reg::Sp.index(), 0, imm_words)
-            }
-            I::StrSp { rt, imm_words } => {
-                new(K::StrOff, class, lo(rt), Reg::Sp.index(), 0, imm_words)
-            }
-            I::LdrReg { rt, rn, rm } => new(K::LdrReg, class, lo(rt), lo(rn), lo(rm), 0),
-            I::StrReg { rt, rn, rm } => new(K::StrReg, class, lo(rt), lo(rn), lo(rm), 0),
+            I::LdrImm { rt, rn, imm_words } => new(K::LdrOff, lo(rt), lo(rn), 0, imm_words),
+            I::StrImm { rt, rn, imm_words } => new(K::StrOff, lo(rt), lo(rn), 0, imm_words),
+            I::LdrSp { rt, imm_words } => new(K::LdrOff, lo(rt), Reg::Sp.index(), 0, imm_words),
+            I::StrSp { rt, imm_words } => new(K::StrOff, lo(rt), Reg::Sp.index(), 0, imm_words),
+            I::LdrReg { rt, rn, rm } => new(K::LdrReg, lo(rt), lo(rn), lo(rm), 0),
+            I::StrReg { rt, rn, rm } => new(K::StrReg, lo(rt), lo(rn), lo(rm), 0),
             I::LdrLit { rt, imm_words } => match pool.get(imm_words as usize) {
-                Some(&value) => new(K::Const, class, lo(rt), 0, 0, value),
+                Some(&value) => new(K::Const, lo(rt), 0, 0, value),
                 None => Self::BLOCKED,
             },
-            I::MovsImm { rd, imm } => new(K::MovsImm, class, lo(rd), 0, 0, imm as u32),
-            I::Mov { rd, rm } => new(K::MovAny, class, rd.index(), rm.index(), 0, 0),
-            I::Uxth { rd, rm } => new(K::Uxth, class, lo(rd), lo(rm), 0, 0),
-            I::Eors { rdn, rm } => new(K::Eors, class, lo(rdn), lo(rm), 0, 0),
-            I::Ands { rdn, rm } => new(K::Ands, class, lo(rdn), lo(rm), 0, 0),
-            I::Orrs { rdn, rm } => new(K::Orrs, class, lo(rdn), lo(rm), 0, 0),
-            I::Bics { rdn, rm } => new(K::Bics, class, lo(rdn), lo(rm), 0, 0),
-            I::Mvns { rd, rm } => new(K::Mvns, class, lo(rd), lo(rm), 0, 0),
-            I::Tst { rn, rm } => new(K::Tst, class, lo(rn), lo(rm), 0, 0),
+            I::MovsImm { rd, imm } => new(K::MovsImm, lo(rd), 0, 0, imm as u32),
+            I::Mov { rd, rm } => new(K::MovAny, rd.index(), rm.index(), 0, 0),
+            I::Uxth { rd, rm } => new(K::Uxth, lo(rd), lo(rm), 0, 0),
+            I::Eors { rdn, rm } => new(K::Eors, lo(rdn), lo(rm), 0, 0),
+            I::Ands { rdn, rm } => new(K::Ands, lo(rdn), lo(rm), 0, 0),
+            I::Orrs { rdn, rm } => new(K::Orrs, lo(rdn), lo(rm), 0, 0),
+            I::Bics { rdn, rm } => new(K::Bics, lo(rdn), lo(rm), 0, 0),
+            I::Mvns { rd, rm } => new(K::Mvns, lo(rd), lo(rm), 0, 0),
+            I::Tst { rn, rm } => new(K::Tst, lo(rn), lo(rm), 0, 0),
             I::LslsImm { imm: 0, .. } => Self::BLOCKED,
-            I::LslsImm { rd, rm, imm } => new(K::LslsImm, class, lo(rd), lo(rm), 0, imm),
-            I::LsrsImm { rd, rm, imm } => {
-                let imm = if imm == 0 { 32 } else { imm };
-                new(K::LsrsImm, class, lo(rd), lo(rm), 0, imm)
-            }
-            I::AsrsImm { rd, rm, imm } => {
-                let imm = if imm == 0 { 32 } else { imm };
-                new(K::AsrsImm, class, lo(rd), lo(rm), 0, imm)
-            }
-            I::LslsReg { rdn, rm } => new(K::LslsReg, class, lo(rdn), lo(rm), 0, 0),
-            I::LsrsReg { rdn, rm } => new(K::LsrsReg, class, lo(rdn), lo(rm), 0, 0),
-            I::AddsReg { rd, rn, rm } => new(K::AddsReg, class, lo(rd), lo(rn), lo(rm), 0),
-            I::AddsImm8 { rdn, imm } => new(K::AddsImm8, class, lo(rdn), 0, 0, imm as u32),
-            I::Adcs { rdn, rm } => new(K::Adcs, class, lo(rdn), lo(rm), 0, 0),
-            I::SubsReg { rd, rn, rm } => new(K::SubsReg, class, lo(rd), lo(rn), lo(rm), 0),
-            I::SubsImm8 { rdn, imm } => new(K::SubsImm8, class, lo(rdn), 0, 0, imm as u32),
-            I::Sbcs { rdn, rm } => new(K::Sbcs, class, lo(rdn), lo(rm), 0, 0),
-            I::Rsbs { rd, rn } => new(K::Rsbs, class, lo(rd), lo(rn), 0, 0),
-            I::CmpReg { rn, rm } => new(K::CmpReg, class, lo(rn), lo(rm), 0, 0),
-            I::CmpImm { rn, imm } => new(K::CmpImm, class, lo(rn), 0, 0, imm as u32),
-            I::Muls { rdn, rm } => new(K::Muls, class, lo(rdn), lo(rm), 0, 0),
-            I::Nop => new(K::Nop, class, 0, 0, 0, 0),
+            I::LslsImm { rd, rm, imm } => new(K::LslsImm, lo(rd), lo(rm), 0, imm),
+            I::LsrsImm { rd, rm, imm } => new(K::LsrsImm, lo(rd), lo(rm), 0, imm),
+            I::AsrsImm { rd, rm, imm } => new(K::AsrsImm, lo(rd), lo(rm), 0, imm),
+            I::LslsReg { rdn, rm } => new(K::LslsReg, lo(rdn), lo(rm), 0, 0),
+            I::LsrsReg { rdn, rm } => new(K::LsrsReg, lo(rdn), lo(rm), 0, 0),
+            I::AddsReg { rd, rn, rm } => new(K::AddsReg, lo(rd), lo(rn), lo(rm), 0),
+            I::AddsImm8 { rdn, imm } => new(K::AddsImm8, lo(rdn), 0, 0, imm as u32),
+            I::Adcs { rdn, rm } => new(K::Adcs, lo(rdn), lo(rm), 0, 0),
+            I::SubsReg { rd, rn, rm } => new(K::SubsReg, lo(rd), lo(rn), lo(rm), 0),
+            I::SubsImm8 { rdn, imm } => new(K::SubsImm8, lo(rdn), 0, 0, imm as u32),
+            I::Sbcs { rdn, rm } => new(K::Sbcs, lo(rdn), lo(rm), 0, 0),
+            I::Rsbs { rd, rn } => new(K::Rsbs, lo(rd), lo(rn), 0, 0),
+            I::CmpReg { rn, rm } => new(K::CmpReg, lo(rn), lo(rm), 0, 0),
+            I::CmpImm { rn, imm } => new(K::CmpImm, lo(rn), 0, 0, imm as u32),
+            I::Muls { rdn, rm } => new(K::Muls, lo(rdn), lo(rm), 0, 0),
+            I::Nop => new(K::Nop, 0, 0, 0, 0),
             I::Push { reg_count } | I::Pop { reg_count } => {
-                new(K::Stack, class, 0, 0, 0, reg_count as u32)
+                new(K::Stack, 0, 0, 0, reg_count as u32)
             }
             I::BCond { .. } | I::B | I::Bl | I::Bx => Self::BLOCKED,
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn blocked() -> ! {
+    panic!("blocked micro-op executed (LSLS #0 is not modeled)")
 }
 
 /// The instrumented Cortex-M0+ model. See the [module docs](self).
@@ -781,15 +770,6 @@ impl Machine {
         self.trace.take().unwrap_or_default()
     }
 
-    /// Notes the effective word address of a memory access for the
-    /// trace recorder.
-    #[inline]
-    fn trace_mem(&mut self, addr: usize) {
-        if self.trace.is_some() {
-            self.trace_addr = Some(addr as u32);
-        }
-    }
-
     #[inline]
     fn rec(&mut self, instr: Instr) {
         self.rec_with(instr, None);
@@ -834,23 +814,24 @@ impl Machine {
         }
     }
 
-    /// Executes a lowered straight-line superblock: the architectural
-    /// effect *and* the cost of every [`MicroOp`] in order, charged
-    /// against an already-resolved category — the superblock fast path
-    /// of [`crate::exec`] resolves the category once per block (nothing
+    /// Executes a lowered straight-line superblock: [`Machine::apply`]
+    /// and the cost of every [`MicroOp`] in order, charged against an
+    /// already-resolved category — the superblock fast path of
+    /// [`crate::exec`] resolves the category once per block (nothing
     /// can change it while the control hook is dormant) and carries no
     /// trace plumbing (blocks never run while a capture is armed).
     ///
-    /// The accounting mirrors [`Machine::record`] term for term — the
-    /// same `f64` values added to the same accumulators in the same
-    /// order — so cycle, count and energy totals stay bit-identical to
+    /// The accounting adds the same `f64` values to the same
+    /// accumulators in the same order as [`Machine::record`] — a
+    /// conditional branch charges its taken or not-taken class, a
+    /// `PUSH`/`POP` one Mov-class base cycle then one stack word at a
+    /// time — so cycle, count and energy totals stay bit-identical to
     /// per-step execution; the hot totals simply live in locals for the
     /// duration of the block. On an out-of-range memory operand the
     /// prefix stays applied and charged, the faulting op retires
     /// nothing, and `Err((position, word address))` reproduces the
     /// per-step error state exactly.
     pub(crate) fn run_block(&mut self, ops: &[MicroOp], cat: Category) -> Result<(), (usize, u64)> {
-        use MicroKind as K;
         const MOV: usize = InstrClass::Mov.index();
         const STACK_WORD: usize = InstrClass::StackWord.index();
         let cat_idx = cat.index();
@@ -859,176 +840,15 @@ impl Machine {
         let mut totals = self.by_category[cat_idx];
         let mut fault: Option<(usize, u64)> = None;
         for (i, &op) in ops.iter().enumerate() {
-            let (a, b, c) = (op.a as usize, op.b as usize, op.c as usize);
+            if let Err(addr) = self.apply(op) {
+                fault = Some((i, addr));
+                break;
+            }
             match op.kind {
-                K::LdrOff => {
-                    let addr = self.regs[b] as u64 + op.imm as u64;
-                    if addr >= self.mem.len() as u64 {
-                        fault = Some((i, addr));
-                        break;
-                    }
-                    self.regs[a] = self.mem[addr as usize];
-                }
-                K::StrOff => {
-                    let addr = self.regs[b] as u64 + op.imm as u64;
-                    if addr >= self.mem.len() as u64 {
-                        fault = Some((i, addr));
-                        break;
-                    }
-                    self.mem[addr as usize] = self.regs[a];
-                }
-                K::LdrReg => {
-                    let addr = self.regs[b] as u64 + self.regs[c] as u64;
-                    if addr >= self.mem.len() as u64 {
-                        fault = Some((i, addr));
-                        break;
-                    }
-                    self.regs[a] = self.mem[addr as usize];
-                }
-                K::StrReg => {
-                    let addr = self.regs[b] as u64 + self.regs[c] as u64;
-                    if addr >= self.mem.len() as u64 {
-                        fault = Some((i, addr));
-                        break;
-                    }
-                    self.mem[addr as usize] = self.regs[a];
-                }
-                K::Const => self.regs[a] = op.imm,
-                K::MovsImm => {
-                    self.regs[a] = op.imm;
-                    self.set_nz(op.imm);
-                }
-                K::MovAny => self.regs[a] = self.regs[b],
-                K::Uxth => self.regs[a] = self.regs[b] & 0xFFFF,
-                K::Eors => {
-                    let v = self.regs[a] ^ self.regs[b];
-                    self.regs[a] = v;
-                    self.set_nz(v);
-                }
-                K::Ands => {
-                    let v = self.regs[a] & self.regs[b];
-                    self.regs[a] = v;
-                    self.set_nz(v);
-                }
-                K::Orrs => {
-                    let v = self.regs[a] | self.regs[b];
-                    self.regs[a] = v;
-                    self.set_nz(v);
-                }
-                K::Bics => {
-                    let v = self.regs[a] & !self.regs[b];
-                    self.regs[a] = v;
-                    self.set_nz(v);
-                }
-                K::Mvns => {
-                    let v = !self.regs[b];
-                    self.regs[a] = v;
-                    self.set_nz(v);
-                }
-                K::Tst => {
-                    let v = self.regs[a] & self.regs[b];
-                    self.set_nz(v);
-                }
-                K::LslsImm => {
-                    let x = self.regs[b];
-                    self.flags.c = (x >> (32 - op.imm)) & 1 != 0;
-                    let v = x << op.imm;
-                    self.regs[a] = v;
-                    self.set_nz(v);
-                }
-                K::LsrsImm => {
-                    let x = self.regs[b];
-                    self.flags.c = (x >> (op.imm - 1)) & 1 != 0;
-                    let v = if op.imm == 32 { 0 } else { x >> op.imm };
-                    self.regs[a] = v;
-                    self.set_nz(v);
-                }
-                K::AsrsImm => {
-                    let x = self.regs[b] as i32;
-                    let sh = op.imm.min(31);
-                    self.flags.c = ((x >> (op.imm - 1).min(31)) & 1) != 0;
-                    let v = (x >> sh) as u32;
-                    self.regs[a] = v;
-                    self.set_nz(v);
-                }
-                K::LslsReg => {
-                    let sh = self.regs[b] & 0xFF;
-                    let x = self.regs[a];
-                    let v = if sh >= 32 { 0 } else { x << sh };
-                    if (1..=32).contains(&sh) {
-                        self.flags.c = (x >> (32 - sh)) & 1 != 0;
-                    } else if sh > 32 {
-                        self.flags.c = false;
-                    }
-                    self.regs[a] = v;
-                    self.set_nz(v);
-                }
-                K::LsrsReg => {
-                    let sh = self.regs[b] & 0xFF;
-                    let x = self.regs[a];
-                    let v = if sh >= 32 { 0 } else { x >> sh };
-                    if (1..=32).contains(&sh) {
-                        self.flags.c = (x >> (sh - 1)) & 1 != 0;
-                    } else if sh > 32 {
-                        self.flags.c = false;
-                    }
-                    self.regs[a] = v;
-                    self.set_nz(v);
-                }
-                K::AddsReg => {
-                    let (x, y) = (self.regs[b], self.regs[c]);
-                    let v = self.add_with_carry(x, y, false);
-                    self.regs[a] = v;
-                }
-                K::AddsImm8 => {
-                    let x = self.regs[a];
-                    let v = self.add_with_carry(x, op.imm, false);
-                    self.regs[a] = v;
-                }
-                K::Adcs => {
-                    let (x, y, cin) = (self.regs[a], self.regs[b], self.flags.c);
-                    let v = self.add_with_carry(x, y, cin);
-                    self.regs[a] = v;
-                }
-                K::SubsReg => {
-                    let (x, y) = (self.regs[b], self.regs[c]);
-                    let v = self.add_with_carry(x, !y, true);
-                    self.regs[a] = v;
-                }
-                K::SubsImm8 => {
-                    let x = self.regs[a];
-                    let v = self.add_with_carry(x, !op.imm, true);
-                    self.regs[a] = v;
-                }
-                K::Sbcs => {
-                    let (x, y, cin) = (self.regs[a], self.regs[b], self.flags.c);
-                    let v = self.add_with_carry(x, !y, cin);
-                    self.regs[a] = v;
-                }
-                K::Rsbs => {
-                    let x = self.regs[b];
-                    let v = self.add_with_carry(!x, 0, true);
-                    self.regs[a] = v;
-                }
-                K::CmpReg => {
-                    let (x, y) = (self.regs[a], self.regs[b]);
-                    self.add_with_carry(x, !y, true);
-                }
-                K::CmpImm => {
-                    let x = self.regs[a];
-                    self.add_with_carry(x, !op.imm, true);
-                }
-                K::Muls => {
-                    let v = self.regs[a].wrapping_mul(self.regs[b]);
-                    self.regs[a] = v;
-                    self.set_nz(v);
-                }
-                K::Nop => {}
-                K::BranchFall => {}
-                K::BCondFall(cond) => {
-                    // Mirrors Machine::b_cond: taken and not-taken
-                    // charge different classes, control falls through
-                    // either way (the target is the next position).
+                MicroKind::BCondFall(cond) => {
+                    // Taken and not-taken charge different classes;
+                    // control falls through either way (the target is
+                    // the next position).
                     let class = if self.cond(cond) {
                         InstrClass::BranchTaken
                     } else {
@@ -1041,11 +861,10 @@ impl Machine {
                     self.counts.bump_idx(class.index());
                     totals.cycles += cyc;
                     totals.energy_pj += e;
-                    continue;
                 }
-                K::Stack => {
+                MicroKind::Stack => {
                     // One Mov-class base cycle plus `imm` stack words,
-                    // exactly the split the push/pop helpers charge.
+                    // exactly the split `stack_transfer` charges.
                     let base = self.model.pj_per_instr_idx(MOV);
                     let base_cyc = self.model.cycles_idx(MOV);
                     cycles += base_cyc;
@@ -1062,16 +881,16 @@ impl Machine {
                         totals.cycles += word_cyc;
                         totals.energy_pj += word;
                     }
-                    continue;
                 }
-                K::Blocked => unreachable!("non-runnable position inside a superblock"),
+                _ => {
+                    let e = self.model.pj_per_instr_idx(op.class_idx as usize);
+                    cycles += op.cycles as u64;
+                    energy += e;
+                    self.counts.bump_idx(op.class_idx as usize);
+                    totals.cycles += op.cycles as u64;
+                    totals.energy_pj += e;
+                }
             }
-            let e = self.model.pj_per_instr_idx(op.class_idx as usize);
-            cycles += op.cycles as u64;
-            energy += e;
-            self.counts.bump_idx(op.class_idx as usize);
-            totals.cycles += op.cycles as u64;
-            totals.energy_pj += e;
         }
         self.cycles = cycles;
         self.energy_pj = energy;
@@ -1082,18 +901,198 @@ impl Machine {
         }
     }
 
+    /// The one definition of every data instruction: applies `op` to
+    /// registers, flags and memory, and charges nothing. Memory
+    /// operands are range-checked in `u64`, so a corrupted base register
+    /// can neither wrap nor index past RAM; on `Err(word address)` the
+    /// machine is untouched. Charge-only ops (`NOP`, stack transfers,
+    /// fall-through branches) change nothing here.
+    ///
+    /// [`Machine::run_block`], the executor's per-step path and every
+    /// Direct method (through [`Machine::retire`]) run this.
+    #[inline(always)]
+    pub(crate) fn apply(&mut self, op: MicroOp) -> Result<(), u64> {
+        use MicroKind as K;
+        let (a, b, c) = (op.a as usize, op.b as usize, op.c as usize);
+        match op.kind {
+            // One arm per addressing form, so each arm's inlined `word`
+            // knows which offset it adds.
+            K::LdrOff => self.regs[a] = self.mem[self.word(op)?],
+            K::LdrReg => self.regs[a] = self.mem[self.word(op)?],
+            K::StrOff => {
+                let w = self.word(op)?;
+                self.mem[w] = self.regs[a];
+            }
+            K::StrReg => {
+                let w = self.word(op)?;
+                self.mem[w] = self.regs[a];
+            }
+            K::Const => self.regs[a] = op.imm,
+            K::MovsImm => self.write_nz(a, op.imm),
+            K::MovAny => self.regs[a] = self.regs[b],
+            K::Uxth => self.regs[a] = self.regs[b] & 0xFFFF,
+            K::Eors => self.write_nz(a, self.regs[a] ^ self.regs[b]),
+            K::Ands => self.write_nz(a, self.regs[a] & self.regs[b]),
+            K::Orrs => self.write_nz(a, self.regs[a] | self.regs[b]),
+            K::Bics => self.write_nz(a, self.regs[a] & !self.regs[b]),
+            K::Mvns => self.write_nz(a, !self.regs[b]),
+            K::Tst => self.set_nz(self.regs[a] & self.regs[b]),
+            K::Muls => self.write_nz(a, self.regs[a].wrapping_mul(self.regs[b])),
+            K::LslsImm => {
+                // 1 ≤ imm ≤ 31; carry receives the last bit shifted out.
+                let x = self.regs[b];
+                self.flags.c = (x >> (32 - op.imm)) & 1 != 0;
+                self.write_nz(a, x << op.imm);
+            }
+            K::LsrsImm => {
+                // 1 ≤ imm ≤ 32; 32 yields zero with carry = bit 31.
+                let x = self.regs[b];
+                self.flags.c = (x >> (op.imm - 1)) & 1 != 0;
+                self.write_nz(a, if op.imm == 32 { 0 } else { x >> op.imm });
+            }
+            K::AsrsImm => {
+                let x = self.regs[b] as i32;
+                self.flags.c = ((x >> (op.imm - 1).min(31)) & 1) != 0;
+                self.write_nz(a, (x >> op.imm.min(31)) as u32);
+            }
+            K::LslsReg => {
+                // The amount is the low byte; 0 leaves carry alone and
+                // anything past 32 clears it.
+                let sh = self.regs[b] & 0xFF;
+                let x = self.regs[a];
+                if (1..=32).contains(&sh) {
+                    self.flags.c = (x >> (32 - sh)) & 1 != 0;
+                } else if sh > 32 {
+                    self.flags.c = false;
+                }
+                self.write_nz(a, if sh >= 32 { 0 } else { x << sh });
+            }
+            K::LsrsReg => {
+                let sh = self.regs[b] & 0xFF;
+                let x = self.regs[a];
+                if (1..=32).contains(&sh) {
+                    self.flags.c = (x >> (sh - 1)) & 1 != 0;
+                } else if sh > 32 {
+                    self.flags.c = false;
+                }
+                self.write_nz(a, if sh >= 32 { 0 } else { x >> sh });
+            }
+            K::AddsReg => self.regs[a] = self.add_with_carry(self.regs[b], self.regs[c], false),
+            K::AddsImm8 => self.regs[a] = self.add_with_carry(self.regs[a], op.imm, false),
+            K::Adcs => self.regs[a] = self.add_with_carry(self.regs[a], self.regs[b], self.flags.c),
+            K::SubsReg => self.regs[a] = self.add_with_carry(self.regs[b], !self.regs[c], true),
+            K::SubsImm8 => self.regs[a] = self.add_with_carry(self.regs[a], !op.imm, true),
+            K::Sbcs => {
+                self.regs[a] = self.add_with_carry(self.regs[a], !self.regs[b], self.flags.c)
+            }
+            K::Rsbs => self.regs[a] = self.add_with_carry(!self.regs[b], 0, true),
+            K::CmpReg => {
+                self.add_with_carry(self.regs[a], !self.regs[b], true);
+            }
+            K::CmpImm => {
+                self.add_with_carry(self.regs[a], !op.imm, true);
+            }
+            K::Nop | K::Stack | K::BranchFall | K::BCondFall(_) => {}
+            K::Blocked => blocked(),
+        }
+        Ok(())
+    }
+
+    /// The RAM index a load/store `op` touches, or `Err` with its word
+    /// address (summed in `u64`) when that lies outside RAM.
+    #[inline(always)]
+    fn word(&self, op: MicroOp) -> Result<usize, u64> {
+        let off = match op.kind {
+            MicroKind::LdrReg | MicroKind::StrReg => self.regs[op.c as usize],
+            _ => op.imm,
+        };
+        let addr = self.regs[op.b as usize] as u64 + off as u64;
+        if addr < self.mem.len() as u64 {
+            Ok(addr as usize)
+        } else {
+            Err(addr)
+        }
+    }
+
+    /// Retires one data instruction: [`Machine::apply`]s `op`, then
+    /// captures `instr` (with `literal` for pool loads) for an armed
+    /// recording or trace, the memory address for an armed trace, and
+    /// charges `instr`'s class.
+    /// The Direct methods and the executor's per-step path both end
+    /// here. On `Err(word address)` nothing is applied, captured or
+    /// charged.
+    #[inline(always)]
+    pub(crate) fn retire(
+        &mut self,
+        op: MicroOp,
+        instr: Instr,
+        literal: Option<u32>,
+    ) -> Result<(), u64> {
+        let word = if self.trace.is_some() && op.touches_memory() {
+            self.word(op).ok()
+        } else {
+            None
+        };
+        self.apply(op)?;
+        self.rec_with(instr, literal);
+        if let Some(word) = word {
+            self.trace_addr = Some(word as u32);
+        }
+        self.record(instr.class());
+        Ok(())
+    }
+
+    /// Runs one data instruction on the Direct path: lowers it (no
+    /// cycle-table lookup; [`Machine::record`] prices it from the
+    /// model) and retires it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a hi register where ARMv6-M requires a lo one, and on
+    /// a memory operand outside RAM.
+    #[inline(always)]
+    fn step(&mut self, instr: Instr) {
+        self.step_with(instr, None);
+    }
+
+    /// [`Machine::step`] for a literal-pool load carrying its constant.
+    #[inline(always)]
+    fn step_with(&mut self, instr: Instr, literal: Option<u32>) {
+        let op = MicroOp::lower(instr, literal.as_slice());
+        if let Err(addr) = self.retire(op, instr, literal) {
+            self.out_of_ram(instr, addr);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn out_of_ram(&self, instr: Instr, addr: u64) -> ! {
+        panic!(
+            "{instr}: word address {addr} is outside RAM ({} words)",
+            self.mem.len()
+        );
+    }
+
     /// Whether an instruction-stream capture is armed (a recording or
-    /// a trace). Superblock execution must fall back to per-step
-    /// dispatch while this holds so every instruction is captured at
-    /// its own position.
+    /// a trace). Superblock execution must fall back to the per-step
+    /// path while this holds so every instruction is captured at its
+    /// own position.
     #[inline]
     pub(crate) fn block_capture_active(&self) -> bool {
         self.recording.is_some() || self.trace.is_some()
     }
 
+    #[inline(always)]
     fn set_nz(&mut self, value: u32) {
         self.flags.n = (value as i32) < 0;
         self.flags.z = value == 0;
+    }
+
+    /// Writes `value` to register `a` and sets N/Z from it.
+    #[inline(always)]
+    fn write_nz(&mut self, a: usize, value: u32) {
+        self.regs[a] = value;
+        self.set_nz(value);
     }
 
     fn lo(r: Reg) -> usize {
@@ -1115,31 +1114,20 @@ impl Machine {
     /// Panics if either register is a hi register or the address is out of
     /// bounds.
     pub fn ldr(&mut self, rt: Reg, rn: Reg, off_words: u32) {
-        let base = self.regs[Self::lo(rn)];
-        let addr = (base + off_words) as usize;
-        self.trace_mem(addr);
-        let value = self.mem[addr];
-        self.regs[Self::lo(rt)] = value;
-        self.rec(Instr::LdrImm {
+        self.step(Instr::LdrImm {
             rt,
             rn,
             imm_words: off_words,
         });
-        self.record(InstrClass::Ldr);
     }
 
     /// `STR rt, [rn, #off]` — stores `rt` to `rn + off` (word offset).
     pub fn str(&mut self, rt: Reg, rn: Reg, off_words: u32) {
-        let base = self.regs[Self::lo(rn)];
-        let addr = (base + off_words) as usize;
-        self.trace_mem(addr);
-        self.mem[addr] = self.regs[Self::lo(rt)];
-        self.rec(Instr::StrImm {
+        self.step(Instr::StrImm {
             rt,
             rn,
             imm_words: off_words,
         });
-        self.record(InstrClass::Str);
     }
 
     /// `LDR rt, [sp, #off]` — stack-relative load. ARMv6-M addresses the
@@ -1147,48 +1135,28 @@ impl Machine {
     /// which is how the fixed-register multiplier frees a register for an
     /// accumulator word.
     pub fn ldr_sp(&mut self, rt: Reg, off_words: u32) {
-        let base = self.regs[Reg::Sp.index()];
-        let addr = (base + off_words) as usize;
-        self.trace_mem(addr);
-        let value = self.mem[addr];
-        self.regs[Self::lo(rt)] = value;
-        self.rec(Instr::LdrSp {
+        self.step(Instr::LdrSp {
             rt,
             imm_words: off_words,
         });
-        self.record(InstrClass::Ldr);
     }
 
     /// `STR rt, [sp, #off]` — stack-relative store.
     pub fn str_sp(&mut self, rt: Reg, off_words: u32) {
-        let base = self.regs[Reg::Sp.index()];
-        let addr = (base + off_words) as usize;
-        self.trace_mem(addr);
-        self.mem[addr] = self.regs[Self::lo(rt)];
-        self.rec(Instr::StrSp {
+        self.step(Instr::StrSp {
             rt,
             imm_words: off_words,
         });
-        self.record(InstrClass::Str);
     }
 
     /// `LDR rt, [rn, rm]` — register-offset load.
     pub fn ldr_reg(&mut self, rt: Reg, rn: Reg, rm: Reg) {
-        let addr = (self.regs[Self::lo(rn)] + self.regs[Self::lo(rm)]) as usize;
-        self.trace_mem(addr);
-        let value = self.mem[addr];
-        self.regs[Self::lo(rt)] = value;
-        self.rec(Instr::LdrReg { rt, rn, rm });
-        self.record(InstrClass::Ldr);
+        self.step(Instr::LdrReg { rt, rn, rm });
     }
 
     /// `STR rt, [rn, rm]` — register-offset store.
     pub fn str_reg(&mut self, rt: Reg, rn: Reg, rm: Reg) {
-        let addr = (self.regs[Self::lo(rn)] + self.regs[Self::lo(rm)]) as usize;
-        self.trace_mem(addr);
-        self.mem[addr] = self.regs[Self::lo(rt)];
-        self.rec(Instr::StrReg { rt, rn, rm });
-        self.record(InstrClass::Str);
+        self.step(Instr::StrReg { rt, rn, rm });
     }
 
     // ------------------------------------------------------------------
@@ -1197,10 +1165,7 @@ impl Machine {
 
     /// `MOVS rd, #imm8` — move 8-bit immediate, sets N/Z.
     pub fn movs_imm(&mut self, rd: Reg, imm: u8) {
-        self.regs[Self::lo(rd)] = imm as u32;
-        self.set_nz(imm as u32);
-        self.rec(Instr::MovsImm { rd, imm });
-        self.record(InstrClass::Mov);
+        self.step(Instr::MovsImm { rd, imm });
     }
 
     /// Materialises a full 32-bit constant.
@@ -1208,24 +1173,20 @@ impl Machine {
     /// ARMv6-M has no wide-immediate move; real code uses a literal-pool
     /// `LDR`, which is what this helper charges (2 cycles).
     pub fn ldr_const(&mut self, rd: Reg, value: u32) {
-        self.regs[Self::lo(rd)] = value;
         // The slot index is assigned at assembly time; the recording
         // carries the value so the assembler can build the pool.
-        self.rec_with(
+        self.step_with(
             Instr::LdrLit {
                 rt: rd,
                 imm_words: 0,
             },
             Some(value),
         );
-        self.record(InstrClass::Ldr);
     }
 
     /// `MOV rd, rm` — register move; hi registers allowed, flags untouched.
     pub fn mov(&mut self, rd: Reg, rm: Reg) {
-        self.regs[rd.index()] = self.regs[rm.index()];
-        self.rec(Instr::Mov { rd, rm });
-        self.record(InstrClass::Mov);
+        self.step(Instr::Mov { rd, rm });
     }
 
     // ------------------------------------------------------------------
@@ -1234,132 +1195,69 @@ impl Machine {
 
     /// `EORS rdn, rm` — exclusive or.
     pub fn eors(&mut self, rdn: Reg, rm: Reg) {
-        let v = self.regs[Self::lo(rdn)] ^ self.regs[Self::lo(rm)];
-        self.regs[Self::lo(rdn)] = v;
-        self.set_nz(v);
-        self.rec(Instr::Eors { rdn, rm });
-        self.record(InstrClass::Eor);
+        self.step(Instr::Eors { rdn, rm });
     }
 
     /// `ANDS rdn, rm`.
     pub fn ands(&mut self, rdn: Reg, rm: Reg) {
-        let v = self.regs[Self::lo(rdn)] & self.regs[Self::lo(rm)];
-        self.regs[Self::lo(rdn)] = v;
-        self.set_nz(v);
-        self.rec(Instr::Ands { rdn, rm });
-        self.record(InstrClass::Logic);
+        self.step(Instr::Ands { rdn, rm });
     }
 
     /// `ORRS rdn, rm`.
     pub fn orrs(&mut self, rdn: Reg, rm: Reg) {
-        let v = self.regs[Self::lo(rdn)] | self.regs[Self::lo(rm)];
-        self.regs[Self::lo(rdn)] = v;
-        self.set_nz(v);
-        self.rec(Instr::Orrs { rdn, rm });
-        self.record(InstrClass::Logic);
+        self.step(Instr::Orrs { rdn, rm });
     }
 
     /// `BICS rdn, rm` — bit clear.
     pub fn bics(&mut self, rdn: Reg, rm: Reg) {
-        let v = self.regs[Self::lo(rdn)] & !self.regs[Self::lo(rm)];
-        self.regs[Self::lo(rdn)] = v;
-        self.set_nz(v);
-        self.rec(Instr::Bics { rdn, rm });
-        self.record(InstrClass::Logic);
+        self.step(Instr::Bics { rdn, rm });
     }
 
     /// `MVNS rd, rm` — bitwise not.
     pub fn mvns(&mut self, rd: Reg, rm: Reg) {
-        let v = !self.regs[Self::lo(rm)];
-        self.regs[Self::lo(rd)] = v;
-        self.set_nz(v);
-        self.rec(Instr::Mvns { rd, rm });
-        self.record(InstrClass::Logic);
+        self.step(Instr::Mvns { rd, rm });
     }
 
     /// `TST rn, rm` — AND, flags only.
     pub fn tst(&mut self, rn: Reg, rm: Reg) {
-        let v = self.regs[Self::lo(rn)] & self.regs[Self::lo(rm)];
-        self.set_nz(v);
-        self.rec(Instr::Tst { rn, rm });
-        self.record(InstrClass::Logic);
+        self.step(Instr::Tst { rn, rm });
     }
 
     /// `LSLS rd, rm, #imm` — logical shift left by an immediate
     /// (1 ≤ imm ≤ 31). Carry receives the last bit shifted out.
     pub fn lsls_imm(&mut self, rd: Reg, rm: Reg, imm: u32) {
         assert!((1..=31).contains(&imm), "LSLS immediate must be 1..=31");
-        let x = self.regs[Self::lo(rm)];
-        self.flags.c = (x >> (32 - imm)) & 1 != 0;
-        let v = x << imm;
-        self.regs[Self::lo(rd)] = v;
-        self.set_nz(v);
-        self.rec(Instr::LslsImm { rd, rm, imm });
-        self.record(InstrClass::Lsl);
+        self.step(Instr::LslsImm { rd, rm, imm });
     }
 
     /// `LSRS rd, rm, #imm` — logical shift right by an immediate
     /// (1 ≤ imm ≤ 32; 32 yields zero with carry = bit 31).
     pub fn lsrs_imm(&mut self, rd: Reg, rm: Reg, imm: u32) {
         assert!((1..=32).contains(&imm), "LSRS immediate must be 1..=32");
-        let x = self.regs[Self::lo(rm)];
-        self.flags.c = (x >> (imm - 1)) & 1 != 0;
-        let v = if imm == 32 { 0 } else { x >> imm };
-        self.regs[Self::lo(rd)] = v;
-        self.set_nz(v);
-        self.rec(Instr::LsrsImm { rd, rm, imm });
-        self.record(InstrClass::Lsr);
+        self.step(Instr::LsrsImm { rd, rm, imm });
     }
 
     /// `LSLS rdn, rm` — shift left by a register amount (low byte used).
     pub fn lsls_reg(&mut self, rdn: Reg, rm: Reg) {
-        let sh = self.regs[Self::lo(rm)] & 0xFF;
-        let x = self.regs[Self::lo(rdn)];
-        let v = if sh >= 32 { 0 } else { x << sh };
-        if (1..=32).contains(&sh) {
-            self.flags.c = (x >> (32 - sh)) & 1 != 0;
-        } else if sh > 32 {
-            self.flags.c = false;
-        }
-        self.regs[Self::lo(rdn)] = v;
-        self.set_nz(v);
-        self.rec(Instr::LslsReg { rdn, rm });
-        self.record(InstrClass::Lsl);
+        self.step(Instr::LslsReg { rdn, rm });
     }
 
     /// `LSRS rdn, rm` — shift right by a register amount (low byte used).
     pub fn lsrs_reg(&mut self, rdn: Reg, rm: Reg) {
-        let sh = self.regs[Self::lo(rm)] & 0xFF;
-        let x = self.regs[Self::lo(rdn)];
-        let v = if sh >= 32 { 0 } else { x >> sh };
-        if (1..=32).contains(&sh) {
-            self.flags.c = (x >> (sh - 1)) & 1 != 0;
-        } else if sh > 32 {
-            self.flags.c = false;
-        }
-        self.regs[Self::lo(rdn)] = v;
-        self.set_nz(v);
-        self.rec(Instr::LsrsReg { rdn, rm });
-        self.record(InstrClass::Lsr);
+        self.step(Instr::LsrsReg { rdn, rm });
     }
 
     /// `ASRS rd, rm, #imm` — arithmetic shift right.
     pub fn asrs_imm(&mut self, rd: Reg, rm: Reg, imm: u32) {
         assert!((1..=32).contains(&imm), "ASRS immediate must be 1..=32");
-        let x = self.regs[Self::lo(rm)] as i32;
-        let sh = imm.min(31);
-        self.flags.c = ((x >> (imm - 1).min(31)) & 1) != 0;
-        let v = (x >> sh) as u32;
-        self.regs[Self::lo(rd)] = v;
-        self.set_nz(v);
-        self.rec(Instr::AsrsImm { rd, rm, imm });
-        self.record(InstrClass::Lsr);
+        self.step(Instr::AsrsImm { rd, rm, imm });
     }
 
     // ------------------------------------------------------------------
     // Arithmetic.
     // ------------------------------------------------------------------
 
+    #[inline(always)]
     fn add_with_carry(&mut self, a: u32, b: u32, carry_in: bool) -> u32 {
         let (s1, c1) = a.overflowing_add(b);
         let (s2, c2) = s1.overflowing_add(carry_in as u32);
@@ -1375,103 +1273,48 @@ impl Machine {
 
     /// `ADDS rd, rn, rm`.
     pub fn adds(&mut self, rd: Reg, rn: Reg, rm: Reg) {
-        let v = {
-            let a = self.regs[Self::lo(rn)];
-            let b = self.regs[Self::lo(rm)];
-            self.add_with_carry(a, b, false)
-        };
-        self.regs[Self::lo(rd)] = v;
-        self.rec(Instr::AddsReg { rd, rn, rm });
-        self.record(InstrClass::Add);
+        self.step(Instr::AddsReg { rd, rn, rm });
     }
 
     /// `ADDS rdn, #imm8`.
     pub fn adds_imm(&mut self, rdn: Reg, imm: u8) {
-        let v = {
-            let a = self.regs[Self::lo(rdn)];
-            self.add_with_carry(a, imm as u32, false)
-        };
-        self.regs[Self::lo(rdn)] = v;
-        self.rec(Instr::AddsImm8 { rdn, imm });
-        self.record(InstrClass::Add);
+        self.step(Instr::AddsImm8 { rdn, imm });
     }
 
     /// `ADCS rdn, rm` — add with carry (multi-precision arithmetic).
     pub fn adcs(&mut self, rdn: Reg, rm: Reg) {
-        let v = {
-            let a = self.regs[Self::lo(rdn)];
-            let b = self.regs[Self::lo(rm)];
-            let c = self.flags.c;
-            self.add_with_carry(a, b, c)
-        };
-        self.regs[Self::lo(rdn)] = v;
-        self.rec(Instr::Adcs { rdn, rm });
-        self.record(InstrClass::Add);
+        self.step(Instr::Adcs { rdn, rm });
     }
 
     /// `SUBS rd, rn, rm`.
     pub fn subs(&mut self, rd: Reg, rn: Reg, rm: Reg) {
-        let v = {
-            let a = self.regs[Self::lo(rn)];
-            let b = self.regs[Self::lo(rm)];
-            self.add_with_carry(a, !b, true)
-        };
-        self.regs[Self::lo(rd)] = v;
-        self.rec(Instr::SubsReg { rd, rn, rm });
-        self.record(InstrClass::Sub);
+        self.step(Instr::SubsReg { rd, rn, rm });
     }
 
     /// `SUBS rdn, #imm8`.
     pub fn subs_imm(&mut self, rdn: Reg, imm: u8) {
-        let v = {
-            let a = self.regs[Self::lo(rdn)];
-            self.add_with_carry(a, !(imm as u32), true)
-        };
-        self.regs[Self::lo(rdn)] = v;
-        self.rec(Instr::SubsImm8 { rdn, imm });
-        self.record(InstrClass::Sub);
+        self.step(Instr::SubsImm8 { rdn, imm });
     }
 
     /// `SBCS rdn, rm` — subtract with carry (borrow).
     pub fn sbcs(&mut self, rdn: Reg, rm: Reg) {
-        let v = {
-            let a = self.regs[Self::lo(rdn)];
-            let b = self.regs[Self::lo(rm)];
-            let c = self.flags.c;
-            self.add_with_carry(a, !b, c)
-        };
-        self.regs[Self::lo(rdn)] = v;
-        self.rec(Instr::Sbcs { rdn, rm });
-        self.record(InstrClass::Sub);
+        self.step(Instr::Sbcs { rdn, rm });
     }
 
     /// `RSBS rd, rn, #0` — negate.
     pub fn rsbs(&mut self, rd: Reg, rn: Reg) {
-        let v = {
-            let a = self.regs[Self::lo(rn)];
-            self.add_with_carry(!a, 0, true)
-        };
-        self.regs[Self::lo(rd)] = v;
-        self.rec(Instr::Rsbs { rd, rn });
-        self.record(InstrClass::Sub);
+        self.step(Instr::Rsbs { rd, rn });
     }
 
     /// `MULS rdn, rm` — 32×32→32 multiply (the only multiply ARMv6-M has;
     /// multi-precision code must split operands into 16-bit halves).
     pub fn muls(&mut self, rdn: Reg, rm: Reg) {
-        let v = self.regs[Self::lo(rdn)].wrapping_mul(self.regs[Self::lo(rm)]);
-        self.regs[Self::lo(rdn)] = v;
-        self.set_nz(v);
-        self.rec(Instr::Muls { rdn, rm });
-        self.record(InstrClass::Mul);
+        self.step(Instr::Muls { rdn, rm });
     }
 
     /// `UXTH rd, rm` — zero-extend halfword (costed as a move).
     pub fn uxth(&mut self, rd: Reg, rm: Reg) {
-        let v = self.regs[Self::lo(rm)] & 0xFFFF;
-        self.regs[Self::lo(rd)] = v;
-        self.rec(Instr::Uxth { rd, rm });
-        self.record(InstrClass::Mov);
+        self.step(Instr::Uxth { rd, rm });
     }
 
     // ------------------------------------------------------------------
@@ -1480,19 +1323,12 @@ impl Machine {
 
     /// `CMP rn, rm`.
     pub fn cmp(&mut self, rn: Reg, rm: Reg) {
-        let a = self.regs[Self::lo(rn)];
-        let b = self.regs[Self::lo(rm)];
-        self.add_with_carry(a, !b, true);
-        self.rec(Instr::CmpReg { rn, rm });
-        self.record(InstrClass::Cmp);
+        self.step(Instr::CmpReg { rn, rm });
     }
 
     /// `CMP rn, #imm8`.
     pub fn cmp_imm(&mut self, rn: Reg, imm: u8) {
-        let a = self.regs[Self::lo(rn)];
-        self.add_with_carry(a, !(imm as u32), true);
-        self.rec(Instr::CmpImm { rn, imm });
-        self.record(InstrClass::Cmp);
+        self.step(Instr::CmpImm { rn, imm });
     }
 
     /// Evaluates `cond` against the current flags *without* charging
@@ -1556,17 +1392,125 @@ impl Machine {
 
     /// `NOP`.
     pub fn nop(&mut self) {
-        self.rec(Instr::Nop);
-        self.record(InstrClass::Nop);
+        self.step(Instr::Nop);
+    }
+}
+
+#[cfg(test)]
+impl Machine {
+    /// Runs a decoded data instruction through its public Direct
+    /// method — how the test oracles reach the Direct tier from an
+    /// [`Instr`]. `LSRS`/`ASRS #0` decode as a shift by 32.
+    pub(crate) fn direct(&mut self, instr: Instr) {
+        use Instr::*;
+        let by = |imm: u32| if imm == 0 { 32 } else { imm };
+        match instr {
+            LdrImm { rt, rn, imm_words } => self.ldr(rt, rn, imm_words),
+            StrImm { rt, rn, imm_words } => self.str(rt, rn, imm_words),
+            LdrSp { rt, imm_words } => self.ldr_sp(rt, imm_words),
+            StrSp { rt, imm_words } => self.str_sp(rt, imm_words),
+            LdrReg { rt, rn, rm } => self.ldr_reg(rt, rn, rm),
+            StrReg { rt, rn, rm } => self.str_reg(rt, rn, rm),
+            MovsImm { rd, imm } => self.movs_imm(rd, imm),
+            Mov { rd, rm } => self.mov(rd, rm),
+            Uxth { rd, rm } => self.uxth(rd, rm),
+            Eors { rdn, rm } => self.eors(rdn, rm),
+            Ands { rdn, rm } => self.ands(rdn, rm),
+            Orrs { rdn, rm } => self.orrs(rdn, rm),
+            Bics { rdn, rm } => self.bics(rdn, rm),
+            Mvns { rd, rm } => self.mvns(rd, rm),
+            Tst { rn, rm } => self.tst(rn, rm),
+            LslsImm { rd, rm, imm } => self.lsls_imm(rd, rm, imm),
+            LsrsImm { rd, rm, imm } => self.lsrs_imm(rd, rm, by(imm)),
+            AsrsImm { rd, rm, imm } => self.asrs_imm(rd, rm, by(imm)),
+            LslsReg { rdn, rm } => self.lsls_reg(rdn, rm),
+            LsrsReg { rdn, rm } => self.lsrs_reg(rdn, rm),
+            AddsReg { rd, rn, rm } => self.adds(rd, rn, rm),
+            AddsImm8 { rdn, imm } => self.adds_imm(rdn, imm),
+            Adcs { rdn, rm } => self.adcs(rdn, rm),
+            SubsReg { rd, rn, rm } => self.subs(rd, rn, rm),
+            SubsImm8 { rdn, imm } => self.subs_imm(rdn, imm),
+            Sbcs { rdn, rm } => self.sbcs(rdn, rm),
+            Rsbs { rd, rn } => self.rsbs(rd, rn),
+            CmpReg { rn, rm } => self.cmp(rn, rm),
+            CmpImm { rn, imm } => self.cmp_imm(rn, imm),
+            Muls { rdn, rm } => self.muls(rdn, rm),
+            Nop => self.nop(),
+            LdrLit { .. } | Push { .. } | Pop { .. } | BCond { .. } | B | Bl | Bx => {
+                unreachable!("{instr} is not a data instruction")
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asm::Assembler;
+    use crate::exec::{execute_predecoded, Predecoded, StepAction};
+    use crate::target::M0PLUS_CYCLES;
 
     fn machine() -> Machine {
         Machine::new(256)
+    }
+
+    /// The flags as a nibble, N in bit 3 down to V in bit 0.
+    fn nzcv(m: &Machine) -> u8 {
+        let f = m.flags;
+        (f.n as u8) << 3 | (f.z as u8) << 2 | (f.c as u8) << 1 | f.v as u8
+    }
+
+    /// One row of the instruction-semantics oracle,
+    /// `(instr, r0, r1, nzcv_in, want_r0, want_nzcv)`: `instr` runs
+    /// with `r0`/`r1` in R0/R1 and the flags `nzcv_in`, and must leave
+    /// `want_r0` in R0 and `want_nzcv` in the flags.
+    type Row = (Instr, u32, u32, u8, u32, u8);
+
+    /// Checks every row three ways: through the instruction's Direct
+    /// method, as an assembled fragment run by the superblock
+    /// interpreter (a dormant hook) and through the executor's per-step
+    /// path (a hook at every step). The fragment is `NOP; instr`: the
+    /// hook always runs at index 0, so the leading `NOP` is what puts
+    /// `instr` inside a superblock.
+    fn check_semantics(rows: &[Row]) {
+        for &(instr, r0, r1, nzcv_in, want_r0, want_nzcv) in rows {
+            let fresh = || {
+                let mut m = Machine::new(16);
+                m.set_reg(Reg::R0, r0);
+                m.set_reg(Reg::R1, r1);
+                let bit = |i: u8| nzcv_in >> i & 1 != 0;
+                m.flags = Flags {
+                    n: bit(3),
+                    z: bit(2),
+                    c: bit(1),
+                    v: bit(0),
+                };
+                m
+            };
+            let mut direct = fresh();
+            direct.direct(instr);
+            let mut asm = Assembler::new();
+            asm.push(Instr::Nop);
+            asm.push(instr);
+            let pre = Predecoded::for_cycles(&asm.assemble().expect("assembles"), &M0PLUS_CYCLES);
+            let run = |next_hook: u64| {
+                let mut m = fresh();
+                execute_predecoded(&mut m, &pre, 10, |_, _| (StepAction::Execute, next_hook))
+                    .expect("runs");
+                m
+            };
+            for (path, m) in [
+                ("direct", direct),
+                ("superblock", run(u64::MAX)),
+                ("per-step", run(0)),
+            ] {
+                assert_eq!(
+                    (m.reg(Reg::R0), nzcv(&m)),
+                    (want_r0, want_nzcv),
+                    "{instr} via {path} (r0 {r0:#x}, r1 {r1:#x}, nzcv {nzcv_in:04b})"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1623,6 +1567,21 @@ mod tests {
         m.lsrs_imm(Reg::R2, Reg::R0, 1);
         assert_eq!(m.reg(Reg::R2), 0x4000_0000);
         assert!(m.cond(Cond::Hs));
+
+        let (rd, rm) = (Reg::R0, Reg::R1);
+        let lsls = |imm| Instr::LslsImm { rd, rm, imm };
+        let lsrs = |imm| Instr::LsrsImm { rd, rm, imm };
+        let asrs = |imm| Instr::AsrsImm { rd, rm, imm };
+        check_semantics(&[
+            (lsls(1), 0xDEAD, 0x8000_0001, 0b0001, 0x0000_0002, 0b0011),
+            (lsls(31), 0xDEAD, 0x0000_0003, 0b0000, 0x8000_0000, 0b1010),
+            (lsrs(1), 0xDEAD, 0x0000_0003, 0b0000, 0x0000_0001, 0b0010),
+            (lsrs(32), 0xDEAD, 0x8000_0000, 0b0001, 0, 0b0111),
+            (lsrs(32), 0xDEAD, 0x7FFF_FFFF, 0b0010, 0, 0b0100),
+            (asrs(1), 0xDEAD, 0x8000_0001, 0b0000, 0xC000_0000, 0b1010),
+            (asrs(32), 0xDEAD, 0x8000_0000, 0b0001, 0xFFFF_FFFF, 0b1011),
+            (asrs(32), 0xDEAD, 0x7FFF_FFFF, 0b0010, 0, 0b0100),
+        ]);
     }
 
     #[test]
@@ -1636,6 +1595,30 @@ mod tests {
         m.movs_imm(Reg::R1, 40);
         m.lsrs_reg(Reg::R2, Reg::R1);
         assert_eq!(m.reg(Reg::R2), 0);
+
+        // x = 0x8000_0001 shifted by the low byte of R1, with C and V
+        // set beforehand: a zero amount keeps C, past 32 clears it, and
+        // V is never touched.
+        let (rdn, rm) = (Reg::R0, Reg::R1);
+        let lsls = Instr::LslsReg { rdn, rm };
+        let lsrs = Instr::LsrsReg { rdn, rm };
+        let x = 0x8000_0001;
+        check_semantics(&[
+            (lsls, x, 0, 0b0011, x, 0b1011),
+            (lsls, x, 1, 0b0011, 0x0000_0002, 0b0011),
+            (lsls, x, 31, 0b0011, 0x8000_0000, 0b1001),
+            (lsls, x, 32, 0b0011, 0, 0b0111),
+            (lsls, x, 33, 0b0011, 0, 0b0101),
+            (lsls, x, 255, 0b0011, 0, 0b0101),
+            (lsls, x, 0x100, 0b0011, x, 0b1011),
+            (lsrs, x, 0, 0b0011, x, 0b1011),
+            (lsrs, x, 1, 0b0011, 0x4000_0000, 0b0011),
+            (lsrs, x, 31, 0b0011, 0x0000_0001, 0b0001),
+            (lsrs, x, 32, 0b0011, 0, 0b0111),
+            (lsrs, x, 33, 0b0011, 0, 0b0101),
+            (lsrs, x, 255, 0b0011, 0, 0b0101),
+            (lsrs, x, 0x120, 0b0011, 0, 0b0111),
+        ]);
     }
 
     #[test]
@@ -1659,6 +1642,18 @@ mod tests {
         m.adcs(Reg::R2, Reg::R3); // high word += carry
         assert_eq!(m.reg(Reg::R0), 0);
         assert_eq!(m.reg(Reg::R2), 1);
+
+        let adcs = Instr::Adcs {
+            rdn: Reg::R0,
+            rm: Reg::R1,
+        };
+        check_semantics(&[
+            (adcs, 0xFFFF_FFFF, 0, 0b0010, 0, 0b0110),
+            (adcs, 0x7FFF_FFFF, 0, 0b0010, 0x8000_0000, 0b1001),
+            (adcs, 0x8000_0000, 0x8000_0000, 0b0000, 0, 0b0111),
+            (adcs, 0xFFFF_FFFF, 0xFFFF_FFFF, 0b0010, 0xFFFF_FFFF, 0b1010),
+            (adcs, 1, 2, 0b1101, 3, 0b0000),
+        ]);
     }
 
     #[test]
@@ -1672,6 +1667,56 @@ mod tests {
         m.sbcs(Reg::R2, Reg::R3); // 5 - 0 - borrow = 4
         assert_eq!(m.reg(Reg::R0), u32::MAX);
         assert_eq!(m.reg(Reg::R2), 4);
+
+        // C is the inverted borrow: clear means "borrow in/out".
+        let sbcs = Instr::Sbcs {
+            rdn: Reg::R0,
+            rm: Reg::R1,
+        };
+        let rsbs = Instr::Rsbs {
+            rd: Reg::R0,
+            rn: Reg::R1,
+        };
+        let cmp = Instr::CmpReg {
+            rn: Reg::R0,
+            rm: Reg::R1,
+        };
+        let cmp_0 = Instr::CmpImm {
+            rn: Reg::R0,
+            imm: 0,
+        };
+        check_semantics(&[
+            (sbcs, 0, 0, 0b0000, 0xFFFF_FFFF, 0b1000),
+            (sbcs, 5, 0, 0b0000, 4, 0b0010),
+            (sbcs, 5, 5, 0b0010, 0, 0b0110),
+            (sbcs, 0x8000_0000, 1, 0b0010, 0x7FFF_FFFF, 0b0011),
+            (sbcs, 0x7FFF_FFFF, 0xFFFF_FFFF, 0b0010, 0x8000_0000, 0b1001),
+            (rsbs, 0xDEAD, 0, 0b0000, 0, 0b0110),
+            (rsbs, 0xDEAD, 1, 0b0000, 0xFFFF_FFFF, 0b1000),
+            (rsbs, 0xDEAD, 0x8000_0000, 0b0000, 0x8000_0000, 0b1001),
+            (cmp, 1, 1, 0b0000, 1, 0b0110),
+            (cmp, 0, 1, 0b0000, 0, 0b1000),
+            (cmp, 0x8000_0000, 1, 0b0000, 0x8000_0000, 0b0011),
+            (cmp, 0x7FFF_FFFF, 0xFFFF_FFFF, 0b0000, 0x7FFF_FFFF, 0b1001),
+            (cmp_0, 0, 0xDEAD, 0b1001, 0, 0b0110),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "word address 4294967296 is outside RAM (256 words)")]
+    fn direct_load_through_a_wrapping_base_panics_with_the_address() {
+        let mut m = machine();
+        m.set_reg(Reg::R0, 0xFFFF_FFFF);
+        m.ldr(Reg::R1, Reg::R0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "word address 300 is outside RAM (256 words)")]
+    fn direct_store_past_the_end_of_ram_panics_with_the_address() {
+        let mut m = machine();
+        m.set_reg(Reg::R0, 250);
+        m.set_reg(Reg::R1, 50);
+        m.str_reg(Reg::R2, Reg::R0, Reg::R1);
     }
 
     #[test]

@@ -268,4 +268,72 @@ mod tests {
             Err(VerifyError::InvalidPublicKey)
         );
     }
+
+    /// Messages of the nonce and signature known-answer tests: empty,
+    /// short, and longer than one SHA-256 block.
+    fn kat_messages() -> [Vec<u8>; 3] {
+        [
+            Vec::new(),
+            b"telemetry frame 0421".to_vec(),
+            vec![0x5a; 200],
+        ]
+    }
+
+    #[test]
+    fn derive_nonce_known_answers() {
+        // Recorded from the portable SHA-256 / Vec-based HMAC-DRBG
+        // implementation; any change to the nonce stream fails here.
+        const WANT: [[&str; 3]; 3] = [
+            [
+                "0x69428768597b911c8552b96ecfac9655dc348bd8515dcdbe2958f064e6",
+                "0x59a4b35b840b2deec94d9ca42836f6fd667a4a7976f6f502397e4aa6e",
+                "0x7f65d1adb83a9aff5b6df3d1f88dfa1f6a9abf1fbe6b76e1785f3bafcc",
+            ],
+            [
+                "0x4bba853dfee2daca5f9553bdf4760a45d3623b4ba3babebe1217dff892",
+                "0x5b7d15ba0b32b7d278ce7768f3fa9e03888f397f5d2be66b41dd7ab453",
+                "0x1a7ac9b91a6d02f845f2caadc3139303b1c79af5061b5bcd8f13568175",
+            ],
+            [
+                "0x5dc1ed2eeb9e5cbc91aaaa49809d58cf6bdb19e74302182b630493adf9",
+                "0x70f2b36260ada8bbf2c5d18cad218af8f6a65dd9b691e7c7f41b5d1df1",
+                "0x12df8915ff80ce0af505dd0f17d2fc67e9dc785605a6e3e33db706f9fa",
+            ],
+        ];
+        let key = SigningKey::generate(b"node-7 identity");
+        for (msg, want) in kat_messages().iter().zip(WANT) {
+            for (retry, want) in (0..).zip(want) {
+                assert_eq!(
+                    key.derive_nonce(msg, retry).to_string(),
+                    want,
+                    "message of {} bytes, retry {retry}",
+                    msg.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn signature_known_answers() {
+        const WANT: [(&str, &str); 3] = [
+            (
+                "0x4fd9ecb094156298ad329f8c6241a7587d6b5cc3cf5ccc3aa556165134",
+                "0x3367ba3333bde00eaa81591429bf32e3e86e41b24d617ddec742c1e8fe",
+            ),
+            (
+                "0x3d67c1155a15f71e0a071ecfbeba106ba96b9b1e3bbfd8bd8cef99848e",
+                "0x177d42c1575cb3f0d319a4406cee03014e77e2d9d94dbbbb4fee591c77",
+            ),
+            (
+                "0x18628ff99fef413f1d3a4d23b061c86287facd773886a00b3a5009894",
+                "0x6427430d5970c2e636dc2e4637db382990cb56b9910eca3caeee77faef",
+            ),
+        ];
+        let key = SigningKey::generate(b"node-7 identity");
+        for (msg, (r, s)) in kat_messages().iter().zip(WANT) {
+            let sig = key.sign(msg);
+            assert_eq!(sig.r.to_string(), r, "r, message of {} bytes", msg.len());
+            assert_eq!(sig.s.to_string(), s, "s, message of {} bytes", msg.len());
+        }
+    }
 }

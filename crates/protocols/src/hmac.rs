@@ -115,15 +115,77 @@ mod tests {
     }
 
     #[test]
+    fn rfc4231_test_case_4() {
+        let key: Vec<u8> = (1..=25).collect();
+        let mac = hmac_sha256(&key, &[0xcdu8; 50]);
+        assert_eq!(
+            hex(&mac),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
+    #[test]
     fn rfc4231_long_key() {
-        let key = [0xaau8; 131];
+        // RFC 4231 test case 6.
         let mac = hmac_sha256(
-            &key,
+            &[0xaau8; 131],
             b"Test Using Larger Than Block-Size Key - Hash Key First",
         );
         assert_eq!(
             hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        );
+    }
+
+    #[test]
+    fn rfc4231_test_case_7() {
+        let mac = hmac_sha256(
+            &[0xaau8; 131],
+            b"This is a test using a larger than block-size key and a larger \
+              than block-size data. The key needs to be hashed before being \
+              used by the HMAC algorithm.",
+        );
+        assert_eq!(
+            hex(&mac),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
+    }
+
+    #[test]
+    fn keys_at_the_block_size_edge() {
+        // A 64-byte key is used as is; a 65-byte key is hashed first.
+        // Expected values from Python's `hmac` module.
+        let key = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 7 + 3) as u8).collect() };
+        assert_eq!(
+            hex(&hmac_sha256(&key(64), b"block-size edge")),
+            "e00e737f92a3536fd65710d2b3497fcde92bef138bc3d375adcb3317518ce2c3"
+        );
+        assert_eq!(
+            hex(&hmac_sha256(&key(65), b"block-size edge")),
+            "17da93e3cd019203f3049f5b99095426f5a23da8402fc90497eb84ce3e0df1d2"
+        );
+    }
+
+    #[test]
+    fn drbg_known_answers() {
+        // K = 0³², V = 1³², update(seed), then generate 80 bytes twice;
+        // expected values from an independent Python model of the same
+        // construction.
+        let mut drbg = HmacDrbg::new(b"seed material");
+        let mut out = [0u8; 80];
+        drbg.generate(&mut out);
+        assert_eq!(
+            hex(&out),
+            "fb632bd2c8c3fe5600e62557c46c551147c8109f42230a0c32a09e18ce573b26\
+             839c645d8a62c0801164f9e729528e141ca97c6a41887aa14ac6d01a1f2eec39\
+             d0dfc91a9564cd4cbf364cf618927647"
+        );
+        drbg.generate(&mut out);
+        assert_eq!(
+            hex(&out),
+            "c086347686fb5c3e6a307f093017aa4cd0efb1af8efdbc2866407933a08f0918\
+             1e1f09f1d5c7f77c0cac2708eb806adbb0ebe5942993804d5551222ed4caa79b\
+             87452b4a97371c4f6950ed045630bc77"
         );
     }
 

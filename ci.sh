@@ -54,6 +54,9 @@ grep -Eq "tier-pair table_binary/table_proj +[0-9]+ cases, 0 disagreements" /tmp
 for pair in paper/clmul_mul paper/clmul_sqr eea/clmul_inv; do
   grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 done
+# The SHA-NI compression agrees with the portable one (on a CPU with
+# the SHA extensions, like the carry-less pairs above).
+grep -Eq "tier-pair sha_portable/sha_ni +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 
 echo "==> verify campaign cross-target smoke (--target cortex-m0, deterministic)"
 target/release/verify_campaign --smoke --target cortex-m0 > /tmp/verify_m0_1.txt
@@ -67,6 +70,7 @@ grep -Eq "tier-pair table_binary/table_proj +[0-9]+ cases, 0 disagreements" /tmp
 for pair in paper/clmul_mul paper/clmul_sqr eea/clmul_inv; do
   grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 done
+grep -Eq "tier-pair sha_portable/sha_ni +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 
 echo "==> verify campaign shard invariance (--shards 1 vs --shards 4)"
 target/release/verify_campaign --smoke --shards 1 > /tmp/verify_shard_1.txt

@@ -27,6 +27,7 @@
 
 use crate::ecdh::{self, EcdhError, Keypair};
 use crate::ecdsa::{self, Signature, SigningKey, VerifyError};
+use crate::sha256::Sha256;
 use koblitz::projective::batch_to_affine;
 use koblitz::{mul, Affine, LdPoint, Scalar};
 use std::sync::mpsc;
@@ -76,8 +77,13 @@ where
 
 /// Outcome of the parallel phase of one batched signature.
 enum SignStage {
-    /// Nonce accepted on the first try: finish from the projective k·G.
-    Fast { k: Scalar, point: LdPoint },
+    /// Nonce accepted on the first try: finish from the projective k·G
+    /// and the message scalar e.
+    Fast {
+        k: Scalar,
+        point: LdPoint,
+        e: Scalar,
+    },
     /// A degenerate candidate (zero nonce — vanishingly rare): redo
     /// this message through the scalar retry loop.
     Retry,
@@ -96,14 +102,17 @@ pub fn sign_batch<M: AsRef<[u8]> + Sync>(
     msgs: &[M],
     workers: usize,
 ) -> Vec<Signature> {
-    // Parallel phase: nonce derivation + projective k·G (no inversion).
+    // Parallel phase: one message digest, nonce derivation and
+    // projective k·G (no inversion).
     let staged = run_sharded(msgs, workers, |_, msg| {
-        let k = key.derive_nonce(msg.as_ref(), 0);
+        let digest = Sha256::digest(msg.as_ref());
+        let k = key.nonce_from_digest(&digest, 0);
         if k.is_zero() {
             return SignStage::Retry;
         }
         let point = mul::mul_g_proj(&k.to_int());
-        SignStage::Fast { k, point }
+        let e = ecdsa::digest_to_scalar(&digest);
+        SignStage::Fast { k, point, e }
     });
     // Batch boundary: one inversion for every k·G in the batch.
     let points: Vec<LdPoint> = staged
@@ -129,9 +138,9 @@ pub fn sign_batch<M: AsRef<[u8]> + Sync>(
         .zip(affine)
         .zip(msgs)
         .map(|((stage, r_point), msg)| {
-            if let SignStage::Retry = stage {
+            let SignStage::Fast { e, .. } = stage else {
                 return key.sign(msg.as_ref());
-            }
+            };
             let k_inv = k_invs.next().expect("one inverse per accepted nonce");
             let r = match r_point {
                 Affine::Infinity => return key.sign(msg.as_ref()),
@@ -140,7 +149,6 @@ pub fn sign_batch<M: AsRef<[u8]> + Sync>(
             if r.is_zero() {
                 return key.sign(msg.as_ref());
             }
-            let e = ecdsa::hash_to_scalar(msg.as_ref());
             let s = k_inv.mul(&e.add(&r.mul(key.d())));
             if s.is_zero() {
                 return key.sign(msg.as_ref());

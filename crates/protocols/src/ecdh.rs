@@ -12,11 +12,20 @@ use crate::sha256::Sha256;
 use koblitz::curve::{Affine, NotOnCurveError};
 use koblitz::{mul, Scalar};
 
-/// A sect233k1 key pair.
-#[derive(Debug, Clone)]
+/// A sect233k1 key pair. Its `Debug` output shows the public key
+/// only.
+#[derive(Clone)]
 pub struct Keypair {
     secret: Scalar,
     public: Affine,
+}
+
+impl std::fmt::Debug for Keypair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Keypair")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Errors from the ECDH operations.
@@ -153,6 +162,15 @@ mod tests {
         let kp = Keypair::generate(b"check");
         assert!(kp.public().is_on_curve());
         assert!(!kp.public().is_infinity());
+    }
+
+    #[test]
+    fn debug_shows_the_public_key_only() {
+        let kp = Keypair::generate(b"check");
+        let shown = format!("{kp:?}");
+        let secret_hex = kp.secret().to_int().to_hex();
+        assert!(!shown.contains(&secret_hex), "{shown}");
+        assert!(shown.contains(&format!("{:?}", kp.public())), "{shown}");
     }
 
     #[test]

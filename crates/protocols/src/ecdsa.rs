@@ -15,11 +15,22 @@ pub struct Signature {
     pub s: Scalar,
 }
 
-/// A signing key (wraps the ECDH keypair material).
-#[derive(Debug, Clone)]
+/// A signing key (wraps the ECDH keypair material). Its `Debug`
+/// output shows the public key only.
+#[derive(Clone)]
 pub struct SigningKey {
     d: Scalar,
     public: Affine,
+    /// The per-key part of every nonce seed: `"ecdsa-nonce" ‖ hex(d)`.
+    nonce_prefix: Box<[u8]>,
+}
+
+impl std::fmt::Debug for SigningKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SigningKey")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Errors from signature verification.
@@ -47,7 +58,12 @@ impl std::error::Error for VerifyError {}
 
 /// Hash-to-scalar: e = SHA-256(msg) interpreted as an integer mod n.
 pub(crate) fn hash_to_scalar(msg: &[u8]) -> Scalar {
-    Scalar::new(Int::from_be_bytes(&Sha256::digest(msg)))
+    digest_to_scalar(&Sha256::digest(msg))
+}
+
+/// A message digest interpreted as an integer mod n.
+pub(crate) fn digest_to_scalar(digest: &[u8; 32]) -> Scalar {
+    Scalar::new(Int::from_be_bytes(digest))
 }
 
 /// A field element's integer value mod n — how r = x(k·G) and the
@@ -65,8 +81,14 @@ impl SigningKey {
             drbg.generate(&mut wide);
             let d = Scalar::from_wide_bytes(&wide);
             if !d.is_zero() {
-                let public = mul::mul_g(&d.to_int());
-                return SigningKey { d, public };
+                let d_int = d.to_int();
+                let public = mul::mul_g(&d_int);
+                let nonce_prefix = [&b"ecdsa-nonce"[..], d_int.to_hex().as_bytes()].concat();
+                return SigningKey {
+                    d,
+                    public,
+                    nonce_prefix: nonce_prefix.into_boxed_slice(),
+                };
             }
         }
     }
@@ -88,25 +110,35 @@ impl SigningKey {
     /// candidate from the DRBG stream (signing uses retry 0 unless a
     /// candidate is rejected).
     pub fn derive_nonce(&self, msg: &[u8], retry: u32) -> Scalar {
-        let mut seed = Vec::new();
-        seed.extend_from_slice(b"ecdsa-nonce");
-        seed.extend_from_slice(self.d.to_int().to_hex().as_bytes());
-        seed.extend_from_slice(&Sha256::digest(msg));
-        let mut drbg = HmacDrbg::new(&seed);
+        self.nonce_from_digest(&Sha256::digest(msg), retry)
+    }
+
+    /// [`SigningKey::derive_nonce`] for a message whose SHA-256 digest
+    /// is already known: the nonce DRBG is seeded with
+    /// `"ecdsa-nonce" ‖ hex(d) ‖ digest`.
+    pub(crate) fn nonce_from_digest(&self, digest: &[u8; 32], retry: u32) -> Scalar {
+        let mut drbg = HmacDrbg::from_parts(&[&self.nonce_prefix, digest]);
         let mut wide = [0u8; 40];
-        for _ in 0..=retry {
+        for _ in 0..retry {
             drbg.generate(&mut wide);
         }
+        drbg.generate_last(&mut wide);
         Scalar::from_wide_bytes(&wide)
     }
 
     /// Signs a message with a deterministic nonce (see
     /// [`SigningKey::derive_nonce`]).
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        let e = hash_to_scalar(msg);
+        self.sign_digest(&Sha256::digest(msg))
+    }
+
+    /// Signs the message whose SHA-256 digest is `digest`; the digest
+    /// serves both the nonce seed and e.
+    pub(crate) fn sign_digest(&self, digest: &[u8; 32]) -> Signature {
+        let e = digest_to_scalar(digest);
         let mut retry = 0;
         loop {
-            let k = self.derive_nonce(msg, retry);
+            let k = self.nonce_from_digest(digest, retry);
             retry += 1;
             if k.is_zero() {
                 continue;
@@ -257,6 +289,17 @@ mod tests {
         let sig = key.sign_checked(msg).expect("self-check passes");
         assert_eq!(sig, key.sign(msg), "the checked path signs identically");
         assert_eq!(verify(key.public(), msg, &sig), Ok(()));
+    }
+
+    #[test]
+    fn debug_shows_the_public_key_only() {
+        let key = SigningKey::generate(b"node-7 identity");
+        let shown = format!("{key:?}");
+        let d_hex = key.d.to_int().to_hex();
+        assert!(!shown.contains(&d_hex), "{shown}");
+        assert!(!shown.contains(&d_hex.to_uppercase()), "{shown}");
+        assert!(!shown.contains("ecdsa-nonce"), "{shown}");
+        assert!(shown.contains(&format!("{:?}", key.public())), "{shown}");
     }
 
     #[test]

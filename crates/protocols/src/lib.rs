@@ -6,9 +6,11 @@
 //! cryptography is used for the efficient encryption of data."* This
 //! crate supplies that whole stack, from scratch:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256 (KDF and message digests);
-//! * [`hmac`] — HMAC-SHA256 and a deterministic HMAC-DRBG (keys and
-//!   RFC 6979-style nonces);
+//! * [`sha256`] — FIPS 180-4 SHA-256 (KDF and message digests), on
+//!   the x86-64 SHA extensions when the CPU has them and on a portable
+//!   compression (the fallback and the oracle) otherwise;
+//! * [`hmac`] — HMAC-SHA256 and an allocation-free deterministic
+//!   HMAC-DRBG (keys and RFC 6979-style nonces);
 //! * [`aes128`] — FIPS 197 AES-128 with counter mode (telemetry
 //!   encryption);
 //! * [`ecdh`] — key agreement over sect233k1 (kG for key generation,

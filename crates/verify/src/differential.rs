@@ -10,6 +10,10 @@
 //!   counts of the Direct and Code backends, which must agree exactly),
 //!   and vs the host carry-less kernels ([`Clmul`]) when the CPU has
 //!   them;
+//! * **SHA-256** — the SHA-NI compression ([`ShaNi`]) against the
+//!   portable one when the CPU has the extensions: messages at the
+//!   padding edges and seeded messages, hashed one-shot and split
+//!   (one message per field case);
 //! * **scalars** — width-4 wTNAF, plain TNAF, the fixed-window kG path
 //!   and the Montgomery ladder against the binary double-and-add
 //!   reference, including the recoding fixed-length invariant, and the
@@ -46,6 +50,7 @@ use gf2m::{counted, inv, sqr, Clmul, Fe};
 use koblitz::{curve, mul, tnaf, Int, Scalar};
 use m0plus::Backend;
 use prng::SplitMix64;
+use protocols::sha256::{Sha256, ShaNi};
 use protocols::wire::{
     decode_public_key, decode_public_key_slice, decode_signature, decode_signature_slice,
     encode_public_key, encode_signature, SealedFrame,
@@ -108,7 +113,7 @@ impl DiffConfig {
 /// report with a shrunk counterexample when it does).
 #[derive(Debug, Clone)]
 pub struct Disagreement {
-    /// Input domain (`field`, `scalar`, `wire`).
+    /// Input domain (`field`, `sha`, `scalar`, `wire`, `batch`).
     pub domain: &'static str,
     /// The tier pair that disagreed, e.g. `portable/modeled_direct`.
     pub pair: String,
@@ -205,6 +210,7 @@ const FIELD_DOMAIN: u64 = 0xf1e1d;
 const SCALAR_DOMAIN: u64 = 0x5ca1a7;
 const WIRE_DOMAIN: u64 = 0x3175;
 const BATCH_DOMAIN: u64 = 0xba7c4;
+const SHA_DOMAIN: u64 = 0x5aa256;
 
 /// Size of the global case list: the four phase case lists
 /// concatenated (field, then scalar, then wire, then batch). This is
@@ -371,6 +377,7 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
     let (ca, cb, cz) = (code.alloc(), code.alloc(), code.alloc());
 
     let clmul = Clmul::detect();
+    let sha_ni = ShaNi::detect();
     let edges = field_edges();
     for case in cases {
         let mut rng = SplitMix64::substream(config.seed, FIELD_DOMAIN, case as u64);
@@ -491,6 +498,9 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
         if let Some(k) = clmul {
             clmul_pairs(report, k, case, a, b, want_mul, want_sqr);
         }
+        if sha_ni.is_some() {
+            sha_pair(config, report, case);
+        }
 
         // Inversion: EEA vs generic oracle vs modeled (sampled).
         if case % 32 == 0 && !a.is_zero() {
@@ -565,6 +575,57 @@ fn clmul_pairs(
                 k.invert(a) != inv::invert(a)
             },
         );
+    }
+}
+
+/// Message lengths at SHA-256's padding edges: empty, the longest
+/// one-block message (55), the shortest two-block ones (56, 63, 64,
+/// 65), and the two-/three-block edge (119, 120).
+const SHA_EDGE_LENGTHS: [usize; 8] = [0, 55, 56, 63, 64, 65, 119, 120];
+
+/// SHA-256 of `msg` absorbed in two updates split at `split`.
+fn sha256_split(mut h: Sha256, msg: &[u8], split: usize) -> [u8; 32] {
+    let split = split.min(msg.len());
+    h.update(&msg[..split]);
+    h.update(&msg[split..]);
+    h.finalize()
+}
+
+/// The `sha_portable/sha_ni` pair, run only when [`ShaNi::detect`]
+/// succeeds (so [`Sha256::new`] hashes on SHA-NI): the case's message
+/// — a padding-edge length first, then seeded lengths below 300 bytes —
+/// hashed one-shot and split at a seeded point on both tiers. All four
+/// digests must equal the portable one-shot digest.
+fn sha_pair(config: &DiffConfig, report: &mut DiffReport, case: usize) {
+    let mut rng = SplitMix64::substream(config.seed, SHA_DOMAIN, case as u64);
+    let len = SHA_EDGE_LENGTHS
+        .get(case)
+        .copied()
+        .unwrap_or_else(|| rng.below(300) as usize);
+    let mut msg = vec![0u8; len];
+    rng.fill_bytes(&mut msg);
+    let split = rng.below(len as u64 + 1) as usize;
+    let disagrees = |msg: &[u8]| {
+        let want = sha256_split(Sha256::portable(), msg, msg.len());
+        [
+            sha256_split(Sha256::new(), msg, msg.len()),
+            sha256_split(Sha256::new(), msg, split),
+            sha256_split(Sha256::portable(), msg, split),
+        ]
+        .iter()
+        .any(|got| *got != want)
+    };
+    let agreed = !disagrees(&msg);
+    report.record("sha_portable/sha_ni", agreed);
+    if !agreed {
+        let shrunk = shrink::shrink_bytes(&msg, disagrees);
+        report.disagreements.push(Disagreement {
+            domain: "sha",
+            pair: "sha_portable/sha_ni".to_string(),
+            case_index: case,
+            input: shrink::hex(&shrunk),
+            detail: format!("SHA-256 of {len} bytes split at {split}: tiers differ"),
+        });
     }
 }
 
@@ -1105,6 +1166,12 @@ mod tests {
             assert_eq!(find("eea/clmul_inv"), 24);
         } else {
             assert!(!report.pairs.iter().any(|p| p.pair.contains("clmul")));
+        }
+        // So does the SHA-NI compression: one message per field case.
+        if ShaNi::detect().is_some() {
+            assert_eq!(find("sha_portable/sha_ni"), 24);
+        } else {
+            assert!(!report.pairs.iter().any(|p| p.pair.contains("sha_ni")));
         }
         assert_eq!(find("binary/wtnaf_w4"), 14);
         assert_eq!(find("binary/ladder"), 14);

@@ -129,16 +129,12 @@ impl SigningKey {
     /// Signs a message with a deterministic nonce (see
     /// [`SigningKey::derive_nonce`]).
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        self.sign_digest(&Sha256::digest(msg))
-    }
-
-    /// Signs the message whose SHA-256 digest is `digest`; the digest
-    /// serves both the nonce seed and e.
-    pub(crate) fn sign_digest(&self, digest: &[u8; 32]) -> Signature {
-        let e = digest_to_scalar(digest);
+        // One digest serves both the nonce seed and e.
+        let digest = Sha256::digest(msg);
+        let e = digest_to_scalar(&digest);
         let mut retry = 0;
         loop {
-            let k = self.nonce_from_digest(digest, retry);
+            let k = self.nonce_from_digest(&digest, retry);
             retry += 1;
             if k.is_zero() {
                 continue;

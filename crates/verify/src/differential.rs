@@ -579,8 +579,9 @@ fn clmul_pairs(
 }
 
 /// Message lengths at SHA-256's padding edges: empty, the longest
-/// one-block message (55), the shortest two-block ones (56, 63, 64,
-/// 65), and the two-/three-block edge (119, 120).
+/// one-block message (55), the shortest two-block one (56), the end of
+/// the first data block (63, 64, 65), and the two-/three-block edge
+/// (119, 120).
 const SHA_EDGE_LENGTHS: [usize; 8] = [0, 55, 56, 63, 64, 65, 119, 120];
 
 /// SHA-256 of `msg` absorbed in two updates split at `split`.

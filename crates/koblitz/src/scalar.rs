@@ -244,6 +244,47 @@ mod tests {
         assert_eq!(a.mul(&a.invert().unwrap()), Scalar::one());
     }
 
+    /// `hex` (no prefix) as a 40-byte big-endian value, left-padded.
+    fn be40(hex: &str) -> [u8; 40] {
+        let padded = format!("{hex:0>80}");
+        let mut out = [0u8; 40];
+        for (i, byte) in out.iter_mut().enumerate() {
+            *byte = u8::from_str_radix(&padded[2 * i..2 * i + 2], 16).expect("hex digit");
+        }
+        out
+    }
+
+    const N_HEX: &str = "8000000000000000000000000000069d5bb915bcd46efb1ad5f173abdf";
+    const N_MINUS_1: &str = "0x8000000000000000000000000000069d5bb915bcd46efb1ad5f173abde";
+
+    #[test]
+    fn wide_bytes_known_answers() {
+        let n_minus_1 = &N_MINUS_1[2..];
+        let cases = [
+            (be40("0"), "0x0"),
+            (
+                [0xFF; 40],
+                "0x7ffffff2c5488dd486572209ca5423b603fb15bcd46efb1ad5f173abde",
+            ),
+            (be40(N_HEX), "0x0"),
+            (be40(n_minus_1), N_MINUS_1),
+            (
+                be40(&format!("1{}", "0".repeat(58))),
+                "0x7ffffffffffffffffffffffffffff962a446ea432b9104e52a0e8c5421",
+            ),
+        ];
+        for (bytes, want) in cases {
+            assert_eq!(Scalar::from_wide_bytes(&bytes).to_string(), want);
+        }
+    }
+
+    #[test]
+    fn display_known_answers() {
+        assert_eq!(Scalar::zero().to_string(), "0x0");
+        assert_eq!(Scalar::one().to_string(), "0x1");
+        assert_eq!(Scalar::one().negated().to_string(), N_MINUS_1);
+    }
+
     #[test]
     fn wide_bytes_reduction() {
         let bytes = [0xFFu8; 40];

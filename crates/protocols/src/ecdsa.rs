@@ -353,6 +353,15 @@ mod tests {
     }
 
     #[test]
+    fn digest_to_scalar_known_answer() {
+        // (2²⁵⁶ − 1) mod n.
+        assert_eq!(
+            digest_to_scalar(&[0xFF; 32]).to_string(),
+            "0x7ffffffffffffffffffffff2c5489471e21037c69ec318337e3373abde"
+        );
+    }
+
+    #[test]
     fn signature_known_answers() {
         const WANT: [(&str, &str); 3] = [
             (

@@ -555,6 +555,84 @@ mod tests {
         assert_eq!(decode_signature(&big), Err(WireError::BadScalar));
     }
 
+    /// `hex` (no prefix) as a 30-byte big-endian value, left-padded.
+    fn be30(hex: &str) -> [u8; 30] {
+        let padded = format!("{hex:0>60}");
+        let mut out = [0u8; 30];
+        for (i, byte) in out.iter_mut().enumerate() {
+            *byte = u8::from_str_radix(&padded[2 * i..2 * i + 2], 16).expect("hex digit");
+        }
+        out
+    }
+
+    fn to_hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn encode_signature_known_answers() {
+        // The r ‖ s encodings of `ecdsa`'s three known-answer
+        // signatures (empty, short and 200-byte messages).
+        const WANT: [&str; 3] = [
+            "004fd9ecb094156298ad329f8c6241a7587d6b5cc3cf5ccc3aa556165134\
+             003367ba3333bde00eaa81591429bf32e3e86e41b24d617ddec742c1e8fe",
+            "003d67c1155a15f71e0a071ecfbeba106ba96b9b1e3bbfd8bd8cef99848e\
+             00177d42c1575cb3f0d319a4406cee03014e77e2d9d94dbbbb4fee591c77",
+            "00018628ff99fef413f1d3a4d23b061c86287facd773886a00b3a5009894\
+             006427430d5970c2e636dc2e4637db382990cb56b9910eca3caeee77faef",
+        ];
+        let key = SigningKey::generate(b"node-7 identity");
+        let msgs: [&[u8]; 3] = [b"", b"telemetry frame 0421", &[0x5a; 200]];
+        for (msg, want) in msgs.iter().zip(WANT) {
+            let enc = encode_signature(&key.sign(msg));
+            assert_eq!(to_hex(&enc), want, "message of {} bytes", msg.len());
+            assert_eq!(decode_signature(&enc), Ok(key.sign(msg)));
+        }
+    }
+
+    #[test]
+    fn decode_signature_range_verdicts() {
+        // r or s at 0, 1, n − 1, n, 2²³² and 2²⁴⁰ − 1, the other
+        // component 1: only 1 and n − 1 are in [1, n).
+        let n_minus_1 = "8000000000000000000000000000069d5bb915bcd46efb1ad5f173abde";
+        let cases = [
+            ("0", None),
+            ("1", Some("0x1")),
+            (
+                n_minus_1,
+                Some("0x8000000000000000000000000000069d5bb915bcd46efb1ad5f173abde"),
+            ),
+            (
+                "8000000000000000000000000000069d5bb915bcd46efb1ad5f173abdf",
+                None,
+            ),
+            (
+                "10000000000000000000000000000000000000000000000000000000000",
+                None,
+            ),
+            (&"ff".repeat(30), None),
+        ];
+        let one = be30("1");
+        for (value, want) in cases {
+            let v = be30(value);
+            for (r, s, name) in [(v, one, "r"), (one, v, "s")] {
+                let mut bytes = [0u8; 60];
+                bytes[..30].copy_from_slice(&r);
+                bytes[30..].copy_from_slice(&s);
+                let got = decode_signature(&bytes);
+                match want {
+                    None => assert_eq!(got, Err(WireError::BadScalar), "{name} = {value}"),
+                    Some(shown) => {
+                        let sig = got.unwrap_or_else(|e| panic!("{name} = {value}: {e}"));
+                        let component = if name == "r" { &sig.r } else { &sig.s };
+                        assert_eq!(component.to_string(), shown, "{name} = {value}");
+                        assert_eq!(encode_signature(&sig), bytes, "{name} = {value}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sealed_frame_roundtrip() {
         let secret = [42u8; 32];

@@ -44,10 +44,11 @@ if grep -q -- "-> LEAK" /tmp/verify_smoke_1.txt; then
 fi
 # The trace-based subgroup check agrees with n*P on every coset.
 grep -Eq "tier-pair order_binary/order_trace +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
-# The fixed-width recoding and the mod-n batch inversion agree with
-# their Int oracles.
+# The fixed-width recoding, the mod-n batch inversion and the
+# fixed-width mod-n arithmetic agree with their Int oracles.
 grep -Eq "tier-pair recode_int/recode_fixed +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 grep -Eq "tier-pair scalar_inv/scalar_batch_inv +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
+grep -Eq "tier-pair scalar_int/scalar_fixed +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 # The projective wTNAF table build agrees with its affine oracle.
 grep -Eq "tier-pair table_binary/table_proj +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 # The carry-less host kernels agree with the paper tier they replace.
@@ -66,6 +67,7 @@ grep -q "VERDICT: PASS" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair order_binary/order_trace +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair recode_int/recode_fixed +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair scalar_inv/scalar_batch_inv +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
+grep -Eq "tier-pair scalar_int/scalar_fixed +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair table_binary/table_proj +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 for pair in paper/clmul_mul paper/clmul_sqr eea/clmul_inv; do
   grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt

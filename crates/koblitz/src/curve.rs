@@ -635,7 +635,7 @@ mod tests {
         let two_inv = crate::Scalar::new(Int::from(2i64))
             .invert()
             .expect("2 invertible");
-        let want = crate::mul::mul_wtnaf(&p, &two_inv.to_int(), 4);
+        let want = crate::mul::mul_wtnaf(&p, &two_inv, 4);
         assert_eq!(p.halve_in_subgroup(), Some(want));
     }
 
@@ -647,7 +647,7 @@ mod tests {
         let two_inv = crate::Scalar::new(Int::from(2i64))
             .invert()
             .expect("2 is invertible");
-        let want = crate::mul::mul_wtnaf(&p, &two_inv.to_int(), 4);
+        let want = crate::mul::mul_wtnaf(&p, &two_inv, 4);
         let got = p.halve().expect("halvable");
         let torsion = Affine::new(Fe::ZERO, Fe::ONE).expect("on curve");
         assert!(

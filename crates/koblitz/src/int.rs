@@ -6,10 +6,11 @@
 //! needs — ring operations, shifts, floor/nearest division, parity and
 //! low-bit extraction.
 //!
-//! On the host it carries the scalar arithmetic mod n: products, and
-//! the extended-Euclid inversion that batched signing and verification
-//! pay once per batch (single-shot ones once per operation). τ-adic
-//! recoding runs on fixed-width integers; the `Int` pipeline in
+//! It serves set-up (constants, [`crate::Scalar::new`]), the modeled
+//! paths and the oracles. The host arithmetic mod n runs on the
+//! fixed-width [`crate::Scalar`], checked against `Int` products,
+//! [`Int::mod_positive`] and the extended Euclid [`Int::mod_inverse`].
+//! τ-adic recoding runs on fixed-width integers; the `Int` pipeline in
 //! [`crate::tnaf`] is its oracle. Multiplication is schoolbook and
 //! division is word-level (Knuth's Algorithm D), both over u32 limbs
 //! with u64 intermediates. None of it is constant-time; the modeled
@@ -32,7 +33,7 @@ use std::fmt;
 /// assert_eq!(&a * &Int::from(-2i64), b);
 /// # Ok::<(), koblitz::int::ParseIntError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Int {
     /// True for strictly negative values. Zero is always non-negative.
     neg: bool,
@@ -177,26 +178,6 @@ impl Int {
             mag[i / 4] |= (b as u32) << (8 * (i % 4));
         }
         Int::from_limbs(false, mag)
-    }
-
-    /// Big-endian byte encoding of the magnitude, left-padded to `len`
-    /// bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is negative or needs more than `len` bytes.
-    pub fn to_be_bytes_padded(&self, len: usize) -> Vec<u8> {
-        assert!(!self.neg, "byte encoding is for non-negative values");
-        assert!(
-            self.bits().div_ceil(8) <= len,
-            "value needs more than {len} bytes"
-        );
-        let mut out = vec![0u8; len];
-        for (i, byte) in out.iter_mut().rev().enumerate() {
-            let limb = self.mag.get(i / 4).copied().unwrap_or(0);
-            *byte = (limb >> (8 * (i % 4))) as u8;
-        }
-        out
     }
 
     /// Lower-hex magnitude with sign, e.g. `-1f4`.
@@ -517,6 +498,27 @@ impl Int {
         self.divrem_floor(m).1
     }
 
+    /// The inverse of `self` mod `m` in `[0, m)` by the extended
+    /// Euclidean algorithm, or `None` when gcd(self, m) ≠ 1. The oracle
+    /// of the fixed-width `Scalar::invert`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not positive.
+    pub fn mod_inverse(&self, m: &Int) -> Option<Int> {
+        let (mut r0, mut r1) = (m.clone(), self.mod_positive(m));
+        let (mut t0, mut t1) = (Int::zero(), Int::one());
+        while !r1.is_zero() {
+            let (q, r) = r0.divrem_floor(&r1);
+            let t2 = &t0 - &(&q * &t1);
+            r0 = r1;
+            r1 = r;
+            t0 = t1;
+            t1 = t2;
+        }
+        (r0 == Int::one()).then(|| t0.mod_positive(m))
+    }
+
     /// Converts to `i64`.
     ///
     /// # Panics
@@ -762,9 +764,9 @@ mod tests {
                 let (q, r) = int(a).divrem_floor(&int(d));
                 assert_eq!(q, int(a.div_euclid(d) + adjust(a, d)), "{a} / {d}");
                 // self = q*d + r
-                assert_eq!(&(&q * &int(d)) + &r, int(a), "{a} = q*{d}+r");
+                assert_eq!(&(&q * &int(d)) + &r, int(a), "{a:x} = q*{d:x}+r");
                 // floor: r has the sign of d (or zero)
-                assert!(r.is_zero() || r.is_negative() == (d < 0), "{a} rem {d}");
+                assert!(r.is_zero() || r.is_negative() == (d < 0), "{a:x} rem {d:x}");
             }
         }
         for (a, d) in signed_multi_limb_pairs(0x0046_4C4F_4F52) {
@@ -875,21 +877,6 @@ mod tests {
             Int::from_hex("7fffffffffffffff").unwrap().to_i64(),
             i64::MAX
         );
-    }
-
-    #[test]
-    fn be_bytes_padded_roundtrip() {
-        let v = Int::from_hex("1020304a5b6c").unwrap();
-        let bytes = v.to_be_bytes_padded(10);
-        assert_eq!(bytes.len(), 10);
-        assert_eq!(Int::from_be_bytes(&bytes), v);
-        assert_eq!(Int::zero().to_be_bytes_padded(4), vec![0, 0, 0, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "more than")]
-    fn be_bytes_padded_rejects_overflow() {
-        let _ = Int::from_hex("1ffff").unwrap().to_be_bytes_padded(2);
     }
 
     #[test]

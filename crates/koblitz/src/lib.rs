@@ -49,7 +49,7 @@ pub mod tnaf;
 pub use curve::{generator, order, Affine};
 pub use int::Int;
 pub use projective::{batch_to_affine, LdPoint};
-pub use scalar::Scalar;
+pub use scalar::{Scalar, U256};
 
 /// Field extension degree m = 233 (re-exported for recoding bounds).
 pub const fn curve_m() -> usize {

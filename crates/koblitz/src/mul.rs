@@ -14,6 +14,7 @@
 use crate::curve::{generator, order, Affine};
 use crate::int::Int;
 use crate::projective::{batch_to_affine, LdPoint};
+use crate::scalar::U256;
 use crate::tnaf;
 use gf2m::Fe;
 use std::sync::OnceLock;
@@ -121,17 +122,19 @@ fn eval_wtnaf_proj(digits: &[i8], table: &[Affine]) -> LdPoint {
 /// [`crate::cache`] — repeated multiplications against the same base
 /// point skip `TNAF_Precomputation` entirely.
 ///
+/// `k` is a [`U256`]: a `&Scalar`, or a `&Int` of at most 256 bits.
+///
 /// # Panics
 ///
-/// Panics if `k` is negative or `w` is outside 2..=8.
-pub fn mul_wtnaf(p: &Affine, k: &Int, w: u32) -> Affine {
+/// Panics if `k` is a negative or wider `Int`, or `w` is outside 2..=8.
+pub fn mul_wtnaf(p: &Affine, k: impl Into<U256>, w: u32) -> Affine {
     mul_wtnaf_proj(p, k, w).to_affine()
 }
 
 /// [`mul_wtnaf`] without the final affine conversion: the result stays
 /// in LD coordinates for a later [`crate::projective::batch_to_affine`].
-pub fn mul_wtnaf_proj(p: &Affine, k: &Int, w: u32) -> LdPoint {
-    assert!(!k.is_negative(), "scalar must be non-negative");
+pub fn mul_wtnaf_proj(p: &Affine, k: impl Into<U256>, w: u32) -> LdPoint {
+    let k = k.into();
     if k.is_zero() || p.is_infinity() {
         return LdPoint::INFINITY;
     }
@@ -141,8 +144,8 @@ pub fn mul_wtnaf_proj(p: &Affine, k: &Int, w: u32) -> LdPoint {
 }
 
 /// Plain-TNAF multiplication (w = 1): no precomputation beyond ±P.
-pub fn mul_tnaf(p: &Affine, k: &Int) -> Affine {
-    assert!(!k.is_negative(), "scalar must be non-negative");
+pub fn mul_tnaf(p: &Affine, k: impl Into<U256>) -> Affine {
+    let k = k.into();
     if k.is_zero() || p.is_infinity() {
         return Affine::Infinity;
     }
@@ -161,14 +164,14 @@ pub fn generator_table() -> &'static [Affine] {
 ///
 /// # Panics
 ///
-/// Panics if `k` is negative.
-pub fn mul_g(k: &Int) -> Affine {
+/// Panics if `k` is a negative `Int` or one wider than 256 bits.
+pub fn mul_g(k: impl Into<U256>) -> Affine {
     mul_g_proj(k).to_affine()
 }
 
 /// [`mul_g`] without the final affine conversion.
-pub fn mul_g_proj(k: &Int) -> LdPoint {
-    assert!(!k.is_negative(), "scalar must be non-negative");
+pub fn mul_g_proj(k: impl Into<U256>) -> LdPoint {
+    let k = k.into();
     if k.is_zero() {
         return LdPoint::INFINITY;
     }
@@ -183,19 +186,17 @@ pub fn mul_g_proj(k: &Int) -> LdPoint {
 ///
 /// # Panics
 ///
-/// Panics if either scalar is negative.
-pub fn double_multiply(u1: &Int, u2: &Int, q: &Affine) -> Affine {
+/// Panics if either scalar is a negative `Int` or one wider than 256
+/// bits.
+pub fn double_multiply(u1: impl Into<U256>, u2: impl Into<U256>, q: &Affine) -> Affine {
     double_multiply_proj(u1, u2, q).to_affine()
 }
 
 /// [`double_multiply`] without the final affine conversion — the batch
 /// verifier's workhorse: all the point arithmetic, none of the
 /// inversions.
-pub fn double_multiply_proj(u1: &Int, u2: &Int, q: &Affine) -> LdPoint {
-    assert!(
-        !u1.is_negative() && !u2.is_negative(),
-        "scalars must be non-negative"
-    );
+pub fn double_multiply_proj(u1: impl Into<U256>, u2: impl Into<U256>, q: &Affine) -> LdPoint {
+    let (u1, u2) = (u1.into(), u2.into());
     if q.is_infinity() || u2.is_zero() {
         return mul_g_proj(u1);
     }

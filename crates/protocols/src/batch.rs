@@ -11,7 +11,8 @@
 //! Four amortisations compose here:
 //!
 //! 1. *threads* — operations are independent, so they shard across
-//!    workers (plain `std::thread::scope` + `mpsc`, no dependencies);
+//!    workers (plain `std::thread::scope`, no dependencies), the
+//!    calling thread running one shard itself;
 //! 2. *batch inversion* — N affine conversions cost 1 inversion +
 //!    3(N−1) multiplications instead of N inversions;
 //! 3. *table caching* — repeated operations against the same public
@@ -30,49 +31,47 @@ use crate::ecdsa::{self, Signature, SigningKey, VerifyError};
 use crate::sha256::Sha256;
 use koblitz::projective::batch_to_affine;
 use koblitz::{mul, Affine, LdPoint, Scalar};
-use std::sync::mpsc;
 
-/// Runs `f` over every item, sharded across `workers` OS threads
-/// (worker w takes items w, w + workers, …). Results come back in
-/// input order. `workers` ≤ 1 — or a batch of one — runs inline.
+/// Runs `f` over every item, sharded across `workers` threads: the
+/// items split into contiguous shards whose lengths differ by at most
+/// one, the calling thread runs the first shard and `workers − 1`
+/// scoped threads run the rest. Each shard writes its results into its
+/// own disjoint slots of one pre-sized output, so results come back in
+/// input order with no channel. `workers` ≤ 1 — or a batch of one —
+/// runs inline.
 fn run_sharded<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, items.len());
+    let workers = workers.clamp(1, items.len().max(1));
     if workers == 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let (tx, rx) = mpsc::channel();
+    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    let run = |start: usize, slots: &mut [Option<R>]| {
+        for (i, slot) in (start..).zip(slots) {
+            *slot = Some(f(i, &items[i]));
+        }
+    };
+    let (base, extra) = (items.len() / workers, items.len() % workers);
+    let shard_len = |w: usize| base + usize::from(w < extra);
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let f = &f;
-            s.spawn(move || {
-                let mut i = w;
-                while i < items.len() {
-                    let r = f(i, &items[i]);
-                    if tx.send((i, r)).is_err() {
-                        return; // collector gone; nothing left to do
-                    }
-                    i += workers;
-                }
-            });
+        let (own, mut rest) = out.split_at_mut(shard_len(0));
+        let mut start = own.len();
+        for w in 1..workers {
+            let (slots, tail) = std::mem::take(&mut rest).split_at_mut(shard_len(w));
+            rest = tail;
+            let run = &run;
+            s.spawn(move || run(start, slots));
+            start += shard_len(w);
         }
-        drop(tx);
-        let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (i, r) in rx {
-            out[i] = Some(r);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every index is produced exactly once"))
-            .collect()
-    })
+        run(0, own);
+    });
+    out.into_iter()
+        .map(|r| r.expect("every index is produced exactly once"))
+        .collect()
 }
 
 /// Outcome of the parallel phase of one batched signature.
@@ -110,7 +109,7 @@ pub fn sign_batch<M: AsRef<[u8]> + Sync>(
         if k.is_zero() {
             return SignStage::Retry;
         }
-        let point = mul::mul_g_proj(&k.to_int());
+        let point = mul::mul_g_proj(&k);
         let e = ecdsa::digest_to_scalar(&digest);
         SignStage::Fast { k, point, e }
     });
@@ -127,7 +126,7 @@ pub fn sign_batch<M: AsRef<[u8]> + Sync>(
     let nonces: Vec<Scalar> = staged
         .iter()
         .filter_map(|s| match s {
-            SignStage::Fast { k, .. } => Some(k.clone()),
+            SignStage::Fast { k, .. } => Some(*k),
             SignStage::Retry => None,
         })
         .collect();
@@ -184,7 +183,7 @@ pub fn verify_batch(jobs: &[VerifyJob<'_>], workers: usize) -> Vec<Result<(), Ve
     let s_values: Vec<Scalar> = jobs
         .iter()
         .filter(|job| well_formed(job))
-        .map(|job| job.sig.s.clone())
+        .map(|job| job.sig.s)
         .collect();
     let mut s_invs = Scalar::batch_invert(&s_values).into_iter();
     let s_inv: Vec<Option<Scalar>> = jobs
@@ -204,8 +203,8 @@ pub fn verify_batch(jobs: &[VerifyJob<'_>], workers: usize) -> Vec<Result<(), Ve
             let e = ecdsa::hash_to_scalar(job.msg);
             let u1 = e.mul(s_inv);
             let u2 = job.sig.r.mul(s_inv);
-            let point = mul::double_multiply_proj(&u1.to_int(), &u2.to_int(), job.public);
-            Ok((point, job.sig.r.clone()))
+            let point = mul::double_multiply_proj(&u1, &u2, job.public);
+            Ok((point, job.sig.r))
         });
     // Batch boundary: one inversion across all surviving points (a
     // projective infinity converts to Affine::Infinity without
@@ -257,11 +256,7 @@ pub fn ecdh_batch(
         if !peer.is_in_prime_order_subgroup() {
             return Err(EcdhError::WrongOrderPublicKey);
         }
-        Ok(mul::mul_wtnaf_proj(
-            peer,
-            &kp.secret().to_int(),
-            mul::KP_WINDOW,
-        ))
+        Ok(mul::mul_wtnaf_proj(peer, kp.secret(), mul::KP_WINDOW))
     });
     // Batch boundary + KDF.
     let points: Vec<LdPoint> = staged
@@ -295,6 +290,19 @@ mod tests {
         (0..n)
             .map(|i| format!("telemetry frame {i:04}").into_bytes())
             .collect()
+    }
+
+    #[test]
+    fn run_sharded_matches_the_serial_map() {
+        for len in [0usize, 1, 2, 16, 17] {
+            let items: Vec<u64> = (0..len as u64).map(|i| i * 7 + 3).collect();
+            let serial: Vec<(usize, u64)> =
+                items.iter().enumerate().map(|(i, &x)| (i, x * x)).collect();
+            for workers in 1..=5 {
+                let got = run_sharded(&items, workers, |i, &x| (i, x * x));
+                assert_eq!(got, serial, "workers = {workers}, len = {len}");
+            }
+        }
     }
 
     #[test]
@@ -363,7 +371,7 @@ mod tests {
             .collect();
         sigs[5] = Signature {
             r: Scalar::zero(),
-            s: sigs[5].s.clone(),
+            s: sigs[5].s,
         };
         let infinity = Affine::Infinity;
         let jobs: Vec<VerifyJob> = msgs

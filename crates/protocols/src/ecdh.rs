@@ -73,7 +73,7 @@ impl Keypair {
             drbg.generate(&mut wide);
             let secret = Scalar::from_wide_bytes(&wide);
             if !secret.is_zero() {
-                let public = mul::mul_g(&secret.to_int());
+                let public = mul::mul_g(&secret);
                 return Keypair { secret, public };
             }
         }
@@ -107,7 +107,7 @@ impl Keypair {
         if !peer.is_in_prime_order_subgroup() {
             return Err(EcdhError::WrongOrderPublicKey);
         }
-        let shared = mul::mul_wtnaf(peer, &self.secret.to_int(), mul::KP_WINDOW);
+        let shared = mul::mul_wtnaf(peer, &self.secret, mul::KP_WINDOW);
         if shared.is_infinity() {
             return Err(EcdhError::DegenerateSharedSecret);
         }
@@ -168,7 +168,7 @@ mod tests {
     fn debug_shows_the_public_key_only() {
         let kp = Keypair::generate(b"check");
         let shown = format!("{kp:?}");
-        let secret_hex = kp.secret().to_int().to_hex();
+        let secret_hex = format!("{:x}", kp.secret());
         assert!(!shown.contains(&secret_hex), "{shown}");
         assert!(shown.contains(&format!("{:?}", kp.public())), "{shown}");
     }

@@ -4,7 +4,7 @@ use crate::hmac::HmacDrbg;
 use crate::sha256::Sha256;
 use gf2m::Fe;
 use koblitz::curve::Affine;
-use koblitz::{mul, Int, Scalar};
+use koblitz::{mul, Scalar};
 
 /// An ECDSA signature (r, s), both non-zero scalars.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,13 +63,13 @@ pub(crate) fn hash_to_scalar(msg: &[u8]) -> Scalar {
 
 /// A message digest interpreted as an integer mod n.
 pub(crate) fn digest_to_scalar(digest: &[u8; 32]) -> Scalar {
-    Scalar::new(Int::from_be_bytes(digest))
+    Scalar::reduce_be_bytes(digest)
 }
 
 /// A field element's integer value mod n — how r = x(k·G) and the
 /// verifier's x(u₁·G + u₂·Q) become scalars.
 pub(crate) fn x_to_scalar(x: &Fe) -> Scalar {
-    Scalar::new(Int::from_be_bytes(&x.to_be_bytes()))
+    Scalar::reduce_be_bytes(&x.to_be_bytes())
 }
 
 impl SigningKey {
@@ -81,9 +81,8 @@ impl SigningKey {
             drbg.generate(&mut wide);
             let d = Scalar::from_wide_bytes(&wide);
             if !d.is_zero() {
-                let d_int = d.to_int();
-                let public = mul::mul_g(&d_int);
-                let nonce_prefix = [&b"ecdsa-nonce"[..], d_int.to_hex().as_bytes()].concat();
+                let public = mul::mul_g(&d);
+                let nonce_prefix = format!("ecdsa-nonce{d:x}").into_bytes();
                 return SigningKey {
                     d,
                     public,
@@ -140,7 +139,7 @@ impl SigningKey {
                 continue;
             }
             // R = k·G (fixed-point multiplication).
-            let point = mul::mul_g(&k.to_int());
+            let point = mul::mul_g(&k);
             let r = match point {
                 Affine::Infinity => continue,
                 Affine::Point { x, .. } => x_to_scalar(&x),
@@ -191,7 +190,7 @@ pub fn verify(q: &Affine, msg: &[u8], sig: &Signature) -> Result<(), VerifyError
     let u2 = sig.r.mul(&s_inv);
     // u1·G + u2·Q by interleaved double multiplication (one shared
     // Frobenius pass — the Shamir–Strauss trick in τ-adic form).
-    let point = mul::double_multiply(&u1.to_int(), &u2.to_int(), q);
+    let point = mul::double_multiply(&u1, &u2, q);
     match point {
         Affine::Infinity => Err(VerifyError::BadSignature),
         Affine::Point { x, .. } => {
@@ -251,14 +250,14 @@ mod tests {
         let sig = key.sign(b"message");
         let zero_r = Signature {
             r: Scalar::zero(),
-            s: sig.s.clone(),
+            s: sig.s,
         };
         assert_eq!(
             verify(key.public(), b"message", &zero_r),
             Err(VerifyError::MalformedSignature)
         );
         let zero_s = Signature {
-            r: sig.r.clone(),
+            r: sig.r,
             s: Scalar::zero(),
         };
         assert_eq!(
@@ -271,10 +270,7 @@ mod tests {
     fn swapped_components_fail() {
         let key = SigningKey::generate(b"signer");
         let sig = key.sign(b"message");
-        let swapped = Signature {
-            r: sig.s.clone(),
-            s: sig.r.clone(),
-        };
+        let swapped = Signature { r: sig.s, s: sig.r };
         assert!(verify(key.public(), b"message", &swapped).is_err());
     }
 
@@ -291,7 +287,7 @@ mod tests {
     fn debug_shows_the_public_key_only() {
         let key = SigningKey::generate(b"node-7 identity");
         let shown = format!("{key:?}");
-        let d_hex = key.d.to_int().to_hex();
+        let d_hex = format!("{:x}", key.d);
         assert!(!shown.contains(&d_hex), "{shown}");
         assert!(!shown.contains(&d_hex.to_uppercase()), "{shown}");
         assert!(!shown.contains("ecdsa-nonce"), "{shown}");

@@ -9,7 +9,7 @@ use crate::aes128::Aes128;
 use crate::ecdsa::Signature;
 use crate::hmac::hmac_sha256;
 use koblitz::curve::{Affine, DecompressError};
-use koblitz::{Int, Scalar};
+use koblitz::Scalar;
 
 /// Errors decoding wire data — the shared taxonomy for everything a
 /// node can receive over the radio. Every reject names *why*, so the
@@ -126,8 +126,8 @@ pub fn decode_public_key_slice(bytes: &[u8]) -> Result<Affine, WireError> {
 /// Encodes a signature as r ‖ s, 30 bytes each.
 pub fn encode_signature(sig: &Signature) -> [u8; 60] {
     let mut out = [0u8; 60];
-    out[..30].copy_from_slice(&sig.r.to_int().to_be_bytes_padded(30));
-    out[30..].copy_from_slice(&sig.s.to_int().to_be_bytes_padded(30));
+    out[..30].copy_from_slice(&sig.r.to_be_bytes());
+    out[30..].copy_from_slice(&sig.s.to_be_bytes());
     out
 }
 
@@ -137,16 +137,14 @@ pub fn encode_signature(sig: &Signature) -> [u8; 60] {
 ///
 /// Returns [`WireError::BadScalar`] for zero or non-canonical values.
 pub fn decode_signature(bytes: &[u8; 60]) -> Result<Signature, WireError> {
-    let r_int = Int::from_be_bytes(&bytes[..30]);
-    let s_int = Int::from_be_bytes(&bytes[30..]);
-    let n = koblitz::order();
-    if r_int.is_zero() || s_int.is_zero() || r_int >= n || s_int >= n {
-        return Err(WireError::BadScalar);
+    let component = |half: &[u8]| {
+        let half: &[u8; 30] = half.try_into().expect("30-byte half");
+        Scalar::from_canonical_be_bytes(half).filter(|v| !v.is_zero())
+    };
+    match (component(&bytes[..30]), component(&bytes[30..])) {
+        (Some(r), Some(s)) => Ok(Signature { r, s }),
+        _ => Err(WireError::BadScalar),
     }
-    Ok(Signature {
-        r: Scalar::new(r_int),
-        s: Scalar::new(s_int),
-    })
 }
 
 /// [`decode_signature`] for radio buffers of unchecked length. A

@@ -21,8 +21,10 @@
 //!   coset of the order-n subgroup; the projective wTNAF table build
 //!   against its affine `mul_binary` oracle at every window width, on
 //!   the same shifted points; the fixed-width τ-adic recoding
-//!   against its `Int` pipeline, digit for digit at every width; and
-//!   the mod-n batch inversion against per-element inversion;
+//!   against its `Int` pipeline, digit for digit at every width; the
+//!   mod-n batch inversion against per-element inversion; and the
+//!   fixed-width mod-n arithmetic (reductions, ring operations and the
+//!   Fermat inversion) against `Int` and its extended Euclid;
 //! * **wire frames** — randomly truncated/bit-flipped public keys,
 //!   signatures and sealed frames through the slice and owned decoders,
 //!   which must never panic and must return the same typed error.
@@ -47,7 +49,7 @@ use gf2m::generic::GenericField;
 use gf2m::modeled::{ModeledField, Tier};
 use gf2m::mul::mul_ld_fixed;
 use gf2m::{counted, inv, sqr, Clmul, Fe};
-use koblitz::{curve, mul, tnaf, Int, Scalar};
+use koblitz::{curve, mul, tnaf, Int, Scalar, U256};
 use m0plus::Backend;
 use prng::SplitMix64;
 use protocols::sha256::{Sha256, ShaNi};
@@ -211,6 +213,7 @@ const SCALAR_DOMAIN: u64 = 0x5ca1a7;
 const WIRE_DOMAIN: u64 = 0x3175;
 const BATCH_DOMAIN: u64 = 0xba7c4;
 const SHA_DOMAIN: u64 = 0x5aa256;
+const SCALAR_FIXED_DOMAIN: u64 = 0x5ca1f1;
 
 /// Size of the global case list: the four phase case lists
 /// concatenated (field, then scalar, then wire, then batch). This is
@@ -696,12 +699,97 @@ fn scalar_inv_batch(case: usize, k: &Int, rng: &mut SplitMix64) -> Vec<Scalar> {
     batch
 }
 
+/// The inputs of `scalar_int/scalar_fixed` by case: [`scalar_edges`],
+/// then 0, 1, n − 1, n − 2, 2²³¹ and 2²³² − 1; later cases draw seeded
+/// 40-byte values.
+fn scalar_fixed_edges() -> Vec<Int> {
+    let n = curve::order();
+    let mut edges = scalar_edges();
+    edges.extend([
+        Int::zero(),
+        Int::one(),
+        &n - &Int::one(),
+        &n - &Int::from(2i64),
+        Int::one().shl(231),
+        &Int::one().shl(232) - &Int::one(),
+    ]);
+    edges
+}
+
+/// Checks every fixed-width [`Scalar`] operation of one case against
+/// `Int`: the 40-, 32- and 30-byte reductions against
+/// [`Int::mod_positive`], then add, sub, negation, mul and the Fermat
+/// inversion against `Int` arithmetic and the extended Euclid. a is the
+/// case's edge (reduced from its 32-byte encoding) or a seeded 40-byte
+/// value, b is always seeded. Returns the first operation that
+/// disagrees.
+fn scalar_fixed_disagreement(
+    case: usize,
+    edge: Option<&Int>,
+    rng: &mut SplitMix64,
+) -> Option<String> {
+    let n = curve::order();
+    let reduced = |bytes: &[u8]| Int::from_be_bytes(bytes).mod_positive(&n);
+    let mut wide_a = [0u8; 40];
+    let mut wide_b = [0u8; 40];
+    rng.fill_bytes(&mut wide_a);
+    rng.fill_bytes(&mut wide_b);
+    let (a_int, a) = match edge {
+        Some(k) => {
+            let U256(limbs) = U256::from(k);
+            let bytes: [u8; 32] =
+                std::array::from_fn(|i| (limbs[3 - i / 8] >> (56 - 8 * (i % 8))) as u8);
+            (k.mod_positive(&n), Scalar::reduce_be_bytes(&bytes))
+        }
+        None => (reduced(&wide_a), Scalar::from_wide_bytes(&wide_a)),
+    };
+    let (b_int, b) = (reduced(&wide_b), Scalar::from_wide_bytes(&wide_b));
+    let digest: &[u8; 32] = wide_b[..32].try_into().expect("32 bytes");
+    let x: &[u8; 30] = wide_b[10..].try_into().expect("30 bytes");
+    let checks = [
+        ("reduce", a.to_int() == a_int && b.to_int() == b_int),
+        (
+            "reduce_32",
+            Scalar::reduce_be_bytes(digest).to_int() == reduced(digest),
+        ),
+        (
+            "reduce_30",
+            Scalar::reduce_be_bytes(x).to_int() == reduced(x),
+        ),
+        (
+            "add",
+            a.add(&b).to_int() == (&a_int + &b_int).mod_positive(&n),
+        ),
+        (
+            "sub",
+            a.sub(&b).to_int() == (&a_int - &b_int).mod_positive(&n),
+        ),
+        (
+            "neg",
+            a.negated().to_int() == a_int.negated().mod_positive(&n),
+        ),
+        (
+            "mul",
+            a.mul(&b).to_int() == (&a_int * &b_int).mod_positive(&n),
+        ),
+        (
+            "invert",
+            a.invert().map(|v| v.to_int()) == a_int.mod_inverse(&n),
+        ),
+    ];
+    let (op, _) = checks.iter().find(|(_, agreed)| !agreed)?;
+    Some(format!(
+        "{op} differs in case {case} for a = {a_int}, b = {b_int}"
+    ))
+}
+
 fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>) {
     if cases.is_empty() {
         return;
     }
     let g = curve::generator();
     let edges = scalar_edges();
+    let fixed_edges = scalar_fixed_edges();
     let n = curve::order();
     // Coset representatives of the order-n subgroup: O, the 2-torsion
     // point T = (0, 1) and the order-4 points ±(1, 1).
@@ -819,6 +907,19 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                 case_index: case,
                 input: batch[i].to_int().to_hex(),
                 detail: format!("element {i} of a batch of {}", batch.len()),
+            });
+        }
+        // The fixed-width scalar arithmetic against `Int`.
+        let mut fixed_rng = SplitMix64::substream(config.seed, SCALAR_FIXED_DOMAIN, case as u64);
+        let fixed_diff = scalar_fixed_disagreement(case, fixed_edges.get(case), &mut fixed_rng);
+        report.record("scalar_int/scalar_fixed", fixed_diff.is_none());
+        if let Some(detail) = fixed_diff {
+            report.disagreements.push(Disagreement {
+                domain: "scalar",
+                pair: "scalar_int/scalar_fixed".to_string(),
+                case_index: case,
+                input: k.to_hex(),
+                detail,
             });
         }
     }
@@ -1179,6 +1280,7 @@ mod tests {
         assert_eq!(find("recode/fixed_length"), 14);
         assert_eq!(find("recode_int/recode_fixed"), 14);
         assert_eq!(find("scalar_inv/scalar_batch_inv"), 14);
+        assert_eq!(find("scalar_int/scalar_fixed"), 14);
         // k·G shifted into each of the four cosets.
         assert_eq!(find("order_binary/order_trace"), 4 * 14);
         assert_eq!(find("table_binary/table_proj"), 4 * 14);

@@ -195,6 +195,16 @@ fn redc(mut t: [u64; 8]) -> [u64; 4] {
     sub_n_if_ge(&[t[4], t[5], t[6], t[7]])
 }
 
+/// A big-endian byte string of at most 8·L bytes as L little-endian
+/// limbs.
+fn limbs_from_be<const L: usize>(bytes: &[u8]) -> [u64; L] {
+    let mut out = [0u64; L];
+    for (i, &b) in bytes.iter().rev().enumerate() {
+        out[i / 8] |= (b as u64) << (8 * (i % 8));
+    }
+    out
+}
+
 /// a·b·R⁻¹ mod n for a, b < n.
 #[inline(always)]
 fn mont_mul(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
@@ -235,11 +245,8 @@ impl Scalar {
     /// the 40-byte wide input of [`Scalar::from_wide_bytes`].
     pub fn reduce_be_bytes<const LEN: usize>(bytes: &[u8; LEN]) -> Scalar {
         const { assert!(LEN <= 48, "reduce_be_bytes takes at most 48 bytes") };
-        let mut t = [0u64; 8];
-        for (i, &b) in bytes.iter().rev().enumerate() {
-            t[i / 8] |= (b as u64) << (8 * (i % 8));
-        }
         // t < 2³⁸⁴ < n·R: redc gives t·R⁻¹, the product by R² gives t.
+        let t = limbs_from_be(bytes);
         Scalar(mont_mul(&redc(t), &R2))
     }
 
@@ -252,10 +259,7 @@ impl Scalar {
     /// The canonical value from 30 big-endian bytes, or `None` if it is
     /// not below n.
     pub fn from_canonical_be_bytes(bytes: &[u8; 30]) -> Option<Scalar> {
-        let mut v = [0u64; 4];
-        for (i, &b) in bytes.iter().rev().enumerate() {
-            v[i / 8] |= (b as u64) << (8 * (i % 8));
-        }
+        let v = limbs_from_be(bytes);
         let (_, borrow) = sub_limbs(&v, &N);
         (borrow == 1).then_some(Scalar(v))
     }
@@ -442,11 +446,7 @@ impl From<&Int> for U256 {
     fn from(v: &Int) -> U256 {
         assert!(!v.is_negative(), "scalar must be non-negative");
         assert!(v.bits() <= 256, "scalars are at most 256 bits");
-        let mut out = [0u64; 4];
-        for (i, &l) in v.limbs().iter().enumerate() {
-            out[i / 2] |= (l as u64) << (32 * (i % 2));
-        }
-        U256(out)
+        U256(crate::tnaf::mag_limbs(v))
     }
 }
 
@@ -568,9 +568,8 @@ mod tests {
             assert_eq!(Scalar::from_canonical_be_bytes(&a.to_be_bytes()), Some(a));
         }
         for v in [n.clone(), &n + &Int::one(), Int::one().shl(232)] {
-            let U256(limbs) = U256::from(&v);
-            let bytes: [u8; 30] =
-                std::array::from_fn(|i| (limbs[(29 - i) / 8] >> (8 * ((29 - i) % 8))) as u8);
+            // The raw limbs, not reduced: only to encode them.
+            let bytes = Scalar(U256::from(&v).0).to_be_bytes();
             assert_eq!(Scalar::from_canonical_be_bytes(&bytes), None, "{v}");
         }
         assert_eq!(Scalar::from_canonical_be_bytes(&[0xFF; 30]), None);

@@ -476,7 +476,7 @@ fn mul_limbs<const N: usize>(a: &[u64], b: &[u64]) -> [u64; N] {
 /// # Panics
 ///
 /// Panics if |v| does not fit.
-fn mag_limbs<const N: usize>(v: &Int) -> [u64; N] {
+pub(crate) fn mag_limbs<const N: usize>(v: &Int) -> [u64; N] {
     let mut out = [0u64; N];
     for (i, &l) in v.limbs().iter().enumerate() {
         out[i / 2] |= (l as u64) << (32 * (i % 2));

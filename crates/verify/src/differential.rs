@@ -723,11 +723,7 @@ fn scalar_fixed_edges() -> Vec<Int> {
 /// case's edge (reduced from its 32-byte encoding) or a seeded 40-byte
 /// value, b is always seeded. Returns the first operation that
 /// disagrees.
-fn scalar_fixed_disagreement(
-    case: usize,
-    edge: Option<&Int>,
-    rng: &mut SplitMix64,
-) -> Option<String> {
+fn scalar_fixed_disagreement(edge: Option<&Int>, rng: &mut SplitMix64) -> Option<String> {
     let n = curve::order();
     let reduced = |bytes: &[u8]| Int::from_be_bytes(bytes).mod_positive(&n);
     let mut wide_a = [0u8; 40];
@@ -778,9 +774,7 @@ fn scalar_fixed_disagreement(
         ),
     ];
     let (op, _) = checks.iter().find(|(_, agreed)| !agreed)?;
-    Some(format!(
-        "{op} differs in case {case} for a = {a_int}, b = {b_int}"
-    ))
+    Some(format!("{op} differs for a = {a_int}, b = {b_int}"))
 }
 
 fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>) {
@@ -911,7 +905,7 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
         }
         // The fixed-width scalar arithmetic against `Int`.
         let mut fixed_rng = SplitMix64::substream(config.seed, SCALAR_FIXED_DOMAIN, case as u64);
-        let fixed_diff = scalar_fixed_disagreement(case, fixed_edges.get(case), &mut fixed_rng);
+        let fixed_diff = scalar_fixed_disagreement(fixed_edges.get(case), &mut fixed_rng);
         report.record("scalar_int/scalar_fixed", fixed_diff.is_none());
         if let Some(detail) = fixed_diff {
             report.disagreements.push(Disagreement {

@@ -5,9 +5,21 @@
 //! * [`mul_wtnaf`] — random-point kP with the left-to-right width-w
 //!   TNAF method (the paper uses w = 4), mixed LD-affine additions and
 //!   Frobenius in place of doublings;
-//! * [`mul_g`] — fixed-point kG with w = 6 and a precomputed table of
-//!   α_u·G (built once, lazily — "offline" in the paper's accounting,
-//!   which charges kG zero TNAF precomputation);
+//! * [`mul_g`] — fixed-point kG. The paper's configuration is w = 6 with
+//!   a precomputed table of α_u·G ([`generator_table`], built once,
+//!   lazily — "offline" in the paper's accounting, which charges kG zero
+//!   TNAF precomputation); the modeled M0+ tier keeps exactly that
+//!   16-point table. The host runs a τ-adic fixed-base comb instead
+//!   ([`generator_comb`], Guide to ECC §3.3.2): since G is fixed, its
+//!   table can also hold Frobenius powers. The 239 padded w = 8 digits
+//!   are cut into [`KG_COMB_STRIPS`] strips of L = 30, strip j holds
+//!   τ^(jL)(α_u·G), and one Horner pass over the strip position costs
+//!   L = 30 Frobenius maps instead of 239. The pass always runs L steps
+//!   of d digit slots, so the iteration count does not depend on the
+//!   scalar. Its static size is 8 × 64 = 512 affine points (~34 KiB,
+//!   host only); [`mul_g_horner`], the single-table loop, is its oracle;
+//! * [`double_multiply`] — u₁·G + u₂·Q by interleaved τ-adic Horner
+//!   evaluation, with G's digits at w = 8 read from the comb's strip 0;
 //! * [`montgomery_ladder`] — the constant-time x-only ladder the paper's
 //!   §5 names as the fix for its timing-variability caveat.
 
@@ -24,6 +36,13 @@ pub const KP_WINDOW: u32 = 4;
 
 /// Window width the paper uses for fixed-point multiplication.
 pub const KG_WINDOW: u32 = 6;
+
+/// Window width of the host kG comb ([`generator_comb`]): 2⁶ = 64 α_u·G
+/// per strip.
+pub const KG_COMB_WINDOW: u32 = 8;
+
+/// Strip count d of the host kG comb ([`generator_comb`]).
+pub const KG_COMB_STRIPS: usize = 8;
 
 /// Panics unless `w` is a supported window width.
 fn assert_window(w: u32) {
@@ -95,6 +114,18 @@ pub fn precompute_table_binary(p: &Affine, w: u32) -> Vec<Affine> {
     out
 }
 
+/// Adds the table point for one wTNAF digit: ±`table[|d|/2]`, or
+/// nothing for d = 0.
+fn add_digit(acc: LdPoint, d: i8, table: &[Affine]) -> LdPoint {
+    if d > 0 {
+        acc.add_affine(&table[d as usize / 2])
+    } else if d < 0 {
+        acc.add_affine(&table[d.unsigned_abs() as usize / 2].negated())
+    } else {
+        acc
+    }
+}
+
 /// Evaluates a τ-adic digit string against a precomputed table
 /// (most-significant digit first processing), leaving the result in
 /// LD projective coordinates so batch callers can defer the affine
@@ -104,12 +135,7 @@ pub fn precompute_table_binary(p: &Affine, w: u32) -> Vec<Affine> {
 fn eval_wtnaf_proj(digits: &[i8], table: &[Affine]) -> LdPoint {
     let mut acc = LdPoint::INFINITY;
     for &d in digits.iter().rev() {
-        acc = acc.frobenius();
-        if d > 0 {
-            acc = acc.add_affine(&table[(d as usize) / 2]);
-        } else if d < 0 {
-            acc = acc.add_affine(&table[(-d as usize) / 2].negated());
-        }
+        acc = add_digit(acc.frobenius(), d, table);
     }
     acc
 }
@@ -153,14 +179,77 @@ pub fn mul_tnaf(p: &Affine, k: impl Into<U256>) -> Affine {
     eval_wtnaf_proj(&digits, std::slice::from_ref(p)).to_affine()
 }
 
-/// The fixed-point table α_u·G for w = 6 (2⁴ = 16 points), built once.
+/// The paper's fixed-point table α_u·G for w = 6 (2⁴ = 16 points),
+/// built once. The modeled M0+ kG loads it, and [`mul_g_horner`]
+/// evaluates against it; the host [`mul_g`] reads the larger
+/// [`generator_comb`] instead.
 pub fn generator_table() -> &'static [Affine] {
     static TABLE: OnceLock<Vec<Affine>> = OnceLock::new();
     TABLE.get_or_init(|| precompute_table(&generator(), KG_WINDOW))
 }
 
-/// Fixed-point multiplication k·G with w = 6 and the precomputed
-/// generator table — the paper's kG configuration.
+/// Digits per comb strip: L = ⌈[`tnaf::recode_length`] / d⌉.
+fn comb_strip_len(strips: usize) -> usize {
+    tnaf::recode_length().div_ceil(strips)
+}
+
+/// The comb strips over `table` (strip 0): strip j is strip j − 1 with
+/// both affine coordinates squared L times, i.e. τ^(jL) of `table`.
+fn comb_strips(table: Vec<Affine>, strips: usize) -> Vec<Vec<Affine>> {
+    let l = comb_strip_len(strips);
+    let tau_l = |p: &Affine| match *p {
+        Affine::Infinity => Affine::Infinity,
+        Affine::Point { x, y } => Affine::Point {
+            x: x.square_n(l),
+            y: y.square_n(l),
+        },
+    };
+    let mut out = vec![table];
+    while out.len() < strips {
+        let next = out[out.len() - 1].iter().map(tau_l).collect();
+        out.push(next);
+    }
+    out
+}
+
+/// The host kG comb: [`KG_COMB_STRIPS`] strips of the w = 8 table, strip
+/// j holding τ^(jL)(α_u·G) for L = 30, built once (one table inversion
+/// plus 7 × 64 pairs of 30-fold squarings). 512 affine points, ~34 KiB.
+/// Strip 0 is `precompute_table(&G, 8)`, which the double multiply
+/// also reads.
+pub fn generator_comb() -> &'static [Vec<Affine>] {
+    static COMB: OnceLock<Vec<Vec<Affine>>> = OnceLock::new();
+    COMB.get_or_init(|| {
+        comb_strips(
+            precompute_table(&generator(), KG_COMB_WINDOW),
+            KG_COMB_STRIPS,
+        )
+    })
+}
+
+/// Evaluates a padded digit string against comb strips: digit jL + t
+/// reads strip j, and Horner runs over t = L − 1 down to 0, one
+/// Frobenius per step. Always L steps of d slots, whatever the digits.
+fn eval_comb_proj(digits: &[i8], strips: &[Vec<Affine>]) -> LdPoint {
+    let l = comb_strip_len(strips.len());
+    debug_assert!(digits.len() <= l * strips.len());
+    let mut acc = LdPoint::INFINITY;
+    for t in (0..l).rev() {
+        acc = acc.frobenius();
+        for (j, strip) in strips.iter().enumerate() {
+            acc = add_digit(acc, digits.get(j * l + t).copied().unwrap_or(0), strip);
+        }
+    }
+    acc
+}
+
+/// Fixed-point multiplication k·G: the w = 8 digits of k evaluated by
+/// the τ-adic comb over [`generator_comb`] — 30 Frobenius maps and ~26
+/// additions, where the paper's single-table loop ([`mul_g_horner`])
+/// pays 239 and ~34. The comb always runs 30 steps of 8 digit slots, so
+/// its iteration count stays independent of the scalar. Same canonical
+/// affine result as the paper's kG; the modeled M0+ kG keeps the
+/// paper's 16-point w = 6 table.
 ///
 /// # Panics
 ///
@@ -175,14 +264,21 @@ pub fn mul_g_proj(k: impl Into<U256>) -> LdPoint {
     if k.is_zero() {
         return LdPoint::INFINITY;
     }
-    let digits = tnaf::recode(k, KG_WINDOW);
-    eval_wtnaf_proj(&digits, generator_table())
+    eval_comb_proj(&tnaf::recode(k, KG_COMB_WINDOW), generator_comb())
+}
+
+/// The paper's kG loop, kept as the comb's oracle: the w = 6 digits of k
+/// by Horner's rule against [`generator_table`], one Frobenius per
+/// padded digit. [`mul_g_proj`] must give the same point.
+pub fn mul_g_horner(k: impl Into<U256>) -> LdPoint {
+    eval_wtnaf_proj(&tnaf::recode(k, KG_WINDOW), generator_table())
 }
 
 /// Simultaneous double multiplication u₁·G + u₂·Q by interleaved
 /// width-w TNAF evaluation (the τ-adic Shamir–Strauss trick): one shared
 /// Frobenius pass instead of two, so an ECDSA verification costs barely
-/// more than a single random-point multiplication.
+/// more than a single random-point multiplication. u₁ is recoded at
+/// w = 8 against the comb's strip 0; Q keeps w = 4 through the cache.
 ///
 /// # Panics
 ///
@@ -203,28 +299,14 @@ pub fn double_multiply_proj(u1: impl Into<U256>, u2: impl Into<U256>, q: &Affine
     if u1.is_zero() {
         return mul_wtnaf_proj(q, u2, KP_WINDOW);
     }
-    let d1 = tnaf::recode(u1, KG_WINDOW);
+    let d1 = tnaf::recode(u1, KG_COMB_WINDOW);
     let d2 = tnaf::recode(u2, KP_WINDOW);
-    let table_g = generator_table();
+    let table_g = &generator_comb()[0];
     let table_q = crate::cache::table_for(q, KP_WINDOW);
-    let len = d1.len().max(d2.len());
     let mut acc = LdPoint::INFINITY;
-    for i in (0..len).rev() {
-        acc = acc.frobenius();
-        if let Some(&d) = d1.get(i) {
-            if d > 0 {
-                acc = acc.add_affine(&table_g[(d as usize) / 2]);
-            } else if d < 0 {
-                acc = acc.add_affine(&table_g[(-d as usize) / 2].negated());
-            }
-        }
-        if let Some(&d) = d2.get(i) {
-            if d > 0 {
-                acc = acc.add_affine(&table_q[(d as usize) / 2]);
-            } else if d < 0 {
-                acc = acc.add_affine(&table_q[(-d as usize) / 2].negated());
-            }
-        }
+    for (&g, &q) in d1.iter().zip(&d2).rev() {
+        acc = add_digit(acc.frobenius(), g, table_g);
+        acc = add_digit(acc, q, &table_q);
     }
     acc
 }
@@ -509,12 +591,21 @@ mod tests {
 
     #[test]
     fn double_multiply_matches_separate_multiplications() {
+        // Q and its shifts into the three torsion cosets, against the
+        // paper's kG loop plus a separate kP.
         let q = generator().mul_binary(&Int::from(777i64));
-        for seed in 1..5u64 {
-            let u1 = scalar(seed + 300);
-            let u2 = scalar(seed + 400);
-            let separate = mul_g(&u1).add(&mul_wtnaf(&q, &u2, 4));
-            assert_eq!(double_multiply(&u1, &u2, &q), separate, "seed {seed}");
+        let cosets = std::iter::once(q).chain(torsion().map(|t| q.add(&t)));
+        for (c, qc) in cosets.enumerate() {
+            for seed in 1..5u64 {
+                let u1 = scalar(seed + 300 + 10 * c as u64);
+                let u2 = scalar(seed + 400 + 10 * c as u64);
+                let separate = mul_g_horner(&u1).to_affine().add(&mul_wtnaf(&qc, &u2, 4));
+                assert_eq!(
+                    double_multiply(&u1, &u2, &qc),
+                    separate,
+                    "coset {c} seed {seed}"
+                );
+            }
         }
     }
 
@@ -529,12 +620,75 @@ mod tests {
             mul_g(&k),
             "infinity Q degenerates to a single multiplication"
         );
-        // u1·G + u2·Q = O when u2·Q = −u1·G.
+        // u1·G + u2·Q = O when u2·Q = −u1·G: with Q = G and with Q = 99·G.
         let u1 = Int::from(5i64);
-        let g5 = mul_g(&u1);
         let neg_scalar = (&order() - &u1).mod_positive(&order());
         assert!(double_multiply(&u1, &neg_scalar, &generator()).is_infinity());
-        let _ = g5;
+        let u1 = scalar(501);
+        let u2 = Int::from(99i64).mod_inverse(&order()).unwrap();
+        let u2 = (&order() - &(&u1 * &u2)).mod_positive(&order());
+        assert!(double_multiply(&u1, &u2, &q).is_infinity());
+    }
+
+    /// Scalars the comb is checked at: the edges, then seeded values.
+    fn comb_scalars() -> Vec<Int> {
+        let n = order();
+        let top = |bits: usize| &Int::one().shl(bits) - &Int::one();
+        let mut out = vec![
+            Int::zero(),
+            Int::one(),
+            Int::from(2i64),
+            &n - &Int::one(),
+            n.clone(),
+            &n + &Int::one(),
+            top(232),
+            top(256),
+        ];
+        out.extend((1..6u64).map(|seed| scalar(seed + 1100)));
+        out
+    }
+
+    #[test]
+    fn comb_matches_horner_at_every_strip_count() {
+        let strip0 = &generator_comb()[0];
+        let want: Vec<Affine> = comb_scalars()
+            .iter()
+            .map(|k| mul_g_horner(k).to_affine())
+            .collect();
+        for d in 1..=KG_COMB_STRIPS {
+            let strips = comb_strips(strip0.clone(), d);
+            assert_eq!(strips.len(), d);
+            for (k, want) in comb_scalars().iter().zip(&want) {
+                let digits = tnaf::recode(k, KG_COMB_WINDOW);
+                let got = eval_comb_proj(&digits, &strips).to_affine();
+                assert_eq!(got, *want, "d = {d}, k = {k}");
+            }
+        }
+        for (k, want) in comb_scalars().iter().zip(&want) {
+            assert_eq!(mul_g(k), *want, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn comb_strip_zero_is_the_w8_table() {
+        let comb = generator_comb();
+        assert_eq!(comb.len(), KG_COMB_STRIPS);
+        assert_eq!(comb_strip_len(KG_COMB_STRIPS), 30);
+        assert!(comb.iter().all(|strip| strip.len() == 64));
+        assert_eq!(comb[0], precompute_table_binary(&generator(), 8));
+    }
+
+    #[test]
+    fn comb_strip_j_is_strip_zero_after_jl_frobenius_maps() {
+        let comb = generator_comb();
+        let l = comb_strip_len(KG_COMB_STRIPS);
+        let mut shifted = comb[0].clone();
+        for (j, strip) in comb.iter().enumerate() {
+            assert_eq!(*strip, shifted, "strip {j}");
+            for _ in 0..l {
+                shifted = shifted.iter().map(Affine::frobenius).collect();
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   trace-based subgroup check against n·P on k·G shifted into every
 //!   coset of the order-n subgroup; the projective wTNAF table build
 //!   against its affine `mul_binary` oracle at every window width, on
-//!   the same shifted points; the fixed-width τ-adic recoding
+//!   the same shifted points; the τ-adic kG comb against the paper's
+//!   single-table Horner loop, and the double multiply against the
+//!   Horner sum on the shifted points; the fixed-width τ-adic recoding
 //!   against its `Int` pipeline, digit for digit at every width; the
 //!   mod-n batch inversion against per-element inversion; and the
 //!   fixed-width mod-n arithmetic (reductions, ring operations and the
@@ -214,6 +216,7 @@ const WIRE_DOMAIN: u64 = 0x3175;
 const BATCH_DOMAIN: u64 = 0xba7c4;
 const SHA_DOMAIN: u64 = 0x5aa256;
 const SCALAR_FIXED_DOMAIN: u64 = 0x5ca1f1;
+const KG_COMB_DOMAIN: u64 = 0xc0b8;
 
 /// Size of the global case list: the four phase case lists
 /// concatenated (field, then scalar, then wire, then batch). This is
@@ -859,6 +862,35 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                 });
             }
         }
+        // The kG comb against the paper's single-table loop, and the
+        // double multiply (G half on the comb's strip 0) against the
+        // Horner sum, for Q = k·G shifted into each coset.
+        let horner = mul::mul_g_horner(&k).to_affine();
+        let mut kg_rng = SplitMix64::substream(config.seed, KG_COMB_DOMAIN, case as u64);
+        let u = rand_scalar_wide(&mut kg_rng);
+        let kg_checks =
+            std::iter::once((None, mul::mul_g(&k) == horner)).chain(shifts.iter().map(|shift| {
+                let q = reference.add(shift);
+                let want = horner.add(&mul::mul_wtnaf(&q, &u, 4));
+                (Some(shift), mul::double_multiply(&k, &u, &q) == want)
+            }));
+        for (shift, agreed) in kg_checks {
+            report.record("kg_horner/kg_comb", agreed);
+            if !agreed {
+                report.disagreements.push(Disagreement {
+                    domain: "scalar",
+                    pair: "kg_horner/kg_comb".to_string(),
+                    case_index: case,
+                    input: k.to_hex(),
+                    detail: match shift {
+                        None => "k·G differs from the Horner loop".to_string(),
+                        Some(shift) => format!(
+                            "k·G + u·(k·G + {shift}) differs from the Horner sum for u = {u}"
+                        ),
+                    },
+                });
+            }
+        }
         // The recoding fixed-length invariant (satellite fix): no
         // scalar may change the digit count.
         let fixed = tnaf::recode(&k, 4).len() == tnaf::recode_length()
@@ -1270,6 +1302,8 @@ mod tests {
             assert!(!report.pairs.iter().any(|p| p.pair.contains("sha_ni")));
         }
         assert_eq!(find("binary/wtnaf_w4"), 14);
+        assert_eq!(find("binary/tnaf"), 14);
+        assert_eq!(find("binary/kg_window"), 14);
         assert_eq!(find("binary/ladder"), 14);
         assert_eq!(find("recode/fixed_length"), 14);
         assert_eq!(find("recode_int/recode_fixed"), 14);
@@ -1278,6 +1312,8 @@ mod tests {
         // k·G shifted into each of the four cosets.
         assert_eq!(find("order_binary/order_trace"), 4 * 14);
         assert_eq!(find("table_binary/table_proj"), 4 * 14);
+        // kG, then the double multiply in each of the four cosets.
+        assert_eq!(find("kg_horner/kg_comb"), 5 * 14);
         // Each batch case checks the drawn batch and its widened copy.
         assert_eq!(find("pointwise_inv/batch_inv"), 12);
         assert_eq!(find("batch_inv/batch_inv_counted"), 6);

@@ -651,20 +651,23 @@ mod tests {
     #[test]
     fn comb_matches_horner_at_every_strip_count() {
         let strip0 = &generator_comb()[0];
-        let want: Vec<Affine> = comb_scalars()
-            .iter()
-            .map(|k| mul_g_horner(k).to_affine())
+        let cases: Vec<(Int, Affine)> = comb_scalars()
+            .into_iter()
+            .map(|k| {
+                let want = mul_g_horner(&k).to_affine();
+                (k, want)
+            })
             .collect();
         for d in 1..=KG_COMB_STRIPS {
             let strips = comb_strips(strip0.clone(), d);
             assert_eq!(strips.len(), d);
-            for (k, want) in comb_scalars().iter().zip(&want) {
+            for (k, want) in &cases {
                 let digits = tnaf::recode(k, KG_COMB_WINDOW);
                 let got = eval_comb_proj(&digits, &strips).to_affine();
                 assert_eq!(got, *want, "d = {d}, k = {k}");
             }
         }
-        for (k, want) in comb_scalars().iter().zip(&want) {
+        for (k, want) in &cases {
             assert_eq!(mul_g(k), *want, "k = {k}");
         }
     }

@@ -52,8 +52,10 @@ grep -Eq "tier-pair scalar_int/scalar_fixed +[0-9]+ cases, 0 disagreements" /tmp
 # The projective wTNAF table build agrees with its affine oracle.
 grep -Eq "tier-pair table_binary/table_proj +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 # The host kG comb and the double multiply's w = 8 G half agree with
-# the paper's single-table Horner loop.
+# the paper's single-table Horner loop, and the double multiply with
+# the affine double-and-add oracle.
 grep -Eq "tier-pair kg_horner/kg_comb +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
+grep -Eq "tier-pair binary/double_mul +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 # The carry-less host kernels agree with the paper tier they replace.
 for pair in paper/clmul_mul paper/clmul_sqr eea/clmul_inv; do
   grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
@@ -73,6 +75,7 @@ grep -Eq "tier-pair scalar_inv/scalar_batch_inv +[0-9]+ cases, 0 disagreements" 
 grep -Eq "tier-pair scalar_int/scalar_fixed +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair table_binary/table_proj +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair kg_horner/kg_comb +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
+grep -Eq "tier-pair binary/double_mul +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 for pair in paper/clmul_mul paper/clmul_sqr eea/clmul_inv; do
   grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 done

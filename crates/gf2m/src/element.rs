@@ -223,7 +223,7 @@ impl Fe {
     }
 
     /// The trace Tr(x) = Σ x^(2^i) ∈ {0, 1}, used when solving
-    /// quadratics (point decompression, halving, the subgroup check).
+    /// quadratics (point decompression, the subgroup check).
     ///
     /// The trace is linear, so Tr(x) is the xor of Tr(z^i) over the set
     /// coefficients; for z^233 + z^74 + 1 only z^0 and z^159 have trace
@@ -233,8 +233,7 @@ impl Fe {
     }
 
     /// The square root √x = x^(2^(m−1)) — squaring is a bijection in
-    /// F₂^m, so every element has exactly one root. Used by point
-    /// halving and point decompression variants.
+    /// F₂^m, so every element has exactly one root.
     ///
     /// ```
     /// use gf2m::Fe;

@@ -193,82 +193,6 @@ impl Affine {
         }
     }
 
-    /// Point halving (Knudsen/Schroeppel): returns a `Q` with `2Q = self`,
-    /// or `None` if the point is not a double (`Tr(x) ≠ Tr(a) = 0`).
-    ///
-    /// Halving replaces the doubling's field inversion with one
-    /// half-trace, one square root and one multiplication, which is why
-    /// halve-and-add competes with double-and-add on binary curves.
-    ///
-    /// The half is two-valued — `Q` and `Q + (0,1)` both double back to
-    /// `self` — and on this curve (cofactor 4, an order-4 point exists)
-    /// *no local trace test separates them*: picking the wrong one makes
-    /// the grandchild generation non-halvable. This function prefers a
-    /// branch whose result is itself halvable when one exists; iterating
-    /// callers handle the occasional dead end by adding the 2-torsion
-    /// point `(0, 1)` and halving again (see the tests).
-    pub fn halve(&self) -> Option<Affine> {
-        match *self {
-            Affine::Infinity => Some(Affine::Infinity),
-            Affine::Point { x, y } => {
-                // Solve λ² + λ = x (a = 0); solvable iff Tr(x) = 0.
-                if x.trace() != 0 {
-                    return None;
-                }
-                let lambda = x.half_trace();
-                // u² = y + x·λ + x, v = u·λ + u².
-                let usq = y + x * lambda + x;
-                let u = usq.sqrt();
-                // Two halves exist (λ and λ+1, differing by the
-                // 2-torsion point); pick the one that is itself
-                // halvable (Tr(u) = 0) so halving can be iterated —
-                // that branch is the one inside the doubled subgroup.
-                let (lambda, usq, u) = if u.trace() == 0 {
-                    (lambda, usq, u)
-                } else {
-                    let usq2 = usq + x;
-                    (lambda + Fe::ONE, usq2, usq2.sqrt())
-                };
-                let v = u * lambda + usq;
-                let q = Affine::Point { x: u, y: v };
-                debug_assert!(q.is_on_curve());
-                Some(q)
-            }
-        }
-    }
-
-    /// Point halving that stays in the halvable chain: of the two halves
-    /// (`Q` and `Q + (0,1)`), returns the one whose own half exists —
-    /// one level of look-ahead, since on this cofactor-4 curve the twins
-    /// share every local trace invariant (Tr is Frobenius-invariant, so
-    /// `Tr(u)` and `Tr(u + √x)` are equal whenever `Tr(x) = 0`).
-    ///
-    /// For points of odd order this returns the subgroup half every
-    /// time, so it can be iterated indefinitely (halve-and-add).
-    pub fn halve_in_subgroup(&self) -> Option<Affine> {
-        let c1 = self.halve()?;
-        if c1.is_infinity() {
-            return Some(c1);
-        }
-        let child_exists = |c: &Affine| match *c {
-            Affine::Infinity => true,
-            Affine::Point { x, y } => is_quadruple(x, y),
-        };
-        if child_exists(&c1) {
-            return Some(c1);
-        }
-        let torsion = Affine::Point {
-            x: Fe::ZERO,
-            y: Fe::ONE,
-        };
-        let c2 = c1.add(&torsion);
-        if child_exists(&c2) {
-            Some(c2)
-        } else {
-            None
-        }
-    }
-
     /// Binary double-and-add scalar multiplication in affine
     /// coordinates (one field inversion per doubling and addition) — the
     /// slow reference that everything faster is tested against. `k` may
@@ -591,81 +515,6 @@ mod tests {
         let t = Affine::new(Fe::ZERO, Fe::ONE).unwrap();
         let bytes = t.to_compressed_bytes();
         assert_eq!(Affine::from_compressed_bytes(&bytes), Ok(t));
-    }
-
-    #[test]
-    fn halving_inverts_doubling() {
-        let g = generator();
-        for k in 1..15i64 {
-            let p = g.mul_binary(&Int::from(k));
-            let q = p.halve().expect("odd-order points are halvable");
-            assert!(q.is_on_curve(), "k = {k}");
-            assert_eq!(q.double(), p, "2·halve(P) = P for k = {k}");
-        }
-        assert_eq!(Affine::Infinity.halve(), Some(Affine::Infinity));
-    }
-
-    #[test]
-    fn repeated_halving_stays_consistent() {
-        // halve^8 then double^8 must return to the start. When a halving
-        // step picks the 2-torsion twin, the next point is a dead end;
-        // the standard recovery is to add T = (0,1) (which doubles away)
-        // and halve that instead.
-        let torsion = Affine::new(Fe::ZERO, Fe::ONE).expect("on curve");
-        let _ = torsion;
-        let p = generator().mul_binary(&Int::from(12345i64));
-        let mut q = p;
-        for step in 0..8 {
-            q = q
-                .halve_in_subgroup()
-                .unwrap_or_else(|| panic!("subgroup half must exist at step {step}"));
-            assert!(q.is_on_curve());
-        }
-        for _ in 0..8 {
-            q = q.double();
-        }
-        assert_eq!(q, p);
-    }
-
-    #[test]
-    fn subgroup_halving_matches_scalar_division() {
-        // halve_in_subgroup must equal (2⁻¹ mod n)·P exactly (not the
-        // torsion twin), for odd-order P.
-        let p = generator().mul_binary(&Int::from(9999i64));
-        let two_inv = crate::Scalar::new(Int::from(2i64))
-            .invert()
-            .expect("2 invertible");
-        let want = crate::mul::mul_wtnaf(&p, &two_inv, 4);
-        assert_eq!(p.halve_in_subgroup(), Some(want));
-    }
-
-    #[test]
-    fn halve_agrees_with_scalar_inverse_of_two() {
-        // In the odd-order subgroup the halvable branch must equal
-        // (2⁻¹ mod n)·P, possibly offset by the 2-torsion point T.
-        let p = generator().mul_binary(&Int::from(777i64));
-        let two_inv = crate::Scalar::new(Int::from(2i64))
-            .invert()
-            .expect("2 is invertible");
-        let want = crate::mul::mul_wtnaf(&p, &two_inv, 4);
-        let got = p.halve().expect("halvable");
-        let torsion = Affine::new(Fe::ZERO, Fe::ONE).expect("on curve");
-        assert!(
-            got == want || got == want.add(&torsion),
-            "half must be the subgroup half or its 2-torsion twin"
-        );
-    }
-
-    #[test]
-    fn non_halvable_points_are_rejected() {
-        // (1,1) is on the curve with Tr(1) = 1 (m odd), hence not in 2E.
-        let p = Affine::new(Fe::ONE, Fe::ONE).expect("on curve");
-        assert_eq!(p.halve(), None);
-        // Sanity: it is an order-4-ish point: 2·(1,1) = (0,1).
-        assert_eq!(
-            p.double(),
-            Affine::new(Fe::ZERO, Fe::ONE).expect("on curve")
-        );
     }
 
     #[test]

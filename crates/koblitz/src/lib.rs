@@ -18,8 +18,10 @@
 //! * [`mul`] — point multiplication: wTNAF random-point kP (w = 4),
 //!   fixed-point kG (the paper's w = 6 precomputed table, which the
 //!   modeled tier keeps; on the host a τ-adic comb of eight
-//!   Frobenius-shifted w = 8 strips), plus the Montgomery-ladder
-//!   variant the paper's §5 proposes as future work;
+//!   Frobenius-shifted w = 8 strips) and the double multiply, all on
+//!   the host through one τ-adic Horner evaluator over (digit lane,
+//!   table) pairs, plus the Montgomery-ladder variant the paper's §5
+//!   proposes as future work;
 //! * [`cache`] — a bounded LRU of wTNAF precomputation tables so
 //!   repeated kP against the same base point skips the table build;
 //! * [`scalar`] — arithmetic modulo the group order (for ECDH/ECDSA);

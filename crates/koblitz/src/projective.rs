@@ -128,16 +128,6 @@ impl LdPoint {
             z: self.z.square(),
         }
     }
-
-    /// Point negation: −(X, Y, Z) = (X, X·Z + Y, Z). Costs 1M.
-    #[must_use]
-    pub fn negated(&self) -> LdPoint {
-        LdPoint {
-            x: self.x,
-            y: self.x * self.z + self.y,
-            z: self.z,
-        }
-    }
 }
 
 impl From<Affine> for LdPoint {
@@ -302,14 +292,6 @@ mod tests {
         let via_ld = acc.frobenius().to_affine();
         let via_affine = acc.to_affine().frobenius();
         assert_eq!(via_ld, via_affine);
-    }
-
-    #[test]
-    fn negation_matches_affine() {
-        let p = multiple(11);
-        let acc = LdPoint::from_affine(&p).double(); // Z != 1
-        assert_eq!(acc.negated().to_affine(), acc.to_affine().negated());
-        assert!(LdPoint::INFINITY.negated().is_infinity());
     }
 
     #[test]

@@ -891,6 +891,22 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                 });
             }
         }
+        // The double multiply against an oracle that shares no τ-adic
+        // code: k·G + u·Q by affine double-and-add, for Q = k·G. Only
+        // the subgroup: in the other cosets reduction mod δ does not
+        // give u·Q, so those stay with the Horner sum above.
+        let agreed =
+            mul::double_multiply(&k, &u, &reference) == reference.add(&reference.mul_binary(&u));
+        report.record("binary/double_mul", agreed);
+        if !agreed {
+            report.disagreements.push(Disagreement {
+                domain: "scalar",
+                pair: "binary/double_mul".to_string(),
+                case_index: case,
+                input: k.to_hex(),
+                detail: format!("k·G + u·(k·G) differs from the binary oracle for u = {u}"),
+            });
+        }
         // The recoding fixed-length invariant (satellite fix): no
         // scalar may change the digit count.
         let fixed = tnaf::recode(&k, 4).len() == tnaf::recode_length()
@@ -1314,6 +1330,7 @@ mod tests {
         assert_eq!(find("table_binary/table_proj"), 4 * 14);
         // kG, then the double multiply in each of the four cosets.
         assert_eq!(find("kg_horner/kg_comb"), 5 * 14);
+        assert_eq!(find("binary/double_mul"), 14);
         // Each batch case checks the drawn batch and its widened copy.
         assert_eq!(find("pointwise_inv/batch_inv"), 12);
         assert_eq!(find("batch_inv/batch_inv_counted"), 6);

@@ -56,6 +56,8 @@ grep -Eq "tier-pair table_binary/table_proj +[0-9]+ cases, 0 disagreements" /tmp
 # the affine double-and-add oracle.
 grep -Eq "tier-pair kg_horner/kg_comb +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 grep -Eq "tier-pair binary/double_mul +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
+# A recurring key's joint comb agrees with the two-lane double multiply.
+grep -Eq "tier-pair dm_horner/dm_comb +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
 # The carry-less host kernels agree with the paper tier they replace.
 for pair in paper/clmul_mul paper/clmul_sqr eea/clmul_inv; do
   grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" /tmp/verify_smoke_1.txt
@@ -76,6 +78,7 @@ grep -Eq "tier-pair scalar_int/scalar_fixed +[0-9]+ cases, 0 disagreements" /tmp
 grep -Eq "tier-pair table_binary/table_proj +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair kg_horner/kg_comb +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 grep -Eq "tier-pair binary/double_mul +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
+grep -Eq "tier-pair dm_horner/dm_comb +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 for pair in paper/clmul_mul paper/clmul_sqr eea/clmul_inv; do
   grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" /tmp/verify_m0_1.txt
 done

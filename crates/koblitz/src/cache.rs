@@ -9,20 +9,34 @@
 //! skewed towards a few base points — a gateway verifies many
 //! signatures from the same few public keys, an ECDH responder
 //! re-derives against recurring peers — so repeated kP against the
-//! same base can skip the precomputation entirely. The cache is shared process-wide behind a mutex, bounded
-//! (strict LRU eviction by access stamp), and hands out `Arc`s so
-//! worker threads hold tables without the lock.
+//! same base can skip the precomputation entirely. The cache is shared
+//! process-wide behind a mutex, bounded (strict LRU eviction by access
+//! stamp), and hands out `Arc`s so worker threads hold tables without
+//! the lock.
+//!
+//! A verification key that recurs is a fixed base, like G. Its entry
+//! counts the double multiply's lookups ([`key_tables_for`]); the second
+//! one *promotes* the key, building its comb strips ([`key_comb`], 8
+//! strips of the w = 5 table) so every later verification runs the
+//! joint comb over 30 Frobenius maps instead of 239. A miss never
+//! builds strips, and [`table_for`] (kP, ECDH, admission warm-up)
+//! neither promotes nor reads them, so key churn pays for none.
 
 use crate::curve::Affine;
-use crate::mul::precompute_table;
+use crate::mul::{key_comb, precompute_table, KeyTables, KP_WINDOW};
 use gf2m::N;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Maximum number of cached (point, width) tables. At w = 4 a table is
-/// 4 affine points (240 bytes of coordinates), so the cache tops out
-/// around a few kilobytes — sized for "a gateway's worth" of recurring
-/// public keys, not for unbounded traffic.
+/// Maximum number of cached (point, width) entries. An `Affine` is 68
+/// bytes, so a w = 4 table (4 points) holds 272 bytes of coordinates and
+/// a promoted entry adds 8 strips of 8 points, 4 352 bytes: 4 624 bytes
+/// per promoted key, and at most 32 × 4 624 bytes ≈ 145 KiB of
+/// coordinates when every resident key is promoted — sized for "a
+/// gateway's worth" of recurring public keys, not for unbounded traffic.
 pub const CAPACITY: usize = 32;
+
+/// The double-multiply lookup that promotes a key: its second.
+const PROMOTE_AT: u32 = 2;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Key {
@@ -31,9 +45,23 @@ struct Key {
     y: [u32; N],
 }
 
+impl Key {
+    fn new(p: &Affine, w: u32) -> Key {
+        Key {
+            w,
+            x: *p.x().words(),
+            y: *p.y().words(),
+        }
+    }
+}
+
 struct Entry {
     key: Key,
     table: Arc<Vec<Affine>>,
+    /// The key's comb strips, once promoted.
+    strips: Option<Arc<Vec<Vec<Affine>>>>,
+    /// Double-multiply lookups so far (saturating).
+    uses: u32,
     stamp: u64,
 }
 
@@ -44,6 +72,7 @@ struct Lru {
     hits: u64,
     misses: u64,
     evictions: u64,
+    promotions: u64,
 }
 
 /// Snapshot of the cache's hit/miss counters.
@@ -58,6 +87,8 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Tables currently resident.
     pub entries: usize,
+    /// Keys given comb strips on their second double-multiply lookup.
+    pub promotions: u64,
 }
 
 impl CacheStats {
@@ -78,9 +109,9 @@ fn cache() -> &'static Mutex<Lru> {
 }
 
 /// Locks the cache. A thread that panicked while holding the lock may
-/// have left it half-updated; every table can be recomputed, so the
-/// cache is emptied and the poison cleared instead of failing every
-/// later caller.
+/// have left it half-updated; every table and strip can be recomputed,
+/// so the cache is emptied and the poison cleared instead of failing
+/// every later caller.
 fn lock_cache() -> MutexGuard<'static, Lru> {
     let cache = cache();
     cache.lock().unwrap_or_else(|poisoned| {
@@ -91,37 +122,46 @@ fn lock_cache() -> MutexGuard<'static, Lru> {
     })
 }
 
-/// Returns the wTNAF precomputation table for `p`, computing and
-/// caching it on first use. `p` must be a finite point (the point
-/// multiplication entry points dispatch infinity before any table
-/// work).
-///
-/// The table is returned by `Arc` so callers — including worker
-/// threads in a batch scheduler — never hold the cache lock while
-/// multiplying. The precomputation itself runs *outside* the lock;
-/// concurrent first lookups of the same key may both compute, and the
-/// loser's table is dropped (correctness is unaffected — tables are
-/// deterministic in the key).
-pub fn table_for(p: &Affine, w: u32) -> Arc<Vec<Affine>> {
-    debug_assert!(!p.is_infinity(), "precomputation needs a finite base");
-    let key = Key {
-        w,
-        x: *p.x().words(),
-        y: *p.y().words(),
-    };
-    {
-        let mut lru = lock_cache();
-        lru.clock += 1;
-        let clock = lru.clock;
-        if let Some(e) = lru.entries.iter_mut().find(|e| e.key == key) {
-            e.stamp = clock;
-            let table = Arc::clone(&e.table);
-            lru.hits += 1;
-            return table;
-        }
+/// What one locked lookup found.
+enum Found {
+    Miss,
+    Table(Arc<Vec<Affine>>),
+    /// A resident key on its promoting lookup, without strips yet.
+    Promote,
+    Comb(Arc<Vec<Vec<Affine>>>),
+}
+
+/// Looks `key` up under the lock, counting a hit or a miss. A
+/// double-multiply lookup (`dm`) counts a use and reads the strips.
+fn find(key: &Key, dm: bool) -> Found {
+    let mut guard = lock_cache();
+    let lru = &mut *guard;
+    lru.clock += 1;
+    let Some(e) = lru.entries.iter_mut().find(|e| e.key == *key) else {
         lru.misses += 1;
+        return Found::Miss;
+    };
+    lru.hits += 1;
+    e.stamp = lru.clock;
+    if !dm {
+        return Found::Table(Arc::clone(&e.table));
     }
-    let table = Arc::new(precompute_table(p, w));
+    if let Some(strips) = &e.strips {
+        return Found::Comb(Arc::clone(strips));
+    }
+    e.uses = e.uses.saturating_add(1);
+    if e.uses >= PROMOTE_AT {
+        Found::Promote
+    } else {
+        Found::Table(Arc::clone(&e.table))
+    }
+}
+
+/// Builds the table for a missed `key` outside the lock and inserts it,
+/// evicting the least recently used entry when full. `uses` is the
+/// entry's initial double-multiply count.
+fn insert(p: &Affine, key: Key, uses: u32) -> Arc<Vec<Affine>> {
+    let table = Arc::new(precompute_table(p, key.w));
     let mut lru = lock_cache();
     // Re-check: another thread may have inserted the same key while we
     // computed.
@@ -144,9 +184,65 @@ pub fn table_for(p: &Affine, w: u32) -> Arc<Vec<Affine>> {
     lru.entries.push(Entry {
         key,
         table: Arc::clone(&table),
+        strips: None,
+        uses,
         stamp,
     });
     table
+}
+
+/// Builds `q`'s strips outside the lock and attaches them to its entry,
+/// if it is still resident. A concurrent promotion of the same key may
+/// also build; the first to attach wins and the other's strips serve
+/// only its own call.
+fn promote(q: &Affine, key: Key) -> Arc<Vec<Vec<Affine>>> {
+    let strips = Arc::new(key_comb(q));
+    let mut lru = lock_cache();
+    let Some(i) = lru.entries.iter().position(|e| e.key == key) else {
+        return strips;
+    };
+    if let Some(resident) = &lru.entries[i].strips {
+        return Arc::clone(resident);
+    }
+    lru.entries[i].strips = Some(Arc::clone(&strips));
+    lru.promotions += 1;
+    strips
+}
+
+/// Returns the wTNAF precomputation table for `p`, computing and
+/// caching it on first use. `p` must be a finite point (the point
+/// multiplication entry points dispatch infinity before any table
+/// work). A lookup here never promotes a key.
+///
+/// The table is returned by `Arc` so callers — including worker
+/// threads in a batch scheduler — never hold the cache lock while
+/// multiplying. The precomputation itself runs *outside* the lock;
+/// concurrent first lookups of the same key may both compute, and the
+/// loser's table is dropped (correctness is unaffected — tables are
+/// deterministic in the key).
+pub fn table_for(p: &Affine, w: u32) -> Arc<Vec<Affine>> {
+    debug_assert!(!p.is_infinity(), "precomputation needs a finite base");
+    let key = Key::new(p, w);
+    match find(&key, false) {
+        Found::Table(table) => table,
+        _ => insert(p, key, 0),
+    }
+}
+
+/// The double multiply's lookup of a verification key `q` (finite):
+/// its w = 4 table on a miss or the key's first double-multiply lookup,
+/// its comb strips from the second on. The lookup that promotes the
+/// key builds the strips outside the lock, like a miss builds a table.
+/// Counts hits and misses like [`table_for`], which shares the entry.
+pub fn key_tables_for(q: &Affine) -> KeyTables {
+    debug_assert!(!q.is_infinity(), "precomputation needs a finite base");
+    let key = Key::new(q, KP_WINDOW);
+    match find(&key, true) {
+        Found::Miss => KeyTables::Window(insert(q, key, 1)),
+        Found::Table(table) => KeyTables::Window(table),
+        Found::Promote => KeyTables::Comb(promote(q, key)),
+        Found::Comb(strips) => KeyTables::Comb(strips),
+    }
 }
 
 /// Current hit/miss counters.
@@ -157,6 +253,7 @@ pub fn stats() -> CacheStats {
         misses: lru.misses,
         evictions: lru.evictions,
         entries: lru.entries.len(),
+        promotions: lru.promotions,
     }
 }
 
@@ -169,6 +266,7 @@ pub fn reset() {
     lru.hits = 0;
     lru.misses = 0;
     lru.evictions = 0;
+    lru.promotions = 0;
 }
 
 #[cfg(test)]
@@ -176,7 +274,6 @@ mod tests {
     use super::*;
     use crate::curve::generator;
     use crate::int::Int;
-    use crate::mul::KP_WINDOW;
 
     // The cache is process-global and tests run concurrently; counter
     // assertions serialize on this lock so deltas are attributable.
@@ -208,18 +305,77 @@ mod tests {
     }
 
     #[test]
+    fn second_double_multiply_lookup_promotes() {
+        let p = generator().mul_binary(&Int::from(0x0b5e_55edi64));
+        let before = stats();
+        let first = key_tables_for(&p);
+        assert_eq!(first, KeyTables::Window(table_for(&p, KP_WINDOW)));
+        let second = key_tables_for(&p);
+        assert_eq!(second, KeyTables::Comb(Arc::new(key_comb(&p))));
+        assert!(stats().promotions > before.promotions);
+        // Promoted once: later lookups read the same strips.
+        assert_eq!(key_tables_for(&p), second);
+    }
+
+    #[test]
+    fn table_for_hits_never_promote() {
+        let p = generator().mul_binary(&Int::from(0x7ab1_e0f0i64));
+        for _ in 0..4 {
+            let _ = table_for(&p, KP_WINDOW);
+        }
+        // Four kP lookups leave the key on its first double-multiply use.
+        assert!(matches!(key_tables_for(&p), KeyTables::Window(_)));
+        assert!(matches!(key_tables_for(&p), KeyTables::Comb(_)));
+        // A promoted key still serves kP its w = 4 table.
+        assert_eq!(*table_for(&p, KP_WINDOW), precompute_table(&p, KP_WINDOW));
+    }
+
+    #[test]
     fn poisoned_cache_recovers() {
         let _guard = serial();
         let p = generator().mul_binary(&Int::from(0x9015_0eedi64));
-        let _ = table_for(&p, KP_WINDOW);
+        let _ = key_tables_for(&p);
+        assert!(matches!(key_tables_for(&p), KeyTables::Comb(_)));
         let panicked = std::thread::spawn(|| {
             let _held = lock_cache();
             panic!("deliberate panic while holding the table cache lock");
         })
         .join();
         assert!(panicked.is_err());
-        assert_eq!(*table_for(&p, KP_WINDOW), precompute_table(&p, KP_WINDOW));
+        // Recovery empties the cache, strips with tables: the key starts
+        // over, unpromoted.
+        assert_eq!(
+            key_tables_for(&p),
+            KeyTables::Window(Arc::new(precompute_table(&p, KP_WINDOW)))
+        );
         assert!(!cache().is_poisoned());
+    }
+
+    #[test]
+    fn promoted_keys_stay_within_the_stated_bytes() {
+        let _guard = serial();
+        for k in 0..(CAPACITY as i64 + 4) {
+            let q = generator().mul_binary(&Int::from(950_000 + k));
+            let _ = key_tables_for(&q);
+            assert!(matches!(key_tables_for(&q), KeyTables::Comb(_)));
+        }
+        let point = std::mem::size_of::<Affine>();
+        assert_eq!(point, 68);
+        let lru = lock_cache();
+        let bytes: usize = lru
+            .entries
+            .iter()
+            .map(|e| {
+                let strips = e
+                    .strips
+                    .as_ref()
+                    .map_or(0, |s| s.iter().map(Vec::len).sum());
+                (e.table.len() + strips) * point
+            })
+            .sum();
+        // The module doc's bound: 272 + 4 352 bytes per promoted key.
+        assert!(lru.entries.len() <= CAPACITY);
+        assert!(bytes <= CAPACITY * 4_624, "{bytes} bytes resident");
     }
 
     #[test]

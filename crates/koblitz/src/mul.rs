@@ -4,9 +4,9 @@
 //! τ-adic multiplication on the host runs one private evaluator: a
 //! left-to-right Horner pass over *lanes*, each a digit string paired
 //! with the table its digits index. Step t does one Frobenius map, then
-//! adds each lane's digit t (±α_u from that lane's table, nothing for a
-//! zero) in lane order; a lane shorter than the longest reads 0 past its
-//! end. The callers differ only in the lanes they pass:
+//! adds each lane's non-zero digit t (±α_u from that lane's table) in
+//! lane order; a lane shorter than the longest reads 0 past its end. The
+//! callers differ only in the lanes they pass:
 //!
 //! * [`mul_wtnaf`] — random-point kP with the left-to-right width-w
 //!   TNAF method (the paper uses w = 4), mixed LD-affine additions and
@@ -26,9 +26,16 @@
 //!   slots, so the iteration count does not depend on the scalar. Its
 //!   static size is 8 × 64 = 512 affine points (~34 KiB, host only);
 //!   [`mul_g_horner`], the paper's one-lane loop, is its oracle;
-//! * [`double_multiply`] — u₁·G + u₂·Q as two lanes over one shared
-//!   Frobenius pass: u₁'s w = 8 digits against the comb's strip 0, then
-//!   u₂'s w = 4 digits against Q's cached table;
+//! * [`double_multiply`] — u₁·G + u₂·Q over one shared Frobenius pass.
+//!   A verification key recurs, so it is a fixed base too: on its second
+//!   double multiply the cache promotes it to a comb of its own
+//!   ([`key_comb`]: 8 strips of its w = 5 table, 64 points, 4.3 KiB),
+//!   and from then on the pass is one joint comb of 16 lanes over 30
+//!   Frobenius maps, u₁'s w = 8 digits against G's strips and u₂'s w = 5
+//!   digits against Q's ([`double_multiply_with_strips`]). A key seen
+//!   once runs two lanes over 239 maps, u₁ against the comb's strip 0 and
+//!   u₂'s w = 4 digits against Q's cached table
+//!   ([`double_multiply_with_table`]), the joint comb's reference;
 //! * [`montgomery_ladder`] — the constant-time x-only ladder the paper's
 //!   §5 names as the fix for its timing-variability caveat.
 
@@ -38,7 +45,7 @@ use crate::projective::{batch_to_affine, LdPoint};
 use crate::scalar::U256;
 use crate::tnaf;
 use gf2m::Fe;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Window width the paper uses for random-point multiplication.
 pub const KP_WINDOW: u32 = 4;
@@ -50,8 +57,13 @@ pub const KG_WINDOW: u32 = 6;
 /// per strip.
 pub const KG_COMB_WINDOW: u32 = 8;
 
-/// Strip count d of the host kG comb ([`generator_comb`]).
+/// Strip count d of the host kG comb ([`generator_comb`]) and of a
+/// recurring verification key's comb ([`key_comb`]).
 pub const KG_COMB_STRIPS: usize = 8;
+
+/// Window width of a recurring verification key's comb strips
+/// ([`key_comb`]): 2³ = 8 α_u·Q per strip.
+pub const KEY_COMB_WINDOW: u32 = 5;
 
 /// Panics unless `w` is a supported window width.
 fn assert_window(w: u32) {
@@ -123,26 +135,23 @@ pub fn precompute_table_binary(p: &Affine, w: u32) -> Vec<Affine> {
     out
 }
 
-/// Adds the table point for one wTNAF digit: ±`table[|d|/2]`, or
-/// nothing for d = 0.
+/// Adds the table point for one non-zero wTNAF digit: ±`table[|d|/2]`.
 fn add_digit(acc: LdPoint, d: i8, table: &[Affine]) -> LdPoint {
     if d > 0 {
         acc.add_affine(&table[d as usize / 2])
-    } else if d < 0 {
-        acc.add_affine(&table[d.unsigned_abs() as usize / 2].negated())
     } else {
-        acc
+        acc.add_affine(&table[d.unsigned_abs() as usize / 2].negated())
     }
 }
 
 /// The τ-adic evaluator behind every host multiplication: Horner's
 /// rule over t = L − 1 down to 0, L the longest lane. Each step is one
-/// Frobenius map, then one [`add_digit`] per lane, in lane order, of
-/// that lane's digit t against that lane's table (0 past a short lane's
-/// end). A plain τ-NAF (digits ±1) evaluates against the one-entry
-/// table `[p]`. The result stays in LD projective coordinates so batch
-/// callers can defer the affine conversion — and its inversion — to a
-/// Montgomery batch boundary.
+/// Frobenius map, then one [`add_digit`] per lane, in lane order, for
+/// each non-zero digit t of that lane against that lane's table (a
+/// short lane reads 0 past its end). A plain τ-NAF (digits ±1)
+/// evaluates against the one-entry table `[p]`. The result stays in LD
+/// projective coordinates so batch callers can defer the affine
+/// conversion — and its inversion — to a Montgomery batch boundary.
 fn eval_lanes(lanes: &[(&[i8], &[Affine])]) -> LdPoint {
     let l = lanes.iter().map(|(d, _)| d.len()).max().unwrap_or(0);
     let mut acc = LdPoint::INFINITY;
@@ -151,7 +160,10 @@ fn eval_lanes(lanes: &[(&[i8], &[Affine])]) -> LdPoint {
         // assigning it first, ran kP and the double multiply ~3 % faster
         // in a micro-benchmark.
         acc = lanes.iter().fold(acc.frobenius(), |acc, &(digits, table)| {
-            add_digit(acc, digits.get(t).copied().unwrap_or(0), table)
+            match digits.get(t) {
+                Some(&d) if d != 0 => add_digit(acc, d, table),
+                _ => acc,
+            }
         });
     }
     acc
@@ -292,12 +304,39 @@ pub fn mul_g_horner(k: impl Into<U256>) -> LdPoint {
     eval_lanes(&[(&tnaf::recode(k, KG_WINDOW), generator_table())])
 }
 
+/// The comb strips of a recurring verification key Q: [`KG_COMB_STRIPS`]
+/// strips of Q's w = [`KEY_COMB_WINDOW`] table, strip j holding
+/// τ^(30j)(α_u·Q), built exactly as [`generator_comb`] builds G's (one
+/// table inversion plus 7 × 2^(w−2) pairs of 30-fold squarings).
+/// [`crate::cache`] builds them for a key on its second double-multiply
+/// lookup.
+pub fn key_comb(q: &Affine) -> Vec<Vec<Affine>> {
+    comb_strips(precompute_table(q, KEY_COMB_WINDOW), KG_COMB_STRIPS)
+}
+
+/// Q's precomputation as the double multiply reads it, from
+/// [`crate::cache::key_tables_for`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum KeyTables {
+    /// A key not yet promoted: its w = [`KP_WINDOW`] table.
+    Window(Arc<Vec<Affine>>),
+    /// A recurring key: its [`key_comb`] strips.
+    Comb(Arc<Vec<Vec<Affine>>>),
+}
+
 /// Simultaneous double multiplication u₁·G + u₂·Q by interleaved
-/// width-w TNAF evaluation (the τ-adic Shamir–Strauss trick): two lanes
-/// over one shared Frobenius pass instead of two passes, so an ECDSA
-/// verification costs barely more than a single random-point
-/// multiplication. Lane 0 is u₁ at w = 8 against the comb's strip 0,
-/// lane 1 is u₂ at w = 4 against Q's table from the cache.
+/// width-w TNAF evaluation (the τ-adic Shamir–Strauss trick): one
+/// shared Frobenius pass of the lane evaluator instead of two passes,
+/// so an ECDSA verification costs barely more than a single
+/// random-point multiplication. Q's tables come from the cache
+/// ([`crate::cache::key_tables_for`]), which decides the lanes:
+///
+/// * a key on its first double-multiply lookup runs two lanes over 239
+///   Frobenius maps ([`double_multiply_with_table`]): u₁ at w = 8
+///   against the comb's strip 0, u₂ at w = 4 against Q's table;
+/// * a key seen before runs the joint comb over 30 Frobenius maps
+///   ([`double_multiply_with_strips`]): u₁'s 8 lanes against G's strips,
+///   then u₂'s 8 lanes at w = [`KEY_COMB_WINDOW`] against Q's.
 ///
 /// # Panics
 ///
@@ -318,10 +357,46 @@ pub fn double_multiply_proj(u1: impl Into<U256>, u2: impl Into<U256>, q: &Affine
     if u1.is_zero() {
         return mul_wtnaf_proj(q, u2, KP_WINDOW);
     }
+    match crate::cache::key_tables_for(q) {
+        KeyTables::Window(table) => double_multiply_with_table(u1, u2, &table),
+        KeyTables::Comb(strips) => double_multiply_with_strips(u1, u2, &strips),
+    }
+}
+
+/// u₁·G + u₂·Q in two lanes over 239 Frobenius maps: u₁'s w = 8 digits
+/// against the comb's strip 0, then u₂'s w = 4 digits against `table_q`,
+/// Q's [`precompute_table`] at [`KP_WINDOW`]. The path of a key seen
+/// once, and the reference of the joint comb.
+pub fn double_multiply_with_table(
+    u1: impl Into<U256>,
+    u2: impl Into<U256>,
+    table_q: &[Affine],
+) -> LdPoint {
     let d1 = tnaf::recode(u1, KG_COMB_WINDOW);
     let d2 = tnaf::recode(u2, KP_WINDOW);
-    let table_q = crate::cache::table_for(q, KP_WINDOW);
-    eval_lanes(&[(&d1, &generator_comb()[0]), (&d2, &table_q)])
+    eval_lanes(&[(&d1, &generator_comb()[0]), (&d2, table_q)])
+}
+
+/// u₁·G + u₂·Q as one joint comb over 30 Frobenius maps: u₁'s w = 8
+/// digits in 8 lanes against [`generator_comb`], then u₂'s w =
+/// [`KEY_COMB_WINDOW`] digits in 8 lanes against `strips_q`, Q's
+/// [`key_comb`]. Same point as [`double_multiply_with_table`].
+///
+/// # Panics
+///
+/// Panics unless `strips_q` has [`KG_COMB_STRIPS`] strips.
+pub fn double_multiply_with_strips(
+    u1: impl Into<U256>,
+    u2: impl Into<U256>,
+    strips_q: &[Vec<Affine>],
+) -> LdPoint {
+    assert_eq!(strips_q.len(), KG_COMB_STRIPS, "one strip per comb lane");
+    let d1 = tnaf::recode(u1, KG_COMB_WINDOW);
+    let d2 = tnaf::recode(u2, KEY_COMB_WINDOW);
+    let mut lanes = comb_lanes(&d1, generator_comb()).chain(comb_lanes(&d2, strips_q));
+    let lanes: [_; 2 * KG_COMB_STRIPS] =
+        std::array::from_fn(|_| lanes.next().expect("one digit chunk per strip"));
+    eval_lanes(&lanes)
 }
 
 /// x-only Montgomery doubling: (X, Z) → (X⁴ + b·Z⁴, X²·Z²), b = 1.
@@ -602,6 +677,19 @@ mod tests {
         }
     }
 
+    /// u₁·G + u₂·Q along every double-multiply path: a fresh key's two
+    /// lanes and a promoted key's joint comb, each on explicit tables,
+    /// then the cached entry point twice, which runs both for a key it
+    /// has not seen.
+    fn double_multiply_paths(u1: &Int, u2: &Int, q: &Affine) -> [Affine; 4] {
+        [
+            double_multiply_with_table(u1, u2, &precompute_table(q, KP_WINDOW)).to_affine(),
+            double_multiply_with_strips(u1, u2, &key_comb(q)).to_affine(),
+            double_multiply(u1, u2, q),
+            double_multiply(u1, u2, q),
+        ]
+    }
+
     #[test]
     fn double_multiply_matches_separate_multiplications() {
         // Q and its shifts into the three torsion cosets, against the
@@ -613,11 +701,9 @@ mod tests {
                 let u1 = scalar(seed + 300 + 10 * c as u64);
                 let u2 = scalar(seed + 400 + 10 * c as u64);
                 let separate = mul_g_horner(&u1).to_affine().add(&mul_wtnaf(&qc, &u2, 4));
-                assert_eq!(
-                    double_multiply(&u1, &u2, &qc),
-                    separate,
-                    "coset {c} seed {seed}"
-                );
+                for (path, got) in double_multiply_paths(&u1, &u2, &qc).iter().enumerate() {
+                    assert_eq!(*got, separate, "coset {c} seed {seed} path {path}");
+                }
             }
         }
     }
@@ -626,21 +712,31 @@ mod tests {
     fn double_multiply_edge_cases() {
         let q = generator().mul_binary(&Int::from(99i64));
         let k = scalar(500);
-        assert_eq!(double_multiply(&Int::zero(), &k, &q), mul_wtnaf(&q, &k, 4));
-        assert_eq!(double_multiply(&k, &Int::zero(), &q), mul_g(&k));
+        let zero = Int::zero();
+        let all = |u1: &Int, u2: &Int, q: &Affine, want: Affine, label: &str| {
+            for (path, got) in double_multiply_paths(u1, u2, q).iter().enumerate() {
+                assert_eq!(*got, want, "{label}, path {path}");
+            }
+        };
+        all(&zero, &k, &q, mul_wtnaf(&q, &k, 4), "u1 = 0");
+        all(&k, &zero, &q, mul_g(&k), "u2 = 0");
         assert_eq!(
             double_multiply(&k, &k, &Affine::Infinity),
             mul_g(&k),
             "infinity Q degenerates to a single multiplication"
         );
+        // Q = G: both halves read tables of the same point.
+        let g = generator();
+        let u2 = scalar(502);
+        all(&k, &u2, &g, g.mul_binary(&(&k + &u2)), "Q = G");
         // u1·G + u2·Q = O when u2·Q = −u1·G: with Q = G and with Q = 99·G.
         let u1 = Int::from(5i64);
         let neg_scalar = (&order() - &u1).mod_positive(&order());
-        assert!(double_multiply(&u1, &neg_scalar, &generator()).is_infinity());
+        all(&u1, &neg_scalar, &g, Affine::Infinity, "Q = G, sum O");
         let u1 = scalar(501);
         let u2 = Int::from(99i64).mod_inverse(&order()).unwrap();
         let u2 = (&order() - &(&u1 * &u2)).mod_positive(&order());
-        assert!(double_multiply(&u1, &u2, &q).is_infinity());
+        all(&u1, &u2, &q, Affine::Infinity, "Q = 99·G, sum O");
     }
 
     /// Scalars the comb is checked at: the edges, then seeded values.

@@ -9,11 +9,11 @@
 //! movement.
 
 use koblitz::cache::{self, CAPACITY};
-use koblitz::mul::KP_WINDOW;
+use koblitz::mul::{self, KeyTables, KP_WINDOW};
 use koblitz::{generator, Int};
 use std::sync::{Mutex, MutexGuard};
 
-// The two tests in this binary still share the one global cache;
+// The tests in this binary still share the one global cache;
 // serialize them so each owns the counters it resets.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -57,6 +57,29 @@ fn unique_key_flood_degrades_hit_rate_without_growing() {
     let s2 = cache::stats();
     assert_eq!(s2.hits, 4, "recurring keys hit once resident");
     assert!(s2.hit_rate() > 0.0);
+}
+
+#[test]
+fn unique_key_verification_flood_builds_no_strips() {
+    const FLOOD: i64 = 2 * CAPACITY as i64;
+    let _guard = serial();
+    cache::reset();
+    let u1 = Int::from(0x1234_5678i64);
+    let u2 = Int::from(0x0abc_def1i64);
+    for k in 0..FLOOD {
+        let q = generator().mul_binary(&Int::from(6_000_000 + k));
+        let want = generator().mul_binary(&(&u1 + &(&u2 * &Int::from(6_000_000 + k))));
+        assert_eq!(mul::double_multiply(&u1, &u2, &q), want);
+    }
+    let s = cache::stats();
+    assert_eq!(s.misses, FLOOD as u64, "unique keys never hit");
+    assert_eq!(s.promotions, 0, "a key seen once gets no strips");
+
+    // A key that recurs is promoted on its second double multiply.
+    let q = generator().mul_binary(&Int::from(6_900_000i64));
+    assert!(matches!(cache::key_tables_for(&q), KeyTables::Window(_)));
+    assert!(matches!(cache::key_tables_for(&q), KeyTables::Comb(_)));
+    assert_eq!(cache::stats().promotions, 1);
 }
 
 #[test]

@@ -17,7 +17,8 @@
 //!    3(N−1) multiplications instead of N inversions;
 //! 3. *table caching* — repeated operations against the same public
 //!    key hit the process-wide wTNAF table cache ([`koblitz::cache`])
-//!    instead of re-running `TNAF_Precomputation`;
+//!    instead of re-running `TNAF_Precomputation`, and a recurring
+//!    verification key gets comb strips, like G's;
 //! 4. *scalar batch inversion* — signing inverts every nonce k and
 //!    verification every s with one mod-n inversion per batch
 //!    ([`Scalar::batch_invert`]), the same trick over ℤ/nℤ.
@@ -174,8 +175,10 @@ pub struct VerifyJob<'a> {
 /// inversion.
 ///
 /// Returns exactly what [`crate::ecdsa::verify`] would return for each
-/// job, in input order. Verifications against a recurring public key
-/// additionally hit the wTNAF table cache.
+/// job, in input order. A public key's second verification promotes it
+/// in the wTNAF table cache ([`koblitz::cache::key_tables_for`]): from
+/// then on its double multiply is one joint comb over 30 Frobenius maps
+/// instead of two lanes over 239.
 pub fn verify_batch(jobs: &[VerifyJob<'_>], workers: usize) -> Vec<Result<(), VerifyError>> {
     // Sequential pre-pass: the malformed-signature check, then one
     // mod-n inversion for the s of every well-formed signature.

@@ -217,6 +217,7 @@ const BATCH_DOMAIN: u64 = 0xba7c4;
 const SHA_DOMAIN: u64 = 0x5aa256;
 const SCALAR_FIXED_DOMAIN: u64 = 0x5ca1f1;
 const KG_COMB_DOMAIN: u64 = 0xc0b8;
+const DM_COMB_DOMAIN: u64 = 0xd0c0b8;
 
 /// Size of the global case list: the four phase case lists
 /// concatenated (field, then scalar, then wire, then batch). This is
@@ -661,6 +662,23 @@ fn scalar_edges() -> Vec<Int> {
     ]
 }
 
+/// The comb's scalar edges, which the `dm_horner/dm_comb` pair gives
+/// to both u₁ and u₂: 0, 1, 2, n − 1, n, n + 1, 2²³² − 1 and 2²⁵⁶ − 1.
+fn dm_scalar_edges() -> Vec<Int> {
+    let n = curve::order();
+    let top = |bits: usize| &Int::one().shl(bits) - &Int::one();
+    vec![
+        Int::zero(),
+        Int::one(),
+        Int::from(2i64),
+        &n - &Int::one(),
+        n.clone(),
+        &n + &Int::one(),
+        top(232),
+        top(256),
+    ]
+}
+
 fn rand_scalar_wide(rng: &mut SplitMix64) -> Int {
     // Deliberately up to 240 bits: values ≥ n must reduce identically
     // across every algorithm.
@@ -860,6 +878,49 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                     input: k.to_hex(),
                     detail: format!("tables differ at w = {w} for k·G + {shift}"),
                 });
+            }
+        }
+        // The joint comb of a promoted key against the two-lane double
+        // multiply of an unpromoted one, for Q = k·G shifted into each
+        // coset. The comb reads explicit strips, so the verdict does not
+        // depend on the global cache; then the cached entry point runs
+        // twice on Q (two lanes, then the comb, for a key it has not
+        // seen). The first cases pair up the comb's scalar edges.
+        let dm_edges = dm_scalar_edges();
+        let (u1, u2) = match dm_edges.get(case) {
+            Some(u1) => (u1.clone(), dm_edges[dm_edges.len() - 1 - case].clone()),
+            None => {
+                let mut dm_rng = SplitMix64::substream(config.seed, DM_COMB_DOMAIN, case as u64);
+                (rand_scalar_wide(&mut dm_rng), rand_scalar_wide(&mut dm_rng))
+            }
+        };
+        for shift in &shifts {
+            let q = reference.add(shift);
+            let table = mul::precompute_table(&q, mul::KP_WINDOW);
+            let want = mul::double_multiply_with_table(&u1, &u2, &table).to_affine();
+            let paths = [
+                (
+                    "promoted key",
+                    mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb(&q)).to_affine(),
+                ),
+                ("first cached lookup", mul::double_multiply(&u1, &u2, &q)),
+                ("second cached lookup", mul::double_multiply(&u1, &u2, &q)),
+            ];
+            for (path, got) in paths {
+                let agreed = got == want;
+                report.record("dm_horner/dm_comb", agreed);
+                if !agreed {
+                    report.disagreements.push(Disagreement {
+                        domain: "scalar",
+                        pair: "dm_horner/dm_comb".to_string(),
+                        case_index: case,
+                        input: k.to_hex(),
+                        detail: format!(
+                            "{path}: u1·G + u2·(k·G + {shift}) differs from the two-lane \
+                             double multiply for u1 = {u1}, u2 = {u2}"
+                        ),
+                    });
+                }
             }
         }
         // The kG comb against the paper's single-table loop, and the
@@ -1331,6 +1392,8 @@ mod tests {
         // kG, then the double multiply in each of the four cosets.
         assert_eq!(find("kg_horner/kg_comb"), 5 * 14);
         assert_eq!(find("binary/double_mul"), 14);
+        // Three double-multiply paths in each of the four cosets.
+        assert_eq!(find("dm_horner/dm_comb"), 3 * 4 * 14);
         // Each batch case checks the drawn batch and its widened copy.
         assert_eq!(find("pointwise_inv/batch_inv"), 12);
         assert_eq!(find("batch_inv/batch_inv_counted"), 6);

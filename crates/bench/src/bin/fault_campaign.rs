@@ -46,13 +46,7 @@ fn main() {
             }
             "--target" => {
                 let v = args.next().expect("--target requires a name");
-                target = m0plus::target::by_name(v).unwrap_or_else(|| {
-                    let known: Vec<&str> = m0plus::target::registry()
-                        .iter()
-                        .map(|t| t.name())
-                        .collect();
-                    panic!("unknown target {v:?}: expected one of {known:?}")
-                });
+                target = bench::target_by_name(v);
             }
             "--shards" => {
                 args.next(); // value consumed by shards_from_args
@@ -67,7 +61,7 @@ fn main() {
     let report = run_campaign_sharded(
         &bench::campaign::CampaignConfig::new(seed, runs).with_target(target),
         shards,
-        shard::default_workers(),
+        protocols::batch::default_workers(),
     );
     print!("{}", render_campaign(&report));
     println!();

@@ -46,13 +46,7 @@ fn main() {
             "--clients" => clients = Some(num("--clients") as u32),
             "--target" => {
                 let v = args.next().expect("--target requires a name");
-                target = m0plus::target::by_name(v).unwrap_or_else(|| {
-                    let known: Vec<&str> = m0plus::target::registry()
-                        .iter()
-                        .map(|t| t.name())
-                        .collect();
-                    panic!("unknown target {v:?}: expected one of {known:?}")
-                });
+                target = bench::target_by_name(v);
             }
             other => panic!(
                 "unknown argument {other:?}: expected --smoke | --overload | --target NAME | \

@@ -47,13 +47,7 @@ fn main() {
             }
             "--target" => {
                 let v = args.next().expect("--target requires a name");
-                target = Some(m0plus::target::by_name(v).unwrap_or_else(|| {
-                    let known: Vec<&str> = m0plus::target::registry()
-                        .iter()
-                        .map(|t| t.name())
-                        .collect();
-                    panic!("unknown target {v:?}: expected one of {known:?}")
-                }));
+                target = Some(bench::target_by_name(v));
             }
             "--shards" => {
                 args.next(); // value consumed by shards_from_args
@@ -114,7 +108,7 @@ fn main() {
     let parts = shard::run_shards(
         differential::total_cases(&diff_cfg),
         shards,
-        shard::default_workers(),
+        protocols::batch::default_workers(),
         |_, window| differential::run_window(&diff_cfg, window),
     );
     let report = differential::merge(&diff_cfg, parts);

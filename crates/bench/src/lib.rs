@@ -17,7 +17,7 @@ pub mod throughput;
 pub mod traffic;
 pub mod workloads;
 
-use m0plus::Backend;
+use m0plus::{Backend, TargetSpec};
 
 /// Parses `--backend code|direct` (or `--backend=code`) from an
 /// argument iterator, defaulting to [`Backend::Direct`].
@@ -42,6 +42,21 @@ pub fn backend_from_args(args: impl Iterator<Item = String>) -> Backend {
             .unwrap_or_else(|| panic!("unknown backend {value:?}: expected code|direct"));
     }
     backend
+}
+
+/// Looks up a `--target NAME` value in the [`m0plus::target`] registry.
+///
+/// # Panics
+///
+/// Panics with the registered names on an unknown target.
+pub fn target_by_name(name: &str) -> &'static TargetSpec {
+    m0plus::target::by_name(name).unwrap_or_else(|| {
+        let known: Vec<&str> = m0plus::target::registry()
+            .iter()
+            .map(|t| t.name())
+            .collect();
+        panic!("unknown target {name:?}: expected one of {known:?}")
+    })
 }
 
 /// Serialises this crate's unit tests that reset or read the
@@ -74,5 +89,18 @@ mod tests {
     #[should_panic(expected = "unknown backend")]
     fn backend_flag_rejects_garbage() {
         parse(&["--backend", "jit"]);
+    }
+
+    #[test]
+    fn target_names_resolve_to_registry_entries() {
+        for t in m0plus::target::registry() {
+            assert!(std::ptr::eq(target_by_name(t.name()), t));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown target \"cortex-a53\": expected one of [\"cortex-m0plus\"")]
+    fn target_lookup_rejects_unknown_names() {
+        target_by_name("cortex-a53");
     }
 }

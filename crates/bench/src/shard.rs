@@ -2,28 +2,16 @@
 //!
 //! A campaign is a list of independent cases (sampled faults, fuzz
 //! seeds). [`windows`] splits the case index range into contiguous
-//! shard windows and [`run_shards`] executes them on a bounded pool of
-//! `std::thread` workers, returning the per-shard outputs **in shard
-//! order** regardless of completion order. As long as each case's
-//! outcome is a pure function of its index (per-case PRNG substreams —
-//! see `prng::SplitMix64::substream`), merging the shard outputs in
-//! window order yields a result that is byte-identical for any shard
-//! and worker count; `ci.sh` diffs `--shards 1` against `--shards 4`
-//! to hold the campaigns to that.
+//! shard windows and [`run_shards`] executes them on at most `workers`
+//! scoped threads (through [`protocols::batch::run_sharded`]),
+//! returning the per-shard outputs **in shard order**. As long as each
+//! case's outcome is a pure function of its index (per-case PRNG
+//! substreams — see `prng::SplitMix64::substream`), merging the shard
+//! outputs in window order yields a result that is byte-identical for
+//! any shard and worker count; `ci.sh` diffs `--shards 1` against
+//! `--shards 4` to hold the campaigns to that.
 
-use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
-
-/// Worker count to use when the caller does not override it:
-/// `std::thread::available_parallelism()`, with a fallback of 1 when
-/// the platform cannot report it.
-pub fn default_workers() -> usize {
-    thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 /// Splits the case range `0..total` into `shards` contiguous windows
 /// in index order; the first `total % shards` windows are one case
@@ -45,12 +33,12 @@ pub fn windows(total: usize, shards: usize) -> Vec<Range<usize>> {
 }
 
 /// Runs `work(shard_index, window)` for every window on at most
-/// `workers` OS threads and returns the outputs **in shard order**.
+/// `workers` threads and returns the outputs **in shard order**.
 ///
-/// Shards are handed out through a shared counter, so slow shards do
-/// not serialise the rest; with `workers <= 1` everything runs inline
-/// on the calling thread. Determinism is the caller's contract: `work`
-/// must not observe anything but its own window.
+/// Each thread takes a contiguous run of windows, the calling thread
+/// the first; with `workers <= 1` everything runs inline on the
+/// calling thread. Determinism is the caller's contract: `work` must
+/// not observe anything but its own window.
 ///
 /// # Panics
 ///
@@ -61,42 +49,7 @@ pub fn run_shards<T: Send>(
     workers: usize,
     work: impl Fn(usize, Range<usize>) -> T + Sync,
 ) -> Vec<T> {
-    let wins = windows(total, shards);
-    let n = wins.len();
-    let threads = workers.clamp(1, n);
-    if threads <= 1 {
-        return wins
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| work(i, w))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let wins = &wins;
-    let work = &work;
-    let mut collected: Vec<(usize, T)> = thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut got = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        got.push((i, work(i, wins[i].clone())));
-                    }
-                    got
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-    collected.sort_by_key(|&(i, _)| i);
-    collected.into_iter().map(|(_, t)| t).collect()
+    protocols::batch::run_sharded(&windows(total, shards), workers, |i, w| work(i, w.clone()))
 }
 
 /// Parses `--shards N` (or `--shards=N`) from an argument list,

@@ -33,6 +33,13 @@ use crate::sha256::Sha256;
 use koblitz::projective::batch_to_affine;
 use koblitz::{mul, Affine, LdPoint, Scalar};
 
+/// Worker count for callers that do not set one:
+/// `std::thread::available_parallelism()`, or 1 when the platform
+/// cannot report it.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Runs `f` over every item, sharded across `workers` threads: the
 /// items split into contiguous shards whose lengths differ by at most
 /// one, the calling thread runs the first shard and `workers − 1`
@@ -40,7 +47,11 @@ use koblitz::{mul, Affine, LdPoint, Scalar};
 /// own disjoint slots of one pre-sized output, so results come back in
 /// input order with no channel. `workers` ≤ 1 — or a batch of one —
 /// runs inline.
-fn run_sharded<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+///
+/// # Panics
+///
+/// Propagates a panic from `f` on any thread.
+pub fn run_sharded<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

@@ -479,7 +479,7 @@ impl ServicePlane {
     /// order; each is charged exactly its quote.
     fn execute(&mut self, picked: Vec<Admitted>) -> Vec<Response> {
         let workers = if self.cfg.workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            protocols::batch::default_workers()
         } else {
             self.cfg.workers
         };

@@ -42,6 +42,15 @@
 //! that way, and CI diffs `--shards 1` against `--shards 4` to hold
 //! the output byte-identical. A disagreement is reported with a
 //! greedily shrunk minimal counterexample (see [`crate::shrink`]).
+//!
+//! Every tier pair is checked through one call, `DiffReport::check`:
+//! it counts the case under the pair's name and, when the tiers
+//! disagree, records a [`Disagreement`] under the same name, building
+//! its input and detail only then. [`DiffReport::ok`] reads the pair
+//! counters, so a counted disagreement always fails the verdict. To
+//! add a pair, make one `check` call in the phase that draws its
+//! inputs, then add the pair's name to the list `ci.sh` requires in
+//! both verify smokes.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -158,9 +167,11 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// Whether the run found full agreement and no panics.
+    /// Whether every tier pair agreed on every case and no decoder
+    /// panicked. Read from the pair counters, which `check` keeps in
+    /// step with the disagreement list.
     pub fn ok(&self) -> bool {
-        self.disagreements.is_empty() && self.wire_panics == 0
+        self.pairs.iter().all(|p| p.disagreements == 0) && self.wire_panics == 0
     }
 
     fn pair_entry(&mut self, pair: &str) -> &mut TierPair {
@@ -175,12 +186,31 @@ impl DiffReport {
         self.pairs.last_mut().expect("just pushed")
     }
 
-    fn record(&mut self, pair: &str, agreed: bool) {
+    /// Counts one case of `pair`, at (input domain, case index). On a
+    /// disagreement it also records the case under the same pair name;
+    /// `explain` builds its (input, detail) only then, so a shrinker
+    /// runs on failures alone.
+    fn check(
+        &mut self,
+        (domain, case): (&'static str, usize),
+        pair: &str,
+        agreed: bool,
+        explain: impl FnOnce() -> (String, String),
+    ) {
         let entry = self.pair_entry(pair);
         entry.cases += 1;
-        if !agreed {
-            entry.disagreements += 1;
+        if agreed {
+            return;
         }
+        entry.disagreements += 1;
+        let (input, detail) = explain();
+        self.disagreements.push(Disagreement {
+            domain,
+            pair: pair.to_string(),
+            case_index: case,
+            input,
+            detail,
+        });
     }
 
     /// Deterministic text rendering (what the CI determinism gate
@@ -340,26 +370,13 @@ fn field_edges() -> Vec<(Fe, Fe)> {
     ]
 }
 
-fn disagree_fe(
-    report: &mut DiffReport,
-    pair: &str,
-    case: usize,
-    a: Fe,
-    b: Fe,
-    detail: String,
-    still_fails: impl Fn(&[u8]) -> bool,
-) {
+/// The reported input of a field disagreement: a ‖ b as 60 big-endian
+/// bytes, shrunk while `still_fails` holds.
+fn fe_input(a: Fe, b: Fe, still_fails: impl Fn(&[u8]) -> bool) -> String {
     let mut input = Vec::new();
     input.extend_from_slice(&a.to_be_bytes());
     input.extend_from_slice(&b.to_be_bytes());
-    let shrunk = shrink::shrink_bytes(&input, still_fails);
-    report.disagreements.push(Disagreement {
-        domain: "field",
-        pair: pair.to_string(),
-        case_index: case,
-        input: shrink::hex(&shrunk),
-        detail,
-    });
+    shrink::hex(&shrink::shrink_bytes(&input, still_fails))
 }
 
 /// Decodes the shrinker's 60-byte field-pair serialisation.
@@ -387,6 +404,7 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
     let sha_ni = ShaNi::detect();
     let edges = field_edges();
     for case in cases {
+        let at = ("field", case);
         let mut rng = SplitMix64::substream(config.seed, FIELD_DOMAIN, case as u64);
         let (a, b) = edges
             .get(case)
@@ -395,28 +413,26 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
         let want_mul = mul_ld_fixed(a, b);
         let want_sqr = sqr::square(a);
 
+        // The reported input of a disagreement no shrinker re-runs.
+        let unshrunk = |detail: String| (fe_input(a, b, |_| false), detail);
+
         // u64 generic-field oracle.
         let got = oracle
             .element_to_fe(&oracle.mul(&oracle.element_from_fe(a), &oracle.element_from_fe(b)));
-        report.record("portable/generic_u64", got == want_mul);
-        if got != want_mul {
-            disagree_fe(
-                report,
-                "portable/generic_u64",
-                case,
-                a,
-                b,
-                format!("mul: portable {want_mul} vs generic {got}"),
-                |bytes| {
-                    let (a, b) = bytes_to_fe_pair(bytes);
-                    let o = GenericField::sect233k1();
-                    o.element_to_fe(&o.mul(&o.element_from_fe(a), &o.element_from_fe(b)))
-                        != mul_ld_fixed(a, b)
-                },
-            );
-        }
-        let got_sqr = oracle.element_to_fe(&oracle.sqr(&oracle.element_from_fe(a)));
-        report.record("portable/generic_u64_sqr", got_sqr == want_sqr);
+        report.check(at, "portable/generic_u64", got == want_mul, || {
+            let still_fails = |bytes: &[u8]| {
+                let (a, b) = bytes_to_fe_pair(bytes);
+                let o = GenericField::sect233k1();
+                o.element_to_fe(&o.mul(&o.element_from_fe(a), &o.element_from_fe(b)))
+                    != mul_ld_fixed(a, b)
+            };
+            let detail = format!("mul: portable {want_mul} vs generic {got}");
+            (fe_input(a, b, still_fails), detail)
+        });
+        let got = oracle.element_to_fe(&oracle.sqr(&oracle.element_from_fe(a)));
+        report.check(at, "portable/generic_u64_sqr", got == want_sqr, || {
+            unshrunk(format!("sqr: portable {want_sqr} vs generic {got}"))
+        });
 
         // Counted tier: all three multiplication methods.
         for (name, value) in [
@@ -430,18 +446,9 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
                 counted::mul_ld_fixed(a, b).value,
             ),
         ] {
-            report.record(name, value == want_mul);
-            if value != want_mul {
-                disagree_fe(
-                    report,
-                    name,
-                    case,
-                    a,
-                    b,
-                    format!("mul: portable {want_mul} vs counted {value}"),
-                    |_| false,
-                );
-            }
+            report.check(at, name, value == want_mul, || {
+                unshrunk(format!("mul: portable {want_mul} vs counted {value}"))
+            });
         }
 
         // Modeled tier, Direct backend: mul + sqr.
@@ -454,19 +461,10 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
         // (the modeled tier asserts against portable internally in
         // debug builds; the explicit check also covers release runs)
         direct.mul(dz, da, db);
-        let direct_mul = direct.load(dz);
-        report.record("portable/modeled_direct", direct_mul == want_mul);
-        if direct_mul != want_mul {
-            disagree_fe(
-                report,
-                "portable/modeled_direct",
-                case,
-                a,
-                b,
-                format!("mul: portable {want_mul} vs modeled {direct_mul}"),
-                |_| false,
-            );
-        }
+        let got = direct.load(dz);
+        report.check(at, "portable/modeled_direct", got == want_mul, || {
+            unshrunk(format!("mul: portable {want_mul} vs modeled {got}"))
+        });
 
         // Modeled tier, Code backend: identical results and *cycles*.
         code.store(ca, a);
@@ -476,29 +474,30 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
         code.sqr(cz, ca);
         let code_cycles = code.machine().cycles() - snap;
         let agreed = code_cycles == direct_cycles;
-        report.record("modeled_direct/modeled_code_cycles", agreed);
-        if !agreed {
-            disagree_fe(
-                report,
-                "modeled_direct/modeled_code_cycles",
-                case,
-                a,
-                b,
-                format!("mul+sqr cycles: direct {direct_cycles} vs code {code_cycles}"),
-                |_| false,
-            );
-        }
+        report.check(at, "modeled_direct/modeled_code_cycles", agreed, || {
+            unshrunk(format!(
+                "mul+sqr cycles: direct {direct_cycles} vs code {code_cycles}"
+            ))
+        });
         code.mul(cz, ca, cb);
-        report.record("portable/modeled_code", code.load(cz) == want_mul);
+        let got = code.load(cz);
+        report.check(at, "portable/modeled_code", got == want_mul, || {
+            unshrunk(format!("mul: portable {want_mul} vs modeled code {got}"))
+        });
 
         // Standalone reduction: interleaved portable vs bitwise vs the
         // modeled reduce kernel (sampled — it re-runs the mul frame).
         let wide = gf2m::mul::mul_poly_ld(a.words(), b.words());
-        let bitwise = gf2m::reduce::reduce_bitwise(wide);
-        report.record("reduce_word/reduce_bitwise", bitwise == want_mul);
+        let got = gf2m::reduce::reduce_bitwise(wide);
+        report.check(at, "reduce_word/reduce_bitwise", got == want_mul, || {
+            unshrunk(format!("reduce: word {want_mul} vs bitwise {got}"))
+        });
         if case % 16 == 0 {
             direct.reduce(dz, &wide);
-            report.record("portable/modeled_reduce", direct.load(dz) == want_mul);
+            let got = direct.load(dz);
+            report.check(at, "portable/modeled_reduce", got == want_mul, || {
+                unshrunk(format!("reduce: portable {want_mul} vs modeled {got}"))
+            });
         }
 
         // Host carry-less kernels, called directly, vs the paper tier.
@@ -515,10 +514,15 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
             let got = oracle
                 .inv(&oracle.element_from_fe(a))
                 .map(|p| oracle.element_to_fe(&p));
-            report.record("portable/generic_u64_inv", got == Some(inv));
+            report.check(at, "portable/generic_u64_inv", got == Some(inv), || {
+                unshrunk(format!("inv: portable {inv} vs generic {got:?}"))
+            });
             direct.store(da, a);
             direct.inv(dz, da);
-            report.record("portable/modeled_inv", direct.load(dz) == inv);
+            let got = direct.load(dz);
+            report.check(at, "portable/modeled_inv", got == inv, || {
+                unshrunk(format!("inv: portable {inv} vs modeled {got}"))
+            });
         }
     }
 }
@@ -536,53 +540,38 @@ fn clmul_pairs(
     want_sqr: Fe,
 ) {
     let got = k.mul(a, b);
-    report.record("paper/clmul_mul", got == want_mul);
-    if got != want_mul {
-        disagree_fe(
-            report,
-            "paper/clmul_mul",
-            case,
-            a,
-            b,
+    report.check(("field", case), "paper/clmul_mul", got == want_mul, || {
+        let still_fails = |bytes: &[u8]| {
+            let (a, b) = bytes_to_fe_pair(bytes);
+            k.mul(a, b) != mul_ld_fixed(a, b)
+        };
+        (
+            fe_input(a, b, still_fails),
             format!("mul: paper {want_mul} vs clmul {got}"),
-            |bytes| {
-                let (a, b) = bytes_to_fe_pair(bytes);
-                k.mul(a, b) != mul_ld_fixed(a, b)
-            },
-        );
-    }
+        )
+    });
     let got = k.square(a);
-    report.record("paper/clmul_sqr", got == want_sqr);
-    if got != want_sqr {
-        disagree_fe(
-            report,
-            "paper/clmul_sqr",
-            case,
-            a,
-            b,
+    report.check(("field", case), "paper/clmul_sqr", got == want_sqr, || {
+        let still_fails = |bytes: &[u8]| {
+            let (a, _) = bytes_to_fe_pair(bytes);
+            k.square(a) != sqr::square(a)
+        };
+        (
+            fe_input(a, b, still_fails),
             format!("sqr: paper {want_sqr} vs clmul {got}"),
-            |bytes| {
-                let (a, _) = bytes_to_fe_pair(bytes);
-                k.square(a) != sqr::square(a)
-            },
-        );
-    }
+        )
+    });
     let (want, got) = (inv::invert(a), k.invert(a));
-    report.record("eea/clmul_inv", got == want);
-    if got != want {
-        disagree_fe(
-            report,
-            "eea/clmul_inv",
-            case,
-            a,
-            b,
+    report.check(("field", case), "eea/clmul_inv", got == want, || {
+        let still_fails = |bytes: &[u8]| {
+            let (a, _) = bytes_to_fe_pair(bytes);
+            k.invert(a) != inv::invert(a)
+        };
+        (
+            fe_input(a, b, still_fails),
             format!("inv: eea {want:?} vs clmul {got:?}"),
-            |bytes| {
-                let (a, _) = bytes_to_fe_pair(bytes);
-                k.invert(a) != inv::invert(a)
-            },
-        );
-    }
+        )
+    });
 }
 
 /// Message lengths at SHA-256's padding edges: empty, the longest
@@ -624,17 +613,12 @@ fn sha_pair(config: &DiffConfig, report: &mut DiffReport, case: usize) {
         .any(|got| *got != want)
     };
     let agreed = !disagrees(&msg);
-    report.record("sha_portable/sha_ni", agreed);
-    if !agreed {
-        let shrunk = shrink::shrink_bytes(&msg, disagrees);
-        report.disagreements.push(Disagreement {
-            domain: "sha",
-            pair: "sha_portable/sha_ni".to_string(),
-            case_index: case,
-            input: shrink::hex(&shrunk),
-            detail: format!("SHA-256 of {len} bytes split at {split}: tiers differ"),
-        });
-    }
+    report.check(("sha", case), "sha_portable/sha_ni", agreed, || {
+        (
+            shrink::hex(&shrink::shrink_bytes(&msg, disagrees)),
+            format!("SHA-256 of {len} bytes split at {split}: tiers differ"),
+        )
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -822,6 +806,7 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
         q4.negated(),
     ];
     for case in cases {
+        let at = ("scalar", case);
         let mut rng = SplitMix64::substream(config.seed, SCALAR_DOMAIN, case as u64);
         let k = edges
             .get(case)
@@ -835,17 +820,9 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
             ("binary/ladder", mul::montgomery_ladder(&g, &k)),
         ];
         for (pair, got) in checks {
-            let agreed = got == reference;
-            report.record(pair, agreed);
-            if !agreed {
-                report.disagreements.push(Disagreement {
-                    domain: "scalar",
-                    pair: pair.to_string(),
-                    case_index: case,
-                    input: k.to_hex(),
-                    detail: format!("point mismatch for k = {k}"),
-                });
-            }
+            report.check(at, pair, got == reference, || {
+                (k.to_hex(), format!("point mismatch for k = {k}"))
+            });
         }
         // On k·G shifted into each coset of the order-n subgroup: the
         // trace-based subgroup check against the definition (finite, on
@@ -854,31 +831,24 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
             let p = reference.add(shift);
             let want = !p.is_infinity() && p.is_on_curve() && p.mul_binary(&n).is_infinity();
             let got = p.is_in_prime_order_subgroup();
-            report.record("order_binary/order_trace", got == want);
-            if got != want {
-                report.disagreements.push(Disagreement {
-                    domain: "scalar",
-                    pair: "order_binary/order_trace".to_string(),
-                    case_index: case,
-                    input: k.to_hex(),
-                    detail: format!("subgroup check says {got} for k·G + {shift}"),
-                });
-            }
+            report.check(at, "order_binary/order_trace", got == want, || {
+                (
+                    k.to_hex(),
+                    format!("subgroup check says {got} for k·G + {shift}"),
+                )
+            });
             // The projective wTNAF table build (one inversion per
             // table) against its affine `mul_binary` oracle at every
             // window width.
             let table_diff = (2..=8)
                 .find(|&w| mul::precompute_table(&p, w) != mul::precompute_table_binary(&p, w));
-            report.record("table_binary/table_proj", table_diff.is_none());
-            if let Some(w) = table_diff {
-                report.disagreements.push(Disagreement {
-                    domain: "scalar",
-                    pair: "table_binary/table_proj".to_string(),
-                    case_index: case,
-                    input: k.to_hex(),
-                    detail: format!("tables differ at w = {w} for k·G + {shift}"),
-                });
-            }
+            report.check(at, "table_binary/table_proj", table_diff.is_none(), || {
+                let w = table_diff.expect("a disagreement names its width");
+                (
+                    k.to_hex(),
+                    format!("tables differ at w = {w} for k·G + {shift}"),
+                )
+            });
         }
         // The joint comb of a promoted key against the two-lane double
         // multiply of an unpromoted one, for Q = k·G shifted into each
@@ -907,20 +877,15 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                 ("second cached lookup", mul::double_multiply(&u1, &u2, &q)),
             ];
             for (path, got) in paths {
-                let agreed = got == want;
-                report.record("dm_horner/dm_comb", agreed);
-                if !agreed {
-                    report.disagreements.push(Disagreement {
-                        domain: "scalar",
-                        pair: "dm_horner/dm_comb".to_string(),
-                        case_index: case,
-                        input: k.to_hex(),
-                        detail: format!(
+                report.check(at, "dm_horner/dm_comb", got == want, || {
+                    (
+                        k.to_hex(),
+                        format!(
                             "{path}: u1·G + u2·(k·G + {shift}) differs from the two-lane \
                              double multiply for u1 = {u1}, u2 = {u2}"
                         ),
-                    });
-                }
+                    )
+                });
             }
         }
         // The kG comb against the paper's single-table loop, and the
@@ -936,21 +901,15 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                 (Some(shift), mul::double_multiply(&k, &u, &q) == want)
             }));
         for (shift, agreed) in kg_checks {
-            report.record("kg_horner/kg_comb", agreed);
-            if !agreed {
-                report.disagreements.push(Disagreement {
-                    domain: "scalar",
-                    pair: "kg_horner/kg_comb".to_string(),
-                    case_index: case,
-                    input: k.to_hex(),
-                    detail: match shift {
-                        None => "k·G differs from the Horner loop".to_string(),
-                        Some(shift) => format!(
-                            "k·G + u·(k·G + {shift}) differs from the Horner sum for u = {u}"
-                        ),
-                    },
-                });
-            }
+            report.check(at, "kg_horner/kg_comb", agreed, || {
+                let detail = match shift {
+                    None => "k·G differs from the Horner loop".to_string(),
+                    Some(shift) => {
+                        format!("k·G + u·(k·G + {shift}) differs from the Horner sum for u = {u}")
+                    }
+                };
+                (k.to_hex(), detail)
+            });
         }
         // The double multiply against an oracle that shares no τ-adic
         // code: k·G + u·Q by affine double-and-add, for Q = k·G. Only
@@ -958,43 +917,29 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
         // give u·Q, so those stay with the Horner sum above.
         let agreed =
             mul::double_multiply(&k, &u, &reference) == reference.add(&reference.mul_binary(&u));
-        report.record("binary/double_mul", agreed);
-        if !agreed {
-            report.disagreements.push(Disagreement {
-                domain: "scalar",
-                pair: "binary/double_mul".to_string(),
-                case_index: case,
-                input: k.to_hex(),
-                detail: format!("k·G + u·(k·G) differs from the binary oracle for u = {u}"),
-            });
-        }
+        report.check(at, "binary/double_mul", agreed, || {
+            (
+                k.to_hex(),
+                format!("k·G + u·(k·G) differs from the binary oracle for u = {u}"),
+            )
+        });
         // The recoding fixed-length invariant (satellite fix): no
         // scalar may change the digit count.
         let fixed = tnaf::recode(&k, 4).len() == tnaf::recode_length()
             && tnaf::recode(&k, 6).len() == tnaf::recode_length();
-        report.record("recode/fixed_length", fixed);
-        if !fixed {
-            report.disagreements.push(Disagreement {
-                domain: "scalar",
-                pair: "recode/fixed_length".to_string(),
-                case_index: case,
-                input: k.to_hex(),
-                detail: "recode length depends on the scalar".to_string(),
-            });
-        }
+        report.check(at, "recode/fixed_length", fixed, || {
+            (
+                k.to_hex(),
+                "recode length depends on the scalar".to_string(),
+            )
+        });
         // The fixed-width recoding against its `Int` pipeline, at w = 1
         // and every window width.
         let recode_diff = (1..=8).find(|&w| tnaf::recode(&k, w) != tnaf::recode_int(&k, w));
-        report.record("recode_int/recode_fixed", recode_diff.is_none());
-        if let Some(w) = recode_diff {
-            report.disagreements.push(Disagreement {
-                domain: "scalar",
-                pair: "recode_int/recode_fixed".to_string(),
-                case_index: case,
-                input: k.to_hex(),
-                detail: format!("digit strings differ at w = {w}"),
-            });
-        }
+        report.check(at, "recode_int/recode_fixed", recode_diff.is_none(), || {
+            let w = recode_diff.expect("a disagreement names its width");
+            (k.to_hex(), format!("digit strings differ at w = {w}"))
+        });
         // Montgomery's trick mod n against per-element inversion.
         let batch = scalar_inv_batch(case, &k, &mut rng);
         let got = Scalar::batch_invert(&batch);
@@ -1002,29 +947,24 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
             .iter()
             .zip(&got)
             .position(|(a, inv)| a.invert().as_ref() != Some(inv));
-        report.record("scalar_inv/scalar_batch_inv", inv_diff.is_none());
-        if let Some(i) = inv_diff {
-            report.disagreements.push(Disagreement {
-                domain: "scalar",
-                pair: "scalar_inv/scalar_batch_inv".to_string(),
-                case_index: case,
-                input: batch[i].to_int().to_hex(),
-                detail: format!("element {i} of a batch of {}", batch.len()),
-            });
-        }
+        report.check(
+            at,
+            "scalar_inv/scalar_batch_inv",
+            inv_diff.is_none(),
+            || {
+                let i = inv_diff.expect("a disagreement names its element");
+                (
+                    batch[i].to_int().to_hex(),
+                    format!("element {i} of a batch of {}", batch.len()),
+                )
+            },
+        );
         // The fixed-width scalar arithmetic against `Int`.
         let mut fixed_rng = SplitMix64::substream(config.seed, SCALAR_FIXED_DOMAIN, case as u64);
         let fixed_diff = scalar_fixed_disagreement(fixed_edges.get(case), &mut fixed_rng);
-        report.record("scalar_int/scalar_fixed", fixed_diff.is_none());
-        if let Some(detail) = fixed_diff {
-            report.disagreements.push(Disagreement {
-                domain: "scalar",
-                pair: "scalar_int/scalar_fixed".to_string(),
-                case_index: case,
-                input: k.to_hex(),
-                detail,
-            });
-        }
+        report.check(at, "scalar_int/scalar_fixed", fixed_diff.is_none(), || {
+            (k.to_hex(), fixed_diff.expect("names the operation"))
+        });
     }
 }
 
@@ -1038,6 +978,7 @@ fn batch_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
     }
     let g = curve::generator();
     for case in cases {
+        let at = ("batch", case);
         let mut rng = SplitMix64::substream(config.seed, BATCH_DOMAIN, case as u64);
         // Sizes sweep the empty batch, a singleton, then random widths.
         let len = match case {
@@ -1074,16 +1015,12 @@ fn batch_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
                 Some(inv) => *b == inv,
                 None => b.is_zero(),
             });
-            report.record("pointwise_inv/batch_inv", agreed);
-            if !agreed {
-                report.disagreements.push(Disagreement {
-                    domain: "batch",
-                    pair: "pointwise_inv/batch_inv".to_string(),
-                    case_index: case,
-                    input: format!("len {}", src.len()),
-                    detail: "Montgomery batch disagrees with pointwise inversion".to_string(),
-                });
-            }
+            report.check(at, "pointwise_inv/batch_inv", agreed, || {
+                (
+                    format!("len {}", src.len()),
+                    "Montgomery batch disagrees with pointwise inversion".to_string(),
+                )
+            });
         }
 
         // Counted tier: identical values, and the 1 + 3(N−1) formula.
@@ -1092,19 +1029,15 @@ fn batch_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
         let counts_ok = counted_batch.values == batch
             && counted_batch.inversions == u64::from(nonzero > 0)
             && counted_batch.muls as usize == 3 * nonzero.saturating_sub(1);
-        report.record("batch_inv/batch_inv_counted", counts_ok);
-        if !counts_ok {
-            report.disagreements.push(Disagreement {
-                domain: "batch",
-                pair: "batch_inv/batch_inv_counted".to_string(),
-                case_index: case,
-                input: format!("len {len}, nonzero {nonzero}"),
-                detail: format!(
+        report.check(at, "batch_inv/batch_inv_counted", counts_ok, || {
+            (
+                format!("len {len}, nonzero {nonzero}"),
+                format!(
                     "counted batch: {} inversions, {} muls",
                     counted_batch.inversions, counted_batch.muls
                 ),
-            });
-        }
+            )
+        });
 
         // Curve layer: batch affine conversion vs per-point to_affine,
         // with the point at infinity mixed in.
@@ -1120,16 +1053,12 @@ fn batch_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
         let converted = koblitz::batch_to_affine(&points);
         let pointwise: Vec<_> = points.iter().map(|p| p.to_affine()).collect();
         let agreed = converted == pointwise;
-        report.record("pointwise_affine/batch_affine", agreed);
-        if !agreed {
-            report.disagreements.push(Disagreement {
-                domain: "batch",
-                pair: "pointwise_affine/batch_affine".to_string(),
-                case_index: case,
-                input: format!("{} points", points.len()),
-                detail: "batch affine conversion disagrees with to_affine".to_string(),
-            });
-        }
+        report.check(at, "pointwise_affine/batch_affine", agreed, || {
+            (
+                format!("{} points", points.len()),
+                "batch affine conversion disagrees with to_affine".to_string(),
+            )
+        });
     }
 }
 
@@ -1165,6 +1094,7 @@ fn wire_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>)
         .to_vec();
 
     for case in cases {
+        let at = ("wire", case);
         let mut rng = SplitMix64::substream(config.seed, WIRE_DOMAIN, case as u64);
         let template: &[u8] = match case % 3 {
             0 => &pk_bytes,
@@ -1189,18 +1119,26 @@ fn wire_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>)
                         continue;
                     };
                     let agreed = owned == slice;
-                    report.record("decode_pk_slice/decode_pk_owned", agreed);
-                    if !agreed {
-                        wire_disagree(report, case, &buf, "public-key decoders", |b| {
+                    report.check(at, "decode_pk_slice/decode_pk_owned", agreed, || {
+                        let still_fails = |b: &[u8]| {
                             <&[u8; 31]>::try_from(b)
                                 .map(|arr| decode_public_key(arr) != decode_public_key_slice(b))
                                 .unwrap_or(false)
-                        });
-                    }
+                        };
+                        (
+                            wire_input(&buf, still_fails),
+                            "public-key decoders returned different results".to_string(),
+                        )
+                    });
                 } else {
                     // Wrong length must be the typed BadLength error.
                     let agreed = matches!(slice, Err(protocols::wire::WireError::BadLength { .. }));
-                    report.record("decode_pk_slice/length_taxonomy", agreed);
+                    report.check(at, "decode_pk_slice/length_taxonomy", agreed, || {
+                        (
+                            wire_input(&buf, |_| false),
+                            format!("{}-byte public key: {slice:?}, not BadLength", buf.len()),
+                        )
+                    });
                 }
             }
             1 => {
@@ -1217,17 +1155,25 @@ fn wire_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>)
                         continue;
                     };
                     let agreed = owned == slice;
-                    report.record("decode_sig_slice/decode_sig_owned", agreed);
-                    if !agreed {
-                        wire_disagree(report, case, &buf, "signature decoders", |b| {
+                    report.check(at, "decode_sig_slice/decode_sig_owned", agreed, || {
+                        let still_fails = |b: &[u8]| {
                             <&[u8; 60]>::try_from(b)
                                 .map(|arr| decode_signature(arr) != decode_signature_slice(b))
                                 .unwrap_or(false)
-                        });
-                    }
+                        };
+                        (
+                            wire_input(&buf, still_fails),
+                            "signature decoders returned different results".to_string(),
+                        )
+                    });
                 } else {
                     let agreed = matches!(slice, Err(protocols::wire::WireError::BadLength { .. }));
-                    report.record("decode_sig_slice/length_taxonomy", agreed);
+                    report.check(at, "decode_sig_slice/length_taxonomy", agreed, || {
+                        (
+                            wire_input(&buf, |_| false),
+                            format!("{}-byte signature: {slice:?}, not BadLength", buf.len()),
+                        )
+                    });
                 }
             }
             _ => {
@@ -1257,18 +1203,19 @@ fn wire_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>)
                     }
                 }
                 // Owned round-trip: re-encoding a parsed frame and
-                // re-parsing must be lossless and open identically.
-                if let Ok(frame) = SealedFrame::from_bytes(&buf) {
+                // re-parsing must be lossless and open identically. A
+                // frame that does not parse agrees trivially.
+                let agreed = SealedFrame::from_bytes(&buf).map_or(true, |frame| {
                     let reparsed = SealedFrame::from_bytes(frame.as_bytes())
                         .expect("re-encoding a parsed frame always parses");
-                    let agreed = reparsed.open(&secret) == outcome;
-                    report.record("frame_parse/frame_roundtrip", agreed);
-                    if !agreed {
-                        wire_disagree(report, case, &buf, "frame round-trip", |_| false);
-                    }
-                } else {
-                    report.record("frame_parse/frame_roundtrip", true);
-                }
+                    reparsed.open(&secret) == outcome
+                });
+                report.check(at, "frame_parse/frame_roundtrip", agreed, || {
+                    (
+                        wire_input(&buf, |_| false),
+                        "frame round-trip returned different results".to_string(),
+                    )
+                });
             }
         }
     }
@@ -1282,21 +1229,10 @@ fn tally<T>(report: &mut DiffReport, kind: &str, result: &Result<T, protocols::w
     *report.wire_taxonomy.entry(label).or_insert(0) += 1;
 }
 
-fn wire_disagree(
-    report: &mut DiffReport,
-    case: usize,
-    buf: &[u8],
-    what: &str,
-    still_fails: impl Fn(&[u8]) -> bool,
-) {
-    let shrunk = shrink::shrink_bytes(buf, still_fails);
-    report.disagreements.push(Disagreement {
-        domain: "wire",
-        pair: what.to_string(),
-        case_index: case,
-        input: shrink::hex(&shrunk),
-        detail: format!("{what} returned different results"),
-    });
+/// The reported input of a wire disagreement: the mutated frame,
+/// shrunk while `still_fails` holds.
+fn wire_input(buf: &[u8], still_fails: impl Fn(&[u8]) -> bool) -> String {
+    shrink::hex(&shrink::shrink_bytes(buf, still_fails))
 }
 
 /// One random mutation of a template frame: truncation/extension,
@@ -1398,6 +1334,57 @@ mod tests {
         assert_eq!(find("pointwise_inv/batch_inv"), 12);
         assert_eq!(find("batch_inv/batch_inv_counted"), 6);
         assert_eq!(find("pointwise_affine/batch_affine"), 6);
+    }
+
+    #[test]
+    fn a_failed_check_fails_the_verdict_under_its_pair() {
+        let mut report = DiffReport::default();
+        report.check(("field", 31), "portable/modeled_inv", true, || {
+            panic!("an agreement builds no input or detail")
+        });
+        report.check(("field", 32), "portable/modeled_inv", false, || {
+            ("00".to_string(), "inv: forced".to_string())
+        });
+        assert!(!report.ok());
+        let pair = &report.pairs[0];
+        assert_eq!(
+            (pair.pair.as_str(), pair.cases, pair.disagreements),
+            ("portable/modeled_inv", 2, 1)
+        );
+        let rendered = report.render();
+        let lines: Vec<&str> = rendered
+            .lines()
+            .filter(|l| l.contains("DISAGREEMENT"))
+            .collect();
+        assert_eq!(
+            lines,
+            ["  DISAGREEMENT [field] portable/modeled_inv case 32: inv: forced (input 00)"]
+        );
+    }
+
+    #[test]
+    fn merge_keeps_counters_and_disagreements_in_step() {
+        let explain = |detail: &str| (String::new(), detail.to_string());
+        let mut first = DiffReport::default();
+        first.check(("wire", 0), "b/pair", true, || explain("unused"));
+        first.check(("wire", 1), "a/pair", false, || explain("first"));
+        let mut second = DiffReport::default();
+        second.check(("wire", 2), "a/pair", false, || explain("second"));
+        second.check(("wire", 3), "b/pair", true, || explain("unused"));
+        let merged = merge(&DiffConfig::smoke(), vec![first, second]);
+        assert!(!merged.ok());
+        let counters: Vec<_> = merged
+            .pairs
+            .iter()
+            .map(|p| (p.pair.as_str(), p.cases, p.disagreements))
+            .collect();
+        assert_eq!(counters, [("a/pair", 2, 2), ("b/pair", 2, 0)]);
+        let listed: Vec<_> = merged
+            .disagreements
+            .iter()
+            .map(|d| (d.pair.as_str(), d.case_index, d.detail.as_str()))
+            .collect();
+        assert_eq!(listed, [("a/pair", 1, "first"), ("a/pair", 2, "second")]);
     }
 
     #[test]

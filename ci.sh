@@ -51,8 +51,7 @@ grep -q "VERDICT: PASS" /tmp/verify_m0_1.txt
 
 echo "==> verify campaign tier pairs present with 0 disagreements (both smokes)"
 # VERDICT: PASS already covers every pair's counter; this one list
-# holds that each pair below still runs. The carry-less and SHA-NI
-# pairs need a CPU with PCLMULQDQ and the SHA extensions.
+# holds that each pair below still runs.
 verify_pairs=(
   order_binary/order_trace    # trace-based subgroup check vs n*P
   recode_int/recode_fixed     # fixed-width recoding vs its Int oracle
@@ -62,11 +61,23 @@ verify_pairs=(
   kg_horner/kg_comb           # kG comb and double multiply vs Horner
   binary/double_mul           # double multiply vs affine double-and-add
   dm_horner/dm_comb           # a recurring key's joint comb vs two lanes
-  paper/clmul_mul             # carry-less host kernels vs the paper tier
-  paper/clmul_sqr
-  eea/clmul_inv
-  sha_portable/sha_ni         # SHA-NI compression vs the portable one
 )
+# The carry-less and SHA-NI pairs run only on a CPU with PCLMULQDQ and
+# the SHA extensions; verify_campaign prints which ones it detected.
+if ! grep -Eqx "host features: pclmulqdq (yes|no), sha-ni (yes|no)" /tmp/verify_smoke_1.txt; then
+  echo "verify campaign smoke printed no host features line"
+  exit 1
+fi
+if grep -qx "host features: pclmulqdq yes, sha-ni .*" /tmp/verify_smoke_1.txt; then
+  verify_pairs+=(
+    paper/clmul_mul           # carry-less host kernels vs the paper tier
+    paper/clmul_sqr
+    eea/clmul_inv
+  )
+fi
+if grep -qx "host features: pclmulqdq .*, sha-ni yes" /tmp/verify_smoke_1.txt; then
+  verify_pairs+=(sha_portable/sha_ni) # SHA-NI compression vs the portable one
+fi
 for out in /tmp/verify_smoke_1.txt /tmp/verify_m0_1.txt; do
   for pair in "${verify_pairs[@]}"; do
     if ! grep -Eq "tier-pair $pair +[0-9]+ cases, 0 disagreements" "$out"; then

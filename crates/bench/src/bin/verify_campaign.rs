@@ -18,6 +18,11 @@
 //! cross-tier agreement are target-invariant; only the costs the
 //! traces record move with the model.
 //!
+//! The differential section opens with a `host features: pclmulqdq
+//! yes|no, sha-ni yes|no` line: the carry-less (`paper/clmul_*`,
+//! `eea/clmul_inv`) and SHA-NI (`sha_portable/sha_ni`) tier pairs run
+//! only where the CPU has those instructions.
+//!
 //! `--smoke` is the bounded CI configuration (run twice and diffed
 //! byte-for-byte by ci.sh). `--shards N` splits the differential case
 //! list into N windows run on up to `available_parallelism()` threads;
@@ -105,6 +110,14 @@ fn main() {
 
     println!();
     println!("== cross-tier differential harness ==");
+    // The carry-less and SHA-NI tier pairs run only on a CPU with the
+    // instructions; this line says which ones this run has.
+    let yes_no = |found: bool| if found { "yes" } else { "no" };
+    println!(
+        "host features: pclmulqdq {}, sha-ni {}",
+        yes_no(gf2m::Clmul::detect().is_some()),
+        yes_no(protocols::sha256::ShaNi::detect().is_some())
+    );
     let parts = shard::run_shards(
         differential::total_cases(&diff_cfg),
         shards,

@@ -8,9 +8,13 @@
 //! Each target kernel is run once on the direct tier with the machine
 //! recording, giving a concrete Thumb-16 instruction stream and the
 //! pre-run machine image. The campaign then replays that stream N
-//! times through [`m0plus::fault::RecordedKernel::replay`], each time with one sampled
-//! [`FaultPlan`] (instruction skip, register bit flip, or memory bit
-//! flip at a uniform trace index). Replays are classified:
+//! times through [`m0plus::fault::RecordedKernel::classify`], each time
+//! with one sampled [`FaultPlan`] (instruction skip, register bit flip,
+//! or memory bit flip at a uniform trace index). A replay resumes from
+//! the fault-free run's last checkpoint before the fault, and stops at
+//! the first checkpoint after it if registers, flags and RAM are the
+//! fault-free run's again (such a run is benign: the rest of it is the
+//! fault-free run). Replays are classified:
 //!
 //! * **aborted** — the executor raised an [`m0plus::ExecError`] (the
 //!   model's HardFault, e.g. a corrupted base register walking out of
@@ -43,7 +47,7 @@
 use gf2m::modeled::{FeSlot, ModeledField, Tier};
 use gf2m::Fe;
 use koblitz::modeled::{Hardening, ModeledMul};
-use m0plus::fault::{FaultKind, FaultPlan, RecordedKernel};
+use m0plus::fault::{FaultKind, FaultPlan, Outcome, RecordedKernel};
 use m0plus::{Backend, Machine};
 use prng::SplitMix64;
 use std::fmt::Write as _;
@@ -296,6 +300,59 @@ fn recompute_coherent(op: Op, af: Fe, bf: Fe, zf: Fe) -> bool {
     }
 }
 
+/// How the campaign counts one case.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Aborted,
+    Benign,
+    /// A wrong result, and whether the recompute and full profiles
+    /// catch it.
+    Altered {
+        recompute: bool,
+        full: bool,
+    },
+}
+
+/// The verdict on one replay outcome. A converged run ends with the
+/// fault-free result, so it is benign.
+fn judge(t: &PreparedTarget, outcome: Outcome) -> Verdict {
+    let run = match outcome {
+        Outcome::Converged => return Verdict::Benign,
+        Outcome::Ran(run) => run,
+    };
+    if run.aborted() {
+        return Verdict::Aborted;
+    }
+    let zf = load_fe(&run.machine, t.z);
+    if zf == t.expected {
+        return Verdict::Benign;
+    }
+    let af = load_fe(&run.machine, t.a);
+    let bf = match t.op {
+        Op::Sqr | Op::Inv => af, // unary: b unused
+        _ => load_fe(&run.machine, t.b),
+    };
+    let recompute = !recompute_coherent(t.op, af, bf, zf);
+    let inputs_detect = af != t.a0
+        || match t.op {
+            Op::Sqr | Op::Inv => false,
+            _ => bf != t.b0,
+        };
+    Verdict::Altered {
+        recompute,
+        full: recompute || inputs_detect,
+    }
+}
+
+/// The fault of case `case` of kernel `kernel`, drawn from its own PRNG
+/// substream keyed by (seed, kernel, case index), so any worker computes
+/// case `c` without replaying `0..c` — the foundation of
+/// shard-count-invariant reports.
+fn case_plan(seed: u64, kernel: u64, t: &PreparedTarget, case: usize) -> FaultPlan {
+    let mut rng = SplitMix64::substream(seed, kernel, case as u64);
+    FaultPlan::sample(&mut rng, t.kernel.trace_len(), &t.regions)
+}
+
 /// Outcome counters accumulated by one shard window of one kernel's
 /// case list; summed in window order into [`KernelStats`].
 #[derive(Debug, Default, Clone, Copy)]
@@ -310,10 +367,9 @@ struct PartialStats {
     detected_full: usize,
 }
 
-/// Replays and classifies the cases of one shard window. Each case's
-/// fault is drawn from its own PRNG substream keyed by (seed, kernel,
-/// case index), so any worker computes case `c` without replaying
-/// `0..c` — the foundation of shard-count-invariant reports.
+/// Replays and classifies the cases of one shard window, each through
+/// [`RecordedKernel::classify`]: a faulted run that is back on the
+/// golden run at the first checkpoint after its fault stops there.
 fn run_cases(
     seed: u64,
     kernel: u64,
@@ -322,40 +378,20 @@ fn run_cases(
 ) -> PartialStats {
     let mut p = PartialStats::default();
     for case in window {
-        let mut rng = SplitMix64::substream(seed, kernel, case as u64);
-        let plan = FaultPlan::sample(&mut rng, t.kernel.trace_len(), &t.regions);
+        let plan = case_plan(seed, kernel, t, case);
         match plan.kind {
             FaultKind::SkipInstruction => p.skip_faults += 1,
             FaultKind::RegisterBitFlip { .. } => p.reg_faults += 1,
             FaultKind::MemoryBitFlip { .. } => p.mem_faults += 1,
         }
-        let run = t.kernel.replay(Some(&plan));
-        if run.aborted() {
-            p.aborted += 1;
-            continue;
-        }
-        let zf = load_fe(&run.machine, t.z);
-        if zf == t.expected {
-            p.benign += 1;
-            continue;
-        }
-        p.altered += 1;
-        let af = load_fe(&run.machine, t.a);
-        let bf = match t.op {
-            Op::Sqr | Op::Inv => af, // unary: b unused
-            _ => load_fe(&run.machine, t.b),
-        };
-        let recompute_detects = !recompute_coherent(t.op, af, bf, zf);
-        let inputs_detect = af != t.a0
-            || match t.op {
-                Op::Sqr | Op::Inv => false,
-                _ => bf != t.b0,
-            };
-        if recompute_detects {
-            p.detected_recompute += 1;
-        }
-        if recompute_detects || inputs_detect {
-            p.detected_full += 1;
+        match judge(t, t.kernel.classify(&plan)) {
+            Verdict::Aborted => p.aborted += 1,
+            Verdict::Benign => p.benign += 1,
+            Verdict::Altered { recompute, full } => {
+                p.altered += 1;
+                p.detected_recompute += usize::from(recompute);
+                p.detected_full += usize::from(full);
+            }
         }
     }
     p
@@ -709,6 +745,151 @@ mod tests {
                 baseline,
                 "shards = {shards}, workers = {workers}"
             );
+        }
+    }
+
+    use m0plus::asm::{Assembler, Program};
+    use m0plus::fault::FaultedRun;
+    use m0plus::{Instr, Recording, Reg, StepAction};
+
+    fn prepared() -> Vec<PreparedTarget> {
+        targets()
+            .iter()
+            .map(|t| prepare(t, m0plus::target::default_target()))
+            .collect()
+    }
+
+    #[test]
+    fn cut_off_classification_equals_full_replay() {
+        let seed = 7;
+        for (i, t) in prepared().iter().enumerate() {
+            let mut converged = 0;
+            for case in 0..16 {
+                let plan = case_plan(seed, i as u64, t, case);
+                let outcome = t.kernel.classify(&plan);
+                converged += usize::from(matches!(outcome, Outcome::Converged));
+                let full = Outcome::Ran(Box::new(t.kernel.replay(Some(&plan))));
+                assert_eq!(
+                    judge(t, outcome),
+                    judge(t, full),
+                    "{} case {case}: {plan:?}",
+                    t.stats_name
+                );
+            }
+            if t.stats_name == "inv_eea_c" {
+                assert!(converged > 0, "the cut-off never fired on inv_eea_c");
+            }
+        }
+    }
+
+    /// A replay from `pre` through the public per-step executor: before
+    /// every instruction the recording's due register writes, its
+    /// category and the fault, then the writes after the last one.
+    fn replay_per_step(k: &RecordedKernel, fault: Option<&FaultPlan>) -> FaultedRun {
+        let rec = k.recording();
+        let mut machine = k.pre().clone();
+        let saved = machine.category_override();
+        let mut next_write = 0;
+        let max_steps = rec.len() as u64 + 1;
+        let stats = m0plus::execute_fragment_ctl(&mut machine, k.program(), max_steps, |m, idx| {
+            while let Some(w) = rec.reg_writes.get(next_write).filter(|w| w.at <= idx) {
+                m.set_reg(w.reg, w.value);
+                next_write += 1;
+            }
+            m.set_category_override(Some(rec.steps[idx].category));
+            match fault.filter(|f| f.at == idx as u64).map(|f| f.kind) {
+                Some(FaultKind::SkipInstruction) => return StepAction::Skip,
+                Some(FaultKind::RegisterBitFlip { reg, bit }) => m.flip_reg_bit(reg, bit),
+                Some(FaultKind::MemoryBitFlip { word, bit }) => {
+                    m.flip_mem_bit(word, bit);
+                }
+                None => {}
+            }
+            StepAction::Execute
+        });
+        if stats.is_ok() {
+            for w in &rec.reg_writes[next_write..] {
+                machine.set_reg(w.reg, w.value);
+            }
+        }
+        machine.set_category_override(saved);
+        FaultedRun { machine, stats }
+    }
+
+    #[test]
+    fn resumed_replays_equal_per_step_replays_from_pre() {
+        for t in prepared() {
+            let (k, name) = (&t.kernel, t.stats_name);
+            let (len, interval) = (k.trace_len(), k.checkpoint_interval());
+            let word = t.a.0 .0 + 3;
+            let mut plans: Vec<FaultPlan> = [0, interval - 1, interval, interval + 1, len - 1]
+                .into_iter()
+                .flat_map(|at| {
+                    [
+                        FaultKind::SkipInstruction,
+                        FaultKind::RegisterBitFlip {
+                            reg: Reg::R2,
+                            bit: 4,
+                        },
+                        FaultKind::MemoryBitFlip { word, bit: 17 },
+                    ]
+                    .map(|kind| FaultPlan { at, kind })
+                })
+                .collect();
+            // The top bit of a base register flipped just before a
+            // load through it sends the load out of RAM.
+            let (at, rn) = (interval + 1..len)
+                .find_map(|i| match k.recording().steps[i as usize].instr {
+                    Instr::LdrImm { rn, .. } => Some((i, rn)),
+                    _ => None,
+                })
+                .expect("a load after the first checkpoint");
+            let abort = FaultPlan {
+                at,
+                kind: FaultKind::RegisterBitFlip { reg: rn, bit: 31 },
+            };
+            plans.push(abort);
+            for plan in [None].into_iter().chain(plans.iter().map(Some)) {
+                let context = format!("{name} {plan:?}");
+                let got = k.replay(plan);
+                let want = replay_per_step(k, plan);
+                assert_eq!(got.stats, want.stats, "{context}");
+                got.machine.assert_same_state(&want.machine, &context);
+            }
+            assert!(k.replay(Some(&abort)).aborted(), "{name}");
+        }
+    }
+
+    /// The translation `backend::translate` replaced: every branch aimed
+    /// at a label on the next instruction, resolved by the assembler.
+    fn assembled(recording: &Recording) -> Program {
+        let mut a = Assembler::new();
+        for (i, step) in recording.steps.iter().enumerate() {
+            let next = format!("L{i}");
+            match step.instr {
+                Instr::BCond { cond } => a.branch_if(cond, &next),
+                Instr::B | Instr::Bx => a.branch(&next),
+                Instr::Bl => a.call(&next),
+                Instr::LdrLit { rt, .. } => {
+                    a.load_literal(rt, step.literal.expect("literal value"));
+                    continue;
+                }
+                other => {
+                    a.push(other);
+                    continue;
+                }
+            }
+            a.label(&next);
+        }
+        a.assemble().expect("assembles")
+    }
+
+    #[test]
+    fn label_free_translation_equals_the_assembler_on_every_kernel() {
+        for t in prepared() {
+            let want = assembled(t.kernel.recording());
+            assert_eq!(t.kernel.program().code, want.code, "{}", t.stats_name);
+            assert_eq!(t.kernel.program().pool, want.pool, "{}", t.stats_name);
         }
     }
 

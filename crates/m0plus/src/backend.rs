@@ -21,19 +21,26 @@
 //! The kernels drive control flow from the host, so a recording is the
 //! *linearised* instruction stream: a loop that ran five times appears
 //! five times. Every control-flow instruction in the trace therefore
-//! transfers to the instruction right after it:
+//! transfers to the instruction right after it, so [`translate`]
+//! encodes each one with a fixed offset and needs no labels:
 //!
-//! * `B<cond>` → `branch_if` to a label on the next instruction (taken
-//!   and fall-through paths coincide; the charged cost still depends on
-//!   the replayed flags, which match the recording bit-for-bit);
-//! * `B` → `branch` to the next instruction;
-//! * `BL` → `call` of the next instruction (the host return stack grows
-//!   harmlessly; kernel `BL`/`BX` pairs are cost markers, not balanced
-//!   calls);
-//! * `BX lr` → encoded as a `branch` to the next instruction, because a
-//!   real `BX` would pop a return address the linear trace never pushed.
-//!   `B` and `BX` share the cost class ([`InstrClass::BranchTaken`])
-//!   and the 2-byte footprint, so accounting is unchanged.
+//! * `B<cond>` → offset −1 halfwords from the pipelined PC, i.e. the
+//!   next instruction (taken and fall-through paths coincide; the
+//!   charged cost still depends on the replayed flags, which match the
+//!   recording bit-for-bit);
+//! * `B` → offset −1, the next instruction;
+//! * `BL` → offset 0: its two halfwords end at the next instruction
+//!   (the host return stack grows harmlessly; kernel `BL`/`BX` pairs
+//!   are cost markers, not balanced calls);
+//! * `BX lr` → encoded as that `B`, because a real `BX` would pop a
+//!   return address the linear trace never pushed. `B` and `BX` share
+//!   the cost class ([`InstrClass::BranchTaken`]) and the 2-byte
+//!   footprint, so accounting is unchanged.
+//!
+//! Every other instruction is pushed as it encodes. The halfwords and
+//! the literal pool are exactly what [`crate::asm::Assembler`] — the
+//! label-resolving assembler kept for hand-written programs — makes of
+//! the same stream with a label on every branch target.
 //!
 //! Literal loads carry their pool values in the recording; un-costed
 //! host register writes ([`Machine::set_reg`] argument setup) are
@@ -43,11 +50,12 @@
 //! [`InstrClass::BranchTaken`]: crate::InstrClass::BranchTaken
 //! [`Category`]: crate::Category
 
-use crate::asm::{AsmError, Assembler, Program};
+use crate::asm::{encode_bl, AsmError, Program};
 use crate::exec;
 use crate::fault;
 use crate::isa::Instr;
 use crate::machine::{Machine, Recording};
+use std::collections::HashMap;
 
 /// Which execution substrate runs a modeled kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -136,37 +144,49 @@ pub struct KernelRun {
 ///
 /// # Errors
 ///
-/// Propagates assembler failures (cannot happen for traces produced by
-/// [`Machine::start_recording`]: all branch offsets are −1/0).
+/// None: every branch offset is fixed (−1, or 0 for `BL`). The
+/// `Result` keeps the signature existing callers handle.
 pub fn translate(recording: &Recording) -> Result<Program, AsmError> {
-    let mut a = Assembler::new();
-    for (i, step) in recording.steps.iter().enumerate() {
-        let next = format!("L{i}");
+    // The offset fields of a branch to the next instruction: −1
+    // halfwords from the pipelined PC (this position + 2) for B and
+    // B<cond>, 0 for BL, whose two halfwords end right at the target.
+    const COND_NEXT: u16 = 0xFF;
+    const B_NEXT: u16 = 0x7FF;
+    let mut code = Vec::with_capacity(recording.steps.len());
+    let mut pool: Vec<u32> = Vec::new();
+    for step in &recording.steps {
         match step.instr {
-            Instr::BCond { cond } => {
-                a.branch_if(cond, &next);
-                a.label(&next);
-            }
+            Instr::BCond { .. } => code.push(step.instr.encode()[0] | COND_NEXT),
             // A linear trace cannot pop a return address it never
             // pushed, so BX lr is emitted as the cost-identical B.
-            Instr::B | Instr::Bx => {
-                a.branch(&next);
-                a.label(&next);
-            }
-            Instr::Bl => {
-                a.call(&next);
-                a.label(&next);
-            }
+            Instr::B | Instr::Bx => code.push(Instr::B.encode()[0] | B_NEXT),
+            Instr::Bl => code.extend(encode_bl(0)),
             Instr::LdrLit { rt, .. } => {
                 let value = step
                     .literal
                     .expect("LdrLit recorded without its literal value");
-                a.load_literal(rt, value);
+                // Pool slots in order of first use, as the assembler
+                // allocates them; the encoding carries the slot index.
+                let slot = pool.iter().position(|&v| v == value).unwrap_or_else(|| {
+                    pool.push(value);
+                    pool.len() - 1
+                });
+                code.extend(
+                    Instr::LdrLit {
+                        rt,
+                        imm_words: slot as u32,
+                    }
+                    .encode(),
+                );
             }
-            other => a.push(other),
+            other => code.extend(other.encode()),
         }
     }
-    a.assemble()
+    Ok(Program {
+        code,
+        pool,
+        labels: HashMap::new(),
+    })
 }
 
 /// The code-backend pipeline for one kernel call: record the closure on
@@ -302,6 +322,42 @@ mod tests {
         let listing = crate::isa::disassemble(&p.code);
         assert!(!listing.contains("<undecodable>"), "{listing}");
         assert_eq!(p.size_bytes(), 2 * p.code.len() + 4 * p.pool.len());
+    }
+
+    /// The translation `translate` replaced: every branch aimed at a
+    /// label on the next instruction, resolved by the assembler.
+    fn assembled(recording: &Recording) -> Program {
+        let mut a = crate::asm::Assembler::new();
+        for (i, step) in recording.steps.iter().enumerate() {
+            let next = format!("L{i}");
+            match step.instr {
+                Instr::BCond { cond } => a.branch_if(cond, &next),
+                Instr::B | Instr::Bx => a.branch(&next),
+                Instr::Bl => a.call(&next),
+                Instr::LdrLit { rt, .. } => {
+                    a.load_literal(rt, step.literal.expect("literal value"));
+                    continue;
+                }
+                other => {
+                    a.push(other);
+                    continue;
+                }
+            }
+            a.label(&next);
+        }
+        a.assemble().expect("assembles")
+    }
+
+    #[test]
+    fn translate_matches_the_assembler() {
+        let (mut m, buf) = fresh();
+        m.start_recording();
+        kernel(&mut m, buf);
+        let rec = m.take_recording();
+        let got = translate(&rec).expect("translates");
+        let want = assembled(&rec);
+        assert_eq!(got.code, want.code);
+        assert_eq!(got.pool, want.pool);
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! [`execute_fragment`], [`execute_fragment_ctl`] and
 //! [`execute_predecoded`] — runs the program predecoded (see
 //! [`Predecoded`]) with superblock dispatch between hook calls. The
-//! decode-per-step loop it replaced survives only as the test oracle
-//! the executor is checked against bit for bit.
+//! crate-internal `resume` runs a fragment from a saved cursor and can
+//! pause it before a given instruction; the fault injector checkpoints
+//! and resumes replays with it. The decode-per-step loop it replaced
+//! survives only as the test oracle the executor is checked against
+//! bit for bit.
 
 use crate::asm::{decode_bl, Program};
 use crate::isa::Instr;
@@ -510,32 +513,117 @@ pub fn execute_predecoded(
     run(machine, pre, Entry::Fragment, max_steps, ctl)
 }
 
-/// The instruction loop behind every entry point.
+/// Where a fragment run stands between two calls of [`resume`]: the
+/// program counter, the retired-instruction count, the executor's call
+/// stack and the cycle counter the run started from (so a resumed run
+/// reports the same [`ExecStats`] as an uninterrupted one).
+#[derive(Debug, Clone)]
+pub(crate) struct Cursor {
+    pub(crate) pc: usize,
+    pub(crate) steps: u64,
+    pub(crate) call_stack: Vec<usize>,
+    pub(crate) start_cycles: u64,
+}
+
+impl Cursor {
+    /// A run about to retire its first instruction at `pc`, on a machine
+    /// whose cycle counter reads `start_cycles`.
+    pub(crate) fn at(pc: usize, start_cycles: u64) -> Cursor {
+        Cursor {
+            pc,
+            steps: 0,
+            call_stack: Vec::new(),
+            start_cycles,
+        }
+    }
+}
+
+/// A `stop` for [`resume`] that is never reached.
+pub(crate) const NEVER: u64 = u64::MAX;
+
+/// Runs a predecoded fragment from `cursor` until it ends, fails, or is
+/// about to retire instruction index `stop`. At the stop it returns
+/// `Ok(None)` with `cursor` (and the machine) holding the run's state
+/// before that instruction and before the hook's call there; resuming
+/// from that cursor, on that machine or on one restored to the same
+/// state, retires exactly what the uninterrupted run would. A resumed
+/// run calls `ctl` at its first step whatever the hook's earlier
+/// schedule said. `stop` must lie beyond `cursor.steps` (or be
+/// [`NEVER`]).
 ///
-/// While the hook is dormant (and no recording or trace capture is
-/// armed) it runs whole predecoded *superblocks* — maximal
-/// straight-line runs of non-control instructions — with one dispatch
-/// per position and the category resolved once per block, truncating
-/// each block at the next hook index and the step budget so hooks,
-/// faults and the step limit land on exactly the per-step boundaries.
-/// Everything else goes through one flat per-step match over the
-/// predecoded instruction: control flow, literal loads and stack
-/// transfers have their own arms, and every other instruction runs its
-/// predecoded [`MicroOp`] through `Machine::retire` — the same
-/// `Machine::apply` the blocks and the Direct methods run.
+/// # Errors
 ///
-/// Semantics, error taxonomy, cycle and energy accounting are those of
-/// decode-per-step execution (the test oracle): literal-pool lookups
-/// happen at execution time (so `BadLiteral` fires at the same step),
-/// invalid positions error before the hook runs, and a skipped
-/// instruction still falls through by its encoded width.
+/// Exactly those of [`execute_predecoded`], at the same step.
+pub(crate) fn resume(
+    machine: &mut Machine,
+    pre: &Predecoded,
+    cursor: &mut Cursor,
+    max_steps: u64,
+    stop: u64,
+    ctl: impl FnMut(&mut Machine, usize) -> (StepAction, u64),
+) -> Result<Option<ExecStats>, ExecError> {
+    debug_assert!(stop > cursor.steps, "a stop must lie ahead of the cursor");
+    run_from(machine, pre, cursor, true, max_steps, stop, ctl)
+}
+
+/// The run behind every public entry point: a fresh [`Cursor`] at
+/// `entry`, no stop.
 fn run(
     machine: &mut Machine,
     pre: &Predecoded,
     entry: Entry,
     max_steps: u64,
-    mut ctl: impl FnMut(&mut Machine, usize) -> (StepAction, u64),
+    ctl: impl FnMut(&mut Machine, usize) -> (StepAction, u64),
 ) -> Result<ExecStats, ExecError> {
+    let (pc, image_end_exits) = match entry {
+        Entry::Label(pc) => (pc, false),
+        Entry::Fragment => (0, true),
+    };
+    let mut cursor = Cursor::at(pc, machine.cycles());
+    run_from(
+        machine,
+        pre,
+        &mut cursor,
+        image_end_exits,
+        max_steps,
+        NEVER,
+        ctl,
+    )
+    .map(|stats| stats.expect("a run without a stop never pauses"))
+}
+
+/// The instruction loop.
+///
+/// While the hook is dormant (and no recording or trace capture is
+/// armed) it runs whole predecoded *superblocks* — maximal
+/// straight-line runs of non-control instructions — with one dispatch
+/// per position and the category resolved once per block, truncating
+/// each block at the next hook index, the stop and the step budget so
+/// hooks, faults, stops and the step limit land on exactly the
+/// per-step boundaries. Everything else goes through one flat per-step
+/// match over the predecoded instruction: control flow, literal loads
+/// and stack transfers have their own arms, and every other
+/// instruction runs its predecoded [`MicroOp`] through
+/// `Machine::retire` — the same `Machine::apply` the blocks and the
+/// Direct methods run.
+///
+/// Semantics, error taxonomy, cycle and energy accounting are those of
+/// decode-per-step execution (the test oracle): literal-pool lookups
+/// happen at execution time (so `BadLiteral` fires at the same step),
+/// invalid positions error before the hook runs, and a skipped
+/// instruction still falls through by its encoded width. The stop is
+/// checked where the hook would run, after every check that can end
+/// the run without side effects, so pausing there and resuming
+/// changes nothing.
+fn run_from(
+    machine: &mut Machine,
+    pre: &Predecoded,
+    cursor: &mut Cursor,
+    image_end_exits: bool,
+    max_steps: u64,
+    stop: u64,
+    mut ctl: impl FnMut(&mut Machine, usize) -> (StepAction, u64),
+) -> Result<Option<ExecStats>, ExecError> {
     use Instr::*;
     // The superblock micro-ops bake per-op cycle costs from one cycle
     // table; running them on a machine modelling a different target
@@ -545,15 +633,13 @@ fn run(
         machine.model().cycle_table(),
         "predecoded fragment built for a different target's cycle table"
     );
-    let (mut pc, image_end_exits) = match entry {
-        Entry::Label(pc) => (pc, false),
-        Entry::Fragment => (0, true),
-    };
     let len = pre.steps.len();
-    let mut call_stack: Vec<usize> = Vec::new();
-    let mut steps = 0u64;
+    let mut pc = cursor.pc;
+    let mut steps = cursor.steps;
+    let mut call_stack = std::mem::take(&mut cursor.call_stack);
+    // The stop is scheduled like a hook boundary, so the hot path pays
+    // nothing for it.
     let mut next_ctl = 0u64;
-    let start_cycles = machine.cycles();
 
     loop {
         if pc >= len {
@@ -572,11 +658,12 @@ fn run(
         if steps < next_ctl {
             let end = pre.run_end[pc] as usize;
             if end > pc && !machine.block_capture_active() {
-                // Truncate the block at the next hook index and the
-                // step budget: any prefix of a straight-line run is
-                // per-step-equivalent, so the hook (or StepLimit)
-                // fires at exactly the per-step position. Both bounds
-                // exceed `steps` here, so at least one position runs.
+                // Truncate the block at the next hook index (or stop)
+                // and the step budget: any prefix of a straight-line
+                // run is per-step-equivalent, so the hook (or
+                // StepLimit) fires at exactly the per-step position.
+                // Both bounds exceed `steps` here, so at least one
+                // position runs.
                 let budget = (next_ctl - steps).min(max_steps - steps);
                 let n = (end - pc).min(budget as usize);
                 let cat = machine.current_category();
@@ -599,8 +686,17 @@ fn run(
             });
         }
         let action = if steps >= next_ctl {
+            if steps == stop {
+                *cursor = Cursor {
+                    pc,
+                    steps,
+                    call_stack,
+                    start_cycles: cursor.start_cycles,
+                };
+                return Ok(None);
+            }
             let (action, next) = ctl(machine, steps as usize);
-            next_ctl = next.max(steps + 1);
+            next_ctl = next.max(steps + 1).min(stop);
             action
         } else {
             StepAction::Execute
@@ -662,10 +758,10 @@ fn run(
     if pc > len {
         return Err(ExecError::PcOutOfRange(pc));
     }
-    Ok(ExecStats {
+    Ok(Some(ExecStats {
         instructions: steps,
-        cycles: machine.cycles() - start_cycles,
-    })
+        cycles: machine.cycles() - cursor.start_cycles,
+    }))
 }
 
 #[cfg(test)]
@@ -1188,6 +1284,62 @@ mod tests {
         });
         a.branch_if(Cond::Ne, "loop");
         a.assemble().expect("assembles")
+    }
+
+    #[test]
+    fn paused_runs_resume_to_the_reference_result() {
+        // A BL ahead of looped_program()'s countdown loop, and a BX
+        // lr after it that returns into the loop's set-up once, so the
+        // call-stack entry carried across a pause decides the result.
+        let mut a = Assembler::new();
+        a.call("body");
+        a.label("body");
+        a.push(Instr::MovsImm {
+            rd: Reg::R0,
+            imm: 6,
+        });
+        a.label("loop");
+        a.push(Instr::AddsImm8 {
+            rdn: Reg::R1,
+            imm: 3,
+        });
+        a.push(Instr::SubsImm8 {
+            rdn: Reg::R0,
+            imm: 1,
+        });
+        a.branch_if(Cond::Ne, "loop");
+        a.push(Instr::Bx);
+        let p = a.assemble().expect("assembles");
+        let pre = Predecoded::for_cycles(&p, &M0PLUS_CYCLES);
+        // 41 instructions retire; a budget of 30 ends in StepLimit.
+        for max_steps in [1000, 30] {
+            let mut oracle = machine64();
+            let want = reference_run(&mut oracle, &p, Entry::Fragment, max_steps, |_, _| {
+                StepAction::Execute
+            });
+            let end = if max_steps == 1000 {
+                Ok(41)
+            } else {
+                Err(ExecError::StepLimit)
+            };
+            assert_eq!(want.clone().map(|s| s.instructions), end);
+            for stop in 1..30 {
+                for ctl in [per_step, dormant] {
+                    let context = format!("budget {max_steps}, stop {stop}");
+                    let mut paused = machine64();
+                    let mut cursor = Cursor::at(0, paused.cycles());
+                    let first = resume(&mut paused, &pre, &mut cursor, max_steps, stop, ctl);
+                    assert_eq!(first, Ok(None), "{context}");
+                    assert_eq!(cursor.steps, stop, "{context}");
+                    // Resume on a copy, as a checkpoint restore does.
+                    let mut restored = paused.clone();
+                    let got = resume(&mut restored, &pre, &mut cursor, max_steps, NEVER, ctl)
+                        .map(|stats| stats.expect("runs to its end"));
+                    assert_eq!(got, want, "{context}");
+                    oracle.assert_same_state(&restored, &context);
+                }
+            }
+        }
     }
 
     #[test]

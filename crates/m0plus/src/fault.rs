@@ -6,7 +6,16 @@
 //! instruction index with one of the three classic glitch models —
 //! instruction skip, single-bit register flip, single-bit memory flip —
 //! and runs the faulted execution to completion, or to a clean
-//! [`ExecError`] abort, on a clone of the pre-kernel machine state.
+//! [`ExecError`] abort.
+//!
+//! Up to the fault, a faulted replay is the fault-free one (the *golden
+//! run*). [`RecordedKernel::new`] runs the golden run once and
+//! checkpoints it at 64 evenly spaced trace indices; a replay restores
+//! the last checkpoint at or before its fault on a clone of the
+//! pre-kernel machine state and resumes the executor there, with a
+//! result bit-identical to a replay from the first instruction.
+//! [`RecordedKernel::classify`] also stops at the first checkpoint after
+//! the fault when the run is back on the golden run.
 //!
 //! Everything is deterministic: a [`FaultPlan`] fully describes one
 //! fault, and [`FaultPlan::sample`] draws plans from the in-tree
@@ -15,8 +24,8 @@
 
 use crate::asm::Program;
 use crate::backend;
-use crate::exec::{self, ExecError, ExecStats, Predecoded, StepAction};
-use crate::machine::{Machine, Recording, Reg};
+use crate::exec::{self, Cursor, ExecError, ExecStats, Predecoded, StepAction, NEVER};
+use crate::machine::{Machine, Recording, Reg, StateDelta};
 use prng::SplitMix64;
 use std::ops::Range;
 use std::sync::Arc;
@@ -133,20 +142,45 @@ impl FaultedRun {
 /// categories run in long stretches, the fault hits one index — so the
 /// hook can also report ([`ReplayHook::next_break`]) the next index at
 /// which it has anything to do, which is what lets every replay run
-/// hook-free between boundaries via [`exec::execute_predecoded`].
+/// hook-free between boundaries through the executor's scheduled hook.
 struct ReplayHook<'a> {
     steps: &'a [crate::machine::RecordedStep],
     writes: &'a [crate::machine::RecordedSetReg],
+    /// The first write not yet applied.
     cursor: usize,
+    /// Category-run starts (see [`category_breaks`]).
+    breaks: &'a [u32],
+    /// The first run start not yet passed.
+    next_run: usize,
     fault: Option<FaultPlan>,
 }
 
+/// The trace indices at which the recorded category changes: the hook
+/// sets the override again only there.
+fn category_breaks(recording: &Recording) -> Vec<u32> {
+    let steps = &recording.steps;
+    (1..steps.len())
+        .filter(|&i| steps[i].category != steps[i - 1].category)
+        .map(|i| i as u32)
+        .collect()
+}
+
 impl<'a> ReplayHook<'a> {
-    fn new(recording: &'a Recording, fault: Option<&FaultPlan>) -> ReplayHook<'a> {
+    /// The hook of a replay about to retire trace index `from`: every
+    /// write positioned before `from` has already been applied.
+    fn new(
+        recording: &'a Recording,
+        breaks: &'a [u32],
+        fault: Option<&FaultPlan>,
+        from: u64,
+    ) -> ReplayHook<'a> {
+        let writes = &recording.reg_writes[..];
         ReplayHook {
             steps: &recording.steps,
-            writes: &recording.reg_writes,
-            cursor: 0,
+            writes,
+            cursor: writes.partition_point(|w| (w.at as u64) < from),
+            breaks,
+            next_run: breaks.partition_point(|&b| u64::from(b) <= from),
             fault: fault.copied(),
         }
     }
@@ -177,22 +211,16 @@ impl<'a> ReplayHook<'a> {
 
     /// The next index after `idx` at which [`ReplayHook::at`] would do
     /// anything: a pending write, a category-run boundary, or the fault.
-    /// Walking the category run here costs one pass over the recording
-    /// in total, not one load per retired instruction.
-    fn next_break(&self, idx: usize) -> u64 {
+    fn next_break(&mut self, idx: usize) -> u64 {
         let mut next = u64::MAX;
         if self.cursor < self.writes.len() {
             next = next.min(self.writes[self.cursor].at as u64);
         }
-        if idx < self.steps.len() {
-            let cat = self.steps[idx].category;
-            let mut j = idx + 1;
-            while j < self.steps.len() && self.steps[j].category == cat {
-                j += 1;
-            }
-            if j < self.steps.len() {
-                next = next.min(j as u64);
-            }
+        while self.next_run < self.breaks.len() && self.breaks[self.next_run] as usize <= idx {
+            self.next_run += 1;
+        }
+        if let Some(&run) = self.breaks.get(self.next_run) {
+            next = next.min(u64::from(run));
         }
         if let Some(f) = self.fault {
             if f.at > idx as u64 {
@@ -203,14 +231,48 @@ impl<'a> ReplayHook<'a> {
     }
 }
 
+/// Replays a recorded kernel's predecoded fragment on `machine` from
+/// `cursor` until it ends, aborts or is about to retire trace index
+/// `stop` (`Ok(None)`; see [`exec::resume`]). It reapplies the
+/// recording's positioned un-costed register writes and per-step
+/// category attribution (`breaks` from [`category_breaks`]), injects
+/// `fault`, if any, at its trace index, and on completion flushes the
+/// writes recorded after the last costed instruction. The category
+/// override is left as the replay set it.
+fn replay_from(
+    machine: &mut Machine,
+    predecoded: &Predecoded,
+    recording: &Recording,
+    breaks: &[u32],
+    fault: Option<&FaultPlan>,
+    cursor: &mut Cursor,
+    stop: u64,
+) -> Result<Option<ExecStats>, ExecError> {
+    let mut hook = ReplayHook::new(recording, breaks, fault, cursor.steps);
+    let stats = exec::resume(
+        machine,
+        predecoded,
+        cursor,
+        recording.steps.len() as u64 + 1,
+        stop,
+        |mm, idx| {
+            let action = hook.at(mm, idx);
+            (action, hook.next_break(idx))
+        },
+    );
+    if let Ok(Some(_)) = stats {
+        for w in &hook.writes[hook.cursor..] {
+            machine.set_reg(w.reg, w.value);
+        }
+    }
+    stats
+}
+
 /// Replays a recorded kernel's predecoded fragment on `machine` in
-/// place — the one replay path, shared by [`RecordedKernel::replay`]
-/// and the code backend's verified replay
-/// ([`backend::run_recorded`]). It reapplies the recording's positioned
-/// un-costed register writes and per-step category attribution,
-/// injects `fault`, if any, at its trace index, and on success flushes
-/// the writes recorded after the last costed instruction. The
-/// machine's category override is restored either way.
+/// place, from its first instruction — the code backend's verified
+/// replay ([`backend::run_recorded`]). It injects `fault`, if any, at
+/// its trace index; the machine's category override is restored
+/// either way.
 pub(crate) fn replay(
     machine: &mut Machine,
     predecoded: &Predecoded,
@@ -218,52 +280,106 @@ pub(crate) fn replay(
     fault: Option<&FaultPlan>,
 ) -> Result<ExecStats, ExecError> {
     let saved_override = machine.category_override();
-    let mut hook = ReplayHook::new(recording, fault);
-    let stats = exec::execute_predecoded(
+    let breaks = category_breaks(recording);
+    let mut cursor = Cursor::at(0, machine.cycles());
+    let stats = replay_from(
         machine,
         predecoded,
-        recording.steps.len() as u64 + 1,
-        |mm, idx| {
-            let action = hook.at(mm, idx);
-            (action, hook.next_break(idx))
-        },
-    );
-    if stats.is_ok() {
-        for w in &hook.writes[hook.cursor..] {
-            machine.set_reg(w.reg, w.value);
-        }
-    }
+        recording,
+        &breaks,
+        fault,
+        &mut cursor,
+        NEVER,
+    )
+    .map(|stats| stats.expect("a replay without a stop runs to its end"));
     machine.set_category_override(saved_override);
     stats
 }
 
+/// Checkpoints taken along a recorded kernel's fault-free replay, the
+/// golden run. A fixed count rather than a fixed interval: a faulted
+/// replay then re-runs at most 1/64 of the trace before its fault,
+/// however long the kernel.
+const CHECKPOINTS: u64 = 64;
+
+/// The golden run's state just before it retires trace index
+/// `cursor.steps`.
+#[derive(Debug)]
+struct Checkpoint {
+    state: StateDelta,
+    cursor: Cursor,
+}
+
+/// How [`RecordedKernel::classify`] settled one faulted replay.
+#[derive(Debug)]
+pub enum Outcome {
+    /// At the first checkpoint after the fault, registers, flags, RAM,
+    /// program counter and call depth equaled the golden run's: the
+    /// rest of the run is the golden run, so it ends with the fault-free
+    /// result. The replay stopped there.
+    Converged,
+    /// The replay ran to its end or aborted.
+    Ran(Box<FaultedRun>),
+}
+
 /// Everything needed to replay one kernel under fault injection: the
-/// pre-run machine state, the assembled Thumb-16 fragment and the
-/// captured trace.
+/// pre-run machine state, the assembled Thumb-16 fragment, the
+/// captured trace, and checkpoints of the fault-free replay.
 #[derive(Debug, Clone)]
 pub struct RecordedKernel {
-    /// Machine state immediately before the kernel ran.
-    pub pre: Machine,
-    /// The assembled Thumb-16 fragment.
-    pub program: Program,
-    /// The captured trace (categories + positioned register writes).
-    pub recording: Recording,
+    pre: Machine,
+    program: Program,
+    recording: Recording,
     /// The fragment decoded once, shared by every replay.
     predecoded: Arc<Predecoded>,
+    /// Checkpoints at trace indices 0, `interval`, 2·`interval`, … up
+    /// to where the golden run ends.
+    checkpoints: Arc<[Checkpoint]>,
+    interval: u64,
+    /// The recording's category-run starts.
+    breaks: Vec<u32>,
 }
 
 impl RecordedKernel {
-    /// Bundles a captured kernel, predecoding the fragment once (via
-    /// the process-wide cache) so every subsequent replay skips both
-    /// decode and hashing.
+    /// Bundles a captured kernel: predecodes the fragment once (via the
+    /// process-wide cache), then replays it once without a fault and
+    /// checkpoints that golden run at [`CHECKPOINTS`] evenly spaced
+    /// trace indices, so every later replay skips decode, hashing and
+    /// the golden prefix before its fault. `pre` must have no recording
+    /// or trace armed: a resumed replay could not capture its prefix.
     pub fn new(pre: Machine, program: Program, recording: Recording) -> RecordedKernel {
+        debug_assert!(
+            !pre.block_capture_active(),
+            "a replayed machine must not be capturing"
+        );
         let predecoded = exec::predecode_with(&program, pre.model().cycle_table());
-        RecordedKernel {
+        let len = recording.len() as u64;
+        let mut kernel = RecordedKernel {
+            breaks: category_breaks(&recording),
+            interval: len.div_ceil(CHECKPOINTS).max(1),
+            checkpoints: Arc::new([]),
             pre,
             program,
             recording,
             predecoded,
+        };
+        let mut checkpoints = Vec::new();
+        let mut machine = kernel.pre.clone();
+        let mut cursor = Cursor::at(0, machine.cycles());
+        loop {
+            checkpoints.push(Checkpoint {
+                state: machine.delta_from(&kernel.pre),
+                cursor: cursor.clone(),
+            });
+            let stop = cursor.steps + kernel.interval;
+            // A fragment that ends or fails before the next checkpoint
+            // has no state to keep beyond this one.
+            if stop >= len || kernel.run_on(&mut machine, None, &mut cursor, stop) != Ok(None) {
+                break;
+            }
         }
+        kernel.checkpoints = checkpoints.into();
+        kernel
     }
 
     /// Records `f` running on a clone of `machine` and assembles the
@@ -283,18 +399,98 @@ impl RecordedKernel {
         (RecordedKernel::new(pre, program, recording), out)
     }
 
-    /// Replays the kernel on a clone of [`RecordedKernel::pre`] through
-    /// the stored predecoded fragment, with `fault`, if any, injected at
-    /// its trace index. Unlike the code backend's replay there is no
-    /// shadow-state assertion: a faulted replay diverges by design.
-    /// Holding the fragment means replaying a kernel millions of times
-    /// pays neither decode nor hashing, and the scheduled hook pays the
-    /// boundary work (register writes, category runs, the fault) per
-    /// boundary, not per instruction.
-    pub fn replay(&self, fault: Option<&FaultPlan>) -> FaultedRun {
+    /// Machine state immediately before the kernel ran.
+    pub fn pre(&self) -> &Machine {
+        &self.pre
+    }
+
+    /// The assembled Thumb-16 fragment.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// The captured trace (categories + positioned register writes).
+    pub fn recording(&self) -> &Recording {
+        &self.recording
+    }
+
+    /// Trace indices between two checkpoints of the golden run.
+    pub fn checkpoint_interval(&self) -> u64 {
+        self.interval
+    }
+
+    /// The last checkpoint at or before trace index `at`, as a machine
+    /// and the cursor to resume it from, and that checkpoint's index.
+    fn resume_point(&self, at: u64) -> (Machine, Cursor, usize) {
+        let i = ((at / self.interval) as usize).min(self.checkpoints.len() - 1);
+        let checkpoint = &self.checkpoints[i];
         let mut machine = self.pre.clone();
-        let stats = replay(&mut machine, &self.predecoded, &self.recording, fault);
-        FaultedRun { machine, stats }
+        machine.restore(&checkpoint.state);
+        (machine, checkpoint.cursor.clone(), i)
+    }
+
+    /// Replays the kernel with `fault`, if any, injected at its trace
+    /// index, resuming from the last golden checkpoint before the fault.
+    /// The result — statistics, abort reason and the whole machine,
+    /// energy totals to the bit — is that of a replay on a clone of
+    /// [`RecordedKernel::pre`] from the first instruction. Unlike the
+    /// code backend's replay there is no shadow-state assertion: a
+    /// faulted replay diverges by design.
+    pub fn replay(&self, fault: Option<&FaultPlan>) -> FaultedRun {
+        let (mut machine, mut cursor, _) = self.resume_point(fault.map_or(u64::MAX, |f| f.at));
+        let stats = self.run_on(&mut machine, fault, &mut cursor, NEVER);
+        self.ran(machine, stats)
+    }
+
+    /// Replays the kernel with `fault` like [`RecordedKernel::replay`],
+    /// but stops at the first checkpoint after the fault if the run is
+    /// back on the golden run there ([`Outcome::Converged`]). A converged
+    /// run's final machine is the fault-free one except for its
+    /// counters, which are not computed: use this where only the
+    /// kernel's result and whether it aborted matter.
+    pub fn classify(&self, fault: &FaultPlan) -> Outcome {
+        let (mut machine, mut cursor, i) = self.resume_point(fault.at);
+        let next = self.checkpoints.get(i + 1);
+        let stop = next.map_or(NEVER, |c| c.cursor.steps);
+        let mut stats = self.run_on(&mut machine, Some(fault), &mut cursor, stop);
+        if let (Ok(None), Some(next)) = (&stats, next) {
+            if cursor.pc == next.cursor.pc
+                && cursor.call_stack.len() == next.cursor.call_stack.len()
+                && machine.same_architecture(&self.pre, &next.state)
+            {
+                return Outcome::Converged;
+            }
+            stats = self.run_on(&mut machine, Some(fault), &mut cursor, NEVER);
+        }
+        Outcome::Ran(Box::new(self.ran(machine, stats)))
+    }
+
+    fn run_on(
+        &self,
+        machine: &mut Machine,
+        fault: Option<&FaultPlan>,
+        cursor: &mut Cursor,
+        stop: u64,
+    ) -> Result<Option<ExecStats>, ExecError> {
+        replay_from(
+            machine,
+            &self.predecoded,
+            &self.recording,
+            &self.breaks,
+            fault,
+            cursor,
+            stop,
+        )
+    }
+
+    /// The [`FaultedRun`] of a replay that ran to its end or aborted,
+    /// with the pre-run category override put back.
+    fn ran(&self, mut machine: Machine, stats: Result<Option<ExecStats>, ExecError>) -> FaultedRun {
+        machine.set_category_override(self.pre.category_override());
+        FaultedRun {
+            machine,
+            stats: stats.map(|s| s.expect("a replay without a stop runs to its end")),
+        }
     }
 
     /// Number of instructions in the captured trace.
@@ -307,6 +503,181 @@ impl RecordedKernel {
 mod tests {
     use super::*;
     use crate::machine::Addr;
+    use crate::{Category, Cond, Instr};
+
+    /// The replay every checkpointed one must equal: a clone of `pre`
+    /// replayed from the first instruction, as `RecordedKernel::replay`
+    /// ran before it kept checkpoints.
+    fn replay_from_pre(k: &RecordedKernel, fault: Option<&FaultPlan>) -> FaultedRun {
+        let mut machine = k.pre.clone();
+        let stats = replay(&mut machine, &k.predecoded, &k.recording, fault);
+        FaultedRun { machine, stats }
+    }
+
+    /// Asserts two runs agree on statistics or abort reason and on the
+    /// whole machine: registers, flags, RAM, cycles, instruction counts,
+    /// per-category totals, the category override and every energy
+    /// accumulator to the bit.
+    fn assert_same_run(got: &FaultedRun, want: &FaultedRun, context: &str) {
+        assert_eq!(got.stats, want.stats, "{context}: stats diverged");
+        got.machine.assert_same_state(&want.machine, context);
+        assert_eq!(
+            got.machine.category_override(),
+            want.machine.category_override(),
+            "{context}: category override diverged"
+        );
+    }
+
+    /// A kernel long enough for several trace indices per checkpoint:
+    /// twelve rounds of a keyed four-word xor that feeds back into its
+    /// input, each round with mid-stream argument writes, its own
+    /// category, a literal, a conditional branch and a stack transfer.
+    fn rounds_kernel(m: &mut Machine, a: Addr, b: Addr, out: Addr) {
+        m.bl();
+        for round in 0..12u32 {
+            m.set_base(Reg::R0, a);
+            m.set_base(Reg::R1, b);
+            m.set_base(Reg::R2, out);
+            let category = if round % 2 == 0 {
+                Category::Multiply
+            } else {
+                Category::Square
+            };
+            m.in_category(category, |m| {
+                m.ldr_const(Reg::R5, 0x1234_0000 + round);
+                for i in 0..4 {
+                    m.ldr(Reg::R3, Reg::R0, i);
+                    m.ldr(Reg::R4, Reg::R1, i);
+                    m.eors(Reg::R3, Reg::R4);
+                    m.eors(Reg::R3, Reg::R5);
+                    m.str(Reg::R3, Reg::R2, i);
+                }
+                m.str(Reg::R3, Reg::R0, round % 4);
+                m.cmp_imm(Reg::R3, 0);
+                m.b_cond(Cond::Ne);
+                m.stack_transfer(3);
+            });
+        }
+        m.bx();
+    }
+
+    fn rounds_setup() -> (RecordedKernel, Addr) {
+        let (m, a, b, out) = setup();
+        let (kernel, ()) = RecordedKernel::capture(&m, |m| rounds_kernel(m, a, b, out));
+        (kernel, a)
+    }
+
+    /// Skip, register flip and memory flip at each of `at`.
+    fn plans_at(at: &[u64], word: u32) -> Vec<FaultPlan> {
+        let kinds = [
+            FaultKind::SkipInstruction,
+            FaultKind::RegisterBitFlip {
+                reg: Reg::R3,
+                bit: 5,
+            },
+            FaultKind::MemoryBitFlip { word, bit: 9 },
+        ];
+        at.iter()
+            .flat_map(|&at| kinds.map(|kind| FaultPlan { at, kind }))
+            .collect()
+    }
+
+    #[test]
+    fn resumed_replay_matches_replay_from_pre() {
+        for (name, (kernel, a)) in [
+            ("xor", {
+                let (m, a, b, out) = setup();
+                (
+                    RecordedKernel::capture(&m, |m| xor_kernel(m, a, b, out)).0,
+                    a,
+                )
+            }),
+            ("rounds", rounds_setup()),
+        ] {
+            let len = kernel.trace_len();
+            let k = kernel.checkpoint_interval();
+            assert_eq!(k, len.div_ceil(CHECKPOINTS).max(1), "{name}");
+            if name == "rounds" {
+                assert!(k >= 3, "{name}: K − 1, K and K + 1 must be distinct");
+            }
+            let clean = kernel.replay(None);
+            assert_same_run(&clean, &replay_from_pre(&kernel, None), name);
+            let mut plans = plans_at(&[0, k - 1, k, k + 1, len - 1], a.0 + 1);
+            // A flip of the base pointer's top bit just before a load
+            // through it in the second checkpoint interval aborts.
+            let load = (k + 1..len)
+                .find(|&i| {
+                    matches!(
+                        kernel.recording.steps[i as usize].instr,
+                        Instr::LdrImm { rn: Reg::R0, .. }
+                    )
+                })
+                .expect("a load through r0");
+            plans.push(FaultPlan {
+                at: load,
+                kind: FaultKind::RegisterBitFlip {
+                    reg: Reg::R0,
+                    bit: 31,
+                },
+            });
+            for plan in &plans {
+                let context = format!("{name} {plan:?}");
+                let got = kernel.replay(Some(plan));
+                assert_same_run(&got, &replay_from_pre(&kernel, Some(plan)), &context);
+                if plan.at == load {
+                    assert!(
+                        matches!(got.stats, Err(ExecError::MemOutOfRange { .. })),
+                        "{context}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn classify_stops_only_where_the_run_is_golden_again() {
+        let (kernel, a) = rounds_setup();
+        let k = kernel.checkpoint_interval();
+        let clean = kernel.replay(None).machine;
+        // A flip of r3 just before a load into r3 is overwritten at
+        // once, so the run is golden again at the next checkpoint.
+        let reload = (k..kernel.trace_len())
+            .find(|&i| {
+                matches!(
+                    kernel.recording.steps[i as usize].instr,
+                    Instr::LdrImm { rt: Reg::R3, .. }
+                )
+            })
+            .expect("a load into r3");
+        let dead = FaultPlan {
+            at: reload,
+            kind: FaultKind::RegisterBitFlip {
+                reg: Reg::R3,
+                bit: 7,
+            },
+        };
+        assert!(matches!(kernel.classify(&dead), Outcome::Converged));
+        let full = kernel.replay(Some(&dead));
+        assert_eq!(full.machine.read_slice(a, 12), clean.read_slice(a, 12));
+
+        // A flip of the second input, which the kernel never writes,
+        // stays in RAM: classify runs to the end and returns the exact
+        // replay.
+        let live = FaultPlan {
+            at: 0,
+            kind: FaultKind::MemoryBitFlip {
+                word: a.0 + 4 + 2,
+                bit: 3,
+            },
+        };
+        match kernel.classify(&live) {
+            Outcome::Ran(run) => {
+                assert_same_run(&run, &kernel.replay(Some(&live)), "live flip");
+                assert_ne!(run.machine.read_slice(a, 12), clean.read_slice(a, 12));
+            }
+            Outcome::Converged => panic!("an altering flip cannot converge"),
+        }
+    }
 
     /// A little two-operand kernel: out[i] = a[i] ^ b[i] for 4 words,
     /// with a data-dependent twist so skips and flips show up.

@@ -439,6 +439,27 @@ fn blocked() -> ! {
     panic!("blocked micro-op executed (LSLS #0 is not modeled)")
 }
 
+/// RAM page size, in words, of a [`StateDelta`].
+const PAGE_WORDS: usize = 64;
+
+/// A machine's run state stored against a base machine (see
+/// [`Machine::delta_from`]): only the RAM pages that differ from the
+/// base are kept.
+#[derive(Debug, Clone)]
+pub(crate) struct StateDelta {
+    regs: [u32; 15],
+    flags: Flags,
+    /// Indices of the pages that differ from the base, ascending.
+    pages: Vec<u32>,
+    /// Those pages' words, concatenated in `pages` order.
+    words: Vec<u32>,
+    counts: ClassCounts,
+    cycles: u64,
+    energy_pj: f64,
+    by_category: [CategoryTotals; Category::ALL.len()],
+    category_override: Option<Category>,
+}
+
 /// The instrumented Cortex-M0+ model. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -676,6 +697,78 @@ impl Machine {
             );
         }
         assert_eq!(self.mem, other.mem, "{context}: memory diverged");
+    }
+
+    /// Everything an executor run can change on this machine, stored
+    /// against `base` (a machine this one was cloned from): registers,
+    /// flags, the RAM pages that differ from `base`'s, cycles, the f64
+    /// energy totals, instruction counts, per-category totals and the
+    /// category override.
+    pub(crate) fn delta_from(&self, base: &Machine) -> StateDelta {
+        debug_assert_eq!(self.mem.len(), base.mem.len(), "not a clone of base");
+        let mut pages = Vec::new();
+        let mut words = Vec::new();
+        let chunks = self.mem.chunks(PAGE_WORDS).zip(base.mem.chunks(PAGE_WORDS));
+        for (page, (mine, theirs)) in chunks.enumerate() {
+            if mine != theirs {
+                pages.push(page as u32);
+                words.extend_from_slice(mine);
+            }
+        }
+        StateDelta {
+            regs: self.regs,
+            flags: self.flags,
+            pages,
+            words,
+            counts: self.counts.clone(),
+            cycles: self.cycles,
+            energy_pj: self.energy_pj,
+            by_category: self.by_category,
+            category_override: self.category_override,
+        }
+    }
+
+    /// Puts `delta` on this machine, which must be a clone of the base
+    /// the delta was taken against: afterwards it is bit for bit the
+    /// machine the delta was taken from.
+    pub(crate) fn restore(&mut self, delta: &StateDelta) {
+        self.regs = delta.regs;
+        self.flags = delta.flags;
+        for (page, words) in delta.pages.iter().zip(delta.words.chunks(PAGE_WORDS)) {
+            let start = *page as usize * PAGE_WORDS;
+            self.mem[start..start + words.len()].copy_from_slice(words);
+        }
+        self.counts.clone_from(&delta.counts);
+        self.cycles = delta.cycles;
+        self.energy_pj = delta.energy_pj;
+        self.by_category = delta.by_category;
+        self.category_override = delta.category_override;
+    }
+
+    /// Whether registers, flags and RAM equal those of the machine
+    /// `delta` was taken from, `base` being the delta's base. Counters
+    /// are not compared: two runs in this architectural state retire
+    /// the same instructions from here on, whatever they charged so far.
+    pub(crate) fn same_architecture(&self, base: &Machine, delta: &StateDelta) -> bool {
+        if self.regs != delta.regs || self.flags != delta.flags {
+            return false;
+        }
+        let mut dirty = delta
+            .pages
+            .iter()
+            .zip(delta.words.chunks(PAGE_WORDS))
+            .peekable();
+        let chunks = self.mem.chunks(PAGE_WORDS).zip(base.mem.chunks(PAGE_WORDS));
+        for (page, (mine, theirs)) in chunks.enumerate() {
+            let expected = match dirty.next_if(|(p, _)| **p as usize == page) {
+                Some((_, words)) => words,
+                None => theirs,
+            };
+            if mine != expected {
+                return false;
+            }
+        }
+        true
     }
 
     // ------------------------------------------------------------------

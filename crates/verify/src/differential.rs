@@ -1276,9 +1276,13 @@ mod tests {
 
     #[test]
     fn smoke_run_agrees_everywhere() {
+        // Inversion is sampled at every 32nd field case whose `a` is
+        // non-zero; case 0 is the edge (0, 0), so 33 cases reach one
+        // inversion, at the random case 32.
+        const FIELD: usize = 33;
         let cfg = DiffConfig {
             seed: 1,
-            field_cases: 24,
+            field_cases: FIELD,
             scalar_cases: 14,
             wire_cases: 60,
             batch_cases: 6,
@@ -1296,21 +1300,23 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing pair {name}"))
                 .cases
         };
-        assert_eq!(find("portable/generic_u64"), 24);
-        assert_eq!(find("portable/counted_ld"), 24);
-        assert_eq!(find("portable/modeled_direct"), 24);
-        assert_eq!(find("modeled_direct/modeled_code_cycles"), 24);
+        assert_eq!(find("portable/generic_u64"), FIELD);
+        assert_eq!(find("portable/counted_ld"), FIELD);
+        assert_eq!(find("portable/modeled_direct"), FIELD);
+        assert_eq!(find("modeled_direct/modeled_code_cycles"), FIELD);
+        assert_eq!(find("portable/generic_u64_inv"), 1);
+        assert_eq!(find("portable/modeled_inv"), 1);
         // The carry-less kernels exist only on a CPU with PCLMULQDQ.
         if Clmul::detect().is_some() {
-            assert_eq!(find("paper/clmul_mul"), 24);
-            assert_eq!(find("paper/clmul_sqr"), 24);
-            assert_eq!(find("eea/clmul_inv"), 24);
+            assert_eq!(find("paper/clmul_mul"), FIELD);
+            assert_eq!(find("paper/clmul_sqr"), FIELD);
+            assert_eq!(find("eea/clmul_inv"), FIELD);
         } else {
             assert!(!report.pairs.iter().any(|p| p.pair.contains("clmul")));
         }
         // So does the SHA-NI compression: one message per field case.
         if ShaNi::detect().is_some() {
-            assert_eq!(find("sha_portable/sha_ni"), 24);
+            assert_eq!(find("sha_portable/sha_ni"), FIELD);
         } else {
             assert!(!report.pairs.iter().any(|p| p.pair.contains("sha_ni")));
         }

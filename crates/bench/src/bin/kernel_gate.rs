@@ -1,17 +1,21 @@
 //! Kernel-cycle regression gate: re-measures the headline field-kernel
-//! cycle counts and the full point-multiplication totals
-//! (`kp_this_work_asm`, `kg_this_work_asm`, `relic_style`) and
-//! compares them, exactly, against the committed `BENCH_<n>.json`
+//! cycle counts, the full point-multiplication totals
+//! (`kp_this_work_asm`, `kg_this_work_asm`, `relic_style`) and the
+//! counted tier's batch-inversion amortisation rows (`batch_inv_cycles`,
+//! `batch_total_cycles`, `individual_inv_cycles` at every batch size)
+//! and compares them, exactly, against the committed `BENCH_<n>.json`
 //! baseline.
 //!
 //! The cost model is deterministic, so any drift in `mul_asm_cycles`,
-//! `sqr_asm_cycles`, `inv_cycles` or a point-multiplication total is a
-//! real modeling change and must arrive together with a regenerated
-//! baseline — this gate turns a silent drift into a CI failure.
+//! `sqr_asm_cycles`, `inv_cycles`, a point-multiplication total or an
+//! amortisation row is a real modeling change and must arrive together
+//! with a regenerated baseline — this gate turns a silent drift into a
+//! CI failure.
 //!
 //! Run: `cargo run --release -p bench --bin kernel_gate [-- <baseline.json>]`
 //! (defaults to the highest `BENCH_<n>.json` at the repository root).
 
+use bench::throughput::{self, ThroughputConfig};
 use bench::workloads;
 use gf2m::modeled::Tier;
 use std::path::{Path, PathBuf};
@@ -52,15 +56,15 @@ fn extract_u64(doc: &str, key: &str) -> u64 {
         .unwrap_or_else(|e| panic!("unparsable value for {key:?} in {line:?}: {e}"))
 }
 
-/// Extracts `"key": <integer>` scoped to the part of the baseline that
-/// starts at `"section":` — the export has a fixed key order, so the
-/// first `key` after the section header belongs to that section.
-fn extract_section_u64(doc: &str, section: &str, key: &str) -> u64 {
-    let header = format!("\"{section}\":");
+/// The part of the baseline that starts at `"section":` — the export
+/// has a fixed key order, so the first `key` after a section header
+/// belongs to that section.
+fn section<'a>(doc: &'a str, name: &str) -> &'a str {
+    let header = format!("\"{name}\":");
     let start = doc
         .find(&header)
-        .unwrap_or_else(|| panic!("baseline has no section {section:?}"));
-    extract_u64(&doc[start..], key)
+        .unwrap_or_else(|| panic!("baseline has no section {name:?}"));
+    &doc[start..]
 }
 
 /// The gate reads individual keys, so it works across every schema
@@ -114,19 +118,45 @@ fn main() {
     let kp = workloads::average_kp(Tier::Asm, 1..3);
     let kg = workloads::average_kg(Tier::Asm, 1..3);
     let relic = workloads::average_relic(1..3);
-    for (section, fresh) in [
+    for (name, fresh) in [
         ("kp_this_work_asm", kp.report.cycles),
         ("kg_this_work_asm", kg.report.cycles),
         ("relic_style", relic.report.cycles),
     ] {
-        let baseline = extract_section_u64(&doc, section, "cycles");
+        let baseline = extract_u64(section(&doc, name), "cycles");
         let ok = baseline == fresh;
         println!(
-            "  {section:<16} baseline {baseline:>8}  fresh {fresh:>8}  {}",
+            "  {name:<16} baseline {baseline:>8}  fresh {fresh:>8}  {}",
             if ok { "ok" } else { "MISMATCH" }
         );
         failed |= !ok;
     }
+
+    // The counted tier's batch-inversion amortisation rows: every
+    // value is a Tally of the shared LD and EEA loops, so a change to
+    // how those loops charge (or compute) shows here by size and key.
+    let rows = section(&doc, "amortisation");
+    let mut drifted = false;
+    for row in throughput::batch_amortisation(&ThroughputConfig::full().amortisation_sizes) {
+        let size = row.size.to_string();
+        for (key, fresh) in [
+            ("batch_inv_cycles", row.batch_inv_cycles),
+            ("batch_total_cycles", row.batch_total_cycles),
+            ("individual_inv_cycles", row.individual_inv_cycles),
+        ] {
+            let baseline = extract_u64(section(rows, &size), key);
+            if baseline != fresh {
+                println!(
+                    "  amortisation size {size} {key} baseline {baseline}  fresh {fresh}  MISMATCH"
+                );
+                drifted = true;
+            }
+        }
+    }
+    if !drifted {
+        println!("  amortisation     every size's inversion and total cycles  ok");
+    }
+    failed |= drifted;
 
     if failed {
         eprintln!(

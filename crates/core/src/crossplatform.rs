@@ -74,7 +74,7 @@ pub fn ld_rotating_counts(m_bits: u32, word_bits: u32, w: u32) -> OpCounts {
     let outer = (word_bits / w) as u64;
     let two_n = 2 * n;
     // Table generation: 2^w entries of n words (T0 zeroed, T1 copied,
-    // doublings and odd-adds as in counted_ld_table).
+    // doublings and odd-adds as in gf2m's window-table builder).
     let entries = 1u64 << w;
     let table_reads = n + (entries / 2 - 1) * (3 * n - 1);
     let table_writes = 2 * n + (entries - 2) * n;

@@ -1,8 +1,16 @@
-//! Instrumented multipliers: the three López-Dahab variants with every
-//! memory access, XOR and shift tallied.
+//! The counted tier: the paper tier's López-Dahab and EEA loops run
+//! with a live [`Tally`] of every memory access, XOR and shift.
 //!
-//! These functions compute real products (checked against the portable
-//! tier) while recording the operation counts the paper's Table 1 models.
+//! Nothing here re-implements an algorithm. The window table, the
+//! accumulate-and-shift loop and the rotating-register loop live in
+//! [`crate::mul`], the optimised EEA in [`crate::inv`]; each is generic
+//! over a crate-private `Sink`. The paper tier passes the no-op
+//! `Uncounted`, and the functions here pass a [`Tally`] and so compute
+//! real products (the portable tier's, bit for bit) while recording the
+//! operation counts the paper's Table 1 models. A residency predicate
+//! (none, [`crate::mul::FIXED_REGISTER_RANGE`] or
+//! [`residency_for_budget`]) only changes the charges.
+//!
 //! Our accounting conventions, chosen once and applied to all three
 //! methods identically, are:
 //!
@@ -24,12 +32,8 @@
 //! the published formula values and these measured counts; tests assert
 //! the orderings and improvement ratios agree.
 
-// Indexed loops below mirror the paper's Algorithm 1 pseudocode
-// (v[l + k] ^= T[u][l]); iterator rewrites would obscure the mapping.
-#![allow(clippy::needless_range_loop)]
-
-use crate::mul::{LD_OUTER, LD_TABLE_ENTRIES};
-use crate::{Fe, LD_WINDOW, N};
+use crate::mul::{build_ld_table, in_fixed_registers, ld_accumulate, ld_rotating, LdTable};
+use crate::{Fe, N};
 
 /// Running totals of tallied operations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,6 +71,40 @@ impl Tally {
     }
 }
 
+/// Where the paper tier's field loops report their operations, under
+/// the conventions of this module. Every method defaults to doing
+/// nothing, so [`Uncounted`] compiles the charges away.
+pub(crate) trait Sink {
+    /// `n` memory reads.
+    fn read(&mut self, _n: u64) {}
+    /// `n` memory writes.
+    fn write(&mut self, _n: u64) {}
+    /// `n` word XOR/OR operations.
+    fn xor(&mut self, _n: u64) {}
+    /// `n` single-word shifts.
+    fn shift(&mut self, _n: u64) {}
+}
+
+/// The zero-sized sink of the paper tier: counts nothing.
+pub(crate) struct Uncounted;
+
+impl Sink for Uncounted {}
+
+impl Sink for Tally {
+    fn read(&mut self, n: u64) {
+        self.reads += n;
+    }
+    fn write(&mut self, n: u64) {
+        self.writes += n;
+    }
+    fn xor(&mut self, n: u64) {
+        self.xors += n;
+    }
+    fn shift(&mut self, n: u64) {
+        self.shifts += n;
+    }
+}
+
 /// Result of a counted multiplication: the product and the two tallies
 /// (window-table generation vs the main accumulation+shift loop).
 #[derive(Debug, Clone, Copy)]
@@ -91,176 +129,43 @@ impl CountedProduct {
     }
 }
 
-/// Counted window-table generation, shared by all three methods.
-/// `y` is memory-resident; every produced entry is stored.
-fn counted_ld_table(y: &[u32; N], t: &mut Tally) -> [[u32; N]; LD_TABLE_ENTRIES] {
-    let mut tab = [[0u32; N]; LD_TABLE_ENTRIES];
-    // T[0] = 0 comes from zero-initialised storage: n writes.
-    t.writes += N as u64;
-    // T[1] = y: n reads + n writes.
-    tab[1] = *y;
-    t.reads += N as u64;
-    t.writes += N as u64;
-    for u in 1..LD_TABLE_ENTRIES / 2 {
-        // T[2u] = T[u] << 1: per word read, LSL, LSR (carry), OR, write.
-        let mut carry = 0u32;
-        for l in 0..N {
-            let w = tab[u][l];
-            t.reads += 1;
-            tab[2 * u][l] = (w << 1) | carry;
-            t.shifts += 2;
-            t.xors += 1;
-            t.writes += 1;
-            carry = w >> 31;
-        }
-        // T[2u+1] = T[2u] + y: per word 2 reads, XOR, write. The low word
-        // of T[2u] is still in a register from the doubling, so one read
-        // is saved there.
-        t.reads -= 1;
-        for l in 0..N {
-            tab[2 * u + 1][l] = tab[2 * u][l] ^ y[l];
-            t.reads += 2;
-            t.xors += 1;
-            t.writes += 1;
-        }
-    }
-    tab
-}
-
-/// Counted multi-precision left shift by the window width of a
-/// 2n-word vector; `in_regs(i)` reports whether accumulator word `i` is
-/// register resident (free access).
-fn counted_shift(v: &mut [u32; 2 * N], t: &mut Tally, in_regs: impl Fn(usize) -> bool) {
-    let mut carry = 0u32;
-    for i in 0..2 * N {
-        let w = v[i];
-        if !in_regs(i) {
-            t.reads += 1;
-        }
-        v[i] = (w << LD_WINDOW) | carry;
-        t.shifts += 2; // LSL for the word, LSR extracting the carry
-        t.xors += 1; // OR recombining
-        if !in_regs(i) {
-            t.writes += 1;
-        }
-        carry = w >> (32 - LD_WINDOW as u32);
-    }
-}
-
-/// Shared main loop: accumulate table entries into `v` under a residency
-/// policy, then shift between outer iterations.
-fn counted_main(
-    x: &[u32; N],
-    tab: &[[u32; N]; LD_TABLE_ENTRIES],
-    t: &mut Tally,
-    in_regs: impl Fn(usize) -> bool + Copy,
-) -> [u32; 2 * N] {
-    let mut v = [0u32; 2 * N];
-    // Zero initialisation: only the memory-resident words are stores.
-    for i in 0..2 * N {
-        if !in_regs(i) {
-            t.writes += 1;
-        }
-    }
-    for j in (0..LD_OUTER).rev() {
-        for k in 0..N {
-            // Read x[k] and extract the window: LSR + AND (AND tallied as
-            // an xor-class ALU op).
-            t.reads += 1;
-            t.shifts += 1;
-            t.xors += 1;
-            let u = ((x[k] >> (LD_WINDOW * j)) & 0xF) as usize;
-            for l in 0..N {
-                let i = k + l;
-                t.reads += 1; // table word
-                if !in_regs(i) {
-                    t.reads += 1;
-                    t.writes += 1;
-                }
-                v[i] ^= tab[u][l];
-                t.xors += 1;
-            }
-        }
-        if j != 0 {
-            counted_shift(&mut v, t, in_regs);
-        }
-    }
-    v
-}
-
-/// Method A — plain López-Dahab: the whole accumulator is memory
-/// resident.
-pub fn mul_ld(x: Fe, y: Fe) -> CountedProduct {
+/// Builds y's window table and runs `main_loop` over it, each with its
+/// own tally.
+fn counted_product(
+    y: Fe,
+    main_loop: impl FnOnce(&LdTable, &mut Tally) -> [u32; 2 * N],
+) -> CountedProduct {
     let mut table = Tally::default();
-    let tab = counted_ld_table(&y.0, &mut table);
+    let t = build_ld_table(&y.0, &mut table);
     let mut main = Tally::default();
-    let v = counted_main(&x.0, &tab, &mut main, |_| false);
+    let v = main_loop(&t, &mut main);
     CountedProduct {
         value: crate::reduce::reduce(v),
         table,
         main,
     }
+}
+
+/// Method A — plain López-Dahab: the whole accumulator is memory
+/// resident.
+pub fn mul_ld(x: Fe, y: Fe) -> CountedProduct {
+    counted_product(y, |t, main| ld_accumulate(&x.0, t, |_| false, main))
 }
 
 /// Method B — López-Dahab with *rotating registers*: during the k-loop a
 /// sliding window of n + 1 accumulator words `v[k ..= k+n]` is register
 /// resident; each pass spills one finished word and loads one new word.
 pub fn mul_ld_rotating(x: Fe, y: Fe) -> CountedProduct {
-    let mut table = Tally::default();
-    let tab = counted_ld_table(&y.0, &mut table);
-    let mut t = Tally::default();
-
-    let mut v = [0u32; 2 * N];
-    // Zero initialisation of the memory image (the register window is
-    // zeroed with register moves, but the spill region must be stores).
-    t.writes += (2 * N) as u64;
-
-    for j in (0..LD_OUTER).rev() {
-        // Fill the window v[0..=n]: n + 1 loads.
-        t.reads += (N + 1) as u64;
-        for k in 0..N {
-            t.reads += 1; // x[k]
-            t.shifts += 1;
-            t.xors += 1;
-            let u = ((x.0[k] >> (LD_WINDOW * j)) & 0xF) as usize;
-            for l in 0..N {
-                t.reads += 1; // table word
-                v[k + l] ^= tab[u][l]; // register target: free
-                t.xors += 1;
-            }
-            // Spill the finished word and rotate one new word in.
-            t.writes += 1; // v[k]
-            if k + 1 + N < 2 * N {
-                t.reads += 1; // v[k+1+n]
-            }
-        }
-        // Write back the window tail (n words).
-        t.writes += N as u64;
-        if j != 0 {
-            counted_shift(&mut v, &mut t, |_| false);
-        }
-    }
-    CountedProduct {
-        value: crate::reduce::reduce(v),
-        table,
-        main: t,
-    }
+    counted_product(y, |t, main| ld_rotating(&x.0, t, main))
 }
 
 /// Method C — the paper's López-Dahab with *fixed registers*:
 /// accumulator words v\[3…11\] (the n + 1 most frequently used) are
 /// permanently register resident; v\[0…2\] and v\[12…15\] stay in memory.
 pub fn mul_ld_fixed(x: Fe, y: Fe) -> CountedProduct {
-    let mut table = Tally::default();
-    let tab = counted_ld_table(&y.0, &mut table);
-    let mut main = Tally::default();
-    let in_regs = |i: usize| crate::mul::FIXED_REGISTER_RANGE.contains(&i);
-    let v = counted_main(&x.0, &tab, &mut main, in_regs);
-    CountedProduct {
-        value: crate::reduce::reduce(v),
-        table,
-        main,
-    }
+    counted_product(y, |t, main| {
+        ld_accumulate(&x.0, t, in_fixed_registers, main)
+    })
 }
 
 /// Method C generalised to an arbitrary register budget — the ablation
@@ -275,19 +180,11 @@ pub fn mul_ld_fixed(x: Fe, y: Fe) -> CountedProduct {
 pub fn mul_ld_fixed_with_registers(x: Fe, y: Fe, regs: usize) -> CountedProduct {
     assert!(regs <= 2 * N, "the accumulator has 16 words");
     let chosen = residency_for_budget(regs);
-    let mut table = Tally::default();
-    let tab = counted_ld_table(&y.0, &mut table);
-    let mut main = Tally::default();
-    let v = counted_main(&x.0, &tab, &mut main, |i| chosen[i]);
-    CountedProduct {
-        value: crate::reduce::reduce(v),
-        table,
-        main,
-    }
+    counted_product(y, |t, main| ld_accumulate(&x.0, t, |i| chosen[i], main))
 }
 
 /// The optimal residency set for a register budget: greedily pick the
-/// most frequently used accumulator indices (центre-out from v7).
+/// most frequently used accumulator indices (centre-out from v7).
 pub fn residency_for_budget(regs: usize) -> [bool; 2 * N] {
     let mut order: Vec<usize> = (0..2 * N).collect();
     // Frequency 8 − |i − 7| descending; ties broken toward lower index.
@@ -308,139 +205,18 @@ pub struct CountedInverse {
     pub tally: Tally,
 }
 
-/// Counted degree scan with most-significant-word tracking: each
-/// inspected word is one read; extracting the bit position on the hit
-/// is charged as one shift (the CLZ-free bit hunt of a real M0+).
-fn counted_degree(a: &[u32; N], mut top: usize, t: &mut Tally) -> (usize, usize) {
-    loop {
-        t.reads += 1;
-        if a[top] != 0 {
-            t.shifts += 1;
-            return (top * 32 + 31 - a[top].leading_zeros() as usize, top);
-        }
-        if top == 0 {
-            return (usize::MAX, 0);
-        }
-        top -= 1;
-    }
-}
-
-/// Counted `a ^= b << j`, touching only the words that can change
-/// (the paper's tracked-top optimisation).
-fn counted_xor_shifted(a: &mut [u32; N], b: &[u32; N], j: usize, b_top: usize, t: &mut Tally) {
-    let wshift = j / 32;
-    let bshift = (j % 32) as u32;
-    if bshift == 0 {
-        for i in 0..=b_top {
-            if i + wshift < N {
-                a[i + wshift] ^= b[i];
-                t.reads += 2;
-                t.xors += 1;
-                t.writes += 1;
-            }
-        }
-    } else {
-        for i in 0..=b_top {
-            let w = b[i];
-            t.reads += 1;
-            t.shifts += 2; // LSL low half, LSR carry half
-            if i + wshift < N {
-                a[i + wshift] ^= w << bshift;
-                t.reads += 1;
-                t.xors += 1;
-                t.writes += 1;
-            }
-            if i + wshift + 1 < N {
-                a[i + wshift + 1] ^= w >> (32 - bshift);
-                t.reads += 1;
-                t.xors += 1;
-                t.writes += 1;
-            }
-        }
-    }
-}
-
-fn counted_is_one(a: &[u32; N], t: &mut Tally) -> bool {
-    t.reads += N as u64;
-    a[0] == 1 && a[1..].iter().all(|&w| w == 0)
-}
-
-/// Counted inversion by the paper's optimised EEA (§3.2.3: two code
-/// segments instead of swaps, tracked most-significant words) — the
-/// same algorithm as [`crate::inv::invert`] with every memory access
-/// and ALU word-op tallied under the conventions of this module.
-/// Returns `None` for zero.
+/// Counted inversion: [`crate::inv::invert`]'s optimised EEA (§3.2.3:
+/// two code segments instead of swaps, tracked most-significant words)
+/// run with a live tally. Returns `None` for zero.
 ///
 /// Unlike the multiplication tallies, the inversion tally is
 /// data-*dependent* (the EEA's iteration count follows the operand's
 /// degree sequence); it stays within a narrow band for full-size
 /// elements.
 pub fn inv_eea(a: Fe) -> Option<CountedInverse> {
-    if a.is_zero() {
-        return None;
-    }
-    let mut t = Tally::default();
-    let mut u = a.0;
-    let mut v = crate::inv::F_WORDS;
-    let mut g1 = [0u32; N];
-    g1[0] = 1;
-    let mut g2 = [0u32; N];
-    let mut u_top = N - 1;
-    let mut v_top = N - 1;
-
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        u: &mut [u32; N],
-        g1: &mut [u32; N],
-        u_top: &mut usize,
-        v: &[u32; N],
-        g2: &[u32; N],
-        v_deg: usize,
-        v_top: usize,
-        g2_top: usize,
-        t: &mut Tally,
-    ) -> bool {
-        let (mut u_deg, mut top) = counted_degree(u, *u_top, t);
-        *u_top = top;
-        while u_deg != usize::MAX && u_deg >= v_deg {
-            let j = u_deg - v_deg;
-            counted_xor_shifted(u, v, j, v_top, t);
-            counted_xor_shifted(g1, g2, j, g2_top, t);
-            let (d, nt) = counted_degree(u, *u_top, t);
-            u_deg = d;
-            top = nt;
-            *u_top = top;
-        }
-        counted_is_one(u, t)
-    }
-
-    loop {
-        // Segment A: reduce u by v.
-        let (v_deg, vt) = counted_degree(&v, v_top, &mut t);
-        v_top = vt;
-        let (_, g2_top) = counted_degree(&g2, N - 1, &mut t);
-        if step(
-            &mut u, &mut g1, &mut u_top, &v, &g2, v_deg, v_top, g2_top, &mut t,
-        ) {
-            return Some(CountedInverse {
-                value: Fe(g1),
-                tally: t,
-            });
-        }
-
-        // Segment B: the same operations with names interchanged.
-        let (u_deg, ut) = counted_degree(&u, u_top, &mut t);
-        u_top = ut;
-        let (_, g1_top) = counted_degree(&g1, N - 1, &mut t);
-        if step(
-            &mut v, &mut g2, &mut v_top, &u, &g1, u_deg, u_top, g1_top, &mut t,
-        ) {
-            return Some(CountedInverse {
-                value: Fe(g2),
-                tally: t,
-            });
-        }
-    }
+    let mut tally = Tally::default();
+    let value = crate::inv::eea(a, &mut tally)?;
+    Some(CountedInverse { value, tally })
 }
 
 /// Runs all three counted methods on the same operands.

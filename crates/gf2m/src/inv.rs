@@ -12,8 +12,13 @@
 //!    non-zero word of each state variable is carried along, so computing
 //!    a polynomial's degree and shifting it never scans the full vector.
 //!
-//! [`invert_simple`] is the textbook variant kept as a reference.
+//! The optimised EEA is written once, generic over a crate-private
+//! counting sink: [`invert`] runs it uncounted, and
+//! [`crate::counted::inv_eea`] runs it with a live [`crate::Tally`] of
+//! every load, store, XOR and shift. [`invert_simple`] is the textbook
+//! variant kept as the independent reference.
 
+use crate::counted::{Sink, Uncounted};
 use crate::{Fe, K, M, N};
 
 /// The reduction polynomial f(z) = z²³³ + z⁷⁴ + 1 as 8 words
@@ -28,10 +33,14 @@ pub const F_WORDS: [u32; N] = {
 
 /// Degree of an n-word polynomial scanning only words `0..=top`, plus the
 /// updated top index. Returns `(degree, top)`; degree is `usize::MAX`
-/// (sentinel) for zero — callers never invert zero past the guard.
-fn degree_tracked(a: &[u32; N], mut top: usize) -> (usize, usize) {
+/// (sentinel) for zero — callers never invert zero past the guard. Each
+/// inspected word is one read; extracting the bit position on the hit is
+/// charged as one shift (the CLZ-free bit hunt of a real M0+).
+fn degree_tracked(a: &[u32; N], mut top: usize, s: &mut impl Sink) -> (usize, usize) {
     loop {
+        s.read(1);
         if a[top] != 0 {
+            s.shift(1);
             return (top * 32 + 31 - a[top].leading_zeros() as usize, top);
         }
         if top == 0 {
@@ -44,22 +53,39 @@ fn degree_tracked(a: &[u32; N], mut top: usize) -> (usize, usize) {
 /// `a ^= b << j` over n words, touching only the words that can change.
 /// `b_top` is the index of b's top non-zero word.
 fn xor_shifted(a: &mut [u32; N], b: &[u32; N], j: usize, b_top: usize) {
+    charged_xor_shifted(a, b, j, b_top, &mut Uncounted);
+}
+
+/// [`xor_shifted`] with its loads, stores, XORs and shifts charged to
+/// `s`.
+fn charged_xor_shifted(a: &mut [u32; N], b: &[u32; N], j: usize, b_top: usize, s: &mut impl Sink) {
     let wshift = j / 32;
     let bshift = (j % 32) as u32;
     if bshift == 0 {
         for i in 0..=b_top {
             if i + wshift < N {
                 a[i + wshift] ^= b[i];
+                s.read(2);
+                s.xor(1);
+                s.write(1);
             }
         }
     } else {
         for i in 0..=b_top {
             let w = b[i];
+            s.read(1);
+            s.shift(2); // LSL low half, LSR carry half
             if i + wshift < N {
                 a[i + wshift] ^= w << bshift;
+                s.read(1);
+                s.xor(1);
+                s.write(1);
             }
             if i + wshift + 1 < N {
                 a[i + wshift + 1] ^= w >> (32 - bshift);
+                s.read(1);
+                s.xor(1);
+                s.write(1);
             }
         }
     }
@@ -79,6 +105,13 @@ fn is_one(a: &[u32; N]) -> bool {
 /// # Ok::<(), gf2m::ParseFeError>(())
 /// ```
 pub fn invert(a: Fe) -> Option<Fe> {
+    eea(a, &mut Uncounted)
+}
+
+/// The one optimised EEA behind [`invert`] and
+/// [`crate::counted::inv_eea`], with every memory access and ALU word-op
+/// charged to `s`.
+pub(crate) fn eea(a: Fe, s: &mut impl Sink) -> Option<Fe> {
     if a.is_zero() {
         return None;
     }
@@ -107,32 +140,29 @@ pub fn invert(a: Fe) -> Option<Fe> {
         v_deg: usize,
         v_top: usize,
         g2_top: usize,
-    ) -> (usize, bool) {
+        s: &mut impl Sink,
+    ) -> bool {
         // Reduce u by v while deg(u) >= deg(v).
-        let (mut u_deg, mut t) = degree_tracked(u, *u_top);
-        *u_top = t;
+        let mut u_deg;
+        (u_deg, *u_top) = degree_tracked(u, *u_top, s);
         while u_deg != usize::MAX && u_deg >= v_deg {
             let j = u_deg - v_deg;
-            xor_shifted(u, v, j, v_top);
-            xor_shifted(g1, g2, j, g2_top);
-            let (d, nt) = degree_tracked(u, *u_top);
-            u_deg = d;
-            t = nt;
-            *u_top = t;
+            charged_xor_shifted(u, v, j, v_top, s);
+            charged_xor_shifted(g1, g2, j, g2_top, s);
+            (u_deg, *u_top) = degree_tracked(u, *u_top, s);
         }
-        (u_deg, is_one(u))
+        s.read(N as u64);
+        is_one(u)
     }
 
     loop {
         // --- Segment A: reduce u by v. ---
-        let (v_deg, vt) = degree_tracked(&v, v_top);
-        v_top = vt;
-        let (g2_top, _) = {
-            let (_, t) = degree_tracked(&g2, N - 1);
-            (t, ())
-        };
-        let (_u_deg, done) = step(&mut u, &mut g1, &mut u_top, &v, &g2, v_deg, v_top, g2_top);
-        if done {
+        let v_deg;
+        (v_deg, v_top) = degree_tracked(&v, v_top, s);
+        let (_, g2_top) = degree_tracked(&g2, N - 1, s);
+        if step(
+            &mut u, &mut g1, &mut u_top, &v, &g2, v_deg, v_top, g2_top, s,
+        ) {
             return Some(Fe(g1));
         }
         if u.iter().all(|&w| w == 0) {
@@ -142,14 +172,12 @@ pub fn invert(a: Fe) -> Option<Fe> {
         }
 
         // --- Segment B: the same operations with names interchanged. ---
-        let (u_deg, ut) = degree_tracked(&u, u_top);
-        u_top = ut;
-        let (g1_top, _) = {
-            let (_, t) = degree_tracked(&g1, N - 1);
-            (t, ())
-        };
-        let (_v_deg, done) = step(&mut v, &mut g2, &mut v_top, &u, &g1, u_deg, u_top, g1_top);
-        if done {
+        let u_deg;
+        (u_deg, u_top) = degree_tracked(&u, u_top, s);
+        let (_, g1_top) = degree_tracked(&g1, N - 1, s);
+        if step(
+            &mut v, &mut g2, &mut v_top, &u, &g1, u_deg, u_top, g1_top, s,
+        ) {
             return Some(Fe(g2));
         }
     }

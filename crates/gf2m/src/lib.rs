@@ -17,10 +17,13 @@
 //!   the paper's algorithms in plain Rust on eight 32-bit words. It is
 //!   [`Fe`]'s fallback without the instruction or off x86-64, and the
 //!   reference every other tier is checked against;
-//! * **counted** ([`counted`]) — the same algorithms with every memory
-//!   read/write, XOR and shift tallied, reproducing the accounting of the
-//!   paper's Tables 1–2 (see also [`formulas`] for the published closed
-//!   forms);
+//! * **counted** ([`counted`]) — a view of the paper tier, not a copy:
+//!   its López-Dahab table, accumulate-and-shift and rotating-register
+//!   loops and its EEA are each written once, generic over a counting
+//!   sink. The paper tier passes a no-op sink; the counted tier passes a
+//!   [`Tally`] of every memory read/write, XOR and shift, reproducing the
+//!   accounting of the paper's Tables 1–2 (see also [`formulas`] for the
+//!   published closed forms);
 //! * **modeled** ([`modeled`]) — *virtual assembly* kernels executed on
 //!   the [`m0plus::Machine`], one call per Thumb instruction, producing
 //!   the cycle and energy measurements of Tables 5–7.

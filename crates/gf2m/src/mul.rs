@@ -3,9 +3,13 @@
 //! All functions compute x(z)·y(z) mod f(z) and agree bit-for-bit; they
 //! differ in how the 2n-word intermediate state is scanned and where it
 //! would live on the target machine. The portable functions here are the
-//! *reference semantics*; the [`crate::counted`] and [`crate::modeled`]
-//! tiers re-express the same loop structures with explicit memory
-//! accounting.
+//! *reference semantics*. The López-Dahab window table, accumulate-and-
+//! shift loop and rotating-register loop are each written once, generic
+//! over a crate-private counting sink: the functions here pass a no-op
+//! sink, and [`crate::counted`] runs the same loops with a live
+//! [`crate::Tally`]. Where an accumulator word lives (memory, a fixed
+//! register, the rotating window) only changes those charges. The
+//! [`crate::modeled`] tier re-expresses the loops as virtual assembly.
 //!
 //! * [`mul_shift_and_add`] — right-to-left comb, no window (baseline).
 //! * [`mul_ld`] — plain López-Dahab, window w = 4 (the paper's Method A).
@@ -20,6 +24,7 @@
 // (v[l + k] ^= T[u][l]); iterator rewrites would obscure the mapping.
 #![allow(clippy::needless_range_loop)]
 
+use crate::counted::{Sink, Uncounted};
 use crate::reduce::reduce;
 use crate::{Fe, LD_WINDOW, N};
 
@@ -58,52 +63,154 @@ pub fn mul_poly_comb(x: &[u32; N], y: &[u32; N]) -> [u32; 2 * N] {
     c
 }
 
+/// The López-Dahab window table: entry `u` is u(z)·y(z).
+pub(crate) type LdTable = [[u32; N]; LD_TABLE_ENTRIES];
+
 /// Generates the López-Dahab window table T(u) = u(z)·y(z) for all
 /// u of degree < w. With w = 4 and deg y ≤ 232 ≤ nW − (w − 1), every
 /// entry fits in n = 8 words (the paper's equation (1), second case).
 pub fn ld_table(y: &[u32; N]) -> [[u32; N]; LD_TABLE_ENTRIES] {
+    build_ld_table(y, &mut Uncounted)
+}
+
+/// The one window-table builder, shared by every López-Dahab method and
+/// charged to `s`: `y` is memory resident and every entry is stored.
+pub(crate) fn build_ld_table(y: &[u32; N], s: &mut impl Sink) -> LdTable {
     let mut t = [[0u32; N]; LD_TABLE_ENTRIES];
+    // T[0] = 0 comes from zero-initialised storage: n writes.
+    s.write(N as u64);
+    // T[1] = y: n reads + n writes.
     t[1] = *y;
+    s.read(N as u64);
+    s.write(N as u64);
     for u in 1..LD_TABLE_ENTRIES / 2 {
-        // t[2u] = t[u] << 1.
+        // t[2u] = t[u] << 1: per word read, LSL, LSR (carry), OR, write.
         let mut carry = 0u32;
         for l in 0..N {
             let w = t[u][l];
             t[2 * u][l] = (w << 1) | carry;
             carry = w >> 31;
+            s.read(1);
+            s.shift(2);
+            s.xor(1);
+            s.write(1);
         }
         debug_assert_eq!(carry, 0, "table entry overflowed n words");
-        // t[2u + 1] = t[2u] + y.
+        // t[2u + 1] = t[2u] + y: per word 2 reads, XOR, write. The low
+        // word of t[2u] is still in a register from the doubling, so one
+        // read is saved there.
         for l in 0..N {
             t[2 * u + 1][l] = t[2 * u][l] ^ y[l];
+            s.read(if l == 0 { 1 } else { 2 });
+            s.xor(1);
+            s.write(1);
         }
     }
     t
 }
 
-/// Computes the unreduced product with plain López-Dahab (Method A):
-/// the whole 2n-word accumulator `v` conceptually lives in memory.
-pub fn mul_poly_ld(x: &[u32; N], y: &[u32; N]) -> [u32; 2 * N] {
-    let t = ld_table(y);
+/// The one López-Dahab accumulate-and-shift loop (Methods A and C, and
+/// every register budget of the ablation): v ^= T(window of x\[k\]) at
+/// word offset k, then v <<= w between outer iterations.
+///
+/// `in_regs(i)` says whether accumulator word `i` is register resident.
+/// It changes only the charges to `s` (a resident word is read and
+/// written for free), never the value.
+pub(crate) fn ld_accumulate(
+    x: &[u32; N],
+    t: &LdTable,
+    in_regs: impl Fn(usize) -> bool + Copy,
+    s: &mut impl Sink,
+) -> [u32; 2 * N] {
     let mut v = [0u32; 2 * N];
+    // Zero initialisation: only the memory-resident words are stores.
+    s.write((0..2 * N).filter(|&i| !in_regs(i)).count() as u64);
     for j in (0..LD_OUTER).rev() {
         for k in 0..N {
+            // Read x[k] and extract the window: LSR + AND (the AND
+            // charged as an xor-class ALU op).
             let u = ((x[k] >> (LD_WINDOW * j)) & 0xF) as usize;
+            s.read(1);
+            s.shift(1);
+            s.xor(1);
             for l in 0..N {
-                v[k + l] ^= t[u][l];
+                let i = k + l;
+                v[i] ^= t[u][l];
+                s.read(1); // table word
+                s.xor(1);
+                if !in_regs(i) {
+                    s.read(1);
+                    s.write(1);
+                }
             }
         }
         if j != 0 {
-            // v <<= w.
-            let mut carry = 0u32;
-            for w in v.iter_mut() {
-                let nc = *w >> (32 - LD_WINDOW as u32);
-                *w = (*w << LD_WINDOW) | carry;
-                carry = nc;
-            }
+            shift_accumulator(&mut v, in_regs, s);
         }
     }
     v
+}
+
+/// v <<= w over the 2n-word accumulator: per word an LSL, an LSR
+/// extracting the carry and an OR recombining them, plus a load and a
+/// store when the word is memory resident.
+fn shift_accumulator(v: &mut [u32; 2 * N], in_regs: impl Fn(usize) -> bool, s: &mut impl Sink) {
+    let mut carry = 0u32;
+    for (i, w) in v.iter_mut().enumerate() {
+        let nc = *w >> (32 - LD_WINDOW as u32);
+        *w = (*w << LD_WINDOW) | carry;
+        carry = nc;
+        s.shift(2);
+        s.xor(1);
+        if !in_regs(i) {
+            s.read(1);
+            s.write(1);
+        }
+    }
+}
+
+/// The rotating-register loop (Method B): during the k-loop a sliding
+/// window of n + 1 accumulator words `v[k ..= k+n]` is register
+/// resident; each pass spills one finished word and loads one new one.
+/// The window only changes the charges to `s`; the accumulator is
+/// updated in place.
+pub(crate) fn ld_rotating(x: &[u32; N], t: &LdTable, s: &mut impl Sink) -> [u32; 2 * N] {
+    let mut v = [0u32; 2 * N];
+    // Zero initialisation of the memory image (the register window is
+    // zeroed with register moves, but the spill region must be stores).
+    s.write((2 * N) as u64);
+    for j in (0..LD_OUTER).rev() {
+        // Fill the window v[0..=n]: n + 1 loads.
+        s.read((N + 1) as u64);
+        for k in 0..N {
+            let u = ((x[k] >> (LD_WINDOW * j)) & 0xF) as usize;
+            s.read(1); // x[k]
+            s.shift(1);
+            s.xor(1);
+            for l in 0..N {
+                v[k + l] ^= t[u][l]; // register target: free
+                s.read(1); // table word
+                s.xor(1);
+            }
+            // Spill the finished word v[k] and rotate v[k+1+n] in.
+            s.write(1);
+            if k + 1 + N < 2 * N {
+                s.read(1);
+            }
+        }
+        // Write back the window tail (n words).
+        s.write(N as u64);
+        if j != 0 {
+            shift_accumulator(&mut v, |_| false, s);
+        }
+    }
+    v
+}
+
+/// Computes the unreduced product with plain López-Dahab (Method A):
+/// the whole 2n-word accumulator `v` conceptually lives in memory.
+pub fn mul_poly_ld(x: &[u32; N], y: &[u32; N]) -> [u32; 2 * N] {
+    ld_accumulate(x, &ld_table(y), |_| false, &mut Uncounted)
 }
 
 /// Plain López-Dahab multiplication, reduced (Method A).
@@ -115,47 +222,10 @@ pub fn mul_ld(x: Fe, y: Fe) -> Fe {
 ///
 /// Portable semantics are identical to [`mul_ld`]; the rotating-register
 /// scheme changes which n + 1 words of `v` are register-resident during
-/// the k-loop (a sliding window `v[k … k+n]` that rotates as k advances),
-/// which the [`crate::counted`] tier accounts for. This function mirrors
-/// the loop structure so the two tiers stay in sync.
+/// the k-loop, which [`crate::counted::mul_ld_rotating`] tallies by
+/// running the same loop.
 pub fn mul_ld_rotating(x: Fe, y: Fe) -> Fe {
-    let t = ld_table(&y.0);
-    let mut v = [0u32; 2 * N];
-    // The rotating window: w_regs mirrors v[k..=k+n] during the k loop.
-    for j in (0..LD_OUTER).rev() {
-        let mut window = [0u32; N + 1];
-        window.copy_from_slice(&v[0..=N]);
-        for k in 0..N {
-            let u = ((x.0[k] >> (LD_WINDOW * j)) & 0xF) as usize;
-            for l in 0..N {
-                window[l] ^= t[u][l];
-            }
-            // Rotate: the lowest window word is finished for this j-pass;
-            // spill it and slide in the next word of v.
-            v[k] = window[0];
-            for l in 0..N {
-                window[l] = window[l + 1];
-            }
-            if k + 1 + N < 2 * N {
-                window[N] = v[k + 1 + N];
-            } else {
-                window[N] = 0;
-            }
-        }
-        // Write back the tail of the window.
-        for (l, &w) in window.iter().enumerate().take(N) {
-            v[N + l] = w;
-        }
-        if j != 0 {
-            let mut carry = 0u32;
-            for w in v.iter_mut() {
-                let nc = *w >> (32 - LD_WINDOW as u32);
-                *w = (*w << LD_WINDOW) | carry;
-                carry = nc;
-            }
-        }
-    }
-    reduce(v)
+    reduce(ld_rotating(&x.0, &ld_table(&y.0), &mut Uncounted))
 }
 
 /// Indices of the accumulator words that the paper's Algorithm 1 keeps in
@@ -163,71 +233,25 @@ pub fn mul_ld_rotating(x: Fe, y: Fe) -> Fe {
 /// words). v\[0…2\] and v\[12…15\] stay in memory.
 pub const FIXED_REGISTER_RANGE: std::ops::Range<usize> = 3..12;
 
+/// Residency predicate of Method C: v\[3 … 11\] live in registers.
+pub(crate) fn in_fixed_registers(i: usize) -> bool {
+    FIXED_REGISTER_RANGE.contains(&i)
+}
+
 /// The paper's **López-Dahab with fixed registers** (Method C,
 /// Algorithm 1), portable semantics.
 ///
 /// The accumulator split (registers vs memory) does not change the result,
-/// only the access pattern; the split itself is exercised by
-/// [`crate::counted::mul_ld_fixed`] and by the virtual-assembly kernel in
-/// [`crate::modeled`].
+/// only the access pattern; [`crate::counted::mul_ld_fixed`] tallies it
+/// by running this loop, and the virtual-assembly kernel in
+/// [`crate::modeled`] executes it.
 pub fn mul_ld_fixed(x: Fe, y: Fe) -> Fe {
-    let t = ld_table(&y.0);
-    // v modelled as the paper's Note: (m[0],m[1],m[2], r0..r8, m[3]..m[6]).
-    let mut v_mem_lo = [0u32; 3];
-    let mut v_regs = [0u32; N + 1];
-    let mut v_mem_hi = [0u32; 4];
-
-    // Accessors translating accumulator index -> storage class.
-    macro_rules! v_get {
-        ($i:expr) => {{
-            let i = $i;
-            if i < 3 {
-                v_mem_lo[i]
-            } else if FIXED_REGISTER_RANGE.contains(&i) {
-                v_regs[i - 3]
-            } else {
-                v_mem_hi[i - 12]
-            }
-        }};
-    }
-    macro_rules! v_set {
-        ($i:expr, $val:expr) => {{
-            let i = $i;
-            let val = $val;
-            if i < 3 {
-                v_mem_lo[i] = val;
-            } else if FIXED_REGISTER_RANGE.contains(&i) {
-                v_regs[i - 3] = val;
-            } else {
-                v_mem_hi[i - 12] = val;
-            }
-        }};
-    }
-
-    for j in (0..LD_OUTER).rev() {
-        for k in 0..N {
-            let u = ((x.0[k] >> (LD_WINDOW * j)) & 0xF) as usize;
-            for l in 0..N {
-                let i = k + l;
-                v_set!(i, v_get!(i) ^ t[u][l]);
-            }
-        }
-        if j != 0 {
-            // v <<= w over the split storage, high to low.
-            let mut carry = 0u32;
-            for i in 0..2 * N {
-                let w = v_get!(i);
-                v_set!(i, (w << LD_WINDOW) | carry);
-                carry = w >> (32 - LD_WINDOW as u32);
-            }
-        }
-    }
-
-    let mut v = [0u32; 2 * N];
-    v[..3].copy_from_slice(&v_mem_lo);
-    v[3..12].copy_from_slice(&v_regs);
-    v[12..].copy_from_slice(&v_mem_hi);
-    reduce(v)
+    reduce(ld_accumulate(
+        &x.0,
+        &ld_table(&y.0),
+        in_fixed_registers,
+        &mut Uncounted,
+    ))
 }
 
 /// Karatsuba-Ofman multiplication: split the 8-word operands into 4-word

@@ -1124,7 +1124,8 @@ mod tests {
                 rt: Reg::R0,
                 imm_words: 3,
             }
-            .encode(),
+            .encode()
+            .to_vec(),
             pool: vec![],
             labels,
         };
@@ -1418,7 +1419,8 @@ mod tests {
                 rt: Reg::R0,
                 imm_words: 3,
             }
-            .encode(),
+            .encode()
+            .to_vec(),
             pool: vec![],
             labels: HashMap::new(),
         };
@@ -1670,7 +1672,9 @@ mod tests {
                 }
                 .encode(),
             ]
-            .concat(),
+            .into_iter()
+            .flatten()
+            .collect(),
             pool: vec![],
             labels: HashMap::new(),
         };

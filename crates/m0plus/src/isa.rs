@@ -228,12 +228,47 @@ fn cond_from_bits(b: u16) -> Option<Cond> {
     })
 }
 
+/// The Thumb encoding of one instruction: one halfword, or two for
+/// `BL`. Held inline, so encoding allocates nothing; it derefs to the
+/// halfword slice and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Halfwords {
+    words: [u16; 2],
+    len: usize,
+}
+
+impl Halfwords {
+    fn one(hw: u16) -> Halfwords {
+        Halfwords {
+            words: [hw, 0],
+            len: 1,
+        }
+    }
+}
+
+impl std::ops::Deref for Halfwords {
+    type Target = [u16];
+
+    fn deref(&self) -> &[u16] {
+        &self.words[..self.len]
+    }
+}
+
+impl IntoIterator for Halfwords {
+    type Item = u16;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u16, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.words.into_iter().take(self.len)
+    }
+}
+
 impl Instr {
     /// Encodes into Thumb halfwords: one for everything except `BL`
     /// (the sole 32-bit encoding ARMv6-M has).
-    pub fn encode(self) -> Vec<u16> {
+    pub fn encode(self) -> Halfwords {
         use Instr::*;
-        let one = |hw: u16| vec![hw];
+        let one = Halfwords::one;
         match self {
             LslsImm { rd, rm, imm } => one((imm as u16) << 6 | lo(rm) << 3 | lo(rd)),
             LsrsImm { rd, rm, imm } => {
@@ -329,7 +364,10 @@ impl Instr {
             }
             BCond { cond } => one(0b1101 << 12 | cond_bits(cond) << 8),
             B => one(0b11100 << 11),
-            Bl => vec![0b11110 << 11, 0b11111 << 11],
+            Bl => Halfwords {
+                words: [0b11110 << 11, 0b11111 << 11],
+                len: 2,
+            },
             Bx => one(0b010001110 << 7 | 14 << 3), // bx lr
             Nop => one(0b1011_1111_0000_0000),
         }
@@ -638,18 +676,18 @@ mod tests {
                 rd: Reg::R0,
                 imm: 0
             }
-            .encode(),
-            vec![0x2000]
+            .encode()[..],
+            [0x2000]
         );
-        assert_eq!(Instr::Nop.encode(), vec![0xBF00]);
-        assert_eq!(Instr::Bx.encode(), vec![0x4770]); // bx lr
+        assert_eq!(Instr::Nop.encode()[..], [0xBF00]);
+        assert_eq!(Instr::Bx.encode()[..], [0x4770]); // bx lr
         assert_eq!(
             Instr::Eors {
                 rdn: Reg::R0,
                 rm: Reg::R1
             }
-            .encode(),
-            vec![0x4048]
+            .encode()[..],
+            [0x4048]
         );
         assert_eq!(
             Instr::LdrImm {
@@ -657,16 +695,16 @@ mod tests {
                 rn: Reg::R0,
                 imm_words: 1
             }
-            .encode(),
-            vec![0x6841] // ldr r1, [r0, #4]
+            .encode()[..],
+            [0x6841] // ldr r1, [r0, #4]
         );
         assert_eq!(
             Instr::Muls {
                 rdn: Reg::R0,
                 rm: Reg::R1
             }
-            .encode(),
-            vec![0x4348]
+            .encode()[..],
+            [0x4348]
         );
     }
 

@@ -900,9 +900,12 @@ impl Machine {
             let instr = self.trace_instr.take();
             let addr = self.trace_addr.take();
             if let Some(trace) = self.trace.as_mut() {
-                trace
-                    .events
-                    .push(crate::trace::TraceEvent { instr, class, addr });
+                trace.events.push(crate::trace::TraceEvent {
+                    instr,
+                    class,
+                    addr,
+                    cycles,
+                });
             }
         }
     }

@@ -58,16 +58,19 @@ pub struct TraceEvent {
     /// shares its instruction with the previous event (the per-word
     /// cycles of a `PUSH`/`POP` stack transfer).
     pub instr: Option<Instr>,
-    /// The charged instruction class (determines the cycle cost).
+    /// The charged instruction class.
     pub class: InstrClass,
     /// Effective word address, for memory-access instructions.
     pub addr: Option<u32>,
+    /// Cycles the machine charged for this event, priced by its
+    /// target's cost model; read through [`TraceEvent::cycles`].
+    pub(crate) cycles: u64,
 }
 
 impl TraceEvent {
-    /// Cycle cost of this event.
+    /// Cycle cost of this event, as the machine charged it.
     pub fn cycles(&self) -> u64 {
-        self.class.cycles()
+        self.cycles
     }
 
     /// Human-readable rendering (disassembly plus address), used in
@@ -265,5 +268,27 @@ mod tests {
         assert_eq!(t.len(), 4, "1 base + 3 stack words");
         assert!(t.events[0].instr.is_some());
         assert!(t.events[1..].iter().all(|e| e.instr.is_none()));
+    }
+
+    #[test]
+    fn trace_cycles_match_the_machine_on_every_target() {
+        // A taken branch and a stack transfer cost different cycles on
+        // different cores; the trace must price them as the machine did.
+        for target in crate::target::registry() {
+            let mut m = Machine::with_target(64, target);
+            m.movs_imm(Reg::R0, 0);
+            m.cmp_imm(Reg::R0, 0);
+            let start = m.cycles();
+            m.start_trace();
+            assert!(m.b_cond(crate::Cond::Eq), "branch taken");
+            m.stack_transfer(3);
+            let t = m.take_trace();
+            assert_eq!(
+                t.total_cycles(),
+                m.cycles() - start,
+                "target {}",
+                target.name()
+            );
+        }
     }
 }

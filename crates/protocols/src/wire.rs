@@ -260,51 +260,6 @@ impl SealedFrame {
     }
 }
 
-/// Receiver-side anti-replay state: accepts strictly increasing
-/// sequence numbers. The sequence number doubles as the CTR nonce in
-/// [`SealedFrame::seal`], so accepting a stale frame would both
-/// re-deliver old data and sanction keystream reuse; this guard
-/// enforces freshness *after* the tag verifies (an attacker must not
-/// be able to advance the window with forged frames).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayGuard {
-    last: Option<u32>,
-}
-
-impl ReplayGuard {
-    /// A guard that has accepted no frames yet.
-    pub fn new() -> ReplayGuard {
-        ReplayGuard::default()
-    }
-
-    /// Verifies, decrypts and freshness-checks `frame`, advancing the
-    /// window on success.
-    ///
-    /// # Errors
-    ///
-    /// [`SealedFrame::open`]'s errors, plus [`WireError::Replayed`]
-    /// when the sequence number does not move forward.
-    pub fn open(
-        &mut self,
-        frame: &SealedFrame,
-        secret: &[u8; 32],
-    ) -> Result<(u32, Vec<u8>), WireError> {
-        let (seq, payload) = frame.open(secret)?;
-        if let Some(last) = self.last {
-            if seq <= last {
-                return Err(WireError::Replayed { seq, last });
-            }
-        }
-        self.last = Some(seq);
-        Ok((seq, payload))
-    }
-
-    /// The newest sequence number accepted so far.
-    pub fn last_accepted(&self) -> Option<u32> {
-        self.last
-    }
-}
-
 /// A windowed replay rejection: the raw-sequence counterpart of
 /// [`WireError::Replayed`] for [`WindowedReplayGuard`], which tracks
 /// 64-bit sequence numbers and a window floor rather than a single
@@ -333,15 +288,18 @@ impl std::error::Error for ReplayRejected {}
 /// Bounded anti-replay state accepting *out-of-order* sequence numbers
 /// within a sliding window.
 ///
-/// [`ReplayGuard`] is O(1) but strictly monotonic: any reordering drops
-/// frames. This guard remembers up to `capacity` accepted sequence
-/// numbers so late frames still land, while staying immune to the
-/// attack a naive seen-set invites — an adversarial flood of unique
-/// sequence numbers growing receiver memory without bound. When the set
-/// is full, the *lowest* sequence number is evicted deterministically
-/// and the window floor rises past it, so memory is bounded by
-/// construction and replay detection still holds for everything at or
-/// above the floor (older frames are conservatively refused).
+/// The sequence number doubles as the CTR nonce in
+/// [`SealedFrame::seal`], so accepting a stale frame would both
+/// re-deliver old data and sanction keystream reuse. A strictly
+/// monotonic guard would drop every reordered frame; this one remembers
+/// up to `capacity` accepted sequence numbers so late frames still
+/// land, while staying immune to the attack a naive seen-set invites —
+/// an adversarial flood of unique sequence numbers growing receiver
+/// memory without bound. When the set is full, the *lowest* sequence
+/// number is evicted deterministically and the window floor rises past
+/// it, so memory is bounded by construction and replay detection still
+/// holds for everything at or above the floor (older frames are
+/// conservatively refused).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedReplayGuard {
     /// Accepted sequence numbers at or above `floor`, sorted ascending.
@@ -413,9 +371,9 @@ impl WindowedReplayGuard {
         Ok(())
     }
 
-    /// Verifies, decrypts and freshness-checks a sealed frame — the
-    /// windowed counterpart of [`ReplayGuard::open`], for receivers
-    /// whose radio reorders frames.
+    /// Verifies, decrypts and freshness-checks a sealed frame. The
+    /// window advances only *after* the tag verifies, so an attacker
+    /// cannot move it with forged frames.
     ///
     /// # Errors
     ///
@@ -681,7 +639,7 @@ mod tests {
         let secret = [9u8; 32];
         let f1 = SealedFrame::seal(&secret, 1, b"one");
         let f2 = SealedFrame::seal(&secret, 2, b"two");
-        let mut guard = ReplayGuard::new();
+        let mut guard = WindowedReplayGuard::new(8);
         assert_eq!(guard.open(&f1, &secret).unwrap().1, b"one");
         assert_eq!(guard.open(&f2, &secret).unwrap().1, b"two");
         // Replaying either frame is rejected even though the tags are
@@ -694,14 +652,14 @@ mod tests {
             guard.open(&f1, &secret),
             Err(WireError::Replayed { seq: 1, last: 2 })
         );
-        assert_eq!(guard.last_accepted(), Some(2));
+        assert_eq!(guard.newest(), 2);
         // A forged frame must not advance the window.
         let mut forged = f1.as_bytes().to_vec();
         let len = forged.len();
         forged[len - 1] ^= 1;
         let forged = SealedFrame::from_bytes(&forged).unwrap();
         assert_eq!(guard.open(&forged, &secret), Err(WireError::BadTag));
-        assert_eq!(guard.last_accepted(), Some(2));
+        assert_eq!(guard.newest(), 2);
     }
 
     #[test]

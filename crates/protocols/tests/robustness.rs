@@ -10,7 +10,7 @@ use protocols::ecdsa::{self, SigningKey, VerifyError};
 use protocols::ecies::{self, EciesError};
 use protocols::wire::{
     decode_public_key, decode_public_key_slice, decode_signature, decode_signature_slice,
-    encode_public_key, encode_signature, ReplayGuard, SealedFrame, WireError,
+    encode_public_key, encode_signature, SealedFrame, WindowedReplayGuard, WireError,
 };
 
 #[test]
@@ -100,7 +100,7 @@ fn replayed_frames_are_rejected_after_one_delivery() {
     let a = Keypair::generate(b"node a");
     let b = Keypair::generate(b"node b");
     let secret = a.shared_secret(b.public()).expect("peer ok");
-    let mut guard = ReplayGuard::new();
+    let mut guard = WindowedReplayGuard::new(8);
 
     let f1 = SealedFrame::seal(&secret, 1, b"reading 1");
     let f2 = SealedFrame::seal(&secret, 2, b"reading 2");

@@ -157,4 +157,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings (offline)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc -D warnings (offline)"
+# --lib: the service package's bin and lib share a name, so documenting
+# both would collide on one output file.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 echo "==> OK"

@@ -224,7 +224,7 @@ pub fn invert_simple(a: Fe) -> Option<Fe> {
 /// shift/branch-bound); on platforms with fast squaring it can win.
 /// Kept as an ablation of the paper's §3.2.3 choice, built from [`Fe`]'s
 /// own operations (one dispatch per step); on a host with the carry-less
-/// multiply, [`Fe::invert`] runs the same [`itoh_tsujii_chain`] inside
+/// multiply, [`Fe::invert`] runs the same `itoh_tsujii_chain` inside
 /// one feature-enabled call.
 pub fn invert_itoh_tsujii(a: Fe) -> Option<Fe> {
     if a.is_zero() {

@@ -476,7 +476,7 @@ impl ModeledField {
     /// Constant-time conditional swap `(a, b) ← swap ? (b, a) : (a, b)`,
     /// charged to *Support*. The executed instruction stream, effective
     /// addresses and cycle count are identical for both values of
-    /// `swap` (see [`support::cswap`]), which the leakage verifier
+    /// `swap` (see `support::cswap`), which the leakage verifier
     /// checks trace-for-trace.
     pub fn cswap(&mut self, a: FeSlot, b: FeSlot, swap: bool) {
         self.run_kernel("fe_cswap", |m| support::cswap(m, a, b, swap));

@@ -43,6 +43,7 @@
 
 pub mod cache;
 pub mod curve;
+mod formulas;
 pub mod int;
 pub mod modeled;
 pub mod mul;

@@ -19,27 +19,20 @@
 //!   *Support functions*.
 
 use crate::curve::Affine;
+use crate::formulas::{self, FieldOps, Xy, Xz};
 use crate::int::Int;
 use crate::mul::{KG_WINDOW, KP_WINDOW};
+use crate::projective::LdPoint;
 use crate::tnaf;
 use gf2m::modeled::{FeSlot, ModeledField, Tier};
 use gf2m::Fe;
 use m0plus::{Category, Cond, Reg, RunReport};
 
-/// A López-Dahab projective point held in machine RAM.
-#[derive(Debug, Clone, Copy)]
-struct PointSlots {
-    x: FeSlot,
-    y: FeSlot,
-    z: FeSlot,
-}
+/// The widest window a modeled multiplication runs (the paper's kG).
+const MAX_WINDOW: u32 = 6;
 
-/// An affine point held in machine RAM.
-#[derive(Debug, Clone, Copy)]
-struct AffineSlots {
-    x: FeSlot,
-    y: FeSlot,
-}
+/// Window-table entries at [`MAX_WINDOW`]: 2^(w−2) = 16.
+const TABLE_LEN: usize = 1 << (MAX_WINDOW - 2);
 
 /// Result of one modeled point multiplication.
 #[derive(Debug, Clone)]
@@ -108,17 +101,22 @@ impl std::fmt::Display for HardeningError {
 impl std::error::Error for HardeningError {}
 
 /// The modeled point multiplier. Owns a [`ModeledField`] and a bank of
-/// reusable element slots.
+/// reusable element slots, allocated once: repeated multiplications on
+/// one multiplier use no further machine RAM.
 #[derive(Debug)]
 pub struct ModeledMul {
     f: ModeledField,
-    acc: PointSlots,
-    table: Vec<AffineSlots>,
-    neg: AffineSlots,
-    tau_p: AffineSlots,
-    base: AffineSlots,
+    acc: LdPoint<FeSlot>,
+    table: Vec<Xy<FeSlot>>,
+    neg: Xy<FeSlot>,
+    tau_p: Xy<FeSlot>,
+    base: Xy<FeSlot>,
     tmp: [FeSlot; 10],
     bn_scratch: FeSlot,
+    /// The table build's Z denominators of entries 1.., and their
+    /// prefix products for the one simultaneous inversion.
+    zs: Vec<FeSlot>,
+    prods: Vec<FeSlot>,
 }
 
 impl ModeledMul {
@@ -143,32 +141,21 @@ impl ModeledMul {
 
     /// Wraps an existing modeled field.
     pub fn with_field(mut f: ModeledField) -> Self {
-        let acc = PointSlots {
+        let acc = LdPoint {
             x: f.alloc(),
             y: f.alloc(),
             z: f.alloc(),
         };
+        let mut xy = || Xy {
+            x: f.alloc(),
+            y: f.alloc(),
+        };
         // Enough table slots for the widest window (w = 6 → 16 entries).
-        let table = (0..16)
-            .map(|_| AffineSlots {
-                x: f.alloc(),
-                y: f.alloc(),
-            })
-            .collect();
-        let neg = AffineSlots {
-            x: f.alloc(),
-            y: f.alloc(),
-        };
-        let tau_p = AffineSlots {
-            x: f.alloc(),
-            y: f.alloc(),
-        };
-        let base = AffineSlots {
-            x: f.alloc(),
-            y: f.alloc(),
-        };
+        let table = (0..TABLE_LEN).map(|_| xy()).collect();
+        let (neg, tau_p, base) = (xy(), xy(), xy());
         let tmp = [(); 10].map(|_| f.alloc());
         let bn_scratch = f.alloc();
+        let [zs, prods] = [(); 2].map(|_| (1..TABLE_LEN).map(|_| f.alloc()).collect());
         ModeledMul {
             f,
             acc,
@@ -178,6 +165,8 @@ impl ModeledMul {
             base,
             tmp,
             bn_scratch,
+            zs,
+            prods,
         }
     }
 
@@ -303,105 +292,18 @@ impl ModeledMul {
 
     /// Public entry to the charged recoding for the leakage verifier:
     /// computes the width-w TNAF of `k` while charging the modeled
-    /// recoding cost (see [`ModeledMul::tnaf_representation`]).
+    /// recoding cost to *TNAF Representation*: the partial reduction's
+    /// products and rounding divisions, then per digit the parity test,
+    /// the halving shifts and, for a non-zero digit, the representative
+    /// subtraction.
     pub fn recode_charged(&mut self, k: &Int, w: u32) -> Vec<i8> {
         self.tnaf_representation(k, w)
     }
 
     // ------------------------------------------------------------------
-    // Modeled point arithmetic on slots.
+    // Modeled point arithmetic: the shared formulas on slots, with `acc`
+    // as the accumulator and `neg` holding a negated table point.
     // ------------------------------------------------------------------
-
-    /// acc ← infinity (Z = 0).
-    fn set_infinity(&mut self) {
-        self.f.set_const(self.acc.x, Fe::ONE);
-        self.f.set_const(self.acc.y, Fe::ZERO);
-        self.f.set_const(self.acc.z, Fe::ZERO);
-    }
-
-    /// Whether acc is the point at infinity (charged test).
-    fn acc_is_infinity(&mut self) -> bool {
-        let z = self.acc.z;
-        self.f.is_zero(z)
-    }
-
-    /// acc ← 2·acc (LD doubling, 3M + 5S; a = 0, b = 1).
-    fn double_acc(&mut self) {
-        if self.acc_is_infinity() {
-            return;
-        }
-        let [t1, t2, t3, t4, t5, ..] = self.tmp;
-        let acc = self.acc;
-        self.f.sqr(t1, acc.z); // T1 = Z1²
-        self.f.sqr(t2, acc.x); // T2 = X1²
-        self.f.mul(t3, t1, t2); // Z3 = T1·T2
-        self.f.sqr(t4, t2); // X1⁴
-        self.f.sqr(t5, t1); // b·Z1⁴
-        self.f.add(t4, t4, t5); // X3
-        self.f.sqr(t1, acc.y); // Y1²
-        self.f.add(t1, t1, t5); // Y1² + bZ1⁴
-        self.f.mul(t2, t5, t3); // bZ1⁴·Z3
-        self.f.mul(t5, t4, t1); // X3·(…)
-        self.f.add(t2, t2, t5); // Y3
-        self.f.copy(acc.x, t4);
-        self.f.copy(acc.y, t2);
-        self.f.copy(acc.z, t3);
-    }
-
-    /// acc ← acc + Q (mixed LD + affine addition, 8M + 5S; a = 0).
-    fn add_affine_to_acc(&mut self, q: AffineSlots) {
-        if self.acc_is_infinity() {
-            // acc ← Q lifted to Z = 1.
-            let acc = self.acc;
-            self.f.copy(acc.x, q.x);
-            self.f.copy(acc.y, q.y);
-            self.f.set_const(acc.z, Fe::ONE);
-            return;
-        }
-        let [t1, t2, a, b, c, z3, e, f3, g, t10] = self.tmp;
-        let acc = self.acc;
-        self.f.sqr(t1, acc.z); // Z1²
-        self.f.mul(t2, q.y, t1); // y2·Z1²
-        self.f.add(a, acc.y, t2); // A
-        self.f.mul(t2, q.x, acc.z); // x2·Z1
-        self.f.add(b, acc.x, t2); // B
-        if self.f.is_zero(b) {
-            // Same x: doubling or annihilation.
-            if self.f.is_zero(a) {
-                self.double_acc();
-            } else {
-                self.set_infinity();
-            }
-            return;
-        }
-        self.f.mul(c, acc.z, b); // C = Z1·B
-        self.f.sqr(z3, c); // Z3 = C²
-        self.f.sqr(t1, b); // B²
-        self.f.mul(t2, t1, c); // D = B²·C
-        self.f.mul(e, a, c); // E = A·C
-        self.f.sqr(t1, a); // A²
-        self.f.add(t1, t1, t2); // A² + D
-        self.f.add(t10, t1, e); // X3 = A² + D + E
-        self.f.mul(t1, q.x, z3); // x2·Z3
-        self.f.add(f3, t10, t1); // F
-        self.f.add(t1, q.x, q.y); // x2 + y2
-        self.f.sqr(t2, z3); // Z3²
-        self.f.mul(g, t1, t2); // G
-        self.f.add(t1, e, z3); // E + Z3
-        self.f.mul(t2, t1, f3); // (E+Z3)·F
-        self.f.add(t2, t2, g); // Y3
-        self.f.copy(acc.x, t10);
-        self.f.copy(acc.y, t2);
-        self.f.copy(acc.z, z3);
-    }
-
-    /// acc ← τ(acc): three squarings.
-    fn frobenius_acc(&mut self) {
-        let acc = self.acc;
-        self.f.sqr(acc.x, acc.x);
-        self.f.sqr(acc.y, acc.y);
-        self.f.sqr(acc.z, acc.z);
-    }
 
     /// Per-digit dispatch overhead (digit fetch, compare, branch),
     /// charged to *Support*.
@@ -414,34 +316,6 @@ impl ModeledMul {
                 m.b_cond(Cond::Mi);
             });
         });
-    }
-
-    /// Builds the negated copy of a table point into the `neg` slots
-    /// (−(x, y) = (x, x + y)), charged to *Support*.
-    fn negate_table_point(&mut self, q: AffineSlots) -> AffineSlots {
-        let neg = self.neg;
-        self.f.copy(neg.x, q.x);
-        self.f.add(neg.y, q.x, q.y);
-        neg
-    }
-
-    /// Final conversion acc → affine: one inversion, two
-    /// multiplications and one squaring. The affine coordinates are
-    /// parked in `tmp[6]`/`tmp[7]` so hardened runs can re-check them
-    /// in machine RAM.
-    fn acc_to_affine(&mut self) -> Affine {
-        if self.acc_is_infinity() {
-            return Affine::Infinity;
-        }
-        let [t1, _, _, _, _, _, xs, ys, ..] = self.tmp;
-        let acc = self.acc;
-        self.f.inv(t1, acc.z); // Z⁻¹
-        self.f.mul(xs, acc.x, t1); // x
-        let x = self.f.load(xs);
-        self.f.sqr(t1, t1); // Z⁻²
-        self.f.mul(ys, acc.y, t1); // y
-        let y = self.f.load(ys);
-        Affine::Point { x, y }
     }
 
     /// Charged curve-equation check of the affine point held in
@@ -492,71 +366,60 @@ impl ModeledMul {
         self.f.copy(t0.x, base.x);
         self.f.copy(t0.y, base.y);
 
-        // Compute entries 1.. in projective coordinates, parking the Z
-        // denominators for one simultaneous inversion at the end.
-        let mut pending: Vec<(usize, PointSlots)> = Vec::new();
-        for (i, &(beta, gamma)) in tnaf::window(w).alphas().iter().enumerate().skip(1) {
-            self.set_infinity();
+        // Compute entries 1.. in projective coordinates, parking X and Y
+        // in the entry's slots and Z in `zs` for one simultaneous
+        // inversion at the end.
+        let alphas = tnaf::window(w).alphas();
+        for (i, &(beta, gamma)) in alphas.iter().enumerate().skip(1) {
+            formulas::set_infinity(self, self.acc);
             for (coeff, pt) in [(beta, base), (gamma, tau_p)] {
                 for _ in 0..coeff.unsigned_abs() {
-                    if coeff < 0 {
-                        let operand = self.negate_table_point(pt);
-                        self.add_affine_to_acc(operand);
+                    let q = if coeff < 0 {
+                        formulas::negate(self, self.neg, pt)
                     } else {
-                        self.add_affine_to_acc(pt);
-                    }
+                        pt
+                    };
+                    formulas::add_affine(self, self.acc, q);
                 }
             }
-            let parked = PointSlots {
-                x: self.f.alloc(),
-                y: self.f.alloc(),
-                z: self.f.alloc(),
-            };
-            let acc = self.acc;
-            self.f.copy(parked.x, acc.x);
-            self.f.copy(parked.y, acc.y);
-            self.f.copy(parked.z, acc.z);
-            pending.push((i, parked));
+            let (entry, acc) = (self.table[i], self.acc);
+            self.f.copy(entry.x, acc.x);
+            self.f.copy(entry.y, acc.y);
+            self.f.copy(self.zs[i - 1], acc.z);
         }
 
         // w = 2 has no non-trivial entries (the table is {P}).
-        if pending.is_empty() {
+        let pending = alphas.len() - 1;
+        if pending == 0 {
             self.f.machine_mut().set_category_override(None);
             return;
         }
 
         // Simultaneous inversion (Montgomery's trick).
-        let mut prods: Vec<FeSlot> = Vec::new();
-        let mut running: Option<FeSlot> = None;
-        for (_, pt) in &pending {
-            let slot = self.f.alloc();
-            match running {
-                None => self.f.copy(slot, pt.z),
-                Some(prev) => self.f.mul(slot, prev, pt.z),
-            }
-            prods.push(slot);
-            running = Some(slot);
-        }
-        let inv_slot = self.f.alloc();
-        self.f
-            .inv(inv_slot, *prods.last().expect("table is non-empty"));
-        let scratch = self.tmp[9];
-        for idx in (0..pending.len()).rev() {
-            let (i, pt) = pending[idx];
-            let zi = self.f.alloc();
-            if idx == 0 {
-                self.f.copy(zi, inv_slot);
+        let (zs, prods) = (&self.zs, &self.prods);
+        for j in 0..pending {
+            if j == 0 {
+                self.f.copy(prods[0], zs[0]);
             } else {
-                self.f.mul(zi, inv_slot, prods[idx - 1]);
-                let t = self.tmp[8];
-                self.f.mul(t, inv_slot, pt.z);
-                self.f.copy(inv_slot, t);
+                self.f.mul(prods[j], prods[j - 1], zs[j]);
+            }
+        }
+        // The formulas' scratch slots are free here.
+        let [inv_run, zi, .., t, scratch] = self.tmp;
+        self.f.inv(inv_run, prods[pending - 1]);
+        for j in (0..pending).rev() {
+            if j == 0 {
+                self.f.copy(zi, inv_run);
+            } else {
+                self.f.mul(zi, inv_run, prods[j - 1]);
+                self.f.mul(t, inv_run, zs[j]);
+                self.f.copy(inv_run, t);
             }
             // Affine: x = X·zi, y = Y·zi².
-            let entry = self.table[i];
-            self.f.mul(entry.x, pt.x, zi);
+            let entry = self.table[j + 1];
+            self.f.mul(entry.x, entry.x, zi);
             self.f.sqr(scratch, zi);
-            self.f.mul(entry.y, pt.y, scratch);
+            self.f.mul(entry.y, entry.y, scratch);
         }
 
         self.f.machine_mut().set_category_override(None);
@@ -604,21 +467,12 @@ impl ModeledMul {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is negative, or if an offline table is requested
-    /// for a point other than the generator.
+    /// Panics if `k` is negative, if `w` is outside 2..=6 (the slot bank
+    /// holds the w = 6 table), or if an offline table is requested for a
+    /// point other than the generator.
     pub fn run(&mut self, p: &Affine, k: &Int, w: u32, charge_precomp: bool) -> PointMulRun {
-        assert!(!k.is_negative(), "scalar must be non-negative");
-        let snap = self.f.machine().snapshot();
-        let result = self.run_inner(p, k, w, charge_precomp);
-        let report = self.f.machine().report_since(&snap);
-        if !(p.is_infinity() || k.is_zero()) {
-            let expect = crate::mul::mul_wtnaf(p, k, w);
-            assert_eq!(
-                result, expect,
-                "modeled multiplication diverged from portable"
-            );
-        }
-        PointMulRun { result, report }
+        self.run_hardened(p, k, w, charge_precomp, Hardening::OFF)
+            .expect("an unhardened run rejects nothing")
     }
 
     /// Random-point multiplication with the selected fault
@@ -641,7 +495,27 @@ impl ModeledMul {
         k: &Int,
         hardening: Hardening,
     ) -> Result<PointMulRun, HardeningError> {
+        self.run_hardened(p, k, KP_WINDOW, true, hardening)
+    }
+
+    /// The shared body of [`ModeledMul::run`] and
+    /// [`ModeledMul::kp_hardened`]: recode, build/load the window
+    /// table and evaluate, between the enabled checks. Degenerate inputs
+    /// set the accumulator to a coherent infinity so post-run checks
+    /// read real machine state.
+    fn run_hardened(
+        &mut self,
+        p: &Affine,
+        k: &Int,
+        w: u32,
+        charge_precomp: bool,
+        hardening: Hardening,
+    ) -> Result<PointMulRun, HardeningError> {
         assert!(!k.is_negative(), "scalar must be non-negative");
+        assert!(
+            (2..=MAX_WINDOW).contains(&w),
+            "modeled window width {w} is outside 2..={MAX_WINDOW}"
+        );
         let snap = self.f.machine().snapshot();
         if hardening.validate_base {
             if let Affine::Point { x, y } = *p {
@@ -653,8 +527,26 @@ impl ModeledMul {
                 }
             }
         }
-        let result = self.run_inner(p, k, KP_WINDOW, true);
-        if hardening.reject_infinity && self.acc_is_infinity() {
+        let degenerate = p.is_infinity() || k.is_zero();
+        let result = if degenerate {
+            formulas::set_infinity(self, self.acc);
+            Affine::Infinity
+        } else {
+            let digits = self.tnaf_representation(k, w);
+            if charge_precomp {
+                self.precompute_charged(p, w);
+            } else {
+                assert_eq!(
+                    *p,
+                    crate::curve::generator(),
+                    "offline tables exist for the generator only"
+                );
+                assert_eq!(w, KG_WINDOW, "the offline table is built for w = 6");
+                self.load_generator_table();
+            }
+            self.main_loop(&digits)
+        };
+        if hardening.reject_infinity && self.f.is_zero(self.acc.z) {
             return Err(HardeningError::ResultInfinity);
         }
         if hardening.check_result && !result.is_infinity() {
@@ -664,38 +556,14 @@ impl ModeledMul {
             }
         }
         let report = self.f.machine().report_since(&snap);
-        if !(p.is_infinity() || k.is_zero()) {
-            let expect = crate::mul::mul_wtnaf(p, k, KP_WINDOW);
+        if !degenerate {
+            let expect = crate::mul::mul_wtnaf(p, k, w);
             assert_eq!(
                 result, expect,
                 "modeled multiplication diverged from portable"
             );
         }
         Ok(PointMulRun { result, report })
-    }
-
-    /// The shared body of [`ModeledMul::run`] and
-    /// [`ModeledMul::kp_hardened`]: recode, build/load the window
-    /// table, evaluate. Degenerate inputs set the accumulator to a
-    /// coherent infinity so post-run checks read real machine state.
-    fn run_inner(&mut self, p: &Affine, k: &Int, w: u32, charge_precomp: bool) -> Affine {
-        if p.is_infinity() || k.is_zero() {
-            self.set_infinity();
-            return Affine::Infinity;
-        }
-        let digits = self.tnaf_representation(k, w);
-        if charge_precomp {
-            self.precompute_charged(p, w);
-        } else {
-            assert_eq!(
-                *p,
-                crate::curve::generator(),
-                "offline tables exist for the generator only"
-            );
-            assert_eq!(w, KG_WINDOW, "the offline table is built for w = 6");
-            self.load_generator_table();
-        }
-        self.main_loop(&digits)
     }
 
     /// Constant-time Montgomery-ladder multiplication on the cost model
@@ -711,31 +579,14 @@ impl ModeledMul {
     /// Panics if `k` is negative or `p` is infinity / the 2-torsion
     /// point.
     pub fn ladder(&mut self, p: &Affine, k: &Int) -> PointMulRun {
-        assert!(!k.is_negative(), "scalar must be non-negative");
-        let (xp_val, _yp_val) = match *p {
-            Affine::Infinity => panic!("ladder needs a finite base point"),
-            Affine::Point { x, y } => (x, y),
-        };
-        assert!(!xp_val.is_zero(), "ladder needs a point of odd order");
+        let (xp_val, bits) = crate::mul::ladder_setup(p, k);
         let snap = self.f.machine().snapshot();
-
-        // Fixed-length scalar (see mul::montgomery_ladder).
-        let n = crate::curve::order();
-        let k1 = k.mod_positive(&n);
-        if k1.is_zero() {
+        let Some(bits) = bits else {
             let report = self.f.machine().report_since(&snap);
             return PointMulRun {
                 result: Affine::Infinity,
                 report,
             };
-        }
-        let lifted = {
-            let t = &k1 + &n;
-            if t.bits() == 233 {
-                t
-            } else {
-                &t + &n
-            }
         };
 
         // Slots: xp constant, two ladder points (x-only), scratch.
@@ -753,8 +604,7 @@ impl ModeledMul {
         self.f.add(x2, t2, t3); // X2 = x⁴ + b
         self.f.copy(z2, t1); // Z2 = x²
 
-        for i in (0..232).rev() {
-            let bit = (lifted.limbs()[i / 32] >> (i % 32)) & 1;
+        for bit in bits {
             // Fixed roles: the step always adds into R0 = (x1,z1) and
             // doubles R1 = (x2,z2). A masked conditional swap before the
             // step routes the right operands into those roles, and the
@@ -762,39 +612,22 @@ impl ModeledMul {
             // each field operation touches never depend on the bit (the
             // cswap itself is trace-constant, which the leakage verifier
             // checks).
-            let swap = bit == 0;
+            let swap = !bit;
             self.f.cswap(x1, x2, swap);
             self.f.cswap(z1, z2, swap);
-            let (ax, az, dx, dz) = (x1, z1, x2, z2);
-            // madd(ax,az, dx,dz; xp):
-            self.f.mul(t1, ax, dz); // T = X1·Z2
-            self.f.mul(t2, dx, az); // U = X2·Z1
-            self.f.add(t3, t1, t2);
-            self.f.sqr(az, t3); // Z' = (T+U)²
-            self.f.mul(t3, t1, t2); // T·U
-            self.f.mul(t1, xp, az); // x·Z'
-            self.f.add(ax, t1, t3); // X' = x·Z' + T·U
-                                    // mdouble(dx,dz):
-            self.f.sqr(t1, dx); // X²
-            self.f.sqr(t2, dz); // Z²
-            self.f.mul(dz, t1, t2); // Z' = X²Z²
-            self.f.sqr(t1, t1); // X⁴
-            self.f.sqr(t2, t2); // Z⁴ (b = 1)
-            self.f.add(dx, t1, t2); // X' = X⁴ + bZ⁴
-                                    // Swap back so (x1,z1)/(x2,z2) keep their R0/R1 meanings.
+            formulas::ladder_step(self, Xz { x: x1, z: z1 }, Xz { x: x2, z: z2 }, xp);
+            // Swap back so (x1,z1)/(x2,z2) keep their R0/R1 meanings.
             self.f.cswap(x1, x2, swap);
             self.f.cswap(z1, z2, swap);
         }
 
         // Recover y on the host (identical work for every scalar; the
         // charged conversion below covers the x normalisation).
-        let result = {
-            let x1v = self.f.load(x1);
-            let z1v = self.f.load(z1);
-            let x2v = self.f.load(x2);
-            let z2v = self.f.load(z2);
-            recover_y(p, x1v, z1v, x2v, z2v)
+        let load = |x, z| Xz {
+            x: self.f.load(x),
+            z: self.f.load(z),
         };
+        let result = formulas::recover_y(p, load(x1, z1), load(x2, z2));
         // Charge the final conversion. A constant-time ladder needs a
         // constant-time inversion, so the conversion uses the
         // Itoh–Tsujii chain (fixed 10M + 233S schedule) instead of the
@@ -815,40 +648,70 @@ impl ModeledMul {
         PointMulRun { result, report }
     }
 
-    /// The left-to-right digit evaluation shared by kP and kG.
+    /// The left-to-right digit evaluation shared by kP and kG, then the
+    /// final conversion, which leaves the affine coordinates in
+    /// `tmp[6]`/`tmp[7]` so hardened runs can re-check them in machine
+    /// RAM.
     fn main_loop(&mut self, digits: &[i8]) -> Affine {
-        self.set_infinity();
+        formulas::set_infinity(self, self.acc);
         for &d in digits.iter().rev() {
-            self.frobenius_acc();
+            formulas::frobenius(self, self.acc);
             self.charge_digit_dispatch();
-            if d > 0 {
-                let entry = self.table[(d as usize) / 2];
-                self.add_affine_to_acc(entry);
-            } else if d < 0 {
-                let entry = self.table[(-d as usize) / 2];
-                let neg = self.negate_table_point(entry);
-                self.add_affine_to_acc(neg);
+            if d != 0 {
+                let entry = self.table[d.unsigned_abs() as usize / 2];
+                let q = if d < 0 {
+                    formulas::negate(self, self.neg, entry)
+                } else {
+                    entry
+                };
+                formulas::add_affine(self, self.acc, q);
             }
         }
-        self.acc_to_affine()
+        match formulas::to_affine(self, self.acc) {
+            None => Affine::Infinity,
+            Some(p) => Affine::Point {
+                x: self.f.load(p.x),
+                y: self.f.load(p.y),
+            },
+        }
     }
 }
 
-/// y-recovery for the x-only ladder (López-Dahab 1999).
-fn recover_y(p: &Affine, x1: Fe, z1: Fe, x2: Fe, z2: Fe) -> Affine {
-    let (xp, yp) = (p.x(), p.y());
-    if z1.is_zero() {
-        return Affine::Infinity;
+/// The modeled backend of the point formulas: elements are RAM slots,
+/// every operation is a charged kernel into its destination slot, and
+/// the scratch elements are the `tmp` bank.
+impl FieldOps for ModeledMul {
+    type El = FeSlot;
+    fn scratch(&self) -> [FeSlot; 10] {
+        self.tmp
     }
-    if z2.is_zero() {
-        return Affine::Point { x: xp, y: xp + yp };
+    fn mul(&mut self, dst: FeSlot, a: FeSlot, b: FeSlot) -> FeSlot {
+        self.f.mul(dst, a, b);
+        dst
     }
-    let x1a = x1 * z1.invert().expect("z1 != 0");
-    let x2a = x2 * z2.invert().expect("z2 != 0");
-    let y =
-        (x1a + xp) * ((x1a + xp) * (x2a + xp) + xp.square() + yp) * xp.invert().expect("x != 0")
-            + yp;
-    Affine::Point { x: x1a, y }
+    fn sqr(&mut self, dst: FeSlot, a: FeSlot) -> FeSlot {
+        self.f.sqr(dst, a);
+        dst
+    }
+    fn add(&mut self, dst: FeSlot, a: FeSlot, b: FeSlot) -> FeSlot {
+        self.f.add(dst, a, b);
+        dst
+    }
+    fn copy(&mut self, dst: FeSlot, a: FeSlot) -> FeSlot {
+        self.f.copy(dst, a);
+        dst
+    }
+    fn set_const(&mut self, dst: FeSlot, c: Fe) -> FeSlot {
+        self.f.set_const(dst, c);
+        dst
+    }
+    fn is_zero(&mut self, a: FeSlot) -> bool {
+        self.f.is_zero(a)
+    }
+    fn inv(&mut self, dst: FeSlot, a: FeSlot) -> FeSlot {
+        self.f.inv(dst, a);
+        dst
+    }
 }
 
 #[cfg(test)]
@@ -1022,6 +885,29 @@ mod tests {
         assert!(run.report.cycles < 1000);
         let run = mm.kp(&Affine::Infinity, &scalar(8));
         assert!(run.result.is_infinity());
+    }
+
+    #[test]
+    fn repeated_runs_allocate_no_machine_ram() {
+        let mut mm = ModeledMul::new(Tier::Asm);
+        let words = mm.field().machine().allocated_words();
+        let g = generator();
+        for seed in 0..3 {
+            mm.kp(&g, &scalar(40 + seed));
+            assert_eq!(mm.field().machine().allocated_words(), words, "kP");
+        }
+        for w in 2..=MAX_WINDOW {
+            mm.run(&g, &scalar(50 + u64::from(w)), w, true);
+            assert_eq!(mm.field().machine().allocated_words(), words, "w = {w}");
+        }
+        mm.kg(&scalar(60));
+        assert_eq!(mm.field().machine().allocated_words(), words, "kG");
+    }
+
+    #[test]
+    #[should_panic(expected = "modeled window width 7 is outside 2..=6")]
+    fn run_rejects_width_7() {
+        ModeledMul::new(Tier::Asm).run(&generator(), &scalar(70), 7, true);
     }
 
     #[test]

@@ -40,6 +40,7 @@
 //!   §5 names as the fix for its timing-variability caveat.
 
 use crate::curve::{generator, order, Affine};
+use crate::formulas::{self, Host, Xz};
 use crate::int::Int;
 use crate::projective::{batch_to_affine, LdPoint};
 use crate::scalar::U256;
@@ -80,7 +81,7 @@ fn assert_window(w: u32) {
 /// entry 0 is p itself (α₁ = 1). Every other α_u = β + γτ is evaluated
 /// by Horner's rule on an [`LdPoint`] from α_u's plain τ-NAF digit
 /// string, which is cached per width next to the (β, γ) pairs: one
-/// Frobenius (3S) per digit and one mixed addition of ±p (7M + 4S) per
+/// Frobenius (3S) per digit and one mixed addition of ±p (8M + 5S) per
 /// non-zero digit. No [`Int`] is touched and nothing is inverted in the
 /// loop. The 2^(w−2) − 1 projective entries then share **one** field
 /// inversion in [`batch_to_affine`]. At w = 4 the three entries take 10
@@ -137,10 +138,11 @@ pub fn precompute_table_binary(p: &Affine, w: u32) -> Vec<Affine> {
 
 /// Adds the table point for one non-zero wTNAF digit: ±`table[|d|/2]`.
 fn add_digit(acc: LdPoint, d: i8, table: &[Affine]) -> LdPoint {
+    let q = &table[d.unsigned_abs() as usize / 2];
     if d > 0 {
-        acc.add_affine(&table[d as usize / 2])
+        acc.add_affine(q)
     } else {
-        acc.add_affine(&table[d.unsigned_abs() as usize / 2].negated())
+        acc.sub_affine(q)
     }
 }
 
@@ -399,20 +401,30 @@ pub fn double_multiply_with_strips(
     eval_lanes(&lanes)
 }
 
-/// x-only Montgomery doubling: (X, Z) → (X⁴ + b·Z⁴, X²·Z²), b = 1.
-fn mdouble(x: Fe, z: Fe) -> (Fe, Fe) {
-    let x2 = x.square();
-    let z2 = z.square();
-    (x2.square() + z2.square(), x2 * z2)
-}
-
-/// x-only Montgomery differential addition with base x-coordinate `xp`:
-/// Z = (X1·Z2 + X2·Z1)², X = xp·Z + (X1·Z2)(X2·Z1).
-fn madd(x1: Fe, z1: Fe, x2: Fe, z2: Fe, xp: Fe) -> (Fe, Fe) {
-    let t = x1 * z2;
-    let u = x2 * z1;
-    let z = (t + u).square();
-    (xp * z + t * u, z)
+/// The ladder's base x-coordinate and its bit schedule for `k`, most
+/// significant first: the 232 bits below the top one of k' = k + n or
+/// k + 2n, both ≡ k (mod n) and exactly 233 bits long, so every scalar
+/// runs the same number of steps. No schedule when k ≡ 0 (mod n).
+///
+/// # Panics
+///
+/// Panics if `k` is negative or `p` is the point at infinity / the
+/// 2-torsion point (x = 0).
+pub(crate) fn ladder_setup(p: &Affine, k: &Int) -> (Fe, Option<impl Iterator<Item = bool>>) {
+    assert!(!k.is_negative(), "scalar must be non-negative");
+    assert!(!p.is_infinity(), "ladder needs a finite base point");
+    assert!(!p.x().is_zero(), "ladder needs a point of odd order");
+    let n = order();
+    let k1 = k.mod_positive(&n);
+    let bits = (!k1.is_zero()).then(|| {
+        let t = &k1 + &n;
+        let lifted = if t.bits() == 233 { t } else { &t + &n };
+        debug_assert_eq!(lifted.bits(), 233);
+        (0..232)
+            .rev()
+            .map(move |i| (lifted.limbs()[i / 32] >> (i % 32)) & 1 == 1)
+    });
+    (p.x(), bits)
 }
 
 /// Constant-time Montgomery-ladder multiplication (López-Dahab 1999) —
@@ -426,66 +438,22 @@ fn madd(x1: Fe, z1: Fe, x2: Fe, z2: Fe, xp: Fe) -> (Fe, Fe) {
 /// 2-torsion point (x = 0) — neither occurs for points in the
 /// prime-order subgroup.
 pub fn montgomery_ladder(p: &Affine, k: &Int) -> Affine {
-    assert!(!k.is_negative(), "scalar must be non-negative");
-    let (xp, yp) = match *p {
-        Affine::Infinity => panic!("ladder needs a finite base point"),
-        Affine::Point { x, y } => (x, y),
-    };
-    assert!(!xp.is_zero(), "ladder needs a point of odd order");
-
-    // Fix the scalar length: k' = k + n or k + 2n, both ≡ k (mod n) and
-    // exactly 233 bits, so every invocation runs 232 ladder steps.
-    let n = order();
-    let k1 = k.mod_positive(&n);
-    if k1.is_zero() {
+    let (xp, bits) = ladder_setup(p, k);
+    let Some(bits) = bits else {
         return Affine::Infinity;
-    }
-    let lifted = {
-        let t = &k1 + &n;
-        if t.bits() == 233 {
-            t
-        } else {
-            &t + &n
-        }
     };
-    debug_assert_eq!(lifted.bits(), 233);
-
     // R0 = P, R1 = 2P (x-only).
-    let (mut x1, mut z1) = (xp, Fe::ONE);
-    let (mut x2, mut z2) = mdouble(xp, Fe::ONE);
-    for i in (0..232).rev() {
-        let bit = (lifted.limbs()[i / 32] >> (i % 32)) & 1;
-        if bit == 1 {
-            let (ax, az) = madd(x1, z1, x2, z2, xp);
-            let (dx, dz) = mdouble(x2, z2);
-            x1 = ax;
-            z1 = az;
-            x2 = dx;
-            z2 = dz;
+    let mut r0 = Xz { x: xp, z: Fe::ONE };
+    let mut r1 = formulas::mdouble(&mut Host, r0);
+    for bit in bits {
+        (r0, r1) = if bit {
+            formulas::ladder_step(&mut Host, r0, r1, xp)
         } else {
-            let (ax, az) = madd(x2, z2, x1, z1, xp);
-            let (dx, dz) = mdouble(x1, z1);
-            x2 = ax;
-            z2 = az;
-            x1 = dx;
-            z1 = dz;
-        }
+            let (r1, r0) = formulas::ladder_step(&mut Host, r1, r0, xp);
+            (r0, r1)
+        };
     }
-
-    // Recover the y-coordinate (López-Dahab 1999).
-    if z1.is_zero() {
-        return Affine::Infinity;
-    }
-    if z2.is_zero() {
-        // kP = −P branch: result x = xp, y = xp + yp.
-        return Affine::Point { x: xp, y: xp + yp };
-    }
-    let x1a = x1 * z1.invert().expect("z1 != 0");
-    let x2a = x2 * z2.invert().expect("z2 != 0");
-    let t =
-        (x1a + xp) * ((x1a + xp) * (x2a + xp) + xp.square() + yp) * xp.invert().expect("x != 0")
-            + yp;
-    Affine::Point { x: x1a, y: t }
+    formulas::recover_y(p, r0, r1)
 }
 
 #[cfg(test)]

@@ -1,24 +1,28 @@
 //! López-Dahab projective coordinates (x = X/Z, y = Y/Z²).
 //!
 //! The coordinate system of the paper's implementations: point doubling
-//! costs 3M + 5S, mixed LD+affine addition 7M + 4S (a = 0, b = 1), the
+//! costs 3M + 5S, mixed LD+affine addition 8M + 5S (a = 0, b = 1), the
 //! Frobenius map 3S, and converting back to affine costs one inversion —
 //! the single inversion that the paper's Table 7 charges per point
-//! multiplication.
+//! multiplication. The formulas themselves live in the crate-private
+//! `formulas` module, which the modeled tier runs too; `LdPoint`'s
+//! methods instantiate them on host field elements.
 
 use crate::curve::Affine;
+use crate::formulas::{self, Host, Xy};
 use gf2m::Fe;
 
 /// A point in López-Dahab projective coordinates. `Z = 0` encodes the
-/// point at infinity.
+/// point at infinity. The host computes on [`Fe`] coordinates, the
+/// default `E`; the modeled tier's accumulator holds machine RAM slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LdPoint {
+pub struct LdPoint<E = Fe> {
     /// X coordinate (x = X/Z).
-    pub x: Fe,
+    pub x: E,
     /// Y coordinate (y = Y/Z²).
-    pub y: Fe,
+    pub y: E,
     /// Projective denominator.
-    pub z: Fe,
+    pub z: E,
 }
 
 impl LdPoint {
@@ -29,12 +33,10 @@ impl LdPoint {
         z: Fe::ZERO,
     };
 
-    /// Lifts an affine point (Z = 1).
+    /// Lifts an affine point (Z = 1): the mixed addition of `p` to
+    /// infinity.
     pub fn from_affine(p: &Affine) -> LdPoint {
-        match *p {
-            Affine::Infinity => LdPoint::INFINITY,
-            Affine::Point { x, y } => LdPoint { x, y, z: Fe::ONE },
-        }
+        LdPoint::INFINITY.add_affine(p)
     }
 
     /// Whether this encodes the point at infinity.
@@ -42,91 +44,57 @@ impl LdPoint {
         self.z.is_zero()
     }
 
-    /// Converts back to affine: x = X·Z⁻¹, y = Y·(Z⁻¹)². This is the
-    /// one place a point multiplication pays a field inversion.
+    /// Converts back to affine: x = X·Z⁻¹, y = Y·(Z⁻¹)², 1I + 2M + 1S.
+    /// This is the one place a point multiplication pays a field
+    /// inversion.
+    #[inline]
     pub fn to_affine(self) -> Affine {
-        if self.is_infinity() {
-            return Affine::Infinity;
-        }
-        let zi = self.z.invert().expect("finite point has Z != 0");
-        let x = self.x * zi;
-        let y = self.y * zi.square();
-        Affine::Point { x, y }
+        formulas::to_affine(&mut Host, self)
+            .map_or(Affine::Infinity, |p| Affine::Point { x: p.x, y: p.y })
     }
 
     /// Point doubling, LD coordinates, a = 0, b = 1
     /// (Guide to ECC Alg. 3.24 specialised): 3M + 5S.
     #[must_use]
+    #[inline]
     pub fn double(&self) -> LdPoint {
-        if self.is_infinity() {
-            return *self;
-        }
-        let t1 = self.z.square(); // Z1²
-        let t2 = self.x.square(); // X1²
-        let z3 = t1 * t2; // X1²·Z1²
-        let x2sq = t2.square(); // X1⁴
-        let bz4 = t1.square(); // b·Z1⁴ (b = 1)
-        let x3 = x2sq + bz4; // X3 = 0 (2P = (0, √b)) needs no special case
-        let y1sq = self.y.square();
-        // Y3 = b·Z1⁴·Z3 + X3·(a·Z3 + Y1² + b·Z1⁴), a = 0.
-        let y3 = bz4 * z3 + x3 * (y1sq + bz4);
-        LdPoint {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        formulas::double(&mut Host, *self)
     }
 
     /// Mixed addition: `self` (LD) + `other` (affine), a = 0
-    /// (Guide to ECC Alg. 3.25 specialised): 7M + 4S.
+    /// (Guide to ECC Alg. 3.25 specialised): 8M + 5S.
     ///
     /// Falls back to doubling / infinity handling for the degenerate
     /// cases (P = ±Q, either infinity).
     #[must_use]
+    #[inline]
     pub fn add_affine(&self, other: &Affine) -> LdPoint {
-        let (x2, y2) = match *other {
-            Affine::Infinity => return *self,
-            Affine::Point { x, y } => (x, y),
-        };
-        if self.is_infinity() {
-            return LdPoint::from_affine(other);
+        match *other {
+            Affine::Infinity => *self,
+            Affine::Point { x, y } => formulas::add_affine(&mut Host, *self, Xy { x, y }),
         }
-        let z1sq = self.z.square();
-        let a = self.y + y2 * z1sq; // A = Y1 + y2·Z1²
-        let b = self.x + x2 * self.z; // B = X1 + x2·Z1
-        if b.is_zero() {
-            // x-coordinates match: either P = Q (A = 0 → double) or
-            // P = −Q (→ infinity).
-            return if a.is_zero() {
-                self.double()
-            } else {
-                LdPoint::INFINITY
-            };
-        }
-        let c = self.z * b; // C = Z1·B
-        let z3 = c.square();
-        let d = b.square() * c; // D = B²·(C + a·Z1²), a = 0
-        let e = a * c;
-        let x3 = a.square() + d + e;
-        let f = x3 + x2 * z3;
-        let g = (x2 + y2) * z3.square();
-        let y3 = (e + z3) * f + g;
-        LdPoint {
-            x: x3,
-            y: y3,
-            z: z3,
+    }
+
+    /// `self` − `other`: the mixed addition of `other` negated as a
+    /// table point is.
+    #[must_use]
+    #[inline]
+    pub(crate) fn sub_affine(&self, other: &Affine) -> LdPoint {
+        match *other {
+            Affine::Infinity => *self,
+            Affine::Point { x, y } => {
+                let q = formulas::negate(&mut Host, Xy { x, y }, Xy { x, y });
+                formulas::add_affine(&mut Host, *self, q)
+            }
         }
     }
 
     /// The Frobenius endomorphism in LD coordinates:
     /// (X, Y, Z) → (X², Y², Z²) — three squarings, no multiplication.
     #[must_use]
+    #[inline]
     pub fn frobenius(&self) -> LdPoint {
-        LdPoint {
-            x: self.x.square(),
-            y: self.y.square(),
-            z: self.z.square(),
-        }
+        formulas::frobenius(&mut Host, *self)
     }
 }
 

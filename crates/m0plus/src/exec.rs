@@ -104,7 +104,7 @@ struct PreStep {
 /// of the code image and literal pool, so running a fragment needs no
 /// `Program` — and so the cache can verify a hash hit byte-for-byte.
 ///
-/// Besides the flat per-position [`PreStep`] table, predecoding
+/// Besides the flat per-position `PreStep` table, predecoding
 /// partitions the image into *superblocks*: maximal straight-line runs
 /// of positions that lower to a runnable micro-op (no control flow, no
 /// invalid halfword, no unresolvable pool slot). `run_end[pc]` is the

@@ -343,7 +343,7 @@ pub struct RecordedKernel {
 impl RecordedKernel {
     /// Bundles a captured kernel: predecodes the fragment once (via the
     /// process-wide cache), then replays it once without a fault and
-    /// checkpoints that golden run at [`CHECKPOINTS`] evenly spaced
+    /// checkpoints that golden run at 64 (`CHECKPOINTS`) evenly spaced
     /// trace indices, so every later replay skips decode, hashing and
     /// the golden prefix before its fault. `pre` must have no recording
     /// or trace armed: a resumed replay could not capture its prefix.

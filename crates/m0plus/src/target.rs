@@ -28,7 +28,7 @@
 //!
 //! Only `cortex-m0plus` is *measured* (the paper's Table 3); the other
 //! entries are documented estimates, each annotated inline where its
-//! tables are declared. [`core::crossplatform`]-style consumers
+//! tables are declared. `ecc233::crossplatform`-style consumers
 //! re-cost recorded kernels under each entry instead of citing
 //! constants.
 

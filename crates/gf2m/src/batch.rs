@@ -17,7 +17,8 @@
 //! zero in place and does not disturb its neighbours, which is what the
 //! projective-coordinate caller wants (Z = 0 encodes infinity).
 //!
-//! [`batch_invert`] is the portable-tier entry point; the counted-tier
+//! [`batch_invert`] is the portable-tier entry point and
+//! [`batch_invert_public`] its public-input twin; the counted-tier
 //! variant [`batch_invert_counted`] tallies the inversion and
 //! multiplication costs separately so the amortisation claim is
 //! *measured*, not assumed.
@@ -90,6 +91,25 @@ pub fn batch_invert(elems: &mut [Fe]) {
         elems,
         |a, b| a * b,
         |p| p.invert().expect("product of non-zero elements"),
+    );
+}
+
+/// [`batch_invert`] for **public** elements: the same Montgomery chain
+/// with its one inversion by [`Fe::invert_public`], whose squaring
+/// blocks are input-addressed table lookups.
+///
+/// ```
+/// use gf2m::{batch, Fe};
+/// let mut v = [Fe::from_hex("1234").unwrap(), Fe::ZERO, Fe::from_hex("abcd").unwrap()];
+/// let want = batch::batch_inverted(&v);
+/// batch::batch_invert_public(&mut v);
+/// assert_eq!(v.to_vec(), want);
+/// ```
+pub fn batch_invert_public(elems: &mut [Fe]) {
+    montgomery_core(
+        elems,
+        |a, b| a * b,
+        |p| p.invert_public().expect("product of non-zero elements"),
     );
 }
 
@@ -240,6 +260,17 @@ mod tests {
         assert!(v[0].is_zero() && v[2].is_zero() && v[3].is_zero() && v[5].is_zero());
         assert_eq!(v[1], fe(1).invert().unwrap());
         assert_eq!(v[4], fe(2).invert().unwrap());
+    }
+
+    #[test]
+    fn public_batch_matches_the_batch() {
+        for n in [1usize, 2, 3, 17, 64] {
+            let mut elems: Vec<Fe> = (0..n as u64).map(|i| fe(i + 700)).collect();
+            elems[n / 2] = Fe::ZERO;
+            let mut public = elems.clone();
+            batch_invert_public(&mut public);
+            assert_eq!(public, batch_inverted(&elems), "n = {n}");
+        }
     }
 
     #[test]

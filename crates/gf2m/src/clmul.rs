@@ -9,8 +9,8 @@
 //! folded modulo z²³³ + z⁷⁴ + 1 with 64-bit shifts. Squaring is one
 //! carry-less square per limb and the same fold.
 //!
-//! The chains — repeated squaring, the half-trace, the square root and
-//! the Itoh–Tsujii inversion — each run inside one
+//! The chains — repeated squaring, the square root and the Itoh–Tsujii
+//! inversion — each run inside one
 //! `#[target_feature]` function, so the feature check and the call are
 //! paid once per chain rather than once per squaring.
 //!
@@ -103,16 +103,11 @@ impl Clmul {
         }
         Some(with_clmul!(self, x86::invert_nonzero(a)))
     }
-
-    /// The half-trace Σ a^(2^(2i)), i = 0..=116.
-    #[inline]
-    pub fn half_trace(self, a: Fe) -> Fe {
-        with_clmul!(self, x86::half_trace(a))
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use crate::element::{from_limbs, limbs};
     use crate::Fe;
     use core::arch::x86_64::{
         __m128i, _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_set_epi64x, _mm_slli_si128,
@@ -137,18 +132,6 @@ mod x86 {
         c[0] ^= t;
         c[1] ^= t << 10;
         [c[0], c[1], c[2], c[3] & ((1 << 41) - 1)]
-    }
-
-    #[inline(always)]
-    pub(super) fn limbs(a: Fe) -> [u64; 4] {
-        core::array::from_fn(|i| u64::from(a.0[2 * i]) | u64::from(a.0[2 * i + 1]) << 32)
-    }
-
-    #[inline(always)]
-    pub(super) fn from_limbs(l: [u64; 4]) -> Fe {
-        Fe(core::array::from_fn(|i| {
-            (l[i / 2] >> (32 * (i % 2))) as u32
-        }))
     }
 
     #[inline]
@@ -229,15 +212,6 @@ mod x86 {
     }
 
     #[target_feature(enable = "pclmulqdq")]
-    pub(super) fn half_trace(a: Fe) -> Fe {
-        from_limbs(crate::element::half_trace_with(
-            limbs(a),
-            |x| square_limbs(x),
-            |x, y| core::array::from_fn(|i| x[i] ^ y[i]),
-        ))
-    }
-
-    #[target_feature(enable = "pclmulqdq")]
     pub(super) fn invert_nonzero(a: Fe) -> Fe {
         from_limbs(crate::inv::itoh_tsujii_chain(
             limbs(a),
@@ -249,8 +223,9 @@ mod x86 {
 
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
-    use super::x86::{fold, from_limbs, limbs};
+    use super::x86::fold;
     use super::*;
+    use crate::element::{from_limbs, limbs};
     use crate::{inv, mul, reduce, sqr, M, N};
     use prng::SplitMix64;
 
@@ -287,16 +262,6 @@ mod tests {
 
     fn paper_square_n(a: Fe, k: usize) -> Fe {
         (0..k).fold(a, |x, _| sqr::square(x))
-    }
-
-    fn paper_half_trace(a: Fe) -> Fe {
-        let mut t = a;
-        let mut acc = a;
-        for _ in 0..(M - 1) / 2 {
-            t = sqr::square(sqr::square(t));
-            acc += t;
-        }
-        acc
     }
 
     #[test]
@@ -379,7 +344,6 @@ mod tests {
             assert_eq!(k.invert(a), inv::invert(a), "invert case {case}: {a}");
             let n = (rng.next_u64() % 300) as usize;
             assert_eq!(k.square_n(a, n), paper_square_n(a, n), "square_n({a}, {n})");
-            assert_eq!(k.half_trace(a), paper_half_trace(a), "half_trace {a}");
             assert_eq!(a.sqrt(), paper_square_n(a, M - 1), "sqrt {a}");
         }
     }

@@ -6,7 +6,7 @@
 #![allow(clippy::suspicious_arithmetic_impl, clippy::suspicious_op_assign_impl)]
 #![allow(clippy::should_implement_trait)]
 
-use crate::{inv, mul, reduce, sqr, Clmul, N, TOP_MASK};
+use crate::{inv, linear, mul, reduce, sqr, Clmul, N, TOP_MASK};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul};
 
@@ -210,6 +210,19 @@ impl Fe {
         }
     }
 
+    /// `self^(2^k)` for a **public** `self`: for k in
+    /// [`linear::SQUARE_N_MAPS`] (the comb strips' τ³⁰ and the long
+    /// blocks of [`Fe::invert_public`]) one lookup per four-bit chunk in
+    /// a [`linear::LinearMap`], built on first use; [`Fe::square_n`]
+    /// otherwise. The lookups read a table at addresses that depend on
+    /// `self`, so a secret input must take [`Fe::square_n`].
+    pub fn square_n_public(self, k: usize) -> Fe {
+        match linear::square_n(k) {
+            Some(map) => map.apply(self),
+            None => self.square_n(k),
+        }
+    }
+
     /// Multiplicative inverse, or `None` for zero. Where the CPU has
     /// [`Clmul`] this is Itoh–Tsujii on the carry-less kernels
     /// (10 M + 232 S in one call); otherwise it is the paper's Extended
@@ -220,6 +233,29 @@ impl Fe {
             Some(k) => k.invert(self),
             None => inv::invert(self),
         }
+    }
+
+    /// Multiplicative inverse of a **public** element, or `None` for
+    /// zero: the Itoh–Tsujii chain with its four long squaring blocks
+    /// (k = 14, 29, 58, 116) applied as [`linear::LinearMap`]s by
+    /// [`Fe::square_n_public`]. The map lookups read a table at
+    /// addresses that depend on `self`, so a secret input must take
+    /// [`Fe::invert`].
+    ///
+    /// ```
+    /// use gf2m::Fe;
+    /// let a = Fe::from_hex("123456789abcdef")?;
+    /// assert_eq!(a.invert_public(), a.invert());
+    /// assert_eq!(Fe::ZERO.invert_public(), None);
+    /// # Ok::<(), gf2m::ParseFeError>(())
+    /// ```
+    pub fn invert_public(self) -> Option<Fe> {
+        if self.is_zero() {
+            return None;
+        }
+        Some(inv::itoh_tsujii_chain(self, Fe::square_n_public, |a, b| {
+            a * b
+        }))
     }
 
     /// The trace Tr(x) = Σ x^(2^i) ∈ {0, 1}, used when solving
@@ -247,17 +283,35 @@ impl Fe {
 
     /// The half-trace H(x) = Σ x^(2^(2i)) for odd m; H(x) solves
     /// λ² + λ = x whenever Tr(x) = 0.
+    ///
+    /// Applied as a [`linear::LinearMap`] (59 four-bit chunk lookups)
+    /// built on first use from the 232-squaring chain. The lookups read
+    /// a table at addresses that depend on `self`, so it takes **public
+    /// values only**: its callers decompress and subgroup-check points
+    /// received from outside.
     pub fn half_trace(self) -> Fe {
-        match Clmul::detect() {
-            Some(k) => k.half_trace(self),
-            None => half_trace_with(self, sqr::square, |a, b| a + b),
-        }
+        linear::half_trace().apply(self)
     }
 
     /// Reduces a 16-word polynomial product into the field.
     pub fn from_product(product: [u32; 2 * N]) -> Fe {
         reduce::reduce(product)
     }
+}
+
+/// The element as four little-endian 64-bit limbs (the host tier's and
+/// the linear maps' view of the `[u32; 8]` storage).
+#[inline(always)]
+pub(crate) fn limbs(a: Fe) -> [u64; 4] {
+    core::array::from_fn(|i| u64::from(a.0[2 * i]) | u64::from(a.0[2 * i + 1]) << 32)
+}
+
+/// The inverse of [`limbs`].
+#[inline(always)]
+pub(crate) fn from_limbs(l: [u64; 4]) -> Fe {
+    Fe(core::array::from_fn(|i| {
+        (l[i / 2] >> (32 * (i % 2))) as u32
+    }))
 }
 
 /// `x^(2^k)` by `k` applications of `square`; generic over the element
@@ -271,7 +325,8 @@ pub(crate) fn square_n_with<T>(mut x: T, k: usize, square: impl Fn(T) -> T) -> T
 }
 
 /// The half-trace Σ x^(2^(2i)), i = 0..=(m − 1)/2, from a squaring and
-/// an addition; generic like [`square_n_with`].
+/// an addition: the chain [`Fe::half_trace`]'s map is built from, and
+/// the tests' oracle.
 #[inline(always)]
 pub(crate) fn half_trace_with<T: Copy>(
     x: T,

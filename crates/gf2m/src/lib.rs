@@ -28,6 +28,15 @@
 //!   the [`m0plus::Machine`], one call per Thumb instruction, producing
 //!   the cycle and energy measurements of Tables 5–7.
 //!
+//! Beside the tiers, [`linear`] applies the fixed F₂-linear squaring
+//! chains — the half-trace, x^(2^k) for the comb strips' τ³⁰ and the
+//! long blocks of an Itoh–Tsujii inversion — as 59 four-bit chunk
+//! lookups, the paper's table squaring (§3.2.4) widened to a whole
+//! chain. The lookups are input-addressed, so only the public-input
+//! methods [`Fe::half_trace`], [`Fe::square_n_public`] and
+//! [`Fe::invert_public`] use them; [`Fe::square_n`], [`Fe::invert`]
+//! and [`Fe::sqrt`] keep the constant-address chains.
+//!
 //! The multiplication algorithms compared by the paper are all here:
 //! plain López-Dahab (`Method A`), López-Dahab with rotating registers
 //! (`Method B`, Aranha et al.), and the paper's contribution, López-Dahab
@@ -55,6 +64,7 @@ pub mod element;
 pub mod formulas;
 pub mod generic;
 pub mod inv;
+pub mod linear;
 pub mod modeled;
 pub mod mul;
 pub mod reduce;

@@ -152,6 +152,10 @@ pub struct ModeledField {
     layout_frame: Addr,
     layout_sqr_table: Addr,
     layout_inv_scratch: Addr,
+    /// The Itoh–Tsujii chain's two scratch slots, allocated by its first
+    /// call (not here, so a field that never runs the chain keeps the
+    /// RAM layout it always had) and reused by every later call.
+    itoh_tsujii_scratch: Option<(FeSlot, FeSlot)>,
 }
 
 impl ModeledField {
@@ -192,6 +196,7 @@ impl ModeledField {
             layout_frame: frame,
             layout_sqr_table: sqr_table,
             layout_inv_scratch: inv_scratch,
+            itoh_tsujii_scratch: None,
         }
     }
 
@@ -403,9 +408,7 @@ impl ModeledField {
         assert!(!self.load(x).is_zero(), "inversion of zero");
         #[cfg(debug_assertions)]
         let expect = crate::inv::invert(self.load(x));
-        // Scratch chain registers (note: allocated per call — this
-        // routine is an ablation probe, not the production inversion).
-        let (cur, tmp) = self.alloc_scratch_pair();
+        let (cur, tmp) = self.itoh_tsujii_scratch();
         // e(k) = x^(2^k − 1); chain 1,2,3,6,7,14,28,29,58,116,232.
         self.copy_in_category(cur, x, Category::Inversion);
         let steps: [(usize, bool); 10] = [
@@ -441,8 +444,17 @@ impl ModeledField {
         );
     }
 
-    fn alloc_scratch_pair(&mut self) -> (FeSlot, FeSlot) {
-        (self.alloc(), self.alloc())
+    /// The chain registers of [`ModeledField::inv_itoh_tsujii`]:
+    /// allocated on the first call, the same two slots after.
+    fn itoh_tsujii_scratch(&mut self) -> (FeSlot, FeSlot) {
+        match self.itoh_tsujii_scratch {
+            Some(pair) => pair,
+            None => {
+                let pair = (self.alloc(), self.alloc());
+                self.itoh_tsujii_scratch = Some(pair);
+                pair
+            }
+        }
     }
 
     fn copy_in_category(&mut self, z: FeSlot, x: FeSlot, cat: Category) {
@@ -681,6 +693,26 @@ mod tests {
         // the point-multiplication total much).
         let ratio = itoh as f64 / eea as f64;
         assert!((0.5..3.0).contains(&ratio), "itoh {itoh} vs eea {eea}");
+    }
+
+    #[test]
+    fn itoh_tsujii_reuses_its_scratch_slots() {
+        let mut f = ModeledField::new(Tier::Asm);
+        let (sa, sz) = (f.alloc_init(fe(321)), f.alloc());
+        let before = f.machine().allocated_words();
+        f.inv_itoh_tsujii(sz, sa);
+        let words = f.machine().allocated_words();
+        assert_eq!(
+            words,
+            before + 2 * crate::N as u32,
+            "first call allocates the pair"
+        );
+        for seed in 0..3 {
+            f.store(sa, fe(400 + seed));
+            f.inv_itoh_tsujii(sz, sa);
+            assert_eq!(f.machine().allocated_words(), words, "call {seed}");
+            assert_eq!(Some(f.load(sz)), fe(400 + seed).invert());
+        }
     }
 
     /// Drives every routed kernel once and returns the results plus the

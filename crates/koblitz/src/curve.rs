@@ -235,7 +235,8 @@ impl Affine {
     /// τ-adic code, which assumes its input already lies in the
     /// subgroup — so validating untrusted points this way is not
     /// circular. n·P by [`Affine::mul_binary`] is the reference the
-    /// tests check it against.
+    /// tests check it against. The point is public, so its half-trace is
+    /// [`Fe::half_trace`]'s table lookup at input-dependent addresses.
     pub fn is_in_prime_order_subgroup(&self) -> bool {
         match *self {
             Affine::Infinity => false,
@@ -296,7 +297,10 @@ impl Affine {
     }
 
     /// Decompresses a point: solves z² + z = x + x⁻² by half-trace
-    /// (m odd), picks the root with lsb = ỹ, and sets y = x·z.
+    /// (m odd), picks the root with lsb = ỹ, and sets y = x·z. The
+    /// encoding is public, so x⁻¹ and the half-trace run on the
+    /// input-addressed tables of [`Fe::invert_public`] and
+    /// [`Fe::half_trace`].
     ///
     /// # Errors
     ///
@@ -319,7 +323,7 @@ impl Affine {
             return Ok(Affine::Point { x, y: Fe::ONE });
         }
         // α = x + x⁻²; solvable iff Tr(α) = 0.
-        let x_inv = x.invert().expect("x != 0");
+        let x_inv = x.invert_public().expect("x != 0");
         let alpha = x + x_inv.square();
         if alpha.trace() != 0 {
             return Err(DecompressError::NotOnCurve);

@@ -905,6 +905,23 @@ mod tests {
     }
 
     #[test]
+    fn repeated_ladders_allocate_no_machine_ram() {
+        let mut mm = ModeledMul::new(Tier::Asm);
+        let g = generator();
+        // The first ladder allocates the Itoh–Tsujii chain's two slots.
+        mm.ladder(&g, &scalar(80));
+        let words = mm.field().machine().allocated_words();
+        for seed in 0..3 {
+            mm.ladder(&g, &scalar(81 + seed));
+            assert_eq!(
+                mm.field().machine().allocated_words(),
+                words,
+                "ladder {seed}"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "modeled window width 7 is outside 2..=6")]
     fn run_rejects_width_7() {
         ModeledMul::new(Tier::Asm).run(&generator(), &scalar(70), 7, true);

@@ -42,7 +42,7 @@
 use crate::curve::{generator, order, Affine};
 use crate::formulas::{self, Host, Xz};
 use crate::int::Int;
-use crate::projective::{batch_to_affine, LdPoint};
+use crate::projective::{batch_to_affine_with, LdPoint};
 use crate::scalar::U256;
 use crate::tnaf;
 use gf2m::Fe;
@@ -84,9 +84,12 @@ fn assert_window(w: u32) {
 /// Frobenius (3S) per digit and one mixed addition of ±p (8M + 5S) per
 /// non-zero digit. No [`Int`] is touched and nothing is inverted in the
 /// loop. The 2^(w−2) − 1 projective entries then share **one** field
-/// inversion in [`batch_to_affine`]. At w = 4 the three entries take 10
-/// digits, 6 of them non-zero (the first of each a plain lift of ±p), so
-/// the one inversion dominates.
+/// inversion in a batch affine conversion. At w = 4 the three entries
+/// take 10 digits, 6 of them non-zero (the first of each a plain lift
+/// of ±p), so the one inversion dominates. p is a public base point (a
+/// peer's or signer's key, or G), so that inversion is
+/// [`gf2m::Fe::invert_public`], whose squaring blocks are table lookups
+/// at input-dependent addresses.
 ///
 /// Affine coordinates are canonical, so the table equals its oracle
 /// [`precompute_table_binary`] point for point.
@@ -102,7 +105,10 @@ pub fn precompute_table(p: &Affine, w: u32) -> Vec<Affine> {
         .map(|digits| eval_lanes(&[(digits, base)]))
         .collect();
     std::iter::once(*p)
-        .chain(batch_to_affine(&entries))
+        .chain(batch_to_affine_with(
+            &entries,
+            gf2m::batch::batch_invert_public,
+        ))
         .collect()
 }
 
@@ -225,14 +231,16 @@ fn comb_strip_len(strips: usize) -> usize {
 }
 
 /// The comb strips over `table` (strip 0): strip j is strip j − 1 with
-/// both affine coordinates squared L times, i.e. τ^(jL) of `table`.
+/// both affine coordinates squared L times, i.e. τ^(jL) of `table`. The
+/// base is public (G or a verification key), so the squarings run as
+/// [`Fe::square_n_public`] (at L = 30 one table-driven linear map).
 fn comb_strips(table: Vec<Affine>, strips: usize) -> Vec<Vec<Affine>> {
     let l = comb_strip_len(strips);
     let tau_l = |p: &Affine| match *p {
         Affine::Infinity => Affine::Infinity,
         Affine::Point { x, y } => Affine::Point {
-            x: x.square_n(l),
-            y: y.square_n(l),
+            x: x.square_n_public(l),
+            y: y.square_n_public(l),
         },
     };
     let mut out = vec![table];

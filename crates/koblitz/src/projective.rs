@@ -114,8 +114,16 @@ impl From<Affine> for LdPoint {
 /// multiplications, and inversion is ~28× a multiplication on the
 /// modeled tier (Table 7).
 pub fn batch_to_affine(points: &[LdPoint]) -> Vec<Affine> {
+    batch_to_affine_with(points, gf2m::batch::batch_invert)
+}
+
+/// [`batch_to_affine`]'s one conversion loop, with the batch inverter
+/// passed in: [`gf2m::batch::batch_invert`], or
+/// [`gf2m::batch::batch_invert_public`] where every Z is public (a
+/// public base point's wTNAF table).
+pub(crate) fn batch_to_affine_with(points: &[LdPoint], batch_invert: fn(&mut [Fe])) -> Vec<Affine> {
     let mut zs: Vec<Fe> = points.iter().map(|p| p.z).collect();
-    gf2m::batch::batch_invert(&mut zs);
+    batch_invert(&mut zs);
     points
         .iter()
         .zip(&zs)

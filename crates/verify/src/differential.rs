@@ -9,7 +9,9 @@
 //!   vs the modeled machine on both backends (results *and* the cycle
 //!   counts of the Direct and Code backends, which must agree exactly),
 //!   and vs the host carry-less kernels ([`Clmul`]) when the CPU has
-//!   them;
+//!   them; and the public-input linear maps (`Fe::half_trace`,
+//!   `Fe::square_n_public(30)`, `Fe::invert_public`) against the
+//!   paper-tier squaring chains and the EEA;
 //! * **SHA-256** — the SHA-NI compression ([`ShaNi`]) against the
 //!   portable one when the CPU has the extensions: messages at the
 //!   padding edges and seeded messages, hashed one-shot and split
@@ -508,6 +510,17 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
             sha_pair(config, report, case);
         }
 
+        // Public-input chunk-table maps vs the paper-tier chains.
+        let (table, chain) = (table_images(a), chain_images(a));
+        report.check(at, "chain/table", table == chain, || {
+            let still_fails = |bytes: &[u8]| {
+                let (a, _) = bytes_to_fe_pair(bytes);
+                table_images(a) != chain_images(a)
+            };
+            let detail = format!("half-trace, x^(2^30), 1/x: chain {chain:?} vs table {table:?}");
+            (fe_input(a, b, still_fails), detail)
+        });
+
         // Inversion: EEA vs generic oracle vs modeled (sampled).
         if case % 32 == 0 && !a.is_zero() {
             let inv = inv::invert(a).expect("non-zero");
@@ -525,6 +538,25 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
             });
         }
     }
+}
+
+/// The half-trace, τ³⁰ (x^(2^30)) and inverse of `a` through the
+/// public-input linear maps of `gf2m::linear`.
+fn table_images(a: Fe) -> (Fe, Fe, Option<Fe>) {
+    (a.half_trace(), a.square_n_public(30), a.invert_public())
+}
+
+/// [`table_images`]' oracle: the same three values by `sqr::square`
+/// chains and the EEA `inv::invert`.
+fn chain_images(a: Fe) -> (Fe, Fe, Option<Fe>) {
+    let mut t = a;
+    let mut half_trace = a;
+    for _ in 0..(gf2m::M - 1) / 2 {
+        t = sqr::square(sqr::square(t));
+        half_trace += t;
+    }
+    let tau30 = (0..30).fold(a, |x, _| sqr::square(x));
+    (half_trace, tau30, inv::invert(a))
 }
 
 /// The `paper/clmul_mul`, `paper/clmul_sqr` and `eea/clmul_inv` pairs:
@@ -1306,6 +1338,8 @@ mod tests {
         assert_eq!(find("modeled_direct/modeled_code_cycles"), FIELD);
         assert_eq!(find("portable/generic_u64_inv"), 1);
         assert_eq!(find("portable/modeled_inv"), 1);
+        // The linear maps exist on every host.
+        assert_eq!(find("chain/table"), FIELD);
         // The carry-less kernels exist only on a CPU with PCLMULQDQ.
         if Clmul::detect().is_some() {
             assert_eq!(find("paper/clmul_mul"), FIELD);

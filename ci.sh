@@ -94,15 +94,6 @@ target/release/verify_campaign --smoke --shards 4 > /tmp/verify_shard_4.txt
 diff /tmp/verify_shard_1.txt /tmp/verify_shard_4.txt
 diff /tmp/verify_smoke_1.txt /tmp/verify_shard_1.txt
 
-echo "==> Direct and Code backends agree at table level (table6)"
-# The code run re-executes every measured kernel from assembled Thumb-16;
-# apart from its one header line it must print the direct run byte for byte.
-target/release/table6 > /tmp/table6_direct.txt
-target/release/table6 --backend code \
-  | grep -vxF "(measured columns re-executed from assembled Thumb-16 via the code backend)" \
-  > /tmp/table6_code.txt
-diff /tmp/table6_direct.txt /tmp/table6_code.txt
-
 echo "==> kernel cycle regression gate (vs committed BENCH_*.json)"
 target/release/kernel_gate
 

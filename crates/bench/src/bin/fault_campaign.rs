@@ -1,8 +1,8 @@
 //! Fault-injection campaign driver.
 //!
 //! Samples N faults per target kernel (instruction skip, register bit
-//! flip, memory bit flip), replays each through the recorded-program
-//! backend, and reports detection / silent-corruption rates for the
+//! flip, memory bit flip), replays each from the kernel's recorded
+//! Thumb-16 fragment, and reports detection / silent-corruption rates for the
 //! unhardened, recompute-only, and fully hardened profiles, followed
 //! by the measured overhead of every countermeasure.
 //!

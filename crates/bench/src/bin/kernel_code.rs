@@ -1,6 +1,6 @@
 //! Emits the paper's assembly kernels as genuine Cortex-M0+ (Thumb)
-//! machine code via the recording facility and `m0plus::backend`'s
-//! translator, reporting flash footprint and the leading disassembly —
+//! machine code via `m0plus::fault::RecordedKernel::capture`, reporting
+//! flash footprint and the leading disassembly —
 //! the code-size side of the fully-unrolled design that the cycle
 //! tables don't show.
 //!
@@ -8,7 +8,7 @@
 
 use bench::workloads::element;
 use gf2m::modeled::{ModeledField, Tier};
-use m0plus::{backend, Instr, Recording};
+use m0plus::{Instr, RecordedKernel};
 
 fn main() {
     for (name, tier) in [
@@ -21,24 +21,20 @@ fn main() {
             f.alloc_init(element(2)),
             f.alloc(),
         );
-        f.machine_mut().start_recording();
-        f.mul(z, a, b);
-        let recording = f.machine_mut().take_recording();
-        report(name, &recording);
+        let (kernel, ()) = RecordedKernel::capture(&mut f, |f| f.mul(z, a, b));
+        report(name, &kernel);
     }
     // The squaring kernel.
     let mut f = ModeledField::new(Tier::Asm);
     let (a, z) = (f.alloc_init(element(3)), f.alloc());
-    f.machine_mut().start_recording();
-    f.sqr(z, a);
-    let recording = f.machine_mut().take_recording();
-    report("table squaring (asm)", &recording);
+    let (kernel, ()) = RecordedKernel::capture(&mut f, |f| f.sqr(z, a));
+    report("table squaring (asm)", &kernel);
 }
 
-fn report(name: &str, recording: &Recording) {
-    let program = backend::translate(recording).expect("kernel assembles");
+fn report(name: &str, kernel: &RecordedKernel) {
+    let program = kernel.program();
     println!("=== {name} ===");
-    println!("instructions executed: {}", recording.steps.len());
+    println!("instructions executed: {}", kernel.trace_len());
     println!(
         "machine code: {} halfwords + {} literal-pool words = {} bytes of flash",
         program.code.len(),

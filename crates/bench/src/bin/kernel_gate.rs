@@ -1,16 +1,18 @@
 //! Kernel-cycle regression gate: re-measures the headline field-kernel
 //! cycle counts, the full point-multiplication totals
-//! (`kp_this_work_asm`, `kg_this_work_asm`, `relic_style`) and the
+//! (`kp_this_work_asm`, `kg_this_work_asm`, `relic_style`), the
 //! counted tier's batch-inversion amortisation rows (`batch_inv_cycles`,
 //! `batch_total_cycles`, `individual_inv_cycles` at every batch size)
-//! and compares them, exactly, against the committed `BENCH_<n>.json`
-//! baseline.
+//! and the `kernel_flash` block (`flash_bytes`, `deduped_flash_bytes`,
+//! `instructions`, `calls` per kernel, measured from the assembled
+//! Thumb-16 of a full kP + kG) and compares them, exactly, against the
+//! committed `BENCH_<n>.json` baseline.
 //!
 //! The cost model is deterministic, so any drift in `mul_asm_cycles`,
-//! `sqr_asm_cycles`, `inv_cycles`, a point-multiplication total or an
-//! amortisation row is a real modeling change and must arrive together
-//! with a regenerated baseline — this gate turns a silent drift into a
-//! CI failure.
+//! `sqr_asm_cycles`, `inv_cycles`, a point-multiplication total, an
+//! amortisation row or a kernel footprint is a real modeling change and
+//! must arrive together with a regenerated baseline — this gate turns a
+//! silent drift into a CI failure.
 //!
 //! Run: `cargo run --release -p bench --bin kernel_gate [-- <baseline.json>]`
 //! (defaults to the highest `BENCH_<n>.json` at the repository root).
@@ -82,6 +84,46 @@ fn check_schema(doc: &str, path: &Path) {
         "{} is not an ecc233-bench export (schema {schema:?})",
         path.display()
     );
+}
+
+/// Compares a fresh [`workloads::kernel_flash`] against the baseline's
+/// `kernel_flash` block, printing each mismatch by kernel and key.
+/// Returns whether anything drifted.
+fn flash_drifted(doc: &str) -> bool {
+    let block = section(doc, "kernel_flash");
+    let block = &block[..block.find("\n  }").expect("kernel_flash block closes")];
+    let baseline: Vec<&str> = block
+        .lines()
+        .skip(1)
+        .filter_map(|l| l.trim().strip_prefix('"')?.split('"').next())
+        .collect();
+    let fresh = workloads::kernel_flash(Tier::Asm);
+    let names: Vec<&str> = fresh.iter().map(|(name, _)| *name).collect();
+    let mut drifted = names != baseline;
+    if drifted {
+        println!("  kernel_flash kernels baseline {baseline:?}  fresh {names:?}  MISMATCH");
+    }
+    for (name, fp) in fresh.iter().filter(|(name, _)| baseline.contains(name)) {
+        let row = section(block, name);
+        for (key, fresh) in [
+            ("flash_bytes", fp.flash_bytes as u64),
+            ("deduped_flash_bytes", fp.deduped_flash_bytes as u64),
+            ("instructions", fp.instructions),
+            ("calls", fp.calls),
+        ] {
+            let baseline = extract_u64(row, key);
+            if baseline != fresh {
+                println!(
+                    "  kernel_flash {name} {key} baseline {baseline}  fresh {fresh}  MISMATCH"
+                );
+                drifted = true;
+            }
+        }
+    }
+    if !drifted {
+        println!("  kernel_flash     every kernel's footprint and call count  ok");
+    }
+    drifted
 }
 
 fn main() {
@@ -157,6 +199,8 @@ fn main() {
         println!("  amortisation     every size's inversion and total cycles  ok");
     }
     failed |= drifted;
+
+    failed |= flash_drifted(&doc);
 
     if failed {
         eprintln!(

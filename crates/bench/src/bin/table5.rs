@@ -1,17 +1,9 @@
-//! Regenerates the paper's Table 5.
+//! Regenerates the paper's Table 5, with the kernels' flash footprints
+//! measured from their assembled Thumb-16 (every kernel call of a full
+//! kP + kG is replayed from that machine code and checked).
 //!
-//! Run: `cargo run --release -p bench --bin table5 [-- --backend code|direct]`
-//!
-//! With `--backend code` the reproduction row is re-measured by
-//! assembling the recorded kernels to Thumb-16 and re-executing the
-//! machine code (identical cycle totals, plus flash footprints).
-
-use m0plus::Backend;
+//! Run: `cargo run --release -p bench --bin table5`
 
 fn main() {
-    print!("{}", bench::tables::table5_with(backend_from_args()));
-}
-
-fn backend_from_args() -> Backend {
-    bench::backend_from_args(std::env::args().skip(1))
+    print!("{}", bench::tables::table5());
 }

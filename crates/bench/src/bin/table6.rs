@@ -1,16 +1,7 @@
 //! Regenerates the paper's Table 6.
 //!
-//! Run: `cargo run --release -p bench --bin table6 [-- --backend code|direct]`
-//!
-//! With `--backend code` every measured column is re-derived from
-//! assembled Thumb-16 machine code.
-
-use m0plus::Backend;
+//! Run: `cargo run --release -p bench --bin table6`
 
 fn main() {
-    print!("{}", bench::tables::table6_with(backend_from_args()));
-}
-
-fn backend_from_args() -> Backend {
-    bench::backend_from_args(std::env::args().skip(1))
+    print!("{}", bench::tables::table6());
 }

@@ -5,12 +5,13 @@
 //!
 //! # Methodology
 //!
-//! Each target kernel is run once on the direct tier with the machine
-//! recording, giving a concrete Thumb-16 instruction stream and the
-//! pre-run machine image. The campaign then replays that stream N
-//! times through [`m0plus::fault::RecordedKernel::classify`], each time
-//! with one sampled [`FaultPlan`] (instruction skip, register bit flip,
-//! or memory bit flip at a uniform trace index). A replay resumes from
+//! Each target kernel is run once with the machine recording
+//! ([`m0plus::fault::RecordedKernel::capture`]), giving a concrete
+//! Thumb-16 instruction stream and the pre-run machine image. The
+//! campaign then replays that stream N times through
+//! [`m0plus::fault::RecordedKernel::classify`], each time with one
+//! sampled [`FaultPlan`] (instruction skip, register bit flip, or
+//! memory bit flip at a uniform trace index). A replay resumes from
 //! the fault-free run's last checkpoint before the fault, and stops at
 //! the first checkpoint after it if registers, flags and RAM are the
 //! fault-free run's again (such a run is benign: the rest of it is the
@@ -48,7 +49,7 @@ use gf2m::modeled::{FeSlot, ModeledField, Tier};
 use gf2m::Fe;
 use koblitz::modeled::{Hardening, ModeledMul};
 use m0plus::fault::{FaultKind, FaultPlan, Outcome, RecordedKernel};
-use m0plus::{Backend, Machine};
+use m0plus::Machine;
 use prng::SplitMix64;
 use std::fmt::Write as _;
 
@@ -247,7 +248,7 @@ fn load_fe(machine: &Machine, slot: FeSlot) -> Fe {
     Fe::from_words_reduced(words.try_into().expect("8 words"))
 }
 
-/// Records one target kernel on the direct tier.
+/// Records one target kernel.
 fn prepare(target: &Target, spec: &'static m0plus::TargetSpec) -> PreparedTarget {
     let mut f = ModeledField::with_target(target.tier, spec);
     let a0 = crate::workloads::element(1);
@@ -256,25 +257,21 @@ fn prepare(target: &Target, spec: &'static m0plus::TargetSpec) -> PreparedTarget
     let b = f.alloc_init(b0);
     let z = f.alloc();
     let rom = f.rom_words();
-    let pre = f.machine().clone();
-    let regions = vec![0..rom.start, rom.end..pre.allocated_words()];
+    let regions = vec![0..rom.start, rom.end..f.machine().allocated_words()];
 
-    f.machine_mut().start_recording();
-    match target.op {
+    let (kernel, ()) = RecordedKernel::capture(&mut f, |f| match target.op {
         Op::Mul => f.mul(z, a, b),
         Op::Sqr => f.sqr(z, a),
         Op::Inv => f.inv(z, a),
         Op::Add => f.add(z, a, b),
-    }
-    let recording = f.machine_mut().take_recording();
-    let program = m0plus::backend::translate(&recording).expect("recorded trace assembles");
+    });
     let expected = f.load(z);
 
     PreparedTarget {
         stats_name: target.name,
         tier_label: target.tier_label,
         op: target.op,
-        kernel: RecordedKernel::new(pre, program, recording),
+        kernel,
         regions,
         a,
         b,
@@ -473,17 +470,17 @@ pub struct CountermeasureOverhead {
 
 /// Measures every countermeasure's overhead on clean machines.
 ///
-/// Field-level checks run on the code backend so the marginal *flash*
-/// of the compare/copy kernels is measured too; point-level checks run
+/// Field-level checks run in a capture session so the marginal *flash*
+/// of the compare/copy kernels is measured too (and every kernel is
+/// checked against its machine code); point-level checks run
 /// [`ModeledMul::kp_hardened`] with each toggle against the same
-/// scalar, on the direct tier (cycle/energy identical across backends,
-/// as the tier tests assert).
+/// scalar, uncaptured (a capture leaves cycles and energy as they are).
 pub fn measure_overheads() -> Vec<CountermeasureOverhead> {
     let mut out = Vec::new();
 
-    // ---- field level, code backend (for flash numbers) ----
+    // ---- field level, captured (for flash numbers) ----
     let mut f = ModeledField::new(Tier::Asm);
-    f.set_backend(Backend::Code);
+    f.start_capture();
     let a = f.alloc_init(crate::workloads::element(1));
     let b = f.alloc_init(crate::workloads::element(2));
     let (z, s1, s2, c1, c2) = (f.alloc(), f.alloc(), f.alloc(), f.alloc(), f.alloc());
@@ -516,7 +513,7 @@ pub fn measure_overheads() -> Vec<CountermeasureOverhead> {
         assert!(f.equal(c2, b));
     });
 
-    let flash = f.flash_report();
+    let flash = f.take_capture();
     let fp_bytes = |name: &str| flash.get(name).map(|fp| fp.flash_bytes).unwrap_or(0);
     let equal_flash = fp_bytes("fe_equal");
     let copy_flash = fp_bytes("fe_copy");

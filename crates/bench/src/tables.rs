@@ -11,7 +11,7 @@ use ecc233::model;
 use gf2m::counted;
 use gf2m::formulas::Method;
 use gf2m::modeled::{accumulator_residency, Residency, Tier};
-use m0plus::{Backend, Category, EnergyModel, InstrClass, MeasurementRig, CLOCK_HZ};
+use m0plus::{Category, EnergyModel, InstrClass, MeasurementRig, CLOCK_HZ};
 use std::fmt::Write as _;
 
 fn header(title: &str) -> String {
@@ -237,19 +237,11 @@ pub fn table4() -> String {
 }
 
 /// Table 5: modular multiplication/squaring cycles across platforms;
-/// our row measured live.
+/// our row measured live, followed by the kernels' flash footprints
+/// over a full kP + kG ([`workloads::kernel_flash`], which replays
+/// every kernel call from its assembled Thumb-16).
 pub fn table5() -> String {
-    table5_with(Backend::Direct)
-}
-
-/// [`table5`] on an explicit execution backend. Under
-/// [`Backend::Code`] the reproduction row is re-measured from assembled
-/// Thumb-16 machine code and the kernel flash footprints are appended.
-pub fn table5_with(backend: Backend) -> String {
     let mut out = header("Table 5. Average cycle times for modular multiplication and squaring");
-    if backend == Backend::Code {
-        out += "(reproduction rows re-executed from assembled Thumb-16 via the code backend)\n";
-    }
     out += "Author                       Platform        word  Sqr    Mul    Field\n";
     for r in literature::table5_literature() {
         writeln!(
@@ -264,23 +256,21 @@ pub fn table5_with(backend: Backend) -> String {
         )
         .expect("write to string");
     }
-    let (sqr, mul_main, _lut, _inv) = workloads::kernel_cycles_with(Tier::Asm, backend);
+    let (sqr, mul_main, _lut, _inv) = workloads::kernel_cycles(Tier::Asm);
     writeln!(
         out,
         "{:<28} {:<15} {:<5} {:<6} {:<6} F_2^233   (paper: Sqr 395 / Mul 3672)",
         "This work (reproduction)", "Cortex-M0+", 32, sqr, mul_main
     )
     .expect("write to string");
-    if backend == Backend::Code {
-        out += "\nKernel flash footprints (assembled fragments, per-kernel maxima over a\nfull kP + kG; the linearised trace — a looped build shares its j-blocks):\n";
-        for (name, fp) in workloads::kernel_flash(Tier::Asm) {
-            writeln!(
-                out,
-                "  {:<18} {:>8} B  ({} instrs, {} calls)",
-                name, fp.flash_bytes, fp.instructions, fp.calls
-            )
-            .expect("write to string");
-        }
+    out += "\nKernel flash footprints (assembled fragments, per-kernel maxima over a\nfull kP + kG; the linearised trace — a looped build shares its j-blocks):\n";
+    for (name, fp) in workloads::kernel_flash(Tier::Asm) {
+        writeln!(
+            out,
+            "  {:<18} {:>8} B  ({} instrs, {} calls)",
+            name, fp.flash_bytes, fp.instructions, fp.calls
+        )
+        .expect("write to string");
     }
 
     out += "\nOut-of-sample check: the generalised op-count model vs the cited rows\n";
@@ -303,24 +293,17 @@ pub fn table5_with(backend: Backend) -> String {
 }
 
 /// Table 6: field-arithmetic cycles, C vs assembly, plus kP / kG totals.
+/// The `table6_columns_replay_from_thumb` test in [`workloads`] replays
+/// every measured column from assembled Thumb-16.
 pub fn table6() -> String {
-    table6_with(Backend::Direct)
-}
-
-/// [`table6`] on an explicit execution backend ([`Backend::Code`]
-/// re-derives every measured number from assembled Thumb-16).
-pub fn table6_with(backend: Backend) -> String {
     let mut out = header("Table 6. Average cycle times for field arithmetic algorithms in F_2^233");
-    if backend == Backend::Code {
-        out += "(measured columns re-executed from assembled Thumb-16 via the code backend)\n";
-    }
-    let (sqr_c, mul_c, _lut_c, inv_c) = workloads::kernel_cycles_with(Tier::C, backend);
-    let (sqr_asm, mul_asm, _lut_asm, _) = workloads::kernel_cycles_with(Tier::Asm, backend);
+    let (sqr_c, mul_c, _lut_c, inv_c) = workloads::kernel_cycles(Tier::C);
+    let (sqr_asm, mul_asm, _lut_asm, _) = workloads::kernel_cycles(Tier::Asm);
     let rot_c = workloads::rotating_c_cycles();
-    let kp_c = workloads::average_kp_with(Tier::C, backend, 5..6);
-    let kg_c = workloads::average_kg_with(Tier::C, backend, 5..6);
-    let kp_asm = workloads::average_kp_with(Tier::Asm, backend, 5..6);
-    let kg_asm = workloads::average_kg_with(Tier::Asm, backend, 5..6);
+    let kp_c = workloads::average_kp(Tier::C, 5..6);
+    let kg_c = workloads::average_kg(Tier::C, 5..6);
+    let kp_asm = workloads::average_kp(Tier::Asm, 5..6);
+    let kg_asm = workloads::average_kg(Tier::Asm, 5..6);
     out += "Operation                     C (paper)      C (ours)    Asm (paper)   Asm (ours)\n";
     type Table6Row = (&'static str, Option<u64>, u64, Option<u64>, Option<u64>);
     let rows: [Table6Row; 6] = [

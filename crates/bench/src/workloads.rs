@@ -5,7 +5,7 @@ use gf2m::modeled::{KernelFootprint, ModeledField, Tier};
 use gf2m::Fe;
 use koblitz::modeled::{ModeledMul, PointMulRun};
 use koblitz::{order, Int};
-use m0plus::{Backend, Category};
+use m0plus::Category;
 
 /// A deterministic full-size scalar (the paper averages over random
 /// scalars; the cost model is data-independent up to digit patterns, so
@@ -33,16 +33,12 @@ pub fn element(seed: u64) -> Fe {
 /// Cycle counts of the field kernels on one tier:
 /// `(sqr, mul_main, mul_lut, inversion)`.
 pub fn kernel_cycles(tier: Tier) -> (u64, u64, u64, u64) {
-    kernel_cycles_with(tier, Backend::Direct)
+    kernel_cycles_on(&mut ModeledField::new(tier))
 }
 
-/// [`kernel_cycles`] on an explicit execution backend. The totals are
-/// asserted identical across backends by the tier tests; regenerating a
-/// table with `--backend code` re-derives every number from assembled
-/// Thumb-16 machine code.
-pub fn kernel_cycles_with(tier: Tier, backend: Backend) -> (u64, u64, u64, u64) {
-    let mut f = ModeledField::new(tier);
-    f.set_backend(backend);
+/// [`kernel_cycles`] on a fresh field `f`, which may have a capture
+/// session open.
+fn kernel_cycles_on(f: &mut ModeledField) -> (u64, u64, u64, u64) {
     let a = f.alloc_init(element(1));
     let b = f.alloc_init(element(2));
     let z = f.alloc();
@@ -63,7 +59,12 @@ pub fn kernel_cycles_with(tier: Tier, backend: Backend) -> (u64, u64, u64, u64) 
 /// Cycle count of the C-tier rotating-registers multiplication
 /// (Table 6's "LD with rotating registers" row).
 pub fn rotating_c_cycles() -> u64 {
-    let mut f = ModeledField::new(Tier::C);
+    rotating_c_cycles_on(&mut ModeledField::new(Tier::C))
+}
+
+/// [`rotating_c_cycles`] on a fresh C-tier field `f`, which may have a
+/// capture session open.
+fn rotating_c_cycles_on(f: &mut ModeledField) -> u64 {
     let a = f.alloc_init(element(3));
     let b = f.alloc_init(element(4));
     let z = f.alloc();
@@ -73,48 +74,30 @@ pub fn rotating_c_cycles() -> u64 {
     r.category_cycles(Category::Multiply)
 }
 
-/// A modeled multiplier on `tier` running its kernels through `backend`.
-fn multiplier(tier: Tier, backend: Backend) -> ModeledMul {
-    let mut mm = ModeledMul::new(tier);
-    mm.field_mut().set_backend(backend);
-    mm
-}
-
-/// Per-kernel flash footprints of one full kP + kG on the code backend
-/// (the code-size numbers the cycle tables can't show).
+/// Per-kernel flash footprints of one full kP + kG, from a capture
+/// session that also replays every kernel call from its assembled
+/// Thumb-16 (the code-size numbers the cycle tables can't show).
 pub fn kernel_flash(tier: Tier) -> Vec<(&'static str, KernelFootprint)> {
-    let mut mm = multiplier(tier, Backend::Code);
+    let mut mm = ModeledMul::new(tier);
+    mm.field_mut().start_capture();
     let g = koblitz::generator();
     mm.kp(&g, &scalar(1));
     mm.kg(&scalar(1));
-    mm.field()
-        .flash_report()
-        .iter()
-        .map(|(&name, &fp)| (name, fp))
-        .collect()
+    mm.field_mut().take_capture().into_iter().collect()
 }
 
 /// Averaged modeled kP over `seeds` scalars.
 pub fn average_kp(tier: Tier, seeds: std::ops::Range<u64>) -> PointMulRun {
-    average_kp_with(tier, Backend::Direct, seeds)
-}
-
-/// [`average_kp`] on an explicit execution backend.
-pub fn average_kp_with(tier: Tier, backend: Backend, seeds: std::ops::Range<u64>) -> PointMulRun {
     let g = koblitz::generator();
     let runs: Vec<PointMulRun> = seeds
-        .map(|s| {
-            let mut mm = multiplier(tier, backend);
-            mm.kp(&g, &scalar(s))
-        })
+        .map(|s| ModeledMul::new(tier).kp(&g, &scalar(s)))
         .collect();
     average(runs)
 }
 
-/// One modeled kP priced under a [`m0plus::target`] registry entry
-/// (direct backend) — the cross-target export and table rows. With the
-/// default target this is bit-identical to [`average_kp`] over the
-/// same single seed.
+/// One modeled kP priced under a [`m0plus::target`] registry entry —
+/// the cross-target export and table rows. With the default target
+/// this is bit-identical to [`average_kp`] over the same single seed.
 pub fn kp_under_target(tier: Tier, target: &'static m0plus::TargetSpec, seed: u64) -> PointMulRun {
     let mut mm = ModeledMul::with_target(tier, target);
     mm.kp(&koblitz::generator(), &scalar(seed))
@@ -122,16 +105,8 @@ pub fn kp_under_target(tier: Tier, target: &'static m0plus::TargetSpec, seed: u6
 
 /// Averaged modeled kG over `seeds` scalars.
 pub fn average_kg(tier: Tier, seeds: std::ops::Range<u64>) -> PointMulRun {
-    average_kg_with(tier, Backend::Direct, seeds)
-}
-
-/// [`average_kg`] on an explicit execution backend.
-pub fn average_kg_with(tier: Tier, backend: Backend, seeds: std::ops::Range<u64>) -> PointMulRun {
     let runs: Vec<PointMulRun> = seeds
-        .map(|s| {
-            let mut mm = multiplier(tier, backend);
-            mm.kg(&scalar(s))
-        })
+        .map(|s| ModeledMul::new(tier).kg(&scalar(s)))
         .collect();
     average(runs)
 }
@@ -149,31 +124,129 @@ pub fn average_relic(seeds: std::ops::Range<u64>) -> PointMulRun {
     average(runs)
 }
 
-/// Averages a set of runs into one representative run (cycle counts are
-/// averaged; the result point is taken from the first run).
+/// Averages a set of runs into one representative run: cycles,
+/// instruction counts and category cycles are integer means, energies
+/// float means; the result point is taken from the first run.
 pub fn average(mut runs: Vec<PointMulRun>) -> PointMulRun {
     assert!(!runs.is_empty());
     if runs.len() == 1 {
         return runs.pop().expect("non-empty");
     }
-    let first = runs[0].clone();
     let n = runs.len() as u64;
-    let mut merged = first.report.clone();
+    let mut avg = runs[0].report.clone();
     for r in &runs[1..] {
-        merged = merged.merged(&r.report);
+        avg = avg.merged(&r.report);
     }
-    // Scale down: rebuild a report with averaged numbers by merging and
-    // dividing cycles/energy. RunReport has no division; approximate by
-    // reporting the merged totals divided by n through a fresh struct.
-    let mut avg = merged.clone();
     avg.cycles /= n;
     avg.energy_pj /= n as f64;
+    avg.counts = avg.counts.divided_by(n);
     for (_, t) in avg.by_category.iter_mut() {
         t.cycles /= n;
         t.energy_pj /= n as f64;
     }
     PointMulRun {
-        result: first.result,
+        result: runs.swap_remove(0).result,
         report: avg,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use m0plus::RunReport;
+
+    /// Asserts two reports agree field for field, energies to the bit.
+    fn assert_same_report(got: &RunReport, want: &RunReport, context: &str) {
+        assert_eq!(got.cycles, want.cycles, "{context}: cycles");
+        assert_eq!(
+            got.energy_pj.to_bits(),
+            want.energy_pj.to_bits(),
+            "{context}: energy"
+        );
+        assert_eq!(got.counts, want.counts, "{context}: instruction mix");
+        assert_eq!(got.clock_hz, want.clock_hz, "{context}: clock");
+        assert_eq!(got.by_category.len(), want.by_category.len());
+        for ((c, a), (c2, b)) in got.by_category.iter().zip(&want.by_category) {
+            assert_eq!(c, c2, "{context}: category order");
+            assert_eq!(a.cycles, b.cycles, "{context}: {c} cycles");
+            assert_eq!(
+                a.energy_pj.to_bits(),
+                b.energy_pj.to_bits(),
+                "{context}: {c} energy"
+            );
+        }
+    }
+
+    /// Every measured column of Table 6 replayed from assembled
+    /// Thumb-16: the C and Asm field kernels, the C rotating-register
+    /// multiplication, and kP and kG at the table's seed on both tiers.
+    /// Each run has a capture session open, which asserts after every
+    /// kernel call that the machine-code replay ends in bit-identical
+    /// state; the captured runs then print the numbers `table6` prints.
+    #[test]
+    fn table6_columns_replay_from_thumb() {
+        // The modeled kP checks its result with a host kP, which looks
+        // its table up in the wTNAF cache.
+        let _cache = crate::wtnaf_cache_serial();
+        for tier in [Tier::C, Tier::Asm] {
+            let mut f = ModeledField::new(tier);
+            f.start_capture();
+            assert_eq!(kernel_cycles_on(&mut f), kernel_cycles(tier), "{tier:?}");
+            let captured = f.take_capture();
+            assert_eq!(captured.values().map(|fp| fp.calls).sum::<u64>(), 3);
+
+            let captured = |run: fn(&mut ModeledMul) -> PointMulRun| {
+                let mut mm = ModeledMul::new(tier);
+                mm.field_mut().start_capture();
+                let out = run(&mut mm);
+                let calls: u64 = mm
+                    .field_mut()
+                    .take_capture()
+                    .values()
+                    .map(|fp| fp.calls)
+                    .sum();
+                assert!(calls > 1000, "{tier:?}: {calls} kernel calls captured");
+                out
+            };
+            for (label, got, want) in [
+                (
+                    "kP",
+                    captured(|mm| mm.kp(&koblitz::generator(), &scalar(5))),
+                    average_kp(tier, 5..6),
+                ),
+                (
+                    "kG",
+                    captured(|mm| mm.kg(&scalar(5))),
+                    average_kg(tier, 5..6),
+                ),
+            ] {
+                let context = format!("{tier:?} {label}");
+                assert_eq!(got.result, want.result, "{context}: point");
+                assert_same_report(&got.report, &want.report, &context);
+            }
+        }
+        let mut f = ModeledField::new(Tier::C);
+        f.start_capture();
+        assert_eq!(rotating_c_cycles_on(&mut f), rotating_c_cycles());
+        assert_eq!(f.take_capture().len(), 1, "one rotating multiplication");
+    }
+
+    #[test]
+    fn averaging_copies_of_one_run_returns_it() {
+        let mut f = ModeledField::new(Tier::Asm);
+        let (a, b, z) = (
+            f.alloc_init(element(1)),
+            f.alloc_init(element(2)),
+            f.alloc(),
+        );
+        f.mul(z, a, b);
+        f.inv(z, a);
+        let run = PointMulRun {
+            result: koblitz::generator(),
+            report: f.machine().report(),
+        };
+        let avg = average(vec![run.clone(), run.clone()]);
+        assert_eq!(avg.result, run.result);
+        assert_same_report(&avg.report, &run.report, "average of two copies");
     }
 }

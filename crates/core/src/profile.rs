@@ -11,8 +11,7 @@ use koblitz::mul::{KG_WINDOW, KP_WINDOW};
 use koblitz::Int;
 use m0plus::RunReport;
 
-pub use gf2m::modeled::{KernelFootprint, Tier};
-pub use m0plus::Backend;
+pub use gf2m::modeled::Tier;
 
 /// One of the sect233k1 software implementations compared in §4.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,18 +69,6 @@ pub struct Measured {
     pub point: Affine,
     /// Cycles, energy, power, per-category split.
     pub report: RunReport,
-    /// Per-kernel flash footprints from the assembled machine code.
-    /// Empty under [`Backend::Direct`]; under [`Backend::Code`] one
-    /// entry per kernel entry point exercised by the run.
-    pub flash: Vec<(&'static str, KernelFootprint)>,
-}
-
-impl Measured {
-    /// Total flash a build holding every exercised kernel would need
-    /// (sum of per-kernel maxima; 0 under [`Backend::Direct`]).
-    pub fn total_flash_bytes(&self) -> usize {
-        self.flash.iter().map(|(_, fp)| fp.flash_bytes).sum()
-    }
 }
 
 impl From<PointMulRun> for Measured {
@@ -89,24 +76,7 @@ impl From<PointMulRun> for Measured {
         Measured {
             point: run.result,
             report: run.report,
-            flash: Vec::new(),
         }
-    }
-}
-
-/// Converts a finished run plus the multiplier that produced it into a
-/// [`Measured`], harvesting the code backend's flash report.
-fn measured(run: PointMulRun, mm: &ModeledMul) -> Measured {
-    let flash = mm
-        .field()
-        .flash_report()
-        .iter()
-        .map(|(&name, &fp)| (name, fp))
-        .collect();
-    Measured {
-        point: run.result,
-        report: run.report,
-        flash,
     }
 }
 
@@ -127,22 +97,13 @@ fn measured(run: PointMulRun, mm: &ModeledMul) -> Measured {
 #[derive(Debug, Clone, Copy)]
 pub struct Engine {
     profile: Profile,
-    backend: Backend,
 }
 
 impl Engine {
-    /// Creates an engine for `profile` on the direct backend, priced
-    /// under the default target (`cortex-m0plus`, the paper's platform).
+    /// Creates an engine for `profile`, priced under the default target
+    /// (`cortex-m0plus`, the paper's platform).
     pub fn new(profile: Profile) -> Engine {
-        Engine::with_backend(profile, Backend::Direct)
-    }
-
-    /// Creates an engine for `profile` on an explicit execution
-    /// backend. Under [`Backend::Code`] every charged kernel runs from
-    /// assembled Thumb-16 machine code and [`Measured::flash`] reports
-    /// per-kernel flash footprints.
-    pub fn with_backend(profile: Profile, backend: Backend) -> Engine {
-        Engine { profile, backend }
+        Engine { profile }
     }
 
     /// The selected profile.
@@ -150,20 +111,9 @@ impl Engine {
         self.profile
     }
 
-    /// The selected execution backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    fn multiplier(&self) -> ModeledMul {
-        let mut mm = ModeledMul::new(self.profile.tier());
-        mm.field_mut().set_backend(self.backend);
-        mm
-    }
-
     /// Fixed-point multiplication k·G with measurement.
     pub fn mul_g(&self, k: &Int) -> Measured {
-        let mut mm = self.multiplier();
+        let mut mm = ModeledMul::new(self.profile.tier());
         let run = match self.profile {
             Profile::RelicStyle => {
                 // RELIC's generic fixed-point path: same as kP with the
@@ -172,14 +122,13 @@ impl Engine {
             }
             _ => mm.run(&koblitz::generator(), k, KG_WINDOW, false),
         };
-        measured(run, &mm)
+        run.into()
     }
 
     /// Random-point multiplication k·P with measurement.
     pub fn mul_point(&self, p: &Affine, k: &Int) -> Measured {
-        let mut mm = self.multiplier();
-        let run = mm.run(p, k, KP_WINDOW, true);
-        measured(run, &mm)
+        let mut mm = ModeledMul::new(self.profile.tier());
+        mm.run(p, k, KP_WINDOW, true).into()
     }
 }
 
@@ -241,22 +190,6 @@ mod tests {
             (2.0..3.5).contains(&ratio),
             "kG speedup {ratio:.2} (paper: 2.98)"
         );
-    }
-
-    #[test]
-    fn code_backend_engine_matches_direct_and_reports_flash() {
-        let k = scalar();
-        let direct = Engine::new(Profile::ThisWorkAsm).mul_g(&k);
-        let code = Engine::with_backend(Profile::ThisWorkAsm, Backend::Code).mul_g(&k);
-        assert_eq!(code.point, direct.point);
-        assert_eq!(code.report.cycles, direct.report.cycles);
-        assert!(direct.flash.is_empty());
-        assert_eq!(direct.total_flash_bytes(), 0);
-        assert!(!code.flash.is_empty());
-        // The resident kernel set of a kG is dominated by the unrolled
-        // multiplier; the total should be in the kilobytes, not pathological.
-        let total = code.total_flash_bytes();
-        assert!((1_000..2_000_000).contains(&total), "flash = {total}");
     }
 
     #[test]

@@ -31,7 +31,8 @@ mod sqr;
 mod support;
 
 use crate::Fe;
-use m0plus::{Addr, Backend, Category, Machine};
+use m0plus::fault::RecordedKernel;
+use m0plus::{Addr, Category, Machine};
 use std::collections::BTreeMap;
 
 /// Which implementation tier a [`ModeledField`] runs (Table 6's columns,
@@ -54,16 +55,17 @@ pub enum Tier {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeSlot(pub Addr);
 
-/// Aggregated code-backend footprint of one kernel entry point.
+/// Aggregated machine-code footprint of one kernel entry point.
 ///
-/// Only populated under [`Backend::Code`]: each routed kernel call
-/// assembles to real Thumb-16 and reports its flash size; the field
-/// keeps the per-kernel maximum (traces of the same kernel differ only
-/// by data-dependent branch outcomes, so the maximum is the flash a
-/// fully linearised build would need).
+/// Collected while a capture session is open
+/// ([`ModeledField::start_capture`]): each routed kernel call assembles
+/// to real Thumb-16 and reports its flash size; the field keeps the
+/// per-kernel maximum (traces of the same kernel differ only by
+/// data-dependent branch outcomes, so the maximum is the flash a fully
+/// linearised build would need).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelFootprint {
-    /// Number of calls routed through the code backend.
+    /// Number of calls captured.
     pub calls: u64,
     /// Largest assembled fragment (code + literal pool), in bytes.
     /// Recordings are linearised, so for looped kernels (the EEA
@@ -74,8 +76,21 @@ pub struct KernelFootprint {
     /// [`m0plus::footprint::dedup`] collapses repeated bodies, an upper
     /// bound on a rolled build's flash.
     pub deduped_flash_bytes: usize,
-    /// Largest replayed instruction count.
+    /// Largest recorded instruction count.
     pub instructions: u64,
+}
+
+impl KernelFootprint {
+    /// Folds one captured call into the per-kernel maxima.
+    fn fold(&mut self, kernel: &RecordedKernel) {
+        let program = kernel.program();
+        self.calls += 1;
+        self.flash_bytes = self.flash_bytes.max(program.size_bytes());
+        self.deduped_flash_bytes = self
+            .deduped_flash_bytes
+            .max(m0plus::footprint::dedup(program).deduped_bytes());
+        self.instructions = self.instructions.max(kernel.trace_len());
+    }
 }
 
 /// Storage class of an accumulator word in the assembly-tier
@@ -146,8 +161,8 @@ pub(crate) struct Layout {
 pub struct ModeledField {
     machine: Machine,
     tier: Tier,
-    backend: Backend,
-    flash: BTreeMap<&'static str, KernelFootprint>,
+    /// The open capture session's per-kernel footprints, if any.
+    capture: Option<BTreeMap<&'static str, KernelFootprint>>,
     layout_lut: Addr,
     layout_frame: Addr,
     layout_sqr_table: Addr,
@@ -190,8 +205,7 @@ impl ModeledField {
         ModeledField {
             machine,
             tier,
-            backend: Backend::default(),
-            flash: BTreeMap::new(),
+            capture: None,
             layout_lut: lut,
             layout_frame: frame,
             layout_sqr_table: sqr_table,
@@ -205,41 +219,34 @@ impl ModeledField {
         self.tier
     }
 
-    /// The execution backend the kernels run through.
-    pub fn backend(&self) -> Backend {
-        self.backend
+    /// Opens a capture session (replacing any open one): from now on
+    /// every kernel call is recorded, assembled to Thumb-16 and replayed
+    /// from the machine code ([`RecordedKernel::capture`] and
+    /// [`RecordedKernel::assert_replays_to`]), and its flash footprint
+    /// is folded into the session. Results, cycles and energy are those
+    /// of an uncaptured run; a replay that diverges from the run panics.
+    pub fn start_capture(&mut self) {
+        self.capture = Some(BTreeMap::new());
     }
 
-    /// Switches the execution backend (takes effect from the next
-    /// kernel call; past accounting is unchanged).
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
+    /// Closes the capture session and returns its per-kernel flash
+    /// footprints (empty if no session was open).
+    pub fn take_capture(&mut self) -> BTreeMap<&'static str, KernelFootprint> {
+        self.capture.take().unwrap_or_default()
     }
 
-    /// Per-kernel flash footprints collected by the code backend
-    /// (empty under [`Backend::Direct`]).
-    pub fn flash_report(&self) -> &BTreeMap<&'static str, KernelFootprint> {
-        &self.flash
-    }
-
-    /// Routes one kernel call through the configured backend.
-    ///
-    /// Under [`Backend::Direct`] this just calls `f` on the machine.
-    /// Under [`Backend::Code`] the call is recorded, assembled to
-    /// Thumb-16, replayed from the machine code (asserting bit-for-bit
-    /// state agreement with the direct run) and its flash footprint
-    /// folded into [`ModeledField::flash_report`]. Curve layers use
-    /// this for their own charged code so *every* costed instruction in
-    /// a point multiplication can come from assembled machine code.
+    /// Runs one kernel call on the machine. Curve layers route their
+    /// own charged code through here too, so while a capture session is
+    /// open ([`ModeledField::start_capture`]) *every* costed instruction
+    /// of a point multiplication is checked against assembled machine
+    /// code. Otherwise this just calls `f`.
     pub fn run_kernel<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Machine) -> T) -> T {
-        let (out, run) = self.backend.run_kernel(&mut self.machine, name, f);
-        if let Some(run) = run {
-            let slot = self.flash.entry(name).or_default();
-            slot.calls += 1;
-            slot.flash_bytes = slot.flash_bytes.max(run.flash_bytes);
-            slot.deduped_flash_bytes = slot.deduped_flash_bytes.max(run.deduped_flash_bytes);
-            slot.instructions = slot.instructions.max(run.instructions);
-        }
+        let Some(footprints) = self.capture.as_mut() else {
+            return f(&mut self.machine);
+        };
+        let (kernel, out) = RecordedKernel::capture(&mut self.machine, f);
+        kernel.assert_replays_to(&self.machine, name);
+        footprints.entry(name).or_default().fold(&kernel);
         out
     }
 
@@ -569,6 +576,14 @@ impl ModeledField {
     }
 }
 
+/// A modeled field is a capture host: [`RecordedKernel::capture`] can
+/// record a whole field operation (`f.mul(z, a, b)`) as one fragment.
+impl AsMut<Machine> for ModeledField {
+    fn as_mut(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,7 +732,7 @@ mod tests {
 
     /// Drives every routed kernel once and returns the results plus the
     /// machine's final cycle count — the differential probe for the
-    /// backend-equivalence tests.
+    /// capture tests.
     fn drive_all_kernels(f: &mut ModeledField) -> (Vec<Fe>, u64) {
         let a = fe(21);
         let b = fe(22);
@@ -743,11 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn code_backend_matches_direct_for_every_kernel() {
+    fn captured_kernels_match_uncaptured_for_every_kernel() {
         for tier in [Tier::Asm, Tier::C, Tier::RelicC] {
             let mut direct = ModeledField::new(tier);
             let mut code = ModeledField::new(tier);
-            code.set_backend(Backend::Code);
+            code.start_capture();
             let (results_d, cycles_d) = drive_all_kernels(&mut direct);
             let (results_c, cycles_c) = drive_all_kernels(&mut code);
             assert_eq!(results_c, results_d, "{tier:?}: field results diverge");
@@ -759,25 +774,26 @@ mod tests {
                     "{tier:?}/{cat}: category totals diverge"
                 );
             }
-            assert!(direct.flash_report().is_empty());
-            let flash = code.flash_report();
+            assert!(direct.take_capture().is_empty());
+            let flash = code.take_capture();
+            assert!(code.take_capture().is_empty(), "the session is closed");
             for kernel in ["inv_eea_c", "fe_add", "fe_copy", "fe_set_const"] {
                 assert!(flash.contains_key(kernel), "{tier:?}: {kernel} missing");
             }
-            for (kernel, fp) in flash {
+            for (kernel, fp) in &flash {
                 assert!(fp.calls > 0 && fp.flash_bytes > 0, "{tier:?}: {kernel}");
             }
         }
     }
 
     #[test]
-    fn code_backend_reports_kernel_flash_footprints() {
+    fn capture_reports_kernel_flash_footprints() {
         let mut f = ModeledField::new(Tier::Asm);
-        f.set_backend(Backend::Code);
+        f.start_capture();
         let (sa, sb, sz) = (f.alloc_init(fe(31)), f.alloc_init(fe(32)), f.alloc());
         f.mul(sz, sa, sb);
         f.mul(sz, sz, sb);
-        let fp = f.flash_report()["mul_asm"];
+        let fp = f.take_capture()["mul_asm"];
         assert_eq!(fp.calls, 2);
         // The fully unrolled fixed-register multiplier linearises to a
         // few thousand halfwords — sanity-bound it.
@@ -792,10 +808,10 @@ mod tests {
     #[test]
     fn looped_inversion_dedups_far_below_its_unrolled_footprint() {
         let mut f = ModeledField::new(Tier::C);
-        f.set_backend(Backend::Code);
+        f.start_capture();
         let (sa, sz) = (f.alloc_init(fe(33)), f.alloc());
         f.inv(sz, sa);
-        let fp = f.flash_report()["inv_eea_c"];
+        let fp = f.take_capture()["inv_eea_c"];
         // The EEA records each of its ~700 data-dependent loop
         // iterations separately: a six-figure unrolled footprint. A
         // rolled build stores each body once — the dedup pass must
@@ -810,10 +826,10 @@ mod tests {
         // Straight-line kernels barely compress: their deduped figure
         // stays the same order of magnitude as the raw one.
         let mut g = ModeledField::new(Tier::Asm);
-        g.set_backend(Backend::Code);
+        g.start_capture();
         let (ga, gb, gz) = (g.alloc_init(fe(34)), g.alloc_init(fe(35)), g.alloc());
         g.mul(gz, ga, gb);
-        let mp = g.flash_report()["mul_asm"];
+        let mp = g.take_capture()["mul_asm"];
         assert!(mp.deduped_flash_bytes > 0);
         assert!(mp.deduped_flash_bytes <= mp.flash_bytes);
     }

@@ -5,7 +5,7 @@
 use gf2m::modeled::{ModeledField, Tier};
 use gf2m::Fe;
 use m0plus::asm::Assembler;
-use m0plus::{backend, execute, Backend, Cond, Instr, Machine, Reg};
+use m0plus::{execute, Cond, Instr, Machine, RecordedKernel, Reg};
 
 fn fe(seed: u64) -> Fe {
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -381,18 +381,19 @@ fn assembled_reduction_matches_the_word_level_reference() {
 #[test]
 fn assembled_multiplication_matches_the_field() {
     // The recorded mul kernels of every tier, assembled to Thumb-16 and
-    // re-executed by the code backend (which asserts state equality
-    // with the direct run internally) must land on the portable product.
+    // re-executed by a capture session (which asserts state equality
+    // with the uncaptured run internally) must land on the portable
+    // product.
     for tier in [Tier::Asm, Tier::C, Tier::RelicC] {
         let mut f = ModeledField::new(tier);
-        f.set_backend(Backend::Code);
+        f.start_capture();
         for seed in [11u64, 12] {
             let (x, y) = (fe(seed), fe(seed + 50));
             let (sa, sb, sz) = (f.alloc_init(x), f.alloc_init(y), f.alloc());
             f.mul(sz, sa, sb);
             assert_eq!(f.load(sz), x * y, "{tier:?} seed {seed}");
         }
-        let flash = f.flash_report();
+        let flash = f.take_capture();
         assert_eq!(flash.len(), 1, "{tier:?}: exactly the mul kernel");
         for fp in flash.values() {
             assert_eq!(fp.calls, 2, "{tier:?}");
@@ -405,7 +406,7 @@ fn assembled_multiplication_matches_the_field() {
 fn assembled_squaring_matches_the_field() {
     for tier in [Tier::Asm, Tier::C] {
         let mut f = ModeledField::new(tier);
-        f.set_backend(Backend::Code);
+        f.start_capture();
         let x = fe(21);
         let (sa, sz) = (f.alloc_init(x), f.alloc());
         f.sqr(sz, sa);
@@ -422,15 +423,11 @@ fn recorded_kernels_translate_to_real_thumb() {
     let mut f = ModeledField::new(Tier::Asm);
     let (sa, sb, sz) = (f.alloc_init(fe(31)), f.alloc_init(fe(32)), f.alloc());
 
-    f.machine_mut().start_recording();
-    f.mul(sz, sa, sb);
-    let mul_rec = f.machine_mut().take_recording();
-    f.machine_mut().start_recording();
-    f.sqr(sz, sa);
-    let sqr_rec = f.machine_mut().take_recording();
+    let (mul, ()) = RecordedKernel::capture(&mut f, |f| f.mul(sz, sa, sb));
+    let (sqr, ()) = RecordedKernel::capture(&mut f, |f| f.sqr(sz, sa));
 
-    for (name, rec) in [("mul", mul_rec), ("sqr", sqr_rec)] {
-        let program = backend::translate(&rec).expect("kernel assembles");
+    for (name, kernel) in [("mul", mul), ("sqr", sqr)] {
+        let (program, rec) = (kernel.program(), kernel.recording());
         let instr_bytes: usize = rec.steps.iter().map(|s| s.instr.size_bytes()).sum();
         assert!(
             program.size_bytes() >= instr_bytes,

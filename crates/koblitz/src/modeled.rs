@@ -121,11 +121,11 @@ pub struct ModeledMul {
 
 impl ModeledMul {
     /// Creates a modeled multiplier on the given implementation tier.
-    /// Switch it to [`Backend::Code`](m0plus::Backend::Code) through
-    /// [`ModeledMul::field_mut`]`().set_backend(..)`: every charged
+    /// Open a capture session through
+    /// [`ModeledMul::field_mut`]`().start_capture()` and every charged
     /// kernel — field arithmetic, bignum recoding passes, digit
-    /// dispatch, ladder swaps — is then assembled to Thumb-16 and
-    /// replayed from machine code.
+    /// dispatch, ladder swaps — is also assembled to Thumb-16 and
+    /// checked by a replay from machine code.
     pub fn new(tier: Tier) -> Self {
         Self::with_target(tier, m0plus::target::default_target())
     }
@@ -718,7 +718,6 @@ impl FieldOps for ModeledMul {
 mod tests {
     use super::*;
     use crate::curve::{generator, order};
-    use m0plus::Backend;
 
     fn scalar(seed: u64) -> Int {
         let hex = format!("{:016x}", seed.wrapping_mul(0xA24B_AED4_963E_E407));
@@ -828,17 +827,17 @@ mod tests {
     }
 
     #[test]
-    fn code_backend_full_kp_matches_direct_bit_for_bit() {
-        // The tentpole acceptance check: a complete kP — recoding,
-        // online window table, main loop, final conversion — executes
-        // from assembled Thumb-16 machine code with *exactly* the
-        // cycle, energy and per-category totals of the direct tier.
+    fn captured_full_kp_replays_bit_for_bit() {
+        // A complete kP — recoding, online window table, main loop,
+        // final conversion — replays from assembled Thumb-16 machine
+        // code kernel by kernel, and the capture leaves the cycle,
+        // energy and per-category totals of an uncaptured run.
         let g = generator();
         let k = scalar(9);
         let mut direct = ModeledMul::new(Tier::Asm);
         let run_d = direct.kp(&g, &k);
         let mut code = ModeledMul::new(Tier::Asm);
-        code.field_mut().set_backend(Backend::Code);
+        code.field_mut().start_capture();
         let run_c = code.kp(&g, &k);
         assert_eq!(run_c.result, run_d.result, "points diverge");
         assert_eq!(run_c.report.cycles, run_d.report.cycles, "cycles diverge");
@@ -854,24 +853,23 @@ mod tests {
                 "{c} cycles diverge"
             );
         }
-        // The code backend also measured per-kernel flash footprints.
-        let flash = code.field().flash_report();
+        // The session also measured per-kernel flash footprints.
+        let flash = code.field_mut().take_capture();
         for kernel in ["mul_asm", "sqr_asm", "inv_eea_c", "bn_mul", "bn_pass"] {
             assert!(
                 flash.contains_key(kernel),
                 "{kernel} missing from flash report"
             );
         }
-        assert!(direct.field().flash_report().is_empty());
     }
 
     #[test]
-    fn code_backend_kg_matches_direct_cycles() {
+    fn captured_kg_matches_uncaptured_cycles() {
         let k = scalar(10);
         let mut direct = ModeledMul::new(Tier::C);
         let run_d = direct.kg(&k);
         let mut code = ModeledMul::new(Tier::C);
-        code.field_mut().set_backend(Backend::Code);
+        code.field_mut().start_capture();
         let run_c = code.kg(&k);
         assert_eq!(run_c.result, run_d.result);
         assert_eq!(run_c.report.cycles, run_d.report.cycles);

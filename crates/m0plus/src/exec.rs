@@ -212,8 +212,8 @@ impl Predecoded {
 /// `pc + 1`.
 ///
 /// Branches whose target is their own fall-through position
-/// (`aux == next`) are folded into blocks: the backend linearises
-/// recorded traces so every `B`/`BCond` jumps to the label that
+/// (`aux == next`) are folded into blocks: [`crate::backend::translate`]
+/// linearises recorded traces so every `B`/`BCond` jumps to the label that
 /// immediately follows it, making them pure charge-and-continue
 /// operations. `Bl` and `Bx` always end a block — they push/pop the
 /// executor's call stack (and an empty-stack `Bx` terminates the run),

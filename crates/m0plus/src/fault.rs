@@ -1,15 +1,18 @@
 //! Deterministic fault injection on recorded kernel executions.
 //!
-//! The recorded-program backend already turns every modeled kernel into
-//! a concrete Thumb-16 instruction stream ([`Recording`] → `Program`).
-//! This module perturbs a *replay* of that stream at a chosen
-//! instruction index with one of the three classic glitch models —
-//! instruction skip, single-bit register flip, single-bit memory flip —
-//! and runs the faulted execution to completion, or to a clean
-//! [`ExecError`] abort.
+//! [`RecordedKernel::capture`] records a modeled kernel as it runs and
+//! assembles the trace into a concrete Thumb-16 fragment ([`Recording`]
+//! → `Program`, via [`backend::translate`]), and
+//! [`RecordedKernel::assert_replays_to`] checks that the fragment
+//! replays to the machine the kernel ran on. This module perturbs a
+//! *replay* of that fragment at a chosen instruction index with one of
+//! the three classic glitch models — instruction skip, single-bit
+//! register flip, single-bit memory flip — and runs the faulted
+//! execution to completion, or to a clean [`ExecError`] abort.
 //!
 //! Up to the fault, a faulted replay is the fault-free one (the *golden
-//! run*). [`RecordedKernel::new`] runs the golden run once and
+//! run*). A [`RecordedKernel`] runs the golden run once (in
+//! [`RecordedKernel::new`], or on the first replay of a capture) and
 //! checkpoints it at 64 evenly spaced trace indices; a replay restores
 //! the last checkpoint at or before its fault on a clone of the
 //! pre-kernel machine state and resumes the executor there, with a
@@ -28,7 +31,7 @@ use crate::exec::{self, Cursor, ExecError, ExecStats, Predecoded, StepAction, NE
 use crate::machine::{Machine, Recording, Reg, StateDelta};
 use prng::SplitMix64;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The three single-fault glitch models of the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,34 +271,6 @@ fn replay_from(
     stats
 }
 
-/// Replays a recorded kernel's predecoded fragment on `machine` in
-/// place, from its first instruction — the code backend's verified
-/// replay ([`backend::run_recorded`]). It injects `fault`, if any, at
-/// its trace index; the machine's category override is restored
-/// either way.
-pub(crate) fn replay(
-    machine: &mut Machine,
-    predecoded: &Predecoded,
-    recording: &Recording,
-    fault: Option<&FaultPlan>,
-) -> Result<ExecStats, ExecError> {
-    let saved_override = machine.category_override();
-    let breaks = category_breaks(recording);
-    let mut cursor = Cursor::at(0, machine.cycles());
-    let stats = replay_from(
-        machine,
-        predecoded,
-        recording,
-        &breaks,
-        fault,
-        &mut cursor,
-        NEVER,
-    )
-    .map(|stats| stats.expect("a replay without a stop runs to its end"));
-    machine.set_category_override(saved_override);
-    stats
-}
-
 /// Checkpoints taken along a recorded kernel's fault-free replay, the
 /// golden run. A fixed count rather than a fixed interval: a faulted
 /// replay then re-runs at most 1/64 of the trace before its fault,
@@ -333,8 +308,9 @@ pub struct RecordedKernel {
     /// The fragment decoded once, shared by every replay.
     predecoded: Arc<Predecoded>,
     /// Checkpoints at trace indices 0, `interval`, 2·`interval`, … up
-    /// to where the golden run ends.
-    checkpoints: Arc<[Checkpoint]>,
+    /// to where the golden run ends, taken once (by `new`, or by the
+    /// first replay of a capture) and shared by every clone.
+    checkpoints: Arc<OnceLock<Box<[Checkpoint]>>>,
     interval: u64,
     /// The recording's category-run starts.
     breaks: Vec<u32>,
@@ -348,55 +324,112 @@ impl RecordedKernel {
     /// the golden prefix before its fault. `pre` must have no recording
     /// or trace armed: a resumed replay could not capture its prefix.
     pub fn new(pre: Machine, program: Program, recording: Recording) -> RecordedKernel {
+        let kernel = RecordedKernel::bundle(pre, program, recording);
+        kernel.checkpoints();
+        kernel
+    }
+
+    /// [`RecordedKernel::new`] without the golden run: the checkpoints
+    /// are taken by the first replay that needs them, so a capture that
+    /// is only checked ([`RecordedKernel::assert_replays_to`]) never
+    /// pays for them.
+    fn bundle(pre: Machine, program: Program, recording: Recording) -> RecordedKernel {
         debug_assert!(
             !pre.block_capture_active(),
             "a replayed machine must not be capturing"
         );
         let predecoded = exec::predecode_with(&program, pre.model().cycle_table());
-        let len = recording.len() as u64;
-        let mut kernel = RecordedKernel {
+        RecordedKernel {
             breaks: category_breaks(&recording),
-            interval: len.div_ceil(CHECKPOINTS).max(1),
-            checkpoints: Arc::new([]),
+            interval: (recording.len() as u64).div_ceil(CHECKPOINTS).max(1),
+            checkpoints: Arc::default(),
             pre,
             program,
             recording,
             predecoded,
-        };
-        let mut checkpoints = Vec::new();
-        let mut machine = kernel.pre.clone();
-        let mut cursor = Cursor::at(0, machine.cycles());
-        loop {
-            checkpoints.push(Checkpoint {
-                state: machine.delta_from(&kernel.pre),
-                cursor: cursor.clone(),
-            });
-            let stop = cursor.steps + kernel.interval;
-            // A fragment that ends or fails before the next checkpoint
-            // has no state to keep beyond this one.
-            if stop >= len || kernel.run_on(&mut machine, None, &mut cursor, stop) != Ok(None) {
-                break;
-            }
         }
-        kernel.checkpoints = checkpoints.into();
-        kernel
     }
 
-    /// Records `f` running on a clone of `machine` and assembles the
-    /// trace, returning the capture alongside `f`'s output.
+    /// The golden run's checkpoints, taken on first use.
+    fn checkpoints(&self) -> &[Checkpoint] {
+        self.checkpoints.get_or_init(|| {
+            let len = self.trace_len();
+            let mut checkpoints = Vec::new();
+            let mut machine = self.pre.clone();
+            let mut cursor = Cursor::at(0, machine.cycles());
+            loop {
+                checkpoints.push(Checkpoint {
+                    state: machine.delta_from(&self.pre),
+                    cursor: cursor.clone(),
+                });
+                let stop = cursor.steps + self.interval;
+                // A fragment that ends or fails before the next
+                // checkpoint has no state to keep beyond this one.
+                if stop >= len || self.run_on(&mut machine, None, &mut cursor, stop) != Ok(None) {
+                    break;
+                }
+            }
+            checkpoints.into()
+        })
+    }
+
+    /// Records `f` running on `host`'s machine and assembles the trace:
+    /// the one way a kernel becomes a replayable Thumb-16 fragment.
+    /// `host` is the machine itself or a wrapper that owns one (a
+    /// modeled field); `f` runs on it as it would unrecorded, so `host`
+    /// ends in the kernel's post-state, and `f`'s output is returned
+    /// beside the capture. [`RecordedKernel::pre`] is `host`'s machine
+    /// before `f` ran.
     ///
     /// # Panics
     ///
-    /// Panics if the trace does not assemble (cannot happen for traces
-    /// produced by [`Machine::start_recording`]).
-    pub fn capture<T>(machine: &Machine, f: impl FnOnce(&mut Machine) -> T) -> (RecordedKernel, T) {
+    /// Panics if `host`'s machine is already recording or tracing:
+    /// captures do not nest.
+    pub fn capture<H: AsMut<Machine>, T>(
+        host: &mut H,
+        f: impl FnOnce(&mut H) -> T,
+    ) -> (RecordedKernel, T) {
+        let machine = host.as_mut();
+        assert!(
+            !machine.block_capture_active(),
+            "cannot capture on a machine that is already recording or tracing"
+        );
         let pre = machine.clone();
-        let mut rec = machine.clone();
-        rec.start_recording();
-        let out = f(&mut rec);
-        let recording = rec.take_recording();
+        machine.start_recording();
+        let out = f(host);
+        let recording = host.as_mut().take_recording();
         let program = backend::translate(&recording).expect("recorded trace assembles");
-        (RecordedKernel::new(pre, program, recording), out)
+        (RecordedKernel::bundle(pre, program, recording), out)
+    }
+
+    /// The check beside [`RecordedKernel::capture`]: replays the
+    /// fragment without a fault on a clone of [`RecordedKernel::pre`]
+    /// and asserts that it retires every recorded instruction and ends
+    /// bit for bit in the state of `ran`, the machine the kernel was
+    /// captured on (registers, flags, RAM, cycles, energy, instruction
+    /// mix and category totals; see [`Machine::assert_same_state`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, with `name` in the message, if the literal pool
+    /// overflows the 8-bit `LDR` slot index, the replay aborts, or any
+    /// state diverges.
+    pub fn assert_replays_to(&self, ran: &Machine, name: &str) {
+        assert!(
+            self.program.pool.len() <= 256,
+            "kernel {name}: literal pool ({} slots) overflows the imm8 index",
+            self.program.pool.len()
+        );
+        let mut replayed = self.pre.clone();
+        let stats = self
+            .replay_on(&mut replayed, None)
+            .unwrap_or_else(|e| panic!("kernel {name}: machine-code replay failed: {e}"));
+        assert_eq!(
+            stats.instructions,
+            self.trace_len(),
+            "kernel {name}: replay retired a different instruction count"
+        );
+        replayed.assert_same_state(ran, name);
     }
 
     /// Machine state immediately before the kernel ran.
@@ -422,8 +455,9 @@ impl RecordedKernel {
     /// The last checkpoint at or before trace index `at`, as a machine
     /// and the cursor to resume it from, and that checkpoint's index.
     fn resume_point(&self, at: u64) -> (Machine, Cursor, usize) {
-        let i = ((at / self.interval) as usize).min(self.checkpoints.len() - 1);
-        let checkpoint = &self.checkpoints[i];
+        let checkpoints = self.checkpoints();
+        let i = ((at / self.interval) as usize).min(checkpoints.len() - 1);
+        let checkpoint = &checkpoints[i];
         let mut machine = self.pre.clone();
         machine.restore(&checkpoint.state);
         (machine, checkpoint.cursor.clone(), i)
@@ -433,9 +467,9 @@ impl RecordedKernel {
     /// index, resuming from the last golden checkpoint before the fault.
     /// The result — statistics, abort reason and the whole machine,
     /// energy totals to the bit — is that of a replay on a clone of
-    /// [`RecordedKernel::pre`] from the first instruction. Unlike the
-    /// code backend's replay there is no shadow-state assertion: a
-    /// faulted replay diverges by design.
+    /// [`RecordedKernel::pre`] from the first instruction. Unlike
+    /// [`RecordedKernel::assert_replays_to`] there is no state
+    /// assertion: a faulted replay diverges by design.
     pub fn replay(&self, fault: Option<&FaultPlan>) -> FaultedRun {
         let (mut machine, mut cursor, _) = self.resume_point(fault.map_or(u64::MAX, |f| f.at));
         let stats = self.run_on(&mut machine, fault, &mut cursor, NEVER);
@@ -450,7 +484,7 @@ impl RecordedKernel {
     /// kernel's result and whether it aborted matter.
     pub fn classify(&self, fault: &FaultPlan) -> Outcome {
         let (mut machine, mut cursor, i) = self.resume_point(fault.at);
-        let next = self.checkpoints.get(i + 1);
+        let next = self.checkpoints().get(i + 1);
         let stop = next.map_or(NEVER, |c| c.cursor.steps);
         let mut stats = self.run_on(&mut machine, Some(fault), &mut cursor, stop);
         if let (Ok(None), Some(next)) = (&stats, next) {
@@ -463,6 +497,24 @@ impl RecordedKernel {
             stats = self.run_on(&mut machine, Some(fault), &mut cursor, NEVER);
         }
         Outcome::Ran(Box::new(self.ran(machine, stats)))
+    }
+
+    /// Replays the fragment on `machine`, which must be in the state of
+    /// [`RecordedKernel::pre`], in place from its first instruction,
+    /// with `fault`, if any, injected at its trace index. The machine's
+    /// category override is restored either way.
+    fn replay_on(
+        &self,
+        machine: &mut Machine,
+        fault: Option<&FaultPlan>,
+    ) -> Result<ExecStats, ExecError> {
+        let saved_override = machine.category_override();
+        let mut cursor = Cursor::at(0, machine.cycles());
+        let stats = self
+            .run_on(machine, fault, &mut cursor, NEVER)
+            .map(|stats| stats.expect("a replay without a stop runs to its end"));
+        machine.set_category_override(saved_override);
+        stats
     }
 
     fn run_on(
@@ -510,7 +562,7 @@ mod tests {
     /// ran before it kept checkpoints.
     fn replay_from_pre(k: &RecordedKernel, fault: Option<&FaultPlan>) -> FaultedRun {
         let mut machine = k.pre.clone();
-        let stats = replay(&mut machine, &k.predecoded, &k.recording, fault);
+        let stats = k.replay_on(&mut machine, fault);
         FaultedRun { machine, stats }
     }
 
@@ -562,8 +614,8 @@ mod tests {
     }
 
     fn rounds_setup() -> (RecordedKernel, Addr) {
-        let (m, a, b, out) = setup();
-        let (kernel, ()) = RecordedKernel::capture(&m, |m| rounds_kernel(m, a, b, out));
+        let (mut m, a, b, out) = setup();
+        let (kernel, ()) = RecordedKernel::capture(&mut m, |m| rounds_kernel(m, a, b, out));
         (kernel, a)
     }
 
@@ -586,9 +638,9 @@ mod tests {
     fn resumed_replay_matches_replay_from_pre() {
         for (name, (kernel, a)) in [
             ("xor", {
-                let (m, a, b, out) = setup();
+                let (mut m, a, b, out) = setup();
                 (
-                    RecordedKernel::capture(&m, |m| xor_kernel(m, a, b, out)).0,
+                    RecordedKernel::capture(&mut m, |m| xor_kernel(m, a, b, out)).0,
                     a,
                 )
             }),
@@ -705,9 +757,11 @@ mod tests {
 
     #[test]
     fn clean_replay_matches_direct_execution() {
-        let (mut direct, a, b, out) = setup();
-        let (kernel, ()) = RecordedKernel::capture(&direct, |m| xor_kernel(m, a, b, out));
+        let (mut m, a, b, out) = setup();
+        let mut direct = m.clone();
+        let (kernel, ()) = RecordedKernel::capture(&mut m, |m| xor_kernel(m, a, b, out));
         xor_kernel(&mut direct, a, b, out);
+        m.assert_same_state(&direct, "capture runs the kernel on its host");
 
         let run = kernel.replay(None);
         assert!(!run.aborted());
@@ -721,9 +775,69 @@ mod tests {
     }
 
     #[test]
+    fn capture_replays_to_the_machine_it_ran_on() {
+        let (mut m, a, b, out) = setup();
+        let mut direct = m.clone();
+        let (kernel, ()) = RecordedKernel::capture(&mut m, |m| rounds_kernel(m, a, b, out));
+        rounds_kernel(&mut direct, a, b, out);
+        m.assert_same_state(&direct, "captured vs direct");
+        kernel.assert_replays_to(&m, "rounds");
+        assert!(kernel.checkpoints.get().is_none(), "a check takes none");
+        for c in Category::ALL {
+            assert_eq!(
+                kernel.replay(None).machine.category_totals(c).cycles,
+                direct.category_totals(c).cycles,
+                "{c}"
+            );
+        }
+        assert!(direct.category_totals(Category::Multiply).cycles > 0);
+        assert!(direct.category_totals(Category::Square).cycles > 0);
+        assert!(kernel.program().size_bytes() > 0);
+        assert!(kernel.checkpoints.get().is_some(), "a replay takes them");
+        let eager = RecordedKernel::new(
+            kernel.pre.clone(),
+            kernel.program.clone(),
+            kernel.recording.clone(),
+        );
+        assert!(eager.checkpoints.get().is_some(), "new takes them");
+    }
+
+    #[test]
+    fn capture_of_host_writes_alone_replays_to_nothing() {
+        let mut m = Machine::new(16);
+        let (kernel, out) = RecordedKernel::capture(&mut m, |m| {
+            m.set_reg(Reg::R7, 42); // un-costed only
+            7u32
+        });
+        assert_eq!(out, 7);
+        assert_eq!(kernel.trace_len(), 0);
+        assert_eq!(m.cycles(), 0);
+        // The replay reapplies the trailing register write.
+        kernel.assert_replays_to(&m, "empty");
+    }
+
+    #[test]
+    #[should_panic(expected = "xor: memory diverged")]
+    fn replay_check_catches_a_divergent_machine() {
+        let (mut m, a, b, out) = setup();
+        let (kernel, ()) = RecordedKernel::capture(&mut m, |m| xor_kernel(m, a, b, out));
+        m.flip_mem_bit(out.0, 0);
+        kernel.assert_replays_to(&m, "xor");
+    }
+
+    #[test]
+    #[should_panic(expected = "already recording")]
+    fn captures_do_not_nest() {
+        let (mut m, a, b, out) = setup();
+        RecordedKernel::capture(&mut m, |m| {
+            RecordedKernel::capture(m, |m| xor_kernel(m, a, b, out));
+        });
+    }
+
+    #[test]
     fn skip_fault_changes_the_result_deterministically() {
-        let (m, a, b, out) = setup();
-        let (kernel, ()) = RecordedKernel::capture(&m, |m| xor_kernel(m, a, b, out));
+        let (mut m, a, b, out) = setup();
+        let (kernel, ()) = RecordedKernel::capture(&mut m, |m| xor_kernel(m, a, b, out));
         let clean = kernel.replay(None).machine.read_slice(out, 4);
 
         // Skipping the first str leaves out[0] unwritten.
@@ -746,8 +860,8 @@ mod tests {
 
     #[test]
     fn register_flip_of_a_base_pointer_aborts_cleanly() {
-        let (m, a, b, out) = setup();
-        let (kernel, ()) = RecordedKernel::capture(&m, |m| xor_kernel(m, a, b, out));
+        let (mut m, a, b, out) = setup();
+        let (kernel, ()) = RecordedKernel::capture(&mut m, |m| xor_kernel(m, a, b, out));
         // Flip the top bit of the source base register right before the
         // first load: the effective address leaves RAM and the replay
         // must abort with MemOutOfRange instead of panicking.
@@ -765,8 +879,8 @@ mod tests {
 
     #[test]
     fn memory_flip_corrupts_exactly_one_bit() {
-        let (m, a, b, out) = setup();
-        let (kernel, ()) = RecordedKernel::capture(&m, |m| xor_kernel(m, a, b, out));
+        let (mut m, a, b, out) = setup();
+        let (kernel, ()) = RecordedKernel::capture(&mut m, |m| xor_kernel(m, a, b, out));
         let clean = kernel.replay(None).machine.read_slice(out, 4);
         // Flip bit 2 of a[2] before anything reads it.
         let plan = FaultPlan {

@@ -1,6 +1,6 @@
 //! Loop-aware flash footprint of a recorded fragment.
 //!
-//! The code backend linearises host-driven control flow: a loop that
+//! A recorded trace linearises host-driven control flow: a loop that
 //! ran 200 times appears 200 times in the recorded trace, so
 //! [`Program::size_bytes`] reports the flash a *fully unrolled* build
 //! would need. For straight-line kernels (the paper's unrolled

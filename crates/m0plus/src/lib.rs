@@ -57,7 +57,6 @@ pub mod rig;
 pub mod target;
 pub mod trace;
 
-pub use backend::{Backend, KernelRun};
 pub use cost::InstrClass;
 pub use energy::EnergyModel;
 pub use exec::{

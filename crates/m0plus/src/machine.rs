@@ -202,8 +202,9 @@ pub struct RecordedSetReg {
 }
 
 /// A complete instruction-stream capture: every costed instruction in
-/// order plus the positioned un-costed register writes. This is what the
-/// code backend assembles into real Thumb-16 halfwords and re-executes.
+/// order plus the positioned un-costed register writes. This is what
+/// [`crate::backend::translate`] assembles into real Thumb-16 halfwords
+/// and [`crate::fault::RecordedKernel`] re-executes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Recording {
     /// The costed instructions, in execution order.
@@ -481,6 +482,14 @@ pub struct Machine {
     trace_addr: Option<u32>,
 }
 
+/// The machine is its own capture host (see
+/// [`crate::fault::RecordedKernel::capture`]).
+impl AsMut<Machine> for Machine {
+    fn as_mut(&mut self) -> &mut Machine {
+        self
+    }
+}
+
 impl Machine {
     /// Creates a machine with `mem_words` words of RAM and the default
     /// Cortex-M0+ energy model.
@@ -661,8 +670,10 @@ impl Machine {
     /// Asserts that `self` and `other` agree on every piece of
     /// architectural and accounting state: registers, flags, memory,
     /// allocation break, cycles, bitwise-identical energy, per-class
-    /// counts and per-category totals. The code backend uses this to
-    /// prove a machine-code replay equivalent to the direct tier.
+    /// counts and per-category totals.
+    /// [`crate::fault::RecordedKernel::assert_replays_to`] uses this to
+    /// prove a machine-code replay equivalent to the virtual-assembly
+    /// run.
     ///
     /// # Panics
     ///

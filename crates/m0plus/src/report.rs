@@ -42,6 +42,31 @@ impl ClassCounts {
             .filter(|&(_, n)| n > 0)
     }
 
+    /// Component-wise sum.
+    #[must_use]
+    pub fn plus(&self, other: &ClassCounts) -> ClassCounts {
+        let mut out = self.clone();
+        for (c, n) in out.counts.iter_mut().zip(&other.counts) {
+            *c += n;
+        }
+        out
+    }
+
+    /// Component-wise integer division, as an average of `n` reports
+    /// divides its cycle total.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    #[must_use]
+    pub fn divided_by(&self, n: u64) -> ClassCounts {
+        let mut out = self.clone();
+        for c in out.counts.iter_mut() {
+            *c /= n;
+        }
+        out
+    }
+
     /// Component-wise difference (`self` − `earlier`).
     ///
     /// # Panics
@@ -95,12 +120,8 @@ impl RunReport {
     pub fn from_delta(start: &Snapshot, end: &Snapshot, clock_hz: u64) -> RunReport {
         let by_category = Category::ALL
             .iter()
-            .map(|&c| {
-                let i = c as usize;
-                let _ = i;
-                let idx = Category::ALL.iter().position(|&x| x == c).expect("in ALL");
-                (c, end.by_category[idx].delta(start.by_category[idx]))
-            })
+            .enumerate()
+            .map(|(i, &c)| (c, end.by_category[i].delta(start.by_category[i])))
             .collect();
         RunReport {
             cycles: end.cycles - start.cycles,
@@ -138,12 +159,6 @@ impl RunReport {
     /// Sums two reports (e.g. averaging runs or composing phases).
     #[must_use]
     pub fn merged(&self, other: &RunReport) -> RunReport {
-        let mut counts = ClassCounts::default();
-        for c in InstrClass::ALL {
-            for _ in 0..(self.counts.count(c) + other.counts.count(c)) {
-                counts.bump(c);
-            }
-        }
         let by_category = self
             .by_category
             .iter()
@@ -162,7 +177,7 @@ impl RunReport {
         RunReport {
             cycles: self.cycles + other.cycles,
             energy_pj: self.energy_pj + other.energy_pj,
-            counts,
+            counts: self.counts.plus(&other.counts),
             by_category,
             clock_hz: self.clock_hz,
         }
@@ -248,6 +263,22 @@ mod tests {
         assert_eq!(merged.cycles, 3);
         assert_eq!(merged.category_cycles(crate::Category::Square), 3);
         assert_eq!(merged.counts.total(), 2);
+        assert_eq!(merged.counts, r1.counts.plus(&r2.counts));
+        assert_eq!(merged.counts.count(InstrClass::Mov), 1);
+        assert_eq!(merged.counts.count(InstrClass::Ldr), 1);
+    }
+
+    #[test]
+    fn class_counts_sum_and_divide_per_class() {
+        let mut a = ClassCounts::default();
+        a.bump(InstrClass::Ldr);
+        a.bump(InstrClass::Eor);
+        a.bump(InstrClass::Eor);
+        let sum = a.plus(&a).plus(&a);
+        assert_eq!(sum.count(InstrClass::Ldr), 3);
+        assert_eq!(sum.count(InstrClass::Eor), 6);
+        assert_eq!(sum.divided_by(3), a);
+        assert_eq!(a.divided_by(2).count(InstrClass::Ldr), 0);
     }
 
     #[test]

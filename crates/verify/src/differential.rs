@@ -6,8 +6,9 @@
 //! * **field elements** — the paper tier (`mul_ld_fixed`,
 //!   `sqr::square`, the EEA `inv::invert`, called by name) vs the u64
 //!   [`GenericField`] oracle vs all three counted multiplication methods
-//!   vs the modeled machine on both backends (results *and* the cycle
-//!   counts of the Direct and Code backends, which must agree exactly),
+//!   vs the modeled machine, uncaptured and in a capture session that
+//!   replays every kernel from its assembled Thumb-16 (results *and*
+//!   the cycle counts of the two, which must agree exactly),
 //!   and vs the host carry-less kernels ([`Clmul`]) when the CPU has
 //!   them; and the public-input linear maps (`Fe::half_trace`,
 //!   `Fe::square_n_public(30)`, `Fe::invert_public`) against the
@@ -63,7 +64,6 @@ use gf2m::modeled::{ModeledField, Tier};
 use gf2m::mul::mul_ld_fixed;
 use gf2m::{counted, inv, sqr, Clmul, Fe};
 use koblitz::{curve, mul, tnaf, Int, Scalar, U256};
-use m0plus::Backend;
 use prng::SplitMix64;
 use protocols::sha256::{Sha256, ShaNi};
 use protocols::wire::{
@@ -399,7 +399,7 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
     let mut direct = ModeledField::with_target(Tier::Asm, config.target);
     let (da, db, dz) = (direct.alloc(), direct.alloc(), direct.alloc());
     let mut code = ModeledField::with_target(Tier::Asm, config.target);
-    code.set_backend(Backend::Code);
+    code.start_capture();
     let (ca, cb, cz) = (code.alloc(), code.alloc(), code.alloc());
 
     let clmul = Clmul::detect();
@@ -453,7 +453,7 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
             });
         }
 
-        // Modeled tier, Direct backend: mul + sqr.
+        // Modeled tier, uncaptured: mul + sqr.
         direct.store(da, a);
         direct.store(db, b);
         let snap = direct.machine().cycles();
@@ -468,7 +468,8 @@ fn field_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
             unshrunk(format!("mul: portable {want_mul} vs modeled {got}"))
         });
 
-        // Modeled tier, Code backend: identical results and *cycles*.
+        // Modeled tier in a capture session, every kernel replayed from
+        // its assembled Thumb-16: identical results and *cycles*.
         code.store(ca, a);
         code.store(cb, b);
         let snap = code.machine().cycles();

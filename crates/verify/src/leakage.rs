@@ -268,7 +268,7 @@ fn rand_scalar(rng: &mut SplitMix64) -> Int {
 // Registry.
 // ---------------------------------------------------------------------
 
-/// Traces one field-kernel closure on a fresh Direct-backend machine.
+/// Traces one field-kernel closure on a fresh machine.
 fn field_trace(
     tier: Tier,
     target: &'static m0plus::TargetSpec,
@@ -282,7 +282,7 @@ fn field_trace(
     f.machine_mut().take_trace()
 }
 
-/// Traces one point-kernel closure on a fresh Direct-backend machine.
+/// Traces one point-kernel closure on a fresh machine.
 fn point_trace(
     tier: Tier,
     target: &'static m0plus::TargetSpec,

@@ -19,9 +19,9 @@
 //! * [`differential`] — a seeded, deterministic fuzz harness that feeds
 //!   identical random field elements, scalars and wire frames through
 //!   every execution tier (portable `Fe`, the u64 `GenericField`
-//!   oracle, the counted tier, the modeled machine on both the Direct
-//!   and Code backends) and cross-checks results, cycle counts between
-//!   the two modeled backends, and decoder error taxonomy.
+//!   oracle, the counted tier, the modeled machine with and without a
+//!   machine-code capture session) and cross-checks results, cycle
+//!   counts between the two modeled runs, and decoder error taxonomy.
 //! * [`shrink`] — a greedy byte-level shrinker used to report a minimal
 //!   counterexample when (if) a differential case disagrees.
 //!

@@ -94,7 +94,7 @@ target/release/verify_campaign --smoke --shards 4 > /tmp/verify_shard_4.txt
 diff /tmp/verify_shard_1.txt /tmp/verify_shard_4.txt
 diff /tmp/verify_smoke_1.txt /tmp/verify_shard_1.txt
 
-echo "==> kernel cycle regression gate (vs committed BENCH_*.json)"
+echo "==> BENCH document gate (every deterministic leaf vs the newest committed BENCH_<n>.json)"
 target/release/kernel_gate
 
 echo "==> throughput smoke (batch amortisation + shard gates, deterministic)"

@@ -13,6 +13,7 @@
 //! for every measured column of [`tables::table6`].
 
 pub mod campaign;
+pub mod report;
 pub mod shard;
 pub mod tables;
 pub mod throughput;

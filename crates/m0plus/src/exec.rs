@@ -9,8 +9,7 @@
 //! which returns — or, at the outermost level, ends execution.
 //!
 //! There is one instruction loop. Every entry point — [`execute`],
-//! [`execute_fragment`], [`execute_fragment_ctl`] and
-//! [`execute_predecoded`] — runs the program predecoded (see
+//! [`execute_fragment_ctl`] and [`execute_predecoded`] — runs the program predecoded (see
 //! [`Predecoded`]) with superblock dispatch between hook calls. The
 //! crate-internal `resume` runs a fragment from a saved cursor and can
 //! pause it before a given instruction; the fault injector checkpoints
@@ -442,29 +441,11 @@ pub fn execute(
 /// the code image (the normal exit for linearised kernel traces, which
 /// carry no outermost `BX lr`).
 ///
-/// `hook` is called with the machine and the index of the instruction
-/// about to retire, at every instruction.
-///
-/// # Errors
-///
-/// Propagates decode, literal and runaway-loop failures; the machine
-/// state reflects everything executed up to the error.
-pub fn execute_fragment(
-    machine: &mut Machine,
-    program: &Program,
-    max_steps: u64,
-    mut hook: impl FnMut(&mut Machine, usize),
-) -> Result<ExecStats, ExecError> {
-    execute_fragment_ctl(machine, program, max_steps, |m, idx| {
-        hook(m, idx);
-        StepAction::Execute
-    })
-}
-
-/// Like [`execute_fragment`], but the hook *controls* each step: it can
-/// order the instruction about to retire to be skipped (the fault
-/// injector's instruction-skip model) or mutate machine state first
-/// (its register/memory bit flips).
+/// `ctl` is called with the machine and the index of the instruction
+/// about to retire, at every instruction, and *controls* the step: it
+/// can order the instruction to be skipped (the fault injector's
+/// instruction-skip model) or mutate machine state first (its
+/// register/memory bit flips).
 ///
 /// A skipped instruction still counts against `max_steps` and the
 /// retired-instruction index — keeping hook indices aligned with a
@@ -1187,7 +1168,7 @@ mod tests {
         m.set_reg(Reg::R0, 8);
         m.set_reg(Reg::R1, 9);
         assert_eq!(
-            execute_fragment(&mut m, &p, 10, |_, _| {}),
+            execute_fragment_ctl(&mut m, &p, 10, |_, _| StepAction::Execute),
             Err(ExecError::MemOutOfRange { pc: 0, addr: 17 })
         );
         let mut a = Assembler::new();
@@ -1200,7 +1181,7 @@ mod tests {
         let mut m = Machine::new(16);
         m.set_reg(Reg::Sp, 15);
         assert_eq!(
-            execute_fragment(&mut m, &p, 10, |_, _| {}),
+            execute_fragment_ctl(&mut m, &p, 10, |_, _| StepAction::Execute),
             Err(ExecError::MemOutOfRange { pc: 0, addr: 17 })
         );
     }

@@ -60,9 +60,8 @@ pub mod trace;
 pub use cost::InstrClass;
 pub use energy::EnergyModel;
 pub use exec::{
-    execute, execute_fragment, execute_fragment_ctl, execute_predecoded, predecode,
-    predecode_cache_reset, predecode_cache_stats, predecode_with, ExecError, ExecStats, Predecoded,
-    StepAction,
+    execute, execute_fragment_ctl, execute_predecoded, predecode, predecode_cache_reset,
+    predecode_cache_stats, predecode_with, ExecError, ExecStats, Predecoded, StepAction,
 };
 pub use fault::{FaultKind, FaultPlan, FaultedRun, RecordedKernel};
 pub use isa::Instr;

@@ -94,14 +94,17 @@ impl AmortisationRow {
 }
 
 /// Counted amortisation of batch affine conversion per batch size
-/// (deterministic: the counted tier tallies operations, not time).
+/// (deterministic: the counted tier tallies operations, not time). The
+/// points come from the López-Dahab loop, the paper's coordinates: the
+/// counted EEA's cycles depend on each Z, and the host's λ loop ends on
+/// other projective representatives of the same points.
 pub fn batch_amortisation(sizes: &[usize]) -> Vec<AmortisationRow> {
-    let g = koblitz::generator();
+    let table = mul::precompute_table(&koblitz::generator(), 4);
     sizes
         .iter()
         .map(|&size| {
             let points: Vec<LdPoint> = (1..=size as u64)
-                .map(|i| mul::mul_wtnaf_proj(&g, &crate::workloads::scalar(i), 4))
+                .map(|i| mul::mul_wtnaf_with_table(&crate::workloads::scalar(i), 4, &table))
                 .collect();
             let batch = batch_to_affine_counted(&points);
             let individual: u64 = points

@@ -2,10 +2,16 @@
 //! point and window width.
 //!
 //! `TNAF_Precomputation` is the per-call setup cost of a random-point
-//! multiplication: [`precompute_table`] evaluates the 2^(w−2) − 1
+//! multiplication: [`Table::build`] evaluates the 2^(w−2) − 1
 //! non-trivial α_u·P in López-Dahab coordinates (a few Frobenius maps
 //! and mixed additions each) and converts them with one field
-//! inversion, which dominates a miss. Protocol traffic is heavily
+//! inversion, which dominates a miss. A base in the prime-order
+//! subgroup gets its table in λ-affine coordinates, for the host's λ
+//! loop; any other base (the torsion points, the other three cosets, an
+//! arbitrary [`Affine`] given to the public API) gets affine entries for
+//! the LD loop, because its multiples may reach (0, 1), which has no λ.
+//! The subgroup check that decides this runs once per miss, never on a
+//! hit ([`CacheStats::subgroup_checks`]). Protocol traffic is heavily
 //! skewed towards a few base points — a gateway verifies many
 //! signatures from the same few public keys, an ECDH responder
 //! re-derives against recurring peers — so repeated kP against the
@@ -16,23 +22,29 @@
 //!
 //! A verification key that recurs is a fixed base, like G. Its entry
 //! counts the double multiply's lookups ([`key_tables_for`]); the second
-//! one *promotes* the key, building its comb strips ([`key_comb`], 8
-//! strips of the w = 5 table) so every later verification runs the
-//! joint comb over 30 Frobenius maps instead of 239. A miss never
-//! builds strips, and [`table_for`] (kP, ECDH, admission warm-up)
-//! neither promotes nor reads them, so key churn pays for none.
+//! one *promotes* a key with a λ table, building its comb strips
+//! ([`key_comb`], 8 strips of the w = 5 table) so every later
+//! verification runs the joint comb over 30 Frobenius maps instead of
+//! 239. A miss never builds strips, a key outside the subgroup is never
+//! promoted, and [`table_for`] (kP, ECDH, admission warm-up) neither
+//! promotes nor reads them, so key churn pays for none.
 
 use crate::curve::Affine;
-use crate::mul::{key_comb, precompute_table, KeyTables, KP_WINDOW};
+use crate::mul::{key_comb, KeyTables, Table, KP_WINDOW};
+use crate::projective::LambdaPoint;
 use gf2m::N;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Maximum number of cached (point, width) entries. An `Affine` is 68
-/// bytes, so a w = 4 table (4 points) holds 272 bytes of coordinates and
-/// a promoted entry adds 8 strips of 8 points, 4 352 bytes: 4 624 bytes
-/// per promoted key, and at most 32 × 4 624 bytes ≈ 145 KiB of
-/// coordinates when every resident key is promoted — sized for "a
-/// gateway's worth" of recurring public keys, not for unbounded traffic.
+/// Maximum number of cached (point, width) entries. A [`LambdaPoint`]
+/// is 64 bytes, so a subgroup key's w = 4 table (4 points) holds 256
+/// bytes of coordinates and its promotion adds 8 strips of 8 points,
+/// 4 096 bytes: 4 352 bytes per promoted key, and at most
+/// 32 × 4 352 bytes = 136 KiB of coordinates when every resident key is
+/// promoted — sized for "a gateway's worth" of recurring public keys,
+/// not for unbounded traffic. An entry of width w holds 2^(w−2) points,
+/// at most 64 at w = 8; a base outside the subgroup holds 68-byte
+/// [`Affine`]s (272 bytes at w = 4, 4 352 at w = 8) and is never
+/// promoted.
 pub const CAPACITY: usize = 32;
 
 /// The double-multiply lookup that promotes a key: its second.
@@ -57,9 +69,9 @@ impl Key {
 
 struct Entry {
     key: Key,
-    table: Arc<Vec<Affine>>,
+    table: Table,
     /// The key's comb strips, once promoted.
-    strips: Option<Arc<Vec<Vec<Affine>>>>,
+    strips: Option<Arc<Vec<Vec<LambdaPoint>>>>,
     /// Double-multiply lookups so far (saturating).
     uses: u32,
     stamp: u64,
@@ -73,6 +85,7 @@ struct Lru {
     misses: u64,
     evictions: u64,
     promotions: u64,
+    subgroup_checks: u64,
 }
 
 /// Snapshot of the cache's hit/miss counters.
@@ -89,6 +102,9 @@ pub struct CacheStats {
     pub entries: usize,
     /// Keys given comb strips on their second double-multiply lookup.
     pub promotions: u64,
+    /// Prime-order subgroup checks run to choose a table's coordinates:
+    /// one per miss.
+    pub subgroup_checks: u64,
 }
 
 impl CacheStats {
@@ -125,14 +141,15 @@ fn lock_cache() -> MutexGuard<'static, Lru> {
 /// What one locked lookup found.
 enum Found {
     Miss,
-    Table(Arc<Vec<Affine>>),
+    Table(Table),
     /// A resident key on its promoting lookup, without strips yet.
     Promote,
-    Comb(Arc<Vec<Vec<Affine>>>),
+    Comb(Arc<Vec<Vec<LambdaPoint>>>),
 }
 
 /// Looks `key` up under the lock, counting a hit or a miss. A
-/// double-multiply lookup (`dm`) counts a use and reads the strips.
+/// double-multiply lookup (`dm`) of a λ entry counts a use and reads
+/// the strips.
 fn find(key: &Key, dm: bool) -> Found {
     let mut guard = lock_cache();
     let lru = &mut *guard;
@@ -143,8 +160,8 @@ fn find(key: &Key, dm: bool) -> Found {
     };
     lru.hits += 1;
     e.stamp = lru.clock;
-    if !dm {
-        return Found::Table(Arc::clone(&e.table));
+    if !dm || !e.table.is_lambda() {
+        return Found::Table(e.table.clone());
     }
     if let Some(strips) = &e.strips {
         return Found::Comb(Arc::clone(strips));
@@ -153,20 +170,22 @@ fn find(key: &Key, dm: bool) -> Found {
     if e.uses >= PROMOTE_AT {
         Found::Promote
     } else {
-        Found::Table(Arc::clone(&e.table))
+        Found::Table(e.table.clone())
     }
 }
 
-/// Builds the table for a missed `key` outside the lock and inserts it,
-/// evicting the least recently used entry when full. `uses` is the
-/// entry's initial double-multiply count.
-fn insert(p: &Affine, key: Key, uses: u32) -> Arc<Vec<Affine>> {
-    let table = Arc::new(precompute_table(p, key.w));
+/// Builds the table for a missed `key` outside the lock, with the
+/// subgroup check that picks its coordinates, and inserts it, evicting
+/// the least recently used entry when full. `uses` is the entry's
+/// initial double-multiply count.
+fn insert(p: &Affine, key: Key, uses: u32) -> Table {
+    let table = Table::build(p, key.w);
     let mut lru = lock_cache();
+    lru.subgroup_checks += 1;
     // Re-check: another thread may have inserted the same key while we
     // computed.
     if let Some(e) = lru.entries.iter().find(|e| e.key == key) {
-        return Arc::clone(&e.table);
+        return e.table.clone();
     }
     if lru.entries.len() >= CAPACITY {
         if let Some(victim) = lru
@@ -183,7 +202,7 @@ fn insert(p: &Affine, key: Key, uses: u32) -> Arc<Vec<Affine>> {
     let stamp = lru.clock;
     lru.entries.push(Entry {
         key,
-        table: Arc::clone(&table),
+        table: table.clone(),
         strips: None,
         uses,
         stamp,
@@ -195,7 +214,7 @@ fn insert(p: &Affine, key: Key, uses: u32) -> Arc<Vec<Affine>> {
 /// if it is still resident. A concurrent promotion of the same key may
 /// also build; the first to attach wins and the other's strips serve
 /// only its own call.
-fn promote(q: &Affine, key: Key) -> Arc<Vec<Vec<Affine>>> {
+fn promote(q: &Affine, key: Key) -> Arc<Vec<Vec<LambdaPoint>>> {
     let strips = Arc::new(key_comb(q));
     let mut lru = lock_cache();
     let Some(i) = lru.entries.iter().position(|e| e.key == key) else {
@@ -210,7 +229,8 @@ fn promote(q: &Affine, key: Key) -> Arc<Vec<Vec<Affine>>> {
 }
 
 /// Returns the wTNAF precomputation table for `p`, computing and
-/// caching it on first use. `p` must be a finite point (the point
+/// caching it on first use: λ-affine for a base in the prime-order
+/// subgroup, affine for any other. `p` must be a finite point (the point
 /// multiplication entry points dispatch infinity before any table
 /// work). A lookup here never promotes a key.
 ///
@@ -220,7 +240,7 @@ fn promote(q: &Affine, key: Key) -> Arc<Vec<Vec<Affine>>> {
 /// concurrent first lookups of the same key may both compute, and the
 /// loser's table is dropped (correctness is unaffected — tables are
 /// deterministic in the key).
-pub fn table_for(p: &Affine, w: u32) -> Arc<Vec<Affine>> {
+pub fn table_for(p: &Affine, w: u32) -> Table {
     debug_assert!(!p.is_infinity(), "precomputation needs a finite base");
     let key = Key::new(p, w);
     match find(&key, false) {
@@ -231,7 +251,8 @@ pub fn table_for(p: &Affine, w: u32) -> Arc<Vec<Affine>> {
 
 /// The double multiply's lookup of a verification key `q` (finite):
 /// its w = 4 table on a miss or the key's first double-multiply lookup,
-/// its comb strips from the second on. The lookup that promotes the
+/// its comb strips from the second on if the table is λ; a key outside
+/// the prime-order subgroup always gets its affine table. The lookup that promotes the
 /// key builds the strips outside the lock, like a miss builds a table.
 /// Counts hits and misses like [`table_for`], which shares the entry.
 pub fn key_tables_for(q: &Affine) -> KeyTables {
@@ -254,6 +275,7 @@ pub fn stats() -> CacheStats {
         evictions: lru.evictions,
         entries: lru.entries.len(),
         promotions: lru.promotions,
+        subgroup_checks: lru.subgroup_checks,
     }
 }
 
@@ -267,6 +289,7 @@ pub fn reset() {
     lru.misses = 0;
     lru.evictions = 0;
     lru.promotions = 0;
+    lru.subgroup_checks = 0;
 }
 
 #[cfg(test)]
@@ -274,6 +297,8 @@ mod tests {
     use super::*;
     use crate::curve::generator;
     use crate::int::Int;
+    use crate::mul::{mul_wtnaf, precompute_lambda_table, precompute_table};
+    use gf2m::Fe;
 
     // The cache is process-global and tests run concurrently; counter
     // assertions serialize on this lock so deltas are attributable.
@@ -292,7 +317,10 @@ mod tests {
         assert_eq!(t1, t2);
         let after = stats();
         assert!(after.hits > before.hits, "second lookup must hit");
-        assert_eq!(*t1, precompute_table(&p, KP_WINDOW));
+        assert_eq!(
+            t1,
+            Table::Lambda(Arc::new(precompute_lambda_table(&p, KP_WINDOW)))
+        );
     }
 
     #[test]
@@ -327,7 +355,10 @@ mod tests {
         assert!(matches!(key_tables_for(&p), KeyTables::Window(_)));
         assert!(matches!(key_tables_for(&p), KeyTables::Comb(_)));
         // A promoted key still serves kP its w = 4 table.
-        assert_eq!(*table_for(&p, KP_WINDOW), precompute_table(&p, KP_WINDOW));
+        assert_eq!(
+            table_for(&p, KP_WINDOW),
+            Table::Lambda(Arc::new(precompute_lambda_table(&p, KP_WINDOW)))
+        );
     }
 
     #[test]
@@ -346,7 +377,7 @@ mod tests {
         // over, unpromoted.
         assert_eq!(
             key_tables_for(&p),
-            KeyTables::Window(Arc::new(precompute_table(&p, KP_WINDOW)))
+            KeyTables::Window(Table::build(&p, KP_WINDOW))
         );
         assert!(!cache().is_poisoned());
     }
@@ -359,23 +390,87 @@ mod tests {
             let _ = key_tables_for(&q);
             assert!(matches!(key_tables_for(&q), KeyTables::Comb(_)));
         }
-        let point = std::mem::size_of::<Affine>();
-        assert_eq!(point, 68);
+        assert_eq!(std::mem::size_of::<LambdaPoint>(), 64);
+        assert_eq!(std::mem::size_of::<Affine>(), 68);
         let lru = lock_cache();
+        // Concurrent tests may leave other entries: unpromoted tables up
+        // to w = 8, λ or (for a coset base) affine.
         let bytes: usize = lru
             .entries
             .iter()
-            .map(|e| {
-                let strips = e
-                    .strips
-                    .as_ref()
-                    .map_or(0, |s| s.iter().map(Vec::len).sum());
-                (e.table.len() + strips) * point
+            .map(|e| match &e.table {
+                Table::Lambda(t) => {
+                    let strips = e
+                        .strips
+                        .as_ref()
+                        .map_or(0, |s| s.iter().map(Vec::len).sum());
+                    (t.len() + strips) * std::mem::size_of::<LambdaPoint>()
+                }
+                Table::Ld(t) => {
+                    assert!(e.strips.is_none(), "a coset key is never promoted");
+                    t.len() * std::mem::size_of::<Affine>()
+                }
             })
             .sum();
-        // The module doc's bound: 272 + 4 352 bytes per promoted key.
+        // The `CAPACITY` doc's bound: 256 + 4 096 bytes per promoted key
+        // (a w = 8 table holds at most 64 × 68 = 4 352 bytes too).
         assert!(lru.entries.len() <= CAPACITY);
-        assert!(bytes <= CAPACITY * 4_624, "{bytes} bytes resident");
+        assert!(bytes <= CAPACITY * 4_352, "{bytes} bytes resident");
+    }
+
+    /// The coset shifts of the order-n subgroup: the 2-torsion point
+    /// (0, 1) and the order-4 points ±(1, 1).
+    fn torsion() -> [Affine; 3] {
+        let q4 = Affine::Point {
+            x: Fe::ONE,
+            y: Fe::ONE,
+        };
+        [
+            Affine::Point {
+                x: Fe::ZERO,
+                y: Fe::ONE,
+            },
+            q4,
+            q4.negated(),
+        ]
+    }
+
+    #[test]
+    fn coset_bases_stay_on_the_ld_path() {
+        // Scalars below 2⁶⁴: the recoding leaves them unreduced, so kP
+        // equals k·P by double-and-add in every coset.
+        let k = Int::from(0x1234_5678_9abc_def1i64);
+        let (u1, u2) = (Int::from(0x0f1e_2d3c_4b5ai64), Int::from(0x7a69_5847i64));
+        let p = generator().mul_binary(&Int::from(0xc05e_7000i64));
+        for (j, t) in torsion().iter().enumerate() {
+            for base in [*t, p.add(t)] {
+                assert!(!base.is_in_prime_order_subgroup());
+                let table = table_for(&base, KP_WINDOW);
+                assert_eq!(
+                    table,
+                    Table::Ld(Arc::new(precompute_table(&base, KP_WINDOW)))
+                );
+                assert_eq!(
+                    mul_wtnaf(&base, &k, KP_WINDOW),
+                    base.mul_binary(&k),
+                    "coset {j}"
+                );
+                let want = generator().mul_binary(&u1).add(&base.mul_binary(&u2));
+                // A coset key is never promoted, however often it recurs.
+                for lookup in 0..3 {
+                    assert_eq!(
+                        key_tables_for(&base),
+                        KeyTables::Window(table.clone()),
+                        "coset {j} lookup {lookup}"
+                    );
+                    assert_eq!(
+                        crate::mul::double_multiply(&u1, &u2, &base),
+                        want,
+                        "coset {j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,19 @@
 //! The point formulas, written once over a field-ops backend.
 //!
-//! LD doubling (3M + 5S), mixed LD + affine addition (8M + 5S), the
-//! Frobenius map (3S), table-point negation, the conversion to affine
-//! (1I + 2M + 1S) and the Montgomery ladder's madd (4M + 1S) and
-//! mdouble (1M + 4S), each generic over [`FieldOps`]. The [`Host`]
-//! backend computes on [`Fe`] values, behind `LdPoint` and
+//! López-Dahab (LD): doubling (3M + 5S), mixed LD + affine addition
+//! (8M + 5S), the Frobenius map (3S), table-point negation, the
+//! conversion to affine (1I + 2M + 1S) and the Montgomery ladder's madd
+//! (4M + 1S) and mdouble (1M + 4S). λ-projective, for the host's τ-adic
+//! loops on points of odd order: mixed λ-projective + λ-affine addition
+//! (8M + 2S) with its doubling (4M + 4S), the Frobenius map (3S),
+//! negation (λ + 1, no multiplication), the conversion back to LD (1M)
+//! and the per-point part of the table conversion to λ-affine
+//! (3M + 1S around a shared inversion). The host runs λ because a
+//! squaring costs nearly a multiplication there; the modeled M0+ tier,
+//! where a squaring is a cheap table spread, keeps the paper's LD.
+//!
+//! Each formula is generic over [`FieldOps`]. The [`Host`] backend
+//! computes on [`Fe`] values, behind `LdPoint`, the λ loop of `mul` and
 //! `mul::montgomery_ladder`; `ModeledMul` computes on machine RAM slots
 //! with charged kernels. Each operation names its destination and
 //! returns it (the host ignores it, the model writes that slot), so the
@@ -12,7 +21,7 @@
 //! the slots named. The affine tier of `curve` is the formulas' oracle.
 
 use crate::curve::Affine;
-use crate::projective::LdPoint;
+use crate::projective::{LambdaPoint, LambdaProj, LdPoint};
 use gf2m::Fe;
 
 /// Field operations with a destination: `mul`, `sqr`, `add`, `copy` and
@@ -191,6 +200,166 @@ pub(crate) fn negate<F: FieldOps>(f: &mut F, dst: Xy<F::El>, q: Xy<F::El>) -> Xy
         x: f.copy(dst.x, q.x),
         y: f.add(dst.y, q.x, q.y),
     }
+}
+
+/// p + q by mixed λ-projective + λ-affine addition (Oliveira et al.,
+/// CHES 2013), 8M + 2S. p at infinity lifts q to Z = 1; equal x
+/// coordinates double p (P = Q) or give infinity (P = −Q). Both points
+/// must have odd order: a sum equal to (0, 1), which has no λ, would
+/// come out as infinity. Forced inline: the host's λ loop pays ~8 % of
+/// a kG for the call otherwise.
+#[inline(always)]
+pub(crate) fn lambda_add<F: FieldOps>(
+    f: &mut F,
+    p: LambdaProj<F::El>,
+    q: LambdaPoint<F::El>,
+) -> LambdaProj<F::El> {
+    if f.is_zero(p.z) {
+        return LambdaProj {
+            x: f.copy(p.x, q.x),
+            l: f.copy(p.l, q.l),
+            z: f.set_const(p.z, Fe::ONE),
+        };
+    }
+    let [xz, a, b, t, ab, ax, x3, z3, lz, abl] = f.scratch();
+    let xz = f.mul(xz, q.x, p.z); // x_Q·Z
+    let a = f.mul(a, q.l, p.z); // λ_Q·Z
+    let a = f.add(a, a, p.l); // A = L + λ_Q·Z
+    let b = f.add(b, p.x, xz); // X + x_Q·Z
+    let b = f.sqr(b, b); // B = (X + x_Q·Z)²
+    if f.is_zero(b) {
+        return lambda_add_equal_x(f, p, a);
+    }
+    let t = f.mul(t, a, xz); // T = A·x_Q·Z
+    let ax = f.mul(ax, a, p.x); // A·X
+    let x3 = f.mul(x3, t, ax); // X3 = T·A·X
+    let ab = f.mul(ab, a, b); // A·B
+    let z3 = f.mul(z3, ab, p.z); // Z3 = A·B·Z
+    let lz = f.add(lz, p.l, p.z); // L + Z
+    let abl = f.mul(abl, ab, lz); // A·B·(L + Z)
+    let t = f.add(t, t, b); // T + B
+    let t = f.sqr(t, t); // (T + B)²
+    let l3 = f.add(t, t, abl); // L3 = (T + B)² + A·B·(L + Z)
+    LambdaProj {
+        x: f.copy(p.x, x3),
+        l: f.copy(p.l, l3),
+        z: f.copy(p.z, z3),
+    }
+}
+
+/// [`lambda_add`]'s P = ±Q branch, given A = L + λ_Q·Z: 2P when A = 0,
+/// infinity otherwise. Out of line and cold: random scalars all but never
+/// reach it, and [`lambda_add`] is forced inline at each call site.
+#[cold]
+#[inline(never)]
+fn lambda_add_equal_x<F: FieldOps>(f: &mut F, p: LambdaProj<F::El>, a: F::El) -> LambdaProj<F::El> {
+    if f.is_zero(a) {
+        lambda_double(f, p)
+    } else {
+        LambdaProj {
+            x: f.set_const(p.x, Fe::ONE),
+            l: f.set_const(p.l, Fe::ZERO),
+            z: f.set_const(p.z, Fe::ZERO),
+        }
+    }
+}
+
+/// 2p in λ-projective coordinates with a = 0 (Oliveira et al., CHES
+/// 2013), 4M + 4S: T = L² + L·Z, X2 = T², Z2 = T·Z² and
+/// L2 = (X·Z)² + X2 + T·L·Z + Z2. Only [`lambda_add`]'s P = Q branch
+/// calls it; infinity stays as it is.
+#[inline]
+pub(crate) fn lambda_double<F: FieldOps>(f: &mut F, p: LambdaProj<F::El>) -> LambdaProj<F::El> {
+    if f.is_zero(p.z) {
+        return p;
+    }
+    let [t, lz, zz, xz, x2, z2, tlz, ..] = f.scratch();
+    let lz = f.mul(lz, p.l, p.z); // L·Z
+    let t = f.sqr(t, p.l); // L²
+    let t = f.add(t, t, lz); // T = L² + L·Z
+    let zz = f.sqr(zz, p.z); // Z²
+    let x2 = f.sqr(x2, t); // X2 = T²
+    let z2 = f.mul(z2, t, zz); // Z2 = T·Z²
+    let xz = f.mul(xz, p.x, p.z); // X·Z
+    let xz = f.sqr(xz, xz); // (X·Z)²
+    let tlz = f.mul(tlz, t, lz); // T·L·Z
+    let xz = f.add(xz, xz, x2); // (X·Z)² + X2
+    let xz = f.add(xz, xz, tlz); // … + T·L·Z
+    let l2 = f.add(xz, xz, z2); // L2
+    LambdaProj {
+        x: f.copy(p.x, x2),
+        l: f.copy(p.l, l2),
+        z: f.copy(p.z, z2),
+    }
+}
+
+/// τ(p) = (X², L², Z²), 3S: λ(τP) = λ(P)².
+#[inline(always)]
+pub(crate) fn lambda_frobenius<F: FieldOps>(f: &mut F, p: LambdaProj<F::El>) -> LambdaProj<F::El> {
+    LambdaProj {
+        x: f.sqr(p.x, p.x),
+        l: f.sqr(p.l, p.l),
+        z: f.sqr(p.z, p.z),
+    }
+}
+
+/// −q = (x, λ + 1) in dst: the λ table point a negative digit adds.
+#[inline]
+pub(crate) fn lambda_negate<F: FieldOps>(
+    f: &mut F,
+    dst: LambdaPoint<F::El>,
+    q: LambdaPoint<F::El>,
+) -> LambdaPoint<F::El> {
+    let one = f.set_const(dst.l, Fe::ONE);
+    LambdaPoint {
+        x: f.copy(dst.x, q.x),
+        l: f.add(dst.l, q.l, one),
+    }
+}
+
+/// p in LD coordinates, (X, X·(L + X), Z): y = x·(λ + x). 1M.
+#[inline(always)]
+pub(crate) fn lambda_to_ld<F: FieldOps>(f: &mut F, p: LambdaProj<F::El>) -> LdPoint<F::El> {
+    let [t, ..] = f.scratch();
+    if f.is_zero(p.z) {
+        return set_infinity(
+            f,
+            LdPoint {
+                x: p.x,
+                y: p.l,
+                z: p.z,
+            },
+        );
+    }
+    let t = f.add(t, p.l, p.x); // L + X
+    LdPoint {
+        x: p.x,
+        y: f.mul(p.l, p.x, t), // X·(L + X)
+        z: p.z,
+    }
+}
+
+/// X·Z: the element a batch inverts to take p to λ-affine. 1M.
+#[inline]
+pub(crate) fn lambda_denominator<F: FieldOps>(f: &mut F, p: LdPoint<F::El>) -> F::El {
+    let [t, ..] = f.scratch();
+    f.mul(t, p.x, p.z)
+}
+
+/// p in λ-affine coordinates given `inv` = (X·Z)⁻¹: x = X²·inv and
+/// λ = (X² + Y)·inv (x = X/Z, λ = x + y/x = (X² + Y)/(X·Z)). 2M + 1S.
+#[inline]
+pub(crate) fn to_lambda<F: FieldOps>(
+    f: &mut F,
+    p: LdPoint<F::El>,
+    inv: F::El,
+) -> LambdaPoint<F::El> {
+    let [x2, x, l, ..] = f.scratch();
+    let x2 = f.sqr(x2, p.x); // X²
+    let x = f.mul(x, x2, inv); // x = X²·inv
+    let x2 = f.add(x2, x2, p.y); // X² + Y
+    let l = f.mul(l, x2, inv); // λ = (X² + Y)·inv
+    LambdaPoint { x, l }
 }
 
 /// p's affine coordinates x = X·Z⁻¹, y = Y·(Z⁻¹)², in scratch elements 6
@@ -382,6 +551,83 @@ mod tests {
         double(&mut f, LdPoint::INFINITY);
         assert!(to_affine(&mut f, LdPoint::INFINITY).is_none());
         assert_eq!(f.take(), (0, 0, 0), "2·O and O → affine");
+    }
+
+    /// q in λ-affine coordinates: λ = x + y/x.
+    fn lam(q: &Affine) -> LambdaPoint {
+        LambdaPoint {
+            x: q.x(),
+            l: q.x() + q.y() * q.x().invert().expect("odd order"),
+        }
+    }
+
+    /// An LD point in λ-projective coordinates, (X², X² + Y, X·Z): Z ≠ 1
+    /// whenever the LD point's is.
+    fn lambda_proj(p: LdPoint) -> LambdaProj {
+        let x2 = p.x.square();
+        LambdaProj {
+            x: x2,
+            l: x2 + p.y,
+            z: p.x * p.z,
+        }
+    }
+
+    #[test]
+    fn lambda_formula_costs() {
+        let mut f = Counting::default();
+        let p = lambda_proj(scrubbed(5));
+        let q = lam(&multiple(11));
+        let p = lambda_add(&mut f, p, q);
+        assert_eq!(f.take(), (8, 2, 0), "λ mixed addition: 8M + 2S");
+
+        let p = lambda_frobenius(&mut f, p);
+        assert_eq!(f.take(), (0, 3, 0), "λ Frobenius: 3S");
+
+        let neg = lambda_negate(&mut f, q, q);
+        assert_eq!(f.take(), (0, 0, 0), "λ negation: additions only");
+        assert_eq!(neg.to_affine(), multiple(11).negated());
+
+        let ld = lambda_to_ld(&mut f, p);
+        assert_eq!(f.take(), (1, 0, 0), "λ → LD: 1M");
+        let want = scrubbed(5).add_affine(&multiple(11)).frobenius();
+        assert_eq!(ld.to_affine(), want.to_affine());
+
+        let inv = lambda_denominator(&mut f, want)
+            .invert()
+            .expect("odd order");
+        let entry = to_lambda(&mut f, want, inv);
+        assert_eq!(f.take(), (3, 1, 0), "table entry → λ-affine: 3M + 1S");
+        assert_eq!(entry, lam(&want.to_affine()));
+    }
+
+    #[test]
+    fn lambda_degenerate_branch_costs() {
+        let mut f = Counting::default();
+        let g = multiple(1);
+        let p = lambda_proj(scrubbed(1));
+        let p_aff = scrubbed(1).to_affine();
+
+        // O + Q lifts Q: no field multiplication.
+        let lifted = lambda_add(&mut f, LambdaProj::INFINITY, lam(&g));
+        assert_eq!(f.take(), (0, 0, 0), "O + Q");
+        assert_eq!(lambda_to_ld(&mut f, lifted).to_affine(), g);
+        f.take();
+
+        // P + P: the 2M + 1S that find B = A = 0, then a 4M + 4S doubling.
+        let twice = lambda_add(&mut f, p, lam(&p_aff));
+        assert_eq!(f.take(), (2 + 4, 1 + 4, 0), "P + P");
+        assert_eq!(lambda_to_ld(&mut f, twice).to_affine(), p_aff.double());
+        f.take();
+
+        // P + (−P): the 2M + 1S that find B = 0 ≠ A, then infinity.
+        let zero = lambda_add(&mut f, p, lam(&p_aff.negated()));
+        assert_eq!(f.take(), (2, 1, 0), "P − P");
+        assert!(f.is_zero(zero.z));
+
+        // Converting and doubling infinity cost nothing.
+        assert_eq!(lambda_to_ld(&mut f, zero), LdPoint::INFINITY);
+        lambda_double(&mut f, zero);
+        assert_eq!(f.take(), (0, 0, 0), "O → LD and 2·O");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   group law);
 //! * [`projective`] — López-Dahab projective coordinates: doubling,
 //!   mixed addition and the Frobenius map (the coordinate system of
-//!   §4.2);
+//!   §4.2, which the modeled tier keeps), and the λ coordinates the
+//!   host's τ-adic multiplications run on for points of odd order;
 //! * [`int`] — a small signed bignum for scalars and the recoding
 //!   oracle;
 //! * [`tnaf`] — τ-adic NAF machinery: Solinas partial reduction
@@ -20,10 +21,12 @@
 //!   modeled tier keeps; on the host a τ-adic comb of eight
 //!   Frobenius-shifted w = 8 strips) and the double multiply, all on
 //!   the host through one τ-adic Horner evaluator over (digit lane,
-//!   table) pairs, plus the Montgomery-ladder variant the paper's §5
-//!   proposes as future work;
-//! * [`cache`] — a bounded LRU of wTNAF precomputation tables so
-//!   repeated kP against the same base point skips the table build;
+//!   table) pairs, in λ coordinates for bases in the prime-order
+//!   subgroup and López-Dahab for any other, plus the Montgomery-ladder
+//!   variant the paper's §5 proposes as future work;
+//! * [`cache`] — a bounded LRU of wTNAF precomputation tables (λ for a
+//!   base in the subgroup, affine otherwise) so repeated kP against the
+//!   same base point skips the table build;
 //! * [`scalar`] — arithmetic modulo the group order (for ECDH/ECDSA);
 //! * [`modeled`] — the same point multiplication driven through
 //!   [`gf2m::modeled::ModeledField`], with every cycle attributed to the
@@ -53,7 +56,7 @@ pub mod tnaf;
 
 pub use curve::{generator, order, Affine};
 pub use int::Int;
-pub use projective::{batch_to_affine, LdPoint};
+pub use projective::{batch_to_affine, LambdaPoint, LdPoint};
 pub use scalar::{Scalar, U256};
 
 /// Field extension degree m = 233 (re-exported for recoding bounds).

@@ -5,14 +5,28 @@
 //! left-to-right Horner pass over *lanes*, each a digit string paired
 //! with the table its digits index. Step t does one Frobenius map, then
 //! adds each lane's non-zero digit t (±α_u from that lane's table) in
-//! lane order; a lane shorter than the longest reads 0 past its end. The
-//! callers differ only in the lanes they pass:
+//! lane order; a lane shorter than the longest reads 0 past its end.
+//!
+//! The tables' coordinates ([`TablePoint`]) fix the accumulator's. G
+//! and every base that passed [`Affine::is_in_prime_order_subgroup`]
+//! have λ-affine tables ([`LambdaPoint`], [`precompute_lambda_table`]),
+//! so the pass runs on λ-projective points: 8M + 2S per mixed addition
+//! instead of López-Dahab's 8M + 5S, which pays on the host, where a
+//! squaring costs nearly a multiplication. One multiplication takes the
+//! result back to LD, so every `*_proj` entry point still returns an
+//! [`LdPoint`]. The point (0, 1) has no λ, and a multiple of a base
+//! outside the subgroup may reach it, so every other base (the torsion
+//! points, the other three cosets, an arbitrary `Affine` given to the
+//! public API) keeps [`Affine`] tables and the LD pass, which is also
+//! the λ pass's oracle (the `ld/lambda` differential pair). The modeled
+//! M0+ tier keeps the paper's LD. The callers differ only in the lanes
+//! they pass:
 //!
 //! * [`mul_wtnaf`] — random-point kP with the left-to-right width-w
-//!   TNAF method (the paper uses w = 4), mixed LD-affine additions and
-//!   Frobenius in place of doublings: one lane, k's digits against P's
-//!   table ([`precompute_table`] builds each α_u·P the same way, from one
-//!   lane of α_u's τ-NAF against `[P]`);
+//!   TNAF method (the paper uses w = 4), mixed additions and Frobenius
+//!   in place of doublings: one lane, k's digits against P's cached
+//!   table ([`precompute_table`] builds each α_u·P the same way, from
+//!   one LD lane of α_u's τ-NAF against `[P]`);
 //! * [`mul_g`] — fixed-point kG. The paper's configuration is w = 6 with
 //!   a precomputed table of α_u·G ([`generator_table`], built once,
 //!   lazily — "offline" in the paper's accounting, which charges kG zero
@@ -24,25 +38,26 @@
 //!   lane j against strip j = τ^(jL)(α_u·G), so the pass costs 30
 //!   Frobenius maps instead of 239. It always runs L steps of d digit
 //!   slots, so the iteration count does not depend on the scalar. Its
-//!   static size is 8 × 64 = 512 affine points (~34 KiB, host only);
-//!   [`mul_g_horner`], the paper's one-lane loop, is its oracle;
+//!   static size is 8 × 64 = 512 λ points (32 KiB, host only);
+//!   [`mul_g_horner`], the paper's one-lane LD loop, is its oracle;
 //! * [`double_multiply`] — u₁·G + u₂·Q over one shared Frobenius pass.
 //!   A verification key recurs, so it is a fixed base too: on its second
-//!   double multiply the cache promotes it to a comb of its own
-//!   ([`key_comb`]: 8 strips of its w = 5 table, 64 points, 4.3 KiB),
-//!   and from then on the pass is one joint comb of 16 lanes over 30
-//!   Frobenius maps, u₁'s w = 8 digits against G's strips and u₂'s w = 5
-//!   digits against Q's ([`double_multiply_with_strips`]). A key seen
-//!   once runs two lanes over 239 maps, u₁ against the comb's strip 0 and
-//!   u₂'s w = 4 digits against Q's cached table
-//!   ([`double_multiply_with_table`]), the joint comb's reference;
+//!   double multiply the cache promotes a key of the subgroup to a comb
+//!   of its own ([`key_comb`]: 8 strips of its w = 5 table, 64 points,
+//!   4 KiB), and from then on the pass is one joint comb of 16 lanes
+//!   over 30 Frobenius maps, u₁'s w = 8 digits against G's strips and
+//!   u₂'s w = 5 digits against Q's ([`double_multiply_with_strips`]). A
+//!   key seen once, or outside the subgroup, runs two lanes over 239
+//!   maps, u₁ against the comb's strip 0 and u₂'s w = 4 digits against
+//!   Q's cached table ([`double_multiply_with_table`]), the joint comb's
+//!   reference;
 //! * [`montgomery_ladder`] — the constant-time x-only ladder the paper's
 //!   §5 names as the fix for its timing-variability caveat.
 
 use crate::curve::{generator, order, Affine};
 use crate::formulas::{self, Host, Xz};
 use crate::int::Int;
-use crate::projective::{batch_to_affine_with, LdPoint};
+use crate::projective::{batch_to_affine_with, batch_to_lambda, LambdaPoint, LambdaProj, LdPoint};
 use crate::scalar::U256;
 use crate::tnaf;
 use gf2m::Fe;
@@ -92,23 +107,47 @@ fn assert_window(w: u32) {
 /// at input-dependent addresses.
 ///
 /// Affine coordinates are canonical, so the table equals its oracle
-/// [`precompute_table_binary`] point for point.
+/// [`precompute_table_binary`] point for point. This is the LD loop's
+/// table ([`Table::Ld`]); the λ loop's is [`precompute_lambda_table`].
 ///
 /// # Panics
 ///
 /// Panics if `w` is outside 2..=8.
 pub fn precompute_table(p: &Affine, w: u32) -> Vec<Affine> {
-    assert_window(w);
-    let base = std::slice::from_ref(p);
-    let entries: Vec<LdPoint> = tnaf::window(w).alpha_tnafs()[1..]
-        .iter()
-        .map(|digits| eval_lanes(&[(digits, base)]))
-        .collect();
+    let entries = table_entries(p, w);
     std::iter::once(*p)
         .chain(batch_to_affine_with(
-            &entries,
+            &entries[1..],
             gf2m::batch::batch_invert_public,
         ))
+        .collect()
+}
+
+/// [`precompute_table`] in λ-affine coordinates, for the λ loop: the
+/// same α_u·p, evaluated the same way, then p and the 2^(w−2) − 1
+/// entries share **one** inversion of their products X·Z (3M + 1S per
+/// entry around it). p must have odd order; [`Table::build`] gives
+/// every other base [`precompute_table`].
+///
+/// # Panics
+///
+/// Panics if `w` is outside 2..=8, or if p or an entry is infinity or
+/// has x = 0 (p is not of odd order).
+pub fn precompute_lambda_table(p: &Affine, w: u32) -> Vec<LambdaPoint> {
+    batch_to_lambda(&table_entries(p, w))
+}
+
+/// p lifted to LD, then α_u·p for u = 3, 5, …, 2^(w−1) − 1 by the LD
+/// loop over α_u's plain τ-NAF against `[p]`.
+fn table_entries(p: &Affine, w: u32) -> Vec<LdPoint> {
+    assert_window(w);
+    let base = std::slice::from_ref(p);
+    std::iter::once(LdPoint::from_affine(p))
+        .chain(
+            tnaf::window(w).alpha_tnafs()[1..]
+                .iter()
+                .map(|digits| eval_lanes(&[(digits, base)])),
+        )
         .collect()
 }
 
@@ -142,39 +181,140 @@ pub fn precompute_table_binary(p: &Affine, w: u32) -> Vec<Affine> {
     out
 }
 
-/// Adds the table point for one non-zero wTNAF digit: ±`table[|d|/2]`.
-fn add_digit(acc: LdPoint, d: i8, table: &[Affine]) -> LdPoint {
-    let q = &table[d.unsigned_abs() as usize / 2];
-    if d > 0 {
-        acc.add_affine(q)
-    } else {
-        acc.sub_affine(q)
+/// The coordinate system a table's entries are in, which fixes the
+/// evaluator's accumulator: [`Affine`] entries run the López-Dahab loop
+/// (the oracle, and the path of every base outside the prime-order
+/// subgroup), [`LambdaPoint`] entries the λ loop (G and every base that
+/// passed [`Affine::is_in_prime_order_subgroup`]). Sealed.
+pub trait TablePoint: Copy + sealed::Coords {}
+
+impl TablePoint for Affine {}
+impl TablePoint for LambdaPoint {}
+
+mod sealed {
+    use super::*;
+
+    /// What the evaluator and the table builders need of a coordinate
+    /// system.
+    pub trait Coords: Sized + 'static {
+        /// The projective accumulator.
+        type Acc: Copy;
+        const INFINITY: Self::Acc;
+        fn frobenius(acc: Self::Acc) -> Self::Acc;
+        fn add(acc: Self::Acc, q: &Self) -> Self::Acc;
+        fn sub(acc: Self::Acc, q: &Self) -> Self::Acc;
+        fn to_ld(acc: Self::Acc) -> LdPoint;
+        /// p's wTNAF table.
+        fn table(p: &Affine, w: u32) -> Vec<Self>;
+        /// τⁿ of a public point: both coordinates squared n times.
+        fn tau_n(&self, n: usize) -> Self;
+        /// The kG comb's strips in this coordinate system, built once.
+        fn generator_comb() -> &'static [Vec<Self>];
+    }
+
+    impl Coords for Affine {
+        type Acc = LdPoint;
+        const INFINITY: LdPoint = LdPoint::INFINITY;
+        #[inline]
+        fn frobenius(acc: LdPoint) -> LdPoint {
+            acc.frobenius()
+        }
+        #[inline]
+        fn add(acc: LdPoint, q: &Affine) -> LdPoint {
+            acc.add_affine(q)
+        }
+        #[inline]
+        fn sub(acc: LdPoint, q: &Affine) -> LdPoint {
+            acc.sub_affine(q)
+        }
+        #[inline]
+        fn to_ld(acc: LdPoint) -> LdPoint {
+            acc
+        }
+        fn table(p: &Affine, w: u32) -> Vec<Affine> {
+            precompute_table(p, w)
+        }
+        fn tau_n(&self, n: usize) -> Affine {
+            match *self {
+                Affine::Infinity => Affine::Infinity,
+                Affine::Point { x, y } => Affine::Point {
+                    x: x.square_n_public(n),
+                    y: y.square_n_public(n),
+                },
+            }
+        }
+        fn generator_comb() -> &'static [Vec<Affine>] {
+            static COMB: OnceLock<Vec<Vec<Affine>>> = OnceLock::new();
+            COMB.get_or_init(build_generator_comb)
+        }
+    }
+
+    // Forced inline: see `eval_lanes`.
+    impl Coords for LambdaPoint {
+        type Acc = LambdaProj;
+        const INFINITY: LambdaProj = LambdaProj::INFINITY;
+        #[inline(always)]
+        fn frobenius(acc: LambdaProj) -> LambdaProj {
+            formulas::lambda_frobenius(&mut Host, acc)
+        }
+        #[inline(always)]
+        fn add(acc: LambdaProj, q: &LambdaPoint) -> LambdaProj {
+            formulas::lambda_add(&mut Host, acc, *q)
+        }
+        #[inline(always)]
+        fn sub(acc: LambdaProj, q: &LambdaPoint) -> LambdaProj {
+            let q = formulas::lambda_negate(&mut Host, *q, *q);
+            formulas::lambda_add(&mut Host, acc, q)
+        }
+        #[inline(always)]
+        fn to_ld(acc: LambdaProj) -> LdPoint {
+            formulas::lambda_to_ld(&mut Host, acc)
+        }
+        fn table(p: &Affine, w: u32) -> Vec<LambdaPoint> {
+            precompute_lambda_table(p, w)
+        }
+        fn tau_n(&self, n: usize) -> LambdaPoint {
+            LambdaPoint {
+                x: self.x.square_n_public(n),
+                l: self.l.square_n_public(n),
+            }
+        }
+        fn generator_comb() -> &'static [Vec<LambdaPoint>] {
+            static COMB: OnceLock<Vec<Vec<LambdaPoint>>> = OnceLock::new();
+            COMB.get_or_init(build_generator_comb)
+        }
     }
 }
 
 /// The τ-adic evaluator behind every host multiplication: Horner's
 /// rule over t = L − 1 down to 0, L the longest lane. Each step is one
-/// Frobenius map, then one [`add_digit`] per lane, in lane order, for
-/// each non-zero digit t of that lane against that lane's table (a
-/// short lane reads 0 past its end). A plain τ-NAF (digits ±1)
-/// evaluates against the one-entry table `[p]`. The result stays in LD
-/// projective coordinates so batch callers can defer the affine
-/// conversion — and its inversion — to a Montgomery batch boundary.
-fn eval_lanes(lanes: &[(&[i8], &[Affine])]) -> LdPoint {
+/// Frobenius map, then, in lane order, one mixed addition of
+/// ±`table[|d|/2]` for each non-zero digit d at t of a lane against
+/// that lane's table (a short lane reads 0 past its end). A plain τ-NAF
+/// (digits ±1) evaluates against the one-entry table `[p]`. The
+/// accumulator is the tables' coordinate system's ([`TablePoint`]);
+/// the result comes back in LD projective coordinates so batch callers
+/// can defer the affine conversion — and its inversion — to a
+/// Montgomery batch boundary.
+///
+/// The λ addition is forced inline and the lanes are a plain loop: in
+/// a micro-benchmark the out-of-line formula call cost the λ kG
+/// ~8 % and a fold over the lanes seeded with the Frobenius image
+/// another ~5–7 %.
+fn eval_lanes<P: TablePoint>(lanes: &[(&[i8], &[P])]) -> LdPoint {
     let l = lanes.iter().map(|(d, _)| d.len()).max().unwrap_or(0);
-    let mut acc = LdPoint::INFINITY;
+    let mut acc = P::INFINITY;
     for t in (0..l).rev() {
-        // Seeding the lane fold with the Frobenius image, rather than
-        // assigning it first, ran kP and the double multiply ~3 % faster
-        // in a micro-benchmark.
-        acc = lanes.iter().fold(acc.frobenius(), |acc, &(digits, table)| {
+        acc = P::frobenius(acc);
+        for &(digits, table) in lanes {
             match digits.get(t) {
-                Some(&d) if d != 0 => add_digit(acc, d, table),
-                _ => acc,
+                Some(&d) if d > 0 => acc = P::add(acc, &table[d as usize / 2]),
+                Some(&d) if d < 0 => acc = P::sub(acc, &table[d.unsigned_abs() as usize / 2]),
+                _ => {}
             }
-        });
+        }
     }
-    acc
+    P::to_ld(acc)
 }
 
 /// Random-point multiplication k·P by the left-to-right width-w TNAF
@@ -196,14 +336,31 @@ pub fn mul_wtnaf(p: &Affine, k: impl Into<U256>, w: u32) -> Affine {
 
 /// [`mul_wtnaf`] without the final affine conversion: the result stays
 /// in LD coordinates for a later [`crate::projective::batch_to_affine`].
+/// The cached [`Table`] decides the loop: λ for a base in the
+/// prime-order subgroup, LD for any other.
 pub fn mul_wtnaf_proj(p: &Affine, k: impl Into<U256>, w: u32) -> LdPoint {
     let k = k.into();
     if k.is_zero() || p.is_infinity() {
         return LdPoint::INFINITY;
     }
     let digits = tnaf::recode(k, w);
-    let table = crate::cache::table_for(p, w);
-    eval_lanes(&[(&digits, &table)])
+    match crate::cache::table_for(p, w) {
+        Table::Lambda(table) => eval_lanes(&[(&digits, table.as_slice())]),
+        Table::Ld(table) => eval_lanes(&[(&digits, table.as_slice())]),
+    }
+}
+
+/// k·P from P's width-w table given explicitly, uncached: one lane of
+/// k's w-digits. With [`precompute_table`]'s affine table this is the
+/// LD oracle of [`mul_wtnaf_proj`]'s λ loop.
+///
+/// # Panics
+///
+/// Panics if `table` does not hold 2^(w−2) points, or as [`mul_wtnaf`].
+pub fn mul_wtnaf_with_table<P: TablePoint>(k: impl Into<U256>, w: u32, table: &[P]) -> LdPoint {
+    assert_window(w);
+    assert_eq!(table.len(), 1 << (w - 2), "a width-{w} table");
+    eval_lanes(&[(&tnaf::recode(k, w), table)])
 }
 
 /// Plain-TNAF multiplication (w = 1): no precomputation beyond ±P.
@@ -231,48 +388,44 @@ fn comb_strip_len(strips: usize) -> usize {
 }
 
 /// The comb strips over `table` (strip 0): strip j is strip j − 1 with
-/// both affine coordinates squared L times, i.e. τ^(jL) of `table`. The
-/// base is public (G or a verification key), so the squarings run as
+/// both coordinates squared L times, i.e. τ^(jL) of `table`. The base is
+/// public (G or a verification key), so the squarings run as
 /// [`Fe::square_n_public`] (at L = 30 one table-driven linear map).
-fn comb_strips(table: Vec<Affine>, strips: usize) -> Vec<Vec<Affine>> {
+fn comb_strips<P: TablePoint>(table: Vec<P>, strips: usize) -> Vec<Vec<P>> {
     let l = comb_strip_len(strips);
-    let tau_l = |p: &Affine| match *p {
-        Affine::Infinity => Affine::Infinity,
-        Affine::Point { x, y } => Affine::Point {
-            x: x.square_n_public(l),
-            y: y.square_n_public(l),
-        },
-    };
     let mut out = vec![table];
     while out.len() < strips {
-        let next = out[out.len() - 1].iter().map(tau_l).collect();
+        let next = out[out.len() - 1].iter().map(|p| p.tau_n(l)).collect();
         out.push(next);
     }
     out
 }
 
+/// The kG comb's strips, built from G's w = 8 table in `P`'s
+/// coordinates.
+fn build_generator_comb<P: TablePoint>() -> Vec<Vec<P>> {
+    comb_strips(P::table(&generator(), KG_COMB_WINDOW), KG_COMB_STRIPS)
+}
+
 /// The host kG comb: [`KG_COMB_STRIPS`] strips of the w = 8 table, strip
-/// j holding τ^(jL)(α_u·G) for L = 30, built once (one table inversion
-/// plus 7 × 64 pairs of 30-fold squarings). 512 affine points, ~34 KiB.
-/// Strip 0 is `precompute_table(&G, 8)`, which the double multiply
-/// also reads.
-pub fn generator_comb() -> &'static [Vec<Affine>] {
-    static COMB: OnceLock<Vec<Vec<Affine>>> = OnceLock::new();
-    COMB.get_or_init(|| {
-        comb_strips(
-            precompute_table(&generator(), KG_COMB_WINDOW),
-            KG_COMB_STRIPS,
-        )
-    })
+/// j holding τ^(jL)(α_u·G) for L = 30, built once per coordinate system
+/// (one table inversion plus 7 × 64 pairs of 30-fold squarings). 512
+/// points, 32 KiB as [`LambdaPoint`]s, the strips [`mul_g_proj`] and the
+/// double multiply read. The [`Affine`] comb (~34 KiB) is built only
+/// when something asks for it: the LD oracle, and the double multiply
+/// of a key outside the prime-order subgroup, which reads its strip 0.
+/// Strip 0 is `P`'s table of G at w = 8.
+pub fn generator_comb<P: TablePoint>() -> &'static [Vec<P>] {
+    P::generator_comb()
 }
 
 /// The comb's lanes: a padded digit string cut into chunks of L =
 /// [`comb_strip_len`], chunk j paired with strip j (digit jL + t is
 /// lane j's digit t). One chunk per strip; the last may be shorter.
-fn comb_lanes<'a>(
+fn comb_lanes<'a, P: TablePoint>(
     digits: &'a [i8],
-    strips: &'a [Vec<Affine>],
-) -> impl Iterator<Item = (&'a [i8], &'a [Affine])> {
+    strips: &'a [Vec<P>],
+) -> impl Iterator<Item = (&'a [i8], &'a [P])> {
     let l = comb_strip_len(strips.len());
     debug_assert!(digits.len() <= l * strips.len());
     digits.chunks(l).zip(strips.iter().map(Vec::as_slice))
@@ -281,11 +434,11 @@ fn comb_lanes<'a>(
 /// Fixed-point multiplication k·G: the w = 8 digits of k cut into
 /// [`KG_COMB_STRIPS`] lanes of 30, lane j evaluated against strip j of
 /// [`generator_comb`] in one Horner pass — 30 Frobenius maps and ~26
-/// additions, where the paper's one-lane loop ([`mul_g_horner`]) pays
-/// 239 and ~34. The pass always runs 30 steps of 8 digit slots, so its
-/// iteration count stays independent of the scalar. Same canonical
-/// affine result as the paper's kG; the modeled M0+ kG keeps the
-/// paper's 16-point w = 6 table.
+/// λ additions, where the paper's one-lane loop ([`mul_g_horner`]) pays
+/// 239 and ~34 LD ones. The pass always runs 30 steps of 8 digit slots,
+/// so its iteration count stays independent of the scalar. Same
+/// canonical affine result as the paper's kG; the modeled M0+ kG keeps
+/// the paper's 16-point w = 6 table.
 ///
 /// # Panics
 ///
@@ -300,8 +453,21 @@ pub fn mul_g_proj(k: impl Into<U256>) -> LdPoint {
     if k.is_zero() {
         return LdPoint::INFINITY;
     }
+    mul_g_with_strips(k, generator_comb::<LambdaPoint>())
+}
+
+/// k·G by the comb over explicit strips: k's w = 8 digits in
+/// [`KG_COMB_STRIPS`] lanes, lane j against `strips[j]`. On
+/// [`generator_comb`]`::<Affine>()` this is the LD oracle of
+/// [`mul_g_proj`].
+///
+/// # Panics
+///
+/// Panics unless `strips` has [`KG_COMB_STRIPS`] strips.
+pub fn mul_g_with_strips<P: TablePoint>(k: impl Into<U256>, strips: &[Vec<P>]) -> LdPoint {
+    assert_eq!(strips.len(), KG_COMB_STRIPS, "one strip per comb lane");
     let digits = tnaf::recode(k, KG_COMB_WINDOW);
-    let mut lanes = comb_lanes(&digits, generator_comb());
+    let mut lanes = comb_lanes(&digits, strips);
     let lanes: [_; KG_COMB_STRIPS] =
         std::array::from_fn(|_| lanes.next().expect("one digit chunk per strip"));
     eval_lanes(&lanes)
@@ -318,20 +484,72 @@ pub fn mul_g_horner(k: impl Into<U256>) -> LdPoint {
 /// strips of Q's w = [`KEY_COMB_WINDOW`] table, strip j holding
 /// τ^(30j)(α_u·Q), built exactly as [`generator_comb`] builds G's (one
 /// table inversion plus 7 × 2^(w−2) pairs of 30-fold squarings).
-/// [`crate::cache`] builds them for a key on its second double-multiply
-/// lookup.
-pub fn key_comb(q: &Affine) -> Vec<Vec<Affine>> {
-    comb_strips(precompute_table(q, KEY_COMB_WINDOW), KG_COMB_STRIPS)
+/// [`crate::cache`] builds the [`LambdaPoint`] strips for a key in the
+/// prime-order subgroup on its second double-multiply lookup; the
+/// [`Affine`] strips serve the LD oracle.
+///
+/// # Panics
+///
+/// As [`precompute_lambda_table`] for `P = LambdaPoint`.
+pub fn key_comb<P: TablePoint>(q: &Affine) -> Vec<Vec<P>> {
+    comb_strips(P::table(q, KEY_COMB_WINDOW), KG_COMB_STRIPS)
+}
+
+/// A base point's wTNAF table as [`crate::cache`] serves it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Table {
+    /// λ-affine entries ([`precompute_lambda_table`]) for the λ loop: a
+    /// base in the prime-order subgroup.
+    Lambda(Arc<Vec<LambdaPoint>>),
+    /// Affine entries ([`precompute_table`]) for the LD loop: any other
+    /// base, whose multiples may reach (0, 1), which has no λ.
+    Ld(Arc<Vec<Affine>>),
+}
+
+impl Table {
+    /// p's table at width `w` (p finite): λ-affine if p passes
+    /// [`Affine::is_in_prime_order_subgroup`], affine otherwise. The
+    /// cache runs this, and so the check, once per miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is outside 2..=8.
+    pub fn build(p: &Affine, w: u32) -> Table {
+        if p.is_in_prime_order_subgroup() {
+            Table::Lambda(Arc::new(precompute_lambda_table(p, w)))
+        } else {
+            Table::Ld(Arc::new(precompute_table(p, w)))
+        }
+    }
+
+    /// Whether the entries are λ-affine.
+    pub fn is_lambda(&self) -> bool {
+        matches!(self, Table::Lambda(_))
+    }
+
+    /// Number of entries, 2^(w−2).
+    pub fn len(&self) -> usize {
+        match self {
+            Table::Lambda(t) => t.len(),
+            Table::Ld(t) => t.len(),
+        }
+    }
+
+    /// Whether the table has no entries (never, for a built table).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// Q's precomputation as the double multiply reads it, from
 /// [`crate::cache::key_tables_for`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum KeyTables {
-    /// A key not yet promoted: its w = [`KP_WINDOW`] table.
-    Window(Arc<Vec<Affine>>),
-    /// A recurring key: its [`key_comb`] strips.
-    Comb(Arc<Vec<Vec<Affine>>>),
+    /// A key not yet promoted, or outside the prime-order subgroup: its
+    /// w = [`KP_WINDOW`] table.
+    Window(Table),
+    /// A recurring key of the subgroup: its [`key_comb`] strips.
+    Comb(Arc<Vec<Vec<LambdaPoint>>>),
 }
 
 /// Simultaneous double multiplication u₁·G + u₂·Q by interleaved
@@ -341,12 +559,14 @@ pub enum KeyTables {
 /// random-point multiplication. Q's tables come from the cache
 /// ([`crate::cache::key_tables_for`]), which decides the lanes:
 ///
-/// * a key on its first double-multiply lookup runs two lanes over 239
-///   Frobenius maps ([`double_multiply_with_table`]): u₁ at w = 8
+/// * a key on its first double-multiply lookup runs two λ lanes over
+///   239 Frobenius maps ([`double_multiply_with_table`]): u₁ at w = 8
 ///   against the comb's strip 0, u₂ at w = 4 against Q's table;
-/// * a key seen before runs the joint comb over 30 Frobenius maps
+/// * a key seen before runs the λ joint comb over 30 Frobenius maps
 ///   ([`double_multiply_with_strips`]): u₁'s 8 lanes against G's strips,
-///   then u₂'s 8 lanes at w = [`KEY_COMB_WINDOW`] against Q's.
+///   then u₂'s 8 lanes at w = [`KEY_COMB_WINDOW`] against Q's;
+/// * a key outside the prime-order subgroup always runs the two lanes in
+///   LD, against the [`Affine`] comb's strip 0 and Q's affine table.
 ///
 /// # Panics
 ///
@@ -368,42 +588,49 @@ pub fn double_multiply_proj(u1: impl Into<U256>, u2: impl Into<U256>, q: &Affine
         return mul_wtnaf_proj(q, u2, KP_WINDOW);
     }
     match crate::cache::key_tables_for(q) {
-        KeyTables::Window(table) => double_multiply_with_table(u1, u2, &table),
+        KeyTables::Window(Table::Lambda(table)) => double_multiply_with_table(u1, u2, &table),
+        KeyTables::Window(Table::Ld(table)) => double_multiply_with_table(u1, u2, &table),
         KeyTables::Comb(strips) => double_multiply_with_strips(u1, u2, &strips),
     }
 }
 
 /// u₁·G + u₂·Q in two lanes over 239 Frobenius maps: u₁'s w = 8 digits
-/// against the comb's strip 0, then u₂'s w = 4 digits against `table_q`,
-/// Q's [`precompute_table`] at [`KP_WINDOW`]. The path of a key seen
-/// once, and the reference of the joint comb.
-pub fn double_multiply_with_table(
+/// against strip 0 of [`generator_comb`] in `P`'s coordinates, then
+/// u₂'s w = 4 digits against `table_q`, Q's table at [`KP_WINDOW`]. The
+/// path of a key seen once, and the reference of the joint comb.
+///
+/// # Panics
+///
+/// Panics unless `table_q` holds 2^([`KP_WINDOW`] − 2) points.
+pub fn double_multiply_with_table<P: TablePoint>(
     u1: impl Into<U256>,
     u2: impl Into<U256>,
-    table_q: &[Affine],
+    table_q: &[P],
 ) -> LdPoint {
+    assert_eq!(table_q.len(), 1 << (KP_WINDOW - 2), "a width-4 table");
     let d1 = tnaf::recode(u1, KG_COMB_WINDOW);
     let d2 = tnaf::recode(u2, KP_WINDOW);
-    eval_lanes(&[(&d1, &generator_comb()[0]), (&d2, table_q)])
+    eval_lanes(&[(&d1, &generator_comb::<P>()[0]), (&d2, table_q)])
 }
 
 /// u₁·G + u₂·Q as one joint comb over 30 Frobenius maps: u₁'s w = 8
-/// digits in 8 lanes against [`generator_comb`], then u₂'s w =
-/// [`KEY_COMB_WINDOW`] digits in 8 lanes against `strips_q`, Q's
-/// [`key_comb`]. Same point as [`double_multiply_with_table`].
+/// digits in 8 lanes against [`generator_comb`] in `P`'s coordinates,
+/// then u₂'s w = [`KEY_COMB_WINDOW`] digits in 8 lanes against
+/// `strips_q`, Q's [`key_comb`]. Same point as
+/// [`double_multiply_with_table`].
 ///
 /// # Panics
 ///
 /// Panics unless `strips_q` has [`KG_COMB_STRIPS`] strips.
-pub fn double_multiply_with_strips(
+pub fn double_multiply_with_strips<P: TablePoint>(
     u1: impl Into<U256>,
     u2: impl Into<U256>,
-    strips_q: &[Vec<Affine>],
+    strips_q: &[Vec<P>],
 ) -> LdPoint {
     assert_eq!(strips_q.len(), KG_COMB_STRIPS, "one strip per comb lane");
     let d1 = tnaf::recode(u1, KG_COMB_WINDOW);
     let d2 = tnaf::recode(u2, KEY_COMB_WINDOW);
-    let mut lanes = comb_lanes(&d1, generator_comb()).chain(comb_lanes(&d2, strips_q));
+    let mut lanes = comb_lanes(&d1, generator_comb::<P>()).chain(comb_lanes(&d2, strips_q));
     let lanes: [_; 2 * KG_COMB_STRIPS] =
         std::array::from_fn(|_| lanes.next().expect("one digit chunk per strip"));
     eval_lanes(&lanes)
@@ -654,16 +881,24 @@ mod tests {
     }
 
     /// u₁·G + u₂·Q along every double-multiply path: a fresh key's two
-    /// lanes and a promoted key's joint comb, each on explicit tables,
-    /// then the cached entry point twice, which runs both for a key it
-    /// has not seen.
-    fn double_multiply_paths(u1: &Int, u2: &Int, q: &Affine) -> [Affine; 4] {
-        [
+    /// lanes and a promoted key's joint comb, each on explicit LD tables
+    /// and, for a key in the subgroup, on λ tables, then the cached entry
+    /// point twice, which runs both for a key of the subgroup it has not
+    /// seen.
+    fn double_multiply_paths(u1: &Int, u2: &Int, q: &Affine) -> Vec<Affine> {
+        let mut out = vec![
             double_multiply_with_table(u1, u2, &precompute_table(q, KP_WINDOW)).to_affine(),
-            double_multiply_with_strips(u1, u2, &key_comb(q)).to_affine(),
-            double_multiply(u1, u2, q),
-            double_multiply(u1, u2, q),
-        ]
+            double_multiply_with_strips(u1, u2, &key_comb::<Affine>(q)).to_affine(),
+        ];
+        if q.is_in_prime_order_subgroup() {
+            let table = precompute_lambda_table(q, KP_WINDOW);
+            out.push(double_multiply_with_table(u1, u2, &table).to_affine());
+            let strips = key_comb::<LambdaPoint>(q);
+            out.push(double_multiply_with_strips(u1, u2, &strips).to_affine());
+        }
+        out.push(double_multiply(u1, u2, q));
+        out.push(double_multiply(u1, u2, q));
+        out
     }
 
     #[test]
@@ -733,20 +968,13 @@ mod tests {
         out
     }
 
-    #[test]
-    fn comb_matches_horner_at_every_strip_count() {
-        let strip0 = &generator_comb()[0];
-        let cases: Vec<(Int, Affine)> = comb_scalars()
-            .into_iter()
-            .map(|k| {
-                let want = mul_g_horner(&k).to_affine();
-                (k, want)
-            })
-            .collect();
+    /// The comb in `P`'s coordinates over 1..=8 strips against `cases`.
+    fn assert_comb_matches<P: TablePoint>(cases: &[(Int, Affine)]) {
+        let strip0 = &generator_comb::<P>()[0];
         for d in 1..=KG_COMB_STRIPS {
             let strips = comb_strips(strip0.clone(), d);
             assert_eq!(strips.len(), d);
-            for (k, want) in &cases {
+            for (k, want) in cases {
                 let digits = tnaf::recode(k, KG_COMB_WINDOW);
                 let lanes: Vec<_> = comb_lanes(&digits, &strips).collect();
                 assert_eq!(lanes.len(), d);
@@ -754,6 +982,23 @@ mod tests {
                 assert_eq!(got, *want, "d = {d}, k = {k}");
             }
         }
+        for (k, want) in cases {
+            let got = mul_g_with_strips(k, generator_comb::<P>()).to_affine();
+            assert_eq!(got, *want, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn comb_matches_horner_at_every_strip_count() {
+        let cases: Vec<(Int, Affine)> = comb_scalars()
+            .into_iter()
+            .map(|k| {
+                let want = mul_g_horner(&k).to_affine();
+                (k, want)
+            })
+            .collect();
+        assert_comb_matches::<LambdaPoint>(&cases);
+        assert_comb_matches::<Affine>(&cases);
         for (k, want) in &cases {
             assert_eq!(mul_g(k), *want, "k = {k}");
         }
@@ -761,22 +1006,90 @@ mod tests {
 
     #[test]
     fn comb_strip_zero_is_the_w8_table() {
-        let comb = generator_comb();
+        let comb = generator_comb::<LambdaPoint>();
         assert_eq!(comb.len(), KG_COMB_STRIPS);
         assert_eq!(comb_strip_len(KG_COMB_STRIPS), 30);
         assert!(comb.iter().all(|strip| strip.len() == 64));
-        assert_eq!(comb[0], precompute_table_binary(&generator(), 8));
+        let want = precompute_table_binary(&generator(), 8);
+        let strip0: Vec<Affine> = comb[0].iter().map(LambdaPoint::to_affine).collect();
+        assert_eq!(strip0, want);
+        assert_eq!(generator_comb::<Affine>()[0], want);
     }
 
     #[test]
     fn comb_strip_j_is_strip_zero_after_jl_frobenius_maps() {
-        let comb = generator_comb();
         let l = comb_strip_len(KG_COMB_STRIPS);
-        let mut shifted = comb[0].clone();
-        for (j, strip) in comb.iter().enumerate() {
-            assert_eq!(*strip, shifted, "strip {j}");
+        let ld = generator_comb::<Affine>();
+        let lambda = generator_comb::<LambdaPoint>();
+        let mut shifted = ld[0].clone();
+        for (j, (strip, strip_l)) in ld.iter().zip(lambda).enumerate() {
+            assert_eq!(*strip, shifted, "LD strip {j}");
+            let strip_l: Vec<Affine> = strip_l.iter().map(LambdaPoint::to_affine).collect();
+            assert_eq!(strip_l, shifted, "λ strip {j}");
             for _ in 0..l {
                 shifted = shifted.iter().map(Affine::frobenius).collect();
+            }
+        }
+    }
+
+    #[test]
+    fn lambda_table_matches_the_binary_oracle() {
+        // G (seed 0) and seeded multiples: the bases λ serves.
+        let g = generator();
+        for seed in 0..=6u64 {
+            let p = if seed == 0 {
+                g
+            } else {
+                g.mul_binary(&scalar(seed + 950))
+            };
+            for w in 2..=8 {
+                let got: Vec<Affine> = precompute_lambda_table(&p, w)
+                    .iter()
+                    .map(LambdaPoint::to_affine)
+                    .collect();
+                assert_eq!(got, precompute_table_binary(&p, w), "seed {seed} w = {w}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "λ coordinates need a point of odd order")]
+    fn lambda_table_rejects_the_two_torsion_point() {
+        precompute_lambda_table(&torsion()[0], KP_WINDOW);
+    }
+
+    #[test]
+    fn tables_are_lambda_exactly_in_the_subgroup() {
+        let q = generator().mul_binary(&Int::from(4242i64));
+        let built = Table::build(&q, KP_WINDOW);
+        assert_eq!(
+            built,
+            Table::Lambda(Arc::new(precompute_lambda_table(&q, KP_WINDOW)))
+        );
+        assert_eq!(built.len(), 4);
+        for t in torsion() {
+            for base in [t, q.add(&t)] {
+                let built = Table::build(&base, KP_WINDOW);
+                assert_eq!(
+                    built,
+                    Table::Ld(Arc::new(precompute_table(&base, KP_WINDOW)))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lambda_and_ld_loops_agree_on_kp() {
+        // The λ loop against the LD oracle, both on explicit tables, and
+        // the cached entry point, on the scalar edges and seeded scalars.
+        let q = generator().mul_binary(&Int::from(0x5eed_1234i64));
+        for w in [2u32, 4, 5, 8] {
+            let ld = precompute_table(&q, w);
+            let lambda = precompute_lambda_table(&q, w);
+            for k in comb_scalars() {
+                let want = mul_wtnaf_with_table(&k, w, &ld).to_affine();
+                assert_eq!(mul_wtnaf_with_table(&k, w, &lambda).to_affine(), want);
+                assert_eq!(mul_wtnaf(&q, &k, w), want, "w = {w}, k = {k}");
             }
         }
     }

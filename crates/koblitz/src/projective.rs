@@ -1,12 +1,26 @@
-//! López-Dahab projective coordinates (x = X/Z, y = Y/Z²).
+//! Projective coordinates: López-Dahab (x = X/Z, y = Y/Z²) and
+//! λ-projective (x = X/Z, λ = x + y/x = L/Z).
 //!
-//! The coordinate system of the paper's implementations: point doubling
-//! costs 3M + 5S, mixed LD+affine addition 8M + 5S (a = 0, b = 1), the
-//! Frobenius map 3S, and converting back to affine costs one inversion —
-//! the single inversion that the paper's Table 7 charges per point
-//! multiplication. The formulas themselves live in the crate-private
-//! `formulas` module, which the modeled tier runs too; `LdPoint`'s
-//! methods instantiate them on host field elements.
+//! López-Dahab (LD) is the coordinate system of the paper's
+//! implementations: point doubling costs 3M + 5S, mixed LD+affine
+//! addition 8M + 5S (a = 0, b = 1), the Frobenius map 3S, and converting
+//! back to affine costs one inversion — the single inversion that the
+//! paper's Table 7 charges per point multiplication. The modeled M0+
+//! tier keeps LD: there a squaring is a cheap table spread.
+//!
+//! The host's τ-adic multiplications run on λ-projective points
+//! instead (Oliveira, López, Aranha and Rodríguez-Henríquez, "Lambda
+//! coordinates for binary elliptic curves", CHES 2013): a mixed
+//! addition of a λ-affine table point costs 8M + 2S, and on the host's
+//! carry-less multiplier a squaring costs nearly a multiplication, so
+//! the three squarings saved are most of what λ gains. The Frobenius map
+//! stays 3S, negating a table point is λ + 1, and one multiplication
+//! takes the result back to LD, which every `*_proj` entry point
+//! returns. The point (0, 1) has no λ, and only points of odd order
+//! never reach it, so λ serves only bases in the prime-order subgroup.
+//! The formulas themselves live in the crate-private `formulas` module,
+//! which the modeled tier runs too; `LdPoint`'s methods instantiate them
+//! on host field elements.
 
 use crate::curve::Affine;
 use crate::formulas::{self, Host, Xy};
@@ -102,6 +116,72 @@ impl From<Affine> for LdPoint {
     fn from(p: Affine) -> LdPoint {
         LdPoint::from_affine(&p)
     }
+}
+
+/// A finite point of odd order in λ-affine coordinates: x and
+/// λ = x + y/x. The table entries and comb strips of the host's τ-adic
+/// multiplications.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LambdaPoint<E = Fe> {
+    /// x coordinate.
+    pub x: E,
+    /// λ = x + y/x.
+    pub l: E,
+}
+
+impl LambdaPoint {
+    /// The affine point: y = x·(λ + x).
+    pub fn to_affine(&self) -> Affine {
+        Affine::Point {
+            x: self.x,
+            y: self.x * (self.l + self.x),
+        }
+    }
+}
+
+/// A point in λ-projective coordinates (X, L, Z): x = X/Z and
+/// λ = L/Z. `Z = 0` encodes the point at infinity. The accumulator of
+/// the host's λ loop, which hands its result back as an [`LdPoint`];
+/// only the crate constructs one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LambdaProj<E = Fe> {
+    pub(crate) x: E,
+    pub(crate) l: E,
+    pub(crate) z: E,
+}
+
+impl LambdaProj {
+    /// The point at infinity.
+    pub(crate) const INFINITY: LambdaProj = LambdaProj {
+        x: Fe::ONE,
+        l: Fe::ZERO,
+        z: Fe::ZERO,
+    };
+}
+
+/// Converts a batch of LD points of odd order to λ-affine with **one**
+/// inversion of the products X·Z: with I = (X·Z)⁻¹, x = X²·I and
+/// λ = (X² + Y)·I, 3M + 1S per point outside the shared inversion. Every
+/// point is public (a wTNAF table of a public base), so the inversion is
+/// [`gf2m::batch::batch_invert_public`].
+///
+/// # Panics
+///
+/// Panics if a point is infinity or has x = 0: neither has odd order.
+pub(crate) fn batch_to_lambda(points: &[LdPoint]) -> Vec<LambdaPoint> {
+    let mut inv: Vec<Fe> = points
+        .iter()
+        .map(|&p| formulas::lambda_denominator(&mut Host, p))
+        .collect();
+    gf2m::batch::batch_invert_public(&mut inv);
+    points
+        .iter()
+        .zip(&inv)
+        .map(|(&p, &i)| {
+            assert!(!i.is_zero(), "λ coordinates need a point of odd order");
+            formulas::to_lambda(&mut Host, p, i)
+        })
+        .collect()
 }
 
 /// Converts a batch of LD points to affine with **one** field inversion

@@ -106,3 +106,31 @@ fn strict_lru_evicts_least_recently_used_under_churn() {
     assert_eq!(after.misses - before.misses, 1, "victim was point 0 only");
     assert_eq!(after.hits - before.hits, 1, "survivors still resident");
 }
+
+#[test]
+fn subgroup_check_runs_on_a_miss_only() {
+    let _guard = serial();
+    cache::reset();
+    let keys: Vec<_> = (0..4i64)
+        .map(|k| generator().mul_binary(&Int::from(5_000_000 + k)))
+        .collect();
+    for q in &keys {
+        assert!(cache::table_for(q, KP_WINDOW).is_lambda());
+    }
+    let s = cache::stats();
+    assert_eq!((s.misses, s.subgroup_checks), (4, 4), "one check per miss");
+    // Hits through both lookups, a promotion and the comb lookups after
+    // it run no check.
+    for q in &keys {
+        let _ = cache::table_for(q, KP_WINDOW);
+        assert!(matches!(cache::key_tables_for(q), KeyTables::Window(_)));
+        assert!(matches!(cache::key_tables_for(q), KeyTables::Comb(_)));
+        assert!(matches!(cache::key_tables_for(q), KeyTables::Comb(_)));
+    }
+    let s = cache::stats();
+    assert_eq!(s.hits, 16);
+    assert_eq!((s.misses, s.subgroup_checks), (4, 4), "hits run no check");
+    // A new width is a new entry: a miss, so one more check.
+    let _ = cache::table_for(&keys[0], 5);
+    assert_eq!(cache::stats().subgroup_checks, 5);
+}

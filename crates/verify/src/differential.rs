@@ -23,7 +23,10 @@
 //!   trace-based subgroup check against n·P on k·G shifted into every
 //!   coset of the order-n subgroup; the projective wTNAF table build
 //!   against its affine `mul_binary` oracle at every window width, on
-//!   the same shifted points; the τ-adic kG comb against the paper's
+//!   the same shifted points; the host's λ-coordinate kP, kG and double
+//!   multiplies against the López-Dahab loop on G, a seeded multiple of
+//!   G, the torsion points and all four cosets, with every base outside
+//!   the subgroup kept on the LD path; the τ-adic kG comb against the paper's
 //!   single-table Horner loop, and the double multiply against the
 //!   Horner sum on the shifted points; the fixed-width τ-adic recoding
 //!   against its `Int` pipeline, digit for digit at every width; the
@@ -63,7 +66,8 @@ use gf2m::generic::GenericField;
 use gf2m::modeled::{ModeledField, Tier};
 use gf2m::mul::mul_ld_fixed;
 use gf2m::{counted, inv, sqr, Clmul, Fe};
-use koblitz::{curve, mul, tnaf, Int, Scalar, U256};
+use koblitz::mul::{KeyTables, Table};
+use koblitz::{cache, curve, mul, tnaf, Int, LambdaPoint, Scalar, U256};
 use prng::SplitMix64;
 use protocols::sha256::{Sha256, ShaNi};
 use protocols::wire::{
@@ -250,6 +254,7 @@ const SHA_DOMAIN: u64 = 0x5aa256;
 const SCALAR_FIXED_DOMAIN: u64 = 0x5ca1f1;
 const KG_COMB_DOMAIN: u64 = 0xc0b8;
 const DM_COMB_DOMAIN: u64 = 0xd0c0b8;
+const LD_LAMBDA_DOMAIN: u64 = 0x1d1a;
 
 /// Size of the global case list: the four phase case lists
 /// concatenated (field, then scalar, then wire, then batch). This is
@@ -815,6 +820,86 @@ fn scalar_fixed_disagreement(edge: Option<&Int>, rng: &mut SplitMix64) -> Option
     Some(format!("{op} differs for a = {a_int}, b = {b_int}"))
 }
 
+/// The `ld/lambda` pair of one scalar case: the host's λ loop against
+/// the LD loop it replaced, the oracle. The scalars a and b are the
+/// comb's edges paired up (a from the front, b from the back), then
+/// seeded. kG runs on G's λ comb against its LD comb; then for each base
+/// — G, a seeded multiple Q of G, the three torsion points and Q in the
+/// other three cosets — kP through the cache against the LD loop on
+/// the base's affine table, and a·G + b·B along every double-multiply
+/// path against the LD two-lane one. A base in the subgroup adds the λ
+/// two-lane and λ joint-comb paths on explicit tables. Any other base
+/// must come back from the LD path: its cached table is affine and its
+/// key is never promoted.
+fn ld_lambda_pair(
+    config: &DiffConfig,
+    report: &mut DiffReport,
+    case: usize,
+    shifts: &[curve::Affine],
+) {
+    let at = ("scalar", case);
+    let w = mul::KP_WINDOW;
+    let edges = dm_scalar_edges();
+    let mut rng = SplitMix64::substream(config.seed, LD_LAMBDA_DOMAIN, case as u64);
+    let (a, b) = match edges.get(case) {
+        Some(a) => (a.clone(), edges[edges.len() - 1 - case].clone()),
+        None => (rand_scalar_wide(&mut rng), rand_scalar_wide(&mut rng)),
+    };
+    let g = curve::generator();
+    let q = g.mul_binary(&rand_scalar_wide(&mut rng));
+    let kg_lambda = mul::mul_g_proj(&a).to_affine();
+    let kg_ld = mul::mul_g_with_strips(&a, mul::generator_comb::<curve::Affine>()).to_affine();
+    report.check(at, "ld/lambda", kg_lambda == kg_ld, || {
+        (
+            a.to_hex(),
+            "k·G: the λ comb differs from the LD comb".to_string(),
+        )
+    });
+    let bases = [g, q]
+        .into_iter()
+        .chain(shifts[1..].iter().copied())
+        .chain(shifts[1..].iter().map(|t| q.add(t)));
+    for base in bases {
+        let lambda = base.is_in_prime_order_subgroup();
+        let ld_table = mul::precompute_table(&base, w);
+        let want = mul::mul_wtnaf_with_table(&a, w, &ld_table).to_affine();
+        let kp_ok = mul::mul_wtnaf(&base, &a, w) == want
+            && cache::table_for(&base, w).is_lambda() == lambda;
+        report.check(at, "ld/lambda", kp_ok, || {
+            (
+                a.to_hex(),
+                format!("k·P for P = {base} (subgroup: {lambda}) differs from the LD loop"),
+            )
+        });
+        let want = mul::double_multiply_with_table(&a, &b, &ld_table).to_affine();
+        let mut got = vec![
+            mul::double_multiply(&a, &b, &base),
+            mul::double_multiply(&a, &b, &base),
+        ];
+        if lambda {
+            let table = mul::precompute_lambda_table(&base, w);
+            got.push(mul::double_multiply_with_table(&a, &b, &table).to_affine());
+            let strips = mul::key_comb::<LambdaPoint>(&base);
+            got.push(mul::double_multiply_with_strips(&a, &b, &strips).to_affine());
+        }
+        let on_ld_path = lambda
+            || matches!(
+                cache::key_tables_for(&base),
+                KeyTables::Window(Table::Ld(_))
+            );
+        let dm_ok = on_ld_path && got.iter().all(|p| *p == want);
+        report.check(at, "ld/lambda", dm_ok, || {
+            (
+                a.to_hex(),
+                format!(
+                    "u1·G + u2·P for P = {base} (subgroup: {lambda}) differs from the LD \
+                     two-lane double multiply, or left the LD path, for u1 = {a}, u2 = {b}"
+                ),
+            )
+        });
+    }
+}
+
 fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>) {
     if cases.is_empty() {
         return;
@@ -901,11 +986,14 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
             let q = reference.add(shift);
             let table = mul::precompute_table(&q, mul::KP_WINDOW);
             let want = mul::double_multiply_with_table(&u1, &u2, &table).to_affine();
+            // A promoted key's strips are λ in the subgroup, LD elsewhere.
+            let promoted = if q.is_in_prime_order_subgroup() {
+                mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb::<LambdaPoint>(&q))
+            } else {
+                mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb::<curve::Affine>(&q))
+            };
             let paths = [
-                (
-                    "promoted key",
-                    mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb(&q)).to_affine(),
-                ),
+                ("promoted key", promoted.to_affine()),
                 ("first cached lookup", mul::double_multiply(&u1, &u2, &q)),
                 ("second cached lookup", mul::double_multiply(&u1, &u2, &q)),
             ];
@@ -921,6 +1009,7 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                 });
             }
         }
+        ld_lambda_pair(config, report, case, &shifts);
         // The kG comb against the paper's single-table loop, and the
         // double multiply (G half on the comb's strip 0) against the
         // Horner sum, for Q = k·G shifted into each coset.
@@ -1371,6 +1460,8 @@ mod tests {
         assert_eq!(find("binary/double_mul"), 14);
         // Three double-multiply paths in each of the four cosets.
         assert_eq!(find("dm_horner/dm_comb"), 3 * 4 * 14);
+        // kG, then kP and the double multiply on eight bases.
+        assert_eq!(find("ld/lambda"), (1 + 2 * 8) * 14);
         // Each batch case checks the drawn batch and its widened copy.
         assert_eq!(find("pointwise_inv/batch_inv"), 12);
         assert_eq!(find("batch_inv/batch_inv_counted"), 6);

@@ -57,6 +57,7 @@ verify_pairs=(
   recode_int/recode_fixed     # fixed-width recoding vs its Int oracle
   scalar_inv/scalar_batch_inv # mod-n batch inversion vs per element
   scalar_int/scalar_fixed     # fixed-width mod-n arithmetic vs Int
+  scalar_int/scalar_inv_public # variable-time mod-n inverses vs Int
   table_binary/table_proj     # projective wTNAF table vs affine oracle
   kg_horner/kg_comb           # kG comb and double multiply vs Horner
   binary/double_mul           # double multiply vs affine double-and-add

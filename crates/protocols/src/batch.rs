@@ -2,11 +2,14 @@
 //!
 //! The throughput path for a busy host (the ROADMAP's gateway serving
 //! heavy traffic): shard a batch of independent protocol operations
-//! across `std::thread` workers, keep every point multiplication in LD
-//! projective coordinates, and pay for the expensive affine conversion
-//! — one field inversion per point, the costliest kernel in the
-//! paper's Table 7 — just **once per batch** via Montgomery's trick
-//! ([`koblitz::projective::batch_to_affine`]).
+//! across `std::thread` workers and keep every point multiplication in
+//! LD projective coordinates. Signing and ECDH pay for the expensive
+//! affine conversion — one field inversion per point, the costliest
+//! kernel in the paper's Table 7 — just **once per batch** via
+//! Montgomery's trick ([`koblitz::projective::batch_to_affine`]).
+//! Verification never converts to affine: it compares x(u₁·G + u₂·Q)
+//! with r projectively ([`crate::ecdsa::verify`]), so each job finishes
+//! inside its shard.
 //!
 //! Four amortisations compose here:
 //!
@@ -19,9 +22,11 @@
 //!    key hit the process-wide wTNAF table cache ([`koblitz::cache`])
 //!    instead of re-running `TNAF_Precomputation`, and a recurring
 //!    verification key gets comb strips, like G's;
-//! 4. *scalar batch inversion* — signing inverts every nonce k and
-//!    verification every s with one mod-n inversion per batch
-//!    ([`Scalar::batch_invert`]), the same trick over ℤ/nℤ.
+//! 4. *scalar batch inversion* — signing inverts every nonce k with
+//!    one constant-time mod-n inversion per batch
+//!    ([`Scalar::batch_invert`]), the same trick over ℤ/nℤ, and
+//!    verification every s with one public one
+//!    ([`Scalar::batch_invert_public`]).
 //!
 //! The batch entry points are drop-in equivalent to their scalar
 //! counterparts: same signatures, same shared secrets, same error
@@ -180,10 +185,11 @@ pub struct VerifyJob<'a> {
     pub sig: &'a Signature,
 }
 
-/// Verifies every job, sharded across `workers` threads, with the
-/// affine conversions of all the u₁·G + u₂·Q points batched into a
-/// single field inversion and the s values into a single mod-n
-/// inversion.
+/// Verifies every job, sharded across `workers` threads, with the s
+/// values inverted by one public mod-n inversion per batch
+/// ([`Scalar::batch_invert_public`]). Each job then finishes inside its
+/// shard: u₁·G + u₂·Q stays projective and its x is compared with r
+/// without a field inversion, as in [`crate::ecdsa::verify`].
 ///
 /// Returns exactly what [`crate::ecdsa::verify`] would return for each
 /// job, in input order. A public key's second verification promotes it
@@ -199,56 +205,19 @@ pub fn verify_batch(jobs: &[VerifyJob<'_>], workers: usize) -> Vec<Result<(), Ve
         .filter(|job| well_formed(job))
         .map(|job| job.sig.s)
         .collect();
-    let mut s_invs = Scalar::batch_invert(&s_values).into_iter();
+    let mut s_invs = Scalar::batch_invert_public(&s_values).into_iter();
     let s_inv: Vec<Option<Scalar>> = jobs
         .iter()
         .map(|job| well_formed(job).then(|| s_invs.next().expect("one inverse per well-formed s")))
         .collect();
-    // Parallel phase: validation + the double multiplication, kept
-    // projective. Err short-circuits before any point arithmetic.
-    let staged: Vec<Result<(LdPoint, Scalar), VerifyError>> =
-        run_sharded(jobs, workers, |i, job| {
-            let Some(s_inv) = &s_inv[i] else {
-                return Err(VerifyError::MalformedSignature);
-            };
-            if !job.public.is_on_curve() || job.public.is_infinity() {
-                return Err(VerifyError::InvalidPublicKey);
-            }
-            let e = ecdsa::hash_to_scalar(job.msg);
-            let u1 = e.mul(s_inv);
-            let u2 = job.sig.r.mul(s_inv);
-            let point = mul::double_multiply_proj(&u1, &u2, job.public);
-            Ok((point, job.sig.r))
-        });
-    // Batch boundary: one inversion across all surviving points (a
-    // projective infinity converts to Affine::Infinity without
-    // disturbing the batch).
-    let points: Vec<LdPoint> = staged
-        .iter()
-        .map(|s| match s {
-            Ok((p, _)) => *p,
-            Err(_) => LdPoint::INFINITY,
-        })
-        .collect();
-    let affine = batch_to_affine(&points);
-    staged
-        .into_iter()
-        .zip(affine)
-        .map(|(stage, point)| {
-            let (_, r) = stage?;
-            match point {
-                Affine::Infinity => Err(VerifyError::BadSignature),
-                Affine::Point { x, .. } => {
-                    let v = ecdsa::x_to_scalar(&x);
-                    if v == r {
-                        Ok(())
-                    } else {
-                        Err(VerifyError::BadSignature)
-                    }
-                }
-            }
-        })
-        .collect()
+    // Parallel phase: validation, the double multiplication and the
+    // projective x-check.
+    run_sharded(jobs, workers, |i, job| {
+        let Some(s_inv) = &s_inv[i] else {
+            return Err(VerifyError::MalformedSignature);
+        };
+        ecdsa::verify_with_s_inv(job.public, job.msg, &job.sig.r, s_inv)
+    })
 }
 
 /// Computes the shared secret against every peer, sharded across
@@ -414,6 +383,53 @@ mod tests {
             assert_eq!(got[3], Err(VerifyError::BadSignature));
             assert_eq!(got[5], Err(VerifyError::MalformedSignature));
             assert_eq!(got[6], Err(VerifyError::InvalidPublicKey));
+        }
+    }
+
+    /// One-job batches, the service plane's usual shape: each equals
+    /// the scalar operation at one and three workers.
+    #[test]
+    fn one_job_batches_match_scalar_operations() {
+        let key = SigningKey::generate(b"single-job signer");
+        let msg = b"telemetry frame 7".to_vec();
+        let sig = key.sign(&msg);
+        let malformed = Signature {
+            r: Scalar::zero(),
+            s: sig.s,
+        };
+        let infinity = Affine::Infinity;
+        let jobs = [
+            (key.public(), &b"telemetry frame 7"[..], &sig, Ok(())),
+            (
+                key.public(),
+                b"forged",
+                &sig,
+                Err(VerifyError::BadSignature),
+            ),
+            (
+                key.public(),
+                b"telemetry frame 7",
+                &malformed,
+                Err(VerifyError::MalformedSignature),
+            ),
+            (
+                &infinity,
+                b"telemetry frame 7",
+                &sig,
+                Err(VerifyError::InvalidPublicKey),
+            ),
+        ];
+        for workers in [1usize, 3] {
+            assert_eq!(
+                sign_batch(&key, &[&msg], workers),
+                std::slice::from_ref(&sig)
+            );
+            for (public, msg, sig, want) in &jobs {
+                let job = VerifyJob { public, msg, sig };
+                let got = verify_batch(&[job], workers);
+                assert_eq!(got, [verify(public, msg, sig)], "workers = {workers}");
+                assert_eq!(got, [*want], "workers = {workers}");
+            }
         }
     }
 

@@ -4,7 +4,7 @@ use crate::hmac::HmacDrbg;
 use crate::sha256::Sha256;
 use gf2m::Fe;
 use koblitz::curve::Affine;
-use koblitz::{mul, Scalar};
+use koblitz::{mul, LdPoint, Scalar};
 
 /// An ECDSA signature (r, s), both non-zero scalars.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,8 +66,9 @@ pub(crate) fn digest_to_scalar(digest: &[u8; 32]) -> Scalar {
     Scalar::reduce_be_bytes(digest)
 }
 
-/// A field element's integer value mod n — how r = x(k·G) and the
-/// verifier's x(u₁·G + u₂·Q) become scalars.
+/// A field element's integer value mod n — how r = x(k·G) becomes a
+/// scalar. The verifier compares x(u₁·G + u₂·Q) with r projectively
+/// instead ([`x_matches`]).
 pub(crate) fn x_to_scalar(x: &Fe) -> Scalar {
     Scalar::reduce_be_bytes(&x.to_be_bytes())
 }
@@ -181,32 +182,56 @@ pub fn verify(q: &Affine, msg: &[u8], sig: &Signature) -> Result<(), VerifyError
     if sig.r.is_zero() || sig.s.is_zero() {
         return Err(VerifyError::MalformedSignature);
     }
+    // s is public: the variable-time inverse.
+    let s_inv = sig.s.invert_public().expect("s is non-zero");
+    verify_with_s_inv(q, msg, &sig.r, &s_inv)
+}
+
+/// Verification after the range checks and s⁻¹, shared by
+/// [`verify`] and the batch verifier: the key check, then u₁·G + u₂·Q
+/// by interleaved double multiplication (one shared Frobenius pass —
+/// the Shamir–Strauss trick in τ-adic form), kept projective for
+/// [`x_matches`].
+pub(crate) fn verify_with_s_inv(
+    q: &Affine,
+    msg: &[u8],
+    r: &Scalar,
+    s_inv: &Scalar,
+) -> Result<(), VerifyError> {
     if !q.is_on_curve() || q.is_infinity() {
         return Err(VerifyError::InvalidPublicKey);
     }
     let e = hash_to_scalar(msg);
-    let s_inv = sig.s.invert().expect("s is non-zero");
-    let u1 = e.mul(&s_inv);
-    let u2 = sig.r.mul(&s_inv);
-    // u1·G + u2·Q by interleaved double multiplication (one shared
-    // Frobenius pass — the Shamir–Strauss trick in τ-adic form).
-    let point = mul::double_multiply(&u1, &u2, q);
-    match point {
-        Affine::Infinity => Err(VerifyError::BadSignature),
-        Affine::Point { x, .. } => {
-            let v = x_to_scalar(&x);
-            if v == sig.r {
-                Ok(())
-            } else {
-                Err(VerifyError::BadSignature)
-            }
-        }
+    let u1 = e.mul(s_inv);
+    let u2 = r.mul(s_inv);
+    let point = mul::double_multiply_proj(&u1, &u2, q);
+    if x_matches(&point, r) {
+        Ok(())
+    } else {
+        Err(VerifyError::BadSignature)
     }
+}
+
+/// Whether `point` is finite and its affine x, read as an integer, is
+/// ≡ r (mod n), with no field inversion. x < 2²³³ < 4n, so that holds
+/// exactly when x equals one of r + j·n, j = 0..=3
+/// ([`Scalar::lifts`]), and x = c exactly when c·Z = X: at most four
+/// field products in place of an inversion and three. A lift of 2²³³
+/// or more is skipped before it becomes a field element, since
+/// masking its high bits would compare a different number.
+pub(crate) fn x_matches(point: &LdPoint, r: &Scalar) -> bool {
+    !point.is_infinity()
+        && r.lifts().iter().any(|c| {
+            let words = std::array::from_fn(|i| (c.0[i / 2] >> (32 * (i % 2))) as u32);
+            // `try_from_words` refuses bits ≥ 233.
+            Fe::try_from_words(words).is_ok_and(|c| c * point.z == point.x)
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use koblitz::Int;
 
     #[test]
     fn sign_verify_roundtrip() {
@@ -292,6 +317,103 @@ mod tests {
         assert!(!shown.contains(&d_hex.to_uppercase()), "{shown}");
         assert!(!shown.contains("ecdsa-nonce"), "{shown}");
         assert!(shown.contains(&format!("{:?}", key.public())), "{shown}");
+    }
+
+    /// `p` as an LD point with a seeded non-zero Z: (x·Z, y·Z², Z).
+    fn rescaled(p: &Affine, rng: &mut prng::SplitMix64) -> LdPoint {
+        let Affine::Point { x, y } = *p else {
+            panic!("a finite point")
+        };
+        let z = loop {
+            let mut bytes = [0u8; 30];
+            rng.fill_bytes(&mut bytes);
+            let z = Fe::from_be_bytes(&bytes);
+            if !z.is_zero() {
+                break z;
+            }
+        };
+        LdPoint {
+            x: x * z,
+            y: y * z.square(),
+            z,
+        }
+    }
+
+    /// The projective x-check against `x_to_scalar(to_affine(P))` on
+    /// seeded points rescaled by seeded Z, until every range of the
+    /// affine x — [0, n), [n, 2n), [2n, 3n) and [3n, 2²³³) — has been
+    /// seen eight times. r is accepted and r ± 1 rejected.
+    #[test]
+    fn projective_x_check_matches_the_affine_reduction() {
+        let n = koblitz::order();
+        let mut rng = prng::SplitMix64::new(0x78_636b);
+        let mut seen = [0usize; 4];
+        while seen.iter().any(|&c| c < 8) {
+            let mut wide = [0u8; 40];
+            rng.fill_bytes(&mut wide);
+            let affine = mul::mul_g(&Scalar::from_wide_bytes(&wide));
+            let p = rescaled(&affine, &mut rng);
+            assert_eq!(p.to_affine(), affine);
+            let x = affine.x();
+            let range = (0..3)
+                .find(|&j| Int::from_be_bytes(&x.to_be_bytes()) < &n * &Int::from(j + 1))
+                .unwrap_or(3) as usize;
+            seen[range] += 1;
+            let r = x_to_scalar(&x);
+            assert!(x_matches(&p, &r), "x = {x}, range {range}");
+            for wrong in [r.add(&Scalar::one()), r.sub(&Scalar::one())] {
+                assert!(!x_matches(&p, &wrong), "x = {x}, r = {wrong}");
+            }
+        }
+    }
+
+    /// A lift r + 3n ≥ 2²³³ must be skipped, not masked to 233 bits: for
+    /// a point with a small x₀, r = x₀ + 2²³³ − 3n lies in [0, n) and
+    /// its masked lift is x₀, yet x₀ ≢ r (mod n).
+    #[test]
+    fn projective_x_check_skips_lifts_above_the_field() {
+        let n = koblitz::order();
+        let mut rng = prng::SplitMix64::new(0x056b_6970);
+        let (x0, point) = (2i64..)
+            .find_map(|x0| {
+                let mut bytes = [0u8; 31];
+                bytes[0] = 0x02;
+                bytes[23..].copy_from_slice(&x0.to_be_bytes());
+                Some(x0).zip(Affine::from_compressed_bytes(&bytes).ok())
+            })
+            .expect("some small x is on the curve");
+        let p = rescaled(&point, &mut rng);
+        let r_int = &(&Int::from(x0) + &Int::one().shl(233)) - &(&n * &Int::from(3i64));
+        assert!(r_int < n, "r is canonical");
+        let r = Scalar::new(r_int);
+        assert!(!x_matches(&p, &r), "x₀ = {x0} matched r = {r}");
+        assert!(x_matches(&p, &Scalar::new(Int::from(x0))));
+    }
+
+    /// The point at infinity matches no r, even r = 0 on a
+    /// representative with X = 0; through [`verify`] it is a
+    /// `BadSignature`.
+    #[test]
+    fn projective_x_check_rejects_infinity() {
+        let zero_x = LdPoint {
+            x: Fe::ZERO,
+            y: Fe::ONE,
+            z: Fe::ZERO,
+        };
+        for r in [Scalar::zero(), Scalar::one()] {
+            assert!(!x_matches(&LdPoint::INFINITY, &r));
+            assert!(!x_matches(&zero_x, &r));
+        }
+        // With d = −e·r⁻¹, u₁·G + u₂·Q = s⁻¹(e + r·d)·G = O for every s.
+        let msg = b"lands on infinity";
+        let r = Scalar::new(Int::from(12345i64));
+        let d = hash_to_scalar(msg).mul(&r.invert().unwrap()).negated();
+        let q = mul::mul_g(&d);
+        let sig = Signature {
+            r,
+            s: Scalar::new(Int::from(777i64)),
+        };
+        assert_eq!(verify(&q, msg, &sig), Err(VerifyError::BadSignature));
     }
 
     #[test]

@@ -30,9 +30,11 @@
 //!   single-table Horner loop, and the double multiply against the
 //!   Horner sum on the shifted points; the fixed-width τ-adic recoding
 //!   against its `Int` pipeline, digit for digit at every width; the
-//!   mod-n batch inversion against per-element inversion; and the
+//!   mod-n batch inversion against per-element inversion; the
 //!   fixed-width mod-n arithmetic (reductions, ring operations and the
-//!   Fermat inversion) against `Int` and its extended Euclid;
+//!   constant-time safegcd inversion) against `Int` and its extended
+//!   Euclid; and the variable-time public inverses (one by one and
+//!   batched) against the same Euclid;
 //! * **wire frames** — randomly truncated/bit-flipped public keys,
 //!   signatures and sealed frames through the slice and owned decoders,
 //!   which must never panic and must return the same typed error.
@@ -255,6 +257,7 @@ const SCALAR_FIXED_DOMAIN: u64 = 0x5ca1f1;
 const KG_COMB_DOMAIN: u64 = 0xc0b8;
 const DM_COMB_DOMAIN: u64 = 0xd0c0b8;
 const LD_LAMBDA_DOMAIN: u64 = 0x1d1a;
+const SCALAR_INV_PUBLIC_DOMAIN: u64 = 0x5ca1b1;
 
 /// Size of the global case list: the four phase case lists
 /// concatenated (field, then scalar, then wire, then batch). This is
@@ -716,23 +719,13 @@ fn rand_scalar_wide(rng: &mut SplitMix64) -> Int {
 const SCALAR_INV_LENGTHS: [usize; 4] = [1, 2, 16, 130];
 
 /// A batch of non-zero scalars for case `case`: k mod n (or 1 when that
-/// is zero), then 1, 2, n − 1, n − 2 and 2²³¹, then seeded wide
-/// scalars, cut to the case's length.
+/// is zero), then the [`divstep_edges`], then seeded wide scalars, cut
+/// to the case's length.
 fn scalar_inv_batch(case: usize, k: &Int, rng: &mut SplitMix64) -> Vec<Scalar> {
-    let n = curve::order();
     let len = SCALAR_INV_LENGTHS[case % SCALAR_INV_LENGTHS.len()];
     let head = Scalar::new(k.clone());
     let mut batch = vec![if head.is_zero() { Scalar::one() } else { head }];
-    batch.extend(
-        [
-            Int::one(),
-            Int::from(2i64),
-            &n - &Int::one(),
-            &n - &Int::from(2i64),
-            Int::one().shl(231),
-        ]
-        .map(Scalar::new),
-    );
+    batch.extend(divstep_edges().into_iter().map(Scalar::new));
     while batch.len() < len {
         let mut bytes = [0u8; 40];
         rng.fill_bytes(&mut bytes);
@@ -759,10 +752,76 @@ fn scalar_fixed_edges() -> Vec<Int> {
     edges
 }
 
+/// Inputs that stress the safegcd divstep loop: 1, 2, n − 1, n − 2,
+/// then 2⁶², 2¹²⁴, 2¹⁸⁶ and 2²³¹ (one set bit at each signed-62 limb
+/// edge; all below n), then values with 60 or more trailing zero bits.
+fn divstep_edges() -> Vec<Int> {
+    let n = curve::order();
+    let pow = |k: usize| Int::one().shl(k);
+    vec![
+        Int::one(),
+        Int::from(2i64),
+        &n - &Int::one(),
+        &n - &Int::from(2i64),
+        pow(62),
+        pow(124),
+        pow(186),
+        pow(231),
+        Int::from(3i64).shl(60),
+        &pow(231) - &pow(60),
+        &pow(231) + &pow(64),
+        Int::from(0x1234_5678_9abc_def1i64).shl(120),
+    ]
+}
+
+/// The `scalar_int/scalar_inv_public` check of one case against the
+/// extended Euclid [`Int::mod_inverse`]: [`Scalar::invert_public`] of a
+/// — the case's edge of [`scalar_fixed_edges`] (so zero too) or a
+/// seeded 40-byte value — then of each element of a batch, one by one
+/// and through [`Scalar::batch_invert_public`], of the case's
+/// [`scalar_inv_batch`] headed by a. Returns the first disagreement.
+fn scalar_inv_public_disagreement(
+    case: usize,
+    edge: Option<&Int>,
+    rng: &mut SplitMix64,
+) -> Option<String> {
+    let n = curve::order();
+    let a = match edge {
+        Some(k) => Scalar::new(k.clone()),
+        None => {
+            let mut bytes = [0u8; 40];
+            rng.fill_bytes(&mut bytes);
+            Scalar::from_wide_bytes(&bytes)
+        }
+    };
+    let want = |x: &Scalar| x.to_int().mod_inverse(&n);
+    if a.invert_public().map(|v| v.to_int()) != want(&a) {
+        return Some(format!("invert_public differs for a = {a}"));
+    }
+    let batch = scalar_inv_batch(case, &a.to_int(), rng);
+    let got = Scalar::batch_invert_public(&batch);
+    batch
+        .iter()
+        .zip(&got)
+        .enumerate()
+        .find_map(|(i, (x, inv))| {
+            let want = want(x);
+            let single = x.invert_public().map(|v| v.to_int());
+            (single != want || Some(inv.to_int()) != want).then(|| {
+                format!(
+                    "element {i} ({x}) of a batch of {}: invert_public {single:?}, \
+                     batch_invert_public {inv}",
+                    batch.len()
+                )
+            })
+        })
+}
+
 /// Checks every fixed-width [`Scalar`] operation of one case against
 /// `Int`: the 40-, 32- and 30-byte reductions against
-/// [`Int::mod_positive`], then add, sub, negation, mul and the Fermat
-/// inversion against `Int` arithmetic and the extended Euclid. a is the
+/// [`Int::mod_positive`], then add, sub, negation, mul and the
+/// constant-time safegcd inversion ([`Scalar::invert`]) against `Int`
+/// arithmetic and the extended Euclid. a is the
 /// case's edge (reduced from its 32-byte encoding) or a seeded 40-byte
 /// value, b is always seeded. Returns the first operation that
 /// disagrees.
@@ -1087,6 +1146,17 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
         report.check(at, "scalar_int/scalar_fixed", fixed_diff.is_none(), || {
             (k.to_hex(), fixed_diff.expect("names the operation"))
         });
+        // The variable-time public inverses against `Int`.
+        let mut public_rng =
+            SplitMix64::substream(config.seed, SCALAR_INV_PUBLIC_DOMAIN, case as u64);
+        let public_diff =
+            scalar_inv_public_disagreement(case, fixed_edges.get(case), &mut public_rng);
+        report.check(
+            at,
+            "scalar_int/scalar_inv_public",
+            public_diff.is_none(),
+            || (k.to_hex(), public_diff.expect("names the input")),
+        );
     }
 }
 
@@ -1452,6 +1522,7 @@ mod tests {
         assert_eq!(find("recode_int/recode_fixed"), 14);
         assert_eq!(find("scalar_inv/scalar_batch_inv"), 14);
         assert_eq!(find("scalar_int/scalar_fixed"), 14);
+        assert_eq!(find("scalar_int/scalar_inv_public"), 14);
         // k·G shifted into each of the four cosets.
         assert_eq!(find("order_binary/order_trace"), 4 * 14);
         assert_eq!(find("table_binary/table_proj"), 4 * 14);

@@ -63,6 +63,7 @@ verify_pairs=(
   binary/double_mul           # double multiply vs affine double-and-add
   dm_horner/dm_comb           # a recurring key's joint comb vs two lanes
   ld/lambda                   # host λ-coordinate loops vs the LD loop
+  kp_horner/kp_comb           # cached kP comb vs the one-lane loop
   chain/table                 # public-input linear maps vs squaring chains
 )
 # The carry-less and SHA-NI pairs run only on a CPU with PCLMULQDQ and

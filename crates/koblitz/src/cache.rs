@@ -1,50 +1,54 @@
-//! Bounded LRU cache of wTNAF precomputation tables, keyed by base
-//! point and window width.
+//! Bounded LRU cache of wTNAF precomputation, keyed by base point and
+//! window width.
 //!
 //! `TNAF_Precomputation` is the per-call setup cost of a random-point
-//! multiplication: [`Table::build`] evaluates the 2^(w−2) − 1
-//! non-trivial α_u·P in López-Dahab coordinates (a few Frobenius maps
-//! and mixed additions each) and converts them with one field
-//! inversion, which dominates a miss. A base in the prime-order
-//! subgroup gets its table in λ-affine coordinates, for the host's λ
-//! loop; any other base (the torsion points, the other three cosets, an
-//! arbitrary [`Affine`] given to the public API) gets affine entries for
-//! the LD loop, because its multiples may reach (0, 1), which has no λ.
-//! The subgroup check that decides this runs once per miss, never on a
-//! hit ([`CacheStats::subgroup_checks`]). Protocol traffic is heavily
-//! skewed towards a few base points — a gateway verifies many
-//! signatures from the same few public keys, an ECDH responder
-//! re-derives against recurring peers — so repeated kP against the
-//! same base can skip the precomputation entirely. The cache is shared
-//! process-wide behind a mutex, bounded (strict LRU eviction by access
-//! stamp), and hands out `Arc`s so worker threads hold tables without
-//! the lock.
+//! multiplication. On a miss [`Table::build`] runs the prime-order
+//! subgroup check that picks the coordinates, once per miss and never
+//! on a hit ([`CacheStats::subgroup_checks`]). A base in the subgroup
+//! gets a comb ([`key_comb`]): its width-w table in λ-affine
+//! coordinates (the 2^(w−2) − 1 non-trivial α_u·P evaluated in
+//! López-Dahab coordinates and converted with one field inversion),
+//! then 7 more strips, strip j = τ^(30j) of the table, one table-driven
+//! 30-fold squaring per coordinate. Every kP
+//! against it then runs the host's comb over 30 Frobenius maps instead
+//! of 239. Any other base (the torsion points, the other three cosets,
+//! an arbitrary [`Affine`] given to the public API) gets affine entries
+//! for the LD loop, because its multiples may reach (0, 1), which has
+//! no λ. Protocol traffic is heavily skewed towards a few base points —
+//! a gateway verifies many signatures from the same few public keys, an
+//! ECDH responder re-derives against recurring peers — so repeated kP
+//! against the same base can skip the precomputation entirely. The
+//! cache is shared process-wide behind a mutex, bounded (strict LRU
+//! eviction by access stamp), and hands out `Arc`s so worker threads
+//! hold tables without the lock.
 //!
 //! A verification key that recurs is a fixed base, like G. Its entry
-//! counts the double multiply's lookups ([`key_tables_for`]); the second
-//! one *promotes* a key with a λ table, building its comb strips
-//! ([`key_comb`], 8 strips of the w = 5 table) so every later
-//! verification runs the joint comb over 30 Frobenius maps instead of
-//! 239. A miss never builds strips, a key outside the subgroup is never
-//! promoted, and [`table_for`] (kP, ECDH, admission warm-up) neither
-//! promotes nor reads them, so key churn pays for none.
+//! counts the double multiply's lookups ([`key_tables_for`]): the first
+//! reads the w = 4 comb kP reads, and the second *promotes* a key of the
+//! subgroup, building its comb at [`KEY_COMB_WINDOW`] (8 strips of its
+//! w = 5 table) so every later verification reads u₂'s digits against
+//! that wider table. A key outside the subgroup is never promoted, and
+//! [`table_for`] (kP, ECDH, admission warm-up) neither promotes nor
+//! reads the promoted comb, so key churn pays for none.
 
 use crate::curve::Affine;
-use crate::mul::{key_comb, KeyTables, Table, KP_WINDOW};
+use crate::mul::{key_comb, Table, KEY_COMB_WINDOW, KP_WINDOW};
 use crate::projective::LambdaPoint;
 use gf2m::N;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Maximum number of cached (point, width) entries. A [`LambdaPoint`]
-/// is 64 bytes, so a subgroup key's w = 4 table (4 points) holds 256
-/// bytes of coordinates and its promotion adds 8 strips of 8 points,
-/// 4 096 bytes: 4 352 bytes per promoted key, and at most
-/// 32 × 4 352 bytes = 136 KiB of coordinates when every resident key is
-/// promoted — sized for "a gateway's worth" of recurring public keys,
-/// not for unbounded traffic. An entry of width w holds 2^(w−2) points,
-/// at most 64 at w = 8; a base outside the subgroup holds 68-byte
-/// [`Affine`]s (272 bytes at w = 4, 4 352 at w = 8) and is never
-/// promoted.
+/// is 64 bytes, and a base in the subgroup is cached as a comb of 8
+/// strips of its width-w table, 8 × 2^(w−2) points: at w = 4,
+/// 8 × 4 × 64 = 2 048 bytes of coordinates. A key's promotion adds its
+/// w = 5 comb, 8 strips of 8 points, 4 096 bytes: 6 144 bytes per
+/// promoted key, and at most 32 × 6 144 bytes = 192 KiB of coordinates
+/// when every resident key is promoted — sized for "a gateway's worth"
+/// of recurring public keys, not for unbounded traffic. Protocol
+/// traffic asks for w = 4 only; the public API's widest comb, w = 8,
+/// holds 512 points (32 KiB). A base outside the subgroup holds 2^(w−2)
+/// 68-byte [`Affine`]s (272 bytes at w = 4, 4 352 at w = 8) and is
+/// never promoted.
 pub const CAPACITY: usize = 32;
 
 /// The double-multiply lookup that promotes a key: its second.
@@ -70,8 +74,8 @@ impl Key {
 struct Entry {
     key: Key,
     table: Table,
-    /// The key's comb strips, once promoted.
-    strips: Option<Arc<Vec<Vec<LambdaPoint>>>>,
+    /// The key's comb at [`KEY_COMB_WINDOW`], once promoted.
+    promoted: Option<Arc<Vec<Vec<LambdaPoint>>>>,
     /// Double-multiply lookups so far (saturating).
     uses: u32,
     stamp: u64,
@@ -93,14 +97,17 @@ struct Lru {
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to run `precompute_table`.
+    /// Lookups that had to build: the subgroup check, then a base's λ
+    /// table and its comb strips, or for a base outside the subgroup
+    /// its affine table.
     pub misses: u64,
     /// Resident tables displaced to make room for a new key — the
     /// signature of adversarial key churn (every lookup a unique key).
     pub evictions: u64,
     /// Tables currently resident.
     pub entries: usize,
-    /// Keys given comb strips on their second double-multiply lookup.
+    /// Keys given a [`KEY_COMB_WINDOW`] comb on their second
+    /// double-multiply lookup.
     pub promotions: u64,
     /// Prime-order subgroup checks run to choose a table's coordinates:
     /// one per miss.
@@ -142,14 +149,13 @@ fn lock_cache() -> MutexGuard<'static, Lru> {
 enum Found {
     Miss,
     Table(Table),
-    /// A resident key on its promoting lookup, without strips yet.
+    /// A resident key on its promoting lookup, without its comb yet.
     Promote,
-    Comb(Arc<Vec<Vec<LambdaPoint>>>),
 }
 
 /// Looks `key` up under the lock, counting a hit or a miss. A
 /// double-multiply lookup (`dm`) of a λ entry counts a use and reads
-/// the strips.
+/// the promoted comb.
 fn find(key: &Key, dm: bool) -> Found {
     let mut guard = lock_cache();
     let lru = &mut *guard;
@@ -163,8 +169,8 @@ fn find(key: &Key, dm: bool) -> Found {
     if !dm || !e.table.is_lambda() {
         return Found::Table(e.table.clone());
     }
-    if let Some(strips) = &e.strips {
-        return Found::Comb(Arc::clone(strips));
+    if let Some(strips) = &e.promoted {
+        return Found::Table(Table::Lambda(Arc::clone(strips)));
     }
     e.uses = e.uses.saturating_add(1);
     if e.uses >= PROMOTE_AT {
@@ -203,36 +209,36 @@ fn insert(p: &Affine, key: Key, uses: u32) -> Table {
     lru.entries.push(Entry {
         key,
         table: table.clone(),
-        strips: None,
+        promoted: None,
         uses,
         stamp,
     });
     table
 }
 
-/// Builds `q`'s strips outside the lock and attaches them to its entry,
-/// if it is still resident. A concurrent promotion of the same key may
-/// also build; the first to attach wins and the other's strips serve
-/// only its own call.
+/// Builds `q`'s [`KEY_COMB_WINDOW`] comb outside the lock and attaches
+/// it to its entry, if it is still resident. A concurrent promotion of
+/// the same key may also build; the first to attach wins and the
+/// other's comb serves only its own call.
 fn promote(q: &Affine, key: Key) -> Arc<Vec<Vec<LambdaPoint>>> {
-    let strips = Arc::new(key_comb(q));
+    let strips = Arc::new(key_comb(q, KEY_COMB_WINDOW));
     let mut lru = lock_cache();
     let Some(i) = lru.entries.iter().position(|e| e.key == key) else {
         return strips;
     };
-    if let Some(resident) = &lru.entries[i].strips {
+    if let Some(resident) = &lru.entries[i].promoted {
         return Arc::clone(resident);
     }
-    lru.entries[i].strips = Some(Arc::clone(&strips));
+    lru.entries[i].promoted = Some(Arc::clone(&strips));
     lru.promotions += 1;
     strips
 }
 
-/// Returns the wTNAF precomputation table for `p`, computing and
-/// caching it on first use: λ-affine for a base in the prime-order
-/// subgroup, affine for any other. `p` must be a finite point (the point
-/// multiplication entry points dispatch infinity before any table
-/// work). A lookup here never promotes a key.
+/// Returns the wTNAF precomputation for `p` at width `w`, computing and
+/// caching it on first use: the λ comb for a base in the prime-order
+/// subgroup, the affine table for any other. `p` must be a finite point
+/// (the point multiplication entry points dispatch infinity before any
+/// table work). A lookup here never promotes a key.
 ///
 /// The table is returned by `Arc` so callers — including worker
 /// threads in a batch scheduler — never hold the cache lock while
@@ -249,20 +255,21 @@ pub fn table_for(p: &Affine, w: u32) -> Table {
     }
 }
 
-/// The double multiply's lookup of a verification key `q` (finite):
-/// its w = 4 table on a miss or the key's first double-multiply lookup,
-/// its comb strips from the second on if the table is λ; a key outside
-/// the prime-order subgroup always gets its affine table. The lookup that promotes the
-/// key builds the strips outside the lock, like a miss builds a table.
-/// Counts hits and misses like [`table_for`], which shares the entry.
-pub fn key_tables_for(q: &Affine) -> KeyTables {
+/// The double multiply's lookup of a verification key `q` (finite): a
+/// key in the prime-order subgroup gets its w = [`KP_WINDOW`] comb on a
+/// miss or its first double-multiply lookup, and its
+/// [`KEY_COMB_WINDOW`] comb from the second on; a key outside the
+/// subgroup always gets its affine w = 4 table. The lookup that
+/// promotes the key builds the wider comb outside the lock, like a miss
+/// builds a table. Counts hits and misses like [`table_for`], which
+/// shares the entry.
+pub fn key_tables_for(q: &Affine) -> Table {
     debug_assert!(!q.is_infinity(), "precomputation needs a finite base");
     let key = Key::new(q, KP_WINDOW);
     match find(&key, true) {
-        Found::Miss => KeyTables::Window(insert(q, key, 1)),
-        Found::Table(table) => KeyTables::Window(table),
-        Found::Promote => KeyTables::Comb(promote(q, key)),
-        Found::Comb(strips) => KeyTables::Comb(strips),
+        Found::Miss => insert(q, key, 1),
+        Found::Table(table) => table,
+        Found::Promote => Table::Lambda(promote(q, key)),
     }
 }
 
@@ -299,6 +306,7 @@ mod tests {
     use crate::int::Int;
     use crate::mul::{mul_wtnaf, precompute_lambda_table, precompute_table};
     use gf2m::Fe;
+    use std::mem::size_of;
 
     // The cache is process-global and tests run concurrently; counter
     // assertions serialize on this lock so deltas are attributable.
@@ -317,10 +325,12 @@ mod tests {
         assert_eq!(t1, t2);
         let after = stats();
         assert!(after.hits > before.hits, "second lookup must hit");
-        assert_eq!(
-            t1,
-            Table::Lambda(Arc::new(precompute_lambda_table(&p, KP_WINDOW)))
-        );
+        assert_eq!(t1, Table::Lambda(Arc::new(key_comb(&p, KP_WINDOW))));
+        let Table::Lambda(strips) = t1 else {
+            unreachable!("a subgroup base")
+        };
+        assert_eq!(strips.len(), 8);
+        assert_eq!(strips[0], precompute_lambda_table(&p, KP_WINDOW));
     }
 
     #[test]
@@ -337,11 +347,16 @@ mod tests {
         let p = generator().mul_binary(&Int::from(0x0b5e_55edi64));
         let before = stats();
         let first = key_tables_for(&p);
-        assert_eq!(first, KeyTables::Window(table_for(&p, KP_WINDOW)));
+        assert_eq!(first, table_for(&p, KP_WINDOW));
+        assert_eq!(first.width(), KP_WINDOW);
         let second = key_tables_for(&p);
-        assert_eq!(second, KeyTables::Comb(Arc::new(key_comb(&p))));
+        assert_eq!(
+            second,
+            Table::Lambda(Arc::new(key_comb(&p, KEY_COMB_WINDOW)))
+        );
+        assert_eq!(second.width(), KEY_COMB_WINDOW);
         assert!(stats().promotions > before.promotions);
-        // Promoted once: later lookups read the same strips.
+        // Promoted once: later lookups read the same comb.
         assert_eq!(key_tables_for(&p), second);
     }
 
@@ -352,12 +367,12 @@ mod tests {
             let _ = table_for(&p, KP_WINDOW);
         }
         // Four kP lookups leave the key on its first double-multiply use.
-        assert!(matches!(key_tables_for(&p), KeyTables::Window(_)));
-        assert!(matches!(key_tables_for(&p), KeyTables::Comb(_)));
-        // A promoted key still serves kP its w = 4 table.
+        assert_eq!(key_tables_for(&p).width(), KP_WINDOW);
+        assert_eq!(key_tables_for(&p).width(), KEY_COMB_WINDOW);
+        // A promoted key still serves kP its w = 4 comb.
         assert_eq!(
             table_for(&p, KP_WINDOW),
-            Table::Lambda(Arc::new(precompute_lambda_table(&p, KP_WINDOW)))
+            Table::Lambda(Arc::new(key_comb(&p, KP_WINDOW)))
         );
     }
 
@@ -366,19 +381,16 @@ mod tests {
         let _guard = serial();
         let p = generator().mul_binary(&Int::from(0x9015_0eedi64));
         let _ = key_tables_for(&p);
-        assert!(matches!(key_tables_for(&p), KeyTables::Comb(_)));
+        assert_eq!(key_tables_for(&p).width(), KEY_COMB_WINDOW);
         let panicked = std::thread::spawn(|| {
             let _held = lock_cache();
             panic!("deliberate panic while holding the table cache lock");
         })
         .join();
         assert!(panicked.is_err());
-        // Recovery empties the cache, strips with tables: the key starts
-        // over, unpromoted.
-        assert_eq!(
-            key_tables_for(&p),
-            KeyTables::Window(Table::build(&p, KP_WINDOW))
-        );
+        // Recovery empties the cache, promoted combs with the rest: the
+        // key starts over, unpromoted.
+        assert_eq!(key_tables_for(&p), Table::build(&p, KP_WINDOW));
         assert!(!cache().is_poisoned());
     }
 
@@ -388,34 +400,40 @@ mod tests {
         for k in 0..(CAPACITY as i64 + 4) {
             let q = generator().mul_binary(&Int::from(950_000 + k));
             let _ = key_tables_for(&q);
-            assert!(matches!(key_tables_for(&q), KeyTables::Comb(_)));
+            assert_eq!(key_tables_for(&q).width(), KEY_COMB_WINDOW);
         }
-        assert_eq!(std::mem::size_of::<LambdaPoint>(), 64);
-        assert_eq!(std::mem::size_of::<Affine>(), 68);
+        assert_eq!(size_of::<LambdaPoint>(), 64);
+        assert_eq!(size_of::<Affine>(), 68);
+        let points = |strips: &[Vec<LambdaPoint>]| strips.iter().map(Vec::len).sum::<usize>();
         let lru = lock_cache();
-        // Concurrent tests may leave other entries: unpromoted tables up
-        // to w = 8, λ or (for a coset base) affine.
-        let bytes: usize = lru
-            .entries
-            .iter()
-            .map(|e| match &e.table {
-                Table::Lambda(t) => {
-                    let strips = e
-                        .strips
-                        .as_ref()
-                        .map_or(0, |s| s.iter().map(Vec::len).sum());
-                    (t.len() + strips) * std::mem::size_of::<LambdaPoint>()
+        // Concurrent tests may leave other entries: unpromoted combs or,
+        // for a coset base, affine tables, up to w = 8.
+        let mut protocol_bytes = 0;
+        for e in &lru.entries {
+            let bytes = match &e.table {
+                Table::Lambda(strips) => {
+                    let promoted = e.promoted.as_deref().map_or(0, |s| points(s));
+                    (points(strips) + promoted) * size_of::<LambdaPoint>()
                 }
                 Table::Ld(t) => {
-                    assert!(e.strips.is_none(), "a coset key is never promoted");
-                    t.len() * std::mem::size_of::<Affine>()
+                    assert!(e.promoted.is_none(), "a coset key is never promoted");
+                    t.len() * size_of::<Affine>()
                 }
-            })
-            .sum();
-        // The `CAPACITY` doc's bound: 256 + 4 096 bytes per promoted key
-        // (a w = 8 table holds at most 64 × 68 = 4 352 bytes too).
+            };
+            // The `CAPACITY` doc's figures: a comb holds 8 × 2^(w−2)
+            // points, 2 048 bytes at w = 4 plus 4 096 once promoted, and
+            // 32 KiB at w = 8.
+            assert!(bytes <= 32 * 1024, "{bytes} bytes in one entry");
+            if e.key.w == KP_WINDOW {
+                assert!(bytes <= 2_048 + 4_096, "{bytes} bytes in a w = 4 entry");
+                protocol_bytes += bytes;
+            }
+        }
         assert!(lru.entries.len() <= CAPACITY);
-        assert!(bytes <= CAPACITY * 4_352, "{bytes} bytes resident");
+        assert!(
+            protocol_bytes <= 192 * 1024,
+            "{protocol_bytes} bytes resident at w = 4"
+        );
     }
 
     /// The coset shifts of the order-n subgroup: the 2-torsion point
@@ -450,6 +468,7 @@ mod tests {
                     table,
                     Table::Ld(Arc::new(precompute_table(&base, KP_WINDOW)))
                 );
+                assert_eq!(table.width(), KP_WINDOW);
                 assert_eq!(
                     mul_wtnaf(&base, &k, KP_WINDOW),
                     base.mul_binary(&k),
@@ -458,11 +477,7 @@ mod tests {
                 let want = generator().mul_binary(&u1).add(&base.mul_binary(&u2));
                 // A coset key is never promoted, however often it recurs.
                 for lookup in 0..3 {
-                    assert_eq!(
-                        key_tables_for(&base),
-                        KeyTables::Window(table.clone()),
-                        "coset {j} lookup {lookup}"
-                    );
+                    assert_eq!(key_tables_for(&base), table, "coset {j} lookup {lookup}");
                     assert_eq!(
                         crate::mul::double_multiply(&u1, &u2, &base),
                         want,

@@ -22,11 +22,17 @@
 //! M0+ tier keeps the paper's LD. The callers differ only in the lanes
 //! they pass:
 //!
-//! * [`mul_wtnaf`] — random-point kP with the left-to-right width-w
-//!   TNAF method (the paper uses w = 4), mixed additions and Frobenius
-//!   in place of doublings: one lane, k's digits against P's cached
-//!   table ([`precompute_table`] builds each α_u·P the same way, from
-//!   one LD lane of α_u's τ-NAF against `[P]`);
+//! * [`mul_wtnaf`] — random-point kP with the width-w TNAF digits (the
+//!   paper uses w = 4), mixed additions and Frobenius in place of
+//!   doublings. The cache keeps every base of the subgroup as a comb
+//!   ([`key_comb`]): [`KG_COMB_STRIPS`] strips of its width-w λ table,
+//!   strip j = τ^(30j) of strip 0, so k's 239 padded digits run as 8
+//!   lanes of 30 over 30 Frobenius maps instead of 239, always 30 steps
+//!   of 8 digit slots. The paper's one lane (Guide to ECC Alg. 3.70, k's
+//!   digits against P's table, [`mul_wtnaf_with_table`]) is the comb's
+//!   oracle, and the LD path of every base outside the subgroup
+//!   ([`precompute_table`] builds each α_u·P the same way, from one LD
+//!   lane of α_u's τ-NAF against `[P]`);
 //! * [`mul_g`] — fixed-point kG. The paper's configuration is w = 6 with
 //!   a precomputed table of α_u·G ([`generator_table`], built once,
 //!   lazily — "offline" in the paper's accounting, which charges kG zero
@@ -41,16 +47,17 @@
 //!   static size is 8 × 64 = 512 λ points (32 KiB, host only);
 //!   [`mul_g_horner`], the paper's one-lane LD loop, is its oracle;
 //! * [`double_multiply`] — u₁·G + u₂·Q over one shared Frobenius pass.
-//!   A verification key recurs, so it is a fixed base too: on its second
-//!   double multiply the cache promotes a key of the subgroup to a comb
-//!   of its own ([`key_comb`]: 8 strips of its w = 5 table, 64 points,
-//!   4 KiB), and from then on the pass is one joint comb of 16 lanes
-//!   over 30 Frobenius maps, u₁'s w = 8 digits against G's strips and
-//!   u₂'s w = 5 digits against Q's ([`double_multiply_with_strips`]). A
-//!   key seen once, or outside the subgroup, runs two lanes over 239
-//!   maps, u₁ against the comb's strip 0 and u₂'s w = 4 digits against
-//!   Q's cached table ([`double_multiply_with_table`]), the joint comb's
-//!   reference;
+//!   For a key of the subgroup the pass is one joint comb of 16 lanes
+//!   over 30 Frobenius maps ([`double_multiply_with_strips`]), u₁'s
+//!   w = 8 digits against G's strips and u₂'s against Q's: on the key's
+//!   first lookup the w = 4 kP comb the cache holds for it, and, since a
+//!   verification key recurs, from its second on a comb of its own at
+//!   w = 5 ([`key_comb`] at [`KEY_COMB_WINDOW`], 64 points, 4 KiB),
+//!   which the cache promotes it to. A key outside the subgroup runs two
+//!   LD lanes over 239 maps, u₁ against the affine comb's strip 0 and
+//!   u₂'s w = 4 digits against Q's affine table
+//!   ([`double_multiply_with_table`], on λ tables the joint comb's
+//!   reference);
 //! * [`montgomery_ladder`] — the constant-time x-only ladder the paper's
 //!   §5 names as the fix for its timing-variability caveat.
 
@@ -73,12 +80,12 @@ pub const KG_WINDOW: u32 = 6;
 /// per strip.
 pub const KG_COMB_WINDOW: u32 = 8;
 
-/// Strip count d of the host kG comb ([`generator_comb`]) and of a
-/// recurring verification key's comb ([`key_comb`]).
+/// Strip count d of the host kG comb ([`generator_comb`]) and of every
+/// cached base's comb ([`key_comb`]).
 pub const KG_COMB_STRIPS: usize = 8;
 
-/// Window width of a recurring verification key's comb strips
-/// ([`key_comb`]): 2³ = 8 α_u·Q per strip.
+/// Window width of a recurring verification key's comb, which the
+/// cache promotes it to ([`key_comb`]): 2³ = 8 α_u·Q per strip.
 pub const KEY_COMB_WINDOW: u32 = 5;
 
 /// Panics unless `w` is a supported window width.
@@ -317,13 +324,19 @@ fn eval_lanes<P: TablePoint>(lanes: &[(&[i8], &[P])]) -> LdPoint {
     P::to_ld(acc)
 }
 
-/// Random-point multiplication k·P by the left-to-right width-w TNAF
-/// method (Guide to ECC Alg. 3.70): the paper's kP configuration with
-/// `w = 4`.
+/// Random-point multiplication k·P with the width-w TNAF digits of k:
+/// the paper's kP configuration with `w = 4`.
 ///
-/// The precomputation table is served from the process-wide
-/// [`crate::cache`] — repeated multiplications against the same base
-/// point skip `TNAF_Precomputation` entirely.
+/// P's precomputation is served from the process-wide [`crate::cache`],
+/// so repeated multiplications against the same base point skip
+/// `TNAF_Precomputation` entirely. A base in the prime-order subgroup is
+/// cached as its comb ([`key_comb`] at width w): k's digits run as
+/// [`KG_COMB_STRIPS`] lanes of 30, lane j against strip j, over 30
+/// Frobenius maps instead of 239. The pass always runs 30 steps of 8
+/// digit slots, so its iteration count does not depend on the scalar;
+/// its digits and additions are those of the paper's one-lane loop
+/// (Guide to ECC Alg. 3.70, [`mul_wtnaf_with_table`]), its oracle. Any
+/// other base runs that one-lane loop in LD against its affine table.
 ///
 /// `k` is a [`U256`]: a `&Scalar`, or a `&Int` of at most 256 bits.
 ///
@@ -336,8 +349,8 @@ pub fn mul_wtnaf(p: &Affine, k: impl Into<U256>, w: u32) -> Affine {
 
 /// [`mul_wtnaf`] without the final affine conversion: the result stays
 /// in LD coordinates for a later [`crate::projective::batch_to_affine`].
-/// The cached [`Table`] decides the loop: λ for a base in the
-/// prime-order subgroup, LD for any other.
+/// The cached [`Table`] decides the loop: the λ comb for a base in the
+/// prime-order subgroup, the one-lane LD loop for any other.
 pub fn mul_wtnaf_proj(p: &Affine, k: impl Into<U256>, w: u32) -> LdPoint {
     let k = k.into();
     if k.is_zero() || p.is_infinity() {
@@ -345,14 +358,18 @@ pub fn mul_wtnaf_proj(p: &Affine, k: impl Into<U256>, w: u32) -> LdPoint {
     }
     let digits = tnaf::recode(k, w);
     match crate::cache::table_for(p, w) {
-        Table::Lambda(table) => eval_lanes(&[(&digits, table.as_slice())]),
+        Table::Lambda(strips) => {
+            let comb = [(&digits[..], &strips[..])];
+            eval_lanes(&comb_pass::<_, KG_COMB_STRIPS>(&comb))
+        }
         Table::Ld(table) => eval_lanes(&[(&digits, table.as_slice())]),
     }
 }
 
 /// k·P from P's width-w table given explicitly, uncached: one lane of
-/// k's w-digits. With [`precompute_table`]'s affine table this is the
-/// LD oracle of [`mul_wtnaf_proj`]'s λ loop.
+/// k's w-digits over 239 Frobenius maps, the paper's loop. With
+/// [`precompute_lambda_table`] it is the oracle of [`mul_wtnaf_proj`]'s
+/// comb, with [`precompute_table`]'s affine table the LD oracle of both.
 ///
 /// # Panics
 ///
@@ -431,6 +448,20 @@ fn comb_lanes<'a, P: TablePoint>(
     digits.chunks(l).zip(strips.iter().map(Vec::as_slice))
 }
 
+/// The lanes of one pass over several combs: each (digits, strips) pair
+/// cut by [`comb_lanes`], in order, as one array of `LANES` lanes, which
+/// the combs' strips must number in all.
+fn comb_pass<'a, P: TablePoint, const LANES: usize>(
+    combs: &[(&'a [i8], &'a [Vec<P>])],
+) -> [(&'a [i8], &'a [P]); LANES] {
+    let mut lanes = combs
+        .iter()
+        .flat_map(|&(digits, strips)| comb_lanes(digits, strips));
+    let pass = std::array::from_fn(|_| lanes.next().expect("one digit chunk per strip"));
+    debug_assert!(lanes.next().is_none(), "one lane per strip");
+    pass
+}
+
 /// Fixed-point multiplication k·G: the w = 8 digits of k cut into
 /// [`KG_COMB_STRIPS`] lanes of 30, lane j evaluated against strip j of
 /// [`generator_comb`] in one Horner pass — 30 Frobenius maps and ~26
@@ -467,10 +498,7 @@ pub fn mul_g_proj(k: impl Into<U256>) -> LdPoint {
 pub fn mul_g_with_strips<P: TablePoint>(k: impl Into<U256>, strips: &[Vec<P>]) -> LdPoint {
     assert_eq!(strips.len(), KG_COMB_STRIPS, "one strip per comb lane");
     let digits = tnaf::recode(k, KG_COMB_WINDOW);
-    let mut lanes = comb_lanes(&digits, strips);
-    let lanes: [_; KG_COMB_STRIPS] =
-        std::array::from_fn(|_| lanes.next().expect("one digit chunk per strip"));
-    eval_lanes(&lanes)
+    eval_lanes(&comb_pass::<_, KG_COMB_STRIPS>(&[(&digits, strips)]))
 }
 
 /// The paper's kG loop, kept as the comb's oracle: the w = 6 digits of k
@@ -480,57 +508,73 @@ pub fn mul_g_horner(k: impl Into<U256>) -> LdPoint {
     eval_lanes(&[(&tnaf::recode(k, KG_WINDOW), generator_table())])
 }
 
-/// The comb strips of a recurring verification key Q: [`KG_COMB_STRIPS`]
-/// strips of Q's w = [`KEY_COMB_WINDOW`] table, strip j holding
-/// τ^(30j)(α_u·Q), built exactly as [`generator_comb`] builds G's (one
-/// table inversion plus 7 × 2^(w−2) pairs of 30-fold squarings).
-/// [`crate::cache`] builds the [`LambdaPoint`] strips for a key in the
-/// prime-order subgroup on its second double-multiply lookup; the
-/// [`Affine`] strips serve the LD oracle.
+/// The comb of a public base point Q at width `w`: [`KG_COMB_STRIPS`]
+/// strips of Q's width-w table, strip j holding τ^(30j)(α_u·Q), built
+/// exactly as [`generator_comb`] builds G's (one table inversion plus
+/// 7 × 2^(w−2) pairs of 30-fold squarings). [`crate::cache`] builds the
+/// [`LambdaPoint`] comb of every base in the prime-order subgroup: at
+/// the kP width on a miss ([`Table::build`]), and at [`KEY_COMB_WINDOW`]
+/// when a verification key recurs. The [`Affine`] combs serve the LD
+/// oracle.
 ///
 /// # Panics
 ///
-/// As [`precompute_lambda_table`] for `P = LambdaPoint`.
-pub fn key_comb<P: TablePoint>(q: &Affine) -> Vec<Vec<P>> {
-    comb_strips(P::table(q, KEY_COMB_WINDOW), KG_COMB_STRIPS)
+/// Panics if `w` is outside 2..=8, or as [`precompute_lambda_table`] for
+/// `P = LambdaPoint`.
+pub fn key_comb<P: TablePoint>(q: &Affine, w: u32) -> Vec<Vec<P>> {
+    comb_strips(P::table(q, w), KG_COMB_STRIPS)
 }
 
-/// A base point's wTNAF table as [`crate::cache`] serves it.
+/// The window width w of a table of `len` = 2^(w−2) points.
+///
+/// # Panics
+///
+/// Panics unless `len` is 2^(w−2) for a w in 2..=8.
+fn table_width(len: usize) -> u32 {
+    assert!(len.is_power_of_two(), "a table of {len} points");
+    let w = len.trailing_zeros() + 2;
+    assert_window(w);
+    w
+}
+
+/// A base point's wTNAF precomputation as [`crate::cache`] serves it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Table {
-    /// λ-affine entries ([`precompute_lambda_table`]) for the λ loop: a
-    /// base in the prime-order subgroup.
-    Lambda(Arc<Vec<LambdaPoint>>),
+    /// A base in the prime-order subgroup: its λ comb ([`key_comb`]),
+    /// [`KG_COMB_STRIPS`] strips of its λ-affine table
+    /// ([`precompute_lambda_table`]), strip 0 being the table itself.
+    Lambda(Arc<Vec<Vec<LambdaPoint>>>),
     /// Affine entries ([`precompute_table`]) for the LD loop: any other
     /// base, whose multiples may reach (0, 1), which has no λ.
     Ld(Arc<Vec<Affine>>),
 }
 
 impl Table {
-    /// p's table at width `w` (p finite): λ-affine if p passes
-    /// [`Affine::is_in_prime_order_subgroup`], affine otherwise. The
-    /// cache runs this, and so the check, once per miss.
+    /// p's precomputation at width `w` (p finite): its λ comb if p passes
+    /// [`Affine::is_in_prime_order_subgroup`], its affine table
+    /// otherwise. The cache runs this, and so the check, once per miss.
     ///
     /// # Panics
     ///
     /// Panics if `w` is outside 2..=8.
     pub fn build(p: &Affine, w: u32) -> Table {
         if p.is_in_prime_order_subgroup() {
-            Table::Lambda(Arc::new(precompute_lambda_table(p, w)))
+            Table::Lambda(Arc::new(key_comb(p, w)))
         } else {
             Table::Ld(Arc::new(precompute_table(p, w)))
         }
     }
 
-    /// Whether the entries are λ-affine.
+    /// Whether the entries are λ-affine (a comb).
     pub fn is_lambda(&self) -> bool {
         matches!(self, Table::Lambda(_))
     }
 
-    /// Number of entries, 2^(w−2).
+    /// Number of entries in the width-w table (a comb's strip 0),
+    /// 2^(w−2).
     pub fn len(&self) -> usize {
         match self {
-            Table::Lambda(t) => t.len(),
+            Table::Lambda(strips) => strips[0].len(),
             Table::Ld(t) => t.len(),
         }
     }
@@ -539,34 +583,29 @@ impl Table {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-/// Q's precomputation as the double multiply reads it, from
-/// [`crate::cache::key_tables_for`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum KeyTables {
-    /// A key not yet promoted, or outside the prime-order subgroup: its
-    /// w = [`KP_WINDOW`] table.
-    Window(Table),
-    /// A recurring key of the subgroup: its [`key_comb`] strips.
-    Comb(Arc<Vec<Vec<LambdaPoint>>>),
+    /// The window width w the table was built at.
+    pub fn width(&self) -> u32 {
+        table_width(self.len())
+    }
 }
 
 /// Simultaneous double multiplication u₁·G + u₂·Q by interleaved
 /// width-w TNAF evaluation (the τ-adic Shamir–Strauss trick): one
 /// shared Frobenius pass of the lane evaluator instead of two passes,
 /// so an ECDSA verification costs barely more than a single
-/// random-point multiplication. Q's tables come from the cache
+/// random-point multiplication. Q's precomputation comes from the cache
 /// ([`crate::cache::key_tables_for`]), which decides the lanes:
 ///
-/// * a key on its first double-multiply lookup runs two λ lanes over
-///   239 Frobenius maps ([`double_multiply_with_table`]): u₁ at w = 8
-///   against the comb's strip 0, u₂ at w = 4 against Q's table;
-/// * a key seen before runs the λ joint comb over 30 Frobenius maps
-///   ([`double_multiply_with_strips`]): u₁'s 8 lanes against G's strips,
-///   then u₂'s 8 lanes at w = [`KEY_COMB_WINDOW`] against Q's;
-/// * a key outside the prime-order subgroup always runs the two lanes in
-///   LD, against the [`Affine`] comb's strip 0 and Q's affine table.
+/// * a key of the prime-order subgroup runs the λ joint comb over 30
+///   Frobenius maps ([`double_multiply_with_strips`]): u₁'s 8 lanes at
+///   w = 8 against G's strips, then u₂'s 8 lanes against Q's comb, at
+///   w = [`KP_WINDOW`] on the key's first double-multiply lookup (the
+///   comb kP reads) and at w = [`KEY_COMB_WINDOW`] from its second on;
+/// * a key outside the subgroup always runs two lanes in LD over 239
+///   Frobenius maps ([`double_multiply_with_table`]): u₁ at w = 8
+///   against the [`Affine`] comb's strip 0, u₂ at w = 4 against Q's
+///   affine table.
 ///
 /// # Panics
 ///
@@ -588,16 +627,16 @@ pub fn double_multiply_proj(u1: impl Into<U256>, u2: impl Into<U256>, q: &Affine
         return mul_wtnaf_proj(q, u2, KP_WINDOW);
     }
     match crate::cache::key_tables_for(q) {
-        KeyTables::Window(Table::Lambda(table)) => double_multiply_with_table(u1, u2, &table),
-        KeyTables::Window(Table::Ld(table)) => double_multiply_with_table(u1, u2, &table),
-        KeyTables::Comb(strips) => double_multiply_with_strips(u1, u2, &strips),
+        Table::Lambda(strips) => double_multiply_with_strips(u1, u2, &strips),
+        Table::Ld(table) => double_multiply_with_table(u1, u2, &table),
     }
 }
 
 /// u₁·G + u₂·Q in two lanes over 239 Frobenius maps: u₁'s w = 8 digits
 /// against strip 0 of [`generator_comb`] in `P`'s coordinates, then
 /// u₂'s w = 4 digits against `table_q`, Q's table at [`KP_WINDOW`]. The
-/// path of a key seen once, and the reference of the joint comb.
+/// path of a key outside the prime-order subgroup (in LD), and on λ
+/// tables the reference of the joint comb.
 ///
 /// # Panics
 ///
@@ -615,13 +654,14 @@ pub fn double_multiply_with_table<P: TablePoint>(
 
 /// u₁·G + u₂·Q as one joint comb over 30 Frobenius maps: u₁'s w = 8
 /// digits in 8 lanes against [`generator_comb`] in `P`'s coordinates,
-/// then u₂'s w = [`KEY_COMB_WINDOW`] digits in 8 lanes against
-/// `strips_q`, Q's [`key_comb`]. Same point as
-/// [`double_multiply_with_table`].
+/// then u₂'s digits in 8 lanes against `strips_q`, Q's [`key_comb`] at
+/// the width w its strip length gives (2^(w−2) points a strip). Same
+/// point as [`double_multiply_with_table`].
 ///
 /// # Panics
 ///
-/// Panics unless `strips_q` has [`KG_COMB_STRIPS`] strips.
+/// Panics unless `strips_q` has [`KG_COMB_STRIPS`] strips of 2^(w−2)
+/// points for a w in 2..=8.
 pub fn double_multiply_with_strips<P: TablePoint>(
     u1: impl Into<U256>,
     u2: impl Into<U256>,
@@ -629,11 +669,9 @@ pub fn double_multiply_with_strips<P: TablePoint>(
 ) -> LdPoint {
     assert_eq!(strips_q.len(), KG_COMB_STRIPS, "one strip per comb lane");
     let d1 = tnaf::recode(u1, KG_COMB_WINDOW);
-    let d2 = tnaf::recode(u2, KEY_COMB_WINDOW);
-    let mut lanes = comb_lanes(&d1, generator_comb::<P>()).chain(comb_lanes(&d2, strips_q));
-    let lanes: [_; 2 * KG_COMB_STRIPS] =
-        std::array::from_fn(|_| lanes.next().expect("one digit chunk per strip"));
-    eval_lanes(&lanes)
+    let d2 = tnaf::recode(u2, table_width(strips_q[0].len()));
+    let combs = [(&d1[..], generator_comb::<P>()), (&d2[..], strips_q)];
+    eval_lanes(&comb_pass::<_, { 2 * KG_COMB_STRIPS }>(&combs))
 }
 
 /// The ladder's base x-coordinate and its bit schedule for `k`, most
@@ -880,21 +918,26 @@ mod tests {
         }
     }
 
-    /// u₁·G + u₂·Q along every double-multiply path: a fresh key's two
-    /// lanes and a promoted key's joint comb, each on explicit LD tables
-    /// and, for a key in the subgroup, on λ tables, then the cached entry
-    /// point twice, which runs both for a key of the subgroup it has not
+    /// u₁·G + u₂·Q along every double-multiply path: the two lanes, the
+    /// joint comb on Q's w = 4 comb (a key's first lookup) and on its
+    /// w = 5 comb (a promoted key), each on explicit LD tables and, for a
+    /// key in the subgroup, on λ tables, then the cached entry point
+    /// twice, which runs both combs for a key of the subgroup it has not
     /// seen.
     fn double_multiply_paths(u1: &Int, u2: &Int, q: &Affine) -> Vec<Affine> {
-        let mut out = vec![
-            double_multiply_with_table(u1, u2, &precompute_table(q, KP_WINDOW)).to_affine(),
-            double_multiply_with_strips(u1, u2, &key_comb::<Affine>(q)).to_affine(),
-        ];
+        let mut out =
+            vec![double_multiply_with_table(u1, u2, &precompute_table(q, KP_WINDOW)).to_affine()];
+        for w in [KP_WINDOW, KEY_COMB_WINDOW] {
+            let strips = key_comb::<Affine>(q, w);
+            out.push(double_multiply_with_strips(u1, u2, &strips).to_affine());
+        }
         if q.is_in_prime_order_subgroup() {
             let table = precompute_lambda_table(q, KP_WINDOW);
             out.push(double_multiply_with_table(u1, u2, &table).to_affine());
-            let strips = key_comb::<LambdaPoint>(q);
-            out.push(double_multiply_with_strips(u1, u2, &strips).to_affine());
+            for w in [KP_WINDOW, KEY_COMB_WINDOW] {
+                let strips = key_comb::<LambdaPoint>(q, w);
+                out.push(double_multiply_with_strips(u1, u2, &strips).to_affine());
+            }
         }
         out.push(double_multiply(u1, u2, q));
         out.push(double_multiply(u1, u2, q));
@@ -968,24 +1011,29 @@ mod tests {
         out
     }
 
-    /// The comb in `P`'s coordinates over 1..=8 strips against `cases`.
-    fn assert_comb_matches<P: TablePoint>(cases: &[(Int, Affine)]) {
-        let strip0 = &generator_comb::<P>()[0];
+    /// The comb over `strip0` in `P`'s coordinates at 1..=8 strips, k's
+    /// width-`w` digits in one lane a strip, against each case's point.
+    fn assert_comb_matches<P: TablePoint>(strip0: &[P], w: u32, cases: &[(Int, Affine)]) {
         for d in 1..=KG_COMB_STRIPS {
-            let strips = comb_strips(strip0.clone(), d);
+            let strips = comb_strips(strip0.to_vec(), d);
             assert_eq!(strips.len(), d);
             for (k, want) in cases {
-                let digits = tnaf::recode(k, KG_COMB_WINDOW);
+                let digits = tnaf::recode(k, w);
                 let lanes: Vec<_> = comb_lanes(&digits, &strips).collect();
                 assert_eq!(lanes.len(), d);
                 let got = eval_lanes(&lanes).to_affine();
-                assert_eq!(got, *want, "d = {d}, k = {k}");
+                assert_eq!(got, *want, "w = {w}, d = {d}, k = {k}");
             }
         }
-        for (k, want) in cases {
-            let got = mul_g_with_strips(k, generator_comb::<P>()).to_affine();
-            assert_eq!(got, *want, "k = {k}");
-        }
+    }
+
+    /// A base of the subgroup whose w = 4 comb the cache holds.
+    fn cached_kp_comb() -> (Affine, Arc<Vec<Vec<LambdaPoint>>>) {
+        let q = generator().mul_binary(&Int::from(0x0c0b_4a11i64));
+        let Table::Lambda(strips) = crate::cache::table_for(&q, KP_WINDOW) else {
+            panic!("a base of the subgroup is cached as a λ comb");
+        };
+        (q, strips)
     }
 
     #[test]
@@ -997,10 +1045,29 @@ mod tests {
                 (k, want)
             })
             .collect();
-        assert_comb_matches::<LambdaPoint>(&cases);
-        assert_comb_matches::<Affine>(&cases);
+        let w = KG_COMB_WINDOW;
+        assert_comb_matches(&generator_comb::<LambdaPoint>()[0], w, &cases);
+        assert_comb_matches(&generator_comb::<Affine>()[0], w, &cases);
         for (k, want) in &cases {
             assert_eq!(mul_g(k), *want, "k = {k}");
+            let ld = mul_g_with_strips(k, generator_comb::<Affine>());
+            assert_eq!(ld.to_affine(), *want, "k = {k}");
+        }
+        // A cached kP comb at w = 4 against the one-lane loop on the
+        // base's explicit λ table, and the cached entry point.
+        let (q, cached) = cached_kp_comb();
+        let table = precompute_lambda_table(&q, KP_WINDOW);
+        let cases: Vec<(Int, Affine)> = comb_scalars()
+            .into_iter()
+            .map(|k| {
+                let want = mul_wtnaf_with_table(&k, KP_WINDOW, &table).to_affine();
+                (k, want)
+            })
+            .collect();
+        assert_comb_matches(&cached[0], KP_WINDOW, &cases);
+        assert_comb_matches(&precompute_table(&q, KP_WINDOW), KP_WINDOW, &cases);
+        for (k, want) in &cases {
+            assert_eq!(mul_wtnaf(&q, k, KP_WINDOW), *want, "k = {k}");
         }
     }
 
@@ -1016,20 +1083,35 @@ mod tests {
         assert_eq!(generator_comb::<Affine>()[0], want);
     }
 
-    #[test]
-    fn comb_strip_j_is_strip_zero_after_jl_frobenius_maps() {
-        let l = comb_strip_len(KG_COMB_STRIPS);
-        let ld = generator_comb::<Affine>();
-        let lambda = generator_comb::<LambdaPoint>();
-        let mut shifted = ld[0].clone();
-        for (j, (strip, strip_l)) in ld.iter().zip(lambda).enumerate() {
-            assert_eq!(*strip, shifted, "LD strip {j}");
-            let strip_l: Vec<Affine> = strip_l.iter().map(LambdaPoint::to_affine).collect();
-            assert_eq!(strip_l, shifted, "λ strip {j}");
-            for _ in 0..l {
+    /// Asserts that strip j of `strips` is `shifted` after 30j Frobenius
+    /// maps.
+    fn assert_frobenius_shifts(strips: &[Vec<Affine>], mut shifted: Vec<Affine>, label: &str) {
+        assert_eq!(strips.len(), KG_COMB_STRIPS, "{label}");
+        for (j, strip) in strips.iter().enumerate() {
+            assert_eq!(*strip, shifted, "{label} strip {j}");
+            for _ in 0..comb_strip_len(KG_COMB_STRIPS) {
                 shifted = shifted.iter().map(Affine::frobenius).collect();
             }
         }
+    }
+
+    fn affine_strips(strips: &[Vec<LambdaPoint>]) -> Vec<Vec<Affine>> {
+        strips
+            .iter()
+            .map(|strip| strip.iter().map(LambdaPoint::to_affine).collect())
+            .collect()
+    }
+
+    #[test]
+    fn comb_strip_j_is_strip_zero_after_jl_frobenius_maps() {
+        let ld = generator_comb::<Affine>();
+        assert_frobenius_shifts(ld, ld[0].clone(), "G's LD");
+        let lambda = affine_strips(generator_comb::<LambdaPoint>());
+        assert_frobenius_shifts(&lambda, ld[0].clone(), "G's λ");
+        // A cached kP comb at w = 4, against the affine oracle's table.
+        let (q, cached) = cached_kp_comb();
+        let want = precompute_table_binary(&q, KP_WINDOW);
+        assert_frobenius_shifts(&affine_strips(&cached), want, "kP");
     }
 
     #[test]
@@ -1062,11 +1144,8 @@ mod tests {
     fn tables_are_lambda_exactly_in_the_subgroup() {
         let q = generator().mul_binary(&Int::from(4242i64));
         let built = Table::build(&q, KP_WINDOW);
-        assert_eq!(
-            built,
-            Table::Lambda(Arc::new(precompute_lambda_table(&q, KP_WINDOW)))
-        );
-        assert_eq!(built.len(), 4);
+        assert_eq!(built, Table::Lambda(Arc::new(key_comb(&q, KP_WINDOW))));
+        assert_eq!((built.len(), built.width()), (4, KP_WINDOW));
         for t in torsion() {
             for base in [t, q.add(&t)] {
                 let built = Table::build(&base, KP_WINDOW);

@@ -9,7 +9,7 @@
 //! movement.
 
 use koblitz::cache::{self, CAPACITY};
-use koblitz::mul::{self, KeyTables, KP_WINDOW};
+use koblitz::mul::{self, Table, KEY_COMB_WINDOW, KP_WINDOW};
 use koblitz::{generator, Int};
 use std::sync::{Mutex, MutexGuard};
 
@@ -73,12 +73,12 @@ fn unique_key_verification_flood_builds_no_strips() {
     }
     let s = cache::stats();
     assert_eq!(s.misses, FLOOD as u64, "unique keys never hit");
-    assert_eq!(s.promotions, 0, "a key seen once gets no strips");
+    assert_eq!(s.promotions, 0, "a key seen once gets no wider comb");
 
     // A key that recurs is promoted on its second double multiply.
     let q = generator().mul_binary(&Int::from(6_900_000i64));
-    assert!(matches!(cache::key_tables_for(&q), KeyTables::Window(_)));
-    assert!(matches!(cache::key_tables_for(&q), KeyTables::Comb(_)));
+    assert_eq!(cache::key_tables_for(&q).width(), KP_WINDOW);
+    assert_eq!(cache::key_tables_for(&q).width(), KEY_COMB_WINDOW);
     assert_eq!(cache::stats().promotions, 1);
 }
 
@@ -123,9 +123,9 @@ fn subgroup_check_runs_on_a_miss_only() {
     // it run no check.
     for q in &keys {
         let _ = cache::table_for(q, KP_WINDOW);
-        assert!(matches!(cache::key_tables_for(q), KeyTables::Window(_)));
-        assert!(matches!(cache::key_tables_for(q), KeyTables::Comb(_)));
-        assert!(matches!(cache::key_tables_for(q), KeyTables::Comb(_)));
+        assert_eq!(cache::key_tables_for(q).width(), KP_WINDOW);
+        assert_eq!(cache::key_tables_for(q).width(), KEY_COMB_WINDOW);
+        assert_eq!(cache::key_tables_for(q).width(), KEY_COMB_WINDOW);
     }
     let s = cache::stats();
     assert_eq!(s.hits, 16);
@@ -133,4 +133,28 @@ fn subgroup_check_runs_on_a_miss_only() {
     // A new width is a new entry: a miss, so one more check.
     let _ = cache::table_for(&keys[0], 5);
     assert_eq!(cache::stats().subgroup_checks, 5);
+}
+
+#[test]
+fn kp_hit_builds_nothing() {
+    let _guard = serial();
+    cache::reset();
+    let p = generator().mul_binary(&Int::from(4_000_000i64));
+    let k = Int::from(0x0123_4567_89ab_cdefi64);
+    let strips = |t: Table| match t {
+        Table::Lambda(strips) => strips,
+        Table::Ld(_) => panic!("a base of the subgroup is cached as a λ comb"),
+    };
+    let built = strips(cache::table_for(&p, KP_WINDOW));
+    let before = cache::stats();
+    assert_eq!(mul::mul_wtnaf(&p, &k, KP_WINDOW), p.mul_binary(&k));
+    let after = cache::stats();
+    assert_eq!(after.hits, before.hits + 1, "the kP lookup hits");
+    assert_eq!(
+        (after.misses, after.subgroup_checks),
+        (before.misses, before.subgroup_checks),
+        "a hit builds nothing"
+    );
+    let again = strips(cache::table_for(&p, KP_WINDOW));
+    assert!(std::sync::Arc::ptr_eq(&built, &again), "the same strips");
 }

@@ -192,10 +192,10 @@ pub struct VerifyJob<'a> {
 /// without a field inversion, as in [`crate::ecdsa::verify`].
 ///
 /// Returns exactly what [`crate::ecdsa::verify`] would return for each
-/// job, in input order. A public key's second verification promotes it
-/// in the wTNAF table cache ([`koblitz::cache::key_tables_for`]): from
-/// then on its double multiply is one joint comb over 30 Frobenius maps
-/// instead of two lanes over 239.
+/// job, in input order. Every double multiply is one joint comb over 30
+/// Frobenius maps, against the key's comb in the wTNAF table cache
+/// ([`koblitz::cache::key_tables_for`]); a public key's second
+/// verification promotes it there to a comb of its w = 5 table.
 pub fn verify_batch(jobs: &[VerifyJob<'_>], workers: usize) -> Vec<Result<(), VerifyError>> {
     // Sequential pre-pass: the malformed-signature check, then one
     // mod-n inversion for the s of every well-formed signature.

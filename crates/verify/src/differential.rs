@@ -26,8 +26,11 @@
 //!   the same shifted points; the host's λ-coordinate kP, kG and double
 //!   multiplies against the López-Dahab loop on G, a seeded multiple of
 //!   G, the torsion points and all four cosets, with every base outside
-//!   the subgroup kept on the LD path; the τ-adic kG comb against the paper's
-//!   single-table Horner loop, and the double multiply against the
+//!   the subgroup kept on the LD path; the cached kP comb of a base new
+//!   to the cache, on its miss and its hit at w = 4 and 5, and the joint
+//!   comb of a key's first double multiply, against the paper's one-lane
+//!   loop and the two-lane double multiply on explicit λ tables; the
+//!   τ-adic kG comb against the paper's single-table Horner loop, and the double multiply against the
 //!   Horner sum on the shifted points; the fixed-width τ-adic recoding
 //!   against its `Int` pipeline, digit for digit at every width; the
 //!   mod-n batch inversion against per-element inversion; the
@@ -68,7 +71,7 @@ use gf2m::generic::GenericField;
 use gf2m::modeled::{ModeledField, Tier};
 use gf2m::mul::mul_ld_fixed;
 use gf2m::{counted, inv, sqr, Clmul, Fe};
-use koblitz::mul::{KeyTables, Table};
+use koblitz::mul::Table;
 use koblitz::{cache, curve, mul, tnaf, Int, LambdaPoint, Scalar, U256};
 use prng::SplitMix64;
 use protocols::sha256::{Sha256, ShaNi};
@@ -258,6 +261,7 @@ const KG_COMB_DOMAIN: u64 = 0xc0b8;
 const DM_COMB_DOMAIN: u64 = 0xd0c0b8;
 const LD_LAMBDA_DOMAIN: u64 = 0x1d1a;
 const SCALAR_INV_PUBLIC_DOMAIN: u64 = 0x5ca1b1;
+const KP_COMB_DOMAIN: u64 = 0xc0b84;
 
 /// Size of the global case list: the four phase case lists
 /// concatenated (field, then scalar, then wire, then batch). This is
@@ -938,14 +942,12 @@ fn ld_lambda_pair(
         if lambda {
             let table = mul::precompute_lambda_table(&base, w);
             got.push(mul::double_multiply_with_table(&a, &b, &table).to_affine());
-            let strips = mul::key_comb::<LambdaPoint>(&base);
-            got.push(mul::double_multiply_with_strips(&a, &b, &strips).to_affine());
+            for w in [mul::KP_WINDOW, mul::KEY_COMB_WINDOW] {
+                let strips = mul::key_comb::<LambdaPoint>(&base, w);
+                got.push(mul::double_multiply_with_strips(&a, &b, &strips).to_affine());
+            }
         }
-        let on_ld_path = lambda
-            || matches!(
-                cache::key_tables_for(&base),
-                KeyTables::Window(Table::Ld(_))
-            );
+        let on_ld_path = lambda || matches!(cache::key_tables_for(&base), Table::Ld(_));
         let dm_ok = on_ld_path && got.iter().all(|p| *p == want);
         report.check(at, "ld/lambda", dm_ok, || {
             (
@@ -957,6 +959,56 @@ fn ld_lambda_pair(
             )
         });
     }
+}
+
+/// The `kp_horner/kp_comb` pair of one scalar case: the cache's λ comb
+/// against the paper's one-lane loop on a base new to the cache, a
+/// seeded multiple Q of G. The scalars k and u are the comb's edges
+/// paired up (k from the front, u from the back), then seeded. At w = 4
+/// and 5, k·Q through the cache on its miss and then on its hit must
+/// equal `mul_wtnaf_with_table` on Q's explicit λ table. Then k·G + u·Q
+/// on Q's first double-multiply lookup (the joint comb on the w = 4 comb
+/// the kP miss cached) and the joint comb on explicit w = 4 strips must
+/// equal the two-lane `double_multiply_with_table` on that table.
+fn kp_comb_pair(config: &DiffConfig, report: &mut DiffReport, case: usize) {
+    let at = ("scalar", case);
+    let edges = dm_scalar_edges();
+    let mut rng = SplitMix64::substream(config.seed, KP_COMB_DOMAIN, case as u64);
+    let (k, u) = match edges.get(case) {
+        Some(k) => (k.clone(), edges[edges.len() - 1 - case].clone()),
+        None => (rand_scalar_wide(&mut rng), rand_scalar_wide(&mut rng)),
+    };
+    let q = curve::generator().mul_binary(&rand_scalar_wide(&mut rng));
+    let widths = [mul::KP_WINDOW, 5];
+    let tables = widths.map(|w| mul::precompute_lambda_table(&q, w));
+    for (w, table) in widths.into_iter().zip(&tables) {
+        let want = mul::mul_wtnaf_with_table(&k, w, table).to_affine();
+        let miss = mul::mul_wtnaf_proj(&q, &k, w).to_affine();
+        let hit = mul::mul_wtnaf_proj(&q, &k, w).to_affine();
+        report.check(at, "kp_horner/kp_comb", miss == want && hit == want, || {
+            (
+                k.to_hex(),
+                format!(
+                    "k·Q at w = {w} for Q = {q}: the cached comb gives {miss} on the miss \
+                     and {hit} on the hit, the one-lane loop {want}"
+                ),
+            )
+        });
+    }
+    let want = mul::double_multiply_with_table(&k, &u, &tables[0]).to_affine();
+    let strips = mul::key_comb::<LambdaPoint>(&q, mul::KP_WINDOW);
+    let explicit = mul::double_multiply_with_strips(&k, &u, &strips).to_affine();
+    let first = mul::double_multiply(&k, &u, &q);
+    let agreed = explicit == want && first == want;
+    report.check(at, "kp_horner/kp_comb", agreed, || {
+        (
+            k.to_hex(),
+            format!(
+                "k·G + u·Q for Q = {q}, u = {u}: the w = 4 joint comb gives {explicit} on \
+                 explicit strips and {first} on the first cached lookup, two lanes {want}"
+            ),
+        )
+    });
 }
 
 fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>) {
@@ -1046,10 +1098,11 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
             let table = mul::precompute_table(&q, mul::KP_WINDOW);
             let want = mul::double_multiply_with_table(&u1, &u2, &table).to_affine();
             // A promoted key's strips are λ in the subgroup, LD elsewhere.
+            let w = mul::KEY_COMB_WINDOW;
             let promoted = if q.is_in_prime_order_subgroup() {
-                mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb::<LambdaPoint>(&q))
+                mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb::<LambdaPoint>(&q, w))
             } else {
-                mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb::<curve::Affine>(&q))
+                mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb::<curve::Affine>(&q, w))
             };
             let paths = [
                 ("promoted key", promoted.to_affine()),
@@ -1069,6 +1122,7 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
             }
         }
         ld_lambda_pair(config, report, case, &shifts);
+        kp_comb_pair(config, report, case);
         // The kG comb against the paper's single-table loop, and the
         // double multiply (G half on the comb's strip 0) against the
         // Horner sum, for Q = k·G shifted into each coset.
@@ -1533,6 +1587,8 @@ mod tests {
         assert_eq!(find("dm_horner/dm_comb"), 3 * 4 * 14);
         // kG, then kP and the double multiply on eight bases.
         assert_eq!(find("ld/lambda"), (1 + 2 * 8) * 14);
+        // kP at w = 4 and 5, then the first-lookup double multiply.
+        assert_eq!(find("kp_horner/kp_comb"), 3 * 14);
         // Each batch case checks the drawn batch and its widened copy.
         assert_eq!(find("pointwise_inv/batch_inv"), 12);
         assert_eq!(find("batch_inv/batch_inv_counted"), 6);

@@ -33,6 +33,26 @@ grep -q "target cortex-m0 " /tmp/fault_m0_1.txt
 # Fault verdicts are target-invariant; only costs may move.
 grep -q "overall full-profile detection: 100.0%" /tmp/fault_m0_1.txt
 
+echo "==> fault campaign reports pinned (SHA-256 of the whole output)"
+# Verdicts, counts, trace lengths and countermeasure costs are pure
+# functions of the code: a change that moves any of them fails here,
+# not only one whose output differs between two runs.
+pin_sha256() { # FILE EXPECTED LABEL
+  local got
+  got=$(sha256sum "$1" | cut -d' ' -f1)
+  if [ "$got" != "$2" ]; then
+    echo "$3 output changed: sha256 $got, expected $2"
+    exit 1
+  fi
+}
+target/release/fault_campaign > /tmp/fault_default.txt
+pin_sha256 /tmp/fault_default.txt \
+  c2f5f3146fc03b3d7b287dfafbd5bde3ae6578a2b513684c27b60aa588f956aa \
+  "fault_campaign (seed 7, 200 runs)"
+pin_sha256 /tmp/fault_m0_1.txt \
+  207bc666b7d47599defb6459705836eee05d0af537032e1bbd43db4d2f10b20e \
+  "fault_campaign --smoke --target cortex-m0"
+
 echo "==> verify campaign smoke (leakage + differential, deterministic)"
 target/release/verify_campaign --smoke > /tmp/verify_smoke_1.txt
 target/release/verify_campaign --smoke > /tmp/verify_smoke_2.txt

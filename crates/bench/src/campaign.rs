@@ -11,11 +11,21 @@
 //! campaign then replays that stream N times through
 //! [`m0plus::fault::RecordedKernel::classify`], each time with one
 //! sampled [`FaultPlan`] (instruction skip, register bit flip, or
-//! memory bit flip at a uniform trace index). A replay resumes from
-//! the fault-free run's last checkpoint before the fault, and stops at
-//! the first checkpoint after it if registers, flags and RAM are the
-//! fault-free run's again (such a run is benign: the rest of it is the
-//! fault-free run). Replays are classified:
+//! memory bit flip at a uniform trace index). A case is settled by
+//! def/use liveness of the fault-free run where that suffices, and
+//! every such case is benign, because the run ends with the fault-free
+//! result words `z`:
+//!
+//! * a register or memory flip on a location the fault-free run writes
+//!   before it reads it again, or never touches again outside `z`, is
+//!   not replayed at all;
+//! * any other fault is replayed from the fault-free run's last
+//!   checkpoint before it, and stops at the first checkpoint after it
+//!   if flags, program counter, call depth and every register and RAM
+//!   word still to be read there are the fault-free run's again.
+//!
+//! Every other replay runs to its end or aborts. Replays are
+//! classified:
 //!
 //! * **aborted** — the executor raised an [`m0plus::ExecError`] (the
 //!   model's HardFault, e.g. a corrupted base register walking out of
@@ -235,6 +245,9 @@ struct PreparedTarget {
     op: Op,
     kernel: RecordedKernel,
     regions: Vec<std::ops::Range<u32>>,
+    /// The result's words, the only ones [`judge`] reads of a run that
+    /// ends with the fault-free result.
+    live_out: [std::ops::Range<u32>; 1],
     a: FeSlot,
     b: FeSlot,
     z: FeSlot,
@@ -266,6 +279,7 @@ fn prepare(target: &Target, spec: &'static m0plus::TargetSpec) -> PreparedTarget
         Op::Add => f.add(z, a, b),
     });
     let expected = f.load(z);
+    let result_words = z.0 .0..z.0 .0 + 8;
 
     PreparedTarget {
         stats_name: target.name,
@@ -273,6 +287,7 @@ fn prepare(target: &Target, spec: &'static m0plus::TargetSpec) -> PreparedTarget
         op: target.op,
         kernel,
         regions,
+        live_out: [result_words],
         a,
         b,
         z,
@@ -310,11 +325,12 @@ enum Verdict {
     },
 }
 
-/// The verdict on one replay outcome. A converged run ends with the
-/// fault-free result, so it is benign.
+/// The verdict on one replay outcome. A dead fault and a converged run
+/// end with the fault-free result, so they are benign; the inputs are
+/// read only from a run whose result is wrong.
 fn judge(t: &PreparedTarget, outcome: Outcome) -> Verdict {
     let run = match outcome {
-        Outcome::Converged => return Verdict::Benign,
+        Outcome::Dead | Outcome::Converged => return Verdict::Benign,
         Outcome::Ran(run) => run,
     };
     if run.aborted() {
@@ -365,8 +381,9 @@ struct PartialStats {
 }
 
 /// Replays and classifies the cases of one shard window, each through
-/// [`RecordedKernel::classify`]: a faulted run that is back on the
-/// golden run at the first checkpoint after its fault stops there.
+/// [`RecordedKernel::classify`] with the result words live: a dead
+/// flip is not replayed, and a faulted run whose live state is golden
+/// at the first checkpoint after its fault stops there.
 fn run_cases(
     seed: u64,
     kernel: u64,
@@ -381,7 +398,7 @@ fn run_cases(
             FaultKind::RegisterBitFlip { .. } => p.reg_faults += 1,
             FaultKind::MemoryBitFlip { .. } => p.mem_faults += 1,
         }
-        match judge(t, t.kernel.classify(&plan)) {
+        match judge(t, t.kernel.classify(&plan, &t.live_out)) {
             Verdict::Aborted => p.aborted += 1,
             Verdict::Benign => p.benign += 1,
             Verdict::Altered { recompute, full } => {
@@ -750,31 +767,41 @@ mod tests {
     use m0plus::{Instr, Recording, Reg, StepAction};
 
     fn prepared() -> Vec<PreparedTarget> {
-        targets()
-            .iter()
-            .map(|t| prepare(t, m0plus::target::default_target()))
-            .collect()
+        prepared_on(m0plus::target::default_target())
     }
 
+    fn prepared_on(spec: &'static m0plus::TargetSpec) -> Vec<PreparedTarget> {
+        targets().iter().map(|t| prepare(t, spec)).collect()
+    }
+
+    /// Every case `classify` settles — dead, converged or replayed to
+    /// the end — gets the verdict of the full replay, the oracle that
+    /// prunes nothing.
     #[test]
     fn cut_off_classification_equals_full_replay() {
-        let seed = 7;
-        for (i, t) in prepared().iter().enumerate() {
-            let mut converged = 0;
-            for case in 0..16 {
-                let plan = case_plan(seed, i as u64, t, case);
-                let outcome = t.kernel.classify(&plan);
-                converged += usize::from(matches!(outcome, Outcome::Converged));
-                let full = Outcome::Ran(Box::new(t.kernel.replay(Some(&plan))));
-                assert_eq!(
-                    judge(t, outcome),
-                    judge(t, full),
-                    "{} case {case}: {plan:?}",
-                    t.stats_name
-                );
-            }
-            if t.stats_name == "inv_eea_c" {
-                assert!(converged > 0, "the cut-off never fired on inv_eea_c");
+        for spec in [m0plus::target::cortex_m0plus(), m0plus::target::cortex_m0()] {
+            for (kernel, t) in prepared_on(spec).iter().enumerate() {
+                let (mut dead, mut converged) = (0, 0);
+                for seed in [7, 7919] {
+                    for case in 0..128 {
+                        let plan = case_plan(seed, kernel as u64, t, case);
+                        let outcome = t.kernel.classify(&plan, &t.live_out);
+                        dead += usize::from(matches!(outcome, Outcome::Dead));
+                        converged += usize::from(matches!(outcome, Outcome::Converged));
+                        let full = Outcome::Ran(Box::new(t.kernel.replay(Some(&plan))));
+                        assert_eq!(
+                            judge(t, outcome),
+                            judge(t, full),
+                            "{} on {} seed {seed} case {case}: {plan:?}",
+                            t.stats_name,
+                            spec.name()
+                        );
+                    }
+                }
+                assert!(dead > 0, "{}: the dead rule never fired", t.stats_name);
+                if t.stats_name == "inv_eea_c" {
+                    assert!(converged > 0, "live convergence never fired on inv_eea_c");
+                }
             }
         }
     }

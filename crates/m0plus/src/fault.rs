@@ -17,8 +17,21 @@
 //! the last checkpoint at or before its fault on a clone of the
 //! pre-kernel machine state and resumes the executor there, with a
 //! result bit-identical to a replay from the first instruction.
-//! [`RecordedKernel::classify`] also stops at the first checkpoint after
-//! the fault when the run is back on the golden run.
+//!
+//! [`RecordedKernel::classify`] settles a fault for a caller that reads
+//! only some result words afterwards, and replays no more than that
+//! needs. On the first call it builds a def/use liveness table of the
+//! golden run from the recording alone (the register masks of each
+//! step and the word each load or store touched): the registers live
+//! before every step, and every RAM word's loads and stores in order.
+//! A register or memory flip on a location the golden run writes
+//! before it reads it again — or never touches again, outside the
+//! result words — cannot change the result: it is [`Outcome::Dead`]
+//! without a replay. Any other fault is replayed to the first
+//! checkpoint after it, and stops there ([`Outcome::Converged`]) when
+//! flags, program counter, call depth and every *live* register and
+//! word equal the golden run's. [`RecordedKernel::replay`], which
+//! prunes nothing, is the oracle both rules are tested against.
 //!
 //! Everything is deterministic: a [`FaultPlan`] fully describes one
 //! fault, and [`FaultPlan::sample`] draws plans from the in-tree
@@ -28,7 +41,7 @@
 use crate::asm::Program;
 use crate::backend;
 use crate::exec::{self, Cursor, ExecError, ExecStats, Predecoded, StepAction, NEVER};
-use crate::machine::{Machine, Recording, Reg, StateDelta};
+use crate::machine::{Machine, MicroOp, Recording, Reg, StateDelta};
 use prng::SplitMix64;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -285,16 +298,137 @@ struct Checkpoint {
     cursor: Cursor,
 }
 
-/// How [`RecordedKernel::classify`] settled one faulted replay.
+/// How [`RecordedKernel::classify`] settled one fault.
 #[derive(Debug)]
 pub enum Outcome {
-    /// At the first checkpoint after the fault, registers, flags, RAM,
-    /// program counter and call depth equaled the golden run's: the
-    /// rest of the run is the golden run, so it ends with the fault-free
-    /// result. The replay stopped there.
+    /// A register or memory flip on a location the golden run writes
+    /// before it reads it again, or never touches again outside the
+    /// result words: the faulted run reads only golden values, so it
+    /// ends with the fault-free result. Nothing was replayed.
+    Dead,
+    /// At the first checkpoint after the fault, flags, program counter,
+    /// call depth and every register and RAM word live there equaled
+    /// the golden run's: from there the run reads only golden values,
+    /// so it ends with the fault-free result. The replay stopped there.
     Converged,
     /// The replay ran to its end or aborted.
     Ran(Box<FaultedRun>),
+}
+
+/// Def/use liveness of a recorded kernel's golden run, built from the
+/// recording alone: one backward pass over its steps' register masks
+/// ([`MicroOp::reads`] and [`MicroOp::writes`]) and positioned host
+/// writes, and the word every load and store touched.
+#[derive(Debug)]
+struct Liveness {
+    /// Per trace index, the registers (bit [`Reg::index`]) the golden
+    /// run reads before it writes them again, counted from just before
+    /// that step retires — after the host writes positioned there,
+    /// which the replay applies before a fault. No register is live
+    /// after the last step.
+    regs: Box<[u16]>,
+    /// RAM word `w`'s loads and stores are
+    /// `accesses[starts[w]..starts[w + 1]]`, in trace order: each the
+    /// trace index shifted left one, with the low bit set for a store.
+    /// Words past the last one touched have none.
+    starts: Box<[u32]>,
+    accesses: Box<[u32]>,
+}
+
+impl Liveness {
+    /// The table of `recording`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a load or store step carries no word.
+    fn new(recording: &Recording) -> Liveness {
+        let steps = &recording.steps;
+        let writes = &recording.reg_writes;
+        let mut regs = vec![0u16; steps.len()];
+        // (word, access) pairs, backwards through the trace.
+        let mut touches = Vec::with_capacity(steps.len() / 2);
+        let (mut live, mut pending) = (0u16, writes.len());
+        for (i, step) in steps.iter().enumerate().rev() {
+            // Host writes positioned after this step run before the
+            // next one: they overwrite what this step leaves.
+            while let Some(w) = pending
+                .checked_sub(1)
+                .map(|p| &writes[p])
+                .filter(|w| w.at > i)
+            {
+                live &= !(1 << w.reg.index());
+                pending -= 1;
+            }
+            let op = MicroOp::lower(step.instr, step.literal.as_slice());
+            live = live & !op.writes() | op.reads();
+            regs[i] = live;
+            match step.word {
+                Some(word) => touches.push((word, (i as u32) << 1 | u32::from(op.stores()))),
+                None => assert!(
+                    !op.touches_memory(),
+                    "a recorded load or store carries its word"
+                ),
+            }
+        }
+        let words = touches
+            .iter()
+            .map(|&(w, _)| w as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut starts = vec![0u32; words + 1];
+        for &(word, _) in &touches {
+            starts[word as usize + 1] += 1;
+        }
+        for w in 0..words {
+            starts[w + 1] += starts[w];
+        }
+        let mut next = starts[..words].to_vec();
+        let mut accesses = vec![0u32; touches.len()];
+        for &(word, access) in touches.iter().rev() {
+            accesses[next[word as usize] as usize] = access;
+            next[word as usize] += 1;
+        }
+        Liveness {
+            regs: regs.into(),
+            starts: starts.into(),
+            accesses: accesses.into(),
+        }
+    }
+
+    /// The registers live just before trace index `at` retires (all of
+    /// them past the end of the trace).
+    fn regs_at(&self, at: u64) -> u16 {
+        self.regs.get(at as usize).copied().unwrap_or(u16::MAX)
+    }
+
+    /// Whether RAM word `word`, changed just before trace index `at`
+    /// retires, can reach the result: the golden run's next access to
+    /// it from `at` on is a load, or it has none and `word` lies in
+    /// `live_out`.
+    fn word_live(&self, at: u64, word: u32, live_out: &[Range<u32>]) -> bool {
+        let w = word as usize;
+        let accesses = match self.starts.get(w..w + 2) {
+            Some(&[start, end]) => &self.accesses[start as usize..end as usize],
+            _ => &[],
+        };
+        let next = accesses.partition_point(|&a| u64::from(a >> 1) < at);
+        match accesses.get(next) {
+            Some(&access) => access & 1 == 0,
+            None => live_out.iter().any(|r| r.contains(&word)),
+        }
+    }
+
+    /// Whether `fault` injected at its trace index can change the words
+    /// in `live_out`. Skips always can.
+    fn fault_live(&self, fault: &FaultPlan, live_out: &[Range<u32>]) -> bool {
+        match fault.kind {
+            FaultKind::SkipInstruction => true,
+            FaultKind::RegisterBitFlip { reg, .. } => {
+                self.regs_at(fault.at) >> reg.index() & 1 != 0
+            }
+            FaultKind::MemoryBitFlip { word, .. } => self.word_live(fault.at, word, live_out),
+        }
+    }
 }
 
 /// Everything needed to replay one kernel under fault injection: the
@@ -312,6 +446,9 @@ pub struct RecordedKernel {
     /// first replay of a capture) and shared by every clone.
     checkpoints: Arc<OnceLock<Box<[Checkpoint]>>>,
     interval: u64,
+    /// The golden run's liveness, built by the first
+    /// [`RecordedKernel::classify`] and shared by every clone.
+    liveness: Arc<OnceLock<Liveness>>,
     /// The recording's category-run starts.
     breaks: Vec<u32>,
 }
@@ -343,6 +480,7 @@ impl RecordedKernel {
             breaks: category_breaks(&recording),
             interval: (recording.len() as u64).div_ceil(CHECKPOINTS).max(1),
             checkpoints: Arc::default(),
+            liveness: Arc::default(),
             pre,
             program,
             recording,
@@ -371,6 +509,11 @@ impl RecordedKernel {
             }
             checkpoints.into()
         })
+    }
+
+    /// The golden run's liveness table, built on first use.
+    fn liveness(&self) -> &Liveness {
+        self.liveness.get_or_init(|| Liveness::new(&self.recording))
     }
 
     /// Records `f` running on `host`'s machine and assembles the trace:
@@ -476,21 +619,38 @@ impl RecordedKernel {
         self.ran(machine, stats)
     }
 
-    /// Replays the kernel with `fault` like [`RecordedKernel::replay`],
-    /// but stops at the first checkpoint after the fault if the run is
-    /// back on the golden run there ([`Outcome::Converged`]). A converged
-    /// run's final machine is the fault-free one except for its
-    /// counters, which are not computed: use this where only the
-    /// kernel's result and whether it aborted matter.
-    pub fn classify(&self, fault: &FaultPlan) -> Outcome {
+    /// Settles the kernel under `fault` for a caller that reads only the
+    /// RAM words in `live_out` (half-open word ranges) of a run that
+    /// ends with them golden, and the whole machine of any other run.
+    ///
+    /// A register or memory flip on a location the golden run does not
+    /// read again before writing it, and that is not a `live_out` word
+    /// left untouched, is [`Outcome::Dead`] without a replay. Any other
+    /// fault is replayed like [`RecordedKernel::replay`], but stops at
+    /// the first checkpoint after the fault ([`Outcome::Converged`])
+    /// when flags, program counter, call depth and every register and
+    /// word live there equal the golden run's. Either way the run would
+    /// end with the golden `live_out` words, and the rest of its state
+    /// and counters are not computed. Otherwise the result is the exact
+    /// replay ([`Outcome::Ran`]).
+    pub fn classify(&self, fault: &FaultPlan, live_out: &[Range<u32>]) -> Outcome {
+        let liveness = self.liveness();
+        if !liveness.fault_live(fault, live_out) {
+            return Outcome::Dead;
+        }
         let (mut machine, mut cursor, i) = self.resume_point(fault.at);
         let next = self.checkpoints().get(i + 1);
         let stop = next.map_or(NEVER, |c| c.cursor.steps);
         let mut stats = self.run_on(&mut machine, Some(fault), &mut cursor, stop);
         if let (Ok(None), Some(next)) = (&stats, next) {
+            // The host writes positioned at the checkpoint are still to
+            // come there, so its live registers over-approximate.
+            let at = next.cursor.steps;
             if cursor.pc == next.cursor.pc
                 && cursor.call_stack.len() == next.cursor.call_stack.len()
-                && machine.same_architecture(&self.pre, &next.state)
+                && machine.same_live_state(&self.pre, &next.state, liveness.regs_at(at), |w| {
+                    liveness.word_live(at, w, live_out)
+                })
             {
                 return Outcome::Converged;
             }
@@ -686,30 +846,78 @@ mod tests {
         }
     }
 
+    /// The words `rounds_kernel` and `xor_kernel` leave their result
+    /// in, given the first input's address.
+    fn out_words(a: Addr) -> [Range<u32>; 1] {
+        let out = a.0 + 8..a.0 + 12;
+        [out]
+    }
+
+    /// The first trace index at or after `from` whose instruction is
+    /// `instr`.
+    fn first(kernel: &RecordedKernel, from: u64, instr: Instr) -> u64 {
+        (from..kernel.trace_len())
+            .find(|&i| kernel.recording.steps[i as usize].instr == instr)
+            .unwrap_or_else(|| panic!("no {instr} from index {from}"))
+    }
+
+    fn reg_flip(at: u64, reg: Reg, bit: u32) -> FaultPlan {
+        FaultPlan {
+            at,
+            kind: FaultKind::RegisterBitFlip { reg, bit },
+        }
+    }
+
     #[test]
     fn classify_stops_only_where_the_run_is_golden_again() {
         let (kernel, a) = rounds_setup();
+        let live_out = out_words(a);
         let k = kernel.checkpoint_interval();
         let clean = kernel.replay(None).machine;
         // A flip of r3 just before a load into r3 is overwritten at
-        // once, so the run is golden again at the next checkpoint.
-        let reload = (k..kernel.trace_len())
-            .find(|&i| {
-                matches!(
-                    kernel.recording.steps[i as usize].instr,
-                    Instr::LdrImm { rt: Reg::R3, .. }
-                )
-            })
-            .expect("a load into r3");
-        let dead = FaultPlan {
-            at: reload,
-            kind: FaultKind::RegisterBitFlip {
-                reg: Reg::R3,
-                bit: 7,
+        // once: dead, so nothing is replayed.
+        let reload = first(
+            &kernel,
+            k,
+            Instr::LdrImm {
+                rt: Reg::R3,
+                rn: Reg::R0,
+                imm_words: 1,
             },
-        };
-        assert!(matches!(kernel.classify(&dead), Outcome::Converged));
+        );
+        let dead = reg_flip(reload, Reg::R3, 7);
+        assert!(matches!(kernel.classify(&dead, &live_out), Outcome::Dead));
         let full = kernel.replay(Some(&dead));
+        assert_eq!(full.machine.read_slice(a, 12), clean.read_slice(a, 12));
+
+        // A flip of r3 just before round 0 stores it to out[0] reaches
+        // RAM, but round 1 stores out[0] again before anything reads
+        // it: live at the flip, and at the next checkpoint every live
+        // location is golden while out[0] is not.
+        let store = first(
+            &kernel,
+            k,
+            Instr::StrImm {
+                rt: Reg::R3,
+                rn: Reg::R2,
+                imm_words: 0,
+            },
+        );
+        let washed = reg_flip(store, Reg::R3, 7);
+        assert!(matches!(
+            kernel.classify(&washed, &live_out),
+            Outcome::Converged
+        ));
+        let (mut machine, mut cursor, i) = kernel.resume_point(store);
+        let next = &kernel.checkpoints()[i + 1];
+        let stop = next.cursor.steps;
+        let paused = kernel.run_on(&mut machine, Some(&washed), &mut cursor, stop);
+        assert!(matches!(paused, Ok(None)));
+        assert!(
+            !machine.same_live_state(&kernel.pre, &next.state, u16::MAX, |_| true),
+            "only the live state is golden at the checkpoint"
+        );
+        let full = kernel.replay(Some(&washed));
         assert_eq!(full.machine.read_slice(a, 12), clean.read_slice(a, 12));
 
         // A flip of the second input, which the kernel never writes,
@@ -722,13 +930,107 @@ mod tests {
                 bit: 3,
             },
         };
-        match kernel.classify(&live) {
+        match kernel.classify(&live, &live_out) {
             Outcome::Ran(run) => {
                 assert_same_run(&run, &kernel.replay(Some(&live)), "live flip");
                 assert_ne!(run.machine.read_slice(a, 12), clean.read_slice(a, 12));
             }
-            Outcome::Converged => panic!("an altering flip cannot converge"),
+            other => panic!("an altering flip was settled as {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_register_overwritten_before_it_is_read_is_dead() {
+        let (mut m, a, b, out) = setup();
+        let (kernel, ()) = RecordedKernel::capture(&mut m, |m| xor_kernel(m, a, b, out));
+        let live_out = out_words(a);
+        let clean = kernel.replay(None).machine.read_slice(out, 4);
+        // Step 0 loads r3 without reading it; nothing reads r5 at all.
+        for plan in [reg_flip(0, Reg::R3, 4), reg_flip(0, Reg::R5, 4)] {
+            assert!(matches!(kernel.classify(&plan, &live_out), Outcome::Dead));
+            let run = kernel.replay(Some(&plan));
+            assert_eq!(run.machine.read_slice(out, 4), clean, "{plan:?}");
+        }
+        // Step 2, `EORS r3, r4`, reads r4 before anything writes it.
+        let read = reg_flip(2, Reg::R4, 4);
+        assert_eq!(
+            kernel.recording.steps[2].instr,
+            Instr::Eors {
+                rdn: Reg::R3,
+                rm: Reg::R4
+            }
+        );
+        match kernel.classify(&read, &live_out) {
+            Outcome::Ran(run) => assert_eq!(run.machine.read_slice(out, 4)[0], clean[0] ^ 16),
+            other => panic!("a read register was settled as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_host_write_at_the_fault_does_not_kill_it() {
+        let (kernel, a) = rounds_setup();
+        let live_out = out_words(a);
+        let clean = kernel.replay(None).machine.read_slice(a, 12);
+        // Round 1 points r0 at the first input again, by a host write
+        // positioned where its first instruction retires.
+        let at = kernel
+            .recording
+            .reg_writes
+            .iter()
+            .find(|w| w.reg == Reg::R0 && w.at > 0)
+            .expect("a second round")
+            .at as u64;
+        // The replay applies that write before a flip at the same
+        // index, so the flip survives into the round's first load,
+        // which it sends out of RAM.
+        let survives = reg_flip(at, Reg::R0, 31);
+        match kernel.classify(&survives, &live_out) {
+            Outcome::Ran(run) => {
+                assert!(run.aborted());
+                assert_same_run(&run, &kernel.replay(Some(&survives)), "flip at the write");
+            }
+            other => panic!("a flip after the host write was settled as {other:?}"),
+        }
+        // One index earlier the write comes after the flip and kills it.
+        let killed = reg_flip(at - 1, Reg::R0, 31);
+        assert!(matches!(kernel.classify(&killed, &live_out), Outcome::Dead));
+        let run = kernel.replay(Some(&killed));
+        assert!(!run.aborted());
+        assert_eq!(run.machine.read_slice(a, 12), clean);
+    }
+
+    #[test]
+    fn a_result_word_never_touched_again_stays_live() {
+        let (mut m, a, b, out) = setup();
+        let (kernel, ()) = RecordedKernel::capture(&mut m, |m| xor_kernel(m, a, b, out));
+        let last = kernel.trace_len() - 1;
+        let clean = kernel.replay(None).machine.read_slice(out, 4);
+        // out[0] is stored at step 3 and never touched again.
+        let flip = FaultPlan {
+            at: last,
+            kind: FaultKind::MemoryBitFlip {
+                word: out.0,
+                bit: 1,
+            },
+        };
+        match kernel.classify(&flip, &out_words(a)) {
+            Outcome::Ran(run) => assert_eq!(run.machine.read_slice(out, 4)[0], clean[0] ^ 2),
+            other => panic!("a flipped result word was settled as {other:?}"),
+        }
+        // A caller that reads no result word cannot see it.
+        assert!(matches!(kernel.classify(&flip, &[]), Outcome::Dead));
+        // The last step stores out[3], overwriting a flip there.
+        let overwritten = FaultPlan {
+            at: last,
+            kind: FaultKind::MemoryBitFlip {
+                word: out.0 + 3,
+                bit: 1,
+            },
+        };
+        assert!(matches!(
+            kernel.classify(&overwritten, &out_words(a)),
+            Outcome::Dead
+        ));
     }
 
     /// A little two-operand kernel: out[i] = a[i] ^ b[i] for 4 words,

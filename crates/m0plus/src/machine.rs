@@ -173,9 +173,10 @@ struct Flags {
 }
 
 /// One instruction captured by [`Machine::start_recording`]: the
-/// decodable [`Instr`], the [`Category`] its cost was attributed to, and
+/// decodable [`Instr`], the [`Category`] its cost was attributed to,
 /// (for literal-pool loads) the constant value, which the encoding's
-/// imm8 slot index cannot carry.
+/// imm8 slot index cannot carry, and (for loads and stores) the RAM
+/// word it touched.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecordedStep {
     /// The instruction as it would appear in the code image.
@@ -185,6 +186,9 @@ pub struct RecordedStep {
     pub category: Category,
     /// The pool constant for `LdrLit`; `None` for everything else.
     pub literal: Option<u32>,
+    /// The effective word address of a load or store; `None` for
+    /// everything else.
+    pub word: Option<u32>,
 }
 
 /// An un-costed host register write ([`Machine::set_reg`] /
@@ -334,9 +338,49 @@ impl MicroOp {
 
     /// Whether this op loads or stores a RAM word.
     #[inline]
-    fn touches_memory(&self) -> bool {
+    pub(crate) fn touches_memory(&self) -> bool {
         use MicroKind as K;
         matches!(self.kind, K::LdrOff | K::StrOff | K::LdrReg | K::StrReg)
+    }
+
+    /// Whether this op stores a RAM word.
+    pub(crate) fn stores(&self) -> bool {
+        matches!(self.kind, MicroKind::StrOff | MicroKind::StrReg)
+    }
+
+    /// The registers [`Machine::apply`] reads for this op, as a mask
+    /// with bit [`Reg::index`] per register: sources, store data, and
+    /// base and offset registers of an address (`sp` for `LdrSp` and
+    /// `StrSp`). Flags are not tracked. Charge-only ops (`NOP`, stack
+    /// transfers, fall-through branches) read none, and so does
+    /// [`MicroKind::Blocked`]: in a recording those are branches, which
+    /// touch no register in the model.
+    pub(crate) fn reads(&self) -> u16 {
+        use MicroKind as K;
+        let (a, b, c) = (1u16 << self.a, 1u16 << self.b, 1u16 << self.c);
+        match self.kind {
+            K::LdrOff | K::MovAny | K::Uxth | K::Mvns | K::Rsbs => b,
+            K::LslsImm | K::LsrsImm | K::AsrsImm => b,
+            K::StrOff => a | b,
+            K::LdrReg | K::AddsReg | K::SubsReg => b | c,
+            K::StrReg => a | b | c,
+            K::Eors | K::Ands | K::Orrs | K::Bics | K::Tst | K::Muls => a | b,
+            K::LslsReg | K::LsrsReg | K::Adcs | K::Sbcs | K::CmpReg => a | b,
+            K::AddsImm8 | K::SubsImm8 | K::CmpImm => a,
+            K::Const | K::MovsImm => 0,
+            K::Nop | K::Stack | K::BranchFall | K::BCondFall(_) | K::Blocked => 0,
+        }
+    }
+
+    /// The registers [`Machine::apply`] writes for this op, as a mask
+    /// like [`MicroOp::reads`]. Every write replaces the whole register.
+    pub(crate) fn writes(&self) -> u16 {
+        use MicroKind as K;
+        match self.kind {
+            K::StrOff | K::StrReg | K::Tst | K::CmpReg | K::CmpImm => 0,
+            K::Nop | K::Stack | K::BranchFall | K::BCondFall(_) | K::Blocked => 0,
+            _ => 1 << self.a,
+        }
     }
 
     /// A branch to its own fall-through: charge only. An unconditional
@@ -756,12 +800,23 @@ impl Machine {
         self.category_override = delta.category_override;
     }
 
-    /// Whether registers, flags and RAM equal those of the machine
-    /// `delta` was taken from, `base` being the delta's base. Counters
-    /// are not compared: two runs in this architectural state retire
-    /// the same instructions from here on, whatever they charged so far.
-    pub(crate) fn same_architecture(&self, base: &Machine, delta: &StateDelta) -> bool {
-        if self.regs != delta.regs || self.flags != delta.flags {
+    /// Whether the flags, every register in `live_regs` (a mask with
+    /// bit [`Reg::index`] per register) and every RAM word `live_word`
+    /// accepts equal those of the machine `delta` was taken from,
+    /// `base` being the delta's base. Counters are not compared, nor
+    /// are dead registers and words: a run that reads only these
+    /// locations before writing the rest retires the same instructions
+    /// on the same values from here on, whatever it charged so far.
+    pub(crate) fn same_live_state(
+        &self,
+        base: &Machine,
+        delta: &StateDelta,
+        live_regs: u16,
+        live_word: impl Fn(u32) -> bool,
+    ) -> bool {
+        let live_reg_changed =
+            (0..self.regs.len()).any(|r| live_regs >> r & 1 != 0 && self.regs[r] != delta.regs[r]);
+        if self.flags != delta.flags || live_reg_changed {
             return false;
         }
         let mut dirty = delta
@@ -776,7 +831,13 @@ impl Machine {
                 None => theirs,
             };
             if mine != expected {
-                return false;
+                let first = (page * PAGE_WORDS) as u32;
+                let live_change = (0u32..)
+                    .zip(mine.iter().zip(expected))
+                    .any(|(i, (x, y))| x != y && live_word(first + i));
+                if live_change {
+                    return false;
+                }
             }
         }
         true
@@ -876,11 +937,11 @@ impl Machine {
 
     #[inline]
     fn rec(&mut self, instr: Instr) {
-        self.rec_with(instr, None);
+        self.rec_with(instr, None, None);
     }
 
     #[inline]
-    fn rec_with(&mut self, instr: Instr, literal: Option<u32>) {
+    fn rec_with(&mut self, instr: Instr, literal: Option<u32>, word: Option<u32>) {
         if self.recording.is_some() {
             let category = self.current_category();
             if let Some(rec) = self.recording.as_mut() {
@@ -888,11 +949,13 @@ impl Machine {
                     instr,
                     category,
                     literal,
+                    word,
                 });
             }
         }
         if self.trace.is_some() {
             self.trace_instr = Some(instr);
+            self.trace_addr = word;
         }
     }
 
@@ -1121,13 +1184,11 @@ impl Machine {
         }
     }
 
-    /// Retires one data instruction: [`Machine::apply`]s `op`, then
-    /// captures `instr` (with `literal` for pool loads) for an armed
-    /// recording or trace, the memory address for an armed trace, and
-    /// charges `instr`'s class.
-    /// The Direct methods and the executor's per-step path both end
-    /// here. On `Err(word address)` nothing is applied, captured or
-    /// charged.
+    /// Retires one data instruction: [`Machine::apply`]s `op` and
+    /// charges `instr`'s class. With a recording or trace armed it goes
+    /// through [`Machine::retire_captured`] instead. The Direct methods
+    /// and the executor's per-step path both end here. On `Err(word
+    /// address)` nothing is applied, captured or charged.
     #[inline(always)]
     pub(crate) fn retire(
         &mut self,
@@ -1135,16 +1196,31 @@ impl Machine {
         instr: Instr,
         literal: Option<u32>,
     ) -> Result<(), u64> {
-        let word = if self.trace.is_some() && op.touches_memory() {
-            self.word(op).ok()
+        if self.block_capture_active() {
+            return self.retire_captured(op, instr, literal);
+        }
+        self.apply(op)?;
+        self.record(instr.class());
+        Ok(())
+    }
+
+    /// [`Machine::retire`] with a capture armed: also captures `instr`
+    /// (with `literal` for pool loads, and the effective word of a load
+    /// or store, read before `op` can change its base register) for the
+    /// recording or trace.
+    fn retire_captured(
+        &mut self,
+        op: MicroOp,
+        instr: Instr,
+        literal: Option<u32>,
+    ) -> Result<(), u64> {
+        let word = if op.touches_memory() {
+            self.word(op).ok().map(|w| w as u32)
         } else {
             None
         };
         self.apply(op)?;
-        self.rec_with(instr, literal);
-        if let Some(word) = word {
-            self.trace_addr = Some(word as u32);
-        }
+        self.rec_with(instr, literal, word);
         self.record(instr.class());
         Ok(())
     }
@@ -1556,6 +1632,7 @@ mod tests {
     use crate::asm::Assembler;
     use crate::exec::{execute_predecoded, Predecoded, StepAction};
     use crate::target::M0PLUS_CYCLES;
+    use prng::SplitMix64;
 
     fn machine() -> Machine {
         Machine::new(256)
@@ -2003,6 +2080,188 @@ mod tests {
         let rec = m.take_recording();
         assert!(rec.is_empty(), "take stops recording");
         assert!(rec.reg_writes.is_empty(), "take stops reg-write capture");
+    }
+
+    /// One seeded draw of every data instruction shape plus a stack
+    /// transfer: lo registers where ARMv6-M requires them, any register
+    /// for `MOV`, architectural shift amounts.
+    fn drawn_instrs(g: &mut SplitMix64) -> Vec<Instr> {
+        use Instr::*;
+        let lo = |g: &mut SplitMix64| Reg::LO[g.below(8) as usize];
+        let any = |g: &mut SplitMix64| match g.below(15) {
+            13 => Reg::Sp,
+            14 => Reg::Lr,
+            r => Reg::GENERAL[r as usize],
+        };
+        let (rt, rn, rm) = (lo(g), lo(g), lo(g));
+        let (rd, rdn) = (lo(g), lo(g));
+        let imm8 = g.below(256) as u8;
+        let imm_words = g.below(32) as u32;
+        vec![
+            LdrImm { rt, rn, imm_words },
+            StrImm { rt, rn, imm_words },
+            LdrSp { rt, imm_words },
+            StrSp { rt, imm_words },
+            LdrReg { rt, rn, rm },
+            StrReg { rt, rn, rm },
+            LdrLit { rt, imm_words: 0 },
+            MovsImm { rd, imm: imm8 },
+            Mov {
+                rd: any(g),
+                rm: any(g),
+            },
+            Uxth { rd, rm },
+            Eors { rdn, rm },
+            Ands { rdn, rm },
+            Orrs { rdn, rm },
+            Bics { rdn, rm },
+            Mvns { rd, rm },
+            Tst { rn, rm },
+            LslsImm {
+                rd,
+                rm,
+                imm: 1 + g.below(31) as u32,
+            },
+            LsrsImm {
+                rd,
+                rm,
+                imm: 1 + g.below(32) as u32,
+            },
+            AsrsImm {
+                rd,
+                rm,
+                imm: 1 + g.below(32) as u32,
+            },
+            LslsReg { rdn, rm },
+            LsrsReg { rdn, rm },
+            AddsReg { rd, rn, rm },
+            AddsImm8 { rdn, imm: imm8 },
+            Adcs { rdn, rm },
+            SubsReg { rd, rn, rm },
+            SubsImm8 { rdn, imm: imm8 },
+            Sbcs { rdn, rm },
+            Rsbs { rd, rn },
+            CmpReg { rn, rm },
+            CmpImm { rn, imm: imm8 },
+            Muls { rdn, rm },
+            Nop,
+            Push {
+                reg_count: g.below(9) as usize,
+            },
+        ]
+    }
+
+    /// A machine with seeded registers, flags and RAM whose address
+    /// registers for `op` point inside RAM.
+    fn drawn_machine(g: &mut SplitMix64, op: MicroOp) -> Machine {
+        let mut m = Machine::new(512);
+        for r in 0..m.regs.len() {
+            // Small values now and then, so register-amount shifts
+            // also shift by less than 32.
+            m.regs[r] = if g.below(4) == 0 {
+                g.below(40) as u32
+            } else {
+                g.next_u32()
+            };
+        }
+        let bits = g.below(16);
+        m.flags = Flags {
+            n: bits & 8 != 0,
+            z: bits & 4 != 0,
+            c: bits & 2 != 0,
+            v: bits & 1 != 0,
+        };
+        for w in m.mem.iter_mut() {
+            *w = g.next_u32();
+        }
+        if op.touches_memory() {
+            m.regs[op.b as usize] = g.below(128) as u32;
+            if matches!(op.kind, MicroKind::LdrReg | MicroKind::StrReg) {
+                m.regs[op.c as usize] = g.below(128) as u32;
+            }
+        }
+        m
+    }
+
+    /// The word a load or store addresses, from the instruction's own
+    /// fields.
+    fn addressed_word(m: &Machine, instr: Instr) -> Option<u32> {
+        use Instr::*;
+        match instr {
+            LdrImm { rn, imm_words, .. } | StrImm { rn, imm_words, .. } => {
+                Some(m.reg(rn) + imm_words)
+            }
+            LdrSp { imm_words, .. } | StrSp { imm_words, .. } => Some(m.reg(Reg::Sp) + imm_words),
+            LdrReg { rn, rm, .. } | StrReg { rn, rm, .. } => Some(m.reg(rn) + m.reg(rm)),
+            _ => None,
+        }
+    }
+
+    /// The def/use masks against `apply`, the one definition of what an
+    /// op does, and the recorded word against the word accessed.
+    #[test]
+    fn def_use_masks_match_apply() {
+        let mut g = SplitMix64::new(0xdef_05e);
+        let mut kinds = std::collections::HashSet::new();
+        for _ in 0..64 {
+            let literal = g.next_u32();
+            let instrs = drawn_instrs(&mut g);
+            let cond = [Cond::Eq, Cond::Ne, Cond::Hs, Cond::Lt][g.below(4) as usize];
+            let ops = instrs
+                .iter()
+                .map(|&instr| (Some(instr), MicroOp::lower(instr, &[literal])))
+                .chain([None, Some(cond)].map(|c| (None, MicroOp::branch_fall(c))));
+            for (instr, op) in ops {
+                kinds.insert(std::mem::discriminant(&op.kind));
+                let (reads, writes) = (op.reads(), op.writes());
+                let pre = drawn_machine(&mut g, op);
+                let mut ran = pre.clone();
+                ran.apply(op).expect("in range");
+                for r in (0..15).filter(|r| writes >> r & 1 == 0) {
+                    assert_eq!(ran.regs[r], pre.regs[r], "{op:?} wrote r{r}");
+                }
+                for r in (0..15).filter(|r| reads >> r & 1 == 0) {
+                    let mut flipped = pre.clone();
+                    flipped.regs[r] ^= 1 << g.below(32);
+                    flipped.apply(op).expect("in range");
+                    for w in (0..15).filter(|w| writes >> w & 1 != 0) {
+                        assert_eq!(flipped.regs[w], ran.regs[w], "{op:?} read r{r}");
+                    }
+                    assert_eq!(flipped.flags, ran.flags, "{op:?} read r{r}");
+                    assert_eq!(flipped.mem, ran.mem, "{op:?} read r{r}");
+                }
+                // The recording of the Direct method carries the word
+                // the load reads or the store writes.
+                let Some(instr) = instr else { continue };
+                let mut direct = pre.clone();
+                direct.start_recording();
+                match instr {
+                    Instr::LdrLit { rt, .. } => direct.ldr_const(rt, literal),
+                    Instr::Push { reg_count } => direct.stack_transfer(reg_count),
+                    other => direct.direct(other),
+                }
+                let word = direct.take_recording().steps[0].word;
+                assert_eq!(word, addressed_word(&pre, instr), "{instr}");
+                match instr {
+                    Instr::LdrImm { rt, .. }
+                    | Instr::LdrSp { rt, .. }
+                    | Instr::LdrReg { rt, .. } => {
+                        assert_eq!(direct.reg(rt), pre.mem[word.unwrap() as usize], "{instr}")
+                    }
+                    Instr::StrImm { rt, .. }
+                    | Instr::StrSp { rt, .. }
+                    | Instr::StrReg { rt, .. } => {
+                        let w = word.unwrap() as usize;
+                        assert_eq!(direct.mem[w], pre.reg(rt), "{instr}");
+                        assert_eq!(direct.mem[..w], pre.mem[..w], "{instr}");
+                        assert_eq!(direct.mem[w + 1..], pre.mem[w + 1..], "{instr}");
+                    }
+                    _ => assert_eq!(direct.mem, pre.mem, "{instr}"),
+                }
+            }
+        }
+        // Every kind but `Blocked`, which `apply` refuses to run.
+        assert_eq!(kinds.len(), 33, "a micro-op kind went untested");
     }
 
     #[test]

@@ -83,6 +83,7 @@ verify_pairs=(
   binary/double_mul           # double multiply vs affine double-and-add
   dm_horner/dm_comb           # a recurring key's joint comb vs two lanes
   ld/lambda                   # host λ-coordinate loops vs the LD loop
+  binary/coset                # kP and double multiply off the subgroup vs double-and-add
   kp_horner/kp_comb           # cached kP comb vs the one-lane loop
   chain/table                 # public-input linear maps vs squaring chains
 )

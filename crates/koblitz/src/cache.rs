@@ -2,43 +2,40 @@
 //! window width.
 //!
 //! `TNAF_Precomputation` is the per-call setup cost of a random-point
-//! multiplication. On a miss [`Table::build`] runs the prime-order
-//! subgroup check that picks the coordinates, once per miss and never
-//! on a hit ([`CacheStats::subgroup_checks`]). A base in the subgroup
-//! gets a comb ([`key_comb`]): its width-w table in λ-affine
+//! multiplication. Every entry is a [`Comb`], and so a base in the
+//! prime-order subgroup: a miss runs [`Comb::build`], whose subgroup
+//! check is the one τ-adic code accepts, and inserts nothing when it
+//! refuses the base. A miss therefore costs one check and a hit none,
+//! and a lookup that returns a comb is the caller's proof of
+//! membership. The comb is the base's width-w table in λ-affine
 //! coordinates (the 2^(w−2) − 1 non-trivial α_u·P evaluated in
 //! López-Dahab coordinates and converted with one field inversion),
 //! then 7 more strips, strip j = τ^(30j) of the table, one table-driven
-//! 30-fold squaring per coordinate. Every kP
-//! against it then runs the host's comb over 30 Frobenius maps instead
-//! of 239. Any other base (the torsion points, the other three cosets,
-//! an arbitrary [`Affine`] given to the public API) gets affine entries
-//! for the LD loop, because its multiples may reach (0, 1), which has
-//! no λ. Protocol traffic is heavily skewed towards a few base points —
-//! a gateway verifies many signatures from the same few public keys, an
-//! ECDH responder re-derives against recurring peers — so repeated kP
-//! against the same base can skip the precomputation entirely. The
-//! cache is shared process-wide behind a mutex, bounded (strict LRU
-//! eviction by access stamp), and hands out `Arc`s so worker threads
-//! hold tables without the lock.
+//! 30-fold squaring per coordinate; every kP against it runs the host's
+//! comb over 30 Frobenius maps instead of 239. Protocol traffic is
+//! heavily skewed towards a few base points — a gateway verifies many
+//! signatures from the same few public keys, an ECDH responder
+//! re-derives against recurring peers — so repeated kP against the same
+//! base can skip the precomputation entirely. The cache is shared
+//! process-wide behind a mutex, bounded (strict LRU eviction by access
+//! stamp), and hands out `Arc`-backed combs so worker threads hold them
+//! without the lock.
 //!
 //! A verification key that recurs is a fixed base, like G. Its entry
-//! counts the double multiply's lookups ([`key_tables_for`]): the first
-//! reads the w = 4 comb kP reads, and the second *promotes* a key of the
-//! subgroup, building its comb at [`KEY_COMB_WINDOW`] (8 strips of its
-//! w = 5 table) so every later verification reads u₂'s digits against
-//! that wider table. A key outside the subgroup is never promoted, and
-//! [`table_for`] (kP, ECDH, admission warm-up) neither promotes nor
-//! reads the promoted comb, so key churn pays for none.
+//! counts the double multiply's lookups ([`key_comb_for`]): the first
+//! reads the w = 4 comb kP reads, and the second *promotes* the key,
+//! building its comb at [`KEY_COMB_WINDOW`] (8 strips of its w = 5
+//! table) so every later verification reads u₂'s digits against that
+//! wider table. [`comb_for`] (kP, ECDH, admission warm-up) neither
+//! promotes nor reads the promoted comb, so key churn pays for none.
 
 use crate::curve::Affine;
-use crate::mul::{key_comb, Table, KEY_COMB_WINDOW, KP_WINDOW};
-use crate::projective::LambdaPoint;
+use crate::mul::{Comb, KEY_COMB_WINDOW, KP_WINDOW};
 use gf2m::N;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Maximum number of cached (point, width) entries. A [`LambdaPoint`]
-/// is 64 bytes, and a base in the subgroup is cached as a comb of 8
+/// Maximum number of cached (point, width) entries. A
+/// [`crate::LambdaPoint`] is 64 bytes, and an entry is a comb of 8
 /// strips of its width-w table, 8 × 2^(w−2) points: at w = 4,
 /// 8 × 4 × 64 = 2 048 bytes of coordinates. A key's promotion adds its
 /// w = 5 comb, 8 strips of 8 points, 4 096 bytes: 6 144 bytes per
@@ -46,9 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// when every resident key is promoted — sized for "a gateway's worth"
 /// of recurring public keys, not for unbounded traffic. Protocol
 /// traffic asks for w = 4 only; the public API's widest comb, w = 8,
-/// holds 512 points (32 KiB). A base outside the subgroup holds 2^(w−2)
-/// 68-byte [`Affine`]s (272 bytes at w = 4, 4 352 at w = 8) and is
-/// never promoted.
+/// holds 512 points (32 KiB).
 pub const CAPACITY: usize = 32;
 
 /// The double-multiply lookup that promotes a key: its second.
@@ -73,9 +68,9 @@ impl Key {
 
 struct Entry {
     key: Key,
-    table: Table,
+    comb: Comb,
     /// The key's comb at [`KEY_COMB_WINDOW`], once promoted.
-    promoted: Option<Arc<Vec<Vec<LambdaPoint>>>>,
+    promoted: Option<Comb>,
     /// Double-multiply lookups so far (saturating).
     uses: u32,
     stamp: u64,
@@ -89,7 +84,6 @@ struct Lru {
     misses: u64,
     evictions: u64,
     promotions: u64,
-    subgroup_checks: u64,
 }
 
 /// Snapshot of the cache's hit/miss counters.
@@ -97,21 +91,17 @@ struct Lru {
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to build: the subgroup check, then a base's λ
-    /// table and its comb strips, or for a base outside the subgroup
-    /// its affine table.
+    /// Lookups that had to build: the subgroup check, then, for a base
+    /// that passes it, its λ table and comb strips. One check per miss.
     pub misses: u64,
-    /// Resident tables displaced to make room for a new key — the
+    /// Resident combs displaced to make room for a new key — the
     /// signature of adversarial key churn (every lookup a unique key).
     pub evictions: u64,
-    /// Tables currently resident.
+    /// Combs currently resident.
     pub entries: usize,
     /// Keys given a [`KEY_COMB_WINDOW`] comb on their second
     /// double-multiply lookup.
     pub promotions: u64,
-    /// Prime-order subgroup checks run to choose a table's coordinates:
-    /// one per miss.
-    pub subgroup_checks: u64,
 }
 
 impl CacheStats {
@@ -132,9 +122,9 @@ fn cache() -> &'static Mutex<Lru> {
 }
 
 /// Locks the cache. A thread that panicked while holding the lock may
-/// have left it half-updated; every table and strip can be recomputed,
-/// so the cache is emptied and the poison cleared instead of failing
-/// every later caller.
+/// have left it half-updated; every comb can be recomputed, so the
+/// cache is emptied and the poison cleared instead of failing every
+/// later caller.
 fn lock_cache() -> MutexGuard<'static, Lru> {
     let cache = cache();
     cache.lock().unwrap_or_else(|poisoned| {
@@ -148,14 +138,14 @@ fn lock_cache() -> MutexGuard<'static, Lru> {
 /// What one locked lookup found.
 enum Found {
     Miss,
-    Table(Table),
-    /// A resident key on its promoting lookup, without its comb yet.
-    Promote,
+    Comb(Comb),
+    /// A resident key on its promoting lookup, with its unpromoted comb.
+    Promote(Comb),
 }
 
 /// Looks `key` up under the lock, counting a hit or a miss. A
-/// double-multiply lookup (`dm`) of a λ entry counts a use and reads
-/// the promoted comb.
+/// double-multiply lookup (`dm`) counts a use and reads the promoted
+/// comb.
 fn find(key: &Key, dm: bool) -> Found {
     let mut guard = lock_cache();
     let lru = &mut *guard;
@@ -166,32 +156,31 @@ fn find(key: &Key, dm: bool) -> Found {
     };
     lru.hits += 1;
     e.stamp = lru.clock;
-    if !dm || !e.table.is_lambda() {
-        return Found::Table(e.table.clone());
+    if !dm {
+        return Found::Comb(e.comb.clone());
     }
-    if let Some(strips) = &e.promoted {
-        return Found::Table(Table::Lambda(Arc::clone(strips)));
+    if let Some(comb) = &e.promoted {
+        return Found::Comb(comb.clone());
     }
     e.uses = e.uses.saturating_add(1);
     if e.uses >= PROMOTE_AT {
-        Found::Promote
+        Found::Promote(e.comb.clone())
     } else {
-        Found::Table(e.table.clone())
+        Found::Comb(e.comb.clone())
     }
 }
 
-/// Builds the table for a missed `key` outside the lock, with the
-/// subgroup check that picks its coordinates, and inserts it, evicting
-/// the least recently used entry when full. `uses` is the entry's
-/// initial double-multiply count.
-fn insert(p: &Affine, key: Key, uses: u32) -> Table {
-    let table = Table::build(p, key.w);
+/// Builds the comb for a missed `key` outside the lock and, if the base
+/// is in the subgroup, inserts it, evicting the least recently used
+/// entry when full. A refused base inserts nothing. `uses` is the
+/// entry's initial double-multiply count.
+fn insert(p: &Affine, key: Key, uses: u32) -> Option<Comb> {
+    let comb = Comb::build(p, key.w)?;
     let mut lru = lock_cache();
-    lru.subgroup_checks += 1;
     // Re-check: another thread may have inserted the same key while we
     // computed.
     if let Some(e) = lru.entries.iter().find(|e| e.key == key) {
-        return e.table.clone();
+        return Some(e.comb.clone());
     }
     if lru.entries.len() >= CAPACITY {
         if let Some(victim) = lru
@@ -208,68 +197,67 @@ fn insert(p: &Affine, key: Key, uses: u32) -> Table {
     let stamp = lru.clock;
     lru.entries.push(Entry {
         key,
-        table: table.clone(),
+        comb: comb.clone(),
         promoted: None,
         uses,
         stamp,
     });
-    table
+    Some(comb)
 }
 
-/// Builds `q`'s [`KEY_COMB_WINDOW`] comb outside the lock and attaches
-/// it to its entry, if it is still resident. A concurrent promotion of
-/// the same key may also build; the first to attach wins and the
-/// other's comb serves only its own call.
-fn promote(q: &Affine, key: Key) -> Arc<Vec<Vec<LambdaPoint>>> {
-    let strips = Arc::new(key_comb(q, KEY_COMB_WINDOW));
+/// Builds the [`KEY_COMB_WINDOW`] comb of `comb`'s base outside the
+/// lock and attaches it to its entry, if it is still resident. A
+/// concurrent promotion of the same key may also build; the first to
+/// attach wins and the other's comb serves only its own call.
+fn promote(comb: &Comb, key: Key) -> Comb {
+    let wide = comb.widened(KEY_COMB_WINDOW);
     let mut lru = lock_cache();
     let Some(i) = lru.entries.iter().position(|e| e.key == key) else {
-        return strips;
+        return wide;
     };
     if let Some(resident) = &lru.entries[i].promoted {
-        return Arc::clone(resident);
+        return resident.clone();
     }
-    lru.entries[i].promoted = Some(Arc::clone(&strips));
+    lru.entries[i].promoted = Some(wide.clone());
     lru.promotions += 1;
-    strips
+    wide
 }
 
-/// Returns the wTNAF precomputation for `p` at width `w`, computing and
-/// caching it on first use: the λ comb for a base in the prime-order
-/// subgroup, the affine table for any other. `p` must be a finite point
-/// (the point multiplication entry points dispatch infinity before any
-/// table work). A lookup here never promotes a key.
+/// Returns `p`'s [`Comb`] at width `w`, building and caching it on
+/// first use, or `None` when `p` is outside the prime-order subgroup
+/// (checked on every miss; a refused base is never cached). `p` must be
+/// a finite point (the point multiplication entry points dispatch
+/// infinity before any table work). A lookup here never promotes a key.
 ///
-/// The table is returned by `Arc` so callers — including worker
+/// The comb is returned by `Arc` so callers — including worker
 /// threads in a batch scheduler — never hold the cache lock while
 /// multiplying. The precomputation itself runs *outside* the lock;
 /// concurrent first lookups of the same key may both compute, and the
-/// loser's table is dropped (correctness is unaffected — tables are
+/// loser's comb is dropped (correctness is unaffected — combs are
 /// deterministic in the key).
-pub fn table_for(p: &Affine, w: u32) -> Table {
+pub fn comb_for(p: &Affine, w: u32) -> Option<Comb> {
     debug_assert!(!p.is_infinity(), "precomputation needs a finite base");
     let key = Key::new(p, w);
     match find(&key, false) {
-        Found::Table(table) => table,
+        Found::Comb(comb) => Some(comb),
         _ => insert(p, key, 0),
     }
 }
 
-/// The double multiply's lookup of a verification key `q` (finite): a
-/// key in the prime-order subgroup gets its w = [`KP_WINDOW`] comb on a
-/// miss or its first double-multiply lookup, and its
-/// [`KEY_COMB_WINDOW`] comb from the second on; a key outside the
-/// subgroup always gets its affine w = 4 table. The lookup that
-/// promotes the key builds the wider comb outside the lock, like a miss
-/// builds a table. Counts hits and misses like [`table_for`], which
+/// The double multiply's lookup of a verification key `q` (finite): its
+/// w = [`KP_WINDOW`] comb on a miss or its first double-multiply lookup,
+/// its [`KEY_COMB_WINDOW`] comb from the second on, and `None` for a
+/// key outside the prime-order subgroup, as [`comb_for`]. The lookup
+/// that promotes the key builds the wider comb outside the lock, like a
+/// miss builds a comb. Counts hits and misses like [`comb_for`], which
 /// shares the entry.
-pub fn key_tables_for(q: &Affine) -> Table {
+pub fn key_comb_for(q: &Affine) -> Option<Comb> {
     debug_assert!(!q.is_infinity(), "precomputation needs a finite base");
     let key = Key::new(q, KP_WINDOW);
     match find(&key, true) {
         Found::Miss => insert(q, key, 1),
-        Found::Table(table) => table,
-        Found::Promote => Table::Lambda(promote(q, key)),
+        Found::Comb(comb) => Some(comb),
+        Found::Promote(comb) => Some(promote(&comb, key)),
     }
 }
 
@@ -282,7 +270,6 @@ pub fn stats() -> CacheStats {
         evictions: lru.evictions,
         entries: lru.entries.len(),
         promotions: lru.promotions,
-        subgroup_checks: lru.subgroup_checks,
     }
 }
 
@@ -296,7 +283,6 @@ pub fn reset() {
     lru.misses = 0;
     lru.evictions = 0;
     lru.promotions = 0;
-    lru.subgroup_checks = 0;
 }
 
 #[cfg(test)]
@@ -304,7 +290,10 @@ mod tests {
     use super::*;
     use crate::curve::generator;
     use crate::int::Int;
-    use crate::mul::{mul_wtnaf, precompute_lambda_table, precompute_table};
+    use crate::mul::{
+        double_multiply, key_comb, mul_wtnaf, mul_wtnaf_proj, precompute_lambda_table,
+    };
+    use crate::projective::LambdaPoint;
     use gf2m::Fe;
     use std::mem::size_of;
 
@@ -320,15 +309,13 @@ mod tests {
         let _guard = serial();
         let p = generator().mul_binary(&Int::from(0x5151_5151i64));
         let before = stats();
-        let t1 = table_for(&p, KP_WINDOW);
-        let t2 = table_for(&p, KP_WINDOW);
-        assert_eq!(t1, t2);
+        let c1 = comb_for(&p, KP_WINDOW);
+        let c2 = comb_for(&p, KP_WINDOW);
+        assert_eq!(c1, c2);
         let after = stats();
         assert!(after.hits > before.hits, "second lookup must hit");
-        assert_eq!(t1, Table::Lambda(Arc::new(key_comb(&p, KP_WINDOW))));
-        let Table::Lambda(strips) = t1 else {
-            unreachable!("a subgroup base")
-        };
+        let strips = c1.expect("a subgroup base").strips().to_vec();
+        assert_eq!(strips, key_comb::<LambdaPoint>(&p, KP_WINDOW));
         assert_eq!(strips.len(), 8);
         assert_eq!(strips[0], precompute_lambda_table(&p, KP_WINDOW));
     }
@@ -336,52 +323,45 @@ mod tests {
     #[test]
     fn distinct_widths_are_distinct_entries() {
         let p = generator().mul_binary(&Int::from(0x7272i64));
-        let t4 = table_for(&p, 4);
-        let t5 = table_for(&p, 5);
-        assert_eq!(t4.len(), 4);
-        assert_eq!(t5.len(), 8);
+        assert_eq!(comb_for(&p, 4).unwrap().width(), 4);
+        assert_eq!(comb_for(&p, 5).unwrap().width(), 5);
     }
 
     #[test]
     fn second_double_multiply_lookup_promotes() {
         let p = generator().mul_binary(&Int::from(0x0b5e_55edi64));
         let before = stats();
-        let first = key_tables_for(&p);
-        assert_eq!(first, table_for(&p, KP_WINDOW));
+        let first = key_comb_for(&p).unwrap();
+        assert_eq!(Some(&first), comb_for(&p, KP_WINDOW).as_ref());
         assert_eq!(first.width(), KP_WINDOW);
-        let second = key_tables_for(&p);
-        assert_eq!(
-            second,
-            Table::Lambda(Arc::new(key_comb(&p, KEY_COMB_WINDOW)))
-        );
+        let second = key_comb_for(&p).unwrap();
+        assert_eq!(Some(&second), Comb::build(&p, KEY_COMB_WINDOW).as_ref());
         assert_eq!(second.width(), KEY_COMB_WINDOW);
         assert!(stats().promotions > before.promotions);
         // Promoted once: later lookups read the same comb.
-        assert_eq!(key_tables_for(&p), second);
+        assert_eq!(key_comb_for(&p), Some(second));
     }
 
     #[test]
-    fn table_for_hits_never_promote() {
+    fn comb_for_hits_never_promote() {
         let p = generator().mul_binary(&Int::from(0x7ab1_e0f0i64));
         for _ in 0..4 {
-            let _ = table_for(&p, KP_WINDOW);
+            let _ = comb_for(&p, KP_WINDOW);
         }
         // Four kP lookups leave the key on its first double-multiply use.
-        assert_eq!(key_tables_for(&p).width(), KP_WINDOW);
-        assert_eq!(key_tables_for(&p).width(), KEY_COMB_WINDOW);
+        let width = || key_comb_for(&p).unwrap().width();
+        assert_eq!(width(), KP_WINDOW);
+        assert_eq!(width(), KEY_COMB_WINDOW);
         // A promoted key still serves kP its w = 4 comb.
-        assert_eq!(
-            table_for(&p, KP_WINDOW),
-            Table::Lambda(Arc::new(key_comb(&p, KP_WINDOW)))
-        );
+        assert_eq!(comb_for(&p, KP_WINDOW), Comb::build(&p, KP_WINDOW));
     }
 
     #[test]
     fn poisoned_cache_recovers() {
         let _guard = serial();
         let p = generator().mul_binary(&Int::from(0x9015_0eedi64));
-        let _ = key_tables_for(&p);
-        assert_eq!(key_tables_for(&p).width(), KEY_COMB_WINDOW);
+        let _ = key_comb_for(&p);
+        assert_eq!(key_comb_for(&p).unwrap().width(), KEY_COMB_WINDOW);
         let panicked = std::thread::spawn(|| {
             let _held = lock_cache();
             panic!("deliberate panic while holding the table cache lock");
@@ -390,7 +370,7 @@ mod tests {
         assert!(panicked.is_err());
         // Recovery empties the cache, promoted combs with the rest: the
         // key starts over, unpromoted.
-        assert_eq!(key_tables_for(&p), Table::build(&p, KP_WINDOW));
+        assert_eq!(key_comb_for(&p), Comb::build(&p, KP_WINDOW));
         assert!(!cache().is_poisoned());
     }
 
@@ -399,27 +379,18 @@ mod tests {
         let _guard = serial();
         for k in 0..(CAPACITY as i64 + 4) {
             let q = generator().mul_binary(&Int::from(950_000 + k));
-            let _ = key_tables_for(&q);
-            assert_eq!(key_tables_for(&q).width(), KEY_COMB_WINDOW);
+            let _ = key_comb_for(&q);
+            assert_eq!(key_comb_for(&q).unwrap().width(), KEY_COMB_WINDOW);
         }
         assert_eq!(size_of::<LambdaPoint>(), 64);
-        assert_eq!(size_of::<Affine>(), 68);
-        let points = |strips: &[Vec<LambdaPoint>]| strips.iter().map(Vec::len).sum::<usize>();
+        let points = |c: &Comb| c.strips().iter().map(Vec::len).sum::<usize>();
         let lru = lock_cache();
-        // Concurrent tests may leave other entries: unpromoted combs or,
-        // for a coset base, affine tables, up to w = 8.
+        // Concurrent tests may leave other entries: unpromoted combs, up
+        // to w = 8.
         let mut protocol_bytes = 0;
         for e in &lru.entries {
-            let bytes = match &e.table {
-                Table::Lambda(strips) => {
-                    let promoted = e.promoted.as_deref().map_or(0, |s| points(s));
-                    (points(strips) + promoted) * size_of::<LambdaPoint>()
-                }
-                Table::Ld(t) => {
-                    assert!(e.promoted.is_none(), "a coset key is never promoted");
-                    t.len() * size_of::<Affine>()
-                }
-            };
+            let promoted = e.promoted.as_ref().map_or(0, points);
+            let bytes = (points(&e.comb) + promoted) * size_of::<LambdaPoint>();
             // The `CAPACITY` doc's figures: a comb holds 8 × 2^(w−2)
             // points, 2 048 bytes at w = 4 plus 4 096 once promoted, and
             // 32 KiB at w = 8.
@@ -454,36 +425,34 @@ mod tests {
     }
 
     #[test]
-    fn coset_bases_stay_on_the_ld_path() {
-        // Scalars below 2⁶⁴: the recoding leaves them unreduced, so kP
-        // equals k·P by double-and-add in every coset.
-        let k = Int::from(0x1234_5678_9abc_def1i64);
-        let (u1, u2) = (Int::from(0x0f1e_2d3c_4b5ai64), Int::from(0x7a69_5847i64));
+    fn coset_bases_are_refused_and_multiplied_by_double_and_add() {
+        // Full-width scalars, which the τ-adic recoding reduces mod δ:
+        // kP and u1·G + u2·P must still equal double-and-add's in every
+        // coset, and a refused base must never become an entry.
+        let n = crate::curve::order();
+        let top = |bits: usize| &Int::one().shl(bits) - &Int::one();
+        let scalars = [&n - &Int::one(), top(256)];
+        let u1 = top(224);
         let p = generator().mul_binary(&Int::from(0xc05e_7000i64));
+        let u1_g = generator().mul_binary(&u1);
         for (j, t) in torsion().iter().enumerate() {
             for base in [*t, p.add(t)] {
                 assert!(!base.is_in_prime_order_subgroup());
-                let table = table_for(&base, KP_WINDOW);
-                assert_eq!(
-                    table,
-                    Table::Ld(Arc::new(precompute_table(&base, KP_WINDOW)))
-                );
-                assert_eq!(table.width(), KP_WINDOW);
-                assert_eq!(
-                    mul_wtnaf(&base, &k, KP_WINDOW),
-                    base.mul_binary(&k),
-                    "coset {j}"
-                );
-                let want = generator().mul_binary(&u1).add(&base.mul_binary(&u2));
-                // A coset key is never promoted, however often it recurs.
-                for lookup in 0..3 {
-                    assert_eq!(key_tables_for(&base), table, "coset {j} lookup {lookup}");
-                    assert_eq!(
-                        crate::mul::double_multiply(&u1, &u2, &base),
-                        want,
-                        "coset {j}"
-                    );
+                assert_eq!(comb_for(&base, KP_WINDOW), None, "coset {j}");
+                for k in &scalars {
+                    let want = base.mul_binary(k);
+                    assert_eq!(mul_wtnaf(&base, k, KP_WINDOW), want, "coset {j}, k = {k}");
+                    let proj = mul_wtnaf_proj(&base, k, KP_WINDOW).to_affine();
+                    assert_eq!(proj, want, "coset {j}, k = {k}");
+                    // The first and second double-multiply lookups.
+                    for lookup in 0..2 {
+                        assert_eq!(key_comb_for(&base), None, "coset {j} lookup {lookup}");
+                        let got = double_multiply(&u1, k, &base);
+                        assert_eq!(got, u1_g.add(&want), "coset {j}, u2 = {k}");
+                    }
                 }
+                let key = Key::new(&base, KP_WINDOW);
+                assert!(!lock_cache().entries.iter().any(|e| e.key == key));
             }
         }
     }
@@ -493,7 +462,7 @@ mod tests {
         let _guard = serial();
         for k in 0..(CAPACITY as i64 + 8) {
             let p = generator().mul_binary(&Int::from(900_000 + k));
-            let _ = table_for(&p, KP_WINDOW);
+            let _ = comb_for(&p, KP_WINDOW);
         }
         assert!(stats().entries <= CAPACITY);
     }

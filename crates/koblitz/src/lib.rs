@@ -21,12 +21,13 @@
 //!   modeled tier keeps; on the host a τ-adic comb of eight
 //!   Frobenius-shifted w = 8 strips) and the double multiply, all on
 //!   the host through one τ-adic Horner evaluator over (digit lane,
-//!   table) pairs, in λ coordinates for bases in the prime-order
-//!   subgroup and López-Dahab for any other, plus the Montgomery-ladder
-//!   variant the paper's §5 proposes as future work;
-//! * [`cache`] — a bounded LRU of wTNAF precomputation tables (λ for a
-//!   base in the subgroup, affine otherwise) so repeated kP against the
-//!   same base point skips the table build;
+//!   table) pairs in λ coordinates, for bases in the prime-order
+//!   subgroup (`mul::Comb`; any other base gets double-and-add), plus
+//!   the Montgomery-ladder variant the paper's §5 proposes as future
+//!   work;
+//! * [`cache`] — a bounded LRU of wTNAF combs, each one proof that its
+//!   base is in the subgroup, so repeated kP against the same base
+//!   point skips the table build and the check;
 //! * [`scalar`] — arithmetic modulo the group order (for ECDH/ECDSA);
 //! * [`modeled`] — the same point multiplication driven through
 //!   [`gf2m::modeled::ModeledField`], with every cycle attributed to the

@@ -7,20 +7,23 @@
 //! adds each lane's non-zero digit t (±α_u from that lane's table) in
 //! lane order; a lane shorter than the longest reads 0 past its end.
 //!
-//! The tables' coordinates ([`TablePoint`]) fix the accumulator's. G
-//! and every base that passed [`Affine::is_in_prime_order_subgroup`]
-//! have λ-affine tables ([`LambdaPoint`], [`precompute_lambda_table`]),
-//! so the pass runs on λ-projective points: 8M + 2S per mixed addition
-//! instead of López-Dahab's 8M + 5S, which pays on the host, where a
-//! squaring costs nearly a multiplication. One multiplication takes the
-//! result back to LD, so every `*_proj` entry point still returns an
-//! [`LdPoint`]. The point (0, 1) has no λ, and a multiple of a base
-//! outside the subgroup may reach it, so every other base (the torsion
-//! points, the other three cosets, an arbitrary `Affine` given to the
-//! public API) keeps [`Affine`] tables and the LD pass, which is also
-//! the λ pass's oracle (the `ld/lambda` differential pair). The modeled
-//! M0+ tier keeps the paper's LD. The callers differ only in the lanes
-//! they pass:
+//! The recoding reduces k mod δ, N(δ) = n, so a τ-adic pass computes
+//! k·P only on the order-n subgroup. A [`Comb`] proves membership: its
+//! one constructor runs [`Affine::is_in_prime_order_subgroup`], and the
+//! cache holds nothing else. A base without one (the other three
+//! cosets) gets [`Affine::mul_binary`]'s k·P, slow but right for every
+//! point; no protocol path reaches it.
+//!
+//! The tables' coordinates ([`TablePoint`]) fix the accumulator's. A
+//! comb and G's strips are λ-affine ([`LambdaPoint`],
+//! [`precompute_lambda_table`]), so the pass runs on λ-projective
+//! points: 8M + 2S per mixed addition instead of López-Dahab's
+//! 8M + 5S, which pays on the host, where a squaring costs nearly a
+//! multiplication. One multiplication takes the result back to LD, so
+//! every `*_proj` entry point still returns an [`LdPoint`]. The LD pass
+//! on [`Affine`] tables is the λ pass's oracle (the `ld/lambda`
+//! differential pair); the modeled M0+ tier keeps the paper's LD. The
+//! callers differ only in the lanes they pass:
 //!
 //! * [`mul_wtnaf`] — random-point kP with the width-w TNAF digits (the
 //!   paper uses w = 4), mixed additions and Frobenius in place of
@@ -30,9 +33,8 @@
 //!   lanes of 30 over 30 Frobenius maps instead of 239, always 30 steps
 //!   of 8 digit slots. The paper's one lane (Guide to ECC Alg. 3.70, k's
 //!   digits against P's table, [`mul_wtnaf_with_table`]) is the comb's
-//!   oracle, and the LD path of every base outside the subgroup
-//!   ([`precompute_table`] builds each α_u·P the same way, from one LD
-//!   lane of α_u's τ-NAF against `[P]`);
+//!   oracle ([`precompute_table`] builds each α_u·P the same way, from
+//!   one LD lane of α_u's τ-NAF against `[P]`);
 //! * [`mul_g`] — fixed-point kG. The paper's configuration is w = 6 with
 //!   a precomputed table of α_u·G ([`generator_table`], built once,
 //!   lazily — "offline" in the paper's accounting, which charges kG zero
@@ -46,18 +48,15 @@
 //!   slots, so the iteration count does not depend on the scalar. Its
 //!   static size is 8 × 64 = 512 λ points (32 KiB, host only);
 //!   [`mul_g_horner`], the paper's one-lane LD loop, is its oracle;
-//! * [`double_multiply`] — u₁·G + u₂·Q over one shared Frobenius pass.
-//!   For a key of the subgroup the pass is one joint comb of 16 lanes
-//!   over 30 Frobenius maps ([`double_multiply_with_strips`]), u₁'s
-//!   w = 8 digits against G's strips and u₂'s against Q's: on the key's
-//!   first lookup the w = 4 kP comb the cache holds for it, and, since a
-//!   verification key recurs, from its second on a comb of its own at
-//!   w = 5 ([`key_comb`] at [`KEY_COMB_WINDOW`], 64 points, 4 KiB),
-//!   which the cache promotes it to. A key outside the subgroup runs two
-//!   LD lanes over 239 maps, u₁ against the affine comb's strip 0 and
-//!   u₂'s w = 4 digits against Q's affine table
-//!   ([`double_multiply_with_table`], on λ tables the joint comb's
-//!   reference);
+//! * [`double_multiply`] — u₁·G + u₂·Q over one shared Frobenius pass:
+//!   one joint comb of 16 lanes over 30 Frobenius maps
+//!   ([`double_multiply_with_comb`]), u₁'s w = 8 digits against G's
+//!   strips and u₂'s against Q's: on the key's first lookup the w = 4
+//!   comb kP reads, and, since a verification key recurs, from its
+//!   second on a comb of its own at w = 5 ([`key_comb`] at
+//!   [`KEY_COMB_WINDOW`], 64 points, 4 KiB), which the cache promotes it
+//!   to. The two-lane pass ([`double_multiply_with_table`]) is the joint
+//!   comb's reference;
 //! * [`montgomery_ladder`] — the constant-time x-only ladder the paper's
 //!   §5 names as the fix for its timing-variability caveat.
 
@@ -114,8 +113,8 @@ fn assert_window(w: u32) {
 /// at input-dependent addresses.
 ///
 /// Affine coordinates are canonical, so the table equals its oracle
-/// [`precompute_table_binary`] point for point. This is the LD loop's
-/// table ([`Table::Ld`]); the λ loop's is [`precompute_lambda_table`].
+/// [`precompute_table_binary`] point for point. This is the LD
+/// oracle's table; the λ loop's is [`precompute_lambda_table`].
 ///
 /// # Panics
 ///
@@ -133,8 +132,8 @@ pub fn precompute_table(p: &Affine, w: u32) -> Vec<Affine> {
 /// [`precompute_table`] in λ-affine coordinates, for the λ loop: the
 /// same α_u·p, evaluated the same way, then p and the 2^(w−2) − 1
 /// entries share **one** inversion of their products X·Z (3M + 1S per
-/// entry around it). p must have odd order; [`Table::build`] gives
-/// every other base [`precompute_table`].
+/// entry around it). p must have odd order; [`Comb::build`] refuses
+/// every base outside the prime-order subgroup.
 ///
 /// # Panics
 ///
@@ -190,9 +189,8 @@ pub fn precompute_table_binary(p: &Affine, w: u32) -> Vec<Affine> {
 
 /// The coordinate system a table's entries are in, which fixes the
 /// evaluator's accumulator: [`Affine`] entries run the López-Dahab loop
-/// (the oracle, and the path of every base outside the prime-order
-/// subgroup), [`LambdaPoint`] entries the λ loop (G and every base that
-/// passed [`Affine::is_in_prime_order_subgroup`]). Sealed.
+/// (the oracle), [`LambdaPoint`] entries the λ loop (G and every
+/// [`Comb`]). Sealed.
 pub trait TablePoint: Copy + sealed::Coords {}
 
 impl TablePoint for Affine {}
@@ -330,13 +328,10 @@ fn eval_lanes<P: TablePoint>(lanes: &[(&[i8], &[P])]) -> LdPoint {
 /// P's precomputation is served from the process-wide [`crate::cache`],
 /// so repeated multiplications against the same base point skip
 /// `TNAF_Precomputation` entirely. A base in the prime-order subgroup is
-/// cached as its comb ([`key_comb`] at width w): k's digits run as
-/// [`KG_COMB_STRIPS`] lanes of 30, lane j against strip j, over 30
-/// Frobenius maps instead of 239. The pass always runs 30 steps of 8
-/// digit slots, so its iteration count does not depend on the scalar;
-/// its digits and additions are those of the paper's one-lane loop
-/// (Guide to ECC Alg. 3.70, [`mul_wtnaf_with_table`]), its oracle. Any
-/// other base runs that one-lane loop in LD against its affine table.
+/// cached as its [`Comb`] at width w, and k·P runs
+/// [`mul_with_comb`]. Any other base gets [`Affine::mul_binary`]'s
+/// k·P: the recoding reduces k mod δ, which is k·P only on the
+/// subgroup.
 ///
 /// `k` is a [`U256`]: a `&Scalar`, or a `&Int` of at most 256 bits.
 ///
@@ -349,21 +344,27 @@ pub fn mul_wtnaf(p: &Affine, k: impl Into<U256>, w: u32) -> Affine {
 
 /// [`mul_wtnaf`] without the final affine conversion: the result stays
 /// in LD coordinates for a later [`crate::projective::batch_to_affine`].
-/// The cached [`Table`] decides the loop: the λ comb for a base in the
-/// prime-order subgroup, the one-lane LD loop for any other.
 pub fn mul_wtnaf_proj(p: &Affine, k: impl Into<U256>, w: u32) -> LdPoint {
+    assert_window(w);
     let k = k.into();
     if k.is_zero() || p.is_infinity() {
         return LdPoint::INFINITY;
     }
-    let digits = tnaf::recode(k, w);
-    match crate::cache::table_for(p, w) {
-        Table::Lambda(strips) => {
-            let comb = [(&digits[..], &strips[..])];
-            eval_lanes(&comb_pass::<_, KG_COMB_STRIPS>(&comb))
-        }
-        Table::Ld(table) => eval_lanes(&[(&digits, table.as_slice())]),
+    match crate::cache::comb_for(p, w) {
+        Some(comb) => mul_with_comb(k, &comb),
+        None => LdPoint::from_affine(&p.mul_binary(&k.into())),
     }
+}
+
+/// k·P on P's comb: k's digits at the comb's width as
+/// [`KG_COMB_STRIPS`] lanes of 30, lane j against strip j, over 30
+/// Frobenius maps instead of 239. The pass always runs 30 steps of 8
+/// digit slots, so its iteration count does not depend on the scalar;
+/// its digits and additions are those of the paper's one-lane loop
+/// (Guide to ECC Alg. 3.70, [`mul_wtnaf_with_table`]), its oracle.
+pub fn mul_with_comb(k: impl Into<U256>, comb: &Comb) -> LdPoint {
+    let digits = tnaf::recode(k, comb.width());
+    eval_lanes(&comb_pass::<_, KG_COMB_STRIPS>(&[(&digits, comb.strips())]))
 }
 
 /// k·P from P's width-w table given explicitly, uncached: one lane of
@@ -381,6 +382,10 @@ pub fn mul_wtnaf_with_table<P: TablePoint>(k: impl Into<U256>, w: u32, table: &[
 }
 
 /// Plain-TNAF multiplication (w = 1): no precomputation beyond ±P.
+///
+/// P must be in the prime-order subgroup: the recoding reduces k mod δ,
+/// so on any other base the result is (k mod δ)·P, not k·P. No
+/// production path calls it; it is a differential tier on G.
 pub fn mul_tnaf(p: &Affine, k: impl Into<U256>) -> Affine {
     let k = k.into();
     if k.is_zero() || p.is_infinity() {
@@ -428,10 +433,9 @@ fn build_generator_comb<P: TablePoint>() -> Vec<Vec<P>> {
 /// j holding τ^(jL)(α_u·G) for L = 30, built once per coordinate system
 /// (one table inversion plus 7 × 64 pairs of 30-fold squarings). 512
 /// points, 32 KiB as [`LambdaPoint`]s, the strips [`mul_g_proj`] and the
-/// double multiply read. The [`Affine`] comb (~34 KiB) is built only
-/// when something asks for it: the LD oracle, and the double multiply
-/// of a key outside the prime-order subgroup, which reads its strip 0.
-/// Strip 0 is `P`'s table of G at w = 8.
+/// double multiply read. The [`Affine`] comb (~34 KiB) serves only the
+/// LD oracle, and is built when it first asks. Strip 0 is `P`'s table
+/// of G at w = 8.
 pub fn generator_comb<P: TablePoint>() -> &'static [Vec<P>] {
     P::generator_comb()
 }
@@ -513,7 +517,7 @@ pub fn mul_g_horner(k: impl Into<U256>) -> LdPoint {
 /// exactly as [`generator_comb`] builds G's (one table inversion plus
 /// 7 × 2^(w−2) pairs of 30-fold squarings). [`crate::cache`] builds the
 /// [`LambdaPoint`] comb of every base in the prime-order subgroup: at
-/// the kP width on a miss ([`Table::build`]), and at [`KEY_COMB_WINDOW`]
+/// the kP width on a miss ([`Comb::build`]), and at [`KEY_COMB_WINDOW`]
 /// when a verification key recurs. The [`Affine`] combs serve the LD
 /// oracle.
 ///
@@ -537,56 +541,45 @@ fn table_width(len: usize) -> u32 {
     w
 }
 
-/// A base point's wTNAF precomputation as [`crate::cache`] serves it.
+/// A base point's λ comb ([`key_comb`]), [`KG_COMB_STRIPS`] strips of
+/// its width-w λ-affine table ([`precompute_lambda_table`]), strip 0
+/// being the table itself — and the proof that the base is in the
+/// prime-order subgroup, where τ-adic multiplication computes k·P.
+/// [`Comb::build`] is its one constructor and runs the check;
+/// [`crate::cache`] serves only combs, so a lookup that returns one
+/// needs no check of its own.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Table {
-    /// A base in the prime-order subgroup: its λ comb ([`key_comb`]),
-    /// [`KG_COMB_STRIPS`] strips of its λ-affine table
-    /// ([`precompute_lambda_table`]), strip 0 being the table itself.
-    Lambda(Arc<Vec<Vec<LambdaPoint>>>),
-    /// Affine entries ([`precompute_table`]) for the LD loop: any other
-    /// base, whose multiples may reach (0, 1), which has no λ.
-    Ld(Arc<Vec<Affine>>),
-}
+pub struct Comb(Arc<Vec<Vec<LambdaPoint>>>);
 
-impl Table {
-    /// p's precomputation at width `w` (p finite): its λ comb if p passes
-    /// [`Affine::is_in_prime_order_subgroup`], its affine table
-    /// otherwise. The cache runs this, and so the check, once per miss.
+impl Comb {
+    /// p's comb at width `w` if p passes
+    /// [`Affine::is_in_prime_order_subgroup`], `None` otherwise (the
+    /// point at infinity included). The cache runs this, and so the
+    /// check, once per miss.
     ///
     /// # Panics
     ///
     /// Panics if `w` is outside 2..=8.
-    pub fn build(p: &Affine, w: u32) -> Table {
-        if p.is_in_prime_order_subgroup() {
-            Table::Lambda(Arc::new(key_comb(p, w)))
-        } else {
-            Table::Ld(Arc::new(precompute_table(p, w)))
-        }
+    pub fn build(p: &Affine, w: u32) -> Option<Comb> {
+        assert_window(w);
+        p.is_in_prime_order_subgroup()
+            .then(|| Comb(Arc::new(key_comb(p, w))))
     }
 
-    /// Whether the entries are λ-affine (a comb).
-    pub fn is_lambda(&self) -> bool {
-        matches!(self, Table::Lambda(_))
+    /// The same base's comb at width `w`, with no check: strip 0's first
+    /// entry is the base itself (α₁ = 1), which this comb has proved.
+    pub(crate) fn widened(&self, w: u32) -> Comb {
+        Comb(Arc::new(key_comb(&self.0[0][0].to_affine(), w)))
     }
 
-    /// Number of entries in the width-w table (a comb's strip 0),
-    /// 2^(w−2).
-    pub fn len(&self) -> usize {
-        match self {
-            Table::Lambda(strips) => strips[0].len(),
-            Table::Ld(t) => t.len(),
-        }
+    /// The strips, strip j holding τ^(30j) of the width-w table.
+    pub fn strips(&self) -> &[Vec<LambdaPoint>] {
+        &self.0
     }
 
-    /// Whether the table has no entries (never, for a built table).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The window width w the table was built at.
+    /// The window width w the comb was built at.
     pub fn width(&self) -> u32 {
-        table_width(self.len())
+        table_width(self.0[0].len())
     }
 }
 
@@ -594,18 +587,13 @@ impl Table {
 /// width-w TNAF evaluation (the τ-adic Shamir–Strauss trick): one
 /// shared Frobenius pass of the lane evaluator instead of two passes,
 /// so an ECDSA verification costs barely more than a single
-/// random-point multiplication. Q's precomputation comes from the cache
-/// ([`crate::cache::key_tables_for`]), which decides the lanes:
-///
-/// * a key of the prime-order subgroup runs the λ joint comb over 30
-///   Frobenius maps ([`double_multiply_with_strips`]): u₁'s 8 lanes at
-///   w = 8 against G's strips, then u₂'s 8 lanes against Q's comb, at
-///   w = [`KP_WINDOW`] on the key's first double-multiply lookup (the
-///   comb kP reads) and at w = [`KEY_COMB_WINDOW`] from its second on;
-/// * a key outside the subgroup always runs two lanes in LD over 239
-///   Frobenius maps ([`double_multiply_with_table`]): u₁ at w = 8
-///   against the [`Affine`] comb's strip 0, u₂ at w = 4 against Q's
-///   affine table.
+/// random-point multiplication. Q's comb comes from the cache
+/// ([`crate::cache::key_comb_for`]), and the pass is the λ joint comb
+/// over 30 Frobenius maps ([`double_multiply_with_comb`]), u₂'s digits
+/// at w = [`KP_WINDOW`] on the key's first double-multiply lookup (the
+/// comb kP reads) and at w = [`KEY_COMB_WINDOW`] from its second on. A
+/// key outside the prime-order subgroup has no comb and gets
+/// u₁·G + [`Affine::mul_binary`]'s u₂·Q.
 ///
 /// # Panics
 ///
@@ -626,17 +614,23 @@ pub fn double_multiply_proj(u1: impl Into<U256>, u2: impl Into<U256>, q: &Affine
     if u1.is_zero() {
         return mul_wtnaf_proj(q, u2, KP_WINDOW);
     }
-    match crate::cache::key_tables_for(q) {
-        Table::Lambda(strips) => double_multiply_with_strips(u1, u2, &strips),
-        Table::Ld(table) => double_multiply_with_table(u1, u2, &table),
+    match crate::cache::key_comb_for(q) {
+        Some(comb) => double_multiply_with_comb(u1, u2, &comb),
+        None => LdPoint::from_affine(&mul_g(u1).add(&q.mul_binary(&u2.into()))),
     }
+}
+
+/// u₁·G + u₂·Q on Q's comb: one joint comb over 30 Frobenius maps
+/// ([`double_multiply_with_strips`] on G's λ strips and the comb's),
+/// u₂'s digits at the comb's width.
+pub fn double_multiply_with_comb(u1: impl Into<U256>, u2: impl Into<U256>, comb: &Comb) -> LdPoint {
+    double_multiply_with_strips(u1, u2, comb.strips())
 }
 
 /// u₁·G + u₂·Q in two lanes over 239 Frobenius maps: u₁'s w = 8 digits
 /// against strip 0 of [`generator_comb`] in `P`'s coordinates, then
-/// u₂'s w = 4 digits against `table_q`, Q's table at [`KP_WINDOW`]. The
-/// path of a key outside the prime-order subgroup (in LD), and on λ
-/// tables the reference of the joint comb.
+/// u₂'s w = 4 digits against `table_q`, Q's table at [`KP_WINDOW`]: the
+/// reference of the joint comb, in LD the λ pass's oracle.
 ///
 /// # Panics
 ///
@@ -704,6 +698,10 @@ pub(crate) fn ladder_setup(p: &Affine, k: &Int) -> (Fe, Option<impl Iterator<Ite
 /// the algorithm the paper's §5 proposes to close its power-analysis
 /// gap. Processes a fixed number of ladder steps independent of `k` by
 /// lifting the scalar to `k + n` or `k + 2n` (both 233 bits + 1).
+///
+/// P must be in the prime-order subgroup: the ladder reduces k mod n,
+/// so on any other base the result is (k mod n)·P, not k·P. No
+/// production path calls it; it is a differential tier on G.
 ///
 /// # Panics
 ///
@@ -918,23 +916,22 @@ mod tests {
         }
     }
 
-    /// u₁·G + u₂·Q along every double-multiply path: the two lanes, the
-    /// joint comb on Q's w = 4 comb (a key's first lookup) and on its
-    /// w = 5 comb (a promoted key), each on explicit LD tables and, for a
-    /// key in the subgroup, on λ tables, then the cached entry point
-    /// twice, which runs both combs for a key of the subgroup it has not
-    /// seen.
+    /// u₁·G + u₂·Q along every double-multiply path. For a key in the
+    /// subgroup: the two lanes, the joint comb on Q's w = 4 comb (a key's
+    /// first lookup) and on its w = 5 comb (a promoted key), each on
+    /// explicit LD and λ tables. Then, for every key, the cached entry
+    /// point twice, which runs both combs for a key of the subgroup it
+    /// has not seen.
     fn double_multiply_paths(u1: &Int, u2: &Int, q: &Affine) -> Vec<Affine> {
-        let mut out =
-            vec![double_multiply_with_table(u1, u2, &precompute_table(q, KP_WINDOW)).to_affine()];
-        for w in [KP_WINDOW, KEY_COMB_WINDOW] {
-            let strips = key_comb::<Affine>(q, w);
-            out.push(double_multiply_with_strips(u1, u2, &strips).to_affine());
-        }
+        let mut out = Vec::new();
         if q.is_in_prime_order_subgroup() {
-            let table = precompute_lambda_table(q, KP_WINDOW);
-            out.push(double_multiply_with_table(u1, u2, &table).to_affine());
+            let ld = precompute_table(q, KP_WINDOW);
+            let lambda = precompute_lambda_table(q, KP_WINDOW);
+            out.push(double_multiply_with_table(u1, u2, &ld).to_affine());
+            out.push(double_multiply_with_table(u1, u2, &lambda).to_affine());
             for w in [KP_WINDOW, KEY_COMB_WINDOW] {
+                let strips = key_comb::<Affine>(q, w);
+                out.push(double_multiply_with_strips(u1, u2, &strips).to_affine());
                 let strips = key_comb::<LambdaPoint>(q, w);
                 out.push(double_multiply_with_strips(u1, u2, &strips).to_affine());
             }
@@ -947,7 +944,8 @@ mod tests {
     #[test]
     fn double_multiply_matches_separate_multiplications() {
         // Q and its shifts into the three torsion cosets, against the
-        // paper's kG loop plus a separate kP.
+        // paper's kG loop plus a separate kP (by `mul_binary` outside the
+        // subgroup).
         let q = generator().mul_binary(&Int::from(777i64));
         let cosets = std::iter::once(q).chain(torsion().map(|t| q.add(&t)));
         for (c, qc) in cosets.enumerate() {
@@ -1028,12 +1026,10 @@ mod tests {
     }
 
     /// A base of the subgroup whose w = 4 comb the cache holds.
-    fn cached_kp_comb() -> (Affine, Arc<Vec<Vec<LambdaPoint>>>) {
+    fn cached_kp_comb() -> (Affine, Comb) {
         let q = generator().mul_binary(&Int::from(0x0c0b_4a11i64));
-        let Table::Lambda(strips) = crate::cache::table_for(&q, KP_WINDOW) else {
-            panic!("a base of the subgroup is cached as a λ comb");
-        };
-        (q, strips)
+        let comb = crate::cache::comb_for(&q, KP_WINDOW).expect("a base of the subgroup");
+        (q, comb)
     }
 
     #[test]
@@ -1064,7 +1060,7 @@ mod tests {
                 (k, want)
             })
             .collect();
-        assert_comb_matches(&cached[0], KP_WINDOW, &cases);
+        assert_comb_matches(&cached.strips()[0], KP_WINDOW, &cases);
         assert_comb_matches(&precompute_table(&q, KP_WINDOW), KP_WINDOW, &cases);
         for (k, want) in &cases {
             assert_eq!(mul_wtnaf(&q, k, KP_WINDOW), *want, "k = {k}");
@@ -1111,7 +1107,7 @@ mod tests {
         // A cached kP comb at w = 4, against the affine oracle's table.
         let (q, cached) = cached_kp_comb();
         let want = precompute_table_binary(&q, KP_WINDOW);
-        assert_frobenius_shifts(&affine_strips(&cached), want, "kP");
+        assert_frobenius_shifts(&affine_strips(cached.strips()), want, "kP");
     }
 
     #[test]
@@ -1141,18 +1137,19 @@ mod tests {
     }
 
     #[test]
-    fn tables_are_lambda_exactly_in_the_subgroup() {
+    fn combs_exist_exactly_in_the_subgroup() {
         let q = generator().mul_binary(&Int::from(4242i64));
-        let built = Table::build(&q, KP_WINDOW);
-        assert_eq!(built, Table::Lambda(Arc::new(key_comb(&q, KP_WINDOW))));
-        assert_eq!((built.len(), built.width()), (4, KP_WINDOW));
+        let built = Comb::build(&q, KP_WINDOW).expect("a base of the subgroup");
+        assert_eq!(built.strips(), key_comb::<LambdaPoint>(&q, KP_WINDOW));
+        assert_eq!(built.width(), KP_WINDOW);
+        assert_eq!(
+            built.widened(KEY_COMB_WINDOW),
+            Comb::build(&q, KEY_COMB_WINDOW).unwrap()
+        );
+        assert_eq!(Comb::build(&Affine::Infinity, KP_WINDOW), None);
         for t in torsion() {
             for base in [t, q.add(&t)] {
-                let built = Table::build(&base, KP_WINDOW);
-                assert_eq!(
-                    built,
-                    Table::Ld(Arc::new(precompute_table(&base, KP_WINDOW)))
-                );
+                assert_eq!(Comb::build(&base, KP_WINDOW), None, "{base}");
             }
         }
     }

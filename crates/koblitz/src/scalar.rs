@@ -767,6 +767,13 @@ impl From<&Int> for U256 {
     }
 }
 
+impl From<U256> for Int {
+    fn from(k: U256) -> Int {
+        let limbs = k.0.iter().flat_map(|&l| [l as u32, (l >> 32) as u32]);
+        Int::from_limbs(false, limbs.collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,9 +8,10 @@
 //! share it with every `kp` call and can only assert relative
 //! movement.
 
+use gf2m::Fe;
 use koblitz::cache::{self, CAPACITY};
-use koblitz::mul::{self, Table, KEY_COMB_WINDOW, KP_WINDOW};
-use koblitz::{generator, Int};
+use koblitz::mul::{self, KEY_COMB_WINDOW, KP_WINDOW};
+use koblitz::{generator, Affine, Int};
 use std::sync::{Mutex, MutexGuard};
 
 // The tests in this binary still share the one global cache;
@@ -27,8 +28,12 @@ fn unique_key_flood_degrades_hit_rate_without_growing() {
     cache::reset();
     for k in 0..FLOOD {
         let p = generator().mul_binary(&Int::from(7_000_000 + k));
-        let t = cache::table_for(&p, KP_WINDOW);
-        assert_eq!(t.len(), 4, "tables stay well-formed under churn");
+        let comb = cache::comb_for(&p, KP_WINDOW).expect("a subgroup base");
+        assert_eq!(
+            comb.width(),
+            KP_WINDOW,
+            "combs stay well-formed under churn"
+        );
     }
     let s = cache::stats();
     assert!(s.entries <= CAPACITY, "flood must not grow the cache");
@@ -47,11 +52,11 @@ fn unique_key_flood_degrades_hit_rate_without_growing() {
         .collect();
     let first: Vec<_> = survivors
         .iter()
-        .map(|p| cache::table_for(p, KP_WINDOW))
+        .map(|p| cache::comb_for(p, KP_WINDOW))
         .collect();
     let second: Vec<_> = survivors
         .iter()
-        .map(|p| cache::table_for(p, KP_WINDOW))
+        .map(|p| cache::comb_for(p, KP_WINDOW))
         .collect();
     assert_eq!(first, second, "post-flood tables round-trip");
     let s2 = cache::stats();
@@ -77,8 +82,8 @@ fn unique_key_verification_flood_builds_no_strips() {
 
     // A key that recurs is promoted on its second double multiply.
     let q = generator().mul_binary(&Int::from(6_900_000i64));
-    assert_eq!(cache::key_tables_for(&q).width(), KP_WINDOW);
-    assert_eq!(cache::key_tables_for(&q).width(), KEY_COMB_WINDOW);
+    assert_eq!(cache::key_comb_for(&q).unwrap().width(), KP_WINDOW);
+    assert_eq!(cache::key_comb_for(&q).unwrap().width(), KEY_COMB_WINDOW);
     assert_eq!(cache::stats().promotions, 1);
 }
 
@@ -90,18 +95,18 @@ fn strict_lru_evicts_least_recently_used_under_churn() {
         .map(|k| generator().mul_binary(&Int::from(9_000_000 + k)))
         .collect();
     for p in &points {
-        let _ = cache::table_for(p, KP_WINDOW);
+        let _ = cache::comb_for(p, KP_WINDOW);
     }
     // Touch everything except point 0, then insert a new key: the
     // untouched point 0 must be the victim.
     for p in &points[1..] {
-        let _ = cache::table_for(p, KP_WINDOW);
+        let _ = cache::comb_for(p, KP_WINDOW);
     }
     let fresh = generator().mul_binary(&Int::from(9_900_000i64));
-    let _ = cache::table_for(&fresh, KP_WINDOW);
+    let _ = cache::comb_for(&fresh, KP_WINDOW);
     let before = cache::stats();
-    let _ = cache::table_for(&points[0], KP_WINDOW); // evicted: recompute
-    let _ = cache::table_for(&points[5], KP_WINDOW); // resident: hit
+    let _ = cache::comb_for(&points[0], KP_WINDOW); // evicted: recompute
+    let _ = cache::comb_for(&points[5], KP_WINDOW); // resident: hit
     let after = cache::stats();
     assert_eq!(after.misses - before.misses, 1, "victim was point 0 only");
     assert_eq!(after.hits - before.hits, 1, "survivors still resident");
@@ -115,24 +120,65 @@ fn subgroup_check_runs_on_a_miss_only() {
         .map(|k| generator().mul_binary(&Int::from(5_000_000 + k)))
         .collect();
     for q in &keys {
-        assert!(cache::table_for(q, KP_WINDOW).is_lambda());
+        assert!(cache::comb_for(q, KP_WINDOW).is_some());
     }
     let s = cache::stats();
-    assert_eq!((s.misses, s.subgroup_checks), (4, 4), "one check per miss");
+    assert_eq!(
+        (s.misses, s.hits, s.entries),
+        (4, 0, 4),
+        "one build per miss"
+    );
     // Hits through both lookups, a promotion and the comb lookups after
-    // it run no check.
+    // it build no comb at the kP width.
+    let width = |q| cache::key_comb_for(q).unwrap().width();
     for q in &keys {
-        let _ = cache::table_for(q, KP_WINDOW);
-        assert_eq!(cache::key_tables_for(q).width(), KP_WINDOW);
-        assert_eq!(cache::key_tables_for(q).width(), KEY_COMB_WINDOW);
-        assert_eq!(cache::key_tables_for(q).width(), KEY_COMB_WINDOW);
+        let _ = cache::comb_for(q, KP_WINDOW);
+        assert_eq!(width(q), KP_WINDOW);
+        assert_eq!(width(q), KEY_COMB_WINDOW);
+        assert_eq!(width(q), KEY_COMB_WINDOW);
     }
     let s = cache::stats();
-    assert_eq!(s.hits, 16);
-    assert_eq!((s.misses, s.subgroup_checks), (4, 4), "hits run no check");
-    // A new width is a new entry: a miss, so one more check.
-    let _ = cache::table_for(&keys[0], 5);
-    assert_eq!(cache::stats().subgroup_checks, 5);
+    assert_eq!(
+        (s.misses, s.hits, s.entries),
+        (4, 16, 4),
+        "hits build nothing"
+    );
+    // A new width is a new entry: a miss.
+    let _ = cache::comb_for(&keys[0], 5);
+    assert_eq!((cache::stats().misses, cache::stats().entries), (5, 5));
+}
+
+#[test]
+fn refused_bases_are_misses_that_insert_nothing() {
+    let _guard = serial();
+    cache::reset();
+    let q4 = Affine::new(Fe::ONE, Fe::ONE).unwrap();
+    let t2 = Affine::new(Fe::ZERO, Fe::ONE).unwrap();
+    let p = generator().mul_binary(&Int::from(3_000_000i64));
+    let _ = cache::comb_for(&p, KP_WINDOW);
+    let before = cache::stats();
+    // Every lookup of a coset base checks it again: no verdict is kept.
+    let refused = [
+        t2,
+        q4,
+        q4.negated(),
+        p.add(&t2),
+        p.add(&q4),
+        p.add(&q4.negated()),
+    ];
+    for base in &refused {
+        assert_eq!(cache::comb_for(base, KP_WINDOW), None, "{base}");
+        assert_eq!(cache::key_comb_for(base), None, "{base}");
+        assert_eq!(cache::key_comb_for(base), None, "{base}");
+    }
+    let after = cache::stats();
+    assert_eq!(after.misses - before.misses, 3 * refused.len() as u64);
+    assert_eq!(after.hits, before.hits);
+    assert_eq!(
+        after.entries, before.entries,
+        "a refused base is never an entry"
+    );
+    assert_eq!(after.promotions, before.promotions);
 }
 
 #[test]
@@ -141,20 +187,19 @@ fn kp_hit_builds_nothing() {
     cache::reset();
     let p = generator().mul_binary(&Int::from(4_000_000i64));
     let k = Int::from(0x0123_4567_89ab_cdefi64);
-    let strips = |t: Table| match t {
-        Table::Lambda(strips) => strips,
-        Table::Ld(_) => panic!("a base of the subgroup is cached as a λ comb"),
-    };
-    let built = strips(cache::table_for(&p, KP_WINDOW));
+    let built = cache::comb_for(&p, KP_WINDOW).expect("a subgroup base");
     let before = cache::stats();
     assert_eq!(mul::mul_wtnaf(&p, &k, KP_WINDOW), p.mul_binary(&k));
     let after = cache::stats();
     assert_eq!(after.hits, before.hits + 1, "the kP lookup hits");
     assert_eq!(
-        (after.misses, after.subgroup_checks),
-        (before.misses, before.subgroup_checks),
+        (after.misses, after.entries),
+        (before.misses, before.entries),
         "a hit builds nothing"
     );
-    let again = strips(cache::table_for(&p, KP_WINDOW));
-    assert!(std::sync::Arc::ptr_eq(&built, &again), "the same strips");
+    let again = cache::comb_for(&p, KP_WINDOW).expect("a subgroup base");
+    assert!(
+        std::ptr::eq(built.strips(), again.strips()),
+        "the same strips"
+    );
 }

@@ -194,7 +194,7 @@ pub struct VerifyJob<'a> {
 /// Returns exactly what [`crate::ecdsa::verify`] would return for each
 /// job, in input order. Every double multiply is one joint comb over 30
 /// Frobenius maps, against the key's comb in the wTNAF table cache
-/// ([`koblitz::cache::key_tables_for`]); a public key's second
+/// ([`koblitz::cache::key_comb_for`]); a public key's second
 /// verification promotes it there to a comb of its w = 5 table.
 pub fn verify_batch(jobs: &[VerifyJob<'_>], workers: usize) -> Vec<Result<(), VerifyError>> {
     // Sequential pre-pass: the malformed-signature check, then one
@@ -232,15 +232,8 @@ pub fn ecdh_batch(
     workers: usize,
 ) -> Vec<Result<[u8; 32], EcdhError>> {
     // Parallel phase: peer validation + projective d·Q.
-    let staged: Vec<Result<LdPoint, EcdhError>> = run_sharded(peers, workers, |_, peer| {
-        if !peer.is_on_curve() || peer.is_infinity() {
-            return Err(EcdhError::InvalidPublicKey);
-        }
-        if !peer.is_in_prime_order_subgroup() {
-            return Err(EcdhError::WrongOrderPublicKey);
-        }
-        Ok(mul::mul_wtnaf_proj(peer, kp.secret(), mul::KP_WINDOW))
-    });
+    let staged: Vec<Result<LdPoint, EcdhError>> =
+        run_sharded(peers, workers, |_, peer| kp.shared_point(peer));
     // Batch boundary + KDF.
     let points: Vec<LdPoint> = staged
         .iter()
@@ -430,6 +423,29 @@ mod tests {
                 assert_eq!(got, [verify(public, msg, sig)], "workers = {workers}");
                 assert_eq!(got, [*want], "workers = {workers}");
             }
+        }
+    }
+
+    /// `verify_batch` refuses a signer's key shifted out of the subgroup,
+    /// as `verify` does, for every one of the seeded signers.
+    #[test]
+    fn verify_batch_refuses_keys_outside_the_subgroup() {
+        let signers = crate::ecdsa::tests::probe_signers();
+        let shifted: Vec<(Affine, &[u8], &Signature)> = signers
+            .iter()
+            .flat_map(|(key, msg, sig)| {
+                crate::ecdsa::tests::torsion().map(|t| (key.public().add(&t), &msg[..], sig))
+            })
+            .collect();
+        let jobs: Vec<VerifyJob> = shifted
+            .iter()
+            .map(|(public, msg, sig)| VerifyJob { public, msg, sig })
+            .collect();
+        for workers in [1usize, 3] {
+            let got = verify_batch(&jobs, workers);
+            let accepted = got.iter().filter(|r| r.is_ok()).count();
+            assert_eq!(accepted, 0, "{accepted}/{} accepted", jobs.len());
+            assert!(got.iter().all(|r| *r == Err(VerifyError::InvalidPublicKey)));
         }
     }
 

@@ -9,8 +9,9 @@
 
 use crate::hmac::HmacDrbg;
 use crate::sha256::Sha256;
+use koblitz::cache::comb_for;
 use koblitz::curve::{Affine, NotOnCurveError};
-use koblitz::{mul, Scalar};
+use koblitz::{mul, LdPoint, Scalar};
 
 /// A sect233k1 key pair. Its `Debug` output shows the public key
 /// only.
@@ -98,20 +99,26 @@ impl Keypair {
     /// Rejects peer points that are off-curve, outside the prime-order
     /// subgroup, or lead to the identity. The on-curve check runs
     /// first; the order check closes the small-subgroup hole (the
-    /// τ-adic multiplication below is only defined on the order-n
-    /// subgroup, so skipping it would also compute garbage).
+    /// τ-adic multiplication below computes d·Q only on the order-n
+    /// subgroup). The order verdict is the table cache's: a peer it
+    /// holds a comb for is in the subgroup, and a peer it has not seen
+    /// is checked once, on the miss ([`comb_for`]).
     pub fn shared_secret(&self, peer: &Affine) -> Result<[u8; 32], EcdhError> {
-        if !peer.is_on_curve() || peer.is_infinity() {
-            return Err(EcdhError::InvalidPublicKey);
-        }
-        if !peer.is_in_prime_order_subgroup() {
-            return Err(EcdhError::WrongOrderPublicKey);
-        }
-        let shared = mul::mul_wtnaf(peer, &self.secret, mul::KP_WINDOW);
+        let shared = self.shared_point(peer)?.to_affine();
         if shared.is_infinity() {
             return Err(EcdhError::DegenerateSharedSecret);
         }
         Ok(kdf(&shared))
+    }
+
+    /// d·Q in LD coordinates after the peer checks of
+    /// [`Keypair::shared_secret`], for it and the batch scheduler.
+    pub(crate) fn shared_point(&self, peer: &Affine) -> Result<LdPoint, EcdhError> {
+        if !peer.is_on_curve() || peer.is_infinity() {
+            return Err(EcdhError::InvalidPublicKey);
+        }
+        let comb = comb_for(peer, mul::KP_WINDOW).ok_or(EcdhError::WrongOrderPublicKey)?;
+        Ok(mul::mul_with_comb(&self.secret, &comb))
     }
 }
 

@@ -3,6 +3,7 @@
 use crate::hmac::HmacDrbg;
 use crate::sha256::Sha256;
 use gf2m::Fe;
+use koblitz::cache::key_comb_for;
 use koblitz::curve::Affine;
 use koblitz::{mul, LdPoint, Scalar};
 
@@ -38,7 +39,8 @@ impl std::fmt::Debug for SigningKey {
 pub enum VerifyError {
     /// r or s out of range.
     MalformedSignature,
-    /// The public key is invalid.
+    /// The public key is not a point of order n: off the curve, the
+    /// point at infinity, or outside the prime-order subgroup.
     InvalidPublicKey,
     /// The signature does not match the message.
     BadSignature,
@@ -48,7 +50,9 @@ impl std::fmt::Display for VerifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             VerifyError::MalformedSignature => f.write_str("signature components out of range"),
-            VerifyError::InvalidPublicKey => f.write_str("public key is not a valid curve point"),
+            VerifyError::InvalidPublicKey => {
+                f.write_str("public key is not a curve point of order n")
+            }
             VerifyError::BadSignature => f.write_str("signature verification failed"),
         }
     }
@@ -188,10 +192,13 @@ pub fn verify(q: &Affine, msg: &[u8], sig: &Signature) -> Result<(), VerifyError
 }
 
 /// Verification after the range checks and s⁻¹, shared by
-/// [`verify`] and the batch verifier: the key check, then u₁·G + u₂·Q
+/// [`verify`] and the batch verifier: the key checks, then u₁·G + u₂·Q
 /// by interleaved double multiplication (one shared Frobenius pass —
 /// the Shamir–Strauss trick in τ-adic form), kept projective for
-/// [`x_matches`].
+/// [`x_matches`]. The order check is the table cache's verdict: the
+/// key's comb ([`key_comb_for`]) exists only in the prime-order
+/// subgroup, where the τ-adic pass computes u₂·Q, and a key the cache
+/// has not seen is checked once, on the miss.
 pub(crate) fn verify_with_s_inv(
     q: &Affine,
     msg: &[u8],
@@ -201,10 +208,11 @@ pub(crate) fn verify_with_s_inv(
     if !q.is_on_curve() || q.is_infinity() {
         return Err(VerifyError::InvalidPublicKey);
     }
+    let comb = key_comb_for(q).ok_or(VerifyError::InvalidPublicKey)?;
     let e = hash_to_scalar(msg);
     let u1 = e.mul(s_inv);
     let u2 = r.mul(s_inv);
-    let point = mul::double_multiply_proj(&u1, &u2, q);
+    let point = mul::double_multiply_with_comb(&u1, &u2, &comb);
     if x_matches(&point, r) {
         Ok(())
     } else {
@@ -229,7 +237,7 @@ pub(crate) fn x_matches(point: &LdPoint, r: &Scalar) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use koblitz::Int;
 
@@ -414,6 +422,50 @@ mod tests {
             s: Scalar::new(Int::from(777i64)),
         };
         assert_eq!(verify(&q, msg, &sig), Err(VerifyError::BadSignature));
+    }
+
+    /// The coset shifts of the order-n subgroup: the 2-torsion point
+    /// (0, 1) and the order-4 points ±(1, 1).
+    pub(crate) fn torsion() -> [Affine; 3] {
+        let q4 = Affine::new(Fe::ONE, Fe::ONE).unwrap();
+        [Affine::new(Fe::ZERO, Fe::ONE).unwrap(), q4, q4.negated()]
+    }
+
+    /// Fifty seeded signers, each with its message and a valid signature.
+    pub(crate) fn probe_signers() -> Vec<(SigningKey, Vec<u8>, Signature)> {
+        (0..50)
+            .map(|i| {
+                let key = SigningKey::generate(format!("probe{i}").as_bytes());
+                let msg = format!("m{i}").into_bytes();
+                let sig = key.sign(&msg);
+                (key, msg, sig)
+            })
+            .collect()
+    }
+
+    /// A valid signature under the signer's key shifted out of the
+    /// subgroup. The τ-adic double multiply computes u₂·Q only in the
+    /// subgroup, so running it on such a key once accepted some of these
+    /// signatures; the key is refused instead.
+    #[test]
+    fn keys_outside_the_subgroup_are_refused() {
+        let signers = probe_signers();
+        for t in torsion() {
+            let accepted = signers
+                .iter()
+                .filter(|(key, msg, sig)| {
+                    let shifted = key.public().add(&t);
+                    assert!(shifted.is_on_curve());
+                    let got = verify(&shifted, msg, sig);
+                    assert_ne!(got, Err(VerifyError::BadSignature), "shift {t}");
+                    got.is_ok()
+                })
+                .count();
+            assert_eq!(accepted, 0, "{accepted}/50 accepted under Q + {t}");
+        }
+        for (key, msg, sig) in &signers {
+            assert_eq!(verify(key.public(), msg, sig), Ok(()));
+        }
     }
 
     #[test]

@@ -411,7 +411,7 @@ impl ServicePlane {
             .expect("sequence number was checked fresh above");
         if self.level < 2 {
             if let Some(p) = req.op.warm_point() {
-                let _ = cache::table_for(p, KP_WINDOW);
+                let _ = cache::comb_for(p, KP_WINDOW);
                 self.counters.warms += 1;
             }
         }

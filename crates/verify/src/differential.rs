@@ -24,15 +24,16 @@
 //!   coset of the order-n subgroup; the projective wTNAF table build
 //!   against its affine `mul_binary` oracle at every window width, on
 //!   the same shifted points; the host's λ-coordinate kP, kG and double
-//!   multiplies against the López-Dahab loop on G, a seeded multiple of
-//!   G, the torsion points and all four cosets, with every base outside
-//!   the subgroup kept on the LD path; the cached kP comb of a base new
-//!   to the cache, on its miss and its hit at w = 4 and 5, and the joint
-//!   comb of a key's first double multiply, against the paper's one-lane
-//!   loop and the two-lane double multiply on explicit λ tables; the
-//!   τ-adic kG comb against the paper's single-table Horner loop, and the double multiply against the
-//!   Horner sum on the shifted points; the fixed-width τ-adic recoding
-//!   against its `Int` pipeline, digit for digit at every width; the
+//!   multiplies against the López-Dahab loop on G and a seeded multiple
+//!   of G; kP and the double multiply on the torsion points and a
+//!   subgroup point shifted by each against affine double-and-add, at
+//!   full-width scalars; the cached kP comb of a base new to the cache,
+//!   on its miss and its hit at w = 4 and 5, and the joint comb of a
+//!   key's first double multiply, against the paper's one-lane loop and
+//!   the two-lane double multiply on explicit λ tables; the τ-adic kG
+//!   comb against the paper's single-table Horner loop, and the double
+//!   multiply against the Horner sum on k·G; the fixed-width τ-adic
+//!   recoding against its `Int` pipeline, digit for digit at every width; the
 //!   mod-n batch inversion against per-element inversion; the
 //!   fixed-width mod-n arithmetic (reductions, ring operations and the
 //!   constant-time safegcd inversion) against `Int` and its extended
@@ -71,8 +72,7 @@ use gf2m::generic::GenericField;
 use gf2m::modeled::{ModeledField, Tier};
 use gf2m::mul::mul_ld_fixed;
 use gf2m::{counted, inv, sqr, Clmul, Fe};
-use koblitz::mul::Table;
-use koblitz::{cache, curve, mul, tnaf, Int, LambdaPoint, Scalar, U256};
+use koblitz::{curve, mul, tnaf, Int, LambdaPoint, Scalar, U256};
 use prng::SplitMix64;
 use protocols::sha256::{Sha256, ShaNi};
 use protocols::wire::{
@@ -262,6 +262,7 @@ const DM_COMB_DOMAIN: u64 = 0xd0c0b8;
 const LD_LAMBDA_DOMAIN: u64 = 0x1d1a;
 const SCALAR_INV_PUBLIC_DOMAIN: u64 = 0x5ca1b1;
 const KP_COMB_DOMAIN: u64 = 0xc0b84;
+const COSET_DOMAIN: u64 = 0xc05e7;
 
 /// Size of the global case list: the four phase case lists
 /// concatenated (field, then scalar, then wire, then batch). This is
@@ -886,20 +887,14 @@ fn scalar_fixed_disagreement(edge: Option<&Int>, rng: &mut SplitMix64) -> Option
 /// The `ld/lambda` pair of one scalar case: the host's λ loop against
 /// the LD loop it replaced, the oracle. The scalars a and b are the
 /// comb's edges paired up (a from the front, b from the back), then
-/// seeded. kG runs on G's λ comb against its LD comb; then for each base
-/// — G, a seeded multiple Q of G, the three torsion points and Q in the
-/// other three cosets — kP through the cache against the LD loop on
+/// seeded. kG runs on G's λ comb against its LD comb; then for G and a
+/// seeded multiple Q of G, kP through the cache against the LD loop on
 /// the base's affine table, and a·G + b·B along every double-multiply
-/// path against the LD two-lane one. A base in the subgroup adds the λ
-/// two-lane and λ joint-comb paths on explicit tables. Any other base
-/// must come back from the LD path: its cached table is affine and its
-/// key is never promoted.
-fn ld_lambda_pair(
-    config: &DiffConfig,
-    report: &mut DiffReport,
-    case: usize,
-    shifts: &[curve::Affine],
-) {
+/// path (the cache's first and second lookup, the λ two-lane and λ
+/// joint-comb paths on explicit tables) against the LD two-lane one.
+/// Bases outside the subgroup have no λ path; `binary/coset` checks
+/// them.
+fn ld_lambda_pair(config: &DiffConfig, report: &mut DiffReport, case: usize) {
     let at = ("scalar", case);
     let w = mul::KP_WINDOW;
     let edges = dm_scalar_edges();
@@ -918,46 +913,110 @@ fn ld_lambda_pair(
             "k·G: the λ comb differs from the LD comb".to_string(),
         )
     });
-    let bases = [g, q]
-        .into_iter()
-        .chain(shifts[1..].iter().copied())
-        .chain(shifts[1..].iter().map(|t| q.add(t)));
-    for base in bases {
-        let lambda = base.is_in_prime_order_subgroup();
+    for base in [g, q] {
         let ld_table = mul::precompute_table(&base, w);
         let want = mul::mul_wtnaf_with_table(&a, w, &ld_table).to_affine();
-        let kp_ok = mul::mul_wtnaf(&base, &a, w) == want
-            && cache::table_for(&base, w).is_lambda() == lambda;
-        report.check(at, "ld/lambda", kp_ok, || {
-            (
-                a.to_hex(),
-                format!("k·P for P = {base} (subgroup: {lambda}) differs from the LD loop"),
-            )
-        });
+        report.check(
+            at,
+            "ld/lambda",
+            mul::mul_wtnaf(&base, &a, w) == want,
+            || {
+                (
+                    a.to_hex(),
+                    format!("k·P for P = {base} differs from the LD loop"),
+                )
+            },
+        );
         let want = mul::double_multiply_with_table(&a, &b, &ld_table).to_affine();
+        let table = mul::precompute_lambda_table(&base, w);
         let mut got = vec![
             mul::double_multiply(&a, &b, &base),
             mul::double_multiply(&a, &b, &base),
+            mul::double_multiply_with_table(&a, &b, &table).to_affine(),
         ];
-        if lambda {
-            let table = mul::precompute_lambda_table(&base, w);
-            got.push(mul::double_multiply_with_table(&a, &b, &table).to_affine());
-            for w in [mul::KP_WINDOW, mul::KEY_COMB_WINDOW] {
-                let strips = mul::key_comb::<LambdaPoint>(&base, w);
-                got.push(mul::double_multiply_with_strips(&a, &b, &strips).to_affine());
-            }
+        for w in [mul::KP_WINDOW, mul::KEY_COMB_WINDOW] {
+            let strips = mul::key_comb::<LambdaPoint>(&base, w);
+            got.push(mul::double_multiply_with_strips(&a, &b, &strips).to_affine());
         }
-        let on_ld_path = lambda || matches!(cache::key_tables_for(&base), Table::Ld(_));
-        let dm_ok = on_ld_path && got.iter().all(|p| *p == want);
-        report.check(at, "ld/lambda", dm_ok, || {
+        report.check(at, "ld/lambda", got.iter().all(|p| *p == want), || {
             (
                 a.to_hex(),
                 format!(
-                    "u1·G + u2·P for P = {base} (subgroup: {lambda}) differs from the LD \
-                     two-lane double multiply, or left the LD path, for u1 = {a}, u2 = {b}"
+                    "u1·G + u2·P for P = {base} differs from the LD two-lane double \
+                     multiply for u1 = {a}, u2 = {b}"
                 ),
             )
         });
+    }
+}
+
+/// The scalars `binary/coset` starts with: n − 1, 2²²⁴ − 1, 2²³² − 1
+/// and 2²⁵⁶ − 1, each one the recoding reduces mod δ.
+fn coset_scalar_edges() -> Vec<Int> {
+    let top = |bits: usize| &Int::one().shl(bits) - &Int::one();
+    vec![&curve::order() - &Int::one(), top(224), top(232), top(256)]
+}
+
+/// The `binary/coset` pair of one scalar case: kP and the double
+/// multiply on bases outside the prime-order subgroup, where the τ-adic
+/// recoding's reduction mod δ does not give k·P, against affine
+/// double-and-add, which shares no τ-adic code. The bases are the
+/// torsion points (0, 1) and ±(1, 1) and a seeded multiple Q of G
+/// shifted by each; k is [`coset_scalar_edges`], then a seeded 256-bit
+/// value, and u a seeded 256-bit value. On each base, `mul_wtnaf`,
+/// `mul_wtnaf_proj`, and `double_multiply` on the key's first and
+/// second cached lookup must equal `mul_binary`'s k·P and u·G + k·P:
+/// four checks a base.
+fn coset_pair(
+    config: &DiffConfig,
+    report: &mut DiffReport,
+    case: usize,
+    torsion: &[curve::Affine],
+) {
+    let at = ("scalar", case);
+    let w = mul::KP_WINDOW;
+    let mut rng = SplitMix64::substream(config.seed, COSET_DOMAIN, case as u64);
+    let mut full_width = || Int::from_limbs(false, (0..8).map(|_| rng.next_u32()).collect());
+    let k = coset_scalar_edges()
+        .get(case)
+        .cloned()
+        .unwrap_or_else(&mut full_width);
+    let u = full_width();
+    let q = mul::mul_g(&full_width());
+    let u_g = curve::generator().mul_binary(&u);
+    let bases = torsion
+        .iter()
+        .copied()
+        .chain(torsion.iter().map(|t| q.add(t)));
+    for base in bases {
+        let want = base.mul_binary(&k);
+        let want_dm = u_g.add(&want);
+        let paths = [
+            ("mul_wtnaf", mul::mul_wtnaf(&base, &k, w), want),
+            (
+                "mul_wtnaf_proj",
+                mul::mul_wtnaf_proj(&base, &k, w).to_affine(),
+                want,
+            ),
+            (
+                "first double_multiply",
+                mul::double_multiply(&u, &k, &base),
+                want_dm,
+            ),
+            (
+                "second double_multiply",
+                mul::double_multiply(&u, &k, &base),
+                want_dm,
+            ),
+        ];
+        for (path, got, want) in paths {
+            report.check(at, "binary/coset", got == want, || {
+                (
+                    k.to_hex(),
+                    format!("{path} on P = {base}: {got}, double-and-add {want}, u = {u}"),
+                )
+            });
+        }
     }
 }
 
@@ -1080,11 +1139,11 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
             });
         }
         // The joint comb of a promoted key against the two-lane double
-        // multiply of an unpromoted one, for Q = k·G shifted into each
-        // coset. The comb reads explicit strips, so the verdict does not
-        // depend on the global cache; then the cached entry point runs
-        // twice on Q (two lanes, then the comb, for a key it has not
-        // seen). The first cases pair up the comb's scalar edges.
+        // multiply of an unpromoted one, for Q = k·G. The comb reads
+        // explicit strips, so the verdict does not depend on the global
+        // cache; then the cached entry point runs twice on Q (the w = 4
+        // comb, then the promoted one, for a key it has not seen). The
+        // first cases pair up the comb's scalar edges.
         let dm_edges = dm_scalar_edges();
         let (u1, u2) = match dm_edges.get(case) {
             Some(u1) => (u1.clone(), dm_edges[dm_edges.len() - 1 - case].clone()),
@@ -1093,63 +1152,54 @@ fn scalar_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize
                 (rand_scalar_wide(&mut dm_rng), rand_scalar_wide(&mut dm_rng))
             }
         };
-        for shift in &shifts {
-            let q = reference.add(shift);
-            let table = mul::precompute_table(&q, mul::KP_WINDOW);
-            let want = mul::double_multiply_with_table(&u1, &u2, &table).to_affine();
-            // A promoted key's strips are λ in the subgroup, LD elsewhere.
-            let w = mul::KEY_COMB_WINDOW;
-            let promoted = if q.is_in_prime_order_subgroup() {
-                mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb::<LambdaPoint>(&q, w))
-            } else {
-                mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb::<curve::Affine>(&q, w))
-            };
-            let paths = [
-                ("promoted key", promoted.to_affine()),
-                ("first cached lookup", mul::double_multiply(&u1, &u2, &q)),
-                ("second cached lookup", mul::double_multiply(&u1, &u2, &q)),
-            ];
-            for (path, got) in paths {
-                report.check(at, "dm_horner/dm_comb", got == want, || {
-                    (
-                        k.to_hex(),
-                        format!(
-                            "{path}: u1·G + u2·(k·G + {shift}) differs from the two-lane \
-                             double multiply for u1 = {u1}, u2 = {u2}"
-                        ),
-                    )
-                });
-            }
+        let q = reference;
+        let table = mul::precompute_table(&q, mul::KP_WINDOW);
+        let want = mul::double_multiply_with_table(&u1, &u2, &table).to_affine();
+        // Q = O when k ≡ 0 (mod n): no λ strips, so the LD ones.
+        let w = mul::KEY_COMB_WINDOW;
+        let promoted = if q.is_infinity() {
+            mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb::<curve::Affine>(&q, w))
+        } else {
+            mul::double_multiply_with_strips(&u1, &u2, &mul::key_comb::<LambdaPoint>(&q, w))
+        };
+        let paths = [
+            ("promoted key", promoted.to_affine()),
+            ("first cached lookup", mul::double_multiply(&u1, &u2, &q)),
+            ("second cached lookup", mul::double_multiply(&u1, &u2, &q)),
+        ];
+        for (path, got) in paths {
+            report.check(at, "dm_horner/dm_comb", got == want, || {
+                (
+                    k.to_hex(),
+                    format!(
+                        "{path}: u1·G + u2·(k·G) differs from the two-lane double multiply \
+                         for u1 = {u1}, u2 = {u2}"
+                    ),
+                )
+            });
         }
-        ld_lambda_pair(config, report, case, &shifts);
+        ld_lambda_pair(config, report, case);
         kp_comb_pair(config, report, case);
+        coset_pair(config, report, case, &shifts[1..]);
         // The kG comb against the paper's single-table loop, and the
-        // double multiply (G half on the comb's strip 0) against the
-        // Horner sum, for Q = k·G shifted into each coset.
+        // double multiply against the Horner sum, for Q = k·G.
         let horner = mul::mul_g_horner(&k).to_affine();
         let mut kg_rng = SplitMix64::substream(config.seed, KG_COMB_DOMAIN, case as u64);
         let u = rand_scalar_wide(&mut kg_rng);
-        let kg_checks =
-            std::iter::once((None, mul::mul_g(&k) == horner)).chain(shifts.iter().map(|shift| {
-                let q = reference.add(shift);
-                let want = horner.add(&mul::mul_wtnaf(&q, &u, 4));
-                (Some(shift), mul::double_multiply(&k, &u, &q) == want)
-            }));
-        for (shift, agreed) in kg_checks {
-            report.check(at, "kg_horner/kg_comb", agreed, || {
-                let detail = match shift {
-                    None => "k·G differs from the Horner loop".to_string(),
-                    Some(shift) => {
-                        format!("k·G + u·(k·G + {shift}) differs from the Horner sum for u = {u}")
-                    }
-                };
-                (k.to_hex(), detail)
-            });
-        }
+        report.check(at, "kg_horner/kg_comb", mul::mul_g(&k) == horner, || {
+            (k.to_hex(), "k·G differs from the Horner loop".to_string())
+        });
+        let want = horner.add(&mul::mul_wtnaf(&reference, &u, 4));
+        let agreed = mul::double_multiply(&k, &u, &reference) == want;
+        report.check(at, "kg_horner/kg_comb", agreed, || {
+            (
+                k.to_hex(),
+                format!("k·G + u·(k·G) differs from the Horner sum for u = {u}"),
+            )
+        });
         // The double multiply against an oracle that shares no τ-adic
-        // code: k·G + u·Q by affine double-and-add, for Q = k·G. Only
-        // the subgroup: in the other cosets reduction mod δ does not
-        // give u·Q, so those stay with the Horner sum above.
+        // code: k·G + u·Q by affine double-and-add, for Q = k·G (the
+        // other cosets are `binary/coset`'s).
         let agreed =
             mul::double_multiply(&k, &u, &reference) == reference.add(&reference.mul_binary(&u));
         report.check(at, "binary/double_mul", agreed, || {
@@ -1580,13 +1630,15 @@ mod tests {
         // k·G shifted into each of the four cosets.
         assert_eq!(find("order_binary/order_trace"), 4 * 14);
         assert_eq!(find("table_binary/table_proj"), 4 * 14);
-        // kG, then the double multiply in each of the four cosets.
-        assert_eq!(find("kg_horner/kg_comb"), 5 * 14);
+        // kG, then the double multiply on k·G.
+        assert_eq!(find("kg_horner/kg_comb"), 2 * 14);
         assert_eq!(find("binary/double_mul"), 14);
-        // Three double-multiply paths in each of the four cosets.
-        assert_eq!(find("dm_horner/dm_comb"), 3 * 4 * 14);
-        // kG, then kP and the double multiply on eight bases.
-        assert_eq!(find("ld/lambda"), (1 + 2 * 8) * 14);
+        // Three double-multiply paths on k·G.
+        assert_eq!(find("dm_horner/dm_comb"), 3 * 14);
+        // kG, then kP and the double multiply on G and Q.
+        assert_eq!(find("ld/lambda"), (1 + 2 * 2) * 14);
+        // Four paths on each of six bases outside the subgroup.
+        assert_eq!(find("binary/coset"), 4 * 6 * 14);
         // kP at w = 4 and 5, then the first-lookup double multiply.
         assert_eq!(find("kp_horner/kp_comb"), 3 * 14);
         // Each batch case checks the drawn batch and its widened copy.
